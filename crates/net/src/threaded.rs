@@ -101,7 +101,7 @@ impl ThreadEndpoint {
     /// may be dropped, duplicated, or held back according to the plan; a
     /// faulted-away message still returns `true` (the sender cannot tell).
     pub fn send<T: Any + Send + Clone>(&self, to: usize, size: u64, payload: T) -> bool {
-        let Some(inj) = self.faults.clone() else {
+        let Some(inj) = &self.faults else {
             return self.raw_send(to, size, Box::new(payload));
         };
         match inj.next_decision() {

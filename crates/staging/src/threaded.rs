@@ -5,9 +5,14 @@
 //! producer thread, and a consumer thread exchanging real bytes — the
 //! protocol logic (including `wfcr`'s logging backend) is identical to the
 //! DES path, so races surfaced here are races in the real design.
+//!
+//! The unit of exchange is one [`Frame`] per shard per operation: a `put` or
+//! `get` hands each owning server all of its requests in one message and
+//! gets their responses back in one, so a thread wake-up is paid per shard
+//! and not per block.
 
-// detlint: skip-file — real-thread transport: wall-clock timeouts and local
-// HashMaps are inherent here; determinism is only required of the DES path.
+// detlint: skip-file — real-thread transport: wall-clock timeouts are
+// inherent here; determinism is only required of the DES path.
 
 use crate::dist::Distribution;
 use crate::geometry::BBox;
@@ -21,7 +26,6 @@ use crate::server::{covers_exactly, plan_get_routed, plan_put_with_routed, HEADE
 use crate::service::{ServerLogic, StoreBackend};
 use faultplane::RetryPolicy;
 use net::threaded::{NetMsg, RecvTimeoutError, ThreadEndpoint};
-use std::collections::HashMap;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -31,6 +35,13 @@ pub struct Shutdown;
 /// Stall request for server threads: sleep for the given duration without
 /// consuming the queue (the threaded analogue of [`crate::server::Stall`]).
 pub struct StallFor(pub Duration);
+
+/// One operation's share for one shard: the requests a `put` or `get` planned
+/// for that server, in `seq` order — or, coming back, their responses in the
+/// same order. Its declared size is the sum of what its entries would declare
+/// alone, and the mesh's fault plan decides the fate of the frame as a whole.
+#[derive(Clone)]
+pub struct Frame<T>(pub Vec<T>);
 
 /// Spawn a staging server thread servicing `endpoint`.
 ///
@@ -70,6 +81,10 @@ pub fn spawn_server_traced<B: StoreBackend>(
 /// The server message loop shared by the traced and untraced spawns. With a
 /// disabled tracer every span call is a no-op and the returned trace is
 /// empty.
+///
+/// A frame's entries run one by one through the same [`ServerLogic`] calls a
+/// lone request would (own dedup lookup, own span, own journal record); only
+/// the reply is shared, and it leaves after the last entry was applied.
 // lint: commit-point(commit=handle_put, ack=send)
 fn serve_loop<B: StoreBackend>(
     endpoint: ThreadEndpoint,
@@ -90,83 +105,91 @@ fn serve_loop<B: StoreBackend>(
         if msg.payload.is::<Shutdown>() {
             break;
         }
-        if msg.payload.is::<PutRequest>() {
-            let req = msg.payload.downcast::<PutRequest>().unwrap();
-            let (t, s) = tick();
-            let span = tracer.begin(
-                req.tctx,
-                track,
-                "serve.put",
-                t,
-                s,
-                vec![arg("var", req.desc.var), arg("version", req.desc.version)],
-            );
-            let (resp, _cost) = logic.handle_put(&req);
-            let decision = if logic.last_was_dup() {
-                "dup"
-            } else if resp.status == PutStatus::Absorbed {
-                "absorbed"
-            } else {
-                "stored"
-            };
-            let op = logic.last_op();
-            if op.log_events > 0 {
+        if msg.payload.is::<Frame<PutRequest>>() {
+            let frame = msg.payload.downcast::<Frame<PutRequest>>().unwrap();
+            let mut resps = Vec::with_capacity(frame.0.len());
+            for req in &frame.0 {
                 let (t, s) = tick();
-                tracer.instant(
-                    span,
+                let span = tracer.begin(
+                    req.tctx,
                     track,
-                    "log.append",
+                    "serve.put",
                     t,
                     s,
-                    vec![arg("events", op.log_events), arg("bytes", op.logged_bytes)],
+                    vec![arg("var", req.desc.var), arg("version", req.desc.version)],
                 );
-            }
-            let (t, s) = tick();
-            tracer.end(span, track, t, s, vec![arg("decision", decision)]);
-            endpoint.send(msg.from, HEADER_BYTES, resp);
-        } else if msg.payload.is::<GetRequest>() {
-            let req = msg.payload.downcast::<GetRequest>().unwrap();
-            let (t, s) = tick();
-            let span = tracer.begin(
-                req.tctx,
-                track,
-                "serve.get",
-                t,
-                s,
-                vec![arg("var", req.var), arg("version", req.version)],
-            );
-            if !logic.get_ready(&req) {
-                // DataSpaces `get` blocks until the requested version is
-                // available; the DES server parks such requests. Over
-                // real threads the server instead answers "not yet"
-                // (empty, nothing logged) and the client retries, so a
-                // racing reader can never observe a torn or stale
-                // version — and failed polls never pollute the replay
-                // log.
-                let resp = GetResponse {
-                    var: req.var,
-                    version: req.version,
-                    seq: req.seq,
-                    pieces: Vec::new(),
-                };
-                let (t, s) = tick();
-                tracer.end(span, track, t, s, vec![arg("decision", "notready")]);
-                endpoint.send(msg.from, HEADER_BYTES, resp);
-            } else {
-                let (resp, _cost) = logic.handle_get(&req);
+                let (resp, _cost) = logic.handle_put(req);
                 let decision = if logic.last_was_dup() {
                     "dup"
-                } else if logic.last_op().replayed {
-                    "replayed"
+                } else if resp.status == PutStatus::Absorbed {
+                    "absorbed"
                 } else {
-                    "served"
+                    "stored"
+                };
+                let op = logic.last_op();
+                if op.log_events > 0 {
+                    let (t, s) = tick();
+                    tracer.instant(
+                        span,
+                        track,
+                        "log.append",
+                        t,
+                        s,
+                        vec![arg("events", op.log_events), arg("bytes", op.logged_bytes)],
+                    );
+                }
+                let (t, s) = tick();
+                tracer.end(span, track, t, s, vec![arg("decision", decision)]);
+                resps.push(resp);
+            }
+            endpoint.send(msg.from, HEADER_BYTES * resps.len() as u64, Frame(resps));
+        } else if msg.payload.is::<Frame<GetRequest>>() {
+            let frame = msg.payload.downcast::<Frame<GetRequest>>().unwrap();
+            let mut resps = Vec::with_capacity(frame.0.len());
+            let mut size = 0;
+            for req in &frame.0 {
+                let (t, s) = tick();
+                let span = tracer.begin(
+                    req.tctx,
+                    track,
+                    "serve.get",
+                    t,
+                    s,
+                    vec![arg("var", req.var), arg("version", req.version)],
+                );
+                let (resp, decision) = if !logic.get_ready(req) {
+                    // DataSpaces `get` blocks until the requested version is
+                    // available; the DES server parks such requests. Over
+                    // real threads the server instead answers "not yet"
+                    // (empty, nothing logged) and the client retries, so a
+                    // racing reader can never observe a torn or stale
+                    // version — and failed polls never pollute the replay
+                    // log.
+                    let empty = GetResponse {
+                        var: req.var,
+                        version: req.version,
+                        seq: req.seq,
+                        pieces: Vec::new(),
+                    };
+                    (empty, "notready")
+                } else {
+                    let (resp, _cost) = logic.handle_get(req);
+                    let decision = if logic.last_was_dup() {
+                        "dup"
+                    } else if logic.last_op().replayed {
+                        "replayed"
+                    } else {
+                        "served"
+                    };
+                    (resp, decision)
                 };
                 let (t, s) = tick();
                 tracer.end(span, track, t, s, vec![arg("decision", decision)]);
-                let size = HEADER_BYTES
+                size += HEADER_BYTES
                     + resp.pieces.iter().map(|p| p.payload.accounted_len()).sum::<u64>();
-                endpoint.send(msg.from, size, resp);
+                resps.push(resp);
             }
+            endpoint.send(msg.from, size, Frame(resps));
         } else if msg.payload.is::<CtlMsg>() {
             let req = msg.payload.downcast::<CtlMsg>().unwrap();
             let (t, s) = tick();
@@ -213,7 +236,7 @@ pub enum ClientError {
         op: &'static str,
         /// Retry attempts performed.
         attempts: u32,
-        /// Acks still missing when the policy gave up.
+        /// Requests (not frames) still unanswered when the policy gave up.
         outstanding: usize,
     },
 }
@@ -308,6 +331,59 @@ impl SyncClient {
         s
     }
 
+    /// One operation's exchange with the servers under the bounded
+    /// [`RetryPolicy`]. `reqs` are the planned `(server, request)` pairs and
+    /// a request's position is its reply slot. Each round `send`s every
+    /// server one frame of its still-unanswered requests, in slot order,
+    /// then `absorb`s messages until the backoff window closes. `absorb`
+    /// passes each reply it recognises to `fill(slot, reply)`, which keeps
+    /// the first one per slot, so transport-duplicated and stale replies
+    /// fall away. Returns the replies in slot order.
+    fn fan_out<Q: Clone, R>(
+        &self,
+        op: &'static str,
+        reqs: &[(usize, Q)],
+        send: impl Fn(&ThreadEndpoint, usize, Vec<Q>) -> bool,
+        mut absorb: impl FnMut(NetMsg, &mut dyn FnMut(usize, R)),
+    ) -> Result<Vec<R>, ClientError> {
+        let mut slots: Vec<Option<R>> = reqs.iter().map(|_| None).collect();
+        let mut left = reqs.len();
+        let mut attempts = 0u32;
+        let mut backoff_spent = 0u64;
+        while left > 0 {
+            let mut frames = vec![Vec::new(); self.server_eps.len()];
+            for ((server, req), slot) in reqs.iter().zip(&slots) {
+                if slot.is_none() {
+                    frames[*server].push(req.clone());
+                }
+            }
+            for (frame, &to) in frames.into_iter().zip(&self.server_eps) {
+                if !frame.is_empty() && !send(&self.endpoint, to, frame) {
+                    return Err(ClientError::Disconnected);
+                }
+            }
+            let window = self.retry.backoff(attempts + 1);
+            let done = drain_window(&self.endpoint, Instant::now() + window, |msg| {
+                absorb(msg, &mut |slot, reply| {
+                    if let Some(empty @ None) = slots.get_mut(slot) {
+                        *empty = Some(reply);
+                        left -= 1;
+                    }
+                });
+                left == 0
+            })?;
+            if done {
+                break;
+            }
+            attempts += 1;
+            backoff_spent += window.as_nanos() as u64;
+            if !self.retry.allows(attempts, backoff_spent) {
+                return Err(ClientError::RetryExhausted { op, attempts, outstanding: left });
+            }
+        }
+        Ok(slots.into_iter().map(|r| r.expect("left == 0: every slot is filled")).collect())
+    }
+
     /// Write `bbox` of `(var, version)`, generating per-block payloads with
     /// `fill`. Blocks are scattered to their owning servers; the call returns
     /// when every server acked. Returns the per-block statuses (seq order).
@@ -321,52 +397,22 @@ impl SyncClient {
         let seq0 = self.seq;
         let reqs = plan_put_with_routed(&self.router, self.app, var, version, bbox, seq0, fill);
         self.next_seq(reqs.len());
-        let mut outstanding: HashMap<u64, (usize, PutRequest)> =
-            reqs.into_iter().map(|(server, req)| (req.seq, (server, req))).collect();
-        let send_all = |ep: &ThreadEndpoint,
-                        server_eps: &[usize],
-                        pending: &HashMap<u64, (usize, PutRequest)>|
-         -> Result<(), ClientError> {
-            for (server, req) in pending.values() {
-                let size = HEADER_BYTES + req.payload.accounted_len();
-                if !ep.send(server_eps[*server], size, req.clone()) {
-                    return Err(ClientError::Disconnected);
-                }
-            }
-            Ok(())
-        };
-        send_all(&self.endpoint, &self.server_eps, &outstanding)?;
-        let mut statuses: Vec<(u64, PutStatus)> = Vec::with_capacity(outstanding.len());
-        let mut attempts = 0u32;
-        let mut backoff_spent = 0u64;
-        while !outstanding.is_empty() {
-            let window = self.retry.backoff(attempts + 1);
-            let done = drain_window(&self.endpoint, Instant::now() + window, |msg| {
-                if msg.payload.is::<PutResponse>() {
-                    let r = msg.payload.downcast::<PutResponse>().unwrap();
-                    // Remove-once dedups transport-duplicated acks.
-                    if outstanding.remove(&r.seq).is_some() {
-                        statuses.push((r.seq, r.status));
+        self.fan_out(
+            "put",
+            &reqs,
+            |ep, to, frame| {
+                let size = frame.iter().map(|r| HEADER_BYTES + r.payload.accounted_len()).sum();
+                ep.send(to, size, Frame(frame))
+            },
+            |msg, fill| {
+                if let Ok(acks) = msg.payload.downcast::<Frame<PutResponse>>() {
+                    for ack in acks.0 {
+                        // Planned seqs are contiguous from `seq0`.
+                        fill(ack.seq.wrapping_sub(seq0) as usize, ack.status);
                     }
                 }
-                outstanding.is_empty()
-            })?;
-            if done {
-                break;
-            }
-            attempts += 1;
-            backoff_spent += window.as_nanos() as u64;
-            if !self.retry.allows(attempts, backoff_spent) {
-                return Err(ClientError::RetryExhausted {
-                    op: "put",
-                    attempts,
-                    outstanding: outstanding.len(),
-                });
-            }
-            send_all(&self.endpoint, &self.server_eps, &outstanding)?;
-        }
-        statuses.sort_unstable_by_key(|&(seq, _)| seq);
-        Ok(statuses.into_iter().map(|(_, s)| s).collect())
+            },
+        )
     }
 
     /// Read `bbox` of `(var, version)`; returns the pieces (tiling `bbox`).
@@ -379,48 +425,19 @@ impl SyncClient {
         let seq0 = self.seq;
         let reqs = plan_get_routed(&self.router, self.app, var, version, bbox, seq0);
         self.next_seq(reqs.len());
-        let mut outstanding: HashMap<u64, (usize, GetRequest)> =
-            reqs.into_iter().map(|(server, req)| (req.seq, (server, req))).collect();
-        let send_all = |ep: &ThreadEndpoint,
-                        server_eps: &[usize],
-                        pending: &HashMap<u64, (usize, GetRequest)>|
-         -> Result<(), ClientError> {
-            for (server, req) in pending.values() {
-                if !ep.send(server_eps[*server], HEADER_BYTES, req.clone()) {
-                    return Err(ClientError::Disconnected);
-                }
-            }
-            Ok(())
-        };
-        send_all(&self.endpoint, &self.server_eps, &outstanding)?;
-        let mut pieces = Vec::new();
-        let mut attempts = 0u32;
-        let mut backoff_spent = 0u64;
-        while !outstanding.is_empty() {
-            let window = self.retry.backoff(attempts + 1);
-            let done = drain_window(&self.endpoint, Instant::now() + window, |msg| {
-                if msg.payload.is::<GetResponse>() {
-                    let r = msg.payload.downcast::<GetResponse>().unwrap();
-                    if outstanding.remove(&r.seq).is_some() {
-                        pieces.extend(r.pieces);
+        let answers = self.fan_out(
+            "get",
+            &reqs,
+            |ep, to, frame| ep.send(to, HEADER_BYTES * frame.len() as u64, Frame(frame)),
+            |msg, fill| {
+                if let Ok(resps) = msg.payload.downcast::<Frame<GetResponse>>() {
+                    for r in resps.0 {
+                        fill(r.seq.wrapping_sub(seq0) as usize, r.pieces);
                     }
                 }
-                outstanding.is_empty()
-            })?;
-            if done {
-                break;
-            }
-            attempts += 1;
-            backoff_spent += window.as_nanos() as u64;
-            if !self.retry.allows(attempts, backoff_spent) {
-                return Err(ClientError::RetryExhausted {
-                    op: "get",
-                    attempts,
-                    outstanding: outstanding.len(),
-                });
-            }
-            send_all(&self.endpoint, &self.server_eps, &outstanding)?;
-        }
+            },
+        )?;
+        let pieces: Vec<GetPiece> = answers.into_iter().flatten().collect();
         if !covers_exactly(bbox, &pieces) {
             return Err(ClientError::IncompleteCoverage);
         }
@@ -459,47 +476,21 @@ impl SyncClient {
         // envelope independently in its own (app, seq) namespace.
         let seq = self.next_seq(1);
         let msg = CtlMsg { app: self.app, seq, req, tctx: obs::TraceCtx::NONE };
-        let mut outstanding: HashMap<usize, ()> =
-            self.server_eps.iter().map(|&ep| (ep, ())).collect();
-        let send_all =
-            |ep: &ThreadEndpoint, pending: &HashMap<usize, ()>| -> Result<(), ClientError> {
-                for &server_ep in pending.keys() {
-                    if !ep.send(server_ep, HEADER_BYTES, msg) {
-                        return Err(ClientError::Disconnected);
+        let reqs: Vec<(usize, CtlMsg)> = (0..self.server_eps.len()).map(|s| (s, msg)).collect();
+        self.fan_out(
+            "control",
+            &reqs,
+            // A server's share of a control round is the bare envelope.
+            |ep, to, _| ep.send(to, HEADER_BYTES, msg),
+            |m, fill| {
+                let server = self.server_eps.iter().position(|&ep| ep == m.from);
+                if let (Some(server), Ok(ack)) = (server, m.payload.downcast::<CtlAck>()) {
+                    if ack.seq == seq {
+                        fill(server, ack.resp);
                     }
                 }
-                Ok(())
-            };
-        send_all(&self.endpoint, &outstanding)?;
-        let mut resps = Vec::with_capacity(self.server_eps.len());
-        let mut attempts = 0u32;
-        let mut backoff_spent = 0u64;
-        while !outstanding.is_empty() {
-            let window = self.retry.backoff(attempts + 1);
-            let done = drain_window(&self.endpoint, Instant::now() + window, |m| {
-                if m.payload.is::<CtlAck>() {
-                    let ack = m.payload.downcast::<CtlAck>().unwrap();
-                    if ack.seq == seq && outstanding.remove(&m.from).is_some() {
-                        resps.push(ack.resp);
-                    }
-                }
-                outstanding.is_empty()
-            })?;
-            if done {
-                break;
-            }
-            attempts += 1;
-            backoff_spent += window.as_nanos() as u64;
-            if !self.retry.allows(attempts, backoff_spent) {
-                return Err(ClientError::RetryExhausted {
-                    op: "control",
-                    attempts,
-                    outstanding: outstanding.len(),
-                });
-            }
-            send_all(&self.endpoint, &outstanding)?;
-        }
-        Ok(resps)
+            },
+        )
     }
 
     /// The application id this client acts as.
@@ -827,18 +818,127 @@ mod tests {
             deadline_ns: 0,
             seed: 0,
         };
-        let (handles, mut clients) = setup_faulty(1, 1, [8, 8, 8], [8, 8, 8], blackhole, strict);
+        let (handles, mut clients) = setup_faulty(1, 1, [16, 16, 16], [8, 8, 8], blackhole, strict);
         let mut c = clients.pop().unwrap();
-        let err = c.put(0, 1, &BBox::whole([8, 8, 8]), block_fill(0, 1)).unwrap_err();
+        let err = c.put(0, 1, &BBox::whole([16, 16, 16]), block_fill(0, 1)).unwrap_err();
         match err {
             ClientError::RetryExhausted { op, attempts, outstanding } => {
                 assert_eq!(op, "put");
                 assert_eq!(attempts, 2);
-                assert_eq!(outstanding, 1);
+                assert_eq!(outstanding, 8, "requests still unanswered, not the one frame");
             }
             other => panic!("expected RetryExhausted, got {other:?}"),
         }
         // Shutdown bypasses faults, so the servers still exit cleanly.
+        c.shutdown_servers();
+        for h in handles {
+            h.join().unwrap();
+        }
+    }
+
+    /// A plan whose `rates` hit exactly the `i`-th faultable send on the mesh.
+    fn fault_at(i: u64, rates: faultplane::FaultRates) -> faultplane::FaultPlan {
+        let only = faultplane::FaultWindow { from_msg: i, to_msg: i };
+        faultplane::FaultPlan { seed: 0, rates, windows: vec![only] }
+    }
+
+    /// Windows long enough that only an injected loss triggers a retry.
+    fn unhurried_retry() -> RetryPolicy {
+        RetryPolicy {
+            max_attempts: 4,
+            base_ns: 250_000_000,
+            cap_ns: 250_000_000,
+            deadline_ns: 0,
+            seed: 0,
+        }
+    }
+
+    /// One server, one client, eight blocks: a put is one frame out (send 0)
+    /// and one frame back (send 1). Returns the statuses, the server logic
+    /// and the messages the mesh carried before shutdown.
+    fn one_put_under(
+        plan: faultplane::FaultPlan,
+    ) -> (Vec<PutStatus>, ServerLogic<PlainBackend>, u64) {
+        let (mut handles, mut clients) =
+            setup_faulty(1, 1, [16, 16, 16], [8, 8, 8], plan, unhurried_retry());
+        let mut c = clients.pop().unwrap();
+        let statuses = c.put(0, 1, &BBox::whole([16, 16, 16]), block_fill(0, 1)).unwrap();
+        let msgs = c.endpoint.stats().msgs();
+        c.shutdown_servers();
+        (statuses, handles.pop().unwrap().join().unwrap(), msgs)
+    }
+
+    #[test]
+    fn dropped_request_frame_is_resent_as_one_frame() {
+        let drop = faultplane::FaultRates { drop: 1.0, ..Default::default() };
+        let (statuses, logic, msgs) = one_put_under(fault_at(0, drop));
+        assert_eq!(statuses, vec![PutStatus::Stored; 8]);
+        assert_eq!(msgs, 2, "the lost frame never reached the mesh; one re-sent frame, one ack");
+        assert_eq!((logic.puts_served(), logic.dup_hits()), (8, 0));
+    }
+
+    #[test]
+    fn dropped_ack_frame_is_answered_from_the_dedup_cache() {
+        let drop = faultplane::FaultRates { drop: 1.0, ..Default::default() };
+        let (statuses, logic, msgs) = one_put_under(fault_at(1, drop));
+        assert_eq!(statuses, vec![PutStatus::Stored; 8]);
+        assert_eq!(msgs, 3, "frame, the same frame again, the second ack");
+        assert_eq!(logic.puts_served(), 8, "the store saw each block once");
+        assert_eq!(logic.dup_hits(), 8, "every entry of the re-sent frame hit the cache");
+    }
+
+    #[test]
+    fn duplicated_frames_are_absorbed_by_remove_once() {
+        let dup = faultplane::FaultRates { duplicate: 1.0, ..Default::default() };
+        // Request frame doubled: the server answers twice, once from its cache.
+        let (statuses, logic, msgs) = one_put_under(fault_at(0, dup));
+        assert_eq!(statuses.len(), 8);
+        assert_eq!(msgs, 4);
+        assert_eq!((logic.puts_served(), logic.dup_hits()), (8, 8));
+
+        // Ack frame doubled: the second copy is still queued when the next
+        // operation starts and must not fill any of *its* slots.
+        let (mut handles, mut clients) =
+            setup_faulty(1, 1, [16, 16, 16], [8, 8, 8], fault_at(1, dup), unhurried_retry());
+        let mut c = clients.pop().unwrap();
+        let whole = BBox::whole([16, 16, 16]);
+        assert_eq!(c.put(0, 1, &whole, block_fill(0, 1)).unwrap().len(), 8);
+        assert_eq!(c.put(0, 2, &whole, block_fill(0, 2)).unwrap().len(), 8);
+        assert_eq!(c.get(0, 2, &whole).unwrap().len(), 8);
+        c.shutdown_servers();
+        let logic = handles.pop().unwrap().join().unwrap();
+        assert_eq!((logic.puts_served(), logic.gets_served(), logic.dup_hits()), (16, 8, 0));
+    }
+
+    #[test]
+    fn unready_get_entry_is_answered_empty_and_the_rest_served() {
+        let (mut handles, mut clients) = setup(1, 1, [16, 16, 16], [8, 8, 8]);
+        let mut c = clients.pop().unwrap();
+        let left = BBox::d3([0, 0, 0], [7, 15, 15]);
+        c.put(0, 1, &left, block_fill(0, 1)).unwrap();
+        // One frame of eight entries, four of them over blocks nobody wrote.
+        let whole = BBox::whole([16, 16, 16]);
+        assert!(matches!(c.get(0, 1, &whole), Err(ClientError::IncompleteCoverage)));
+        c.shutdown_servers();
+        let logic = handles.pop().unwrap().join().unwrap();
+        assert_eq!(logic.gets_served(), 4, "unready entries never reach the backend or its log");
+    }
+
+    #[test]
+    fn get_returns_pieces_in_planned_order() {
+        let (handles, mut clients) = setup(3, 1, [32, 32, 32], [8, 8, 8]);
+        let mut c = clients.pop().unwrap();
+        let whole = BBox::whole([32, 32, 32]);
+        c.put(0, 1, &whole, block_fill(0, 1)).unwrap();
+        let planned: Vec<BBox> = plan_get_routed(c.router(), c.app(), 0, 1, &whole, 0)
+            .into_iter()
+            .map(|(_, req)| req.bbox)
+            .collect();
+        assert_eq!(planned.len(), 64);
+        for _ in 0..4 {
+            let got: Vec<BBox> = c.get(0, 1, &whole).unwrap().iter().map(|p| p.bbox).collect();
+            assert_eq!(got, planned);
+        }
         c.shutdown_servers();
         for h in handles {
             h.join().unwrap();

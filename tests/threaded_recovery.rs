@@ -236,3 +236,121 @@ fn repeated_restarts_converge() {
     }
     assert_eq!(shutdown(c), 0);
 }
+
+/// What one server of [`scripted_run`] leaves behind.
+#[derive(PartialEq)]
+struct Residue {
+    /// Every journal segment, by name.
+    segments: Vec<(String, Vec<u8>)>,
+    /// Both components' event queues, `Debug`-printed.
+    queues: String,
+}
+
+/// One scripted run, a single driver thread against two journalling servers:
+/// puts, gets, checkpoints and one consumer rollback with its replay.
+fn scripted_run() -> Vec<Residue> {
+    use logstore::{FlushPolicy, LogConfig, LogStore, Media, MemMedia};
+    let nservers = 2;
+    let domain = BBox::whole([16, 16, 16]);
+    let dist = Distribution::new(domain, [8, 8, 8], nservers);
+    let mut eps = ThreadedNet::mesh(nservers + 2);
+    let mut client_eps = eps.split_off(nservers);
+    let medias: Vec<MemMedia> = (0..nservers).map(|_| MemMedia::new()).collect();
+    // Small segments so the comparison spans several files per server.
+    let cfg = LogConfig { segment_bytes: 4096, flush: FlushPolicy::Grouped { records: 4 } };
+    let handles: Vec<_> = eps
+        .into_iter()
+        .zip(&medias)
+        .map(|(ep, mem)| {
+            let mut b = LoggingBackend::new();
+            b.register_app(SIM);
+            b.register_app(ANA);
+            let log = LogStore::open(Box::new(mem.clone()), cfg).expect("open journal");
+            b.attach_journal_coalesced(Box::new(log), 4);
+            spawn_server(ep, ServerLogic::new(b, ServerCosts::default()))
+        })
+        .collect();
+    let servers: Vec<usize> = (0..nservers).collect();
+    let mut consumer =
+        SyncClient::new(client_eps.pop().unwrap(), dist.clone(), servers.clone(), ANA);
+    let mut producer = SyncClient::new(client_eps.pop().unwrap(), dist, servers, SIM);
+
+    for v in 1..=6u32 {
+        producer.put(0, v, &domain, field(v)).expect("put");
+        consumer.get(0, v, &domain).expect("get");
+        if v == 2 || v == 4 {
+            producer.checkpoint(v).expect("sim ckpt");
+            consumer.checkpoint(v).expect("ana ckpt");
+        }
+    }
+    consumer.recover(4).expect("recover");
+    for v in 5..=6u32 {
+        consumer.get(0, v, &domain).expect("replayed get");
+    }
+    producer.put(0, 7, &domain, field(7)).expect("put");
+    consumer.get(0, 7, &domain).expect("get");
+
+    consumer.shutdown_servers();
+    handles
+        .into_iter()
+        .zip(medias)
+        .map(|(h, mem)| {
+            let mut logic = h.join().expect("server thread");
+            let b = logic.backend_mut();
+            b.flush_journal();
+            assert_eq!(b.journal_errors(), 0);
+            assert_eq!(b.replayed_gets(), 8, "steps 5 and 6, four blocks per server");
+            let queues = format!("{:?} {:?}", b.queue(SIM), b.queue(ANA));
+            let names = mem.list().expect("list").into_iter();
+            let segments = names.map(|n| (n.clone(), mem.read(&n).expect("read"))).collect();
+            Residue { segments, queues }
+        })
+        .collect()
+}
+
+/// Requests used to leave the client in `HashMap` iteration order, so the
+/// order a server journalled one step's blocks in differed from run to run.
+#[test]
+fn identical_runs_leave_identical_journals_and_event_queues() {
+    let _wd = common::watchdog(
+        "identical_runs_leave_identical_journals_and_event_queues",
+        std::time::Duration::from_secs(120),
+    );
+    let (a, b) = (scripted_run(), scripted_run());
+    assert!(a.iter().all(|r| r.segments.len() > 1), "several segments per server");
+    assert!(a == b, "two identical single-driver runs diverged");
+}
+
+/// A re-put after a rollback that only half reached staging before the
+/// failure: the statuses come back in planned (`seq`) order, whichever server
+/// answers first.
+#[test]
+fn put_returns_statuses_in_planned_order() {
+    use staging::server::plan_put_with;
+    let _wd = common::watchdog(
+        "put_returns_statuses_in_planned_order",
+        std::time::Duration::from_secs(120),
+    );
+    let mut c = cluster(2);
+    let domain = c.domain;
+    let left = BBox::d3([0, 0, 0], [7, 15, 15]);
+    c.producer.put_with_log(0, 1, &domain, field(1)).expect("put 1");
+    c.producer.workflow_check(2, [1, 1, 1, 1], 1 << 16).expect("ckpt");
+    c.producer.put_with_log(0, 2, &left, field(2)).expect("half of put 2");
+    c.producer.workflow_restart().expect("restart");
+    let statuses = c.producer.put_with_log(0, 2, &domain, field(2)).expect("re-put 2");
+    let dist = Distribution::new(domain, [8, 8, 8], 2);
+    let expected: Vec<PutStatus> = plan_put_with(&dist, SIM, 0, 2, &domain, 0, field(2))
+        .iter()
+        .map(|(_, req)| match left.contains(&req.desc.bbox) {
+            true => PutStatus::Absorbed,
+            false => PutStatus::Stored,
+        })
+        .collect();
+    assert_eq!(statuses, expected);
+    assert!(
+        expected.windows(2).filter(|w| w[0] != w[1]).count() > 1,
+        "absorbed and stored blocks interleave in the plan: {expected:?}"
+    );
+    assert_eq!(shutdown(c), 0);
+}
