@@ -1,13 +1,15 @@
-//! Journal entry codec benchmarks: the legacy JSON encoding against the
-//! length-prefixed binary wire format, for both the staging store journal
-//! and the wfcr event journal. Measures encode and decode separately so the
-//! write-path win (encode + the zero-copy meta/payload split) and the
-//! recovery-path win (decode) are visible on their own. Numbers land in
-//! EXPERIMENTS.md §journal_codec.
+//! Journal entry codec benchmarks: the binary wire format of both entry
+//! types — the staging store journal's and the wfcr event journal's. Encode
+//! and decode are measured separately so the write path (encode + the
+//! zero-copy meta/payload split) and the recovery path (decode) are visible
+//! on their own. Numbers land in EXPERIMENTS.md §journal_codec; the JSON
+//! column there is the historical PR 6 measurement of a codec that has since
+//! been deleted.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use staging::geometry::BBox;
+use staging::journal::WireEntry;
 use staging::payload::Payload;
 use staging::proto::ObjDesc;
 use staging::store_journal::StoreJournalEntry;
@@ -39,9 +41,6 @@ fn bench_encode(c: &mut Criterion) {
         let store = store_put(len);
         let wfcr = wfcr_put(len);
         group.throughput(Throughput::Bytes(len as u64));
-        group.bench_with_input(BenchmarkId::new("store_json", len), &len, |b, _| {
-            b.iter(|| black_box(store.encode_json()))
-        });
         group.bench_with_input(BenchmarkId::new("store_binary", len), &len, |b, _| {
             b.iter(|| black_box(store.encode()))
         });
@@ -55,9 +54,6 @@ fn bench_encode(c: &mut Criterion) {
                 store.encode_meta_into(&mut scratch);
                 black_box((scratch.len(), store.inline_payload().map(|p| p.len())))
             })
-        });
-        group.bench_with_input(BenchmarkId::new("wfcr_json", len), &len, |b, _| {
-            b.iter(|| black_box(wfcr.encode_json()))
         });
         group.bench_with_input(BenchmarkId::new("wfcr_binary", len), &len, |b, _| {
             b.iter(|| black_box(wfcr.encode()))
@@ -73,19 +69,11 @@ fn bench_decode(c: &mut Criterion) {
     for &len in &[256usize, 4096] {
         let store = store_put(len);
         let wfcr = wfcr_put(len);
-        let store_json = store.encode_json();
         let store_bin = store.encode();
-        let wfcr_json = wfcr.encode_json();
         let wfcr_bin = wfcr.encode();
         group.throughput(Throughput::Bytes(len as u64));
-        group.bench_with_input(BenchmarkId::new("store_json", len), &len, |b, _| {
-            b.iter(|| black_box(StoreJournalEntry::decode(&store_json).expect("decode")))
-        });
         group.bench_with_input(BenchmarkId::new("store_binary", len), &len, |b, _| {
             b.iter(|| black_box(StoreJournalEntry::decode(&store_bin).expect("decode")))
-        });
-        group.bench_with_input(BenchmarkId::new("wfcr_json", len), &len, |b, _| {
-            b.iter(|| black_box(JournalEntry::decode(&wfcr_json).expect("decode")))
         });
         group.bench_with_input(BenchmarkId::new("wfcr_binary", len), &len, |b, _| {
             b.iter(|| black_box(JournalEntry::decode(&wfcr_bin).expect("decode")))

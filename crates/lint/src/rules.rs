@@ -79,8 +79,6 @@ const COMMIT_TOKENS: &[&str] = &[
     "flush",
     "flush_journal",
     "record",
-    "record_put",
-    "record_ctl",
     "journal_record",
     "hand_off",
 ];

@@ -37,14 +37,20 @@
 //! * [`server`] — the discrete-event staging server actor (request queuing +
 //!   CPU cost model) and client-side request planning.
 //! * [`threaded`] — a real-thread staging server over `net::ThreadedNet`.
-//! * [`wire`] — little-endian binary codec primitives shared by the durable
-//!   journals (`store_journal` here, `wfcr`'s journal) so hot-path entries
-//!   skip serde_json; legacy JSON journals stay readable via one-byte
-//!   sniffing.
+//! * [`journal`] — the one coalescing journal writer
+//!   ([`journal::JournalWriter`], generic over the entry type) behind both
+//!   backends' durable twins, and the [`journal::JournalStats`] every backend
+//!   reports through [`service::StoreBackend::journal_stats`].
+//! * [`store_journal`] — the plain backend's journal entry type and replay.
+//! * [`wire`] — little-endian binary codec primitives shared by the two
+//!   journal entry types (`store_journal` here, `wfcr`'s journal) so
+//!   hot-path entries skip serde; a body without the magic first byte is
+//!   rejected.
 
 pub mod dist;
 pub mod geometry;
 pub mod hilbert;
+pub mod journal;
 pub mod payload;
 pub mod proto;
 pub mod router;

@@ -8,12 +8,13 @@
 //! data/event logging, replay, and garbage collection without forking any
 //! server code.
 
+use crate::journal::{JournalStats, JournalWriter, DEFAULT_COALESCE};
 use crate::proto::{
     AppId, CtlAck, CtlMsg, CtlRequest, CtlResponse, GetPiece, GetRequest, GetResponse, PutRequest,
     PutResponse, PutStatus,
 };
 use crate::store::VersionedStore;
-use crate::store_journal::{StoreJournal, StoreJournalEntry};
+use crate::store_journal::StoreJournalEntry;
 use serde::{Deserialize, Serialize};
 use sim_core::time::SimTime;
 use std::collections::BTreeMap;
@@ -65,30 +66,41 @@ pub trait StoreBackend: Send + 'static {
     /// Bytes currently resident in the store (for memory experiments).
     fn bytes_resident(&self) -> u64;
 
-    /// Bytes physically flushed by the backend's durable journal so far.
-    /// Default 0: the backend has no journal. Monotone; the server actor
-    /// diffs it between operations to surface flushes in traces.
-    fn journal_bytes_flushed(&self) -> u64 {
-        0
+    /// Counters of the backend's durable journal. Default all zero: the
+    /// backend has no journal. This is the one journal method a backend
+    /// overrides; the named accessors below read from it.
+    fn journal_stats(&self) -> JournalStats {
+        JournalStats::default()
     }
 
-    /// Journal segment files deleted by watermark compaction so far.
-    /// Default 0 (no journal); monotone, diffed like
-    /// [`StoreBackend::journal_bytes_flushed`].
+    /// Bytes physically flushed by the journal so far. Monotone; the server
+    /// actor diffs it between operations to surface flushes in traces.
+    fn journal_bytes_flushed(&self) -> u64 {
+        self.journal_stats().bytes_flushed
+    }
+
+    /// Journal segment files deleted by watermark compaction so far;
+    /// monotone, diffed like [`StoreBackend::journal_bytes_flushed`].
     fn journal_segments_compacted(&self) -> u64 {
-        0
+        self.journal_stats().segments_compacted
     }
 
     /// Journal group commits so far — fsyncs that made two or more records
-    /// durable at once. Default 0 (no journal or no batching).
+    /// durable at once.
     fn journal_group_commits(&self) -> u64 {
-        0
+        self.journal_stats().group_commits
     }
 
     /// Journal records delivered to the sink through batched hand-offs so
-    /// far. Default 0 (no journal or no batching).
+    /// far.
     fn journal_records_batched(&self) -> u64 {
-        0
+        self.journal_stats().records_batched
+    }
+
+    /// Journal I/O errors swallowed so far (durability degraded, the
+    /// backend's in-memory state unaffected).
+    fn journal_errors(&self) -> u64 {
+        self.journal_stats().errors
     }
 
     /// Log events currently live (appended, not yet garbage-collected) in
@@ -156,7 +168,7 @@ pub struct PlainBackend {
     /// the "In" baseline's lack of a consistency guarantee.
     stale_gets: u64,
     /// Optional durable twin of the store's write/control history.
-    journal: Option<StoreJournal>,
+    journal: Option<JournalWriter<StoreJournalEntry>>,
 }
 
 impl PlainBackend {
@@ -175,17 +187,17 @@ impl PlainBackend {
         }
     }
 
-    /// Attach a durable journal sink; subsequent puts and control events are
-    /// recorded through it.
+    /// Attach a durable journal sink with the default coalescing window;
+    /// subsequent puts and control events are recorded through it.
     pub fn attach_journal(&mut self, sink: Box<dyn logstore::Journal>) {
-        self.journal = Some(StoreJournal::new(sink));
+        self.attach_journal_coalesced(sink, DEFAULT_COALESCE);
     }
 
     /// Attach a durable journal sink with an explicit coalescing window:
     /// entries are handed to the sink in batches of `coalesce` records (one
     /// vectored group commit each). Control events still flush immediately.
     pub fn attach_journal_coalesced(&mut self, sink: Box<dyn logstore::Journal>, coalesce: usize) {
-        self.journal = Some(StoreJournal::with_coalesce(sink, coalesce));
+        self.journal = Some(JournalWriter::new(sink, coalesce));
     }
 
     /// Is a journal sink attached?
@@ -198,31 +210,6 @@ impl PlainBackend {
         if let Some(j) = self.journal.as_mut() {
             j.flush();
         }
-    }
-
-    /// Bytes the journal has physically flushed (0 when detached).
-    pub fn journal_bytes_flushed(&self) -> u64 {
-        self.journal.as_ref().map(StoreJournal::bytes_flushed).unwrap_or(0)
-    }
-
-    /// Segments the journal has compacted away (0 when detached).
-    pub fn journal_segments_compacted(&self) -> u64 {
-        self.journal.as_ref().map(StoreJournal::segments_compacted).unwrap_or(0)
-    }
-
-    /// Journal I/O errors swallowed (durability degraded, store unaffected).
-    pub fn journal_errors(&self) -> u64 {
-        self.journal.as_ref().map(StoreJournal::errors).unwrap_or(0)
-    }
-
-    /// Journal group commits (multi-record fsyncs; 0 when detached).
-    pub fn journal_group_commits(&self) -> u64 {
-        self.journal.as_ref().map(StoreJournal::group_commits).unwrap_or(0)
-    }
-
-    /// Journal records delivered through batched hand-offs (0 when detached).
-    pub fn journal_records_batched(&self) -> u64 {
-        self.journal.as_ref().map(StoreJournal::records_batched).unwrap_or(0)
     }
 
     /// Access the underlying store (tests).
@@ -242,7 +229,7 @@ impl StoreBackend for PlainBackend {
         let bytes = req.payload.accounted_len();
         let freed = self.store.put(req.desc, req.payload.clone());
         if let Some(j) = self.journal.as_mut() {
-            j.record_put(req);
+            j.record(&StoreJournalEntry::Put { desc: req.desc, payload: req.payload.clone() });
         }
         (
             PutStatus::Stored,
@@ -275,7 +262,7 @@ impl StoreBackend for PlainBackend {
             stats.freed_bytes = self.store.remove_newer_than(to_version);
         }
         if let Some(j) = self.journal.as_mut() {
-            j.record_ctl(req);
+            j.record(&StoreJournalEntry::Ctl { req });
         }
         (CtlResponse { req, pending_replay: 0 }, stats)
     }
@@ -289,20 +276,8 @@ impl StoreBackend for PlainBackend {
         self.store.bytes()
     }
 
-    fn journal_bytes_flushed(&self) -> u64 {
-        PlainBackend::journal_bytes_flushed(self)
-    }
-
-    fn journal_segments_compacted(&self) -> u64 {
-        PlainBackend::journal_segments_compacted(self)
-    }
-
-    fn journal_group_commits(&self) -> u64 {
-        PlainBackend::journal_group_commits(self)
-    }
-
-    fn journal_records_batched(&self) -> u64 {
-        PlainBackend::journal_records_batched(self)
+    fn journal_stats(&self) -> JournalStats {
+        self.journal.as_ref().map_or_else(JournalStats::default, JournalWriter::stats)
     }
 }
 
@@ -665,7 +640,7 @@ mod tests {
         mem.crash();
 
         let survivors = LogStore::open(Box::new(mem.clone()), cfg).unwrap().read_all().unwrap();
-        let entries = crate::store_journal::decode_records(&survivors);
+        let entries = crate::journal::decode_records::<StoreJournalEntry>(&survivors);
         assert_eq!(entries.len(), 3, "both puts plus the checkpoint marker survive");
         let rebuilt = PlainBackend::from_journal(&entries, 4);
         assert_eq!(rebuilt.store().newest_version(0), Some(2));

@@ -1,4 +1,4 @@
-//! Optional durable journal for the plain staging store.
+//! Optional durable journal for the plain staging store: the entry type.
 //!
 //! The baseline staging backend keeps everything in memory; attaching a
 //! `logstore::Journal` sink gives it a durable twin of its write history so
@@ -8,37 +8,25 @@
 //! tail down, so the durable prefix always extends at least through the
 //! last checkpoint/reset marker.
 //!
-//! **Write path.** Entries are encoded with the binary [`crate::wire`] codec
-//! — no serde_json on the hot path — and the handle *coalesces*: encoded
-//! metadata accumulates in one reusable scratch buffer (inline payload
-//! `Bytes` ride alongside by refcount, never copied) and is handed to the
-//! sink as one [`logstore::BatchRecord`] group at natural boundaries — a
-//! commit point, or every [`DEFAULT_COALESCE`] records. The sink then frames
-//! the whole group with a single vectored write (group commit). Pending
-//! entries are exactly as volatile as sink-buffered ones: a crash loses
-//! them, a commit point makes them durable — the contract is unchanged.
+//! This module holds only what is specific to the plain backend — the
+//! [`StoreJournalEntry`] enum, its binary layout ([`crate::wire`] codec) and
+//! the replay that rebuilds a store from surviving entries. Coalescing,
+//! commit-point flushes, compaction and error counting are the shared
+//! [`crate::journal::JournalWriter`]. A record body that does not start with
+//! [`wire::WIRE_MAGIC`] is not an entry and is rejected.
 //!
-//! Journals written by the old JSON codec remain readable:
-//! [`StoreJournalEntry::decode`] sniffs the first byte and falls back to
-//! serde_json.
-//!
-//! The richer crash-consistency backend (`wfcr::LoggingBackend`) has its own
-//! journal encoding that additionally captures event-queue and GC history;
-//! this module is deliberately minimal — store contents only.
+//! The richer crash-consistency backend (`wfcr::LoggingBackend`) journals a
+//! second entry type through the same writer, additionally capturing
+//! event-queue and GC history; this one is deliberately minimal — store
+//! contents only.
 
-use crate::proto::{CtlRequest, ObjDesc, PutRequest};
+use crate::journal::WireEntry;
+use crate::proto::{CtlRequest, ObjDesc};
 use crate::store::VersionedStore;
 use crate::wire::{self, Reader};
 use crate::Payload;
 use bytes::Bytes;
-use logstore::{BatchRecord, Journal};
 use serde::{Deserialize, Serialize};
-use std::fmt;
-use std::ops::Range;
-
-/// Records coalesced per hand-off to the sink when no commit point arrives
-/// first.
-pub const DEFAULT_COALESCE: usize = 16;
 
 const TAG_PUT: u8 = 1;
 const TAG_CTL: u8 = 2;
@@ -64,9 +52,8 @@ pub enum StoreJournalEntry {
     },
 }
 
-impl StoreJournalEntry {
-    /// Compaction watermark: the data version this entry is tied to.
-    pub fn watermark(&self) -> u64 {
+impl WireEntry for StoreJournalEntry {
+    fn watermark(&self) -> u64 {
         u64::from(match *self {
             StoreJournalEntry::Put { desc, .. } => desc.version,
             StoreJournalEntry::Ctl { req } => match req {
@@ -78,15 +65,11 @@ impl StoreJournalEntry {
     }
 
     /// Control events must be durable before the call returns.
-    pub fn is_commit_point(&self) -> bool {
+    fn is_commit_point(&self) -> bool {
         matches!(self, StoreJournalEntry::Ctl { .. })
     }
 
-    /// Encode everything *except* an inline payload's bytes into `out`
-    /// (binary codec). The inline bytes — [`StoreJournalEntry::inline_payload`]
-    /// — must land immediately after this prefix; the zero-copy append path
-    /// hands them to the log as a separate vectored part.
-    pub fn encode_meta_into(&self, out: &mut Vec<u8>) {
+    fn encode_meta_into(&self, out: &mut Vec<u8>) {
         match self {
             StoreJournalEntry::Put { desc, payload } => {
                 wire::put_header(out, TAG_PUT);
@@ -113,38 +96,14 @@ impl StoreJournalEntry {
         }
     }
 
-    /// The inline payload bytes that follow the metadata prefix, if any.
-    pub fn inline_payload(&self) -> Option<&Bytes> {
+    fn inline_payload(&self) -> Option<&Bytes> {
         match self {
             StoreJournalEntry::Put { payload, .. } => payload.bytes(),
             StoreJournalEntry::Ctl { .. } => None,
         }
     }
 
-    /// Serialized form for the log record payload (binary codec).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_meta_into(&mut out);
-        if let Some(b) = self.inline_payload() {
-            out.extend_from_slice(b);
-        }
-        out
-    }
-
-    /// Legacy serde_json form — what journals written before the binary
-    /// codec contain. Kept for cross-version tests; [`Self::decode`] reads
-    /// both.
-    pub fn encode_json(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("store journal entries always serialize")
-    }
-
-    /// Parse a record payload back; `None` on format drift (the log frame
-    /// CRC already rules out corruption). Sniffs the first byte: binary
-    /// entries start with [`wire::WIRE_MAGIC`], legacy JSON entries with `{`.
-    pub fn decode(bytes: &[u8]) -> Option<Self> {
-        if !wire::is_binary(bytes) {
-            return serde_json::from_slice(bytes).ok();
-        }
+    fn decode(bytes: &[u8]) -> Option<Self> {
         let (tag, mut r) = Reader::for_entry(bytes).ok()?;
         let entry = match tag {
             TAG_PUT => {
@@ -171,177 +130,6 @@ impl StoreJournalEntry {
         r.finish().ok()?;
         Some(entry)
     }
-}
-
-/// A record coalesced in the handle, waiting for the next hand-off: its
-/// metadata prefix lives in the shared scratch buffer, its inline payload
-/// (if any) rides by refcount.
-struct PendingRec {
-    watermark: u64,
-    meta: Range<usize>,
-    payload: Option<Bytes>,
-}
-
-/// Owns the boxed sink, coalesces entries into batched group commits,
-/// enforces commit-point flushes, and swallows I/O errors into a counter —
-/// journal failures degrade durability, never the in-memory store, which
-/// stays authoritative.
-pub struct StoreJournal {
-    sink: Box<dyn Journal>,
-    scratch: Vec<u8>,
-    pending: Vec<PendingRec>,
-    coalesce: usize,
-    entries_recorded: u64,
-    errors: u64,
-}
-
-impl fmt::Debug for StoreJournal {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StoreJournal")
-            .field("entries_recorded", &self.entries_recorded)
-            .field("pending", &self.pending.len())
-            .field("errors", &self.errors)
-            .finish()
-    }
-}
-
-impl StoreJournal {
-    /// Wrap a sink with the default coalescing window.
-    pub fn new(sink: Box<dyn Journal>) -> Self {
-        Self::with_coalesce(sink, DEFAULT_COALESCE)
-    }
-
-    /// Wrap a sink, handing off batches every `coalesce` records (commit
-    /// points always hand off immediately; 0 behaves as 1).
-    pub fn with_coalesce(sink: Box<dyn Journal>, coalesce: usize) -> Self {
-        StoreJournal {
-            sink,
-            scratch: Vec::new(),
-            pending: Vec::new(),
-            coalesce: coalesce.max(1),
-            entries_recorded: 0,
-            errors: 0,
-        }
-    }
-
-    /// Record one entry. The entry is encoded now (metadata into the shared
-    /// scratch, payload bytes by refcount) and handed to the sink in a batch
-    /// at the next boundary; control entries hand off and flush immediately.
-    // lint: commit-point
-    pub fn record(&mut self, entry: &StoreJournalEntry) {
-        self.entries_recorded += 1;
-        let start = self.scratch.len();
-        entry.encode_meta_into(&mut self.scratch);
-        self.pending.push(PendingRec {
-            watermark: entry.watermark(),
-            meta: start..self.scratch.len(),
-            payload: entry.inline_payload().cloned(),
-        });
-        if entry.is_commit_point() {
-            self.hand_off();
-            if self.sink.flush().is_err() {
-                self.errors += 1;
-            }
-        } else if self.pending.len() >= self.coalesce {
-            self.hand_off();
-        }
-    }
-
-    /// Hand every pending record to the sink as one batch (one flush
-    /// decision at the group boundary — the group commit).
-    fn hand_off(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let StoreJournal { sink, scratch, pending, errors, .. } = self;
-        let parts: Vec<[&[u8]; 2]> = pending
-            .iter()
-            .map(|p| [&scratch[p.meta.clone()], p.payload.as_deref().unwrap_or(&[])])
-            .collect();
-        let batch: Vec<BatchRecord<'_>> = pending
-            .iter()
-            .zip(&parts)
-            .map(|(p, parts)| BatchRecord { watermark: p.watermark, parts })
-            .collect();
-        if sink.append_batch(&batch).is_err() {
-            *errors += 1;
-        }
-        self.pending.clear();
-        self.scratch.clear();
-    }
-
-    /// Force everything — coalesced and sink-buffered — down to the media.
-    pub fn flush(&mut self) {
-        self.hand_off();
-        if self.sink.flush().is_err() {
-            self.errors += 1;
-        }
-    }
-
-    /// Drop sealed segments wholly below `floor`; returns segments removed.
-    /// Pending records are handed off first so compaction sees the full
-    /// stream.
-    pub fn compact_below(&mut self, floor: u64) -> usize {
-        self.hand_off();
-        match self.sink.compact_below(floor) {
-            Ok(n) => n,
-            Err(_) => {
-                self.errors += 1;
-                0
-            }
-        }
-    }
-
-    /// Entries recorded through this journal.
-    pub fn entries_recorded(&self) -> u64 {
-        self.entries_recorded
-    }
-
-    /// Entries coalesced in the handle, not yet handed to the sink.
-    pub fn pending_entries(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Sink I/O errors swallowed.
-    pub fn errors(&self) -> u64 {
-        self.errors
-    }
-
-    /// Bytes the sink has physically flushed.
-    pub fn bytes_flushed(&self) -> u64 {
-        self.sink.bytes_flushed()
-    }
-
-    /// Segments the sink has compacted away.
-    pub fn segments_compacted(&self) -> u64 {
-        self.sink.segments_compacted()
-    }
-
-    /// Group commits (multi-record fsyncs) the sink has performed.
-    pub fn group_commits(&self) -> u64 {
-        self.sink.group_commits()
-    }
-
-    /// Records that reached the sink through batched hand-offs.
-    pub fn records_batched(&self) -> u64 {
-        self.sink.records_batched()
-    }
-
-    /// Journal one admitted put.
-    pub fn record_put(&mut self, req: &PutRequest) {
-        self.record(&StoreJournalEntry::Put { desc: req.desc, payload: req.payload.clone() });
-    }
-
-    /// Journal one control event.
-    pub fn record_ctl(&mut self, req: CtlRequest) {
-        self.record(&StoreJournalEntry::Ctl { req });
-    }
-}
-
-/// Decode a recovered record stream (e.g. `LogStore::read_all`) into
-/// entries, dropping undecodable payloads.
-pub fn decode_records(records: &[logstore::Record]) -> Vec<StoreJournalEntry> {
-    records.iter().filter_map(|r| StoreJournalEntry::decode(&r.payload)).collect()
 }
 
 /// Rebuild a bounded version store by replaying surviving journal entries in
@@ -384,15 +172,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn entries_round_trip_through_encoding() {
-        let entries = vec![
+    fn sample_entries() -> Vec<StoreJournalEntry> {
+        vec![
             put(3),
             inline_put(4),
             StoreJournalEntry::Ctl { req: CtlRequest::Checkpoint { app: 0, upto_version: 3 } },
             StoreJournalEntry::Ctl { req: CtlRequest::Recovery { app: 1, resume_version: 2 } },
             StoreJournalEntry::Ctl { req: CtlRequest::GlobalReset { to_version: 1 } },
-        ];
+        ]
+    }
+
+    #[test]
+    fn entries_round_trip_through_encoding() {
+        let entries = sample_entries();
         for e in &entries {
             assert_eq!(StoreJournalEntry::decode(&e.encode()).as_ref(), Some(e));
         }
@@ -400,26 +192,6 @@ mod tests {
         assert_eq!(entries[4].watermark(), 1);
         assert!(!entries[0].is_commit_point());
         assert!(entries[2].is_commit_point());
-    }
-
-    #[test]
-    fn legacy_json_entries_still_decode() {
-        let entries = vec![
-            put(7),
-            inline_put(8),
-            StoreJournalEntry::Ctl { req: CtlRequest::GlobalReset { to_version: 5 } },
-        ];
-        for e in &entries {
-            let json = e.encode_json();
-            assert_eq!(json[0], b'{', "legacy entries start with a JSON brace");
-            assert_eq!(StoreJournalEntry::decode(&json).as_ref(), Some(e));
-        }
-    }
-
-    #[test]
-    fn binary_encoding_is_smaller_than_json() {
-        let e = inline_put(1);
-        assert!(e.encode().len() < e.encode_json().len());
     }
 
     #[test]
@@ -443,54 +215,21 @@ mod tests {
         assert!(store.newest_version(0) == Some(2));
     }
 
+    /// The bytes on media are a compatibility surface: existing journals must
+    /// stay readable. (Length, FNV-1a digest) of each sample's encoding, as
+    /// the codec wrote it before the writer became generic.
     #[test]
-    fn coalescing_hands_off_at_window_and_commit_points() {
-        let mem = logstore::MemMedia::new();
-        let cfg = logstore::LogConfig {
-            segment_bytes: 1 << 20,
-            flush: logstore::FlushPolicy::PerBatch { records: 1_000 },
-        };
-        let sink = logstore::LogStore::open(Box::new(mem.clone()), cfg).unwrap();
-        let mut j = StoreJournal::with_coalesce(Box::new(sink), 4);
-        for v in 0..3 {
-            j.record(&inline_put(v));
+    fn encoding_is_pinned() {
+        let pinned = [
+            (77, 0xC50A_780A_AED5_BAA3),
+            (125, 0xA9EB_D16C_5E5B_51D5),
+            (12, 0x4C17_8F5A_ED3A_B35E),
+            (12, 0xF7B7_FCED_60ED_D1B9),
+            (12, 0xE54D_8C8F_1799_4E16),
+        ];
+        for (entry, want) in sample_entries().iter().zip(pinned) {
+            let bytes = entry.encode();
+            assert_eq!((bytes.len(), crate::payload::fnv1a(&bytes)), want, "{entry:?}");
         }
-        assert_eq!(j.pending_entries(), 3, "below the window: coalesced in the handle");
-        j.record(&inline_put(3));
-        assert_eq!(j.pending_entries(), 0, "window reached: handed to the sink");
-        assert_eq!(j.records_batched(), 4);
-        // A commit point hands off AND flushes, regardless of window fill.
-        j.record(&put(4));
-        j.record_ctl(CtlRequest::Checkpoint { app: 0, upto_version: 4 });
-        assert_eq!(j.pending_entries(), 0);
-        assert_eq!(j.errors(), 0);
-        // Everything is durable and decodes back.
-        let reopened = logstore::LogStore::open(Box::new(mem.clone()), cfg).unwrap();
-        let entries = decode_records(&reopened.read_all().unwrap());
-        assert_eq!(entries.len(), 6);
-        assert_eq!(
-            entries[5],
-            StoreJournalEntry::Ctl { req: CtlRequest::Checkpoint { app: 0, upto_version: 4 } }
-        );
-    }
-
-    #[test]
-    fn crash_loses_coalesced_tail_but_keeps_commit_prefix() {
-        let mem = logstore::MemMedia::new();
-        let cfg = logstore::LogConfig {
-            segment_bytes: 1 << 20,
-            flush: logstore::FlushPolicy::PerBatch { records: 1_000 },
-        };
-        let sink = logstore::LogStore::open(Box::new(mem.clone()), cfg).unwrap();
-        let mut j = StoreJournal::new(Box::new(sink));
-        j.record(&inline_put(1));
-        j.record_ctl(CtlRequest::Checkpoint { app: 0, upto_version: 1 });
-        j.record(&inline_put(2)); // coalesced, never flushed
-        drop(j);
-        mem.crash();
-        let reopened = logstore::LogStore::open(Box::new(mem.clone()), cfg).unwrap();
-        let entries = decode_records(&reopened.read_all().unwrap());
-        assert_eq!(entries.len(), 2, "the put after the checkpoint dies with the crash");
-        assert!(entries[1].is_commit_point());
     }
 }

@@ -1,18 +1,16 @@
 //! Binary wire codec primitives for journal entries.
 //!
-//! The journal layers (`staging::store_journal`, `wfcr::journal`) used to
-//! serialize every entry with serde_json — measurable per-put overhead on the
-//! paper's hot path. This module provides the length-free little-endian
-//! primitives both layers now share:
+//! The two journal entry types (`staging::store_journal`, `wfcr::journal`)
+//! lay their records out with the length-free little-endian primitives of
+//! this module — no serde on the paper's hot path:
 //!
 //! ```text
 //! entry := WIRE_MAGIC  WIRE_VERSION  tag:u8  fields…  [inline payload bytes]
 //! ```
 //!
-//! * The first byte is [`WIRE_MAGIC`] (`0xB1`), deliberately distinct from
-//!   `{` (`0x7B`), the first byte of every serde_json entry — decoders sniff
-//!   one byte and fall back to the JSON reader for journals written before
-//!   the binary codec existed.
+//! * The first byte is [`WIRE_MAGIC`] (`0xB1`). A body that starts with
+//!   anything else — text, JSON, another format — is not an entry:
+//!   [`Reader::for_entry`] refuses it with [`WireError::BadMagic`].
 //! * Integers are fixed-width little-endian; no varints, so encode size is
 //!   a pure function of the entry shape and the scratch encoder never
 //!   reallocates in steady state.
@@ -20,7 +18,7 @@
 //!   the zero-copy path work: the metadata prefix is encoded into a reusable
 //!   scratch buffer and the payload's `Bytes` ride to the log as a separate
 //!   vectored part — no intermediate assembly. [`put_payload_meta`] writes
-//!   the prefix; [`read_payload`] consumes the meta and then the trailing
+//!   the prefix; [`Reader::payload`] consumes the meta and then the trailing
 //!   bytes.
 //!
 //! Framing (length prefix, CRC, sequencing) belongs to `logstore`; this codec
@@ -31,17 +29,11 @@ use crate::payload::Payload;
 use bytes::Bytes;
 use std::fmt;
 
-/// First byte of every binary journal entry. Never `0x7B` (`{`), so binary
-/// and legacy-JSON entries are distinguishable from one byte.
+/// First byte of every journal entry.
 pub const WIRE_MAGIC: u8 = 0xB1;
 
 /// Binary codec version, bumped on incompatible layout changes.
 pub const WIRE_VERSION: u8 = 1;
-
-/// Does this record body carry a binary-codec entry (vs legacy JSON)?
-pub fn is_binary(data: &[u8]) -> bool {
-    data.first() == Some(&WIRE_MAGIC)
-}
 
 /// A malformed binary entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,7 +102,7 @@ pub fn put_bbox(out: &mut Vec<u8>, b: &BBox) {
 /// Write a payload's metadata prefix — kind, logical length, digest — but
 /// **not** its inline bytes. The zero-copy append path hands the bytes to the
 /// log as a separate vectored part; they must land immediately after this
-/// prefix (i.e. at the end of the entry) for [`read_payload`] to find them.
+/// prefix (i.e. at the end of the entry) for [`Reader::payload`] to find them.
 pub fn put_payload_meta(out: &mut Vec<u8>, p: &Payload) {
     match p {
         Payload::Inline(b) => {
@@ -224,12 +216,6 @@ impl<'a> Reader<'a> {
         }
         Ok(())
     }
-}
-
-/// Read a payload written by [`put_payload`] / [`put_payload_meta`] — free
-/// function form for decoders composed outside the reader.
-pub fn read_payload(r: &mut Reader<'_>) -> Result<Payload, WireError> {
-    r.payload()
 }
 
 #[cfg(test)]

@@ -1,12 +1,12 @@
 //! Property tests for the store-journal wire codec: the binary encoding
-//! round-trips every representable entry, the legacy JSON encoding still
-//! decodes through the same entry point (cross-version compatibility for
-//! journals written before the binary format), and the one-byte format
-//! sniff can never confuse the two.
+//! round-trips every representable entry, and a record body that does not
+//! start with the wire magic — a serde_json rendering of the entry included —
+//! is rejected without disturbing the records around it.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use staging::geometry::BBox;
+use staging::journal::{decode_records, WireEntry};
 use staging::payload::Payload;
 use staging::proto::{CtlRequest, ObjDesc};
 use staging::store_journal::StoreJournalEntry;
@@ -49,6 +49,10 @@ fn arb_entry() -> impl Strategy<Value = StoreJournalEntry> {
     ]
 }
 
+fn record(seq: u64, payload: Vec<u8>) -> logstore::Record {
+    logstore::Record { seq, watermark: 0, payload }
+}
+
 proptest! {
     /// Binary encode → decode is the identity for every representable entry.
     #[test]
@@ -59,14 +63,30 @@ proptest! {
         prop_assert_eq!(back, entry);
     }
 
-    /// Cross-version: a journal written by the old JSON codec decodes through
-    /// the same entry point to the identical entry.
+    /// A body whose first byte is not the wire magic is not an entry: a
+    /// serde_json rendering of the entry, and the binary encoding under any
+    /// other first byte, both decode to `None`, and `decode_records` drops
+    /// them without disturbing their neighbours.
     #[test]
-    fn legacy_json_codec_round_trips(entry in arb_entry()) {
-        let encoded = entry.encode_json();
-        prop_assert!(!wire::is_binary(&encoded), "JSON must not sniff as binary");
-        let back = StoreJournalEntry::decode(&encoded).expect("JSON decode");
-        prop_assert_eq!(back, entry);
+    fn foreign_bodies_are_rejected(entry in arb_entry(), first in any::<u8>()) {
+        prop_assume!(first != wire::WIRE_MAGIC);
+        let json = serde_json::to_vec(&entry).expect("entries serialize");
+        prop_assert_eq!(json[0], b'{');
+        prop_assert_eq!(StoreJournalEntry::decode(&json), None);
+        let mut mangled = entry.encode();
+        mangled[0] = first;
+        prop_assert_eq!(StoreJournalEntry::decode(&mangled), None);
+        prop_assert_eq!(StoreJournalEntry::decode(&[]), None);
+
+        let stream = [
+            record(0, entry.encode()),
+            record(1, json),
+            record(2, entry.encode()),
+            record(3, mangled),
+            record(4, entry.encode()),
+        ];
+        let kept: Vec<StoreJournalEntry> = decode_records(&stream);
+        prop_assert_eq!(kept, vec![entry.clone(), entry.clone(), entry]);
     }
 
     /// The zero-copy split (meta scratch + payload bytes as a separate

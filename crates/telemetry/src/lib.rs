@@ -23,7 +23,7 @@
 //!   land in the obs trace) and offline (`wf-metrics slo-check`).
 //! * [`export`] — OpenMetrics text exposition and JSONL, both
 //!   byte-deterministic.
-//! * [`bench`] — canonical `BENCH_*.json` run reports plus the
+//! * [`mod@bench`] — canonical `BENCH_*.json` run reports plus the
 //!   tolerance-band [`bench::compare`] gate CI runs against the committed
 //!   baseline.
 

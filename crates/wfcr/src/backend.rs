@@ -18,9 +18,10 @@
 
 use crate::event::LogEvent;
 use crate::gc::GcState;
-use crate::journal::{JournalEntry, JournalHandle};
+use crate::journal::JournalEntry;
 use crate::queue::EventQueue;
 use crate::replay::{GetDecision, PutDecision, ReplayManager};
+use staging::journal::{JournalStats, JournalWriter, DEFAULT_COALESCE};
 use staging::payload::fnv1a_words;
 use staging::proto::{
     AppId, CtlRequest, CtlResponse, GetPiece, GetRequest, PutRequest, PutStatus, Version,
@@ -103,7 +104,7 @@ pub struct LoggingBackend {
     /// Optional durable journal: every stored put, served get, and control
     /// marker is mirrored to disk so the whole backend can be rebuilt after
     /// full process death ([`LoggingBackend::from_journal`]).
-    journal: Option<JournalHandle>,
+    journal: Option<JournalWriter<JournalEntry>>,
     /// Mutation hook: offset added to the version served for replayed gets,
     /// deliberately breaking replay-version fidelity. Model-checker tests
     /// use it to verify the oracles catch the violation; always 0 otherwise.
@@ -135,12 +136,12 @@ impl LoggingBackend {
         }
     }
 
-    /// Attach a durable journal sink. From here on, every stored put, served
-    /// get, checkpoint, and recovery marker is mirrored through it; control
-    /// entries flush, so the durable prefix always reaches the last
-    /// checkpoint.
+    /// Attach a durable journal sink with the default coalescing window.
+    /// From here on, every stored put, served get, checkpoint, recovery and
+    /// reset marker is mirrored through it; control entries flush, so the
+    /// durable prefix always reaches the last checkpoint.
     pub fn attach_journal(&mut self, sink: Box<dyn logstore::Journal>) {
-        self.journal = Some(JournalHandle::new(sink));
+        self.attach_journal_coalesced(sink, DEFAULT_COALESCE);
     }
 
     /// Attach a durable journal sink with an explicit coalescing window:
@@ -148,7 +149,7 @@ impl LoggingBackend {
     /// vectored group commit each) instead of the default window. Commit
     /// points still hand off and flush immediately.
     pub fn attach_journal_coalesced(&mut self, sink: Box<dyn logstore::Journal>, coalesce: usize) {
-        self.journal = Some(JournalHandle::with_coalesce(sink, coalesce));
+        self.journal = Some(JournalWriter::new(sink, coalesce));
     }
 
     /// Is a durable journal attached?
@@ -162,33 +163,6 @@ impl LoggingBackend {
         if let Some(j) = self.journal.as_mut() {
             j.flush();
         }
-    }
-
-    /// Bytes the journal has physically flushed (0 without a journal).
-    pub fn journal_bytes_flushed(&self) -> u64 {
-        self.journal.as_ref().map_or(0, JournalHandle::bytes_flushed)
-    }
-
-    /// Journal segments deleted by watermark compaction (0 without one).
-    pub fn journal_segments_compacted(&self) -> u64 {
-        self.journal.as_ref().map_or(0, JournalHandle::segments_compacted)
-    }
-
-    /// Journal I/O errors swallowed (durability degraded, not correctness).
-    pub fn journal_errors(&self) -> u64 {
-        self.journal.as_ref().map_or(0, JournalHandle::errors)
-    }
-
-    /// Journal group commits — fsyncs that made ≥2 records durable at once
-    /// (0 without a journal).
-    pub fn journal_group_commits(&self) -> u64 {
-        self.journal.as_ref().map_or(0, JournalHandle::group_commits)
-    }
-
-    /// Journal records delivered to the sink through batched hand-offs (0
-    /// without a journal).
-    pub fn journal_records_batched(&self) -> u64 {
-        self.journal.as_ref().map_or(0, JournalHandle::records_batched)
     }
 
     /// Rebuild a backend by replaying recovered journal entries in order.
@@ -248,6 +222,9 @@ impl LoggingBackend {
                         .entry(app)
                         .or_default()
                         .push(LogEvent::Recovery { app, resume_version });
+                }
+                JournalEntry::GlobalReset { to_version } => {
+                    b.store.remove_newer_than(to_version);
                 }
             }
         }
@@ -560,8 +537,10 @@ impl StoreBackend for LoggingBackend {
             CtlRequest::GlobalReset { to_version } => {
                 // Coordinated rollback is foreign to the logging scheme (the
                 // whole point is to avoid it) but is honoured for
-                // completeness: discard data and events newer than the cut.
+                // completeness: discard data newer than the cut, and journal
+                // the cut so a cold restart does not resurrect it.
                 let freed = self.store.remove_newer_than(to_version);
+                self.journal_record(JournalEntry::GlobalReset { to_version });
                 (
                     CtlResponse { req, pending_replay: 0 },
                     OpStats { freed_bytes: freed, ..Default::default() },
@@ -584,20 +563,8 @@ impl StoreBackend for LoggingBackend {
         self.store.bytes() + self.queue_bytes()
     }
 
-    fn journal_bytes_flushed(&self) -> u64 {
-        LoggingBackend::journal_bytes_flushed(self)
-    }
-
-    fn journal_segments_compacted(&self) -> u64 {
-        LoggingBackend::journal_segments_compacted(self)
-    }
-
-    fn journal_group_commits(&self) -> u64 {
-        LoggingBackend::journal_group_commits(self)
-    }
-
-    fn journal_records_batched(&self) -> u64 {
-        LoggingBackend::journal_records_batched(self)
+    fn journal_stats(&self) -> JournalStats {
+        self.journal.as_ref().map_or_else(JournalStats::default, JournalWriter::stats)
     }
 
     fn live_log_events(&self) -> u64 {
@@ -871,6 +838,41 @@ mod tests {
             assert!(
                 rebuilt.store().versions(0).contains(&v) || v > resume,
                 "live version {v} missing from rebuild"
+            );
+        }
+    }
+
+    #[test]
+    fn journal_rebuild_reapplies_a_global_reset() {
+        use logstore::{FlushPolicy, LogConfig, LogStore, MemMedia};
+        let mem = MemMedia::new();
+        let cfg =
+            LogConfig { flush: FlushPolicy::PerBatch { records: 1000 }, ..LogConfig::default() };
+        let mut b = LoggingBackend::new();
+        b.register_app(SIM);
+        b.register_app(ANA);
+        b.attach_journal(Box::new(LogStore::open(Box::new(mem.clone()), cfg).unwrap()));
+        run_steps(&mut b, 1, 3);
+        let (_, stats) = b.control(CtlRequest::GlobalReset { to_version: 1 });
+        assert!(stats.freed_bytes > 0);
+        assert_eq!(b.store().versions(0), vec![1]);
+        assert_eq!(b.journal_errors(), 0);
+        let live = b.store_clone();
+        drop(b); // process death: the reset is a commit point, so it is durable
+        mem.crash();
+
+        let log = LogStore::open(Box::new(mem.clone()), cfg).unwrap();
+        let entries = crate::journal::decode_records(&log.read_all().unwrap());
+        assert_eq!(entries.last(), Some(&JournalEntry::GlobalReset { to_version: 1 }));
+        let rebuilt = LoggingBackend::from_journal(entries, &[SIM, ANA]);
+        assert_eq!(rebuilt.store().versions(0), vec![1], "the reset's cut must survive a rebuild");
+        assert_eq!(rebuilt.store().bytes(), live.bytes());
+        for v in 1..=3 {
+            let bbox = BBox::d1(0, 99);
+            assert_eq!(
+                pieces_digest(&rebuilt.store().query(0, v, &bbox)),
+                pieces_digest(&live.query(0, v, &bbox)),
+                "rebuilt and live stores answer version {v} differently"
             );
         }
     }

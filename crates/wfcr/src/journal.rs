@@ -4,20 +4,18 @@
 //! staging memory; this module gives those records a durable twin. Every
 //! event the [`crate::backend::LoggingBackend`] admits to its in-memory
 //! queues is also encoded as a [`JournalEntry`] and handed to a
-//! `logstore::Journal` sink. Control entries (checkpoint, recovery) are
+//! `logstore::Journal` sink. Control entries (checkpoint, recovery, reset) are
 //! commit points and force a flush, so the journal's durable prefix always
 //! extends at least through the last checkpoint — which is exactly the
 //! property the cold-restart equivalence proof needs: anything lost past
 //! that point is re-executed deterministically by the rolled-back apps.
 //!
-//! **Write path.** Entries use the binary [`staging::wire`] codec (legacy
-//! JSON journals stay readable by one-byte sniffing), and [`JournalHandle`]
-//! *coalesces*: encoded metadata accumulates in one reusable scratch buffer,
-//! inline put payloads ride alongside as refcounted `Bytes`, and the sink
-//! receives whole [`logstore::BatchRecord`] groups — one vectored write and
-//! one flush decision per group instead of per record. Coalesced entries are
-//! exactly as volatile as sink-buffered ones; commit points hand off and
-//! flush, so the durability contract is unchanged.
+//! This module holds only the entry type and its binary layout
+//! ([`staging::wire`] codec; a record body that does not start with
+//! `WIRE_MAGIC` is not an entry and is rejected). Coalescing, commit-point
+//! flushes, compaction and error counting are the shared
+//! [`staging::journal::JournalWriter`], the same one the plain backend
+//! journals through.
 //!
 //! Watermarks are data versions, so `compact_below` on the journal mirrors
 //! `wfcr::gc` truncating the in-memory queues: once the GC floor passes a
@@ -30,21 +28,18 @@
 //! collections at the same points.
 
 use bytes::Bytes;
-use logstore::{BatchRecord, Journal};
 use serde::{Deserialize, Serialize};
 use staging::geometry::BBox;
+use staging::journal::WireEntry;
 use staging::payload::Payload;
 use staging::proto::{AppId, ObjDesc, VarId, Version};
 use staging::wire::{self, Reader};
-use std::fmt;
-use std::ops::Range;
-
-pub use staging::store_journal::DEFAULT_COALESCE;
 
 const TAG_PUT: u8 = 1;
 const TAG_GET: u8 = 2;
 const TAG_CHECKPOINT: u8 = 3;
 const TAG_RECOVERY: u8 = 4;
+const TAG_GLOBAL_RESET: u8 = 5;
 
 /// One durable log record. Struct variants only (mirrors [`crate::event::LogEvent`])
 /// plus the payload itself on puts — the journal must be able to rebuild the
@@ -105,29 +100,33 @@ pub enum JournalEntry {
         /// Version of the restored checkpoint.
         resume_version: Version,
     },
+    /// A coordinated rollback: the store dropped every version newer than
+    /// `to_version`. Replaying it re-applies the cut, so a rebuilt store does
+    /// not resurrect what the reset discarded.
+    GlobalReset {
+        /// Newest version kept.
+        to_version: Version,
+    },
 }
 
-impl JournalEntry {
-    /// Compaction watermark: the data version this entry is tied to.
-    pub fn watermark(&self) -> u64 {
+impl WireEntry for JournalEntry {
+    fn watermark(&self) -> u64 {
         u64::from(match *self {
             JournalEntry::Put { desc, .. } => desc.version,
             JournalEntry::Get { served, .. } => served,
             JournalEntry::Checkpoint { upto_version, .. } => upto_version,
             JournalEntry::Recovery { resume_version, .. } => resume_version,
+            JournalEntry::GlobalReset { to_version } => to_version,
         })
     }
 
-    /// Is this a commit point that must be durable before the call returns?
-    pub fn is_commit_point(&self) -> bool {
-        matches!(self, JournalEntry::Checkpoint { .. } | JournalEntry::Recovery { .. })
+    /// Control markers — everything but a put or a get — must be durable
+    /// before the call returns.
+    fn is_commit_point(&self) -> bool {
+        !matches!(self, JournalEntry::Put { .. } | JournalEntry::Get { .. })
     }
 
-    /// Encode everything *except* an inline put payload's bytes into `out`
-    /// (binary codec). The bytes — [`JournalEntry::inline_payload`] — must
-    /// land immediately after this prefix; the zero-copy append path hands
-    /// them to the log as a separate vectored part.
-    pub fn encode_meta_into(&self, out: &mut Vec<u8>) {
+    fn encode_meta_into(&self, out: &mut Vec<u8>) {
         match self {
             JournalEntry::Put { app, desc, payload, digest } => {
                 wire::put_header(out, TAG_PUT);
@@ -160,41 +159,21 @@ impl JournalEntry {
                 wire::put_u32(out, *app);
                 wire::put_u32(out, *resume_version);
             }
+            JournalEntry::GlobalReset { to_version } => {
+                wire::put_header(out, TAG_GLOBAL_RESET);
+                wire::put_u32(out, *to_version);
+            }
         }
     }
 
-    /// The inline payload bytes that follow the metadata prefix, if any.
-    pub fn inline_payload(&self) -> Option<&Bytes> {
+    fn inline_payload(&self) -> Option<&Bytes> {
         match self {
             JournalEntry::Put { payload, .. } => payload.bytes(),
             _ => None,
         }
     }
 
-    /// Serialized form for the log record payload (binary codec).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_meta_into(&mut out);
-        if let Some(b) = self.inline_payload() {
-            out.extend_from_slice(b);
-        }
-        out
-    }
-
-    /// Legacy serde_json form — what journals written before the binary
-    /// codec contain. Kept for cross-version tests; [`Self::decode`] reads
-    /// both.
-    pub fn encode_json(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("journal entries always serialize")
-    }
-
-    /// Parse a record payload back; `None` on format drift (the log frame
-    /// CRC already rules out corruption). Sniffs the first byte: binary
-    /// entries start with [`wire::WIRE_MAGIC`], legacy JSON entries with `{`.
-    pub fn decode(bytes: &[u8]) -> Option<Self> {
-        if !wire::is_binary(bytes) {
-            return serde_json::from_slice(bytes).ok();
-        }
+    fn decode(bytes: &[u8]) -> Option<Self> {
         let (tag, mut r) = Reader::for_entry(bytes).ok()?;
         let entry = match tag {
             TAG_PUT => {
@@ -224,6 +203,7 @@ impl JournalEntry {
             TAG_RECOVERY => {
                 JournalEntry::Recovery { app: r.u32().ok()?, resume_version: r.u32().ok()? }
             }
+            TAG_GLOBAL_RESET => JournalEntry::GlobalReset { to_version: r.u32().ok()? },
             _ => return None,
         };
         r.finish().ok()?;
@@ -231,172 +211,39 @@ impl JournalEntry {
     }
 }
 
-/// A record coalesced in the handle, waiting for the next hand-off.
-struct PendingRec {
-    watermark: u64,
-    meta: Range<usize>,
-    payload: Option<Bytes>,
-}
-
-/// The backend's handle on its durable sink: owns the boxed
-/// `logstore::Journal`, coalesces entries into batched group commits,
-/// enforces commit-point flushes, and keeps error accounting (journal
-/// failures degrade durability, never correctness — the in-memory log stays
-/// authoritative).
-pub struct JournalHandle {
-    sink: Box<dyn Journal>,
-    scratch: Vec<u8>,
-    pending: Vec<PendingRec>,
-    coalesce: usize,
-    entries_recorded: u64,
-    errors: u64,
-}
-
-impl fmt::Debug for JournalHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("JournalHandle")
-            .field("entries_recorded", &self.entries_recorded)
-            .field("pending", &self.pending.len())
-            .field("errors", &self.errors)
-            .finish()
-    }
-}
-
-impl JournalHandle {
-    /// Wrap a sink with the default coalescing window.
-    pub fn new(sink: Box<dyn Journal>) -> Self {
-        Self::with_coalesce(sink, DEFAULT_COALESCE)
+/// The codec under the entry's own name, so callers that only encode or
+/// decode need not import [`WireEntry`].
+impl JournalEntry {
+    /// [`WireEntry::encode_meta_into`].
+    pub fn encode_meta_into(&self, out: &mut Vec<u8>) {
+        WireEntry::encode_meta_into(self, out);
     }
 
-    /// Wrap a sink, handing off batches every `coalesce` records (commit
-    /// points always hand off immediately; 0 behaves as 1).
-    pub fn with_coalesce(sink: Box<dyn Journal>, coalesce: usize) -> Self {
-        JournalHandle {
-            sink,
-            scratch: Vec::new(),
-            pending: Vec::new(),
-            coalesce: coalesce.max(1),
-            entries_recorded: 0,
-            errors: 0,
-        }
+    /// [`WireEntry::inline_payload`].
+    pub fn inline_payload(&self) -> Option<&Bytes> {
+        WireEntry::inline_payload(self)
     }
 
-    /// Record one entry. The entry is encoded now (metadata into the shared
-    /// scratch, payload bytes by refcount) and handed to the sink in a batch
-    /// at the next boundary; commit-point entries hand off and flush
-    /// immediately.
-    // lint: commit-point
-    pub fn record(&mut self, entry: &JournalEntry) {
-        self.entries_recorded += 1;
-        let start = self.scratch.len();
-        entry.encode_meta_into(&mut self.scratch);
-        self.pending.push(PendingRec {
-            watermark: entry.watermark(),
-            meta: start..self.scratch.len(),
-            payload: entry.inline_payload().cloned(),
-        });
-        if entry.is_commit_point() {
-            self.hand_off();
-            if self.sink.flush().is_err() {
-                self.errors += 1;
-            }
-        } else if self.pending.len() >= self.coalesce {
-            self.hand_off();
-        }
+    /// [`WireEntry::encode`].
+    pub fn encode(&self) -> Vec<u8> {
+        WireEntry::encode(self)
     }
 
-    /// Hand every pending record to the sink as one batch (one flush
-    /// decision at the group boundary — the group commit).
-    fn hand_off(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let JournalHandle { sink, scratch, pending, errors, .. } = self;
-        let parts: Vec<[&[u8]; 2]> = pending
-            .iter()
-            .map(|p| [&scratch[p.meta.clone()], p.payload.as_deref().unwrap_or(&[])])
-            .collect();
-        let batch: Vec<BatchRecord<'_>> = pending
-            .iter()
-            .zip(&parts)
-            .map(|(p, parts)| BatchRecord { watermark: p.watermark, parts })
-            .collect();
-        if sink.append_batch(&batch).is_err() {
-            *errors += 1;
-        }
-        self.pending.clear();
-        self.scratch.clear();
-    }
-
-    /// Force everything — coalesced and sink-buffered — down to the media
-    /// (graceful shutdown / stats harvest).
-    pub fn flush(&mut self) {
-        self.hand_off();
-        if self.sink.flush().is_err() {
-            self.errors += 1;
-        }
-    }
-
-    /// Drop sealed segments wholly below `floor`; returns segments removed.
-    /// Pending records are handed off first so compaction sees the full
-    /// stream.
-    pub fn compact_below(&mut self, floor: u64) -> usize {
-        self.hand_off();
-        match self.sink.compact_below(floor) {
-            Ok(n) => n,
-            Err(_) => {
-                self.errors += 1;
-                0
-            }
-        }
-    }
-
-    /// Entries recorded through this handle.
-    pub fn entries_recorded(&self) -> u64 {
-        self.entries_recorded
-    }
-
-    /// Entries coalesced in the handle, not yet handed to the sink.
-    pub fn pending_entries(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Sink I/O errors swallowed (durability degraded).
-    pub fn errors(&self) -> u64 {
-        self.errors
-    }
-
-    /// Bytes the sink has physically flushed.
-    pub fn bytes_flushed(&self) -> u64 {
-        self.sink.bytes_flushed()
-    }
-
-    /// Segments the sink has compacted away.
-    pub fn segments_compacted(&self) -> u64 {
-        self.sink.segments_compacted()
-    }
-
-    /// Group commits (multi-record fsyncs) the sink has performed.
-    pub fn group_commits(&self) -> u64 {
-        self.sink.group_commits()
-    }
-
-    /// Records that reached the sink through batched hand-offs.
-    pub fn records_batched(&self) -> u64 {
-        self.sink.records_batched()
+    /// [`WireEntry::decode`].
+    pub fn decode(bytes: &[u8]) -> Option<Self> {
+        <Self as WireEntry>::decode(bytes)
     }
 }
 
 /// Decode a recovered record stream (e.g. `LogStore::read_all`) into entries,
 /// dropping undecodable payloads.
 pub fn decode_records(records: &[logstore::Record]) -> Vec<JournalEntry> {
-    records.iter().filter_map(|r| JournalEntry::decode(&r.payload)).collect()
+    staging::journal::decode_records(records)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logstore::{LogConfig, LogStore, MemMedia};
 
     fn put(app: AppId, version: Version) -> JournalEntry {
         JournalEntry::Put {
@@ -434,6 +281,7 @@ mod tests {
             JournalEntry::Checkpoint { app: 0, w_chk_id: 4, upto_version: 3, floor: Some(2) },
             JournalEntry::Checkpoint { app: 1, w_chk_id: 5, upto_version: 3, floor: None },
             JournalEntry::Recovery { app: 1, resume_version: 3 },
+            JournalEntry::GlobalReset { to_version: 2 },
         ]
     }
 
@@ -448,22 +296,8 @@ mod tests {
         assert!(!entries[0].is_commit_point());
         assert!(entries[3].is_commit_point());
         assert!(entries[5].is_commit_point());
-    }
-
-    #[test]
-    fn legacy_json_entries_still_decode() {
-        for e in &sample_entries() {
-            let json = e.encode_json();
-            assert_eq!(json[0], b'{', "legacy entries start with a JSON brace");
-            assert_eq!(JournalEntry::decode(&json).as_ref(), Some(e));
-        }
-    }
-
-    #[test]
-    fn binary_encoding_is_smaller_than_json() {
-        for e in &sample_entries() {
-            assert!(e.encode().len() < e.encode_json().len(), "binary must beat JSON for {e:?}");
-        }
+        assert!(entries[6].is_commit_point());
+        assert_eq!(entries[6].watermark(), 2, "a reset keys on the version it cuts back to");
     }
 
     #[test]
@@ -475,52 +309,22 @@ mod tests {
         assert_eq!(meta, e.encode());
     }
 
+    /// The bytes on media are a compatibility surface: existing journals must
+    /// stay readable. (Length, FNV-1a digest) of each pre-existing sample's
+    /// encoding, as the codec wrote it before `GlobalReset` was added.
     #[test]
-    fn commit_points_force_the_tail_durable() {
-        let mem = MemMedia::new();
-        let cfg = LogConfig {
-            flush: logstore::FlushPolicy::PerBatch { records: 1000 },
-            ..LogConfig::default()
-        };
-        let log = LogStore::open(Box::new(mem.clone()), cfg).unwrap();
-        let mut handle = JournalHandle::new(Box::new(log));
-        handle.record(&put(0, 1));
-        handle.record(&put(0, 2));
-        let before_ctl = mem.synced_bytes();
-        handle.record(&JournalEntry::Checkpoint {
-            app: 0,
-            w_chk_id: 1,
-            upto_version: 2,
-            floor: Some(0),
-        });
-        assert!(mem.synced_bytes() > before_ctl, "checkpoint entry must flush");
-        handle.record(&put(0, 3)); // coalesced again
-        drop(handle);
-        mem.crash();
-        let survivors = LogStore::open(Box::new(mem.clone()), cfg).unwrap().read_all().unwrap();
-        let decoded = decode_records(&survivors);
-        assert_eq!(decoded.len(), 3, "everything through the checkpoint survives");
-        assert!(matches!(decoded[2], JournalEntry::Checkpoint { .. }));
-    }
-
-    #[test]
-    fn coalescing_batches_records_to_the_sink() {
-        let mem = MemMedia::new();
-        let cfg = LogConfig { flush: logstore::FlushPolicy::PerRecord, ..LogConfig::default() };
-        let log = LogStore::open(Box::new(mem.clone()), cfg).unwrap();
-        let mut handle = JournalHandle::with_coalesce(Box::new(log), 8);
-        for v in 0..8 {
-            handle.record(&inline_put(0, v));
-        }
-        assert_eq!(handle.pending_entries(), 0, "window reached: handed off");
-        assert_eq!(handle.records_batched(), 8);
-        // PerRecord sink + batched hand-off = ONE group commit for all 8.
-        assert_eq!(handle.group_commits(), 1);
-        let survivors = LogStore::open(Box::new(mem.clone()), cfg).unwrap().read_all().unwrap();
-        let decoded = decode_records(&survivors);
-        assert_eq!(decoded.len(), 8);
-        for (v, e) in decoded.iter().enumerate() {
-            assert_eq!(e, &inline_put(0, v as Version), "zero-copy path preserves bytes");
+    fn encoding_of_existing_variants_is_pinned() {
+        let pinned = [
+            (89, 0x36DF_3EBB_A65B_FD7A),
+            (153, 0x8C59_BB3D_C7F1_0DF4),
+            (84, 0x1690_4A4A_3570_585E),
+            (24, 0x4F6C_26B1_7970_F42C),
+            (24, 0xD6B5_303E_8C95_EC61),
+            (11, 0x74D8_500F_8D81_E4EB),
+        ];
+        for (entry, want) in sample_entries().iter().zip(pinned) {
+            let bytes = entry.encode();
+            assert_eq!((bytes.len(), staging::payload::fnv1a(&bytes)), want, "{entry:?}");
         }
     }
 }

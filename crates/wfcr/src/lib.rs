@@ -52,6 +52,6 @@ pub use backend::LoggingBackend;
 pub use conservation::{logged_put_keys, PieceKey};
 pub use event::LogEvent;
 pub use iface::WorkflowClient;
-pub use journal::{JournalEntry, JournalHandle};
+pub use journal::JournalEntry;
 pub use protocol::{FtScheme, WorkflowProtocol};
 pub use queue::EventQueue;

@@ -1,6 +1,7 @@
 //! Property tests for the wfcr journal wire codec: binary round-trip over
-//! every entry variant, legacy-JSON cross-version decode through the same
-//! sniffing entry point, and the zero-copy meta/payload split.
+//! every entry variant, rejection of any record body that does not start with
+//! the wire magic (a serde_json rendering of the entry included), and the
+//! zero-copy meta/payload split.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -8,7 +9,7 @@ use staging::geometry::BBox;
 use staging::payload::Payload;
 use staging::proto::ObjDesc;
 use staging::wire;
-use wfcr::journal::JournalEntry;
+use wfcr::journal::{decode_records, JournalEntry};
 
 fn arb_bbox() -> impl Strategy<Value = BBox> {
     (1u8..=3, any::<[u64; 3]>(), any::<[u64; 3]>()).prop_map(|(ndim, lb, ub)| BBox { ndim, lb, ub })
@@ -53,7 +54,12 @@ fn arb_entry() -> impl Strategy<Value = JournalEntry> {
         ),
         (any::<u32>(), any::<u32>())
             .prop_map(|(app, resume_version)| JournalEntry::Recovery { app, resume_version }),
+        any::<u32>().prop_map(|to_version| JournalEntry::GlobalReset { to_version }),
     ]
+}
+
+fn record(seq: u64, payload: Vec<u8>) -> logstore::Record {
+    logstore::Record { seq, watermark: 0, payload }
 }
 
 proptest! {
@@ -66,14 +72,29 @@ proptest! {
         prop_assert_eq!(back, entry);
     }
 
-    /// Cross-version: entries written by the old JSON codec decode through
-    /// the same sniffing entry point to the identical value.
+    /// A body whose first byte is not the wire magic is not an entry: a
+    /// serde_json rendering of the entry, and the binary encoding under any
+    /// other first byte, both decode to `None`, and `decode_records` drops
+    /// them without disturbing their neighbours.
     #[test]
-    fn legacy_json_codec_round_trips(entry in arb_entry()) {
-        let encoded = entry.encode_json();
-        prop_assert!(!wire::is_binary(&encoded), "JSON must not sniff as binary");
-        let back = JournalEntry::decode(&encoded).expect("JSON decode");
-        prop_assert_eq!(back, entry);
+    fn foreign_bodies_are_rejected(entry in arb_entry(), first in any::<u8>()) {
+        prop_assume!(first != wire::WIRE_MAGIC);
+        let json = serde_json::to_vec(&entry).expect("entries serialize");
+        prop_assert_eq!(json[0], b'{');
+        prop_assert_eq!(JournalEntry::decode(&json), None);
+        let mut mangled = entry.encode();
+        mangled[0] = first;
+        prop_assert_eq!(JournalEntry::decode(&mangled), None);
+        prop_assert_eq!(JournalEntry::decode(&[]), None);
+
+        let stream = [
+            record(0, entry.encode()),
+            record(1, json),
+            record(2, entry.encode()),
+            record(3, mangled),
+            record(4, entry.encode()),
+        ];
+        prop_assert_eq!(decode_records(&stream), vec![entry.clone(), entry.clone(), entry]);
     }
 
     /// The zero-copy split (meta scratch + inline payload bytes riding as a

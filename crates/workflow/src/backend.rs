@@ -1,6 +1,7 @@
 //! Runtime backend selection: plain staging (Ds/Co/In) vs. logging staging
 //! (Un/Hy), behind one concrete type so the server actor stays monomorphic.
 
+use staging::journal::JournalStats;
 use staging::proto::{CtlRequest, CtlResponse, GetPiece, GetRequest, PutRequest, PutStatus};
 use staging::service::{OpStats, PlainBackend, StoreBackend};
 use wfcr::backend::LoggingBackend;
@@ -97,46 +98,6 @@ impl AnyBackend {
         }
     }
 
-    /// Bytes the journal has physically flushed (0 when detached).
-    pub fn journal_bytes_flushed(&self) -> u64 {
-        match self {
-            AnyBackend::Plain(b) => b.journal_bytes_flushed(),
-            AnyBackend::Logging(b) => b.journal_bytes_flushed(),
-        }
-    }
-
-    /// Journal segment files compacted away (0 when detached).
-    pub fn journal_segments_compacted(&self) -> u64 {
-        match self {
-            AnyBackend::Plain(b) => b.journal_segments_compacted(),
-            AnyBackend::Logging(b) => b.journal_segments_compacted(),
-        }
-    }
-
-    /// Journal I/O errors swallowed (durability degraded, never state).
-    pub fn journal_errors(&self) -> u64 {
-        match self {
-            AnyBackend::Plain(b) => b.journal_errors(),
-            AnyBackend::Logging(b) => b.journal_errors(),
-        }
-    }
-
-    /// Journal group commits — multi-record fsyncs (0 when detached).
-    pub fn journal_group_commits(&self) -> u64 {
-        match self {
-            AnyBackend::Plain(b) => b.journal_group_commits(),
-            AnyBackend::Logging(b) => b.journal_group_commits(),
-        }
-    }
-
-    /// Journal records delivered through batched hand-offs (0 when detached).
-    pub fn journal_records_batched(&self) -> u64 {
-        match self {
-            AnyBackend::Plain(b) => b.journal_records_batched(),
-            AnyBackend::Logging(b) => b.journal_records_batched(),
-        }
-    }
-
     /// Gets served a version other than the requested one (plain backend
     /// only; the logging backend never serves unverified stale data).
     pub fn stale_gets(&self) -> u64 {
@@ -183,20 +144,11 @@ impl StoreBackend for AnyBackend {
         }
     }
 
-    fn journal_bytes_flushed(&self) -> u64 {
-        AnyBackend::journal_bytes_flushed(self)
-    }
-
-    fn journal_segments_compacted(&self) -> u64 {
-        AnyBackend::journal_segments_compacted(self)
-    }
-
-    fn journal_group_commits(&self) -> u64 {
-        AnyBackend::journal_group_commits(self)
-    }
-
-    fn journal_records_batched(&self) -> u64 {
-        AnyBackend::journal_records_batched(self)
+    fn journal_stats(&self) -> JournalStats {
+        match self {
+            AnyBackend::Plain(b) => b.journal_stats(),
+            AnyBackend::Logging(b) => b.journal_stats(),
+        }
     }
 
     fn live_log_events(&self) -> u64 {

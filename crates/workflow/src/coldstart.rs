@@ -28,7 +28,7 @@ use staging::dist::Distribution;
 use staging::geometry::BBox;
 use staging::payload::Payload;
 use staging::proto::AppId;
-use staging::service::{ServerCosts, ServerLogic};
+use staging::service::{ServerCosts, ServerLogic, StoreBackend};
 use staging::threaded::{spawn_server, SyncClient};
 use std::collections::BTreeMap;
 use std::io;
@@ -379,12 +379,13 @@ pub fn interrupted_run(
     for mut logic in teardown(cluster) {
         let b = logic.backend_mut();
         b.flush_journal();
-        outcome.log_bytes_flushed += b.journal_bytes_flushed();
-        outcome.segments_compacted += b.journal_segments_compacted();
+        let j = b.journal_stats();
+        outcome.log_bytes_flushed += j.bytes_flushed;
+        outcome.segments_compacted += j.segments_compacted;
         outcome.absorbed_puts += b.absorbed_puts();
         outcome.replayed_gets += b.replayed_gets();
         outcome.digest_mismatches += b.digest_mismatches();
-        assert_eq!(b.journal_errors(), 0, "journal I/O must stay clean");
+        assert_eq!(j.errors, 0, "journal I/O must stay clean");
     }
     Ok(outcome)
 }

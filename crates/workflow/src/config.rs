@@ -271,7 +271,7 @@ pub struct DurabilityCfg {
 }
 
 fn default_coalesce() -> usize {
-    staging::store_journal::DEFAULT_COALESCE
+    staging::journal::DEFAULT_COALESCE
 }
 
 impl Default for DurabilityCfg {

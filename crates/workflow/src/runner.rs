@@ -10,7 +10,7 @@ use net::des::{Network, NetworkHandle};
 use sim_core::engine::Engine;
 use sim_core::time::SimTime;
 use staging::server::StagingServerActor;
-use staging::service::ServerLogic;
+use staging::service::{ServerLogic, StoreBackend};
 use wfcr::protocol::{FtScheme, WorkflowProtocol};
 
 /// Safety valve: a run dispatching more events than this is assumed wedged.
@@ -476,10 +476,11 @@ pub fn harvest(built: &mut BuiltWorkflow) -> RunReport {
                 engine.actor_as_mut::<StagingServerActor<AnyBackend>>(sid).expect("server actor");
             let b = s.logic_mut().backend_mut();
             b.flush_journal();
-            log_bytes_flushed += b.journal_bytes_flushed();
-            segments_compacted += b.journal_segments_compacted();
-            journal_group_commits += b.journal_group_commits();
-            journal_records_batched += b.journal_records_batched();
+            let j = b.journal_stats();
+            log_bytes_flushed += j.bytes_flushed;
+            segments_compacted += j.segments_compacted;
+            journal_group_commits += j.group_commits;
+            journal_records_batched += j.records_batched;
         }
     }
     let m = engine.metrics().clone();

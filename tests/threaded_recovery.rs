@@ -11,7 +11,7 @@ use staging::dist::Distribution;
 use staging::geometry::BBox;
 use staging::payload::Payload;
 use staging::proto::{AppId, PutStatus};
-use staging::service::{ServerCosts, ServerLogic};
+use staging::service::{ServerCosts, ServerLogic, StoreBackend};
 use staging::threaded::{spawn_server, SyncClient};
 use std::sync::Arc;
 use wfcr::backend::{pieces_digest, LoggingBackend};
