@@ -54,6 +54,21 @@ fn print_config_table(label: &str, cfgs: &[workflow::WorkflowConfig]) {
     }
 }
 
+/// Every value `--exp` accepts.
+const EXPERIMENTS: [&str; 11] = [
+    "all",
+    "table2",
+    "table3",
+    "fig9a",
+    "fig9b",
+    "fig9c",
+    "fig9d",
+    "fig9e",
+    "fig10",
+    "period_sweep",
+    "ablations",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let mut exp = "all".to_string();
@@ -65,6 +80,10 @@ fn main() {
         match args[i].as_str() {
             "--exp" => {
                 exp = args.get(i + 1).cloned().unwrap_or_default();
+                if !EXPERIMENTS.contains(&exp.as_str()) {
+                    eprintln!("--exp requires one of: {}", EXPERIMENTS.join(", "));
+                    std::process::exit(2);
+                }
                 i += 2;
             }
             "--json" => {

@@ -3,8 +3,8 @@
 //!
 //! 1. inference is no narrower than the old hardcoded `DEFAULT_TARGETS`
 //!    list the CLI shipped with before envelope inference existed, and
-//! 2. the tree is clean modulo the committed `lint-baseline.json` — the
-//!    same invariant CI enforces, so `cargo test` catches it first.
+//! 2. the tree is clean — no finding, no baseline to hide one in — the same
+//!    invariant CI enforces, so `cargo test` catches it first.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -58,18 +58,14 @@ fn inferred_envelope_covers_old_default_targets() {
 }
 
 #[test]
-fn workspace_is_clean_modulo_baseline() {
+fn workspace_is_clean() {
     let root = root();
     let files = lint::envelope::infer(&root).unwrap();
     let report = lint::lint_files(&root, &files).unwrap();
-    let baseline = std::fs::read_to_string(root.join("lint-baseline.json")).unwrap();
-    let (kept, stale) = lint::output::apply_baseline(report.findings, &baseline).unwrap();
     assert!(
-        kept.is_empty(),
-        "new lint findings (fix them or, deliberately, detlint --write-baseline): {kept:#?}"
+        report.findings.is_empty(),
+        "lint findings (fix them; there is no baseline): {:#?}",
+        report.findings
     );
-    assert!(
-        stale.is_empty(),
-        "stale baseline entries (regenerate with detlint --write-baseline): {stale:#?}"
-    );
+    assert!(!root.join("lint-baseline.json").exists(), "the ratchet is closed: no baseline file");
 }

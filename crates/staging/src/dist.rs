@@ -152,10 +152,14 @@ impl Distribution {
         rank * self.nservers / self.codes.len()
     }
 
-    /// Enumerate `(block_coord, clipped_bbox, server)` for every block that
-    /// intersects `bbox`. The clipped bbox is the intersection of the block
-    /// with both the domain and `bbox`.
-    pub fn blocks_overlapping(&self, bbox: &BBox) -> Vec<([u64; MAX_DIMS], BBox, ServerIdx)> {
+    /// Enumerate `(block_coord, clipped_bbox, owner_of(block_coord))` for every
+    /// block that intersects `bbox`, grid-major. The clipped bbox is the
+    /// intersection of the block with both the domain and `bbox`.
+    pub fn blocks_with(
+        &self,
+        bbox: &BBox,
+        owner_of: impl Fn([u64; MAX_DIMS]) -> ServerIdx,
+    ) -> Vec<([u64; MAX_DIMS], BBox, ServerIdx)> {
         let q = bbox.intersect(&self.domain).expect("query bbox outside the domain");
         let lo = self.block_of_point(q.lb);
         let hi = self.block_of_point(q.ub);
@@ -164,13 +168,18 @@ impl Distribution {
             for by in lo[1]..=hi[1] {
                 for bx in lo[0]..=hi[0] {
                     let coord = [bx, by, bz];
-                    let blk = self.block_bbox(coord);
-                    let clipped = blk.intersect(&q).expect("grid arithmetic");
-                    out.push((coord, clipped, self.server_of_block(coord)));
+                    let clipped = self.block_bbox(coord).intersect(&q).expect("grid arithmetic");
+                    out.push((coord, clipped, owner_of(coord)));
                 }
             }
         }
         out
+    }
+
+    /// [`Self::blocks_with`] the built-in range partition as owner:
+    /// `(block_coord, clipped_bbox, server)`.
+    pub fn blocks_overlapping(&self, bbox: &BBox) -> Vec<([u64; MAX_DIMS], BBox, ServerIdx)> {
+        self.blocks_with(bbox, |coord| self.server_of_block(coord))
     }
 
     /// All blocks owned by `server` (inspection / rebalance tooling).

@@ -1,5 +1,10 @@
 //! Wire-level protocol types shared by the DES and threaded staging servers.
 //!
+//! The wire vocabulary is two types: everything a client sends a staging
+//! server is a [`Request`], everything a server answers is a [`Reply`]. The
+//! per-kind structs below are their variants' bodies; no endpoint accepts one
+//! outside its envelope.
+//!
 //! Identity model: a workflow is composed of *application components*
 //! (simulation, analytics, ...) identified by [`AppId`]; each component has
 //! many ranks, but the staging protocol only needs the component identity —
@@ -18,6 +23,14 @@ pub type VarId = u32;
 pub type Version = u32;
 /// Application component identifier (simulation = 0, analytics = 1, ...).
 pub type AppId = u32;
+
+/// Approximate wire size of a request/response header.
+pub const HEADER_BYTES: u64 = 64;
+
+/// The identity the workflow director sends control under: it is no
+/// application component, so its `(app, seq)` dedup namespace must not
+/// collide with any component's. Its sequence number counts control rounds.
+pub const DIRECTOR_APP: AppId = AppId::MAX;
 
 /// Descriptor of a staged object: *which* variable, *which* version, *where*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -201,10 +214,9 @@ pub struct CtlResponse {
 /// A [`CtlRequest`] wrapped with a client identity and sequence number.
 ///
 /// Control requests are not idempotent (a duplicated `GlobalReset` delivered
-/// after re-execution started would discard re-executed data), so clients
-/// that may retry — or whose transport may duplicate — send this envelope;
-/// the server dedups on `(app, seq)` and replays the recorded acknowledgement
-/// for duplicates.
+/// after re-execution started would discard re-executed data), so control
+/// always travels in this envelope; the server dedups on `(app, seq)` and
+/// replays the recorded acknowledgement for duplicates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CtlMsg {
     /// Issuing component (the dedup namespace; `GlobalReset` carries no app
@@ -228,6 +240,89 @@ pub struct CtlAck {
     pub seq: u64,
     /// The underlying control response.
     pub resp: CtlResponse,
+}
+
+/// Everything a client sends a staging server.
+#[derive(Debug, Clone)]
+pub enum Request {
+    /// Write one block.
+    Put(PutRequest),
+    /// Read one block-aligned region.
+    Get(GetRequest),
+    /// Workflow control (`workflow_check` / `workflow_restart` / reset).
+    Ctl(CtlMsg),
+}
+
+impl Request {
+    /// Issuing identity (the dedup namespace).
+    pub fn app(&self) -> AppId {
+        match self {
+            Request::Put(r) => r.app,
+            Request::Get(r) => r.app,
+            Request::Ctl(m) => m.app,
+        }
+    }
+
+    /// Client-side sequence number; the [`Reply`] echoes it.
+    pub fn seq(&self) -> u64 {
+        match self {
+            Request::Put(r) => r.seq,
+            Request::Get(r) => r.seq,
+            Request::Ctl(m) => m.seq,
+        }
+    }
+
+    /// Causal trace context of the client span that issued the request.
+    pub fn tctx(&self) -> TraceCtx {
+        match self {
+            Request::Put(r) => r.tctx,
+            Request::Get(r) => r.tctx,
+            Request::Ctl(m) => m.tctx,
+        }
+    }
+
+    /// Size the request declares to the network: a header, plus the data a
+    /// put carries.
+    pub fn wire_bytes(&self) -> u64 {
+        match self {
+            Request::Put(r) => HEADER_BYTES + r.payload.accounted_len(),
+            Request::Get(_) | Request::Ctl(_) => HEADER_BYTES,
+        }
+    }
+}
+
+/// Everything a staging server answers; the variant matches the
+/// [`Request`]'s.
+#[derive(Debug, Clone)]
+pub enum Reply {
+    /// Answer to [`Request::Put`].
+    Put(PutResponse),
+    /// Answer to [`Request::Get`].
+    Get(GetResponse),
+    /// Answer to [`Request::Ctl`].
+    Ctl(CtlAck),
+}
+
+impl Reply {
+    /// Echoed client sequence number.
+    pub fn seq(&self) -> u64 {
+        match self {
+            Reply::Put(r) => r.seq,
+            Reply::Get(r) => r.seq,
+            Reply::Ctl(a) => a.seq,
+        }
+    }
+
+    /// Size the reply declares to the network: a header, plus the data a
+    /// get returns.
+    pub fn wire_bytes(&self) -> u64 {
+        match self {
+            Reply::Get(r) => {
+                HEADER_BYTES + r.pieces.iter().map(|p| p.payload.accounted_len()).sum::<u64>()
+            }
+            Reply::Put(_) | Reply::Ctl(_) => HEADER_BYTES,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -3,33 +3,33 @@
 //!
 //! The [`Distribution`] answers *what* blocks a region touches; the
 //! [`Router`] answers *which shard serves each block for a given data
-//! version*. Unsharded, routing is exactly the distribution's classic SFC
-//! range partition — byte-for-byte the same request streams as before the
-//! fleet existed. Sharded, every block's Morton/Hilbert code is looked up in
-//! a [`shardmap::MapHistory`] keyed by the data version, so historical
-//! reads and journal replay keep landing on the shard that holds the data
-//! even after a live rebalance moved the block's *current* owner.
+//! version*: every block's Morton/Hilbert code is looked up in a
+//! [`shardmap::MapHistory`] keyed by the data version, so historical reads
+//! and journal replay keep landing on the shard that holds the data even
+//! after a live rebalance moved the block's *current* owner. An unsharded
+//! fleet is the one-epoch range map over the distribution's codes — the
+//! classic SFC range partition, as [`Distribution::server_of_block`]
+//! computes it.
 
 use crate::dist::{Distribution, ServerIdx};
 use crate::geometry::{BBox, MAX_DIMS};
 use crate::proto::Version;
-use shardmap::MapHistory;
+use shardmap::{MapHistory, ShardMap};
 
 /// Deterministic block → shard routing for a staging fleet.
 #[derive(Debug, Clone)]
 pub struct Router {
     dist: Distribution,
-    /// Explicit partition-map epochs; `None` routes by the distribution's
-    /// own range partition (the unsharded legacy path).
-    history: Option<MapHistory>,
+    /// Partition-map epochs.
+    history: MapHistory,
 }
 
 impl Router {
-    /// Route by the distribution's built-in range partition (legacy
-    /// single-map behaviour; request streams are identical to pre-fleet
-    /// runs).
+    /// Route by the distribution's range partition: a single epoch whose
+    /// map reproduces [`Distribution::server_of_block`].
     pub fn unsharded(dist: Distribution) -> Router {
-        Router { dist, history: None }
+        let map = ShardMap::range_over(dist.codes(), dist.nservers);
+        Router { dist, history: MapHistory::single(map) }
     }
 
     /// Route through an explicit partition-map history.
@@ -43,7 +43,7 @@ impl Router {
             dist.nservers,
             "partition map shard count must match the fleet size"
         );
-        Router { dist, history: Some(history) }
+        Router { dist, history }
     }
 
     /// The wrapped domain decomposition.
@@ -51,14 +51,12 @@ impl Router {
         &self.dist
     }
 
-    /// The partition-map history, when sharded.
+    /// The partition-map history. Always `Some` — every router holds one;
+    /// the `Option` (like the `_routed` suffix of the planners in
+    /// [`crate::server`]) dates from when unsharded routing bypassed the
+    /// map, and stays because `hostbench/` compiles against this signature.
     pub fn history(&self) -> Option<&MapHistory> {
-        self.history.as_ref()
-    }
-
-    /// Is an explicit partition map in force?
-    pub fn is_sharded(&self) -> bool {
-        self.history.is_some()
+        Some(&self.history)
     }
 
     /// Fleet size.
@@ -68,35 +66,26 @@ impl Router {
 
     /// The shard serving block `coord` for data version `version`.
     pub fn owner_of_block(&self, coord: [u64; MAX_DIMS], version: Version) -> ServerIdx {
-        match &self.history {
-            None => self.dist.server_of_block(coord),
-            Some(h) => h.owner_at(self.dist.block_code(coord), u64::from(version)),
-        }
+        self.history.owner_at(self.dist.block_code(coord), u64::from(version))
     }
 
     /// Enumerate `(block_coord, clipped_bbox, shard)` for every block of
     /// `bbox`, routed for data version `version`. Deterministic block order
-    /// (grid-major, as [`Distribution::blocks_overlapping`]) — the client's
-    /// fan-out and merge order is a pure function of the query.
+    /// (grid-major, as [`Distribution::blocks_with`]) — the client's fan-out
+    /// and merge order is a pure function of the query.
     pub fn blocks_overlapping(
         &self,
         bbox: &BBox,
         version: Version,
     ) -> Vec<([u64; MAX_DIMS], BBox, ServerIdx)> {
-        let mut blocks = self.dist.blocks_overlapping(bbox);
-        if let Some(h) = &self.history {
-            for (coord, _, server) in &mut blocks {
-                *server = h.owner_at(self.dist.block_code(*coord), u64::from(version));
-            }
-        }
-        blocks
+        let map = self.history.map_at(u64::from(version));
+        self.dist.blocks_with(bbox, |coord| map.owner_of(self.dist.block_code(coord)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shardmap::ShardMap;
 
     fn dist() -> Distribution {
         Distribution::new(BBox::whole([64, 64, 64]), [16, 16, 16], 4)

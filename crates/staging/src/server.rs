@@ -7,40 +7,24 @@
 //! the network. This two-stage queue (NIC, then CPU) is what turns concurrent
 //! writer load into the response-time inflation measured in Figure 9.
 
-use crate::dist::{Distribution, ServerIdx};
-use crate::geometry::{BBox, MAX_DIMS};
+use crate::dist::ServerIdx;
+use crate::geometry::BBox;
 use crate::payload::Payload;
 use crate::proto::{
-    AppId, CtlMsg, CtlRequest, GetPiece, GetRequest, ObjDesc, PutRequest, VarId, Version,
+    AppId, CtlRequest, GetPiece, GetRequest, ObjDesc, PutRequest, Reply, Request, VarId, Version,
 };
 use crate::router::Router;
-use crate::service::{ServerLogic, StoreBackend};
+use crate::service::{Outcome, ServerLogic, StoreBackend};
 use net::des::{Delivered, EndpointId, NetworkHandle};
 use obs::{arg, TraceCtx};
 use sim_core::engine::{Actor, Ctx, Event};
 use sim_core::time::SimTime;
 use std::collections::{BTreeMap, VecDeque};
 
-/// Approximate wire size of a request/response header.
-pub const HEADER_BYTES: u64 = 64;
-
-/// A queued unit of server work.
+/// A queued unit of server work: the request stays in the box it arrived in.
 struct Pending {
     from_ep: EndpointId,
-    req: Req,
-}
-
-enum Req {
-    Put(PutRequest),
-    Get(GetRequest),
-    /// A control envelope. `raw` marks un-sequenced [`CtlRequest`] ingress
-    /// (the fault-exempt director); such requests bypass dedup and are
-    /// answered with a bare [`crate::proto::CtlResponse`], while sequenced
-    /// envelopes get a [`crate::proto::CtlAck`].
-    Ctl {
-        msg: CtlMsg,
-        raw: bool,
-    },
+    req: Box<Request>,
 }
 
 /// Completion marker scheduled to self when the current request's service
@@ -111,17 +95,13 @@ pub struct StagingServerActor<B> {
     /// requeue parked gets in map order, and that order must not depend on
     /// hasher state for runs to replay identically.
     waiting: BTreeMap<VarId, BTreeMap<Version, Vec<Pending>>>,
-    /// Request currently in service, if any.
-    in_service: Option<Pending>,
+    /// Request currently in service, if any, with its reply: computed at
+    /// dequeue time, sent when the service timer fires.
+    in_service: Option<(Pending, Reply)>,
     /// Metric name for this server's resident bytes gauge.
     mem_metric: String,
     /// Server index (for naming).
     index: ServerIdx,
-    /// Response computed at dequeue time, sent when the service timer fires.
-    stash_put: Option<crate::proto::PutResponse>,
-    stash_get: Option<crate::proto::GetResponse>,
-    stash_ctl: Option<crate::proto::CtlResponse>,
-    stash_ctl_ack: Option<crate::proto::CtlAck>,
     /// Is the server currently down for a resilience rebuild? Requests queue
     /// and are served when the rebuild completes.
     down: bool,
@@ -138,12 +118,6 @@ pub struct StagingServerActor<B> {
     rebuilds: u32,
     /// Stall windows survived.
     stalls: u32,
-    /// Puts served to completion (shard-balance accounting).
-    puts_served: u64,
-    /// Gets served to completion (shard-balance accounting).
-    gets_served: u64,
-    /// Synthetic sequence source for raw (un-sequenced) control ingress.
-    raw_ctl_seq: u64,
     /// Observability (inert when the tracer is off).
     tracer: obs::Tracer,
     track: obs::TrackId,
@@ -153,11 +127,6 @@ pub struct StagingServerActor<B> {
     rebuild_span: TraceCtx,
     /// Span of an in-progress stall window.
     stall_span: TraceCtx,
-    /// Journal bytes flushed as of the last traced operation; diffed against
-    /// the backend's monotone counter to emit `journal.flush` instants.
-    seen_flushed: u64,
-    /// Journal segments compacted as of the last traced operation.
-    seen_compacted: u64,
     /// Supervisor to notify on fail-stop / rebuild-complete (runner wiring;
     /// `None` outside supervised runs).
     supervisor: Option<sim_core::engine::ActorId>,
@@ -181,26 +150,17 @@ impl<B: StoreBackend> StagingServerActor<B> {
             in_service: None,
             mem_metric: format!("staging.server{index}.bytes"),
             index,
-            stash_put: None,
-            stash_get: None,
-            stash_ctl: None,
-            stash_ctl_ack: None,
             down: false,
             stalled: false,
             stall_until: SimTime::ZERO,
             incarnation: 0,
             rebuilds: 0,
             stalls: 0,
-            puts_served: 0,
-            gets_served: 0,
-            raw_ctl_seq: 0,
             tracer: obs::Tracer::off(),
             track: obs::TrackId(0),
             op_span: TraceCtx::NONE,
             rebuild_span: TraceCtx::NONE,
             stall_span: TraceCtx::NONE,
-            seen_flushed: 0,
-            seen_compacted: 0,
             supervisor: None,
         }
     }
@@ -229,17 +189,6 @@ impl<B: StoreBackend> StagingServerActor<B> {
         self.stalls
     }
 
-    /// Puts this shard has served to completion (including deduplicated
-    /// retries) — the per-shard balance number reported by run summaries.
-    pub fn puts_served(&self) -> u64 {
-        self.puts_served
-    }
-
-    /// Gets this shard has served to completion.
-    pub fn gets_served(&self) -> u64 {
-        self.gets_served
-    }
-
     /// Runner wiring: set the network handle and this server's endpoint
     /// after actor registration (ids are only known then).
     pub fn wire(&mut self, net: NetworkHandle, ep: EndpointId) {
@@ -265,13 +214,9 @@ impl<B: StoreBackend> StagingServerActor<B> {
     /// Drop queued and parked requests from `app` (or from everyone, with
     /// `None`) — the server-side half of a connection teardown.
     fn purge_requests_from(&mut self, app: Option<AppId>) {
-        let stale = |req: &Req| {
-            let owner = match req {
-                Req::Put(r) => r.app,
-                Req::Get(r) => r.app,
-                Req::Ctl { .. } => return false, // control traffic is never stale
-            };
-            app.map(|a| a == owner).unwrap_or(true)
+        // Control traffic is never stale.
+        let stale = |req: &Request| {
+            !matches!(req, Request::Ctl(_)) && app.map(|a| a == req.app()).unwrap_or(true)
         };
         self.queue.retain(|p| !stale(&p.req));
         self.waiting.retain(|_, by_version| {
@@ -290,8 +235,8 @@ impl<B: StoreBackend> StagingServerActor<B> {
 
     /// Requeue `p` if its get is now ready, else park it again.
     fn requeue_or_repark(&mut self, var: VarId, version: Version, p: Pending) {
-        let ready = match &p.req {
-            Req::Get(r) => self.logic.get_ready(r),
+        let ready = match &*p.req {
+            Request::Get(r) => self.logic.get_ready(r),
             _ => true,
         };
         if ready {
@@ -358,180 +303,48 @@ impl<B: StoreBackend> StagingServerActor<B> {
         if self.in_service.is_some() || self.down || self.stalled {
             return;
         }
-        let (p, cost) = loop {
+        let (p, reply, cost) = loop {
             let Some(p) = self.queue.pop_front() else { return };
             // The state transition happens at dequeue time; the service delay
-            // models the CPU cost of that transition, after which the stashed
-            // response is sent.
-            match &p.req {
-                Req::Put(r) => {
-                    let (resp, cost) = self.logic.handle_put(r);
-                    self.stash_put = Some(resp);
-                    break (p, cost);
+            // models the CPU cost of that transition, after which the reply
+            // is sent.
+            let (reply, cost) = self.logic.serve(&p.req);
+            let outcome = self.logic.last_outcome();
+            match &*p.req {
+                Request::Get(r) if outcome == Outcome::NotReady => {
+                    // Blocking get: park it under its wake key and try the
+                    // next request.
+                    let (var, version) = (r.var, r.version);
+                    self.park_get(var, version, p);
+                    continue;
                 }
-                Req::Get(r) => {
-                    if !self.logic.get_ready(r) {
-                        // Blocking get: park it under its wake key and try
-                        // the next request.
-                        let (var, version) = (r.var, r.version);
-                        self.park_get(var, version, p);
-                        continue;
-                    }
-                    let (resp, cost) = self.logic.handle_get(r);
-                    self.stash_get = Some(resp);
-                    break (p, cost);
-                }
-                Req::Ctl { msg, raw } => {
-                    let (msg, raw) = (*msg, *raw);
-                    // A re-delivered envelope (client retry or transport
-                    // duplication) must not repeat side effects: requests the
-                    // app issued after the original was applied stay intact.
-                    let duplicate = !raw && self.logic.ctl_seen(msg.app, msg.seq);
-                    if !duplicate {
-                        // A recovery notification means the component's old
-                        // connection died with it: requests it sent before
-                        // the failure (queued or parked) are torn down,
-                        // exactly as broken RDMA connections drop in-flight
-                        // requests. A global reset invalidates everyone's
-                        // in-flight requests.
-                        match msg.req {
-                            CtlRequest::Recovery { app, .. } => {
-                                self.purge_requests_from(Some(app));
-                            }
-                            CtlRequest::GlobalReset { .. } => {
-                                self.purge_requests_from(None);
-                            }
-                            CtlRequest::Checkpoint { .. } => {}
-                        }
-                    }
-                    let cost = if raw {
-                        let (resp, cost) = self.logic.handle_ctl(msg.req);
-                        self.stash_ctl = Some(resp);
-                        cost
-                    } else {
-                        let (ack, cost) = self.logic.handle_ctl_msg(msg);
-                        self.stash_ctl_ack = Some(ack);
-                        cost
-                    };
-                    break (p, cost);
-                }
+                // A recovery notification means the component's old
+                // connection died with it: requests it sent before the
+                // failure (queued or parked) are torn down, exactly as
+                // broken RDMA connections drop in-flight requests. A global
+                // reset invalidates everyone's in-flight requests. A
+                // re-delivered envelope (client retry or transport
+                // duplication) must not repeat the teardown: requests the
+                // app issued after the original was applied stay intact.
+                Request::Ctl(m) if outcome != Outcome::Dup => match m.req {
+                    CtlRequest::Recovery { app, .. } => self.purge_requests_from(Some(app)),
+                    CtlRequest::GlobalReset { .. } => self.purge_requests_from(None),
+                    CtlRequest::Checkpoint { .. } => {}
+                },
+                _ => {}
             }
+            break (p, reply, cost);
         };
         if self.tracer.enabled() {
-            self.open_op_span(ctx, &p);
+            let at = (ctx.now().as_nanos(), ctx.seq());
+            self.op_span =
+                self.logic.trace_served(&self.tracer, self.track, self.index, &p.req, at);
         }
-        self.in_service = Some(p);
+        self.in_service = Some((p, reply));
         let incarnation = self.incarnation;
         ctx.timer(cost, OpDone { incarnation });
         ctx.metrics().gauge_set(&self.mem_metric, self.logic.bytes_resident() as i64);
         self.sample_depth_gauges(ctx);
-    }
-
-    /// Open the serve span for the request just dequeued (its state
-    /// transition has already been applied by [`ServerLogic`]), nested under
-    /// the trace context the client stamped on the wire. Backend side
-    /// effects — log appends, GC frees, replay serves — become instants
-    /// under the span.
-    fn open_op_span(&mut self, ctx: &Ctx<'_>, p: &Pending) {
-        let op = self.logic.last_op();
-        let dup = self.logic.last_was_dup();
-        let (parent, name, args) = match &p.req {
-            Req::Put(r) => {
-                let decision = if dup {
-                    "dup"
-                } else if self.stash_put.as_ref().map(|s| s.status)
-                    == Some(crate::proto::PutStatus::Absorbed)
-                {
-                    "absorbed"
-                } else {
-                    "stored"
-                };
-                let args = vec![
-                    arg("shard", self.index),
-                    arg("var", r.desc.var),
-                    arg("version", r.desc.version),
-                    arg("decision", decision),
-                ];
-                (r.tctx, "serve.put", args)
-            }
-            Req::Get(r) => {
-                let decision = if dup {
-                    "dup"
-                } else if op.replayed {
-                    "replayed"
-                } else {
-                    "served"
-                };
-                let args = vec![
-                    arg("shard", self.index),
-                    arg("var", r.var),
-                    arg("version", r.version),
-                    arg("decision", decision),
-                ];
-                (r.tctx, "serve.get", args)
-            }
-            Req::Ctl { msg, .. } => {
-                let kind = match msg.req {
-                    CtlRequest::Checkpoint { .. } => "checkpoint",
-                    CtlRequest::Recovery { .. } => "recovery",
-                    CtlRequest::GlobalReset { .. } => "global_reset",
-                };
-                let mut args = vec![arg("shard", self.index), arg("kind", kind)];
-                if dup {
-                    args.push(arg("decision", "dup"));
-                }
-                (msg.tctx, "serve.ctl", args)
-            }
-        };
-        let (t, s) = (ctx.now().as_nanos(), ctx.seq());
-        self.op_span = self.tracer.begin(parent, self.track, name, t, s, args);
-        if op.log_events > 0 {
-            self.tracer.instant(
-                self.op_span,
-                self.track,
-                "log.append",
-                t,
-                s,
-                vec![arg("events", op.log_events), arg("bytes", op.logged_bytes)],
-            );
-        }
-        if op.freed_bytes > 0 {
-            self.tracer.instant(
-                self.op_span,
-                self.track,
-                "gc.free",
-                t,
-                s,
-                vec![arg("bytes", op.freed_bytes)],
-            );
-        }
-        // Durable-layer visibility: the journal counters are monotone, so a
-        // delta since the last traced op means this op's append crossed a
-        // flush threshold (or watermark compaction dropped segments).
-        let flushed = self.logic.backend().journal_bytes_flushed();
-        if flushed > self.seen_flushed {
-            self.tracer.instant(
-                self.op_span,
-                self.track,
-                "journal.flush",
-                t,
-                s,
-                vec![arg("bytes", flushed - self.seen_flushed)],
-            );
-            self.seen_flushed = flushed;
-        }
-        let compacted = self.logic.backend().journal_segments_compacted();
-        if compacted > self.seen_compacted {
-            self.tracer.instant(
-                self.op_span,
-                self.track,
-                "journal.compact",
-                t,
-                s,
-                vec![arg("segments", compacted - self.seen_compacted)],
-            );
-            self.seen_compacted = compacted;
-        }
     }
 }
 
@@ -539,30 +352,9 @@ impl<B: StoreBackend> Actor for StagingServerActor<B> {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
         let ev = match ev.downcast::<Delivered>() {
             Ok((_, d)) => {
-                let Delivered { from, payload, .. } = d;
-                let req = if payload.is::<PutRequest>() {
-                    Req::Put(*payload.downcast::<PutRequest>().unwrap())
-                } else if payload.is::<GetRequest>() {
-                    Req::Get(*payload.downcast::<GetRequest>().unwrap())
-                } else if payload.is::<CtlMsg>() {
-                    Req::Ctl { msg: *payload.downcast::<CtlMsg>().unwrap(), raw: false }
-                } else if payload.is::<CtlRequest>() {
-                    // Un-sequenced control ingress (the director). Wrap it
-                    // with a synthetic never-repeating identity so the queue
-                    // machinery is uniform; dedup never fires for it.
-                    let req = *payload.downcast::<CtlRequest>().unwrap();
-                    self.raw_ctl_seq += 1;
-                    let msg = CtlMsg {
-                        app: AppId::MAX,
-                        seq: self.raw_ctl_seq,
-                        req,
-                        tctx: TraceCtx::NONE,
-                    };
-                    Req::Ctl { msg, raw: true }
-                } else {
-                    return; // unknown message: drop
-                };
-                self.queue.push_back(Pending { from_ep: from, req });
+                // The one wire type a server accepts; anything else is dropped.
+                let Ok(req) = d.payload.downcast::<Request>() else { return };
+                self.queue.push_back(Pending { from_ep: d.from, req });
                 ctx.metrics().gauge_set(
                     &format!("staging.server{}.qdepth", self.index),
                     self.queue.len() as i64,
@@ -712,148 +504,35 @@ impl<B: StoreBackend> Actor for StagingServerActor<B> {
 
 impl<B: StoreBackend> StagingServerActor<B> {
     fn finish_op(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(done) = self.in_service.take() else { return };
+        let Some((done, reply)) = self.in_service.take() else { return };
+        self.net.send(ctx, self.ep, done.from_ep, reply.wire_bytes(), reply);
+        let s = std::mem::take(&mut self.op_span);
+        self.tracer.end(s, self.track, ctx.now().as_nanos(), ctx.seq(), Vec::new());
+        ctx.metrics().gauge_set(&self.mem_metric, self.logic.bytes_resident() as i64);
         // Completed writes wake only the gets keyed at or below the written
         // version; control transitions (e.g. recovery entering replay mode)
         // can unblock anything and trigger a full rescan. Reads never change
         // data availability.
-        let wake_key = match &done.req {
-            Req::Put(r) => Some((r.desc.var, r.desc.version)),
-            _ => None,
-        };
-        let full_rescan = matches!(&done.req, Req::Ctl { .. });
-        match done.req {
-            Req::Put(_) => {
-                self.puts_served += 1;
-                let resp = self.stash_put.take().expect("stashed put response");
-                self.net.send(ctx, self.ep, done.from_ep, HEADER_BYTES, resp);
-            }
-            Req::Get(_) => {
-                self.gets_served += 1;
-                let resp = self.stash_get.take().expect("stashed get response");
-                let size: u64 = HEADER_BYTES
-                    + resp.pieces.iter().map(|p| p.payload.accounted_len()).sum::<u64>();
-                self.net.send(ctx, self.ep, done.from_ep, size, resp);
-            }
-            Req::Ctl { raw: true, .. } => {
-                let resp = self.stash_ctl.take().expect("stashed ctl response");
-                self.net.send(ctx, self.ep, done.from_ep, HEADER_BYTES, resp);
-            }
-            Req::Ctl { raw: false, .. } => {
-                let ack = self.stash_ctl_ack.take().expect("stashed ctl ack");
-                self.net.send(ctx, self.ep, done.from_ep, HEADER_BYTES, ack);
-            }
-        }
-        let s = std::mem::take(&mut self.op_span);
-        self.tracer.end(s, self.track, ctx.now().as_nanos(), ctx.seq(), Vec::new());
-        ctx.metrics().gauge_set(&self.mem_metric, self.logic.bytes_resident() as i64);
-        if let Some((var, version)) = wake_key {
-            self.wake_upto(var, version);
-        } else if full_rescan {
-            self.rescan_waiting();
+        match *done.req {
+            Request::Put(r) => self.wake_upto(r.desc.var, r.desc.version),
+            Request::Ctl(_) => self.rescan_waiting(),
+            Request::Get(_) => {}
         }
         self.sample_depth_gauges(ctx);
         self.start_next(ctx);
     }
 }
 
-/// Assemble the per-block put requests from an already-routed block list.
-fn puts_from_blocks(
-    blocks: Vec<([u64; MAX_DIMS], BBox, ServerIdx)>,
-    app: AppId,
-    var: VarId,
-    version: Version,
-    seq_start: u64,
-    mut fill: impl FnMut(&BBox) -> Payload,
-) -> Vec<(ServerIdx, PutRequest)> {
-    blocks
-        .into_iter()
-        .enumerate()
-        .map(|(i, (_coord, clipped, server))| {
-            (
-                server,
-                PutRequest {
-                    app,
-                    desc: ObjDesc { var, version, bbox: clipped },
-                    payload: fill(&clipped),
-                    seq: seq_start + i as u64,
-                    tctx: TraceCtx::NONE,
-                },
-            )
-        })
-        .collect()
-}
-
-/// Assemble the per-block get requests from an already-routed block list.
-fn gets_from_blocks(
-    blocks: Vec<([u64; MAX_DIMS], BBox, ServerIdx)>,
-    app: AppId,
-    var: VarId,
-    version: Version,
-    seq_start: u64,
-) -> Vec<(ServerIdx, GetRequest)> {
-    blocks
-        .into_iter()
-        .enumerate()
-        .map(|(i, (_coord, clipped, server))| {
-            (
-                server,
-                GetRequest {
-                    app,
-                    var,
-                    version,
-                    bbox: clipped,
-                    seq: seq_start + i as u64,
-                    tctx: TraceCtx::NONE,
-                },
-            )
-        })
-        .collect()
-}
-
-/// The virtual-payload fill shared by the dist- and router-planned puts:
-/// deterministic digests derived from `(app, var, version, block corner)` —
-/// the identity a producer would deterministically regenerate on
-/// re-execution, which is what makes digest-based replay checks meaningful.
-fn virtual_fill(
-    app: AppId,
-    var: VarId,
-    version: Version,
-    bytes_per_point: u64,
-) -> impl FnMut(&BBox) -> Payload {
-    move |clipped: &BBox| {
-        let len = clipped.volume() * bytes_per_point;
-        let identity =
-            [app as u64, var as u64, version as u64, clipped.lb[0], clipped.lb[1], clipped.lb[2]];
-        Payload::virtual_from(len, &identity)
-    }
-}
-
 /// Plan the per-server requests for a `put` of `bbox` with `bytes_per_point`
-/// bytes at each grid point, payloads virtual (see [`plan_put_with`] for
-/// caller-provided content).
-pub fn plan_put_virtual(
-    dist: &Distribution,
-    app: AppId,
-    var: VarId,
-    version: Version,
-    bbox: &BBox,
-    bytes_per_point: u64,
-    seq_start: u64,
-) -> Vec<(ServerIdx, PutRequest)> {
-    puts_from_blocks(
-        dist.blocks_overlapping(bbox),
-        app,
-        var,
-        version,
-        seq_start,
-        virtual_fill(app, var, version, bytes_per_point),
-    )
-}
-
-/// [`plan_put_virtual`] routed through a shard-aware [`Router`]: each block
-/// goes to the shard owning it *for this data version*, so writes after a
-/// rebalance land on the new owner while earlier versions stay put.
+/// bytes at each grid point, payloads virtual: deterministic digests derived
+/// from `(app, var, version, block corner)` — the identity a producer would
+/// deterministically regenerate on re-execution, which is what makes
+/// digest-based replay checks meaningful. See [`plan_put_with_routed`] for
+/// caller-provided content.
+///
+/// (Every planner routes through a [`Router`]; the `_routed` suffix dates
+/// from when `&Distribution` twins existed and stays because `hostbench/`
+/// compiles against these names.)
 pub fn plan_put_virtual_routed(
     router: &Router,
     app: AppId,
@@ -863,30 +542,17 @@ pub fn plan_put_virtual_routed(
     bytes_per_point: u64,
     seq_start: u64,
 ) -> Vec<(ServerIdx, PutRequest)> {
-    puts_from_blocks(
-        router.blocks_overlapping(bbox, version),
-        app,
-        var,
-        version,
-        seq_start,
-        virtual_fill(app, var, version, bytes_per_point),
-    )
+    plan_put_with_routed(router, app, var, version, bbox, seq_start, |clipped| {
+        let len = clipped.volume() * bytes_per_point;
+        let identity =
+            [app as u64, var as u64, version as u64, clipped.lb[0], clipped.lb[1], clipped.lb[2]];
+        Payload::virtual_from(len, &identity)
+    })
 }
 
-/// Plan a `put` with caller-provided payload content per block.
-pub fn plan_put_with(
-    dist: &Distribution,
-    app: AppId,
-    var: VarId,
-    version: Version,
-    bbox: &BBox,
-    seq_start: u64,
-    fill: impl FnMut(&BBox) -> Payload,
-) -> Vec<(ServerIdx, PutRequest)> {
-    puts_from_blocks(dist.blocks_overlapping(bbox), app, var, version, seq_start, fill)
-}
-
-/// [`plan_put_with`], routed through a shard-aware [`Router`].
+/// Plan a `put` with caller-provided payload content per block: one request
+/// per block, to the shard owning it *for this data version*, so writes
+/// after a rebalance land on the new owner while earlier versions stay put.
 pub fn plan_put_with_routed(
     router: &Router,
     app: AppId,
@@ -894,27 +560,19 @@ pub fn plan_put_with_routed(
     version: Version,
     bbox: &BBox,
     seq_start: u64,
-    fill: impl FnMut(&BBox) -> Payload,
+    mut fill: impl FnMut(&BBox) -> Payload,
 ) -> Vec<(ServerIdx, PutRequest)> {
-    puts_from_blocks(router.blocks_overlapping(bbox, version), app, var, version, seq_start, fill)
+    let blocks = router.blocks_overlapping(bbox, version).into_iter().zip(seq_start..);
+    blocks
+        .map(|((_coord, clipped, server), seq)| {
+            let desc = ObjDesc { var, version, bbox: clipped };
+            let payload = fill(&clipped);
+            (server, PutRequest { app, desc, payload, seq, tctx: TraceCtx::NONE })
+        })
+        .collect()
 }
 
-/// Plan the per-server requests for a `get` of `bbox`.
-pub fn plan_get(
-    dist: &Distribution,
-    app: AppId,
-    var: VarId,
-    version: Version,
-    bbox: &BBox,
-    seq_start: u64,
-) -> Vec<(ServerIdx, GetRequest)> {
-    // One request per server covering the union of that server's clipped
-    // blocks would be tighter; per-block requests keep responses block-sized
-    // and match how DataSpaces issues queries.
-    gets_from_blocks(dist.blocks_overlapping(bbox), app, var, version, seq_start)
-}
-
-/// [`plan_get`], routed through a shard-aware [`Router`]: reads of a version
+/// Plan the per-server requests for a `get` of `bbox`: reads of a version
 /// written before a rebalance go to the shard that held the block *then*.
 pub fn plan_get_routed(
     router: &Router,
@@ -924,7 +582,15 @@ pub fn plan_get_routed(
     bbox: &BBox,
     seq_start: u64,
 ) -> Vec<(ServerIdx, GetRequest)> {
-    gets_from_blocks(router.blocks_overlapping(bbox, version), app, var, version, seq_start)
+    // One request per server covering the union of that server's clipped
+    // blocks would be tighter; per-block requests keep responses block-sized
+    // and match how DataSpaces issues queries.
+    let blocks = router.blocks_overlapping(bbox, version).into_iter().zip(seq_start..);
+    blocks
+        .map(|((_coord, bbox, server), seq)| {
+            (server, GetRequest { app, var, version, bbox, seq, tctx: TraceCtx::NONE })
+        })
+        .collect()
 }
 
 /// Verify that `pieces` exactly tile `bbox` (pairwise disjoint, all inside,
@@ -948,137 +614,153 @@ pub fn covers_exactly(bbox: &BBox, pieces: &[GetPiece]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::Distribution;
+    use crate::proto::CtlMsg;
     use crate::service::{PlainBackend, ServerCosts};
+    use crate::threaded::{spawn_server, Frame, Shutdown};
     use net::cost::CostModel;
-    use net::des::Network;
+    use net::des::{Network, Transmit};
+    use net::threaded::ThreadedNet;
     use sim_core::engine::Engine;
 
-    /// Client actor that fires a fixed set of requests at time zero and
-    /// records response arrival times.
-    struct TestClient {
-        net: NetworkHandle,
-        ep: EndpointId,
-        to_send: Vec<(ServerIdx, EndpointId, PutRequest)>,
-        put_acks: Vec<(u64, u64)>, // (seq, arrival ns)
-        get_pieces: Vec<GetPiece>,
+    /// Client-side sink recording every [`Reply`] with its arrival time
+    /// (ns). Like a real client it drops anything that is not a `Reply`.
+    #[derive(Default)]
+    struct ReplySink {
+        replies: Vec<(Reply, u64)>,
     }
 
-    struct Kickoff;
-
-    impl Actor for TestClient {
+    impl Actor for ReplySink {
         fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
-            if ev.is::<Kickoff>() {
-                for (_, server_ep, req) in self.to_send.drain(..) {
-                    let size = HEADER_BYTES + req.payload.accounted_len();
-                    self.net.send(ctx, self.ep, server_ep, size, req);
-                }
-                return;
-            }
             if let Ok((_, d)) = ev.downcast::<Delivered>() {
-                if d.payload.is::<crate::proto::PutResponse>() {
-                    let r = d.payload.downcast::<crate::proto::PutResponse>().unwrap();
-                    self.put_acks.push((r.seq, ctx.now().as_nanos()));
-                } else if d.payload.is::<crate::proto::GetResponse>() {
-                    let r = d.payload.downcast::<crate::proto::GetResponse>().unwrap();
-                    self.get_pieces.extend(r.pieces);
+                if let Ok(reply) = d.payload.downcast::<Reply>() {
+                    self.replies.push((*reply, ctx.now().as_nanos()));
                 }
             }
         }
     }
 
-    fn dist_1server() -> Distribution {
-        Distribution::new(BBox::whole([64, 64, 64]), [32, 32, 32], 1)
+    /// One `PlainBackend` server (endpoint 1) facing a [`ReplySink`]
+    /// (endpoint 0) over a slow test network.
+    pub(super) struct Rig {
+        pub eng: Engine,
+        sink: usize,
+        pub server: usize,
+        net: usize,
+    }
+
+    impl Rig {
+        pub fn new() -> Rig {
+            let mut eng = Engine::new(5);
+            let sink = eng.add_actor(Box::<ReplySink>::default());
+            let mut net = Network::new(CostModel::slow_test());
+            net.register(sink);
+            let logic = ServerLogic::new(PlainBackend::new(4), ServerCosts::default());
+            let unwired = StagingServerActor::new(0, logic, NetworkHandle { actor: 0 }, 0);
+            let server = eng.add_actor(Box::new(unwired));
+            let server_ep = net.register(server);
+            let net = eng.add_actor(Box::new(net));
+            let mut rig = Rig { eng, sink, server, net };
+            rig.server_mut().wire(NetworkHandle { actor: net }, server_ep);
+            rig
+        }
+
+        /// Hand `payload` to the network at `at`, client → server.
+        pub fn transmit_at<T: Clone + Send + 'static>(
+            &mut self,
+            at: SimTime,
+            size: u64,
+            payload: T,
+        ) {
+            let msg = Transmit { from: 0, to: 1, size, payload: Box::new(payload) };
+            self.eng.schedule_at(at, self.net, msg);
+        }
+
+        pub fn send_at(&mut self, at: SimTime, req: Request) {
+            self.transmit_at(at, req.wire_bytes(), req);
+        }
+
+        pub fn replies(&self) -> &[(Reply, u64)] {
+            &self.eng.actor_as::<ReplySink>(self.sink).unwrap().replies
+        }
+
+        pub fn server(&self) -> &StagingServerActor<PlainBackend> {
+            self.eng.actor_as(self.server).unwrap()
+        }
+
+        fn server_mut(&mut self) -> &mut StagingServerActor<PlainBackend> {
+            self.eng.actor_as_mut(self.server).unwrap()
+        }
+    }
+
+    pub(super) fn put_req(version: Version) -> PutRequest {
+        PutRequest {
+            app: 0,
+            desc: ObjDesc { var: 0, version, bbox: BBox::d1(0, 9) },
+            payload: Payload::virtual_from(100, &[version as u64]),
+            seq: version as u64,
+            tctx: TraceCtx::NONE,
+        }
+    }
+
+    fn router(dims: [u64; 3], block: [u64; 3], nservers: usize) -> Router {
+        Router::unsharded(Distribution::new(BBox::whole(dims), block, nservers))
     }
 
     #[test]
     fn put_round_trip_via_des() {
-        let mut eng = Engine::new(3);
-        let mut net = Network::new(CostModel::slow_test());
-
-        // Placeholder registration order: client actor id 0, server id 1, net id 2.
-        let dist = dist_1server();
-        let reqs = plan_put_virtual(&dist, 0, 0, 1, &BBox::whole([64, 64, 64]), 8, 0);
+        let reqs = plan_put_virtual_routed(
+            &router([64, 64, 64], [32, 32, 32], 1),
+            0,
+            0,
+            1,
+            &BBox::whole([64, 64, 64]),
+            8,
+            0,
+        );
         assert_eq!(reqs.len(), 8); // 2x2x2 blocks
-
-        // Create actors; register endpoints after ids exist.
-        let client_stub = TestClient {
-            net: NetworkHandle { actor: 0 }, // patched below
-            ep: 0,
-            to_send: Vec::new(),
-            put_acks: Vec::new(),
-            get_pieces: Vec::new(),
-        };
-        let client_id = eng.add_actor(Box::new(client_stub));
-        let client_ep = net.register(client_id);
-
-        let server_logic = ServerLogic::new(PlainBackend::new(4), ServerCosts::default());
-        // Server actor needs the net handle; create after net actor id known.
-        let server_id = eng.add_actor(Box::new(StagingServerActor::new(
-            0,
-            server_logic,
-            NetworkHandle { actor: 0 },
-            0,
-        )));
-        let server_ep = net.register(server_id);
-        let net_id = eng.add_actor(Box::new(net));
-        let handle = NetworkHandle { actor: net_id };
-
-        // Patch handles/endpoints now that ids are known.
-        {
-            let c = eng.actor_as_mut::<TestClient>(client_id).unwrap();
-            c.net = handle;
-            c.ep = client_ep;
-            c.to_send = reqs.into_iter().map(|(s, r)| (s, server_ep, r)).collect();
+        let mut rig = Rig::new();
+        for (_, req) in reqs {
+            rig.send_at(SimTime::ZERO, Request::Put(req));
         }
-        {
-            let s = eng.actor_as_mut::<StagingServerActor<PlainBackend>>(server_id).unwrap();
-            s.net = handle;
-            s.ep = server_ep;
-        }
+        rig.eng.run();
 
-        eng.schedule_now(client_id, Kickoff);
-        eng.run();
-
-        let c = eng.actor_as::<TestClient>(client_id).unwrap();
-        assert_eq!(c.put_acks.len(), 8, "every block put must be acked");
+        let acks = rig.replies();
+        assert_eq!(acks.len(), 8, "every block put must be acked");
+        assert!(acks.iter().all(|(r, _)| matches!(r, Reply::Put(_))));
         // Responses arrive strictly ordered (single server CPU serializes).
-        let mut times: Vec<u64> = c.put_acks.iter().map(|&(_, t)| t).collect();
-        let sorted = {
-            let mut s = times.clone();
-            s.sort_unstable();
-            s
-        };
-        assert_eq!(times.len(), 8);
-        times.sort_unstable();
-        assert_eq!(times, sorted);
-
-        let s = eng.actor_as::<StagingServerActor<PlainBackend>>(server_id).unwrap();
-        assert_eq!(s.logic().puts_served(), 8);
-        let expected_bytes = 64u64 * 64 * 64 * 8;
-        assert_eq!(s.logic().bytes_resident(), expected_bytes);
+        assert!(acks.windows(2).all(|w| w[0].1 < w[1].1));
+        assert_eq!(rig.server().logic().puts_served(), 8);
+        assert_eq!(rig.server().logic().bytes_resident(), 64u64 * 64 * 64 * 8);
     }
 
     #[test]
     fn plan_put_partitions_exactly() {
-        let dist = Distribution::new(BBox::whole([100, 100, 100]), [32, 32, 32], 4);
         let bbox = BBox::d3([0, 0, 0], [99, 99, 49]);
-        let reqs = plan_put_virtual(&dist, 0, 1, 7, &bbox, 8, 100);
+        let reqs = plan_put_virtual_routed(
+            &router([100, 100, 100], [32, 32, 32], 4),
+            0,
+            1,
+            7,
+            &bbox,
+            8,
+            100,
+        );
         let vol: u64 = reqs.iter().map(|(_, r)| r.desc.bbox.volume()).sum();
         assert_eq!(vol, bbox.volume());
         let bytes: u64 = reqs.iter().map(|(_, r)| r.payload.len()).sum();
         assert_eq!(bytes, bbox.volume() * 8);
-        // Seqs are unique and consecutive from seq_start.
-        let mut seqs: Vec<u64> = reqs.iter().map(|(_, r)| r.seq).collect();
-        seqs.sort_unstable();
+        // Seqs are consecutive from seq_start, in plan order.
+        let seqs: Vec<u64> = reqs.iter().map(|(_, r)| r.seq).collect();
         assert_eq!(seqs, (100..100 + reqs.len() as u64).collect::<Vec<_>>());
     }
 
     #[test]
     fn plan_get_matches_put_servers() {
-        let dist = Distribution::new(BBox::whole([64, 64, 64]), [16, 16, 16], 4);
+        let router = router([64, 64, 64], [16, 16, 16], 4);
         let bbox = BBox::d3([0, 0, 0], [63, 63, 63]);
-        let puts = plan_put_virtual(&dist, 0, 0, 1, &bbox, 1, 0);
-        let gets = plan_get(&dist, 1, 0, 1, &bbox, 0);
+        let puts = plan_put_virtual_routed(&router, 0, 0, 1, &bbox, 1, 0);
+        let gets = plan_get_routed(&router, 1, 0, 1, &bbox, 0);
         assert_eq!(puts.len(), gets.len());
         for ((ps, pr), (gs, gr)) in puts.iter().zip(gets.iter()) {
             assert_eq!(ps, gs);
@@ -1102,142 +784,131 @@ mod tests {
 
     #[test]
     fn plan_put_with_inline_content() {
-        let dist = Distribution::new(BBox::whole([8, 8, 8]), [4, 4, 4], 2);
         let bbox = BBox::whole([8, 8, 8]);
-        let reqs =
-            plan_put_with(&dist, 0, 0, 1, &bbox, 0, |b| Payload::inline(vec![b.lb[0] as u8; 4]));
+        let reqs = plan_put_with_routed(&router([8, 8, 8], [4, 4, 4], 2), 0, 0, 1, &bbox, 0, |b| {
+            Payload::inline(vec![b.lb[0] as u8; 4])
+        });
         assert_eq!(reqs.len(), 8);
         for (_, r) in &reqs {
             assert_eq!(r.payload.bytes().unwrap()[0] as u64, r.desc.bbox.lb[0]);
+        }
+    }
+
+    /// Both transports only move messages: the same request sequence —
+    /// fresh, re-delivered, every kind — gets the same replies from a
+    /// `StagingServerActor` and from a `spawn_server` thread. (A get that is
+    /// not ready is where they differ by design — parked vs. answered empty
+    /// — so the script has none.)
+    #[test]
+    fn des_and_threaded_servers_answer_a_script_identically() {
+        let get = |version, seq| {
+            let bbox = BBox::d1(0, 9);
+            Request::Get(GetRequest { app: 1, var: 0, version, bbox, seq, tctx: TraceCtx::NONE })
+        };
+        let ctl = |seq, req| Request::Ctl(CtlMsg { app: 0, seq, req, tctx: TraceCtx::NONE });
+        let script = vec![
+            Request::Put(put_req(1)),
+            Request::Put(put_req(2)),
+            Request::Put(put_req(1)), // re-delivered
+            get(1, 0),
+            get(2, 1),
+            get(1, 0), // re-delivered
+            ctl(10, CtlRequest::Checkpoint { app: 0, upto_version: 1 }),
+            ctl(11, CtlRequest::GlobalReset { to_version: 1 }),
+            ctl(11, CtlRequest::GlobalReset { to_version: 1 }), // re-delivered
+            get(1, 2),
+        ];
+
+        // Spaced so each request finds an empty queue: the DES server tears
+        // down what is queued behind a reset, the threaded one has no queue.
+        let mut rig = Rig::new();
+        for (i, req) in script.iter().enumerate() {
+            rig.send_at(SimTime::from_millis(i as u64), req.clone());
+        }
+        rig.eng.run();
+        let des: Vec<String> = rig.replies().iter().map(|(r, _)| format!("{r:?}")).collect();
+
+        let mut eps = ThreadedNet::mesh(2);
+        let client = eps.pop().unwrap();
+        let logic = ServerLogic::new(PlainBackend::new(4), ServerCosts::default());
+        let handle = spawn_server(eps.pop().unwrap(), logic);
+        let size = script.iter().map(Request::wire_bytes).sum();
+        assert!(client.send(0, size, Frame(script.clone())));
+        let frame = client.recv().unwrap().payload.downcast::<Frame<Reply>>().unwrap();
+        assert!(client.send_reliable(0, 0, Shutdown));
+        let threaded_logic = handle.join().unwrap();
+        let threaded: Vec<String> = frame.0.iter().map(|r| format!("{r:?}")).collect();
+
+        assert_eq!(des.len(), script.len());
+        assert_eq!(des, threaded);
+        let seqs = |replies: &[Reply]| replies.iter().map(Reply::seq).collect::<Vec<_>>();
+        assert_eq!(seqs(&frame.0), script.iter().map(Request::seq).collect::<Vec<_>>());
+        let des_logic = rig.server().logic();
+        for logic in [des_logic, &threaded_logic] {
+            assert_eq!((logic.puts_served(), logic.gets_served(), logic.dup_hits()), (2, 3, 3));
+            assert_eq!(logic.bytes_resident(), 100, "the reset dropped version 2, once");
         }
     }
 }
 
 #[cfg(test)]
 mod failure_tests {
+    use super::tests::{put_req, Rig};
     use super::*;
-    use crate::service::{PlainBackend, ServerCosts, ServerLogic};
-    use net::cost::CostModel;
-    use net::des::Network;
-    use sim_core::engine::Engine;
+    use crate::proto::CtlMsg;
 
-    /// Sink recording put-ack arrival times.
-    #[derive(Default)]
-    struct AckSink {
-        acks: Vec<u64>,
+    fn put_at(rig: &mut Rig, at: SimTime, version: Version) {
+        rig.send_at(at, Request::Put(put_req(version)));
     }
 
-    impl Actor for AckSink {
-        fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
-            if let Ok((_, d)) = ev.downcast::<Delivered>() {
-                if d.payload.is::<crate::proto::PutResponse>() {
-                    self.acks.push(ctx.now().as_nanos());
-                }
-            }
-        }
-    }
-
-    fn build() -> (Engine, usize, usize, usize, usize) {
-        let mut eng = Engine::new(5);
-        let sink = eng.add_actor(Box::<AckSink>::default());
-        let mut net = Network::new(CostModel::slow_test());
-        let client_ep = net.register(sink);
-        let logic = ServerLogic::new(PlainBackend::new(4), ServerCosts::default());
-        let server = eng.add_actor(Box::new(StagingServerActor::new(
-            0,
-            logic,
-            NetworkHandle { actor: 0 },
-            0,
-        )));
-        let server_ep = net.register(server);
-        let net_id = eng.add_actor(Box::new(net));
-        let s = eng.actor_as_mut::<StagingServerActor<PlainBackend>>(server).unwrap();
-        s.wire(NetworkHandle { actor: net_id }, server_ep);
-        (eng, sink, server, net_id, client_ep)
-    }
-
-    fn put_req(version: Version) -> PutRequest {
-        PutRequest {
-            app: 0,
-            desc: ObjDesc { var: 0, version, bbox: BBox::d1(0, 9) },
-            payload: Payload::virtual_from(100, &[version as u64]),
-            seq: version as u64,
-            tctx: obs::TraceCtx::NONE,
-        }
+    fn ack_times(rig: &Rig) -> Vec<u64> {
+        rig.replies().iter().map(|&(_, t)| t).collect()
     }
 
     #[test]
     fn requests_during_rebuild_are_served_after() {
-        let (mut eng, sink, server, net_id, client_ep) = build();
+        let mut rig = Rig::new();
         // Seed some data, then fail the server, then send a put mid-rebuild.
-        eng.schedule_at(
-            sim_core::time::SimTime::from_nanos(0),
-            net_id,
-            net::des::Transmit { from: client_ep, to: 1, size: 164, payload: Box::new(put_req(1)) },
-        );
-        eng.schedule_at(
-            sim_core::time::SimTime::from_micros(10),
-            server,
-            ServerFail { fixed: sim_core::time::SimTime::from_millis(5), per_byte_s: 0.0 },
-        );
-        eng.schedule_at(
-            sim_core::time::SimTime::from_micros(20),
-            net_id,
-            net::des::Transmit { from: client_ep, to: 1, size: 164, payload: Box::new(put_req(2)) },
-        );
-        eng.run();
-        let s = eng.actor_as::<AckSink>(sink).unwrap();
-        assert_eq!(s.acks.len(), 2, "both puts eventually acked");
+        put_at(&mut rig, SimTime::ZERO, 1);
+        let fail = ServerFail { fixed: SimTime::from_millis(5), per_byte_s: 0.0 };
+        rig.eng.schedule_at(SimTime::from_micros(10), rig.server, fail);
+        put_at(&mut rig, SimTime::from_micros(20), 2);
+        rig.eng.run();
+        let acks = ack_times(&rig);
+        assert_eq!(acks.len(), 2, "both puts eventually acked");
         // The second ack waits out the 5 ms rebuild.
-        assert!(s.acks[1] >= 5_000_000, "ack at {} ns", s.acks[1]);
-        let srv = eng.actor_as::<StagingServerActor<PlainBackend>>(server).unwrap();
-        assert_eq!(srv.rebuilds(), 1);
-        assert_eq!(srv.logic().puts_served(), 2);
-        assert_eq!(eng.metrics().counter("staging.server_failures"), 1);
+        assert!(acks[1] >= 5_000_000, "ack at {} ns", acks[1]);
+        assert_eq!(rig.server().rebuilds(), 1);
+        assert_eq!(rig.server().logic().puts_served(), 2);
+        assert_eq!(rig.eng.metrics().counter("staging.server_failures"), 1);
     }
 
     #[test]
     fn in_flight_op_acked_after_rebuild() {
-        let (mut eng, sink, server, net_id, client_ep) = build();
+        let mut rig = Rig::new();
         // Put arrives at ~1.3 µs and is in service until ~3.3 µs; fail the
         // server at 2 µs — mid-service. The ack must still arrive, after the
         // rebuild.
-        eng.schedule_at(
-            sim_core::time::SimTime::ZERO,
-            net_id,
-            net::des::Transmit { from: client_ep, to: 1, size: 164, payload: Box::new(put_req(1)) },
-        );
-        eng.schedule_at(
-            sim_core::time::SimTime::from_micros(2),
-            server,
-            ServerFail { fixed: sim_core::time::SimTime::from_millis(2), per_byte_s: 0.0 },
-        );
-        eng.run();
-        let s = eng.actor_as::<AckSink>(sink).unwrap();
-        assert_eq!(s.acks.len(), 1, "the interrupted op is acked late, not lost");
-        assert!(s.acks[0] >= 2_000_000);
+        put_at(&mut rig, SimTime::ZERO, 1);
+        let fail = ServerFail { fixed: SimTime::from_millis(2), per_byte_s: 0.0 };
+        rig.eng.schedule_at(SimTime::from_micros(2), rig.server, fail);
+        rig.eng.run();
+        let acks = ack_times(&rig);
+        assert_eq!(acks.len(), 1, "the interrupted op is acked late, not lost");
+        assert!(acks[0] >= 2_000_000);
     }
 
     #[test]
     fn requests_during_stall_are_served_after() {
-        let (mut eng, sink, server, net_id, client_ep) = build();
-        eng.schedule_at(
-            sim_core::time::SimTime::ZERO,
-            server,
-            Stall { dur: sim_core::time::SimTime::from_millis(3) },
-        );
-        eng.schedule_at(
-            sim_core::time::SimTime::from_micros(10),
-            net_id,
-            net::des::Transmit { from: client_ep, to: 1, size: 164, payload: Box::new(put_req(1)) },
-        );
-        eng.run();
-        let s = eng.actor_as::<AckSink>(sink).unwrap();
-        assert_eq!(s.acks.len(), 1, "stalled request served, not lost");
-        assert!(s.acks[0] >= 3_000_000, "ack at {} ns waited out the stall", s.acks[0]);
-        let srv = eng.actor_as::<StagingServerActor<PlainBackend>>(server).unwrap();
-        assert_eq!(srv.stalls(), 1);
-        assert_eq!(eng.metrics().counter("staging.server_stalls"), 1);
+        let mut rig = Rig::new();
+        rig.eng.schedule_at(SimTime::ZERO, rig.server, Stall { dur: SimTime::from_millis(3) });
+        put_at(&mut rig, SimTime::from_micros(10), 1);
+        rig.eng.run();
+        let acks = ack_times(&rig);
+        assert_eq!(acks.len(), 1, "stalled request served, not lost");
+        assert!(acks[0] >= 3_000_000, "ack at {} ns waited out the stall", acks[0]);
+        assert_eq!(rig.server().stalls(), 1);
+        assert_eq!(rig.eng.metrics().counter("staging.server_stalls"), 1);
     }
 
     #[test]
@@ -1245,79 +916,75 @@ mod failure_tests {
         // Regression for an early-resume bug found by schedule exploration:
         // a second, longer stall landing inside the first window used to be
         // cut short when the first window's timer fired.
-        let (mut eng, sink, server, net_id, client_ep) = build();
-        eng.schedule_at(
-            sim_core::time::SimTime::ZERO,
-            server,
-            Stall { dur: sim_core::time::SimTime::from_millis(3) },
+        let mut rig = Rig::new();
+        rig.eng.schedule_at(SimTime::ZERO, rig.server, Stall { dur: SimTime::from_millis(3) });
+        rig.eng.schedule_at(
+            SimTime::from_millis(1),
+            rig.server,
+            Stall { dur: SimTime::from_millis(4) },
         );
-        eng.schedule_at(
-            sim_core::time::SimTime::from_millis(1),
-            server,
-            Stall { dur: sim_core::time::SimTime::from_millis(4) },
-        );
-        eng.schedule_at(
-            sim_core::time::SimTime::from_micros(10),
-            net_id,
-            net::des::Transmit { from: client_ep, to: 1, size: 164, payload: Box::new(put_req(1)) },
-        );
-        eng.run();
-        let s = eng.actor_as::<AckSink>(sink).unwrap();
-        assert_eq!(s.acks.len(), 1);
+        put_at(&mut rig, SimTime::from_micros(10), 1);
+        rig.eng.run();
+        let acks = ack_times(&rig);
+        assert_eq!(acks.len(), 1);
         assert!(
-            s.acks[0] >= 5_000_000,
+            acks[0] >= 5_000_000,
             "ack at {} ns must wait out the merged window (1 ms + 4 ms)",
-            s.acks[0]
+            acks[0]
         );
-        let srv = eng.actor_as::<StagingServerActor<PlainBackend>>(server).unwrap();
-        assert_eq!(srv.stalls(), 1, "merged windows count as one stall survived");
-        assert_eq!(eng.metrics().counter("staging.server_stalls"), 2, "but both injections count");
+        assert_eq!(rig.server().stalls(), 1, "merged windows count as one stall survived");
+        assert_eq!(
+            rig.eng.metrics().counter("staging.server_stalls"),
+            2,
+            "but both injections count"
+        );
     }
 
     #[test]
     fn duplicate_ctl_envelope_answered_from_cache() {
-        let (mut eng, _sink, server, net_id, client_ep) = build();
+        let mut rig = Rig::new();
         let msg = CtlMsg {
             app: 0,
             seq: 7,
             req: CtlRequest::Checkpoint { app: 0, upto_version: 3 },
-            tctx: obs::TraceCtx::NONE,
+            tctx: TraceCtx::NONE,
         };
         for _ in 0..2 {
-            eng.schedule_now(
-                net_id,
-                net::des::Transmit { from: client_ep, to: 1, size: 64, payload: Box::new(msg) },
-            );
+            rig.send_at(SimTime::ZERO, Request::Ctl(msg));
         }
-        eng.run();
-        let srv = eng.actor_as::<StagingServerActor<PlainBackend>>(server).unwrap();
-        assert_eq!(srv.logic().dup_hits(), 1, "second envelope served from the ack cache");
+        rig.eng.run();
+        assert_eq!(rig.replies().len(), 2, "every envelope is acked, duplicate or not");
+        assert_eq!(rig.server().logic().dup_hits(), 1, "second envelope served from the cache");
     }
 
     #[test]
     fn rebuild_time_scales_with_resident_bytes() {
-        let (mut eng, _sink, server, net_id, client_ep) = build();
+        let mut rig = Rig::new();
         for v in 1..=4u32 {
-            eng.schedule_at(
-                sim_core::time::SimTime::from_nanos(v as u64),
-                net_id,
-                net::des::Transmit {
-                    from: client_ep,
-                    to: 1,
-                    size: 164,
-                    payload: Box::new(put_req(v)),
-                },
-            );
+            put_at(&mut rig, SimTime::from_nanos(v as u64), v);
         }
-        eng.run();
+        rig.eng.run();
         // 4 versions × 100 B resident (max_versions = 4).
-        eng.schedule_now(
-            server,
-            ServerFail { fixed: sim_core::time::SimTime::ZERO, per_byte_s: 0.001 },
-        );
-        eng.run();
-        let rebuild = eng.metrics().stream("staging.rebuild_s");
+        rig.eng.schedule_now(rig.server, ServerFail { fixed: SimTime::ZERO, per_byte_s: 0.001 });
+        rig.eng.run();
+        let rebuild = rig.eng.metrics().stream("staging.rebuild_s");
         assert_eq!(rebuild.count(), 1);
         assert!((rebuild.mean() - 0.4).abs() < 1e-9, "400 B × 1 ms/B = 0.4 s");
+    }
+
+    /// A payload that is no [`Request`] — here a bare `PutRequest`, the
+    /// pre-envelope wire type — is dropped without a reply or a panic, and
+    /// the next request is still served.
+    #[test]
+    fn foreign_payload_is_dropped_and_the_next_request_served() {
+        let mut rig = Rig::new();
+        rig.transmit_at(SimTime::ZERO, 164, put_req(1));
+        rig.transmit_at(SimTime::from_micros(1), 64, String::from("not a request"));
+        put_at(&mut rig, SimTime::from_micros(2), 2);
+        rig.eng.run();
+        let replies = rig.replies();
+        assert_eq!(replies.len(), 1);
+        assert!(matches!(&replies[0].0, Reply::Put(ack) if ack.seq == 2));
+        assert_eq!(rig.server().logic().puts_served(), 1);
     }
 }

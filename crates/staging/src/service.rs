@@ -11,10 +11,11 @@
 use crate::journal::{JournalStats, JournalWriter, DEFAULT_COALESCE};
 use crate::proto::{
     AppId, CtlAck, CtlMsg, CtlRequest, CtlResponse, GetPiece, GetRequest, GetResponse, PutRequest,
-    PutResponse, PutStatus,
+    PutResponse, PutStatus, Reply, Request,
 };
 use crate::store::VersionedStore;
 use crate::store_journal::StoreJournalEntry;
+use obs::{arg, TraceCtx};
 use serde::{Deserialize, Serialize};
 use sim_core::time::SimTime;
 use std::collections::BTreeMap;
@@ -281,47 +282,79 @@ impl StoreBackend for PlainBackend {
     }
 }
 
-/// A response retained for duplicate-request replay.
-#[derive(Debug, Clone)]
-enum CachedResp {
-    Put(PutResponse),
-    Get(GetResponse),
-}
-
-/// Per-app retained responses beyond which the oldest are pruned. Retries
-/// and transport duplicates arrive within a few requests of the original, so
-/// a short window suffices.
+/// Per-app retained replies beyond which the oldest are pruned. Retries and
+/// transport duplicates arrive within a few requests of the original, so a
+/// short window suffices.
 const DEDUP_WINDOW: usize = 256;
 
+/// What [`ServerLogic`] did with the most recent request — the one place
+/// the outcomes both transports report (span `decision`s) are named.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// Put stored as new data.
+    Stored,
+    /// Put recognized as a redundant replay write and absorbed.
+    Absorbed,
+    /// Get served from the store.
+    Served,
+    /// Get served from the recovery replay script.
+    Replayed,
+    /// Control event applied to the backend.
+    Applied,
+    /// Re-delivered request answered from the dedup cache.
+    Dup,
+    /// Get whose version is not available yet: answered empty, nothing
+    /// logged (see [`ServerLogic::serve`]).
+    NotReady,
+}
+
+impl Outcome {
+    /// The outcome's name in traces.
+    pub fn name(self) -> &'static str {
+        match self {
+            Outcome::Stored => "stored",
+            Outcome::Absorbed => "absorbed",
+            Outcome::Served => "served",
+            Outcome::Replayed => "replayed",
+            Outcome::Applied => "applied",
+            Outcome::Dup => "dup",
+            Outcome::NotReady => "notready",
+        }
+    }
+}
+
 /// Request loop shared by all transports: applies the backend, computes the
-/// CPU cost, and shapes responses.
+/// CPU cost, and shapes replies.
 ///
 /// Requests carry a per-app sequence number; the logic remembers recent
-/// responses and replays them for re-delivered requests (client retries
-/// under a lossy transport, or transport-level duplication), so the backend
-/// — in particular the event *log* — observes each request exactly once.
+/// replies and replays them for re-delivered requests (client retries under
+/// a lossy transport, or transport-level duplication), so the backend — in
+/// particular the event *log* — observes each request exactly once.
 #[derive(Debug)]
 pub struct ServerLogic<B> {
     backend: B,
     costs: ServerCosts,
     puts_served: u64,
     gets_served: u64,
-    /// Recently-sent put/get responses keyed `(app, seq)`. Ordered maps so
-    /// cache trimming sweeps run in the same order on every host.
-    resp_cache: BTreeMap<AppId, BTreeMap<u64, CachedResp>>,
-    /// Recently-sent control acknowledgements keyed `(app, seq)`.
-    ctl_cache: BTreeMap<AppId, BTreeMap<u64, CtlResponse>>,
+    /// Recently-sent replies keyed `(app, seq)`. Ordered maps so cache
+    /// trimming sweeps run in the same order on every host.
+    reply_cache: BTreeMap<AppId, BTreeMap<u64, Reply>>,
     /// Exactly-once guard switch; disabled only by the mutation tests that
     /// prove the invariant checker notices a broken dedup.
     dedup_enabled: bool,
     /// Duplicate requests absorbed by the cache.
     dup_hits: u64,
-    /// Backend work performed by the most recent `handle_*` call (dedup
-    /// cache hits report zero work). Read by transports that annotate
-    /// traces; never fed back into behaviour.
+    /// Backend work performed by the most recent request (dedup cache hits
+    /// report zero work). Read by transports that annotate traces; never
+    /// fed back into behaviour.
     last_op: OpStats,
-    /// Was the most recent `handle_*` call answered from the dedup cache?
-    last_dup: bool,
+    /// What the most recent request came to.
+    last_outcome: Outcome,
+    /// Journal bytes flushed / segments compacted as of the last traced
+    /// request; diffed against the backend's monotone counters to emit
+    /// `journal.flush` / `journal.compact` instants.
+    seen_flushed: u64,
+    seen_compacted: u64,
 }
 
 impl<B: StoreBackend> ServerLogic<B> {
@@ -332,24 +365,25 @@ impl<B: StoreBackend> ServerLogic<B> {
             costs,
             puts_served: 0,
             gets_served: 0,
-            resp_cache: BTreeMap::new(),
-            ctl_cache: BTreeMap::new(),
+            reply_cache: BTreeMap::new(),
             dedup_enabled: true,
             dup_hits: 0,
             last_op: OpStats::default(),
-            last_dup: false,
+            last_outcome: Outcome::Applied,
+            seen_flushed: 0,
+            seen_compacted: 0,
         }
     }
 
-    /// Backend work performed by the most recent `handle_*` call. Dedup
-    /// cache hits report [`OpStats::default`].
+    /// Backend work performed by the most recent request. Dedup cache hits
+    /// report [`OpStats::default`].
     pub fn last_op(&self) -> OpStats {
         self.last_op
     }
 
-    /// Was the most recent `handle_*` call answered from the dedup cache?
-    pub fn last_was_dup(&self) -> bool {
-        self.last_dup
+    /// What the most recent request came to.
+    pub fn last_outcome(&self) -> Outcome {
+        self.last_outcome
     }
 
     /// Enable/disable the exactly-once request cache. Test-only escape
@@ -364,42 +398,80 @@ impl<B: StoreBackend> ServerLogic<B> {
         self.dup_hits
     }
 
-    fn cached(&mut self, app: AppId, seq: u64) -> Option<CachedResp> {
+    /// The reply recorded for `(app, seq)`, if the request was seen before.
+    /// Answering from the cache costs one bare request.
+    fn cached(&mut self, app: AppId, seq: u64) -> Option<(Reply, SimTime)> {
         if !self.dedup_enabled {
             return None;
         }
-        let hit = self.resp_cache.get(&app).and_then(|m| m.get(&seq)).cloned();
-        if hit.is_some() {
-            self.dup_hits += 1;
-        }
-        hit
+        let hit = self.reply_cache.get(&app)?.get(&seq)?.clone();
+        self.dup_hits += 1;
+        Some((hit, self.done(OpStats::default(), Outcome::Dup)))
     }
 
-    fn remember(&mut self, app: AppId, seq: u64, resp: CachedResp) {
+    fn remember(&mut self, app: AppId, seq: u64, reply: Reply) {
         if !self.dedup_enabled {
             return;
         }
-        let window = self.resp_cache.entry(app).or_default();
-        window.insert(seq, resp);
+        let window = self.reply_cache.entry(app).or_default();
+        window.insert(seq, reply);
         while window.len() > DEDUP_WINDOW {
             window.pop_first();
         }
     }
 
+    /// Record what the request came to; returns its CPU cost.
+    fn done(&mut self, op: OpStats, outcome: Outcome) -> SimTime {
+        self.last_op = op;
+        self.last_outcome = outcome;
+        self.costs.cost(&op)
+    }
+
+    /// Serve one request — the whole server side of the protocol. A
+    /// re-delivered `(app, seq)` is answered with the recorded reply and
+    /// never reaches the backend. Returns the reply and the simulated CPU
+    /// time consumed; [`Self::last_outcome`] says what happened.
+    ///
+    /// DataSpaces `get` blocks until the requested version is available. A
+    /// get that is not ready ([`StoreBackend::get_ready`]) is answered empty
+    /// with [`Outcome::NotReady`] and touches neither the backend nor the
+    /// dedup cache, so failed polls never pollute the replay log: the
+    /// threaded server sends that answer and the client retries, the DES
+    /// server parks the request instead.
+    pub fn serve(&mut self, req: &Request) -> (Reply, SimTime) {
+        match req {
+            Request::Put(r) => {
+                let (resp, cost) = self.handle_put(r);
+                (Reply::Put(resp), cost)
+            }
+            Request::Get(r) if !self.backend.get_ready(r) => {
+                let empty =
+                    GetResponse { var: r.var, version: r.version, seq: r.seq, pieces: Vec::new() };
+                (Reply::Get(empty), self.done(OpStats::default(), Outcome::NotReady))
+            }
+            Request::Get(r) => {
+                let (resp, cost) = self.handle_get(r);
+                (Reply::Get(resp), cost)
+            }
+            Request::Ctl(m) => {
+                let (ack, cost) = self.handle_ctl_msg(*m);
+                (Reply::Ctl(ack), cost)
+            }
+        }
+    }
+
     /// Handle a put; returns the response and the simulated CPU time consumed.
     pub fn handle_put(&mut self, req: &PutRequest) -> (PutResponse, SimTime) {
-        if let Some(CachedResp::Put(resp)) = self.cached(req.app, req.seq) {
-            self.last_op = OpStats::default();
-            self.last_dup = true;
-            return (resp, self.costs.cost(&OpStats::default()));
+        if let Some((Reply::Put(resp), cost)) = self.cached(req.app, req.seq) {
+            return (resp, cost);
         }
         let (status, op) = self.backend.put(req);
-        self.last_op = op;
-        self.last_dup = false;
         self.puts_served += 1;
         let resp = PutResponse { desc: req.desc, seq: req.seq, status };
-        self.remember(req.app, req.seq, CachedResp::Put(resp.clone()));
-        (resp, self.costs.cost(&op))
+        self.remember(req.app, req.seq, Reply::Put(resp.clone()));
+        let outcome =
+            if status == PutStatus::Absorbed { Outcome::Absorbed } else { Outcome::Stored };
+        (resp, self.done(op, outcome))
     }
 
     /// Is this get currently servable (see [`StoreBackend::get_ready`])?
@@ -409,38 +481,22 @@ impl<B: StoreBackend> ServerLogic<B> {
 
     /// Handle a get; returns the response and the simulated CPU time consumed.
     pub fn handle_get(&mut self, req: &GetRequest) -> (GetResponse, SimTime) {
-        if let Some(CachedResp::Get(resp)) = self.cached(req.app, req.seq) {
-            self.last_op = OpStats::default();
-            self.last_dup = true;
-            return (resp, self.costs.cost(&OpStats::default()));
+        if let Some((Reply::Get(resp), cost)) = self.cached(req.app, req.seq) {
+            return (resp, cost);
         }
         let (pieces, op) = self.backend.get(req);
-        self.last_op = op;
-        self.last_dup = false;
         self.gets_served += 1;
         let resp = GetResponse { var: req.var, version: req.version, seq: req.seq, pieces };
-        self.remember(req.app, req.seq, CachedResp::Get(resp.clone()));
-        (resp, self.costs.cost(&op))
+        self.remember(req.app, req.seq, Reply::Get(resp.clone()));
+        let outcome = if op.replayed { Outcome::Replayed } else { Outcome::Served };
+        (resp, self.done(op, outcome))
     }
 
-    /// Handle a control event.
-    ///
-    /// This raw entry point performs no dedup — it serves transports whose
-    /// control path cannot be re-delivered (e.g. the fault-exempt DES
-    /// director). Clients that retry use [`Self::handle_ctl_msg`].
+    /// Apply a control event directly, outside the wire protocol: no
+    /// envelope, no dedup. Transports go through [`Self::serve`].
     pub fn handle_ctl(&mut self, req: CtlRequest) -> (CtlResponse, SimTime) {
         let (resp, op) = self.backend.control(req);
-        self.last_op = op;
-        self.last_dup = false;
-        (resp, self.costs.cost(&op))
-    }
-
-    /// Has this `(app, seq)` control envelope already been applied? Lets the
-    /// server skip side effects (e.g. purging parked requests) for
-    /// re-delivered control traffic before replaying the recorded ack.
-    pub fn ctl_seen(&self, app: AppId, seq: u64) -> bool {
-        self.dedup_enabled
-            && self.ctl_cache.get(&app).map(|m| m.contains_key(&seq)).unwrap_or(false)
+        (resp, self.done(op, Outcome::Applied))
     }
 
     /// Handle a sequenced control envelope with exactly-once semantics.
@@ -450,24 +506,83 @@ impl<B: StoreBackend> ServerLogic<B> {
     /// replay matching), so duplicates are answered from the recorded ack
     /// without touching the backend.
     pub fn handle_ctl_msg(&mut self, msg: CtlMsg) -> (CtlAck, SimTime) {
-        if self.dedup_enabled {
-            if let Some(resp) = self.ctl_cache.get(&msg.app).and_then(|m| m.get(&msg.seq)) {
-                self.dup_hits += 1;
-                self.last_op = OpStats::default();
-                self.last_dup = true;
-                let ack = CtlAck { seq: msg.seq, resp: *resp };
-                return (ack, self.costs.cost(&OpStats::default()));
-            }
+        if let Some((Reply::Ctl(ack), cost)) = self.cached(msg.app, msg.seq) {
+            return (ack, cost);
         }
         let (resp, cost) = self.handle_ctl(msg.req);
-        if self.dedup_enabled {
-            let window = self.ctl_cache.entry(msg.app).or_default();
-            window.insert(msg.seq, resp);
-            while window.len() > DEDUP_WINDOW {
-                window.pop_first();
+        let ack = CtlAck { seq: msg.seq, resp };
+        self.remember(msg.app, msg.seq, Reply::Ctl(ack));
+        (ack, cost)
+    }
+
+    /// Record the request [`Self::serve`] just answered as a span on `track`
+    /// at `(t, s)`, nested under the trace context the client stamped on the
+    /// wire; backend side effects — log appends, GC frees, journal flushes
+    /// and compactions — become instants under it. This is the one
+    /// description of a served request, emitted by both transports (only
+    /// under `tracer.enabled()`: it builds argument lists). Returns the open
+    /// span.
+    pub fn trace_served(
+        &mut self,
+        tracer: &obs::Tracer,
+        track: obs::TrackId,
+        shard: usize,
+        req: &Request,
+        (t, s): (u64, u64),
+    ) -> TraceCtx {
+        let decision = arg("decision", self.last_outcome.name());
+        let (name, args) = match req {
+            Request::Put(r) => (
+                "serve.put",
+                vec![
+                    arg("shard", shard),
+                    arg("var", r.desc.var),
+                    arg("version", r.desc.version),
+                    decision,
+                ],
+            ),
+            Request::Get(r) => (
+                "serve.get",
+                vec![arg("shard", shard), arg("var", r.var), arg("version", r.version), decision],
+            ),
+            Request::Ctl(m) => {
+                let kind = match m.req {
+                    CtlRequest::Checkpoint { .. } => "checkpoint",
+                    CtlRequest::Recovery { .. } => "recovery",
+                    CtlRequest::GlobalReset { .. } => "global_reset",
+                };
+                let mut args = vec![arg("shard", shard), arg("kind", kind)];
+                if self.last_outcome == Outcome::Dup {
+                    args.push(decision);
+                }
+                ("serve.ctl", args)
             }
+        };
+        let span = tracer.begin(req.tctx(), track, name, t, s, args);
+        let op = self.last_op;
+        if op.log_events > 0 {
+            let args = vec![arg("events", op.log_events), arg("bytes", op.logged_bytes)];
+            tracer.instant(span, track, "log.append", t, s, args);
         }
-        (CtlAck { seq: msg.seq, resp }, cost)
+        if op.freed_bytes > 0 {
+            tracer.instant(span, track, "gc.free", t, s, vec![arg("bytes", op.freed_bytes)]);
+        }
+        // Durable-layer visibility: the journal counters are monotone, so a
+        // delta since the last traced request means this one's append crossed
+        // a flush threshold (or watermark compaction dropped segments).
+        let flushed = self.backend.journal_bytes_flushed();
+        if flushed > self.seen_flushed {
+            let args = vec![arg("bytes", flushed - self.seen_flushed)];
+            tracer.instant(span, track, "journal.flush", t, s, args);
+            self.seen_flushed = flushed;
+        }
+        let compacted = self.backend.journal_segments_compacted();
+        if compacted > self.seen_compacted {
+            let args = vec![arg("segments", compacted - self.seen_compacted)];
+            tracer.instant(span, track, "journal.compact", t, s, args);
+            self.seen_compacted = compacted;
+        }
+        span
     }
 
     /// Bytes resident in the backend store.
@@ -535,6 +650,82 @@ mod tests {
         assert_eq!(gr.pieces[0].payload.len(), 1_000);
         assert_eq!(logic.puts_served(), 1);
         assert_eq!(logic.gets_served(), 1);
+    }
+
+    /// A plain store that, once told a component recovered, answers like a
+    /// logging backend in replay: puts absorbed, gets served from the script.
+    struct Replaying {
+        store: PlainBackend,
+        replaying: bool,
+    }
+
+    impl StoreBackend for Replaying {
+        fn put(&mut self, req: &PutRequest) -> (PutStatus, OpStats) {
+            let (status, op) = self.store.put(req);
+            (if self.replaying { PutStatus::Absorbed } else { status }, op)
+        }
+        fn get(&mut self, req: &GetRequest) -> (Vec<GetPiece>, OpStats) {
+            let (pieces, op) = self.store.get(req);
+            (pieces, OpStats { replayed: self.replaying, ..op })
+        }
+        fn control(&mut self, req: CtlRequest) -> (CtlResponse, OpStats) {
+            self.replaying |= matches!(req, CtlRequest::Recovery { .. });
+            self.store.control(req)
+        }
+        fn get_ready(&self, req: &GetRequest) -> bool {
+            self.store.get_ready(req)
+        }
+        fn bytes_resident(&self) -> u64 {
+            self.store.bytes_resident()
+        }
+    }
+
+    /// `serve` is the whole server side of the protocol: every request kind,
+    /// fresh and re-delivered, with the reply, the outcome's name and the
+    /// size the reply declares.
+    #[test]
+    fn serve_answers_every_request_kind_once() {
+        let put = |v, seq| Request::Put(PutRequest { seq, ..put_req(v, 500) });
+        let get = |v, seq| Request::Get(GetRequest { seq, ..get_req(v) });
+        let ctl = |seq, req| Request::Ctl(CtlMsg { app: 1, seq, req, tctx: obs::TraceCtx::NONE });
+        let recovery = CtlRequest::Recovery { app: 1, resume_version: 0 };
+        // (request, outcome, reply bytes, pieces of a get / status of a put)
+        let table = [
+            (put(1, 1), "stored", 64, Some(PutStatus::Stored)),
+            (put(1, 1), "dup", 64, Some(PutStatus::Stored)),
+            (get(1, 1), "served", 564, None),
+            (get(1, 1), "dup", 564, None),
+            (get(2, 2), "notready", 64, None),
+            (ctl(3, recovery), "applied", 64, None),
+            (ctl(3, recovery), "dup", 64, None),
+            (put(1, 2), "absorbed", 64, Some(PutStatus::Absorbed)),
+            (put(1, 2), "dup", 64, Some(PutStatus::Absorbed)),
+            (get(1, 4), "replayed", 564, None),
+            (get(1, 4), "dup", 564, None),
+        ];
+        let backend = Replaying { store: PlainBackend::new(4), replaying: false };
+        let mut logic = ServerLogic::new(backend, ServerCosts::default());
+        for (i, (req, outcome, bytes, status)) in table.iter().enumerate() {
+            let (reply, cost) = logic.serve(req);
+            assert_eq!(logic.last_outcome().name(), *outcome, "row {i}");
+            assert_eq!(reply.seq(), req.seq(), "row {i}");
+            assert_eq!(reply.wire_bytes(), *bytes, "row {i}");
+            assert!(cost >= ServerCosts::default().cost(&OpStats::default()), "row {i}");
+            match (req, &reply) {
+                (Request::Put(_), Reply::Put(ack)) => assert_eq!(Some(ack.status), *status),
+                (Request::Get(_), Reply::Get(r)) => {
+                    assert_eq!(r.pieces.is_empty(), *outcome == "notready", "row {i}")
+                }
+                (Request::Ctl(m), Reply::Ctl(ack)) => assert_eq!(ack.resp.req, m.req),
+                _ => panic!("row {i}: reply {reply:?} is not of the request's kind"),
+            }
+        }
+        // Each fresh request reached the backend once; the poll and the five
+        // re-deliveries never did.
+        assert_eq!((logic.puts_served(), logic.gets_served(), logic.dup_hits()), (2, 2, 5));
+        assert_eq!(put(1, 9).wire_bytes(), 564);
+        assert_eq!(get(1, 9).wire_bytes(), 64);
+        assert_eq!(ctl(9, recovery).wire_bytes(), 64);
     }
 
     #[test]

@@ -18,11 +18,11 @@ use crate::dist::Distribution;
 use crate::geometry::BBox;
 use crate::payload::Payload;
 use crate::proto::{
-    AppId, CtlAck, CtlMsg, CtlRequest, CtlResponse, GetPiece, GetRequest, GetResponse, PutRequest,
-    PutResponse, PutStatus, VarId, Version,
+    AppId, CtlMsg, CtlRequest, CtlResponse, GetPiece, PutStatus, Reply, Request, VarId, Version,
+    HEADER_BYTES,
 };
 use crate::router::Router;
-use crate::server::{covers_exactly, plan_get_routed, plan_put_with_routed, HEADER_BYTES};
+use crate::server::{covers_exactly, plan_get_routed, plan_put_with_routed};
 use crate::service::{ServerLogic, StoreBackend};
 use faultplane::RetryPolicy;
 use net::threaded::{NetMsg, RecvTimeoutError, ThreadEndpoint};
@@ -36,10 +36,12 @@ pub struct Shutdown;
 /// consuming the queue (the threaded analogue of [`crate::server::Stall`]).
 pub struct StallFor(pub Duration);
 
-/// One operation's share for one shard: the requests a `put` or `get` planned
-/// for that server, in `seq` order — or, coming back, their responses in the
-/// same order. Its declared size is the sum of what its entries would declare
-/// alone, and the mesh's fault plan decides the fate of the frame as a whole.
+/// One operation's share for one shard: a `Frame<Request>` holds the requests
+/// a `put` or `get` planned for that server, in `seq` order (a control round's
+/// share is one entry); the `Frame<Reply>` coming back holds their replies in
+/// the same order. Its declared size is the sum of what its entries would
+/// declare alone, and the mesh's fault plan decides the fate of the frame as
+/// a whole.
 #[derive(Clone)]
 pub struct Frame<T>(pub Vec<T>);
 
@@ -52,7 +54,7 @@ pub fn spawn_server<B: StoreBackend>(
     endpoint: ThreadEndpoint,
     logic: ServerLogic<B>,
 ) -> JoinHandle<ServerLogic<B>> {
-    std::thread::spawn(move || serve_loop(endpoint, logic, obs::Tracer::off(), "server").0)
+    std::thread::spawn(move || serve_loop(endpoint, logic, obs::Tracer::off(), 0).0)
 }
 
 /// Spawn a *traced* staging server thread: same loop as [`spawn_server`],
@@ -74,26 +76,26 @@ pub fn spawn_server_traced<B: StoreBackend>(
     std::thread::spawn(move || {
         let sink = Box::new(obs::FullRecorder::default());
         let tracer = obs::Tracer::with_sink_base(sink, index as u32 + 1);
-        serve_loop(endpoint, logic, tracer, &format!("server{index}"))
+        serve_loop(endpoint, logic, tracer, index)
     })
 }
 
 /// The server message loop shared by the traced and untraced spawns. With a
-/// disabled tracer every span call is a no-op and the returned trace is
-/// empty.
+/// disabled tracer no span is described and the returned trace is empty.
 ///
-/// A frame's entries run one by one through the same [`ServerLogic`] calls a
-/// lone request would (own dedup lookup, own span, own journal record); only
-/// the reply is shared, and it leaves after the last entry was applied.
-// lint: commit-point(commit=handle_put, ack=send)
+/// A frame's entries run one by one through [`ServerLogic::serve`], as a lone
+/// request would (own dedup lookup, own span, own journal record); only the
+/// reply is shared, and it leaves after the last entry was applied. A get
+/// that is not ready yet is answered empty and the client retries, where the
+/// DES server parks it.
+// lint: commit-point(commit=serve, ack=send)
 fn serve_loop<B: StoreBackend>(
     endpoint: ThreadEndpoint,
     mut logic: ServerLogic<B>,
     tracer: obs::Tracer,
-    track_name: &str,
+    index: usize,
 ) -> (ServerLogic<B>, obs::Trace) {
-    use obs::arg;
-    let track = tracer.track(track_name);
+    let track = tracer.track(&format!("server{index}"));
     // Logical per-thread clock: tick → (t_ns, seq). Spaced 1 µs apart so
     // span durations are nonzero in timeline views.
     let mut clock = 0u64;
@@ -102,113 +104,34 @@ fn serve_loop<B: StoreBackend>(
         (clock * 1000, clock)
     };
     while let Some(msg) = endpoint.recv() {
-        if msg.payload.is::<Shutdown>() {
+        let other = match msg.payload.downcast::<Frame<Request>>() {
+            Ok(frame) => {
+                let mut replies = Vec::with_capacity(frame.0.len());
+                let mut size = 0;
+                for req in &frame.0 {
+                    let (reply, _cost) = logic.serve(req);
+                    if tracer.enabled() {
+                        let span = logic.trace_served(&tracer, track, index, req, tick());
+                        let (t, s) = tick();
+                        tracer.end(span, track, t, s, Vec::new());
+                    }
+                    size += reply.wire_bytes();
+                    replies.push(reply);
+                }
+                endpoint.send(msg.from, size, Frame(replies));
+                continue;
+            }
+            Err(other) => other,
+        };
+        if other.is::<Shutdown>() {
             break;
         }
-        if msg.payload.is::<Frame<PutRequest>>() {
-            let frame = msg.payload.downcast::<Frame<PutRequest>>().unwrap();
-            let mut resps = Vec::with_capacity(frame.0.len());
-            for req in &frame.0 {
-                let (t, s) = tick();
-                let span = tracer.begin(
-                    req.tctx,
-                    track,
-                    "serve.put",
-                    t,
-                    s,
-                    vec![arg("var", req.desc.var), arg("version", req.desc.version)],
-                );
-                let (resp, _cost) = logic.handle_put(req);
-                let decision = if logic.last_was_dup() {
-                    "dup"
-                } else if resp.status == PutStatus::Absorbed {
-                    "absorbed"
-                } else {
-                    "stored"
-                };
-                let op = logic.last_op();
-                if op.log_events > 0 {
-                    let (t, s) = tick();
-                    tracer.instant(
-                        span,
-                        track,
-                        "log.append",
-                        t,
-                        s,
-                        vec![arg("events", op.log_events), arg("bytes", op.logged_bytes)],
-                    );
-                }
-                let (t, s) = tick();
-                tracer.end(span, track, t, s, vec![arg("decision", decision)]);
-                resps.push(resp);
-            }
-            endpoint.send(msg.from, HEADER_BYTES * resps.len() as u64, Frame(resps));
-        } else if msg.payload.is::<Frame<GetRequest>>() {
-            let frame = msg.payload.downcast::<Frame<GetRequest>>().unwrap();
-            let mut resps = Vec::with_capacity(frame.0.len());
-            let mut size = 0;
-            for req in &frame.0 {
-                let (t, s) = tick();
-                let span = tracer.begin(
-                    req.tctx,
-                    track,
-                    "serve.get",
-                    t,
-                    s,
-                    vec![arg("var", req.var), arg("version", req.version)],
-                );
-                let (resp, decision) = if !logic.get_ready(req) {
-                    // DataSpaces `get` blocks until the requested version is
-                    // available; the DES server parks such requests. Over
-                    // real threads the server instead answers "not yet"
-                    // (empty, nothing logged) and the client retries, so a
-                    // racing reader can never observe a torn or stale
-                    // version — and failed polls never pollute the replay
-                    // log.
-                    let empty = GetResponse {
-                        var: req.var,
-                        version: req.version,
-                        seq: req.seq,
-                        pieces: Vec::new(),
-                    };
-                    (empty, "notready")
-                } else {
-                    let (resp, _cost) = logic.handle_get(req);
-                    let decision = if logic.last_was_dup() {
-                        "dup"
-                    } else if logic.last_op().replayed {
-                        "replayed"
-                    } else {
-                        "served"
-                    };
-                    (resp, decision)
-                };
-                let (t, s) = tick();
-                tracer.end(span, track, t, s, vec![arg("decision", decision)]);
-                size += HEADER_BYTES
-                    + resp.pieces.iter().map(|p| p.payload.accounted_len()).sum::<u64>();
-                resps.push(resp);
-            }
-            endpoint.send(msg.from, size, Frame(resps));
-        } else if msg.payload.is::<CtlMsg>() {
-            let req = msg.payload.downcast::<CtlMsg>().unwrap();
-            let (t, s) = tick();
-            let span = tracer.begin(req.tctx, track, "serve.ctl", t, s, Vec::new());
-            let (ack, _cost) = logic.handle_ctl_msg(*req);
-            let (t, s) = tick();
-            tracer.end(span, track, t, s, Vec::new());
-            endpoint.send(msg.from, HEADER_BYTES, ack);
-        } else if msg.payload.is::<CtlRequest>() {
-            let req = msg.payload.downcast::<CtlRequest>().unwrap();
-            let (resp, _cost) = logic.handle_ctl(*req);
-            endpoint.send(msg.from, HEADER_BYTES, resp);
-        } else if msg.payload.is::<StallFor>() {
-            let stall = msg.payload.downcast::<StallFor>().unwrap();
+        if let Ok(stall) = other.downcast::<StallFor>() {
             let (t, s) = tick();
             tracer.instant(obs::TraceCtx::NONE, track, "stall", t, s, Vec::new());
             std::thread::sleep(stall.0);
         }
-        // Unknown messages are dropped, as in the DES server.
+        // Anything else is dropped, as in the DES server.
     }
     let trace = tracer.finish();
     (logic, trace)
@@ -325,27 +248,21 @@ impl SyncClient {
         &self.retry
     }
 
-    fn next_seq(&mut self, n: usize) -> u64 {
-        let s = self.seq;
-        self.seq += n as u64;
-        s
-    }
-
     /// One operation's exchange with the servers under the bounded
-    /// [`RetryPolicy`]. `reqs` are the planned `(server, request)` pairs and
-    /// a request's position is its reply slot. Each round `send`s every
-    /// server one frame of its still-unanswered requests, in slot order,
-    /// then `absorb`s messages until the backoff window closes. `absorb`
-    /// passes each reply it recognises to `fill(slot, reply)`, which keeps
-    /// the first one per slot, so transport-duplicated and stale replies
-    /// fall away. Returns the replies in slot order.
-    fn fan_out<Q: Clone, R>(
+    /// [`RetryPolicy`]. `reqs` are the planned `(server, request)` pairs, with
+    /// sequence numbers contiguous from the first one's: a request's position
+    /// is its reply slot. Each round sends every server one frame of its
+    /// still-unanswered requests, in slot order, then absorbs reply frames
+    /// until the backoff window closes, keeping what `pick` extracts from the
+    /// first reply of the operation's kind per slot, so transport-duplicated
+    /// and stale replies fall away. Returns the picks in slot order.
+    fn fan_out<R>(
         &self,
         op: &'static str,
-        reqs: &[(usize, Q)],
-        send: impl Fn(&ThreadEndpoint, usize, Vec<Q>) -> bool,
-        mut absorb: impl FnMut(NetMsg, &mut dyn FnMut(usize, R)),
+        reqs: &[(usize, Request)],
+        pick: impl Fn(Reply) -> Option<R>,
     ) -> Result<Vec<R>, ClientError> {
+        let seq0 = reqs.first().map_or(0, |(_, r)| r.seq());
         let mut slots: Vec<Option<R>> = reqs.iter().map(|_| None).collect();
         let mut left = reqs.len();
         let mut attempts = 0u32;
@@ -358,18 +275,21 @@ impl SyncClient {
                 }
             }
             for (frame, &to) in frames.into_iter().zip(&self.server_eps) {
-                if !frame.is_empty() && !send(&self.endpoint, to, frame) {
+                let size = frame.iter().map(Request::wire_bytes).sum();
+                if !frame.is_empty() && !self.endpoint.send(to, size, Frame(frame)) {
                     return Err(ClientError::Disconnected);
                 }
             }
             let window = self.retry.backoff(attempts + 1);
             let done = drain_window(&self.endpoint, Instant::now() + window, |msg| {
-                absorb(msg, &mut |slot, reply| {
+                let Ok(frame) = msg.payload.downcast::<Frame<Reply>>() else { return false };
+                for reply in frame.0 {
+                    let slot = reply.seq().wrapping_sub(seq0) as usize;
                     if let Some(empty @ None) = slots.get_mut(slot) {
-                        *empty = Some(reply);
-                        left -= 1;
+                        *empty = pick(reply);
+                        left -= usize::from(empty.is_some());
                     }
-                });
+                }
                 left == 0
             })?;
             if done {
@@ -394,25 +314,14 @@ impl SyncClient {
         bbox: &BBox,
         fill: impl FnMut(&BBox) -> Payload,
     ) -> Result<Vec<PutStatus>, ClientError> {
-        let seq0 = self.seq;
-        let reqs = plan_put_with_routed(&self.router, self.app, var, version, bbox, seq0, fill);
-        self.next_seq(reqs.len());
-        self.fan_out(
-            "put",
-            &reqs,
-            |ep, to, frame| {
-                let size = frame.iter().map(|r| HEADER_BYTES + r.payload.accounted_len()).sum();
-                ep.send(to, size, Frame(frame))
-            },
-            |msg, fill| {
-                if let Ok(acks) = msg.payload.downcast::<Frame<PutResponse>>() {
-                    for ack in acks.0 {
-                        // Planned seqs are contiguous from `seq0`.
-                        fill(ack.seq.wrapping_sub(seq0) as usize, ack.status);
-                    }
-                }
-            },
-        )
+        let planned =
+            plan_put_with_routed(&self.router, self.app, var, version, bbox, self.seq, fill);
+        self.seq += planned.len() as u64;
+        let reqs: Vec<_> = planned.into_iter().map(|(s, r)| (s, Request::Put(r))).collect();
+        self.fan_out("put", &reqs, |r| match r {
+            Reply::Put(ack) => Some(ack.status),
+            _ => None,
+        })
     }
 
     /// Read `bbox` of `(var, version)`; returns the pieces (tiling `bbox`).
@@ -422,21 +331,13 @@ impl SyncClient {
         version: Version,
         bbox: &BBox,
     ) -> Result<Vec<GetPiece>, ClientError> {
-        let seq0 = self.seq;
-        let reqs = plan_get_routed(&self.router, self.app, var, version, bbox, seq0);
-        self.next_seq(reqs.len());
-        let answers = self.fan_out(
-            "get",
-            &reqs,
-            |ep, to, frame| ep.send(to, HEADER_BYTES * frame.len() as u64, Frame(frame)),
-            |msg, fill| {
-                if let Ok(resps) = msg.payload.downcast::<Frame<GetResponse>>() {
-                    for r in resps.0 {
-                        fill(r.seq.wrapping_sub(seq0) as usize, r.pieces);
-                    }
-                }
-            },
-        )?;
+        let planned = plan_get_routed(&self.router, self.app, var, version, bbox, self.seq);
+        self.seq += planned.len() as u64;
+        let reqs: Vec<_> = planned.into_iter().map(|(s, r)| (s, Request::Get(r))).collect();
+        let answers = self.fan_out("get", &reqs, |r| match r {
+            Reply::Get(resp) => Some(resp.pieces),
+            _ => None,
+        })?;
         let pieces: Vec<GetPiece> = answers.into_iter().flatten().collect();
         if !covers_exactly(bbox, &pieces) {
             return Err(ClientError::IncompleteCoverage);
@@ -472,25 +373,18 @@ impl SyncClient {
     }
 
     fn control(&mut self, req: CtlRequest) -> Result<Vec<CtlResponse>, ClientError> {
-        // One sequence number for the whole round: each server dedups the
-        // envelope independently in its own (app, seq) namespace.
-        let seq = self.next_seq(1);
-        let msg = CtlMsg { app: self.app, seq, req, tctx: obs::TraceCtx::NONE };
-        let reqs: Vec<(usize, CtlMsg)> = (0..self.server_eps.len()).map(|s| (s, msg)).collect();
-        self.fan_out(
-            "control",
-            &reqs,
-            // A server's share of a control round is the bare envelope.
-            |ep, to, _| ep.send(to, HEADER_BYTES, msg),
-            |m, fill| {
-                let server = self.server_eps.iter().position(|&ep| ep == m.from);
-                if let (Some(server), Ok(ack)) = (server, m.payload.downcast::<CtlAck>()) {
-                    if ack.seq == seq {
-                        fill(server, ack.resp);
-                    }
-                }
-            },
-        )
+        // One envelope per server, each with its own sequence number: every
+        // server dedups in its own (app, seq) namespace, and a reply's seq
+        // names the server it came from.
+        let envelope = |(server, seq)| {
+            (server, Request::Ctl(CtlMsg { app: self.app, seq, req, tctx: obs::TraceCtx::NONE }))
+        };
+        let reqs: Vec<_> = (0..self.server_eps.len()).zip(self.seq..).map(envelope).collect();
+        self.seq += reqs.len() as u64;
+        self.fan_out("control", &reqs, |r| match r {
+            Reply::Ctl(ack) => Some(ack.resp),
+            _ => None,
+        })
     }
 
     /// The application id this client acts as.
@@ -855,7 +749,8 @@ mod tests {
 
     /// One server, one client, eight blocks: a put is one frame out (send 0)
     /// and one frame back (send 1). Returns the statuses, the server logic
-    /// and the messages the mesh carried before shutdown.
+    /// and the messages the mesh carried for the put (counted once the server
+    /// has answered everything it received, less the shutdown message).
     fn one_put_under(
         plan: faultplane::FaultPlan,
     ) -> (Vec<PutStatus>, ServerLogic<PlainBackend>, u64) {
@@ -863,9 +758,9 @@ mod tests {
             setup_faulty(1, 1, [16, 16, 16], [8, 8, 8], plan, unhurried_retry());
         let mut c = clients.pop().unwrap();
         let statuses = c.put(0, 1, &BBox::whole([16, 16, 16]), block_fill(0, 1)).unwrap();
-        let msgs = c.endpoint.stats().msgs();
         c.shutdown_servers();
-        (statuses, handles.pop().unwrap().join().unwrap(), msgs)
+        let logic = handles.pop().unwrap().join().unwrap();
+        (statuses, logic, c.endpoint.stats().msgs() - 1)
     }
 
     #[test]
@@ -922,6 +817,24 @@ mod tests {
         c.shutdown_servers();
         let logic = handles.pop().unwrap().join().unwrap();
         assert_eq!(logic.gets_served(), 4, "unready entries never reach the backend or its log");
+    }
+
+    /// A payload that is no `Frame<Request>` — here a bare `CtlMsg`, the
+    /// pre-frame control wire type — is dropped without a reply or a panic,
+    /// and the next request is still served.
+    #[test]
+    fn foreign_payload_is_dropped_and_the_next_request_served() {
+        let (mut handles, mut clients) = setup(1, 1, [8, 8, 8], [8, 8, 8]);
+        let mut c = clients.pop().unwrap();
+        let req = CtlRequest::Checkpoint { app: 0, upto_version: 1 };
+        let bare = CtlMsg { app: 0, seq: 99, req, tctx: obs::TraceCtx::NONE };
+        assert!(c.endpoint.send(0, HEADER_BYTES, bare));
+        assert!(c.endpoint.send(0, HEADER_BYTES, Frame(vec![bare])));
+        assert_eq!(c.checkpoint(1).unwrap().len(), 1);
+        assert!(c.endpoint.try_recv().is_none(), "the foreign payloads drew no reply");
+        c.shutdown_servers();
+        let logic = handles.pop().unwrap().join().unwrap();
+        assert_eq!(logic.dup_hits(), 0);
     }
 
     #[test]

@@ -54,13 +54,10 @@ use sim_core::engine::{Actor, ActorId, Ctx, Event};
 use sim_core::rng::Xoshiro256StarStar;
 use sim_core::time::SimTime;
 use staging::geometry::BBox;
-use staging::proto::{
-    CtlAck, CtlMsg, CtlRequest, CtlResponse, GetRequest, GetResponse, PutRequest, PutResponse,
-    PutStatus,
-};
-use staging::server::{plan_get_routed, plan_put_virtual_routed, HEADER_BYTES};
+use staging::proto::{CtlMsg, CtlRequest, PutStatus, Reply, Request};
+use staging::server::{plan_get_routed, plan_put_virtual_routed};
 use staging::Router;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use supervise::{DeathCause, RecoveryPolicy};
 
 /// Kick-off message (runner → component at t=0).
@@ -116,10 +113,12 @@ struct RetryTick {
     epoch: u64,
 }
 
-/// A request kept for possible redelivery while unacknowledged.
-enum RetryReq {
-    Put(PutRequest),
-    Get(GetRequest),
+/// A request awaiting its reply: kept for redelivery, for the response-time
+/// sample, and for its rpc span (the request's own trace context).
+struct InFlight {
+    to: EndpointId,
+    req: Request,
+    issued: SimTime,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,17 +175,16 @@ pub struct ComponentActor {
     step: u32,
     phase: Phase,
     incarnation: u32,
-    pending: usize,
-    issue: HashMap<u64, SimTime>,
+    /// The requests of the current wait (`IoWait` or `CtlWait`) in send
+    /// order, `None` once answered. A wait's sequence numbers are contiguous
+    /// and end at `seq`, so a request's slot is its `seq` less the first
+    /// one's — the reply slots of `staging::threaded::SyncClient`.
+    inflight: Vec<Option<InFlight>>,
+    /// Slots of `inflight` still unanswered; the wait is over at zero.
+    unanswered: usize,
     seq: u64,
     /// Retry policy; `Some` only when the run injects network faults.
     retry: Option<RetryPolicy>,
-    /// Unacknowledged data requests kept for redelivery (retry runs only).
-    outstanding: BTreeMap<u64, (EndpointId, RetryReq)>,
-    /// Servers that have not acked the in-flight [`CtlMsg`] (retry runs).
-    ctl_outstanding: BTreeSet<EndpointId>,
-    /// The in-flight sequenced control envelope (retry runs).
-    ctl_msg: Option<CtlMsg>,
     /// Orphans stale [`RetryTick`]s when a wait completes.
     retry_epoch: u64,
     /// Re-send rounds performed in the current wait.
@@ -235,8 +233,6 @@ pub struct ComponentActor {
     track: obs::TrackId,
     /// Open per-step span.
     step_span: TraceCtx,
-    /// Open put/get rpc spans, keyed by request seq.
-    rpc_spans: BTreeMap<u64, TraceCtx>,
     /// Open control-round span.
     ctl_span: TraceCtx,
     /// Open checkpoint span (write or rendezvous).
@@ -303,13 +299,10 @@ impl ComponentActor {
             step: 1,
             phase: Phase::Idle,
             incarnation: 0,
-            pending: 0,
-            issue: HashMap::new(),
+            inflight: Vec::new(),
+            unanswered: 0,
             seq: 0,
             retry: None,
-            outstanding: BTreeMap::new(),
-            ctl_outstanding: BTreeSet::new(),
-            ctl_msg: None,
             retry_epoch: 0,
             retry_attempt: 0,
             retry_backoff_ns: 0,
@@ -332,7 +325,6 @@ impl ComponentActor {
             tracer: obs::Tracer::off(),
             track: obs::TrackId(0),
             step_span: TraceCtx::NONE,
-            rpc_spans: BTreeMap::new(),
             ctl_span: TraceCtx::NONE,
             ckpt_span: TraceCtx::NONE,
             recovery_span: TraceCtx::NONE,
@@ -364,8 +356,7 @@ impl ComponentActor {
     }
 
     /// Enable bounded retry of staging requests (runner wiring, fault runs
-    /// only). Control messages switch to the sequenced [`CtlMsg`] envelope
-    /// so servers can dedup redelivered non-idempotent control.
+    /// only).
     pub fn enable_retry(&mut self, policy: RetryPolicy) {
         self.retry = Some(policy);
     }
@@ -451,16 +442,23 @@ impl ComponentActor {
         self.tracer.instant(parent, self.track, name, ctx.now().as_nanos(), ctx.seq(), args);
     }
 
-    /// Close every open non-recovery span (rpc, ctl, ckpt, step) with an
-    /// `aborted` marker. Called when a failure or a global rollback discards
-    /// in-flight work, so the trace still pairs every `Begin` with one `End`.
-    fn abort_work_spans(&mut self, ctx: &Ctx<'_>) {
+    /// Discard in-flight work: forget every unanswered request (late replies
+    /// then match nothing), orphan pending retry ticks, and close every open
+    /// non-recovery span (rpc, ctl, ckpt, step) with an `aborted` marker so
+    /// the trace still pairs every `Begin` with one `End`. Called when a
+    /// failure or a global rollback tears the current step down.
+    fn abort_work(&mut self, ctx: &Ctx<'_>) {
+        let dropped = std::mem::take(&mut self.inflight);
+        self.unanswered = 0;
+        self.cancel_retry();
         if !self.tracer.enabled() {
-            self.rpc_spans.clear();
             return;
         }
-        for (_, s) in std::mem::take(&mut self.rpc_spans) {
-            self.span_end(ctx, s, vec![arg("status", "aborted")]);
+        for f in dropped.iter().flatten() {
+            // A control round's envelopes share the round's span, closed below.
+            if !matches!(f.req, Request::Ctl(_)) {
+                self.span_end(ctx, f.req.tctx(), vec![arg("status", "aborted")]);
+            }
         }
         for s in [
             std::mem::take(&mut self.ctl_span),
@@ -520,7 +518,6 @@ impl ComponentActor {
 
     fn issue_io(&mut self, ctx: &mut Ctx<'_>) {
         self.steps_executed += 1;
-        let mut count = 0usize;
         // Writes first ("write immediately followed by read"): a Peer pair
         // exchanging fields must both have written before either read can
         // complete, and issuing puts first makes that deadlock-free.
@@ -530,7 +527,8 @@ impl ComponentActor {
             self.cfg.subset_pattern,
             self.step,
         );
-        for &var in &self.write_vars {
+        for i in 0..self.write_vars.len() {
+            let var = self.write_vars[i];
             for region in &write_regions {
                 let reqs = plan_put_virtual_routed(
                     &self.router,
@@ -542,73 +540,54 @@ impl ComponentActor {
                     self.seq,
                 );
                 self.seq += reqs.len() as u64;
-                count += reqs.len();
                 for (server, mut req) in reqs {
-                    self.issue.insert(req.seq, ctx.now());
-                    if self.tracer.enabled() {
-                        let s = self.span_begin(
-                            ctx,
-                            self.step_span,
-                            "put",
-                            vec![
-                                arg("var", req.desc.var),
-                                arg("version", req.desc.version),
-                                arg("seq", req.seq),
-                                arg("server", server),
-                            ],
-                        );
-                        self.rpc_spans.insert(req.seq, s);
-                        req.tctx = s;
-                    }
-                    let size = HEADER_BYTES + req.payload.accounted_len();
-                    let to = self.server_eps[server];
-                    if self.retry.is_some() {
-                        self.outstanding.insert(req.seq, (to, RetryReq::Put(req.clone())));
-                    }
-                    self.net.send(ctx, self.ep, to, size, req);
+                    req.tctx = self.rpc_span(ctx, "put", var, req.seq, server);
+                    self.send_tracked(ctx, server, Request::Put(req));
                 }
             }
         }
-        for &(var, subset_millis, pattern) in &self.read_vars {
+        for i in 0..self.read_vars.len() {
+            let (var, subset_millis, pattern) = self.read_vars[i];
             for region in
                 crate::config::coupled_regions(&self.domain, subset_millis, pattern, self.step)
             {
                 let reqs =
                     plan_get_routed(&self.router, self.cfg.app, var, self.step, &region, self.seq);
                 self.seq += reqs.len() as u64;
-                count += reqs.len();
                 for (server, mut req) in reqs {
-                    self.issue.insert(req.seq, ctx.now());
-                    if self.tracer.enabled() {
-                        let s = self.span_begin(
-                            ctx,
-                            self.step_span,
-                            "get",
-                            vec![
-                                arg("var", req.var),
-                                arg("version", req.version),
-                                arg("seq", req.seq),
-                                arg("server", server),
-                            ],
-                        );
-                        self.rpc_spans.insert(req.seq, s);
-                        req.tctx = s;
-                    }
-                    let to = self.server_eps[server];
-                    if self.retry.is_some() {
-                        self.outstanding.insert(req.seq, (to, RetryReq::Get(req.clone())));
-                    }
-                    self.net.send(ctx, self.ep, to, HEADER_BYTES, req);
+                    req.tctx = self.rpc_span(ctx, "get", var, req.seq, server);
+                    self.send_tracked(ctx, server, Request::Get(req));
                 }
             }
         }
-        if count == 0 {
+        if self.unanswered == 0 {
             self.step_io_done(ctx);
         } else {
-            self.pending = count;
             self.phase = Phase::IoWait;
             self.arm_retry(ctx);
         }
+    }
+
+    /// Open the client span of one put/get of this step's version.
+    fn rpc_span(&self, ctx: &Ctx<'_>, name: &str, var: u32, seq: u64, server: usize) -> TraceCtx {
+        if !self.tracer.enabled() {
+            return TraceCtx::NONE;
+        }
+        let args = vec![
+            arg("var", var),
+            arg("version", self.step),
+            arg("seq", seq),
+            arg("server", server),
+        ];
+        self.span_begin(ctx, self.step_span, name, args)
+    }
+
+    /// Send `req` to staging server `server` and await its reply.
+    fn send_tracked(&mut self, ctx: &mut Ctx<'_>, server: usize, req: Request) {
+        let to = self.server_eps[server];
+        self.net.send(ctx, self.ep, to, req.wire_bytes(), req.clone());
+        self.inflight.push(Some(InFlight { to, req, issued: ctx.now() }));
+        self.unanswered += 1;
     }
 
     // ---- retry machinery (network-fault runs only) ---------------------
@@ -616,21 +595,16 @@ impl ComponentActor {
     /// Start a fresh retry window for the wait phase just entered.
     fn arm_retry(&mut self, ctx: &mut Ctx<'_>) {
         let Some(p) = self.retry else { return };
-        self.retry_epoch += 1;
-        self.retry_attempt = 0;
-        self.retry_backoff_ns = 0;
+        self.cancel_retry();
         let delay = SimTime::from_nanos(p.backoff_ns(1));
         ctx.timer(delay, RetryTick { incarnation: self.incarnation, epoch: self.retry_epoch });
     }
 
-    /// Leave the current wait: orphan pending ticks, drop kept requests.
+    /// Leave the current wait: orphan pending ticks.
     fn cancel_retry(&mut self) {
         self.retry_epoch += 1;
         self.retry_attempt = 0;
         self.retry_backoff_ns = 0;
-        self.outstanding.clear();
-        self.ctl_outstanding.clear();
-        self.ctl_msg = None;
     }
 
     fn on_retry_tick(&mut self, ctx: &mut Ctx<'_>, tick: &RetryTick) {
@@ -649,50 +623,15 @@ impl ComponentActor {
             ctx.metrics().inc("wf.retry_exhausted", 1);
             return;
         }
-        let mut resent = 0u64;
-        match self.phase {
-            Phase::IoWait => {
-                for (seq, (to, req)) in &self.outstanding {
-                    if let Some(&s) = self.rpc_spans.get(seq) {
-                        self.span_instant(
-                            ctx,
-                            s,
-                            "resend",
-                            vec![arg("attempt", self.retry_attempt)],
-                        );
-                    }
-                    match req {
-                        RetryReq::Put(r) => {
-                            let size = HEADER_BYTES + r.payload.accounted_len();
-                            self.net.send(ctx, self.ep, *to, size, r.clone());
-                        }
-                        RetryReq::Get(r) => {
-                            self.net.send(ctx, self.ep, *to, HEADER_BYTES, r.clone());
-                        }
-                    }
-                    resent += 1;
-                }
+        for f in self.inflight.iter().flatten() {
+            if !f.req.tctx().is_none() {
+                let args = vec![arg("attempt", self.retry_attempt)];
+                self.span_instant(ctx, f.req.tctx(), "resend", args);
             }
-            Phase::CtlWait(_) => {
-                if let Some(msg) = self.ctl_msg {
-                    if !self.ctl_outstanding.is_empty() && !self.ctl_span.is_none() {
-                        self.span_instant(
-                            ctx,
-                            self.ctl_span,
-                            "resend",
-                            vec![arg("attempt", self.retry_attempt)],
-                        );
-                    }
-                    for &to in &self.ctl_outstanding {
-                        self.net.send(ctx, self.ep, to, HEADER_BYTES, msg);
-                        resent += 1;
-                    }
-                }
-            }
-            _ => return,
+            self.net.send(ctx, self.ep, f.to, f.req.wire_bytes(), f.req.clone());
         }
-        if resent > 0 {
-            ctx.metrics().inc("wf.net_retries", resent);
+        if self.unanswered > 0 {
+            ctx.metrics().inc("wf.net_retries", self.unanswered as u64);
         }
         let delay = SimTime::from_nanos(p.backoff_ns(self.retry_attempt + 1));
         ctx.timer(delay, RetryTick { incarnation: self.incarnation, epoch: self.retry_epoch });
@@ -767,7 +706,6 @@ impl ComponentActor {
     }
 
     fn send_ctl_all(&mut self, ctx: &mut Ctx<'_>, req: CtlRequest, then: AfterCtl) {
-        self.pending = self.server_eps.len();
         self.phase = Phase::CtlWait(then);
         if self.tracer.enabled() {
             let (name, parent) = match &req {
@@ -775,25 +713,71 @@ impl ComponentActor {
                 CtlRequest::Recovery { .. } => ("restart_ctl", self.recovery_span),
                 _ => ("ctl", TraceCtx::NONE),
             };
-            self.ctl_span = self.span_begin(ctx, parent, name, vec![arg("servers", self.pending)]);
+            let args = vec![arg("servers", self.server_eps.len())];
+            self.ctl_span = self.span_begin(ctx, parent, name, args);
         }
-        if self.retry.is_some() {
-            // Control is not idempotent; under possible redelivery it rides
-            // the sequenced envelope the servers dedup on (app, seq). The
-            // trace context rides the envelope too — the bare CtlRequest is
-            // journaled verbatim and must stay identifier-free.
+        // Control is not idempotent, so it always rides the sequenced
+        // envelope the servers dedup on (app, seq) — one envelope per server,
+        // each with its own seq so every ack names the request it answers.
+        // The trace context rides the envelope too — the bare CtlRequest is
+        // journaled verbatim and must stay identifier-free.
+        for server in 0..self.server_eps.len() {
             let msg = CtlMsg { app: self.cfg.app, seq: self.seq, req, tctx: self.ctl_span };
             self.seq += 1;
-            self.ctl_msg = Some(msg);
-            self.ctl_outstanding = self.server_eps.iter().copied().collect();
-            for &to in &self.server_eps {
-                self.net.send(ctx, self.ep, to, HEADER_BYTES, msg);
+            self.send_tracked(ctx, server, Request::Ctl(msg));
+        }
+        self.arm_retry(ctx);
+    }
+
+    /// A staging server answered: retire the request it answers (a reply to
+    /// nothing in flight is a transport duplicate or predates a rollback),
+    /// and leave the wait once nothing is in flight.
+    fn on_reply(&mut self, ctx: &mut Ctx<'_>, reply: Reply) {
+        let first_seq = self.seq - self.inflight.len() as u64;
+        let slot =
+            reply.seq().checked_sub(first_seq).and_then(|i| self.inflight.get_mut(i as usize));
+        let Some(sent) = slot.and_then(Option::take) else { return };
+        self.unanswered -= 1;
+        let rt = ctx.now().saturating_sub(sent.issued).as_secs_f64();
+        match reply {
+            Reply::Put(r) => {
+                ctx.metrics().observe_tail("wf.put_response_s", rt);
+                ctx.metrics().inc("wf.puts", 1);
+                let absorbed = r.status == PutStatus::Absorbed;
+                if absorbed {
+                    self.absorbed_acks += 1;
+                    ctx.metrics().inc("wf.puts_absorbed", 1);
+                }
+                if self.tracer.enabled() {
+                    let status = if absorbed { "absorbed" } else { "stored" };
+                    self.span_end(ctx, sent.req.tctx(), vec![arg("status", status)]);
+                }
             }
-            self.arm_retry(ctx);
-        } else {
-            for &to in &self.server_eps {
-                self.net.send(ctx, self.ep, to, HEADER_BYTES, req);
+            Reply::Get(r) => {
+                ctx.metrics().observe_tail("wf.get_response_s", rt);
+                ctx.metrics().inc("wf.gets", 1);
+                if self.tracer.enabled() {
+                    self.span_end(ctx, sent.req.tctx(), vec![arg("pieces", r.pieces.len())]);
+                }
             }
+            Reply::Ctl(_) => {}
+        }
+        if self.unanswered > 0 {
+            return;
+        }
+        self.inflight.clear();
+        match self.phase {
+            Phase::IoWait => self.step_io_done(ctx),
+            Phase::CtlWait(then) => {
+                self.cancel_retry();
+                let s = std::mem::take(&mut self.ctl_span);
+                self.span_end(ctx, s, Vec::new());
+                match then {
+                    AfterCtl::AdvanceStep => self.advance_step(ctx),
+                    AfterCtl::ResumeCompute => self.begin_step(ctx),
+                }
+            }
+            _ => {}
         }
     }
 
@@ -825,7 +809,7 @@ impl ComponentActor {
         if self.phase == Phase::Done {
             return;
         }
-        self.abort_work_spans(ctx);
+        self.abort_work(ctx);
         for s in [
             std::mem::take(&mut self.rec_phase_span),
             std::mem::take(&mut self.replay_span),
@@ -901,23 +885,18 @@ impl ComponentActor {
         if self.protocol.coordinated_checkpoints() {
             // Co: the director orchestrates the global rollback.
             self.incarnation += 1;
-            self.issue.clear();
-            self.cancel_retry();
-            self.pending = 0;
+            self.abort_work(ctx);
             self.phase = Phase::Idle;
-            if self.tracer.enabled() {
-                self.abort_work_spans(ctx);
-                if self.recovery_span.is_none() {
-                    self.replay_until = self.step;
-                    self.recovery_span = self.span_begin(
-                        ctx,
-                        TraceCtx::NONE,
-                        "recovery",
-                        vec![arg("kind", "coordinated"), arg("failed_step", self.step)],
-                    );
-                    self.rec_phase_span =
-                        self.span_begin(ctx, self.recovery_span, "co_rollback", Vec::new());
-                }
+            if self.tracer.enabled() && self.recovery_span.is_none() {
+                self.replay_until = self.step;
+                self.recovery_span = self.span_begin(
+                    ctx,
+                    TraceCtx::NONE,
+                    "recovery",
+                    vec![arg("kind", "coordinated"), arg("failed_step", self.step)],
+                );
+                self.rec_phase_span =
+                    self.span_begin(ctx, self.recovery_span, "co_rollback", Vec::new());
             }
             let msg = crate::director::CoFailure { app: self.cfg.app };
             ctx.send_now(self.director, msg);
@@ -948,13 +927,10 @@ impl ComponentActor {
             vec![arg("step", self.step), arg("cause", cause.label())],
         );
         self.incarnation += 1;
-        self.issue.clear();
-        self.cancel_retry();
-        self.pending = 0;
+        self.abort_work(ctx);
         self.restore_skips_ckpt = false;
         self.restart_in_place = false;
         if self.tracer.enabled() {
-            self.abort_work_spans(ctx);
             // A death during recovery aborts the open recovery phase.
             let p = std::mem::take(&mut self.rec_phase_span);
             if !p.is_none() {
@@ -1038,15 +1014,12 @@ impl ComponentActor {
 
     fn begin_rollback(&mut self, ctx: &mut Ctx<'_>) {
         self.incarnation += 1;
-        self.issue.clear();
-        self.cancel_retry();
-        self.pending = 0;
+        self.abort_work(ctx);
         self.recoveries += 1;
         ctx.metrics().inc("wf.recoveries", 1);
         ctx.metrics()
             .inc("wf.rollback_steps", u64::from(self.step.saturating_sub(self.last_ckpt_step + 1)));
         if self.tracer.enabled() {
-            self.abort_work_spans(ctx);
             if self.recovery_span.is_none() {
                 self.replay_until = self.step;
                 self.recovery_span = self.span_begin(
@@ -1131,76 +1104,9 @@ impl Actor for ComponentActor {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
         let ev = match ev.downcast::<Delivered>() {
             Ok((_, d)) => {
-                let from = d.from;
-                let p = d.payload;
-                if p.is::<PutResponse>() {
-                    let r = p.downcast::<PutResponse>().unwrap();
-                    self.outstanding.remove(&r.seq);
-                    if let Some(t0) = self.issue.remove(&r.seq) {
-                        let rt = ctx.now().saturating_sub(t0);
-                        ctx.metrics().observe_tail("wf.put_response_s", rt.as_secs_f64());
-                        ctx.metrics().inc("wf.puts", 1);
-                        if r.status == PutStatus::Absorbed {
-                            self.absorbed_acks += 1;
-                            ctx.metrics().inc("wf.puts_absorbed", 1);
-                        }
-                        if let Some(s) = self.rpc_spans.remove(&r.seq) {
-                            let status =
-                                if r.status == PutStatus::Absorbed { "absorbed" } else { "stored" };
-                            self.span_end(ctx, s, vec![arg("status", status)]);
-                        }
-                        self.pending = self.pending.saturating_sub(1);
-                        if self.pending == 0 && self.phase == Phase::IoWait {
-                            self.step_io_done(ctx);
-                        }
-                    }
-                } else if p.is::<GetResponse>() {
-                    let r = p.downcast::<GetResponse>().unwrap();
-                    self.outstanding.remove(&r.seq);
-                    if let Some(t0) = self.issue.remove(&r.seq) {
-                        let rt = ctx.now().saturating_sub(t0);
-                        ctx.metrics().observe_tail("wf.get_response_s", rt.as_secs_f64());
-                        ctx.metrics().inc("wf.gets", 1);
-                        if let Some(s) = self.rpc_spans.remove(&r.seq) {
-                            self.span_end(ctx, s, vec![arg("pieces", r.pieces.len())]);
-                        }
-                        self.pending = self.pending.saturating_sub(1);
-                        if self.pending == 0 && self.phase == Phase::IoWait {
-                            self.step_io_done(ctx);
-                        }
-                    }
-                } else if p.is::<CtlResponse>() {
-                    if let Phase::CtlWait(then) = self.phase {
-                        self.pending = self.pending.saturating_sub(1);
-                        if self.pending == 0 {
-                            let s = std::mem::take(&mut self.ctl_span);
-                            self.span_end(ctx, s, Vec::new());
-                            match then {
-                                AfterCtl::AdvanceStep => self.advance_step(ctx),
-                                AfterCtl::ResumeCompute => self.begin_step(ctx),
-                            }
-                        }
-                    }
-                } else if p.is::<CtlAck>() {
-                    let ack = p.downcast::<CtlAck>().unwrap();
-                    if let Phase::CtlWait(then) = self.phase {
-                        // Per-server dedup: a transport-duplicated or
-                        // retried ack counts once.
-                        if self.ctl_msg.map(|m| m.seq) == Some(ack.seq)
-                            && self.ctl_outstanding.remove(&from)
-                        {
-                            self.pending = self.pending.saturating_sub(1);
-                            if self.pending == 0 {
-                                self.cancel_retry();
-                                let s = std::mem::take(&mut self.ctl_span);
-                                self.span_end(ctx, s, Vec::new());
-                                match then {
-                                    AfterCtl::AdvanceStep => self.advance_step(ctx),
-                                    AfterCtl::ResumeCompute => self.begin_step(ctx),
-                                }
-                            }
-                        }
-                    }
+                // The one wire type a client accepts; anything else is dropped.
+                if let Ok(reply) = d.payload.downcast::<Reply>() {
+                    self.on_reply(ctx, *reply);
                 }
                 return;
             }
@@ -1269,15 +1175,12 @@ impl Actor for ComponentActor {
                 // Global coordinated rollback (Co): everyone resumes.
                 if self.phase != Phase::Done {
                     self.incarnation += 1;
-                    self.issue.clear();
-                    self.cancel_retry();
-                    self.pending = 0;
+                    // Bystanders roll back mid-step: abandon their open
+                    // work; the failed component closes its `co_rollback`
+                    // phase and enters the replay window.
+                    self.abort_work(ctx);
                     self.recoveries += 1;
                     ctx.metrics().inc("wf.recoveries", 1);
-                    // Bystanders roll back mid-step: abandon their open
-                    // work spans; the failed component closes its
-                    // `co_rollback` phase and enters the replay window.
-                    self.abort_work_spans(ctx);
                     let p = std::mem::take(&mut self.rec_phase_span);
                     self.span_end(ctx, p, Vec::new());
                     self.last_ckpt_step = r.resume_step.saturating_sub(1);

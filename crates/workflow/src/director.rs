@@ -29,8 +29,7 @@ use net::des::{EndpointId, NetworkHandle};
 use obs::{arg, TraceCtx};
 use sim_core::engine::{Actor, ActorId, Ctx, Event};
 use sim_core::time::SimTime;
-use staging::proto::CtlRequest;
-use staging::server::HEADER_BYTES;
+use staging::proto::{CtlMsg, CtlRequest, Request, DIRECTOR_APP};
 use std::collections::{HashMap, HashSet};
 
 /// Component → director: ready at coordinated checkpoint boundary `step`.
@@ -104,6 +103,9 @@ pub struct Director {
     co_ckpts: u32,
     /// Global rollbacks performed.
     co_rollbacks: u32,
+    /// Control rounds sent to staging: the sequence number of the
+    /// director's envelopes in its [`DIRECTOR_APP`] dedup namespace.
+    ctl_rounds: u64,
 
     /// Observability (inert when the tracer is off).
     tracer: obs::Tracer,
@@ -146,6 +148,7 @@ impl Director {
             finish_times: HashMap::new(),
             co_ckpts: 0,
             co_rollbacks: 0,
+            ctl_rounds: 0,
             tracer: obs::Tracer::off(),
             track: obs::TrackId(0),
             ckpt_span: TraceCtx::NONE,
@@ -272,10 +275,17 @@ impl Director {
         }
 
         // Reset staging to the coordinated cut so re-execution repopulates
-        // it exactly as the first execution did.
-        let reset = CtlRequest::GlobalReset { to_version: self.last_co_ckpt };
+        // it exactly as the first execution did. The servers' replies are
+        // not awaited; this actor drops them.
+        self.ctl_rounds += 1;
+        let reset = Request::Ctl(CtlMsg {
+            app: DIRECTOR_APP,
+            seq: self.ctl_rounds,
+            req: CtlRequest::GlobalReset { to_version: self.last_co_ckpt },
+            tctx: TraceCtx::NONE,
+        });
         for &to in &self.server_eps {
-            self.net.send(ctx, self.ep, to, HEADER_BYTES, reset);
+            self.net.send(ctx, self.ep, to, reset.wire_bytes(), reset.clone());
         }
 
         // Timing: detection, then ULFM repair of the failed component, then

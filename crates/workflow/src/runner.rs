@@ -539,7 +539,7 @@ pub fn harvest(built: &mut BuiltWorkflow) -> RunReport {
         server_stalls += u64::from(s.stalls());
         stale_gets += s.logic().backend().stale_gets();
         if sharded {
-            shard_puts.push(s.puts_served());
+            shard_puts.push(s.logic().puts_served());
         }
         if let Some(lb) = s.logic().backend().as_logging() {
             absorbed += lb.absorbed_puts();

@@ -21,10 +21,9 @@ use shardmap::{MapHistory, ShardMap};
 use staging::dist::Distribution;
 use staging::geometry::BBox;
 use staging::payload::Payload;
-use staging::proto::{AppId, CtlAck, CtlMsg, CtlRequest};
-use staging::server::HEADER_BYTES;
+use staging::proto::{AppId, CtlMsg, CtlRequest, Reply, Request};
 use staging::service::{ServerCosts, ServerLogic};
-use staging::threaded::{spawn_server, SyncClient};
+use staging::threaded::{spawn_server, Frame, SyncClient};
 use staging::Router;
 use std::sync::Arc;
 use std::time::Duration;
@@ -290,18 +289,18 @@ fn redelivered_reset_scenario(dedup: bool) -> bool {
         producer.put(0, v, &domain, field(v)).expect("re-put");
     }
     // The network now redelivers the old reset, after re-execution.
-    let stale = CtlMsg {
+    let stale = Request::Ctl(CtlMsg {
         app: SIM,
         seq: 4,
         req: CtlRequest::GlobalReset { to_version: 2 },
         tctx: obs::TraceCtx::NONE,
-    };
-    assert!(net_ep.send(0, HEADER_BYTES, stale));
+    });
+    assert!(net_ep.send(0, stale.wire_bytes(), Frame(vec![stale])));
     // Every envelope is acked, duplicate or not: once the ack arrives the
     // redelivery has been fully processed.
     loop {
         let m = net_ep.recv_timeout(Duration::from_secs(10)).expect("redelivery ack");
-        if m.payload.is::<CtlAck>() {
+        if m.payload.is::<Frame<Reply>>() {
             break;
         }
     }

@@ -103,6 +103,30 @@ fn single_shard_crash_recovers_locally() {
     assert_eq!(r.to_json_line(), again.to_json_line(), "same seed, same sharded report");
 }
 
+/// Under a transport that duplicates messages a shard answers some puts
+/// twice (the second time from its dedup cache), but it *served* each once:
+/// the per-shard balance numbers count requests, not acknowledgements sent.
+#[test]
+fn shard_puts_count_each_put_once_under_duplication() {
+    let _wd = common::watchdog(
+        "shard_puts_count_each_put_once_under_duplication",
+        Duration::from_secs(120),
+    );
+    // Three in ten of some four hundred messages arrive twice.
+    let dup_only = faultplane::FaultPlan {
+        seed: 5,
+        rates: faultplane::FaultRates {
+            duplicate: 0.3,
+            max_extra_delay_ns: 500_000,
+            ..Default::default()
+        },
+        windows: Vec::new(),
+    };
+    let r = run(&sharded(ShardAssign::Range).with_net_faults(dup_only));
+    assert_eq!(r.shard_puts.len(), 4);
+    assert_eq!(r.shard_puts.iter().sum::<u64>(), r.puts);
+}
+
 /// A scripted live rebalance: at `at_version` the partition map bumps and a
 /// block range migrates to a new owner while the producer keeps putting.
 /// The cutover must be clean (no digest mismatches, no stale reads), land

@@ -326,7 +326,7 @@ fn identical_runs_leave_identical_journals_and_event_queues() {
 /// answers first.
 #[test]
 fn put_returns_statuses_in_planned_order() {
-    use staging::server::plan_put_with;
+    use staging::server::plan_put_with_routed;
     let _wd = common::watchdog(
         "put_returns_statuses_in_planned_order",
         std::time::Duration::from_secs(120),
@@ -339,8 +339,8 @@ fn put_returns_statuses_in_planned_order() {
     c.producer.put_with_log(0, 2, &left, field(2)).expect("half of put 2");
     c.producer.workflow_restart().expect("restart");
     let statuses = c.producer.put_with_log(0, 2, &domain, field(2)).expect("re-put 2");
-    let dist = Distribution::new(domain, [8, 8, 8], 2);
-    let expected: Vec<PutStatus> = plan_put_with(&dist, SIM, 0, 2, &domain, 0, field(2))
+    let router = staging::Router::unsharded(Distribution::new(domain, [8, 8, 8], 2));
+    let expected: Vec<PutStatus> = plan_put_with_routed(&router, SIM, 0, 2, &domain, 0, field(2))
         .iter()
         .map(|(_, req)| match left.contains(&req.desc.bbox) {
             true => PutStatus::Absorbed,
