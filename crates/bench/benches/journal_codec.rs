@@ -6,7 +6,6 @@
 //! column there is the historical PR 6 measurement of a codec that has since
 //! been deleted.
 
-use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use staging::geometry::BBox;
 use staging::journal::WireEntry;
@@ -20,16 +19,17 @@ use wfcr::journal::JournalEntry;
 fn store_put(payload_len: usize) -> StoreJournalEntry {
     StoreJournalEntry::Put {
         desc: ObjDesc { var: 3, version: 41, bbox: BBox::d1(0, 1023) },
-        payload: Payload::Inline(Bytes::from(vec![0xA5u8; payload_len])),
+        payload: Payload::inline(vec![0xA5u8; payload_len]),
     }
 }
 
 fn wfcr_put(payload_len: usize) -> JournalEntry {
+    let payload = Payload::inline(vec![0xA5u8; payload_len]);
     JournalEntry::Put {
         app: 0,
         desc: ObjDesc { var: 3, version: 41, bbox: BBox::d1(0, 1023) },
-        payload: Payload::Inline(Bytes::from(vec![0xA5u8; payload_len])),
-        digest: 0xDEAD_BEEF_F00D_CAFE,
+        digest: payload.digest(),
+        payload,
     }
 }
 

@@ -12,6 +12,19 @@
 //! Both forms carry a 64-bit FNV-1a digest so the crash-consistency layer can
 //! assert replay equivalence ("the recovering consumer observed exactly the
 //! bytes the original execution observed") uniformly.
+//!
+//! **Invariant:** an inline payload's digest is `fnv1a` of its bytes. It is
+//! computed once, by [`Payload::inline`] — in a workflow that is the producer
+//! — and travels with the bytes through `clone()`, the transports, the store
+//! and the journal; every later [`Payload::digest`] is a field read. `Bytes`
+//! is immutable and [`Inline`]'s fields are private, so the carried value
+//! cannot go stale, and nothing outside this crate can pair bytes with a
+//! digest of its own choosing:
+//!
+//! ```compile_fail,E0451
+//! use staging::payload::{Inline, Payload};
+//! let _ = Payload::Inline(Inline { data: bytes::Bytes::new(), digest: 7 });
+//! ```
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
@@ -39,11 +52,19 @@ pub fn fnv1a_words(seed: u64, words: &[u64]) -> u64 {
     h
 }
 
+/// Actual bytes together with their [`fnv1a`] digest (the module's invariant);
+/// built only through [`Payload::inline`] and the crate's journal decoder.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Inline {
+    digest: u64,
+    data: Bytes,
+}
+
 /// A staged data payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Payload {
-    /// Actual bytes.
-    Inline(Bytes),
+    /// Actual bytes and their digest.
+    Inline(Inline),
     /// Size and digest only; content is not materialized.
     Virtual {
         /// Logical size in bytes.
@@ -54,9 +75,19 @@ pub enum Payload {
 }
 
 impl Payload {
-    /// Build an inline payload from bytes.
+    /// Build an inline payload from bytes, digesting them — the one pass
+    /// over the content; every later [`Payload::digest`] reads the result.
     pub fn inline(data: impl Into<Bytes>) -> Self {
-        Payload::Inline(data.into())
+        let data = data.into();
+        Payload::Inline(Inline { digest: fnv1a(&data), data })
+    }
+
+    /// Build an inline payload from bytes and the digest recorded beside them
+    /// without re-hashing. For [`crate::wire::Reader::payload`] only: there
+    /// both sit in one CRC-checked `logstore` frame, written from a payload
+    /// that upheld the invariant.
+    pub(crate) fn inline_with_recorded_digest(data: Bytes, digest: u64) -> Self {
+        Payload::Inline(Inline { digest, data })
     }
 
     /// Build a virtual payload of `len` bytes whose digest is derived from
@@ -68,7 +99,7 @@ impl Payload {
     /// Logical size in bytes.
     pub fn len(&self) -> u64 {
         match self {
-            Payload::Inline(b) => b.len() as u64,
+            Payload::Inline(i) => i.data.len() as u64,
             Payload::Virtual { len, .. } => *len,
         }
     }
@@ -78,18 +109,17 @@ impl Payload {
         self.len() == 0
     }
 
-    /// Content digest (computed for inline, stored for virtual).
+    /// Content digest: a field read for both forms.
     pub fn digest(&self) -> u64 {
         match self {
-            Payload::Inline(b) => fnv1a(b),
-            Payload::Virtual { digest, .. } => *digest,
+            Payload::Inline(Inline { digest, .. }) | Payload::Virtual { digest, .. } => *digest,
         }
     }
 
     /// The bytes, if inline.
     pub fn bytes(&self) -> Option<&Bytes> {
         match self {
-            Payload::Inline(b) => Some(b),
+            Payload::Inline(i) => Some(&i.data),
             Payload::Virtual { .. } => None,
         }
     }
@@ -108,11 +138,11 @@ impl Serialize for Payload {
         use serde::ser::SerializeTuple;
         let mut t = s.serialize_tuple(4)?;
         match self {
-            Payload::Inline(b) => {
+            Payload::Inline(Inline { digest, data }) => {
                 t.serialize_element(&true)?;
-                t.serialize_element(&(b.len() as u64))?;
-                t.serialize_element(&fnv1a(b))?;
-                t.serialize_element(&b.as_ref())?;
+                t.serialize_element(&(data.len() as u64))?;
+                t.serialize_element(digest)?;
+                t.serialize_element(&data.as_ref())?;
             }
             Payload::Virtual { len, digest } => {
                 t.serialize_element(&false)?;
@@ -128,11 +158,18 @@ impl Serialize for Payload {
 impl<'de> Deserialize<'de> for Payload {
     fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
         let (inline, len, digest, data): (bool, u64, u64, Vec<u8>) = Deserialize::deserialize(d)?;
-        Ok(if inline {
-            Payload::Inline(Bytes::from(data))
-        } else {
-            Payload::Virtual { len, digest }
-        })
+        if !inline {
+            return Ok(Payload::Virtual { len, digest });
+        }
+        // No frame CRC guards this form, so the digest is verified, not adopted.
+        let p = Payload::inline(data);
+        if p.digest() != digest {
+            return Err(serde::de::Error::custom(format_args!(
+                "inline payload digest {digest:#018x} is not the fnv1a of its {} bytes",
+                p.len()
+            )));
+        }
+        Ok(p)
     }
 }
 
@@ -155,6 +192,11 @@ mod tests {
         assert!(!p.is_empty());
         assert_eq!(p.digest(), fnv1a(&[1, 2, 3]));
         assert_eq!(p.bytes().unwrap().as_ref(), &[1, 2, 3]);
+    }
+
+    #[test]
+    fn carried_digest_costs_one_word() {
+        assert_eq!(std::mem::size_of::<Payload>(), std::mem::size_of::<Bytes>() + 8);
     }
 
     #[test]

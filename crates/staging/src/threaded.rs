@@ -470,6 +470,15 @@ mod tests {
         assert!(covers_exactly(&bbox, &pieces));
         let total: u64 = pieces.iter().map(|p| p.payload.len()).sum();
         assert_eq!(total, bbox.volume());
+        // The digest the producer computed rode with the bytes through the
+        // transport and the store: each piece equals the producer's payload,
+        // bytes and digest both.
+        let mut produced = block_fill(0, 1);
+        for p in &pieces {
+            let want = produced(&p.bbox);
+            assert_eq!(p.payload.digest(), want.digest());
+            assert_eq!(p.payload, want);
+        }
 
         consumer.shutdown_servers();
         for h in handles {

@@ -104,25 +104,16 @@ pub fn put_bbox(out: &mut Vec<u8>, b: &BBox) {
 /// log as a separate vectored part; they must land immediately after this
 /// prefix (i.e. at the end of the entry) for [`Reader::payload`] to find them.
 pub fn put_payload_meta(out: &mut Vec<u8>, p: &Payload) {
-    match p {
-        Payload::Inline(b) => {
-            out.push(1);
-            put_u64(out, b.len() as u64);
-            put_u64(out, crate::payload::fnv1a(b));
-        }
-        Payload::Virtual { len, digest } => {
-            out.push(0);
-            put_u64(out, *len);
-            put_u64(out, *digest);
-        }
-    }
+    out.push(matches!(p, Payload::Inline(_)) as u8);
+    put_u64(out, p.len());
+    put_u64(out, p.digest());
 }
 
 /// Write a payload in full: metadata prefix plus inline bytes (the
 /// contiguous, non-vectored encode path).
 pub fn put_payload(out: &mut Vec<u8>, p: &Payload) {
     put_payload_meta(out, p);
-    if let Payload::Inline(b) = p {
+    if let Some(b) = p.bytes() {
         out.extend_from_slice(b);
     }
 }
@@ -198,12 +189,16 @@ impl<'a> Reader<'a> {
 
     /// Read a payload: metadata prefix, then — for inline payloads — the
     /// declared number of trailing bytes (copied out of the record body).
+    /// The recorded digest is adopted, not recomputed: digest and bytes were
+    /// written from one [`Payload`] and share the record's `logstore` frame
+    /// CRC, and a re-hash would add a pass over every byte to a journal scan.
     pub fn payload(&mut self) -> Result<Payload, WireError> {
         let inline = self.u8()? != 0;
         let len = self.u64()?;
         let digest = self.u64()?;
         Ok(if inline {
-            Payload::Inline(Bytes::copy_from_slice(self.take(len as usize)?))
+            let data = Bytes::copy_from_slice(self.take(len as usize)?);
+            Payload::inline_with_recorded_digest(data, digest)
         } else {
             Payload::Virtual { len, digest }
         })

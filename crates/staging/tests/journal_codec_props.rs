@@ -3,11 +3,10 @@
 //! start with the wire magic — a serde_json rendering of the entry included —
 //! is rejected without disturbing the records around it.
 
-use bytes::Bytes;
 use proptest::prelude::*;
 use staging::geometry::BBox;
 use staging::journal::{decode_records, WireEntry};
-use staging::payload::Payload;
+use staging::payload::{fnv1a, Payload};
 use staging::proto::{CtlRequest, ObjDesc};
 use staging::store_journal::StoreJournalEntry;
 use staging::wire;
@@ -18,7 +17,7 @@ fn arb_bbox() -> impl Strategy<Value = BBox> {
 
 fn arb_payload() -> impl Strategy<Value = Payload> {
     prop_oneof![
-        prop::collection::vec(any::<u8>(), 0..64).prop_map(|b| Payload::Inline(Bytes::from(b))),
+        prop::collection::vec(any::<u8>(), 0..64).prop_map(Payload::inline),
         (any::<u64>(), any::<u64>()).prop_map(|(len, digest)| Payload::Virtual { len, digest }),
     ]
 }
@@ -60,6 +59,13 @@ proptest! {
         let encoded = entry.encode();
         prop_assert_eq!(encoded[0], wire::WIRE_MAGIC);
         let back = StoreJournalEntry::decode(&encoded).expect("binary decode");
+        // The decoder adopts the recorded digest instead of re-hashing; what
+        // it adopted must still be the digest of the bytes it decoded.
+        if let StoreJournalEntry::Put { payload, .. } = &back {
+            if let Some(bytes) = payload.bytes() {
+                prop_assert_eq!(payload.digest(), fnv1a(bytes));
+            }
+        }
         prop_assert_eq!(back, entry);
     }
 

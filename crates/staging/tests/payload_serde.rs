@@ -36,6 +36,24 @@ proptest! {
     }
 }
 
+/// The serde form has no frame CRC around it, so deserializing verifies the
+/// digest instead of adopting it: a tuple whose digest is not the FNV-1a of
+/// its bytes is refused.
+#[test]
+fn inline_payload_with_a_foreign_digest_is_refused() {
+    let p = Payload::inline(vec![1, 2, 3]);
+    let good = serde_json::to_string(&p).unwrap();
+    let forged = good.replace(&p.digest().to_string(), &(p.digest() ^ 1).to_string());
+    assert_ne!(forged, good);
+    assert_eq!(serde_json::from_str::<Payload>(&good).unwrap(), p);
+    let err = serde_json::from_str::<Payload>(&forged).unwrap_err();
+    assert!(err.to_string().contains("digest"), "{err}");
+
+    let tampered = good.replace("[1,2,3]", "[1,2,4]");
+    assert_ne!(tampered, good);
+    assert!(serde_json::from_str::<Payload>(&tampered).is_err());
+}
+
 #[test]
 fn inline_and_virtual_serialize_distinctly() {
     let i = Payload::inline(vec![1, 2, 3]);

@@ -376,12 +376,9 @@ impl StoreBackend for LoggingBackend {
     fn put(&mut self, req: &PutRequest) -> (PutStatus, OpStats) {
         let digest = req.payload.digest();
         match self.replay.on_put(req.app, &req.desc, digest) {
-            PutDecision::Absorb { digest_ok } => {
-                if !digest_ok {
-                    // Mismatch already counted by the replay manager; the
-                    // write is still absorbed (the logged original is the
-                    // authoritative copy).
-                }
+            // A digest mismatch is already counted by the replay manager; the
+            // write is absorbed either way (the logged original is authoritative).
+            PutDecision::Absorb { .. } => {
                 self.absorbed_puts += 1;
                 (
                     PutStatus::Absorbed,
@@ -691,6 +688,60 @@ mod tests {
         let (status, _) = b.put(&bad);
         assert_eq!(status, PutStatus::Absorbed, "log stays authoritative");
         assert_eq!(b.digest_mismatches(), 1);
+    }
+
+    /// `put_req` carrying 100 real bytes of `fill`.
+    fn inline_put_req(app: AppId, version: Version, fill: u8) -> PutRequest {
+        PutRequest { payload: Payload::inline(vec![fill; 100]), ..put_req(app, version) }
+    }
+
+    #[test]
+    fn reput_of_different_bytes_is_absorbed_and_counted_once() {
+        let mut b = LoggingBackend::new();
+        b.put(&inline_put_req(SIM, 1, 0x11));
+        b.put(&inline_put_req(SIM, 2, 0x22));
+        b.control(CtlRequest::Recovery { app: SIM, resume_version: 0 });
+        // Step 1 comes back with other bytes, step 2 with the same bytes in a
+        // payload built (and digested) afresh.
+        let (s1, _) = b.put(&inline_put_req(SIM, 1, 0xEE));
+        let (s2, _) = b.put(&inline_put_req(SIM, 2, 0x22));
+        assert_eq!((s1, s2), (PutStatus::Absorbed, PutStatus::Absorbed));
+        assert_eq!(b.absorbed_puts(), 2);
+        assert_eq!(b.digest_mismatches(), 1);
+        let (pieces, _) = b.get(&get_req(ANA, 1));
+        assert_eq!(pieces[0].payload, Payload::inline(vec![0x11; 100]), "log stays authoritative");
+    }
+
+    /// A store rebuilt from the journal holds payloads whose digests were
+    /// adopted from the records, not recomputed; serving the wrong version to
+    /// a replayed get must still be caught.
+    #[test]
+    fn replayed_get_after_journal_rebuild_still_detects_a_skewed_version() {
+        use logstore::{LogConfig, LogStore, MemMedia};
+        let mem = MemMedia::new();
+        let mut b = LoggingBackend::new();
+        b.attach_journal(Box::new(
+            LogStore::open(Box::new(mem.clone()), LogConfig::default()).unwrap(),
+        ));
+        for v in 1..=3u32 {
+            b.put(&inline_put_req(SIM, v, v as u8));
+            b.get(&get_req(ANA, v));
+        }
+        b.flush_journal();
+        drop(b);
+
+        let log = LogStore::open(Box::new(mem), LogConfig::default()).unwrap();
+        let entries = crate::journal::decode_records(&log.read_all().unwrap());
+        assert_eq!(entries.len(), 6);
+        let mut rebuilt = LoggingBackend::from_journal(entries, &[SIM, ANA]);
+        rebuilt.control(CtlRequest::Recovery { app: ANA, resume_version: 0 });
+        let (pieces, _) = rebuilt.get(&get_req(ANA, 1));
+        assert_eq!(pieces[0].payload, Payload::inline(vec![1; 100]));
+        assert_eq!(rebuilt.digest_mismatches(), 0);
+        rebuilt.set_replay_version_skew(1);
+        let (pieces, _) = rebuilt.get(&get_req(ANA, 2));
+        assert_eq!(pieces[0].payload, Payload::inline(vec![3; 100]), "skewed to version 3");
+        assert_eq!(rebuilt.digest_mismatches(), 1);
     }
 
     #[test]

@@ -55,7 +55,9 @@ pub enum JournalEntry {
         desc: ObjDesc,
         /// The written data (inline bytes or virtual size+digest).
         payload: Payload,
-        /// Payload digest.
+        /// Payload digest, always `payload.digest()`: the layout records it
+        /// here and again in the payload meta, and [`WireEntry::decode`]
+        /// refuses a record whose two copies disagree.
         digest: u64,
     },
     /// A served get (replayed gets are never journaled).
@@ -183,6 +185,9 @@ impl WireEntry for JournalEntry {
                 let bbox = r.bbox().ok()?;
                 let digest = r.u64().ok()?;
                 let payload = r.payload().ok()?;
+                if payload.digest() != digest {
+                    return None;
+                }
                 JournalEntry::Put { app, desc: ObjDesc { var, version, bbox }, payload, digest }
             }
             TAG_GET => JournalEntry::Get {
@@ -245,6 +250,9 @@ pub fn decode_records(records: &[logstore::Record]) -> Vec<JournalEntry> {
 mod tests {
     use super::*;
 
+    /// The pinned first sample. Its `digest: 7` is not its payload's digest —
+    /// the pin predates `decode` comparing the two — so it encodes as always
+    /// and is the record `decode` must now refuse.
     fn put(app: AppId, version: Version) -> JournalEntry {
         JournalEntry::Put {
             app,
@@ -255,13 +263,12 @@ mod tests {
     }
 
     fn inline_put(app: AppId, version: Version) -> JournalEntry {
-        let data = vec![version as u8; 64];
-        let digest = staging::payload::fnv1a(&data);
+        let payload = Payload::inline(vec![version as u8; 64]);
         JournalEntry::Put {
             app,
             desc: ObjDesc { var: 1, version, bbox: BBox::d1(0, 63) },
-            payload: Payload::inline(data),
-            digest,
+            digest: payload.digest(),
+            payload,
         }
     }
 
@@ -287,7 +294,11 @@ mod tests {
 
     #[test]
     fn entries_round_trip_through_encoding() {
-        let entries = sample_entries();
+        let mut entries = sample_entries();
+        assert_eq!(JournalEntry::decode(&entries[0].encode()), None, "its two digests disagree");
+        if let JournalEntry::Put { payload, digest, .. } = &mut entries[0] {
+            *digest = payload.digest();
+        }
         for e in &entries {
             assert_eq!(JournalEntry::decode(&e.encode()).as_ref(), Some(e));
         }

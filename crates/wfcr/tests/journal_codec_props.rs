@@ -3,10 +3,9 @@
 //! the wire magic (a serde_json rendering of the entry included), and the
 //! zero-copy meta/payload split.
 
-use bytes::Bytes;
 use proptest::prelude::*;
 use staging::geometry::BBox;
-use staging::payload::Payload;
+use staging::payload::{fnv1a, Payload};
 use staging::proto::ObjDesc;
 use staging::wire;
 use wfcr::journal::{decode_records, JournalEntry};
@@ -17,7 +16,7 @@ fn arb_bbox() -> impl Strategy<Value = BBox> {
 
 fn arb_payload() -> impl Strategy<Value = Payload> {
     prop_oneof![
-        prop::collection::vec(any::<u8>(), 0..64).prop_map(|b| Payload::Inline(Bytes::from(b))),
+        prop::collection::vec(any::<u8>(), 0..64).prop_map(Payload::inline),
         (any::<u64>(), any::<u64>()).prop_map(|(len, digest)| Payload::Virtual { len, digest }),
     ]
 }
@@ -29,9 +28,12 @@ fn arb_entry() -> impl Strategy<Value = JournalEntry> {
         bbox,
     });
     prop_oneof![
-        (any::<u32>(), desc, arb_payload(), any::<u64>()).prop_map(
-            |(app, desc, payload, digest)| JournalEntry::Put { app, desc, payload, digest }
-        ),
+        (any::<u32>(), desc, arb_payload()).prop_map(|(app, desc, payload)| JournalEntry::Put {
+            app,
+            desc,
+            digest: payload.digest(),
+            payload,
+        }),
         (
             any::<u32>(),
             any::<u32>(),
@@ -69,7 +71,35 @@ proptest! {
         let encoded = entry.encode();
         prop_assert_eq!(encoded[0], wire::WIRE_MAGIC);
         let back = JournalEntry::decode(&encoded).expect("binary decode");
+        // The decoder adopts the recorded digest instead of re-hashing; what
+        // it adopted must still be the digest of the bytes it decoded.
+        if let JournalEntry::Put { payload, .. } = &back {
+            if let Some(bytes) = payload.bytes() {
+                prop_assert_eq!(payload.digest(), fnv1a(bytes));
+            }
+        }
         prop_assert_eq!(back, entry);
+    }
+
+    /// A put records its digest twice — the entry field and the payload meta.
+    /// A record whose two copies disagree is not an entry: it decodes to
+    /// `None` and `decode_records` drops it without disturbing its neighbours.
+    #[test]
+    fn put_with_disagreeing_digests_is_rejected(
+        entry in arb_entry(),
+        payload in arb_payload(),
+        flip in 1u64..=u64::MAX,
+    ) {
+        let torn = JournalEntry::Put {
+            app: 0,
+            desc: ObjDesc { var: 0, version: 1, bbox: BBox::d1(0, 7) },
+            digest: payload.digest() ^ flip,
+            payload,
+        };
+        prop_assert_eq!(JournalEntry::decode(&torn.encode()), None);
+        let stream =
+            [record(0, entry.encode()), record(1, torn.encode()), record(2, entry.encode())];
+        prop_assert_eq!(decode_records(&stream), vec![entry.clone(), entry]);
     }
 
     /// A body whose first byte is not the wire magic is not an entry: a
