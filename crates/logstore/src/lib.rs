@@ -28,7 +28,7 @@ pub mod media;
 pub mod store;
 
 pub use media::{FaultyMedia, FsMedia, Media, MemMedia};
-pub use store::{BatchRecord, FlushPolicy, LogConfig, LogStore, Record};
+pub use store::{BatchRecord, FlushPolicy, LogConfig, LogStore, Record, SharedSlice};
 
 use std::io;
 

@@ -41,7 +41,10 @@
 use crate::checksum::Crc32;
 use crate::media::Media;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::io;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 
 /// First 8 bytes of every segment file: `LSEG`, format version 1, padding.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"LSEG\x01\0\0\0";
@@ -99,6 +102,44 @@ impl Default for LogConfig {
     }
 }
 
+/// An immutable range of a shared buffer: a recovered record's body is a
+/// window onto the segment it was read in, not a copy of it. Holding one
+/// keeps the whole segment buffer alive, so long-lived consumers copy the
+/// bytes they keep (`staging::wire` does) and let the records go.
+#[derive(Clone)]
+pub struct SharedSlice {
+    buf: Arc<Vec<u8>>,
+    range: Range<usize>,
+}
+
+impl Deref for SharedSlice {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.range.clone()]
+    }
+}
+
+impl From<Vec<u8>> for SharedSlice {
+    fn from(bytes: Vec<u8>) -> Self {
+        SharedSlice { range: 0..bytes.len(), buf: Arc::new(bytes) }
+    }
+}
+
+impl PartialEq for SharedSlice {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for SharedSlice {}
+
+impl std::fmt::Debug for SharedSlice {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// One decoded log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
@@ -108,7 +149,7 @@ pub struct Record {
     /// record belongs to).
     pub watermark: u64,
     /// Record body.
-    pub payload: Vec<u8>,
+    pub payload: SharedSlice,
 }
 
 /// One record of an [`LogStore::append_batch`] group: a watermark plus a
@@ -167,14 +208,16 @@ fn encode_header_into(out: &mut Vec<u8>, seq: u64, watermark: u64, parts: &[&[u8
     out.extend_from_slice(&crc.finish().to_le_bytes());
 }
 
-/// Parse the frame at `data[offset..end]`. Returns the record and the next
-/// offset, or `None` if the frame is torn, corrupt, or out of sequence.
+/// Parse the frame at `data[offset..end]` without copying it. Returns its
+/// `seq`, `watermark` and payload range (the next frame starts where the
+/// payload ends), or `None` if the frame is torn, corrupt, or out of
+/// sequence.
 fn decode_frame(
     data: &[u8],
     offset: usize,
     end: usize,
     expected_seq: Option<u64>,
-) -> Option<(Record, usize)> {
+) -> Option<(u64, u64, Range<usize>)> {
     if end - offset < FRAME_HEADER {
         return None;
     }
@@ -185,18 +228,55 @@ fn decode_frame(
     let seq = u64::from_le_bytes(data[offset + 4..offset + 12].try_into().unwrap());
     let watermark = u64::from_le_bytes(data[offset + 12..offset + 20].try_into().unwrap());
     let stored_crc = u32::from_le_bytes(data[offset + 20..offset + 24].try_into().unwrap());
-    let payload = &data[offset + FRAME_HEADER..offset + FRAME_HEADER + len];
+    let payload = offset + FRAME_HEADER..offset + FRAME_HEADER + len;
     let mut crc = Crc32::new();
     crc.update(&seq.to_le_bytes());
     crc.update(&watermark.to_le_bytes());
-    crc.update(payload);
+    crc.update(&data[payload.clone()]);
     if crc.finish() != stored_crc {
         return None;
     }
     if expected_seq.is_some_and(|e| e != seq) {
         return None;
     }
-    Some((Record { seq, watermark, payload: payload.to_vec() }, offset + FRAME_HEADER + len))
+    Some((seq, watermark, payload))
+}
+
+/// Walk segment `index`'s frames in `data[..end]`, pushing each valid one
+/// onto `out` as a window onto `data`, until the first torn, corrupt or
+/// out-of-sequence frame. `expected_seq` carries contiguity from one
+/// segment to the next; `None` accepts any starting seq (compaction may have
+/// deleted the front of the log). The returned `disk_len` is where the clean
+/// prefix ends; `None` means the segment has no valid magic.
+///
+/// This is the one reader of the frame format: the recovery scan and
+/// [`LogStore::read_all`] both go through it.
+fn scan_segment(
+    index: u64,
+    data: &Arc<Vec<u8>>,
+    end: usize,
+    expected_seq: &mut Option<u64>,
+    out: &mut Vec<Record>,
+) -> Option<SegmentMeta> {
+    let end = end.min(data.len());
+    if end < SEGMENT_MAGIC.len() || data[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
+        return None;
+    }
+    let mut meta = SegmentMeta { index, disk_len: 0, max_watermark: None, records: 0 };
+    let mut offset = SEGMENT_MAGIC.len();
+    while let Some((seq, watermark, payload)) = decode_frame(data, offset, end, *expected_seq) {
+        offset = payload.end;
+        *expected_seq = Some(seq + 1);
+        meta.records += 1;
+        meta.max_watermark = Some(meta.max_watermark.map_or(watermark, |m| m.max(watermark)));
+        out.push(Record {
+            seq,
+            watermark,
+            payload: SharedSlice { buf: Arc::clone(data), range: payload },
+        });
+    }
+    meta.disk_len = offset as u64;
+    Some(meta)
 }
 
 /// How a run of batch records leaves [`LogStore::append_batch`].
@@ -231,6 +311,11 @@ pub struct LogStore {
     staged_records: usize,
     /// Reusable header scratch for vectored batch appends.
     scratch: Vec<u8>,
+    /// What the recovery scan validated, kept so the first
+    /// [`LogStore::read_all`] need not read the media again. Taken by that
+    /// call, dropped by the first append or compaction — whichever comes
+    /// first — so the segment buffers never outlive the restart.
+    scan: Cell<Option<Vec<Record>>>,
     bytes_flushed: u64,
     bytes_appended: u64,
     records_appended: u64,
@@ -274,6 +359,7 @@ impl LogStore {
             staged: 0,
             staged_records: 0,
             scratch: Vec::new(),
+            scan: Cell::new(None),
             bytes_flushed: 0,
             bytes_appended: 0,
             records_appended: 0,
@@ -300,6 +386,7 @@ impl LogStore {
         // (compaction may have deleted the front of the log).
         let mut expected_seq: Option<u64> = None;
         let mut first = true;
+        let mut scan = Vec::new();
         for index in indices {
             let name = seg_name(index);
             if !clean {
@@ -318,41 +405,26 @@ impl LogStore {
                 continue;
             }
             first = false;
-            let data = self.media.read(&name)?;
-            if data.len() < SEGMENT_MAGIC.len() || data[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
+            let data = Arc::new(self.media.read(&name)?);
+            let Some(meta) = scan_segment(index, &data, data.len(), &mut expected_seq, &mut scan)
+            else {
                 self.truncated_bytes += data.len() as u64;
                 self.media.remove(&name)?;
                 self.removed_segments += 1;
                 clean = false;
                 continue;
-            }
-            let mut meta = SegmentMeta {
-                index,
-                disk_len: SEGMENT_MAGIC.len() as u64,
-                max_watermark: None,
-                records: 0,
             };
-            let mut offset = SEGMENT_MAGIC.len();
-            while let Some((rec, next)) = decode_frame(&data, offset, data.len(), expected_seq) {
-                offset = next;
-                expected_seq = Some(rec.seq + 1);
-                meta.records += 1;
-                meta.max_watermark =
-                    Some(meta.max_watermark.map_or(rec.watermark, |m| m.max(rec.watermark)));
-                self.recovered_records += 1;
-            }
-            if offset < data.len() {
+            if meta.disk_len < data.len() as u64 {
                 // Torn tail (mid-frame crash), corruption, or a sequence gap
                 // — in all cases nothing at or past this offset is trusted.
                 clean = false;
+                self.truncated_bytes += data.len() as u64 - meta.disk_len;
+                self.media.truncate(&name, meta.disk_len)?;
             }
-            if !clean {
-                self.truncated_bytes += (data.len() - offset) as u64;
-                self.media.truncate(&name, offset as u64)?;
-            }
-            meta.disk_len = offset as u64;
             self.segments.push(meta);
         }
+        self.recovered_records = scan.len() as u64;
+        self.scan.set(Some(scan));
         self.next_seq = expected_seq.unwrap_or(0);
         Ok(())
     }
@@ -427,6 +499,7 @@ impl LogStore {
     /// encoded directly into the reusable write buffer — no intermediate
     /// allocation, CRC streamed over the parts.
     pub fn append_parts(&mut self, watermark: u64, parts: &[&[u8]]) -> io::Result<()> {
+        self.scan.set(None);
         let payload_len: usize = parts.iter().map(|p| p.len()).sum();
         let frame_len = (FRAME_HEADER + payload_len) as u64;
         self.rotate_if_needed(frame_len)?;
@@ -458,6 +531,7 @@ impl LogStore {
         if batch.is_empty() {
             return Ok(());
         }
+        self.scan.set(None);
         self.records_batched += batch.len() as u64;
         let mut i = 0;
         while i < batch.len() {
@@ -632,6 +706,7 @@ impl LogStore {
     /// and the active segment is never deleted. Returns the number of
     /// segments removed.
     pub fn compact_below(&mut self, floor: u64) -> io::Result<usize> {
+        self.scan.set(None);
         let mut removed = 0usize;
         let last = self.segments.len() - 1;
         while removed < last {
@@ -647,18 +722,39 @@ impl LogStore {
         Ok(removed)
     }
 
-    /// Decode every durable record, in append order. Buffered and staged
-    /// (unsynced) records are not included — this reads what a restart would
-    /// see.
+    /// Every durable record, in append order. Buffered and staged (unsynced)
+    /// records are not included — this reads what a restart would see.
+    ///
+    /// The first call on a log that has not been appended to or compacted
+    /// since [`LogStore::open`] returns what the recovery scan already
+    /// validated, without touching the media. Every other call re-reads each
+    /// segment and fails with [`io::ErrorKind::InvalidData`] if it no longer
+    /// holds the frames this handle made durable.
     pub fn read_all(&self) -> io::Result<Vec<Record>> {
+        if let Some(scan) = self.scan.take() {
+            return Ok(scan);
+        }
         let mut out = Vec::new();
+        let mut expected_seq = None;
         for seg in &self.segments {
-            let data = self.media.read(&seg_name(seg.index))?;
-            let end = (seg.disk_len as usize).min(data.len());
-            let mut offset = SEGMENT_MAGIC.len();
-            while let Some((rec, next)) = decode_frame(&data, offset, end, None) {
-                out.push(rec);
-                offset = next;
+            let name = seg_name(seg.index);
+            let data = Arc::new(self.media.read(&name)?);
+            let end = seg.disk_len as usize;
+            // Only the active segment counts records that are not durable yet.
+            let durable = if seg.index == self.active().index {
+                seg.records - (self.buf_records + self.staged_records) as u64
+            } else {
+                seg.records
+            };
+            let found = scan_segment(seg.index, &data, end, &mut expected_seq, &mut out);
+            if !found.is_some_and(|f| f.disk_len == seg.disk_len && f.records == durable) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "{name}: {durable} durable records in {} bytes no longer read back clean",
+                        seg.disk_len
+                    ),
+                ));
             }
         }
         Ok(out)
@@ -736,6 +832,7 @@ impl LogStore {
 mod tests {
     use super::*;
     use crate::media::MemMedia;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn payload(i: u64) -> Vec<u8> {
         format!("record-{i}-{}", "x".repeat((i % 7) as usize)).into_bytes()
@@ -758,7 +855,7 @@ mod tests {
         assert_eq!(records.len(), 20);
         for (i, r) in records.iter().enumerate() {
             assert_eq!(r.watermark, i as u64);
-            assert_eq!(r.payload, payload(i as u64));
+            assert_eq!(*r.payload, payload(i as u64));
         }
         assert_eq!(log.records_appended(), 20);
         assert!(log.bytes_flushed() >= log.bytes_appended());
@@ -887,8 +984,8 @@ mod tests {
         log.append(1, &big).unwrap();
         log.append(2, b"small").unwrap();
         let records = log.read_all().unwrap();
-        assert_eq!(records[0].payload, big);
-        assert_eq!(records[1].payload, b"small");
+        assert_eq!(*records[0].payload, big);
+        assert_eq!(*records[1].payload, *b"small");
     }
 
     #[test]
@@ -920,7 +1017,7 @@ mod tests {
         assert_eq!(records.len(), n as usize, "cfg {cfg:?}");
         for (i, r) in records.iter().enumerate() {
             assert_eq!(r.watermark, i as u64);
-            assert_eq!(r.payload, payload(i as u64), "cfg {cfg:?} record {i}");
+            assert_eq!(*r.payload, payload(i as u64), "cfg {cfg:?} record {i}");
         }
         assert_eq!(log.records_batched(), n);
         // Reopen: the batch-written log recovers like any other.
@@ -984,7 +1081,7 @@ mod tests {
         for (i, r) in records.iter().enumerate() {
             let mut expect = meta[i].clone();
             expect.extend_from_slice(&data[i]);
-            assert_eq!(r.payload, expect);
+            assert_eq!(*r.payload, expect);
         }
     }
 
@@ -1090,7 +1187,7 @@ mod tests {
         assert!(reopened.recovered_records() < 6);
         assert!(!reopened.was_clean());
         for (i, r) in reopened.read_all().unwrap().iter().enumerate() {
-            assert_eq!(r.payload, payload(i as u64), "surviving prefix must be clean");
+            assert_eq!(*r.payload, payload(i as u64), "surviving prefix must be clean");
         }
     }
 
@@ -1139,6 +1236,107 @@ mod tests {
         let second = LogStore::open(Box::new(mem.clone()), cfg).unwrap();
         assert!(second.was_clean());
         assert_eq!(second.read_all().unwrap(), records);
+    }
+
+    /// Counts `read` calls on the way to a shared [`MemMedia`].
+    struct CountingMedia {
+        inner: MemMedia,
+        reads: Arc<AtomicUsize>,
+    }
+
+    impl Media for CountingMedia {
+        fn append(&mut self, name: &str, data: &[u8]) -> io::Result<()> {
+            self.inner.append(name, data)
+        }
+        fn sync(&mut self, name: &str) -> io::Result<()> {
+            self.inner.sync(name)
+        }
+        fn read(&self, name: &str) -> io::Result<Vec<u8>> {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            self.inner.read(name)
+        }
+        fn truncate(&mut self, name: &str, len: u64) -> io::Result<()> {
+            self.inner.truncate(name, len)
+        }
+        fn remove(&mut self, name: &str) -> io::Result<()> {
+            self.inner.remove(name)
+        }
+        fn list(&self) -> io::Result<Vec<String>> {
+            self.inner.list()
+        }
+    }
+
+    #[test]
+    fn the_recovery_scan_is_the_first_read() {
+        let mem = MemMedia::new();
+        let cfg = LogConfig { segment_bytes: 128, flush: FlushPolicy::PerRecord };
+        drop(filled(&mem, cfg, 30));
+        let reads = Arc::new(AtomicUsize::new(0));
+        let count = || reads.load(Ordering::Relaxed);
+        let media = CountingMedia { inner: mem.clone(), reads: Arc::clone(&reads) };
+        let mut log = LogStore::open(Box::new(media), cfg).unwrap();
+        let segments = log.segment_count();
+        assert!(segments >= 3);
+        assert_eq!(count(), segments, "the scan reads each surviving segment once");
+
+        let first = log.read_all().unwrap();
+        assert_eq!(count(), segments, "the first read_all is served by the scan");
+        assert_eq!(first.len() as u64, log.recovered_records());
+
+        let second = log.read_all().unwrap();
+        assert_eq!(count(), 2 * segments, "the scan's buffers were released: re-read");
+        assert_eq!(second, first);
+
+        log.append(30, &payload(30)).unwrap();
+        log.flush().unwrap();
+        let third = log.read_all().unwrap();
+        assert_eq!(third.len(), 31);
+        assert_eq!(third[..30], first[..]);
+        assert_eq!(*third[30].payload, payload(30));
+    }
+
+    #[test]
+    fn an_append_retires_the_retained_scan() {
+        let mem = MemMedia::new();
+        let cfg = LogConfig { flush: FlushPolicy::PerRecord, ..LogConfig::default() };
+        drop(filled(&mem, cfg, 5));
+        // No read_all between open and append: the scan's view is stale by
+        // one record and must not be what the first read_all returns.
+        let mut log = LogStore::open(Box::new(mem.clone()), cfg).unwrap();
+        log.append(5, &payload(5)).unwrap();
+        assert_eq!(log.read_all().unwrap().len(), 6);
+        // Likewise a compaction: the scan may cover a deleted segment.
+        let cfg = LogConfig { segment_bytes: 128, flush: FlushPolicy::PerRecord };
+        let mem = MemMedia::new();
+        drop(filled(&mem, cfg, 30));
+        let mut log = LogStore::open(Box::new(mem.clone()), cfg).unwrap();
+        assert!(log.compact_below(20).unwrap() > 0);
+        let survivors = log.read_all().unwrap();
+        assert!(survivors.len() < 30 && survivors[0].seq > 0);
+        assert_eq!(survivors.last().unwrap().seq, 29);
+    }
+
+    #[test]
+    fn read_all_refuses_a_shorter_history() {
+        let mem = MemMedia::new();
+        let cfg = LogConfig { segment_bytes: 128, flush: FlushPolicy::PerRecord };
+        let mut log = filled(&mem, cfg, 30);
+        log.flush().unwrap();
+        assert_eq!(log.read_all().unwrap().len(), 30);
+        // Damage a sealed segment behind the open handle's back: the walk
+        // ends before the bytes this handle made durable.
+        mem.flip_byte(&seg_name(1), SEGMENT_MAGIC.len() + FRAME_HEADER + 1);
+        let err = log.read_all().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(&seg_name(1)), "{err}");
+        // A segment cut on a frame boundary still CRCs clean; the record
+        // count and the seq gap give it away.
+        mem.flip_byte(&seg_name(1), SEGMENT_MAGIC.len() + FRAME_HEADER + 1);
+        assert_eq!(log.read_all().unwrap().len(), 30);
+        mem.chop(&seg_name(0), SEGMENT_MAGIC.len() + FRAME_HEADER + payload(0).len());
+        let err = log.read_all().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(&seg_name(0)), "{err}");
     }
 
     #[test]

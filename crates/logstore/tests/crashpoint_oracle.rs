@@ -65,10 +65,13 @@ fn write_stream_batched(records: &[(u64, Vec<u8>)], cfg: LogConfig, chunk: usize
 }
 
 /// Assert the reopened log yields a prefix of `written` and report its
-/// length.
+/// length. The first `read_all` after an open is answered from the recovery
+/// scan's own buffers, so `survivors` is that retained view — straight after
+/// whatever damage the caller did to the media.
 fn assert_clean_prefix(mem: &MemMedia, cfg: LogConfig, written: &[(u64, Vec<u8>)]) -> usize {
     let log = LogStore::open(Box::new(mem.clone()), cfg).unwrap();
     let survivors = log.read_all().unwrap();
+    assert_eq!(survivors.len() as u64, log.recovered_records());
     assert!(
         survivors.len() <= written.len(),
         "recovery invented records: {} > {}",
@@ -77,16 +80,17 @@ fn assert_clean_prefix(mem: &MemMedia, cfg: LogConfig, written: &[(u64, Vec<u8>)
     );
     for (i, rec) in survivors.iter().enumerate() {
         assert_eq!(
-            (rec.watermark, rec.payload.as_slice()),
+            (rec.watermark, &rec.payload[..]),
             (written[i].0, written[i].1.as_slice()),
             "record {i} is not a faithful prefix element"
         );
     }
     // Recovery must be idempotent: a second open sees a clean log with the
-    // same contents.
+    // same contents — from its scan, and again when re-read from the media.
     let again = LogStore::open(Box::new(mem.clone()), cfg).unwrap();
     assert!(again.was_clean(), "recovered log must reopen clean");
     assert_eq!(again.read_all().unwrap(), survivors);
+    assert_eq!(again.read_all().unwrap(), survivors, "re-read differs from the retained scan");
     survivors.len()
 }
 

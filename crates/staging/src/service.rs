@@ -243,16 +243,13 @@ impl StoreBackend for PlainBackend {
         // version at or below the request (a lagging reader under version
         // eviction gets the freshest surviving data — possibly stale, which
         // is exactly the "In" baseline's unguaranteed behaviour).
-        let version = if self.store.covers_any(req.var, req.version, &req.bbox) {
-            req.version
-        } else {
-            // The requested version is gone (evicted): serve whatever
-            // survives — either an older version or nothing at all. Both are
-            // consistency violations the logging scheme prevents.
+        let (served, pieces) = self.store.query_at_or_below(req.var, req.version, &req.bbox);
+        if served != req.version || pieces.is_empty() {
+            // The requested version is gone (evicted): what was served is
+            // whatever survives — either an older version or nothing at all.
+            // Both are consistency violations the logging scheme prevents.
             self.stale_gets += 1;
-            self.store.latest_version_at(req.var, req.version, &req.bbox).unwrap_or(req.version)
-        };
-        let pieces = self.store.query(req.var, version, &req.bbox);
+        }
         let bytes: u64 = pieces.iter().map(|p| p.payload.accounted_len()).sum();
         (pieces, OpStats { touched_bytes: bytes, ..Default::default() })
     }

@@ -27,7 +27,7 @@ use crate::geometry::BBox;
 use crate::payload::Payload;
 use crate::proto::{GetPiece, ObjDesc, VarId, Version};
 use crate::sfc::morton3;
-use std::collections::{BTreeMap, HashMap, HashSet}; // detlint: allow(hashmap) — CellMap uses a fixed-key hasher; iteration never leaves this module unsorted
+use std::collections::{BTreeMap, HashMap}; // detlint: allow(hashmap) — CellMap uses a fixed-key hasher; iteration never leaves this module unsorted
 
 /// One stored piece.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -142,7 +142,12 @@ impl PieceSet {
             chi[a] = bbox.ub[a] >> self.shift[a];
             ncells *= (chi[a] - clo[a] + 1) as u128;
         }
-        if ncells >= self.cells.len() as u128 {
+        // The 21-bit mask aliases cells 2^21 apart on an axis onto one key,
+        // so an enumeration that wide would have to dedup keys to report a
+        // shared bucket once. It would also cost more than 2^21 probes:
+        // walk the buckets instead, which visits each exactly once.
+        let may_alias = (0..3).any(|a| chi[a] - clo[a] > CELL_MASK);
+        if may_alias || ncells >= self.cells.len() as u128 {
             for bucket in self.cells.values() {
                 for p in bucket {
                     if f(p) {
@@ -152,17 +157,10 @@ impl PieceSet {
             }
             return false;
         }
-        // The 21-bit mask can alias distinct cells onto one key; dedup so an
-        // aliased bucket is not visited (and reported) twice.
-        // detlint: allow(hashmap) — membership-only set, never iterated.
-        let mut seen: HashSet<u64> = HashSet::new();
         for x in clo[0]..=chi[0] {
             for y in clo[1]..=chi[1] {
                 for z in clo[2]..=chi[2] {
                     let key = morton3(x & CELL_MASK, y & CELL_MASK, z & CELL_MASK);
-                    if !seen.insert(key) {
-                        continue;
-                    }
                     if let Some(bucket) = self.cells.get(&key) {
                         for p in bucket {
                             if f(p) {
@@ -271,6 +269,26 @@ impl VersionedStore {
         });
         out.sort_unstable_by_key(|a| (a.bbox.lb, a.bbox.ub));
         out
+    }
+
+    /// [`VersionedStore::query`] with the fall-back a lagging reader gets:
+    /// the pieces of `version` when any intersect `bbox`, otherwise those of
+    /// the newest older version that has some. Returns the version served
+    /// (`version` itself when nothing at or below it intersects).
+    pub fn query_at_or_below(
+        &self,
+        var: VarId,
+        version: Version,
+        bbox: &BBox,
+    ) -> (Version, Vec<GetPiece>) {
+        let pieces = self.query(var, version, bbox);
+        if !pieces.is_empty() {
+            return (version, pieces);
+        }
+        match self.latest_version_at(var, version, bbox) {
+            Some(older) => (older, self.query(var, older, bbox)),
+            None => (version, pieces),
+        }
     }
 
     /// Latest version `<= at_most` stored for `var` that has at least one
@@ -548,6 +566,25 @@ mod tests {
         assert_eq!(s.query(0, 1, &BBox::d1(far - 5, far + 5)).len(), 1);
         assert_eq!(s.query(0, 1, &BBox::d1(0, far)).len(), 2);
         assert!(!s.covers_any(0, 1, &BBox::d1(100, 200)));
+    }
+
+    #[test]
+    fn query_spanning_the_cell_mask_reports_an_aliased_bucket_once() {
+        // Unit cells: cells 0 and 2^21 are the nearest pair sharing a key, so
+        // both pieces sit in one bucket. A query over 2^21 + 1 cells is the
+        // narrowest that reaches it from two cells; one over 2^21 cells is
+        // the widest that cannot.
+        let mut s = VersionedStore::unbounded();
+        let alias = CELL_MASK + 1;
+        s.put(ObjDesc { var: 0, version: 1, bbox: BBox::d1(0, 0) }, pay(1));
+        s.put(ObjDesc { var: 0, version: 1, bbox: BBox::d1(alias, alias) }, pay(1));
+        let both = s.query(0, 1, &BBox::d1(0, alias));
+        assert_eq!(
+            both.iter().map(|p| p.bbox).collect::<Vec<_>>(),
+            [BBox::d1(0, 0), BBox::d1(alias, alias)]
+        );
+        assert_eq!(s.query(0, 1, &BBox::d1(0, alias - 1)).len(), 1);
+        assert_eq!(s.query(0, 1, &BBox::d1(1, alias)).len(), 1);
     }
 
     #[test]

@@ -49,7 +49,7 @@ fn arb_entry() -> impl Strategy<Value = StoreJournalEntry> {
 }
 
 fn record(seq: u64, payload: Vec<u8>) -> logstore::Record {
-    logstore::Record { seq, watermark: 0, payload }
+    logstore::Record { seq, watermark: 0, payload: payload.into() }
 }
 
 proptest! {

@@ -358,17 +358,6 @@ impl LoggingBackend {
     pub fn queue_apps(&self) -> Vec<AppId> {
         self.queues.keys().copied().collect()
     }
-
-    fn resolve_get_version(&self, req: &GetRequest) -> Version {
-        // Serve the exact requested version when stored; otherwise the newest
-        // stored version at or below the request (DataSpaces `get` semantics
-        // for lagging readers).
-        if self.store.covers_any(req.var, req.version, &req.bbox) {
-            req.version
-        } else {
-            self.store.latest_version_at(req.var, req.version, &req.bbox).unwrap_or(req.version)
-        }
-    }
 }
 
 impl StoreBackend for LoggingBackend {
@@ -428,8 +417,11 @@ impl StoreBackend for LoggingBackend {
                 (pieces, OpStats { touched_bytes: bytes, replayed: true, ..Default::default() })
             }
             GetDecision::Normal => {
-                let served = self.resolve_get_version(req);
-                let pieces = self.store.query(req.var, served, &req.bbox);
+                // The exact requested version when stored; otherwise the
+                // newest stored version at or below it (DataSpaces `get`
+                // semantics for lagging readers).
+                let (served, pieces) =
+                    self.store.query_at_or_below(req.var, req.version, &req.bbox);
                 let bytes: u64 = pieces.iter().map(|p| p.payload.accounted_len()).sum();
                 let digest = pieces_digest(&pieces);
                 self.queues.entry(req.app).or_default().push(LogEvent::Get {
