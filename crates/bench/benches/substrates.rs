@@ -1,9 +1,10 @@
 //! Micro-benchmarks for the substrate layers: GF(256)/Reed–Solomon coding,
-//! Morton encoding and domain decomposition, the versioned store, and the
-//! event-queue/replay machinery.
+//! Morton encoding and domain decomposition, the versioned store, the
+//! event-queue/replay machinery, and the metrics registry's gauge write.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use resilience::rs::ReedSolomon;
+use sim_core::metrics::{GaugeId, Metrics};
 use staging::dist::Distribution;
 use staging::geometry::BBox;
 use staging::payload::Payload;
@@ -125,5 +126,36 @@ fn bench_event_queue(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_rs, bench_geometry, bench_store, bench_event_queue);
+/// One gauge write in a registry the size Table III's largest scale builds
+/// (4 gauges × 1 024 servers): found by name, as a cold call site does,
+/// against through a handle, as the per-request paths do.
+fn bench_metrics(c: &mut Criterion) {
+    let mut group = c.benchmark_group("metrics/gauge_set");
+    group.warm_up_time(std::time::Duration::from_millis(500));
+    group.measurement_time(std::time::Duration::from_secs(2));
+    let names: Vec<String> = (0..1024)
+        .flat_map(|i| {
+            ["qdepth", "bytes", "get_waits", "log_events"].map(|g| format!("staging.server{i}.{g}"))
+        })
+        .collect();
+    let mut m = Metrics::new();
+    let ids: Vec<GaugeId> = names.iter().map(|n| m.gauge_id(n)).collect();
+    group.bench_function("by_name", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % names.len();
+            m.gauge_set(black_box(&names[i]), i as i64)
+        })
+    });
+    group.bench_function("by_handle", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % ids.len();
+            m.gauge_set_id(black_box(ids[i]), i as i64)
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_rs, bench_geometry, bench_store, bench_event_queue, bench_metrics);
 criterion_main!(benches);

@@ -17,6 +17,7 @@ use crate::cost::CostModel;
 use faultplane::{FaultDecision, FaultInjector, FaultPlan, FaultReport, FaultSpace};
 use sim_core::choice::ChoiceKind;
 use sim_core::engine::{Actor, ActorId, Ctx, Event};
+use sim_core::metrics::CounterId;
 use sim_core::time::SimTime;
 use std::any::Any;
 
@@ -90,6 +91,9 @@ pub struct Network {
     drops_left: u32,
     /// Duplications remaining out of `fault_space.max_dups`.
     dups_left: u32,
+    /// Handles of `net.msgs` and `net.bytes`, resolved when the first
+    /// message is carried: a network that carried nothing registers nothing.
+    traffic: Option<(CounterId, CounterId)>,
 }
 
 impl Network {
@@ -105,6 +109,7 @@ impl Network {
             fault_space: None,
             drops_left: 0,
             dups_left: 0,
+            traffic: None,
         }
     }
 
@@ -225,8 +230,11 @@ impl Actor for Network {
                 self.nic_free[to] = free;
                 let mut delay = arrival.saturating_sub(ctx.now());
                 let target = self.endpoint_actor[to];
-                ctx.metrics().inc("net.msgs", 1);
-                ctx.metrics().inc("net.bytes", size);
+                let (msgs, bytes) = *self.traffic.get_or_insert_with(|| {
+                    (ctx.metrics().counter_id("net.msgs"), ctx.metrics().counter_id("net.bytes"))
+                });
+                ctx.metrics().inc_id(msgs, 1);
+                ctx.metrics().inc_id(bytes, size);
                 match decision {
                     FaultDecision::Delay { extra_delay_ns } => {
                         delay += SimTime::from_nanos(extra_delay_ns);

@@ -10,7 +10,10 @@
 //!   response times, recovery latencies, ...).
 //!
 //! Names are plain strings; subsystems namespace themselves by convention
-//! (`"staging.put_bytes"`, `"wfcr.replayed_events"`).
+//! (`"staging.put_bytes"`, `"wfcr.replayed_events"`). A name is how a metric
+//! is found, iterated and exported; a call site that writes on every message
+//! resolves the name once into a handle ([`CounterId`], [`GaugeId`],
+//! [`TailId`]) and writes through that — an index, no search, no allocation.
 
 use crate::quantile::P2Quantile;
 use crate::stats::StreamStats;
@@ -40,21 +43,88 @@ pub struct Gauge {
     pub peak_upper: i64,
 }
 
+/// Handle of a counter, from [`Metrics::counter_id`]. Like every handle it
+/// means something only to the registry that issued it and to that
+/// registry's clones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterId(usize);
+
+/// Handle of a gauge, from [`Metrics::gauge_id`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GaugeId(usize);
+
+/// Handle of a tail-tracked stream, from [`Metrics::tail_id`]: the stream
+/// and its tail trackers, which [`Metrics::observe_tail`] writes together.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TailId {
+    stream: usize,
+    tail: usize,
+}
+
+/// The tail trackers of one stream.
+#[derive(Debug, Clone)]
+struct Tail {
+    /// Exact log-linear histogram (nanosecond ticks): the authoritative
+    /// source for p50/p99/p999, mergeable without loss.
+    hist: Histogram,
+    /// Legacy P² estimator, kept as a cross-check oracle for the exact
+    /// histogram (five markers, unmergeable, no error bound).
+    p2: P2Quantile,
+}
+
+impl Default for Tail {
+    fn default() -> Self {
+        Tail { hist: Histogram::default(), p2: P2Quantile::new(0.99) }
+    }
+}
+
+/// The metrics of one kind: values in creation order, so a handle is an
+/// index, behind a name index that keeps every iteration in name order.
+#[derive(Debug, Clone, Default)]
+struct Table<T> {
+    index: BTreeMap<String, usize>,
+    slots: Vec<T>,
+}
+
+impl<T: Default> Table<T> {
+    /// The slot of `name`, created at the default value when the name is
+    /// new — the only place a name is allocated.
+    fn slot(&mut self, name: &str) -> usize {
+        if let Some(&slot) = self.index.get(name) {
+            return slot;
+        }
+        self.slots.push(T::default());
+        self.index.insert(name.to_owned(), self.slots.len() - 1);
+        self.slots.len() - 1
+    }
+
+    /// The value of `name`, created at the default when the name is new.
+    fn entry(&mut self, name: &str) -> &mut T {
+        let slot = self.slot(name);
+        &mut self.slots[slot]
+    }
+
+    fn get(&self, name: &str) -> Option<&T> {
+        self.index.get(name).map(|&slot| &self.slots[slot])
+    }
+
+    /// Entries in name order.
+    fn iter(&self) -> impl Iterator<Item = (&str, &T)> {
+        self.index.iter().map(|(name, &slot)| (name.as_str(), &self.slots[slot]))
+    }
+}
+
 /// Registry of named counters, gauges and sample streams.
 ///
-/// Uses `BTreeMap` so iteration (and thus any report built from it) is in
-/// deterministic name order.
+/// Every iterator (and thus any report built from one) runs in name order,
+/// whatever order the metrics were created in.
 #[derive(Debug, Default, Clone)]
 pub struct Metrics {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, Gauge>,
-    streams: BTreeMap<String, StreamStats>,
-    /// Exact log-linear histograms for tail streams (nanosecond ticks):
-    /// the authoritative source for p50/p99/p999, mergeable without loss.
-    tails: BTreeMap<String, Histogram>,
-    /// Legacy P² estimators, kept as a cross-check oracle for the exact
-    /// histograms (five markers, unmergeable, no error bound).
-    p99s: BTreeMap<String, P2Quantile>,
+    counters: Table<u64>,
+    gauges: Table<Gauge>,
+    streams: Table<StreamStats>,
+    /// Present for the streams written through [`Metrics::observe_tail`].
+    tails: Table<Tail>,
 }
 
 impl Metrics {
@@ -63,13 +133,22 @@ impl Metrics {
         Self::default()
     }
 
+    /// The handle of counter `name`, creating it at zero — exactly what the
+    /// first [`Metrics::inc`] of that name does.
+    pub fn counter_id(&mut self, name: &str) -> CounterId {
+        CounterId(self.counters.slot(name))
+    }
+
+    /// Add `delta` to a counter by handle.
+    #[inline]
+    pub fn inc_id(&mut self, id: CounterId, delta: u64) {
+        self.counters.slots[id.0] += delta;
+    }
+
     /// Add `delta` to the counter `name` (creating it at zero).
     pub fn inc(&mut self, name: &str, delta: u64) {
-        if let Some(c) = self.counters.get_mut(name) {
-            *c += delta;
-        } else {
-            self.counters.insert(name.to_owned(), delta);
-        }
+        let id = self.counter_id(name);
+        self.inc_id(id, delta);
     }
 
     /// Read a counter (zero if never written).
@@ -77,24 +156,34 @@ impl Metrics {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Adjust a gauge by `delta`, tracking the peak.
-    pub fn gauge_add(&mut self, name: &str, delta: i64) {
-        let g = self.gauges.entry(name.to_owned()).or_default();
-        g.value += delta;
+    /// The handle of gauge `name`, creating it at zero — exactly what the
+    /// first [`Metrics::gauge_set`] or [`Metrics::gauge_add`] of that name
+    /// does before it writes.
+    pub fn gauge_id(&mut self, name: &str) -> GaugeId {
+        GaugeId(self.gauges.slot(name))
+    }
+
+    /// Set a gauge to an absolute value by handle, tracking the peak.
+    #[inline]
+    pub fn gauge_set_id(&mut self, id: GaugeId, value: i64) {
+        let g = &mut self.gauges.slots[id.0];
+        g.value = value;
         if g.value > g.peak {
             g.peak = g.value;
         }
         g.peak_upper = g.peak_upper.max(g.peak);
     }
 
+    /// Adjust a gauge by `delta`, tracking the peak.
+    pub fn gauge_add(&mut self, name: &str, delta: i64) {
+        let id = self.gauge_id(name);
+        self.gauge_set_id(id, self.gauges.slots[id.0].value + delta);
+    }
+
     /// Set a gauge to an absolute value, tracking the peak.
     pub fn gauge_set(&mut self, name: &str, value: i64) {
-        let g = self.gauges.entry(name.to_owned()).or_default();
-        g.value = value;
-        if g.value > g.peak {
-            g.peak = g.value;
-        }
-        g.peak_upper = g.peak_upper.max(g.peak);
+        let id = self.gauge_id(name);
+        self.gauge_set_id(id, value);
     }
 
     /// Read a gauge (default zero).
@@ -104,12 +193,28 @@ impl Metrics {
 
     /// Record an `f64` sample into the stream `name`.
     pub fn observe(&mut self, name: &str, sample: f64) {
-        self.streams.entry(name.to_owned()).or_default().push(sample);
+        self.streams.entry(name).push(sample);
     }
 
     /// Read a stream's statistics (empty stats if never written).
     pub fn stream(&self, name: &str) -> StreamStats {
         self.streams.get(name).cloned().unwrap_or_default()
+    }
+
+    /// The handle of the tail-tracked stream `name`, creating the stream
+    /// and its tail trackers empty — exactly what the first
+    /// [`Metrics::observe_tail`] of that name does before it records.
+    pub fn tail_id(&mut self, name: &str) -> TailId {
+        TailId { stream: self.streams.slot(name), tail: self.tails.slot(name) }
+    }
+
+    /// Record a sample into a stream and its tail trackers by handle.
+    #[inline]
+    pub fn observe_tail_id(&mut self, id: TailId, sample: f64) {
+        self.streams.slots[id.stream].push(sample);
+        let tail = &mut self.tails.slots[id.tail];
+        tail.hist.record(secs_to_ns(sample));
+        tail.p2.push(sample);
     }
 
     /// Record a sample into the stream `name` *and* its tail trackers — use
@@ -118,9 +223,8 @@ impl Metrics {
     /// authoritative quantile source) and in the legacy P² estimator kept
     /// as a cross-check oracle.
     pub fn observe_tail(&mut self, name: &str, sample: f64) {
-        self.observe(name, sample);
-        self.tails.entry(name.to_owned()).or_default().record(secs_to_ns(sample));
-        self.p99s.entry(name.to_owned()).or_insert_with(|| P2Quantile::new(0.99)).push(sample);
+        let id = self.tail_id(name);
+        self.observe_tail_id(id, sample);
     }
 
     /// Exact quantile `q` (seconds) of a stream recorded via
@@ -128,7 +232,7 @@ impl Metrics {
     /// histogram's `2^-g` relative error bound. `None` if never recorded
     /// that way.
     pub fn quantile(&self, name: &str, q: f64) -> Option<f64> {
-        self.tails.get(name).and_then(|h| h.quantile(q)).map(ns_to_secs)
+        self.tail_hist(name).and_then(|h| h.quantile(q)).map(ns_to_secs)
     }
 
     /// The exact p99 (seconds) for a stream recorded via
@@ -141,38 +245,40 @@ impl Metrics {
     /// the exact histogram replaced. Unmergeable and unbounded-error; kept
     /// only so tests can assert the two sources agree.
     pub fn p99_oracle(&self, name: &str) -> Option<f64> {
-        self.p99s.get(name).and_then(P2Quantile::estimate)
+        self.tails.get(name).and_then(|t| t.p2.estimate())
     }
 
     /// The exact tail histogram for a stream (`None` if never recorded via
     /// [`Metrics::observe_tail`]). Values are nanosecond ticks.
     pub fn tail_hist(&self, name: &str) -> Option<&Histogram> {
-        self.tails.get(name)
+        self.tails.get(name).map(|t| &t.hist)
     }
 
     /// Iterate tail histograms in name order (the windowed scraper feeds
     /// these into the time series).
     pub fn tails(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.tails.iter().map(|(k, v)| (k.as_str(), v))
+        self.tails.iter().map(|(k, t)| (k, &t.hist))
     }
 
     /// Iterate counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
+        self.counters.iter().map(|(k, v)| (k, *v))
     }
 
     /// Iterate gauges in name order.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, Gauge)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
+        self.gauges.iter().map(|(k, v)| (k, *v))
     }
 
     /// Iterate streams in name order.
     pub fn streams(&self) -> impl Iterator<Item = (&str, &StreamStats)> {
-        self.streams.iter().map(|(k, v)| (k.as_str(), v))
+        self.streams.iter()
     }
 
     /// Merge another registry into this one (counters add, streams merge).
     /// Used to aggregate per-thread metrics from the threaded transport.
+    /// Entries are matched by name: the other registry's handles mean
+    /// nothing to this one, before or after the merge.
     ///
     /// Gauge semantics: values add. The true combined high-water mark is
     /// unknowable from two independently-tracked peaks — the parts need not
@@ -183,11 +289,11 @@ impl Metrics {
     /// simultaneously). A merged gauge therefore satisfies
     /// `peak <= true high-water mark <= peak_upper`.
     pub fn merge(&mut self, other: &Metrics) {
-        for (k, v) in &other.counters {
+        for (k, v) in other.counters.iter() {
             self.inc(k, *v);
         }
-        for (k, g) in &other.gauges {
-            let mine = self.gauges.entry(k.clone()).or_default();
+        for (k, g) in other.gauges.iter() {
+            let mine = self.gauges.entry(k);
             // Sum the upper bounds *before* clobbering peaks: an unmerged
             // gauge carries peak_upper == peak.
             mine.peak_upper += g.peak_upper;
@@ -195,64 +301,43 @@ impl Metrics {
             mine.peak = mine.peak.max(g.peak).max(mine.value);
             mine.peak_upper = mine.peak_upper.max(mine.peak);
         }
-        for (k, s) in &other.streams {
-            self.streams.entry(k.clone()).or_default().merge(s);
+        for (k, s) in other.streams.iter() {
+            self.streams.entry(k).merge(s);
         }
-        // Exact histograms merge losslessly: bucket counts add, so the
-        // merged quantiles equal those of the concatenated sample set.
-        for (k, h) in &other.tails {
-            match self.tails.get_mut(k) {
-                Some(mine) => mine.merge(h),
-                None => {
-                    self.tails.insert(k.clone(), h.clone());
-                }
+        for (k, t) in other.tails.iter() {
+            let mine = self.tails.entry(k);
+            // Exact histograms merge losslessly: bucket counts add, so the
+            // merged quantiles equal those of the concatenated sample set.
+            mine.hist.merge(&t.hist);
+            // P² estimators cannot be merged exactly; keep whichever side
+            // saw more samples (diagnostic fidelity only — the histogram
+            // above is the authoritative tail source).
+            if mine.p2.count() < t.p2.count() {
+                mine.p2 = t.p2.clone();
             }
         }
-        // P² estimators cannot be merged exactly; keep whichever side saw
-        // more samples (diagnostic fidelity only — the histogram above is
-        // the authoritative tail source).
-        for (k, q) in &other.p99s {
-            match self.p99s.get(k) {
-                Some(mine) if mine.count() >= q.count() => {}
-                _ => {
-                    self.p99s.insert(k.clone(), q.clone());
-                }
-            }
-        }
-    }
-
-    /// Reset everything (between benchmark iterations).
-    pub fn clear(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
-        self.streams.clear();
-        self.tails.clear();
-        self.p99s.clear();
     }
 
     /// A serializable snapshot of the whole registry, entries in name order.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self
-                .counters
-                .iter()
-                .map(|(k, v)| CounterEntry { name: k.clone(), value: *v })
+                .counters()
+                .map(|(k, value)| CounterEntry { name: k.to_owned(), value })
                 .collect(),
             gauges: self
-                .gauges
-                .iter()
+                .gauges()
                 .map(|(k, g)| GaugeEntry {
-                    name: k.clone(),
+                    name: k.to_owned(),
                     value: g.value,
                     peak: g.peak,
                     peak_upper: g.peak_upper,
                 })
                 .collect(),
             streams: self
-                .streams
-                .iter()
+                .streams()
                 .map(|(k, s)| StreamEntry {
-                    name: k.clone(),
+                    name: k.to_owned(),
                     count: s.count(),
                     mean: s.mean(),
                     min: s.min(),
@@ -380,6 +465,17 @@ mod tests {
         m.gauge_set("q", 1);
         assert_eq!(m.gauge("q").value, 1);
         assert_eq!(m.gauge("q").peak, 9);
+    }
+
+    #[test]
+    fn handle_of_a_fresh_name_creates_the_zero_entry() {
+        let mut m = Metrics::new();
+        let q = m.gauge_id("q");
+        assert_eq!(m.gauges().collect::<Vec<_>>(), [("q", Gauge::default())]);
+        m.gauge_set_id(q, 4);
+        m.gauge_set("q", 2);
+        assert_eq!(m.gauge_id("q"), q, "an existing name is found, not created again");
+        assert_eq!(m.gauge("q"), Gauge { value: 2, peak: 4, peak_upper: 4 });
     }
 
     #[test]

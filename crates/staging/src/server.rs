@@ -18,6 +18,7 @@ use crate::service::{Outcome, ServerLogic, StoreBackend};
 use net::des::{Delivered, EndpointId, NetworkHandle};
 use obs::{arg, TraceCtx};
 use sim_core::engine::{Actor, Ctx, Event};
+use sim_core::metrics::GaugeId;
 use sim_core::time::SimTime;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -81,6 +82,26 @@ struct StallOver {
     incarnation: u32,
 }
 
+/// One of a server's gauges, `staging.server{index}.{name}`; the discriminant
+/// indexes [`StagingServerActor::gauges`].
+#[derive(Clone, Copy)]
+enum ServerGauge {
+    /// CPU-queue depth, sampled at enqueue.
+    Qdepth,
+    /// Resident bytes.
+    Bytes,
+    /// Parked blocking gets awaiting a version.
+    GetWaits,
+    /// Live (not yet GC'd) events in the backend's log.
+    LogEvents,
+}
+
+impl ServerGauge {
+    fn name(self) -> &'static str {
+        ["qdepth", "bytes", "get_waits", "log_events"][self as usize]
+    }
+}
+
 /// The staging server actor.
 pub struct StagingServerActor<B> {
     logic: ServerLogic<B>,
@@ -98,8 +119,11 @@ pub struct StagingServerActor<B> {
     /// Request currently in service, if any, with its reply: computed at
     /// dequeue time, sent when the service timer fires.
     in_service: Option<(Pending, Reply)>,
-    /// Metric name for this server's resident bytes gauge.
-    mem_metric: String,
+    /// Handles of this server's gauges, by [`ServerGauge`]. Each is resolved
+    /// at the gauge's first write, never at construction: a server that was
+    /// never asked anything registers nothing, and a gauge enters the
+    /// telemetry series in the window it was first set.
+    gauges: [Option<GaugeId>; 4],
     /// Server index (for naming).
     index: ServerIdx,
     /// Is the server currently down for a resilience rebuild? Requests queue
@@ -148,7 +172,7 @@ impl<B: StoreBackend> StagingServerActor<B> {
             queue: VecDeque::new(),
             waiting: BTreeMap::new(),
             in_service: None,
-            mem_metric: format!("staging.server{index}.bytes"),
+            gauges: [None; 4],
             index,
             down: false,
             stalled: false,
@@ -285,18 +309,28 @@ impl<B: StoreBackend> StagingServerActor<B> {
         }
     }
 
-    /// Sample the queue-shaped gauges: parked blocking gets awaiting a
-    /// version, and live (not yet GC'd) events in the backend's log. The
-    /// CPU-queue depth gauge is set at enqueue time; these close out the
-    /// remaining uninstrumented hot paths for the windowed telemetry series.
-    fn sample_depth_gauges(&self, ctx: &mut Ctx<'_>) {
+    /// Set one of this server's gauges through its handle, resolving the
+    /// name on the gauge's first write.
+    fn set_gauge(&mut self, ctx: &mut Ctx<'_>, gauge: ServerGauge, value: i64) {
+        let index = self.index;
+        let id = *self.gauges[gauge as usize].get_or_insert_with(|| {
+            ctx.metrics().gauge_id(&format!("staging.server{index}.{}", gauge.name()))
+        });
+        ctx.metrics().gauge_set_id(id, value);
+    }
+
+    /// Sample resident bytes and the queue-shaped gauges: parked blocking
+    /// gets awaiting a version, and live (not yet GC'd) events in the
+    /// backend's log. The CPU-queue depth gauge is set at enqueue time;
+    /// these close out the remaining uninstrumented hot paths for the
+    /// windowed telemetry series.
+    fn sample_gauges(&mut self, ctx: &mut Ctx<'_>) {
+        self.set_gauge(ctx, ServerGauge::Bytes, self.logic.bytes_resident() as i64);
         let parked: usize =
             self.waiting.values().map(|bv| bv.values().map(Vec::len).sum::<usize>()).sum();
-        ctx.metrics().gauge_set(&format!("staging.server{}.get_waits", self.index), parked as i64);
-        ctx.metrics().gauge_set(
-            &format!("staging.server{}.log_events", self.index),
-            self.logic.backend().live_log_events() as i64,
-        );
+        self.set_gauge(ctx, ServerGauge::GetWaits, parked as i64);
+        let live = self.logic.backend().live_log_events();
+        self.set_gauge(ctx, ServerGauge::LogEvents, live as i64);
     }
 
     fn start_next(&mut self, ctx: &mut Ctx<'_>) {
@@ -343,8 +377,7 @@ impl<B: StoreBackend> StagingServerActor<B> {
         self.in_service = Some((p, reply));
         let incarnation = self.incarnation;
         ctx.timer(cost, OpDone { incarnation });
-        ctx.metrics().gauge_set(&self.mem_metric, self.logic.bytes_resident() as i64);
-        self.sample_depth_gauges(ctx);
+        self.sample_gauges(ctx);
     }
 }
 
@@ -355,10 +388,7 @@ impl<B: StoreBackend> Actor for StagingServerActor<B> {
                 // The one wire type a server accepts; anything else is dropped.
                 let Ok(req) = d.payload.downcast::<Request>() else { return };
                 self.queue.push_back(Pending { from_ep: d.from, req });
-                ctx.metrics().gauge_set(
-                    &format!("staging.server{}.qdepth", self.index),
-                    self.queue.len() as i64,
-                );
+                self.set_gauge(ctx, ServerGauge::Qdepth, self.queue.len() as i64);
                 self.start_next(ctx);
                 return;
             }
@@ -508,7 +538,6 @@ impl<B: StoreBackend> StagingServerActor<B> {
         self.net.send(ctx, self.ep, done.from_ep, reply.wire_bytes(), reply);
         let s = std::mem::take(&mut self.op_span);
         self.tracer.end(s, self.track, ctx.now().as_nanos(), ctx.seq(), Vec::new());
-        ctx.metrics().gauge_set(&self.mem_metric, self.logic.bytes_resident() as i64);
         // Completed writes wake only the gets keyed at or below the written
         // version; control transitions (e.g. recovery entering replay mode)
         // can unblock anything and trigger a full rescan. Reads never change
@@ -518,7 +547,7 @@ impl<B: StoreBackend> StagingServerActor<B> {
             Request::Ctl(_) => self.rescan_waiting(),
             Request::Get(_) => {}
         }
-        self.sample_depth_gauges(ctx);
+        self.sample_gauges(ctx);
         self.start_next(ctx);
     }
 }
@@ -909,6 +938,29 @@ mod failure_tests {
         assert!(acks[0] >= 3_000_000, "ack at {} ns waited out the stall", acks[0]);
         assert_eq!(rig.server().stalls(), 1);
         assert_eq!(rig.eng.metrics().counter("staging.server_stalls"), 1);
+    }
+
+    /// The first-write rule holds per gauge: none exists before the server
+    /// is asked anything, and a request that only queues registers the
+    /// queue depth alone — the rest appear when it is served.
+    #[test]
+    fn each_gauge_registers_at_its_own_first_write() {
+        let gauges = |rig: &Rig| -> Vec<String> {
+            rig.eng.metrics().gauges().map(|(name, _)| name.to_owned()).collect()
+        };
+        let mut rig = Rig::new();
+        rig.eng.schedule_at(SimTime::ZERO, rig.server, Stall { dur: SimTime::from_millis(3) });
+        rig.eng.run_until(SimTime::from_micros(5));
+        assert!(gauges(&rig).is_empty(), "a server that was asked nothing registers nothing");
+        put_at(&mut rig, SimTime::from_micros(10), 1);
+        rig.eng.run_until(SimTime::from_millis(1));
+        assert_eq!(gauges(&rig), ["staging.server0.qdepth"], "queued behind the stall");
+        assert_eq!(rig.eng.metrics().gauge("staging.server0.qdepth").value, 1);
+        rig.eng.run();
+        let all =
+            ["bytes", "get_waits", "log_events", "qdepth"].map(|g| format!("staging.server0.{g}"));
+        assert_eq!(gauges(&rig), all);
+        assert_eq!(rig.eng.metrics().gauge("staging.server0.bytes").value, 100);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::store_journal::StoreJournalEntry;
 use obs::{arg, TraceCtx};
 use serde::{Deserialize, Serialize};
 use sim_core::time::SimTime;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Work performed by one backend operation, for the CPU cost model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -333,9 +333,11 @@ pub struct ServerLogic<B> {
     costs: ServerCosts,
     puts_served: u64,
     gets_served: u64,
-    /// Recently-sent replies keyed `(app, seq)`. Ordered maps so cache
-    /// trimming sweeps run in the same order on every host.
-    reply_cache: BTreeMap<AppId, BTreeMap<u64, Reply>>,
+    /// Recently-sent replies: per app, a window sorted by `seq`. A client's
+    /// seqs arrive ascending unless the fault plane reorders them, so
+    /// remembering one is a `push_back` and forgetting the lowest a
+    /// `pop_front`. Not pre-sized: large runs hold thousands of windows.
+    reply_cache: BTreeMap<AppId, VecDeque<(u64, Reply)>>,
     /// Exactly-once guard switch; disabled only by the mutation tests that
     /// prove the invariant checker notices a broken dedup.
     dedup_enabled: bool,
@@ -401,7 +403,9 @@ impl<B: StoreBackend> ServerLogic<B> {
         if !self.dedup_enabled {
             return None;
         }
-        let hit = self.reply_cache.get(&app)?.get(&seq)?.clone();
+        let window = self.reply_cache.get(&app)?;
+        let at = window.binary_search_by_key(&seq, |&(s, _)| s).ok()?;
+        let hit = window[at].1.clone();
         self.dup_hits += 1;
         Some((hit, self.done(OpStats::default(), Outcome::Dup)))
     }
@@ -411,9 +415,21 @@ impl<B: StoreBackend> ServerLogic<B> {
             return;
         }
         let window = self.reply_cache.entry(app).or_default();
-        window.insert(seq, reply);
-        while window.len() > DEDUP_WINDOW {
-            window.pop_first();
+        if window.back().is_none_or(|&(newest, _)| newest < seq) {
+            // Forget the lowest first: the new entry takes the slot just
+            // vacated, so a full window never grows past `DEDUP_WINDOW`.
+            if window.len() == DEDUP_WINDOW {
+                window.pop_front();
+            }
+            window.push_back((seq, reply));
+            return;
+        }
+        match window.binary_search_by_key(&seq, |&(s, _)| s) {
+            Ok(at) => window[at].1 = reply,
+            Err(at) => window.insert(at, (seq, reply)),
+        }
+        if window.len() > DEDUP_WINDOW {
+            window.pop_front();
         }
     }
 
@@ -806,6 +822,48 @@ mod tests {
         logic.handle_put(&put_req(1, 100));
         assert_eq!(logic.puts_served(), 2, "broken dedup lets duplicates through");
         assert_eq!(logic.dup_hits(), 0);
+    }
+
+    /// The fault plane can reorder a client's seqs; the window stays sorted,
+    /// so each re-delivery still finds the reply recorded for it.
+    #[test]
+    fn out_of_order_seqs_are_each_answered_from_the_cache() {
+        let mut logic = ServerLogic::new(PlainBackend::new(4), ServerCosts::default());
+        let put = |seq: u64| PutRequest { seq, ..put_req(seq as u32, 100) };
+        let firsts = [5, 7, 6].map(|seq| format!("{:?}", logic.handle_put(&put(seq)).0));
+        for (seq, first) in [5, 7, 6].into_iter().zip(&firsts) {
+            let (again, _) = logic.handle_put(&put(seq));
+            assert_eq!(logic.last_outcome(), Outcome::Dup, "seq {seq}");
+            assert_eq!(&format!("{again:?}"), first, "seq {seq} got the reply recorded for it");
+        }
+        assert_eq!((logic.puts_served(), logic.dup_hits()), (3, 3));
+    }
+
+    /// Past `DEDUP_WINDOW` the lowest seqs are the forgotten ones, whatever
+    /// order they arrived in — also when the lowest arrives last, into a
+    /// full window.
+    #[test]
+    fn dedup_window_forgets_the_lowest_seqs() {
+        let n = DEDUP_WINDOW as u64 + 3;
+        let ascending: Vec<u64> = (0..n).collect();
+        let lowest_last: Vec<u64> = (1..n).chain([0]).collect();
+        for order in [ascending, lowest_last] {
+            let mut logic = ServerLogic::new(PlainBackend::new(4), ServerCosts::default());
+            let put = |seq: u64| PutRequest { seq, ..put_req(seq as u32, 100) };
+            for &seq in &order {
+                logic.handle_put(&put(seq));
+            }
+            assert_eq!((logic.puts_served(), logic.dup_hits()), (n, 0));
+            for retained in [3, n - 1] {
+                logic.handle_put(&put(retained));
+                assert_eq!(logic.last_outcome(), Outcome::Dup, "seq {retained}");
+            }
+            for forgotten in [2, 1, 0] {
+                logic.handle_put(&put(forgotten));
+                assert_ne!(logic.last_outcome(), Outcome::Dup, "seq {forgotten}");
+            }
+            assert_eq!((logic.puts_served(), logic.dup_hits()), (n + 3, 2));
+        }
     }
 
     #[test]

@@ -51,6 +51,7 @@ use mpi_sim::ulfm::{self, UlfmCosts};
 use net::des::{Delivered, EndpointId, NetworkHandle};
 use obs::{arg, TraceCtx};
 use sim_core::engine::{Actor, ActorId, Ctx, Event};
+use sim_core::metrics::{CounterId, TailId};
 use sim_core::rng::Xoshiro256StarStar;
 use sim_core::time::SimTime;
 use staging::geometry::BBox;
@@ -211,6 +212,12 @@ pub struct ComponentActor {
     /// Puts acked as absorbed (server recognized a redundant replay write).
     absorbed_acks: u64,
     finish_time: Option<SimTime>,
+    /// Handles of `wf.put_response_s` and `wf.puts`, resolved at this
+    /// component's first put reply (a component that never wrote registers
+    /// neither).
+    put_metrics: Option<(TailId, CounterId)>,
+    /// Handles of `wf.get_response_s` and `wf.gets`, likewise.
+    get_metrics: Option<(TailId, CounterId)>,
 
     // ---- supervision (all fields inert when `supervisor` is None) -------
     /// The supervisor actor, when the run enables supervision. The
@@ -316,6 +323,8 @@ impl ComponentActor {
             coalesced_failures: 0,
             absorbed_acks: 0,
             finish_time: None,
+            put_metrics: None,
+            get_metrics: None,
             supervisor: None,
             poison_step: None,
             quarantined_steps: BTreeSet::new(),
@@ -741,8 +750,12 @@ impl ComponentActor {
         let rt = ctx.now().saturating_sub(sent.issued).as_secs_f64();
         match reply {
             Reply::Put(r) => {
-                ctx.metrics().observe_tail("wf.put_response_s", rt);
-                ctx.metrics().inc("wf.puts", 1);
+                let (response_s, puts) = *self.put_metrics.get_or_insert_with(|| {
+                    let m = ctx.metrics();
+                    (m.tail_id("wf.put_response_s"), m.counter_id("wf.puts"))
+                });
+                ctx.metrics().observe_tail_id(response_s, rt);
+                ctx.metrics().inc_id(puts, 1);
                 let absorbed = r.status == PutStatus::Absorbed;
                 if absorbed {
                     self.absorbed_acks += 1;
@@ -754,8 +767,12 @@ impl ComponentActor {
                 }
             }
             Reply::Get(r) => {
-                ctx.metrics().observe_tail("wf.get_response_s", rt);
-                ctx.metrics().inc("wf.gets", 1);
+                let (response_s, gets) = *self.get_metrics.get_or_insert_with(|| {
+                    let m = ctx.metrics();
+                    (m.tail_id("wf.get_response_s"), m.counter_id("wf.gets"))
+                });
+                ctx.metrics().observe_tail_id(response_s, rt);
+                ctx.metrics().inc_id(gets, 1);
                 if self.tracer.enabled() {
                     self.span_end(ctx, sent.req.tctx(), vec![arg("pieces", r.pieces.len())]);
                 }

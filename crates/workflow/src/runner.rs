@@ -706,6 +706,20 @@ mod tests {
         assert_eq!(a.staging_peak_bytes, b.staging_peak_bytes);
     }
 
+    /// `events_dispatched` is the numerator of hostbench's
+    /// `sim_events_per_s`: a change that claims to dispatch events faster
+    /// must dispatch the same events.
+    #[test]
+    fn table3_event_counts_are_pinned() {
+        use WorkflowProtocol::{Coordinated, Hybrid, Individual, Uncoordinated};
+        let pinned =
+            [(Coordinated, 3980), (Uncoordinated, 6661), (Hybrid, 5377), (Individual, 3461)];
+        for (protocol, events) in pinned {
+            let r = run(&crate::config::table3(0, protocol, 1));
+            assert_eq!(r.events_dispatched, events, "{protocol:?}");
+        }
+    }
+
     #[test]
     fn logging_memory_exceeds_plain() {
         let ds = run(&tiny(WorkflowProtocol::FailureFree));
