@@ -1,6 +1,7 @@
 //! Staging hot-path index benchmarks: the block-keyed piece index
 //! (`VersionedStore`) against the seed's linear scan (`LinearStore`), plus
-//! the version-ordered event queue's replay-window and GC operations.
+//! the version-ordered event queue's replay-window and GC operations and the
+//! replay manager consuming such a window.
 //!
 //! Shapes mirror production traffic: block-aligned `[8,8,8]` pieces tiling a
 //! cubic domain, single-block queries and re-puts (the per-block requests
@@ -18,6 +19,7 @@ use std::hint::black_box;
 use std::time::Duration;
 use wfcr::event::LogEvent;
 use wfcr::queue::EventQueue;
+use wfcr::replay::ReplayManager;
 
 const BLOCK: u64 = 8;
 
@@ -167,13 +169,12 @@ fn bench_query(c: &mut Criterion) {
     group.finish();
 }
 
+fn transport_desc(version: Version) -> ObjDesc {
+    ObjDesc { var: 0, version, bbox: BBox::d1(0, 1023) }
+}
+
 fn transport_event(version: Version) -> LogEvent {
-    LogEvent::Put {
-        app: 0,
-        desc: ObjDesc { var: 0, version, bbox: BBox::d1(0, 1023) },
-        bytes: 1 << 20,
-        digest: version as u64,
-    }
+    LogEvent::Put { app: 0, desc: transport_desc(version), bytes: 1 << 20, digest: version as u64 }
 }
 
 /// Replay-window extraction near the tail of an `n`-event log: the indexed
@@ -203,6 +204,32 @@ fn bench_replay(c: &mut Criterion) {
                         .copied()
                         .collect::<Vec<_>>(),
                 )
+            })
+        });
+    }
+    group.finish();
+}
+
+/// Consuming a `k`-entry replay script in logged order, the way a
+/// deterministic re-execution does: one iteration is `begin` plus `k`
+/// absorbed re-puts, so the elem/s column is replayed requests per second —
+/// flat in `k` when a request is matched at the script's cursor.
+fn bench_replay_match(c: &mut Criterion) {
+    let mut group = c.benchmark_group("store_index/replay_match");
+    group.warm_up_time(Duration::from_millis(200));
+    group.measurement_time(Duration::from_millis(800));
+    for &k in &[64u32, 1_024, 16_384] {
+        let script: Vec<LogEvent> = (1..=k).map(transport_event).collect();
+        let descs: Vec<ObjDesc> = (1..=k).map(transport_desc).collect();
+        let mut replay = ReplayManager::new();
+        group.throughput(Throughput::Elements(k as u64));
+        group.bench_with_input(BenchmarkId::new("in_order", k), &k, |b, _| {
+            b.iter(|| {
+                replay.begin(0, 0, script.clone());
+                for desc in &descs {
+                    black_box(replay.on_put(0, desc, desc.version as u64));
+                }
+                assert!(!replay.is_replaying(0), "every entry matched");
             })
         });
     }
@@ -248,5 +275,5 @@ fn bench_gc(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_put, bench_query, bench_replay, bench_gc);
+criterion_group!(benches, bench_put, bench_query, bench_replay, bench_replay_match, bench_gc);
 criterion_main!(benches);

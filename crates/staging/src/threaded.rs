@@ -333,15 +333,23 @@ impl SyncClient {
     ) -> Result<Vec<GetPiece>, ClientError> {
         let planned = plan_get_routed(&self.router, self.app, var, version, bbox, self.seq);
         self.seq += planned.len() as u64;
+        // The planned blocks are disjoint (the router clips the distribution
+        // grid), so they tile `bbox` iff their volumes add up to it, and the
+        // pieces tile `bbox` iff each answer tiles the block it answers: one
+        // small check per answer instead of one over every pair of pieces.
+        let planned_volume: u64 = planned.iter().map(|(_, r)| r.bbox.volume()).sum();
         let reqs: Vec<_> = planned.into_iter().map(|(s, r)| (s, Request::Get(r))).collect();
         let answers = self.fan_out("get", &reqs, |r| match r {
             Reply::Get(resp) => Some(resp.pieces),
             _ => None,
         })?;
-        let pieces: Vec<GetPiece> = answers.into_iter().flatten().collect();
-        if !covers_exactly(bbox, &pieces) {
+        let tiled = reqs.iter().zip(&answers).all(|((_, req), answer)| {
+            matches!(req, Request::Get(get) if covers_exactly(&get.bbox, answer))
+        });
+        if !tiled || planned_volume != bbox.volume() {
             return Err(ClientError::IncompleteCoverage);
         }
+        let pieces: Vec<GetPiece> = answers.into_iter().flatten().collect();
         // Servers may individually fall back to an older version while a put
         // of the requested version is still in flight; a mix of versions
         // tiles the region but is not a consistent snapshot.
@@ -826,6 +834,23 @@ mod tests {
         c.shutdown_servers();
         let logic = handles.pop().unwrap().join().unwrap();
         assert_eq!(logic.gets_served(), 4, "unready entries never reach the backend or its log");
+    }
+
+    #[test]
+    fn get_reaching_outside_the_domain_reports_incomplete() {
+        let (handles, mut clients) = setup(2, 1, [16, 16, 16], [8, 8, 8]);
+        let mut c = clients.pop().unwrap();
+        let whole = BBox::whole([16, 16, 16]);
+        c.put(0, 1, &whole, block_fill(0, 1)).unwrap();
+        // Every planned block is answered in full, yet the blocks are clipped
+        // to the domain and cannot add up to the region asked for.
+        let beyond = BBox::d3([0, 0, 0], [23, 15, 15]);
+        assert!(matches!(c.get(0, 1, &beyond), Err(ClientError::IncompleteCoverage)));
+        assert_eq!(c.get(0, 1, &whole).unwrap().len(), 8);
+        c.shutdown_servers();
+        for h in handles {
+            h.join().unwrap();
+        }
     }
 
     /// A payload that is no `Frame<Request>` — here a bare `CtlMsg`, the

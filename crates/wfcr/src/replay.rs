@@ -16,6 +16,12 @@
 //! * when every script entry has been consumed — or the component issues a
 //!   request for a version beyond the script — replay ends and the component
 //!   "reaches a state compatible with the other components" (paper §III-A).
+//!
+//! A request matches the *first unconsumed* entry that fits it. The script is
+//! consumed through a cursor — every entry before it is consumed — so a
+//! re-execution in logged order matches at the cursor and costs O(1) a
+//! request; a request out of logged order, or one the script does not hold,
+//! scans the unconsumed tail.
 
 use crate::event::LogEvent;
 use staging::geometry::BBox;
@@ -49,20 +55,47 @@ pub enum GetDecision {
     Normal,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Script entries [`ReplayState::take`] has looked at on this thread: the
+    /// tests count the search's cost instead of timing it.
+    static EXAMINED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Per-component replay progress.
 #[derive(Debug)]
 struct ReplayState {
     script: Vec<LogEvent>,
     consumed: Vec<bool>,
+    /// Every entry before `cursor` is consumed, so no search looks there.
+    cursor: usize,
+    /// Entries not yet consumed.
+    left: usize,
     resume_version: Version,
-    /// Highest version appearing in the script; requests beyond it end the
-    /// replay.
+    /// Highest version any script entry *asked* for; requests beyond it end
+    /// the replay.
     max_version: Version,
 }
 
 impl ReplayState {
-    fn remaining(&self) -> usize {
-        self.consumed.iter().filter(|c| !**c).count()
+    /// The one matching search: consume the first unconsumed entry `pick`
+    /// accepts and return what it extracted. An out-of-order or unmatched
+    /// request scans the unconsumed tail past the cursor.
+    fn take<T>(&mut self, pick: impl Fn(&LogEvent) -> Option<T>) -> Option<T> {
+        let (i, picked) = (self.cursor..self.script.len()).find_map(|i| {
+            #[cfg(test)]
+            EXAMINED.with(|n| n.set(n.get() + 1));
+            if self.consumed[i] {
+                return None;
+            }
+            pick(&self.script[i]).map(|t| (i, t))
+        })?;
+        self.consumed[i] = true;
+        self.left -= 1;
+        while self.consumed.get(self.cursor) == Some(&true) {
+            self.cursor += 1;
+        }
+        Some(picked)
     }
 }
 
@@ -95,9 +128,17 @@ impl ReplayManager {
             self.states.remove(&app);
             return 0;
         }
-        let max_version = script.iter().map(LogEvent::version).max().unwrap_or(resume_version);
+        // What each entry was asked for, not what it was served: a get that
+        // fell back to an older version is still re-issued for the newer one.
+        let asked = |ev: &LogEvent| match *ev {
+            LogEvent::Get { requested, .. } => requested,
+            _ => ev.version(),
+        };
+        let max_version = script.iter().map(asked).max().unwrap_or(resume_version);
         let consumed = vec![false; n];
-        self.states.insert(app, ReplayState { script, consumed, resume_version, max_version });
+        let state =
+            ReplayState { script, consumed, cursor: 0, left: n, resume_version, max_version };
+        self.states.insert(app, state);
         n
     }
 
@@ -108,7 +149,7 @@ impl ReplayManager {
 
     /// Script entries not yet consumed for `app`.
     pub fn pending(&self, app: AppId) -> usize {
-        self.states.get(&app).map(ReplayState::remaining).unwrap_or(0)
+        self.states.get(&app).map_or(0, |s| s.left)
     }
 
     /// Classify an incoming put.
@@ -119,22 +160,13 @@ impl ReplayManager {
             self.finish(app);
             return PutDecision::Store;
         }
-        // Find the first unconsumed logged Put matching this descriptor.
-        let found = st
-            .script
-            .iter()
-            .enumerate()
-            .find(|(i, ev)| {
-                !st.consumed[*i] && matches!(ev, LogEvent::Put { desc: d, .. } if d == desc)
-            })
-            .map(|(i, ev)| (i, *ev));
-        match found {
-            Some((i, ev)) => {
-                st.consumed[i] = true;
-                let logged_digest = match ev {
-                    LogEvent::Put { digest, .. } => digest,
-                    _ => unreachable!("matched a put"),
-                };
+        // The first unconsumed logged Put matching this descriptor.
+        let logged = st.take(|ev| match ev {
+            LogEvent::Put { desc: d, digest, .. } if d == desc => Some(*digest),
+            _ => None,
+        });
+        match logged {
+            Some(logged_digest) => {
                 let digest_ok = logged_digest == digest;
                 if !digest_ok {
                     self.mismatches += 1;
@@ -165,26 +197,16 @@ impl ReplayManager {
             self.finish(app);
             return GetDecision::Normal;
         }
-        let found = st
-            .script
-            .iter()
-            .enumerate()
-            .find(|(i, ev)| {
-                !st.consumed[*i]
-                    && matches!(
-                        ev,
-                        LogEvent::Get { var: v, requested: r, bbox: b, .. }
-                            if *v == var && *r == requested && b == bbox
-                    )
-            })
-            .map(|(i, ev)| (i, *ev));
-        match found {
-            Some((i, ev)) => {
-                st.consumed[i] = true;
-                let (version, digest) = match ev {
-                    LogEvent::Get { served, digest, .. } => (served, digest),
-                    _ => unreachable!("matched a get"),
-                };
+        let logged = st.take(|ev| match ev {
+            LogEvent::Get { var: v, requested: r, served, bbox: b, digest, .. }
+                if *v == var && *r == requested && b == bbox =>
+            {
+                Some((*served, *digest))
+            }
+            _ => None,
+        });
+        match logged {
+            Some((version, digest)) => {
                 self.maybe_finish(app);
                 GetDecision::Replay { version, digest }
             }
@@ -202,7 +224,7 @@ impl ReplayManager {
     }
 
     fn maybe_finish(&mut self, app: AppId) {
-        if self.states.get(&app).map(|s| s.remaining() == 0).unwrap_or(false) {
+        if self.states.get(&app).is_some_and(|s| s.left == 0) {
             self.finish(app);
         }
     }
@@ -329,6 +351,74 @@ mod tests {
         assert!(matches!(rm.on_put(0, &desc(2), 102), PutDecision::Absorb { .. }));
         assert!(matches!(rm.on_put(0, &desc(1), 101), PutDecision::Absorb { .. }));
         assert!(!rm.is_replaying(0));
+    }
+
+    #[test]
+    fn get_served_an_older_version_does_not_end_the_replay_early() {
+        // The second get asked for 6 and was served 5: the script's bound is
+        // what was asked, so its re-issue is still inside the replay.
+        let lagging = LogEvent::Get {
+            app: 1,
+            var: 0,
+            requested: 6,
+            served: 5,
+            bbox: BBox::d1(0, 9),
+            bytes: 10,
+            digest: 205,
+        };
+        let mut rm = ReplayManager::new();
+        rm.begin(1, 4, vec![get_ev(1, 5), lagging]);
+        let d = rm.on_get(1, 0, 5, &BBox::d1(0, 9));
+        assert_eq!(d, GetDecision::Replay { version: 5, digest: 205 });
+        let d = rm.on_get(1, 0, 6, &BBox::d1(0, 9));
+        assert_eq!(d, GetDecision::Replay { version: 5, digest: 205 });
+        assert_eq!((rm.completed(), rm.unmatched()), (1, 0));
+    }
+
+    /// Entries `take` examined while `replay` ran.
+    fn examined(replay: impl FnOnce()) -> usize {
+        EXAMINED.with(|n| n.set(0));
+        replay();
+        EXAMINED.with(|n| n.get())
+    }
+
+    #[test]
+    fn replay_cost_is_counted_not_timed() {
+        let n: Version = 300;
+        let script: Vec<LogEvent> = (1..=n).map(|v| put_ev(0, v)).collect();
+        let absorbed = PutDecision::Absorb { digest_ok: true };
+
+        // In logged order every request matches at the cursor: n entries
+        // examined for an n-entry script.
+        let mut rm = ReplayManager::new();
+        rm.begin(0, 0, script.clone());
+        let in_order = examined(|| {
+            for v in 1..=n {
+                assert_eq!(rm.on_put(0, &desc(v), 100 + v as u64), absorbed);
+            }
+        });
+        assert_eq!(in_order, n as usize);
+        assert_eq!(rm.completed(), 1);
+
+        // Fully reversed, the cursor cannot move until the last request: the
+        // cost is the scan-from-zero's, n + (n - 1) + ... + 1, and no more.
+        rm.begin(0, 0, script.clone());
+        let reversed = examined(|| {
+            for v in (1..=n).rev() {
+                assert_eq!(rm.on_put(0, &desc(v), 100 + v as u64), absorbed);
+            }
+        });
+        assert_eq!(reversed, (n * (n + 1) / 2) as usize);
+        assert_eq!(rm.completed(), 2);
+
+        // An unmatched request scans the unconsumed tail, nothing before it.
+        rm.begin(0, 0, script);
+        for v in 1..=100 {
+            rm.on_put(0, &desc(v), 100 + v as u64);
+        }
+        let other = ObjDesc { var: 7, version: 1, bbox: BBox::d1(0, 9) };
+        let unmatched = examined(|| assert_eq!(rm.on_put(0, &other, 0), PutDecision::Store));
+        assert_eq!((unmatched, rm.unmatched(), rm.pending(0)), (200, 1, 200));
     }
 
     #[test]
