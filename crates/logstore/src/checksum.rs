@@ -87,6 +87,21 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
 
 static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
+/// One slice-by-8 step: `state` advanced over the eight bytes of `c`.
+#[inline(always)]
+fn fold8(state: u32, c: &[u8; 8]) -> u32 {
+    let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ state;
+    let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+    CRC_TABLES[7][(lo & 0xFF) as usize]
+        ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
+        ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
+        ^ CRC_TABLES[4][(lo >> 24) as usize]
+        ^ CRC_TABLES[3][(hi & 0xFF) as usize]
+        ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
+        ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
+        ^ CRC_TABLES[0][(hi >> 24) as usize]
+}
+
 /// Streaming CRC32-IEEE.
 #[derive(Debug, Clone)]
 pub struct Crc32 {
@@ -109,24 +124,36 @@ impl Crc32 {
     /// per step; the tail falls back to the byte-serial recurrence).
     pub fn update(&mut self, bytes: &[u8]) {
         let mut state = self.state;
-        let mut chunks = bytes.chunks_exact(8);
-        for c in chunks.by_ref() {
-            let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ state;
-            let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-            state = CRC_TABLES[7][(lo & 0xFF) as usize]
-                ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-                ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-                ^ CRC_TABLES[4][(lo >> 24) as usize]
-                ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-                ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-                ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-                ^ CRC_TABLES[0][(hi >> 24) as usize];
+        let (chunks, tail) = bytes.as_chunks::<8>();
+        for c in chunks {
+            state = fold8(state, c);
         }
-        for &b in chunks.remainder() {
+        for &b in tail {
             let idx = ((state ^ u32::from(b)) & 0xFF) as usize;
             state = CRC_TABLES[0][idx] ^ (state >> 8);
         }
         self.state = state;
+    }
+
+    /// Absorb `bytes[k]` into `lanes[k]` for every `k`, as `K` calls of
+    /// [`Crc32::update`] would, but with the lanes' 8-byte folds interleaved
+    /// over their common length. One lane's fold waits on its own previous
+    /// state (the table indices are made of it), so a single stream runs at
+    /// the latency of that chain; `K` independent chains fill the wait.
+    /// Whatever a lane holds beyond the common length is absorbed alone.
+    pub(crate) fn update_abreast<const K: usize>(lanes: &mut [Crc32; K], bytes: [&[u8]; K]) {
+        let steps = bytes.iter().map(|b| b.len() / 8).min().unwrap_or(0);
+        let heads = bytes.map(|b| &b.as_chunks::<8>().0[..steps]);
+        let mut states = lanes.each_ref().map(|lane| lane.state);
+        for step in 0..steps {
+            for (state, head) in states.iter_mut().zip(&heads) {
+                *state = fold8(*state, &head[step]);
+            }
+        }
+        for ((lane, state), b) in lanes.iter_mut().zip(states).zip(bytes) {
+            lane.state = state;
+            lane.update(&b[steps * 8..]);
+        }
     }
 
     /// The final (inverted) CRC value.
@@ -179,6 +206,43 @@ mod tests {
                 assert_eq!(c.finish(), crc32(&data[..len]), "split {cut}/{len}");
             }
         }
+    }
+
+    #[test]
+    fn abreast_equals_one_update_a_lane_at_any_lengths() {
+        let data: Vec<u8> =
+            (0..4096u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut draw = |below: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % below as u64) as usize
+        };
+        for round in 0..500 {
+            // Lanes of unrelated lengths, and every so often an empty lane or
+            // four equal ones (the scan's common case).
+            let equal = (round % 5 == 0).then(|| draw(700));
+            let bytes: [&[u8]; 4] = std::array::from_fn(|lane| {
+                let len = equal
+                    .unwrap_or_else(|| [0, draw(40), draw(700), draw(700)][(round + lane) % 4]);
+                let at = draw(data.len() - len);
+                &data[at..at + len]
+            });
+            // Lanes need not start fresh: the scan feeds each lane twice.
+            let mut lanes: [Crc32; 4] = std::array::from_fn(|lane| {
+                let mut c = Crc32::new();
+                c.update(&data[..lane * 3]);
+                c
+            });
+            let mut want = lanes.clone();
+            Crc32::update_abreast(&mut lanes, bytes);
+            for ((want, got), b) in want.iter_mut().zip(&lanes).zip(bytes) {
+                want.update(b);
+                assert_eq!(got.finish(), want.finish(), "round {round}, {} bytes", b.len());
+            }
+        }
+        Crc32::update_abreast::<0>(&mut [], []);
     }
 
     #[test]

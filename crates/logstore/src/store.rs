@@ -208,38 +208,38 @@ fn encode_header_into(out: &mut Vec<u8>, seq: u64, watermark: u64, parts: &[&[u8
     out.extend_from_slice(&crc.finish().to_le_bytes());
 }
 
-/// Parse the frame at `data[offset..end]` without copying it. Returns its
-/// `seq`, `watermark` and payload range (the next frame starts where the
-/// payload ends), or `None` if the frame is torn, corrupt, or out of
-/// sequence.
-fn decode_frame(
-    data: &[u8],
-    offset: usize,
-    end: usize,
-    expected_seq: Option<u64>,
-) -> Option<(u64, u64, Range<usize>)> {
-    if end - offset < FRAME_HEADER {
-        return None;
-    }
-    let len = u32::from_le_bytes(data[offset..offset + 4].try_into().unwrap()) as usize;
-    if end - offset - FRAME_HEADER < len {
-        return None;
-    }
-    let seq = u64::from_le_bytes(data[offset + 4..offset + 12].try_into().unwrap());
-    let watermark = u64::from_le_bytes(data[offset + 12..offset + 20].try_into().unwrap());
-    let stored_crc = u32::from_le_bytes(data[offset + 20..offset + 24].try_into().unwrap());
-    let payload = offset + FRAME_HEADER..offset + FRAME_HEADER + len;
-    let mut crc = Crc32::new();
-    crc.update(&seq.to_le_bytes());
-    crc.update(&watermark.to_le_bytes());
-    crc.update(&data[payload.clone()]);
-    if crc.finish() != stored_crc {
-        return None;
-    }
-    if expected_seq.is_some_and(|e| e != seq) {
-        return None;
-    }
-    Some((seq, watermark, payload))
+/// Frames the scan checksums at once (see [`Crc32::update_abreast`]).
+const LANES: usize = 4;
+
+/// A frame whose header and payload lie inside the segment. Nothing in it is
+/// believed until its CRC has agreed.
+struct Frame<'a> {
+    seq: u64,
+    watermark: u64,
+    stored_crc: u32,
+    /// What the CRC covers, in order: `seq ‖ watermark` as framed, then the
+    /// payload.
+    covered: [&'a [u8]; 2],
+    /// Where the payload lies in the segment.
+    payload: Range<usize>,
+}
+
+/// Parse the header at `data[offset..]` without copying anything. `None` if
+/// the header, or the payload its length field announces, runs past `data`.
+fn frame_at(data: &[u8], offset: usize) -> Option<Frame<'_>> {
+    let (len, rest) = data.get(offset..)?.split_first_chunk::<4>()?;
+    let (seq, rest) = rest.split_first_chunk::<8>()?;
+    let (watermark, rest) = rest.split_first_chunk::<8>()?;
+    let (stored_crc, rest) = rest.split_first_chunk::<4>()?;
+    let body = rest.get(..u32::from_le_bytes(*len) as usize)?;
+    let start = offset + FRAME_HEADER;
+    Some(Frame {
+        seq: u64::from_le_bytes(*seq),
+        watermark: u64::from_le_bytes(*watermark),
+        stored_crc: u32::from_le_bytes(*stored_crc),
+        covered: [&data[offset + 4..offset + 20], body],
+        payload: start..start + body.len(),
+    })
 }
 
 /// Walk segment `index`'s frames in `data[..end]`, pushing each valid one
@@ -248,6 +248,12 @@ fn decode_frame(
 /// segment to the next; `None` accepts any starting seq (compaction may have
 /// deleted the front of the log). The returned `disk_len` is where the clean
 /// prefix ends; `None` means the segment has no valid magic.
+///
+/// Frames are independent and one CRC is bound by its own dependency chain,
+/// so up to [`LANES`] frames are chained by their length fields and
+/// checksummed abreast. A length is only a guess until its own frame's CRC
+/// has agreed, and a frame is accepted only after every frame before it: the
+/// clean prefix is the one a frame-at-a-time walk finds.
 ///
 /// This is the one reader of the frame format: the recovery scan and
 /// [`LogStore::read_all`] both go through it.
@@ -258,22 +264,41 @@ fn scan_segment(
     expected_seq: &mut Option<u64>,
     out: &mut Vec<Record>,
 ) -> Option<SegmentMeta> {
-    let end = end.min(data.len());
-    if end < SEGMENT_MAGIC.len() || data[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
+    let bytes = &data[..end.min(data.len())];
+    if !bytes.starts_with(&SEGMENT_MAGIC) {
         return None;
     }
     let mut meta = SegmentMeta { index, disk_len: 0, max_watermark: None, records: 0 };
     let mut offset = SEGMENT_MAGIC.len();
-    while let Some((seq, watermark, payload)) = decode_frame(data, offset, end, *expected_seq) {
-        offset = payload.end;
-        *expected_seq = Some(seq + 1);
-        meta.records += 1;
-        meta.max_watermark = Some(meta.max_watermark.map_or(watermark, |m| m.max(watermark)));
-        out.push(Record {
-            seq,
-            watermark,
-            payload: SharedSlice { buf: Arc::clone(data), range: payload },
+    'scan: loop {
+        let mut next = offset;
+        let frames: [Option<Frame>; LANES] = std::array::from_fn(|_| {
+            let frame = frame_at(bytes, next)?;
+            next = frame.payload.end;
+            Some(frame)
         });
+        let mut crcs: [Crc32; LANES] = std::array::from_fn(|_| Crc32::new());
+        for part in 0..2 {
+            let lanes = frames.each_ref().map(|f| f.as_ref().map_or(&[][..], |f| f.covered[part]));
+            Crc32::update_abreast(&mut crcs, lanes);
+        }
+        for (frame, crc) in frames.into_iter().zip(crcs) {
+            let Some(Frame { seq, watermark, stored_crc, payload, .. }) = frame else {
+                break 'scan;
+            };
+            if crc.finish() != stored_crc || expected_seq.is_some_and(|e| e != seq) {
+                break 'scan;
+            }
+            offset = payload.end;
+            *expected_seq = Some(seq + 1);
+            meta.records += 1;
+            meta.max_watermark = Some(meta.max_watermark.map_or(watermark, |m| m.max(watermark)));
+            out.push(Record {
+                seq,
+                watermark,
+                payload: SharedSlice { buf: Arc::clone(data), range: payload },
+            });
+        }
     }
     meta.disk_len = offset as u64;
     Some(meta)

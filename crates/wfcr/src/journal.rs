@@ -26,6 +26,40 @@
 //! queues, GC marks, and `next_w_chk` exactly: checkpoint entries record the
 //! *effective* floor the live GC pass used, so the rebuild runs the same
 //! collections at the same points.
+//!
+//! # The rebuild's reader
+//!
+//! Compaction retires whole segments while the GC floor moves at every
+//! checkpoint, so most of what a restart reads back is history the journal's
+//! own last checkpoint already made dead: the rebuild would decode it, copy
+//! its payloads, store and log it, and collect it again at that checkpoint.
+//! [`decode_records`] does not materialise it. With `T` the stream's last
+//! `Checkpoint { floor: Some(f), .. }` and `c[a]` component `a`'s checkpoint
+//! version as of `T`, a record before `T` is retired unread when it is
+//!
+//! * a `Get` served a version `<= min(f, c[app])` — `T`'s
+//!   `truncate_through` drops it from the rebuilt queue; or
+//! * a `Put` of a version `<= min(f, c[app])` that is also below the highest
+//!   version of its variable among the puts kept between it and `T` — `T`'s
+//!   collection drops it from the rebuilt store, which keeps the newest
+//!   version of a variable (all of its blocks) even below the floor.
+//!
+//! Keeping a record is always safe: `from_journal` treats it as it always
+//! did. Retiring one takes proof, and only fully decoded entries give it —
+//! the checkpoints, and the kept puts (a record that reads like a newer put
+//! and does not decode proves nothing). Every control entry, and every record
+//! from `T` on, is decoded; a stream with no collecting checkpoint is decoded
+//! whole, and so is one holding a `GlobalReset`, which takes the newest
+//! versions back out of the store where the rule above counts on them
+//! staying. What is judged without decoding is read off the front of the
+//! body — tag, `app`, `var`, and the version the entry's watermark is — and a
+//! body that cannot even say that much is left to `decode` to refuse.
+//!
+//! The rebuilt backend is the one the whole stream gives — store, retained
+//! events and markers, checkpoint versions, GC marks and floor, `next_w_chk`
+//! — except for its lifetime counters (`appended`, `committed`,
+//! `gc_reclaimed`), which count what was materialised, as they already
+//! counted only what compaction had left.
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
@@ -34,6 +68,7 @@ use staging::journal::WireEntry;
 use staging::payload::Payload;
 use staging::proto::{AppId, ObjDesc, VarId, Version};
 use staging::wire::{self, Reader};
+use std::collections::BTreeMap;
 
 const TAG_PUT: u8 = 1;
 const TAG_GET: u8 = 2;
@@ -240,10 +275,91 @@ impl JournalEntry {
     }
 }
 
-/// Decode a recovered record stream (e.g. `LogStore::read_all`) into entries,
-/// dropping undecodable payloads.
+/// A put or get as the rebuild's reader judges it, read off the front of the
+/// record body without materialising the entry.
+#[derive(Clone, Copy)]
+struct Transport {
+    is_put: bool,
+    app: AppId,
+    var: VarId,
+    /// The version stored or served: the entry's watermark.
+    version: Version,
+}
+
+/// `None` for a control entry, or a body too short or too foreign to say.
+fn peek_transport(body: &[u8]) -> Option<Transport> {
+    let (tag, mut r) = Reader::for_entry(body).ok()?;
+    if tag != TAG_PUT && tag != TAG_GET {
+        return None;
+    }
+    let (app, var) = (r.u32().ok()?, r.u32().ok()?);
+    if tag == TAG_GET {
+        r.u32().ok()?; // the version asked for
+    }
+    Some(Transport { is_put: tag == TAG_PUT, app, var, version: r.u32().ok()? })
+}
+
+/// Decode a recovered record stream (e.g. `LogStore::read_all`) into the
+/// entries [`crate::backend::LoggingBackend::from_journal`] still needs, in
+/// stream order, dropping undecodable payloads. See the module docs ("The
+/// rebuild's reader") for what is retired unread and why that is safe;
+/// [`staging::journal::decode_records`] is the decode-everything form.
 pub fn decode_records(records: &[logstore::Record]) -> Vec<JournalEntry> {
-    staging::journal::decode_records(records)
+    // One look at every body: what each put or get is about, and — from the
+    // control entries, few and always decoded — the last checkpoint that ran
+    // a collection with every component's checkpoint version as of then.
+    let mut peeks = Vec::with_capacity(records.len());
+    let mut ckpt: BTreeMap<AppId, Version> = BTreeMap::new();
+    let mut last_pass = None;
+    for (i, rec) in records.iter().enumerate() {
+        let peek = peek_transport(&rec.payload);
+        peeks.push(peek);
+        if peek.is_some() {
+            continue;
+        }
+        match JournalEntry::decode(&rec.payload) {
+            // A reset takes the newest versions back out of the store, and
+            // the newest-kept rule below counts on them staying.
+            Some(JournalEntry::GlobalReset { .. }) => {
+                return staging::journal::decode_records(records)
+            }
+            Some(JournalEntry::Checkpoint { app, upto_version, floor, .. }) => {
+                let c = ckpt.entry(app).or_insert(upto_version);
+                *c = (*c).max(upto_version);
+                if let Some(floor) = floor {
+                    last_pass = Some((i, floor, ckpt.clone()));
+                }
+            }
+            _ => {}
+        }
+    }
+    let Some((pass_at, floor, ckpt)) = last_pass else {
+        return staging::journal::decode_records(records);
+    };
+    // What that pass truncated from `app`'s queue, if still there.
+    let truncated = |app, version| ckpt.get(&app).is_some_and(|&c| version <= floor.min(c));
+
+    // Newest first, so a put below the floor knows whether a newer version
+    // of its variable was kept (and decoded) between it and the pass.
+    let mut newest_kept: BTreeMap<VarId, Version> = BTreeMap::new();
+    let mut entries = Vec::new();
+    for (i, rec) in records.iter().enumerate().rev() {
+        let before_pass = i < pass_at;
+        if let (true, Some(t)) = (before_pass, peeks[i]) {
+            let collected = !t.is_put || newest_kept.get(&t.var).is_some_and(|&n| t.version < n);
+            if collected && truncated(t.app, t.version) {
+                continue;
+            }
+        }
+        let Some(entry) = JournalEntry::decode(&rec.payload) else { continue };
+        if let (true, JournalEntry::Put { desc, .. }) = (before_pass, &entry) {
+            let n = newest_kept.entry(desc.var).or_insert(desc.version);
+            *n = (*n).max(desc.version);
+        }
+        entries.push(entry);
+    }
+    entries.reverse();
+    entries
 }
 
 #[cfg(test)]
@@ -337,5 +453,132 @@ mod tests {
             let bytes = entry.encode();
             assert_eq!((bytes.len(), staging::payload::fnv1a(&bytes)), want, "{entry:?}");
         }
+    }
+
+    fn get(app: AppId, served: Version) -> JournalEntry {
+        JournalEntry::Get {
+            app,
+            var: 1,
+            requested: served,
+            served,
+            bbox: BBox::d1(0, 63),
+            bytes: 64,
+            digest: 9,
+        }
+    }
+
+    fn ckpt(app: AppId, upto_version: Version, floor: Option<Version>) -> JournalEntry {
+        JournalEntry::Checkpoint { app, w_chk_id: u64::from(upto_version), upto_version, floor }
+    }
+
+    fn framed(bodies: Vec<Vec<u8>>) -> Vec<logstore::Record> {
+        let record = |(seq, body): (usize, Vec<u8>)| logstore::Record {
+            seq: seq as u64,
+            watermark: 0,
+            payload: body.into(),
+        };
+        bodies.into_iter().enumerate().map(record).collect()
+    }
+
+    fn stream(entries: &[JournalEntry]) -> Vec<logstore::Record> {
+        framed(entries.iter().map(JournalEntry::encode).collect())
+    }
+
+    #[test]
+    fn without_a_collecting_checkpoint_every_entry_is_decoded() {
+        let entries = vec![
+            inline_put(0, 1),
+            get(1, 1),
+            inline_put(0, 2),
+            ckpt(0, 2, None),
+            ckpt(1, 2, None),
+            JournalEntry::Recovery { app: 1, resume_version: 2 },
+            get(1, 2),
+        ];
+        assert_eq!(decode_records(&stream(&entries)), entries);
+    }
+
+    #[test]
+    fn a_global_reset_anywhere_means_every_entry_is_decoded() {
+        let entries = vec![
+            inline_put(0, 1),
+            inline_put(0, 2),
+            ckpt(0, 2, Some(2)),
+            JournalEntry::GlobalReset { to_version: 1 },
+        ];
+        assert_eq!(decode_records(&stream(&entries)), entries);
+    }
+
+    #[test]
+    fn what_the_last_collecting_checkpoint_retired_is_not_decoded_and_the_rest_is() {
+        let mut entries = Vec::new();
+        for v in 1..=4 {
+            entries.extend([inline_put(0, v), get(1, v)]);
+        }
+        // Component 2 reads too and never checkpoints: nothing of its queue
+        // was truncated.
+        entries.push(get(2, 1));
+        entries.extend([ckpt(0, 4, Some(0)), ckpt(1, 3, Some(3))]);
+        // After the pass nothing was collected, however old it looks.
+        entries.extend([inline_put(0, 2), get(1, 1), ckpt(0, 5, None)]);
+        let kept = vec![
+            inline_put(0, 4),
+            get(1, 4),
+            get(2, 1),
+            ckpt(0, 4, Some(0)),
+            ckpt(1, 3, Some(3)),
+            inline_put(0, 2),
+            get(1, 1),
+            ckpt(0, 5, None),
+        ];
+        assert_eq!(decode_records(&stream(&entries)), kept);
+    }
+
+    #[test]
+    fn the_newest_version_survives_below_the_floor_and_all_of_it() {
+        let block_put = |version: Version, block: u64| {
+            let payload = Payload::inline(vec![version as u8; 64]);
+            JournalEntry::Put {
+                app: 0,
+                desc: ObjDesc { var: 1, version, bbox: BBox::d1(block * 64, block * 64 + 63) },
+                digest: payload.digest(),
+                payload,
+            }
+        };
+        let entries = vec![
+            block_put(1, 0),
+            block_put(1, 1),
+            block_put(2, 0),
+            block_put(2, 1),
+            ckpt(0, 9, Some(9)),
+        ];
+        assert_eq!(decode_records(&stream(&entries)), entries[2..]);
+    }
+
+    #[test]
+    fn an_undecodable_record_contributes_nothing_and_proves_nothing() {
+        // `put(0, 2)` reads as a newer version of variable 0 and does not
+        // decode (its two digests disagree): the version below it is then
+        // the newest the rebuilt store will hold, and must be kept.
+        let payload = Payload::virtual_from(100, &[1]);
+        let newest_that_decodes = JournalEntry::Put {
+            app: 0,
+            desc: ObjDesc { var: 0, version: 1, bbox: BBox::d1(0, 9) },
+            digest: payload.digest(),
+            payload,
+        };
+        let mut torn = get(0, 1).encode();
+        torn.truncate(5);
+        let records = framed(vec![
+            newest_that_decodes.encode(),
+            put(0, 2).encode(),
+            torn,
+            b"not an entry".to_vec(),
+            Vec::new(),
+            ckpt(0, 5, Some(5)).encode(),
+        ]);
+        let kept = vec![newest_that_decodes, ckpt(0, 5, Some(5))];
+        assert_eq!(decode_records(&records), kept);
+        assert_eq!(staging::journal::decode_records::<JournalEntry>(&records), kept);
     }
 }

@@ -5,10 +5,11 @@
 
 use proptest::prelude::*;
 use staging::geometry::BBox;
+use staging::journal::decode_records;
 use staging::payload::{fnv1a, Payload};
 use staging::proto::ObjDesc;
 use staging::wire;
-use wfcr::journal::{decode_records, JournalEntry};
+use wfcr::journal::JournalEntry;
 
 fn arb_bbox() -> impl Strategy<Value = BBox> {
     (1u8..=3, any::<[u64; 3]>(), any::<[u64; 3]>()).prop_map(|(ndim, lb, ub)| BBox { ndim, lb, ub })
@@ -99,7 +100,7 @@ proptest! {
         prop_assert_eq!(JournalEntry::decode(&torn.encode()), None);
         let stream =
             [record(0, entry.encode()), record(1, torn.encode()), record(2, entry.encode())];
-        prop_assert_eq!(decode_records(&stream), vec![entry.clone(), entry]);
+        prop_assert_eq!(decode_records::<JournalEntry>(&stream), vec![entry.clone(), entry]);
     }
 
     /// A body whose first byte is not the wire magic is not an entry: a
@@ -124,7 +125,8 @@ proptest! {
             record(3, mangled),
             record(4, entry.encode()),
         ];
-        prop_assert_eq!(decode_records(&stream), vec![entry.clone(), entry.clone(), entry]);
+        let kept = decode_records::<JournalEntry>(&stream);
+        prop_assert_eq!(kept, vec![entry.clone(), entry.clone(), entry]);
     }
 
     /// The zero-copy split (meta scratch + inline payload bytes riding as a

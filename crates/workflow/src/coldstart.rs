@@ -172,7 +172,8 @@ pub struct ColdStartOutcome {
     /// Wall-clock rebuild time: journal scan through clients restarted,
     /// milliseconds.
     pub cold_restart_ms: f64,
-    /// Journal entries recovered from disk across all servers.
+    /// Journal entries materialised for the rebuild across all servers: what
+    /// the journals' last collecting checkpoints had not already retired.
     pub recovered_entries: u64,
     /// Snapshots recovered from the durable checkpoint tier.
     pub recovered_snapshots: u64,
