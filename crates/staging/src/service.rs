@@ -213,6 +213,17 @@ impl PlainBackend {
         }
     }
 
+    /// Journal `entry`, then apply it ([`StoreJournalEntry::apply`], the
+    /// transition [`PlainBackend::from_journal`] folds over): the one way the
+    /// live store changes. Returns the bytes freed.
+    // lint: commit-point
+    fn admit(&mut self, entry: StoreJournalEntry) -> u64 {
+        if let Some(j) = self.journal.as_mut() {
+            j.record(&entry);
+        }
+        entry.apply(&mut self.store)
+    }
+
     /// Access the underlying store (tests).
     pub fn store(&self) -> &VersionedStore {
         &self.store
@@ -225,13 +236,10 @@ impl PlainBackend {
 }
 
 impl StoreBackend for PlainBackend {
-    // lint: commit-point
     fn put(&mut self, req: &PutRequest) -> (PutStatus, OpStats) {
         let bytes = req.payload.accounted_len();
-        let freed = self.store.put(req.desc, req.payload.clone());
-        if let Some(j) = self.journal.as_mut() {
-            j.record(&StoreJournalEntry::Put { desc: req.desc, payload: req.payload.clone() });
-        }
+        let freed =
+            self.admit(StoreJournalEntry::Put { desc: req.desc, payload: req.payload.clone() });
         (
             PutStatus::Stored,
             OpStats { touched_bytes: bytes, freed_bytes: freed, ..Default::default() },
@@ -255,14 +263,8 @@ impl StoreBackend for PlainBackend {
     }
 
     fn control(&mut self, req: CtlRequest) -> (CtlResponse, OpStats) {
-        let mut stats = OpStats::default();
-        if let CtlRequest::GlobalReset { to_version } = req {
-            stats.freed_bytes = self.store.remove_newer_than(to_version);
-        }
-        if let Some(j) = self.journal.as_mut() {
-            j.record(&StoreJournalEntry::Ctl { req });
-        }
-        (CtlResponse { req, pending_replay: 0 }, stats)
+        let freed_bytes = self.admit(StoreJournalEntry::Ctl { req });
+        (CtlResponse { req, pending_replay: 0 }, OpStats { freed_bytes, ..Default::default() })
     }
 
     fn get_ready(&self, req: &GetRequest) -> bool {

@@ -10,10 +10,10 @@
 //!
 //! This module holds only what is specific to the plain backend — the
 //! [`StoreJournalEntry`] enum, its binary layout ([`crate::wire`] codec) and
-//! the replay that rebuilds a store from surviving entries. Coalescing,
-//! commit-point flushes, compaction and error counting are the shared
-//! [`crate::journal::JournalWriter`]. A record body that does not start with
-//! [`wire::WIRE_MAGIC`] is not an entry and is rejected.
+//! what an entry does to the store, live or rebuilding from surviving
+//! entries. Coalescing, commit-point flushes, compaction and error counting
+//! are the shared [`crate::journal::JournalWriter`]. A record body that does
+//! not start with [`wire::WIRE_MAGIC`] is not an entry and is rejected.
 //!
 //! The richer crash-consistency backend (`wfcr::LoggingBackend`) journals a
 //! second entry type through the same writer, additionally capturing
@@ -132,23 +132,30 @@ impl WireEntry for StoreJournalEntry {
     }
 }
 
-/// Rebuild a bounded version store by replaying surviving journal entries in
-/// order. `GlobalReset` entries re-apply their truncation so the rebuilt
-/// store matches what the live store held after the reset; checkpoint and
-/// recovery markers are metadata-only for the plain backend.
+impl StoreJournalEntry {
+    /// What this entry does to the plain store — the one transition the live
+    /// backend (after journalling the entry) and a rebuild share. Returns the
+    /// bytes it freed: a put's evictions, or what a `GlobalReset` cut off;
+    /// checkpoint and recovery markers are metadata-only for the plain
+    /// backend.
+    pub(crate) fn apply(self, store: &mut VersionedStore) -> u64 {
+        match self {
+            StoreJournalEntry::Put { desc, payload } => store.put(desc, payload),
+            StoreJournalEntry::Ctl { req: CtlRequest::GlobalReset { to_version } } => {
+                store.remove_newer_than(to_version)
+            }
+            StoreJournalEntry::Ctl { .. } => 0,
+        }
+    }
+}
+
+/// Rebuild a bounded version store by applying surviving journal entries in
+/// order, so it matches what the live store held — a `GlobalReset`'s
+/// truncation included.
 pub fn replay_into_store(entries: &[StoreJournalEntry], max_versions: usize) -> VersionedStore {
     let mut store = VersionedStore::bounded(max_versions);
     for e in entries {
-        match e {
-            StoreJournalEntry::Put { desc, payload } => {
-                store.put(*desc, payload.clone());
-            }
-            StoreJournalEntry::Ctl { req } => {
-                if let CtlRequest::GlobalReset { to_version } = req {
-                    store.remove_newer_than(*to_version);
-                }
-            }
-        }
+        e.clone().apply(&mut store);
     }
     store
 }

@@ -8,15 +8,22 @@
 //!
 //! * the version store is unbounded — old versions are the data log, deleted
 //!   only by GC;
-//! * every put/get appends a [`LogEvent`] to the issuing component's queue;
+//! * every put/get appends a [`crate::LogEvent`] to the issuing component's
+//!   queue;
 //! * `workflow_check` control events insert checkpoint markers, advance the
 //!   GC marks, and trigger a collection pass;
 //! * `workflow_restart` control events build the replay script and flip the
 //!   component into replay mode;
 //! * during replay, puts matching the script are absorbed and gets are
 //!   served the logged version, with digest verification.
+//!
+//! Journal, then apply: a request is first *decided* (absorbed, replayed, or
+//! turned into a [`JournalEntry`]), and an entry is the only thing that
+//! changes the store, the queues, the GC marks or `next_w_chk` — through one
+//! transition, `apply`, that the live path and
+//! [`LoggingBackend::from_journal`] share.
 
-use crate::event::LogEvent;
+use crate::event::EVENT_BYTES;
 use crate::gc::GcState;
 use crate::journal::JournalEntry;
 use crate::queue::EventQueue;
@@ -86,14 +93,16 @@ pub fn pieces_digest(pieces: &[GetPiece]) -> u64 {
 /// ```
 #[derive(Debug)]
 pub struct LoggingBackend {
-    store: VersionedStore,
+    // The four fields `apply` owns are `pub(crate)` for `crate::snapshot`,
+    // which exports and restores exactly them.
+    pub(crate) store: VersionedStore,
     // BTreeMap, not HashMap: `queues.values_mut()` drives GC trimming and
     // journal rebuild, and those sweeps must visit apps in the same order on
     // every host for runs to be reproducible.
-    queues: BTreeMap<AppId, EventQueue>,
+    pub(crate) queues: BTreeMap<AppId, EventQueue>,
     replay: ReplayManager,
-    gc: GcState,
-    next_w_chk: u64,
+    pub(crate) gc: GcState,
+    pub(crate) next_w_chk: u64,
     /// Garbage collection enabled (disable only for ablation studies; the
     /// log grows without bound otherwise).
     gc_enabled: bool,
@@ -165,7 +174,8 @@ impl LoggingBackend {
         }
     }
 
-    /// Rebuild a backend by replaying recovered journal entries in order.
+    /// Rebuild a backend by applying recovered journal entries in order —
+    /// the transition the live backend applied as it journalled them.
     /// `apps` pre-registers components (pinning GC exactly as the original
     /// run's registration did). Replay state starts fresh: a replay that was
     /// in flight at crash time is simply restarted by the component's own
@@ -176,65 +186,65 @@ impl LoggingBackend {
             b.register_app(a);
         }
         for entry in entries {
-            match entry {
-                JournalEntry::Put { app, desc, payload, digest } => {
-                    let bytes = payload.accounted_len();
-                    b.store.put(desc, payload);
-                    b.queues.entry(app).or_default().push(LogEvent::Put {
-                        app,
-                        desc,
-                        bytes,
-                        digest,
-                    });
-                }
-                JournalEntry::Get { app, var, requested, served, bbox, bytes, digest } => {
-                    b.queues.entry(app).or_default().push(LogEvent::Get {
-                        app,
-                        var,
-                        requested,
-                        served,
-                        bbox,
-                        bytes,
-                        digest,
-                    });
-                }
-                JournalEntry::Checkpoint { app, w_chk_id, upto_version, floor } => {
-                    b.queues.entry(app).or_default().push(LogEvent::Checkpoint {
-                        app,
-                        w_chk_id,
-                        upto_version,
-                    });
-                    b.gc.mark_checkpoint(app, upto_version);
-                    b.next_w_chk = b.next_w_chk.max(w_chk_id + 1);
-                    // Re-run the collection pass with the recorded effective
-                    // floor. `min(marks) >= floor` holds at this point of the
-                    // replayed history, so pinning with the floor itself
-                    // reproduces the original pass exactly.
-                    if let Some(f) = floor {
-                        b.gc.collect(&mut b.store, Some(f));
-                        for q in b.queues.values_mut() {
-                            q.truncate_through(f);
-                        }
-                    }
-                }
-                JournalEntry::Recovery { app, resume_version } => {
-                    b.queues
-                        .entry(app)
-                        .or_default()
-                        .push(LogEvent::Recovery { app, resume_version });
-                }
-                JournalEntry::GlobalReset { to_version } => {
-                    b.store.remove_newer_than(to_version);
-                }
-            }
+            b.apply(entry);
         }
         b
     }
 
-    fn journal_record(&mut self, entry: JournalEntry) {
+    /// Journal `entry`, then apply it: the one way the live backend changes.
+    // lint: commit-point
+    fn admit(&mut self, entry: JournalEntry) -> OpStats {
         if let Some(j) = self.journal.as_mut() {
             j.record(&entry);
         }
+        self.apply(entry)
+    }
+
+    /// What `entry` does to the store, the queues, the GC marks and
+    /// `next_w_chk` — nothing else touches them, so a backend rebuilt from
+    /// its journal cannot disagree with the one that wrote it.
+    fn apply(&mut self, entry: JournalEntry) -> OpStats {
+        let mut stats = OpStats::default();
+        if let Some(event) = entry.event() {
+            self.queues.entry(event.app()).or_default().push(event);
+            stats.log_events = 1;
+        }
+        match entry {
+            JournalEntry::Put { desc, payload, .. } => {
+                let bytes = payload.accounted_len();
+                self.store.put(desc, payload);
+                stats.touched_bytes = bytes;
+                stats.logged_bytes = bytes;
+            }
+            JournalEntry::Get { bytes, .. } => stats.touched_bytes = bytes,
+            JournalEntry::Checkpoint { app, w_chk_id, upto_version, floor } => {
+                self.gc.mark_checkpoint(app, upto_version);
+                self.next_w_chk = self.next_w_chk.max(w_chk_id + 1);
+                // The GC pass: collect the data log, then trim event queues.
+                // The entry carries the effective floor its live pass used
+                // (`None`: GC was off). `min(marks) >= floor` holds here both
+                // live and at this point of a replayed history, so pinning
+                // with the floor itself is that pass exactly.
+                if let Some(f) = floor {
+                    stats.freed_bytes = self.gc.collect(&mut self.store, Some(f));
+                    for q in self.queues.values_mut() {
+                        stats.freed_bytes += q.truncate_through(f) as u64 * EVENT_BYTES;
+                    }
+                }
+            }
+            // A marker only: entering replay mode is the decision of the
+            // `control` that admitted it, and a rebuilt backend must not
+            // re-enter it (the component calls `workflow_restart()` again).
+            JournalEntry::Recovery { .. } => {}
+            // Coordinated rollback is foreign to the logging scheme (the
+            // whole point is to avoid it) but is honoured for completeness:
+            // discard data newer than the cut. It is an entry like any other,
+            // so a cold restart does not resurrect what it discarded.
+            JournalEntry::GlobalReset { to_version } => {
+                stats.freed_bytes = self.store.remove_newer_than(to_version);
+            }
+        }
+        stats
     }
 
     /// Enable/disable garbage collection (ablation studies only).
@@ -296,43 +306,6 @@ impl LoggingBackend {
         v
     }
 
-    pub(crate) fn store_clone(&self) -> VersionedStore {
-        self.store.clone()
-    }
-
-    pub(crate) fn queues_clone(&self) -> BTreeMap<AppId, EventQueue> {
-        self.queues.clone()
-    }
-
-    pub(crate) fn gc_clone(&self) -> crate::gc::GcState {
-        self.gc.clone()
-    }
-
-    pub(crate) fn next_w_chk(&self) -> u64 {
-        self.next_w_chk
-    }
-
-    /// Rebuild a backend from snapshotted parts (fresh replay state).
-    pub(crate) fn restore_parts(
-        store: VersionedStore,
-        queues: BTreeMap<AppId, EventQueue>,
-        gc: crate::gc::GcState,
-        next_w_chk: u64,
-    ) -> LoggingBackend {
-        LoggingBackend {
-            store,
-            queues,
-            replay: ReplayManager::new(),
-            gc,
-            next_w_chk,
-            gc_enabled: true,
-            absorbed_puts: 0,
-            replayed_gets: 0,
-            journal: None,
-            replay_version_skew: 0,
-        }
-    }
-
     /// Deliberately serve `logged + skew` instead of the logged version for
     /// replayed gets. This is a seeded-violation hook for the model checker:
     /// with `skew > 0` the replay-version-fidelity oracle must trip (the
@@ -361,7 +334,6 @@ impl LoggingBackend {
 }
 
 impl StoreBackend for LoggingBackend {
-    // lint: commit-point
     fn put(&mut self, req: &PutRequest) -> (PutStatus, OpStats) {
         let digest = req.payload.digest();
         match self.replay.on_put(req.app, &req.desc, digest) {
@@ -376,29 +348,9 @@ impl StoreBackend for LoggingBackend {
                 )
             }
             PutDecision::Store => {
-                let bytes = req.payload.accounted_len();
-                self.store.put(req.desc, req.payload.clone());
-                self.queues.entry(req.app).or_default().push(LogEvent::Put {
-                    app: req.app,
-                    desc: req.desc,
-                    bytes,
-                    digest,
-                });
-                self.journal_record(JournalEntry::Put {
-                    app: req.app,
-                    desc: req.desc,
-                    payload: req.payload.clone(),
-                    digest,
-                });
-                (
-                    PutStatus::Stored,
-                    OpStats {
-                        touched_bytes: bytes,
-                        log_events: 1,
-                        logged_bytes: bytes,
-                        ..Default::default()
-                    },
-                )
+                let payload = req.payload.clone();
+                let entry = JournalEntry::Put { app: req.app, desc: req.desc, payload, digest };
+                (PutStatus::Stored, self.admit(entry))
             }
         }
     }
@@ -422,89 +374,43 @@ impl StoreBackend for LoggingBackend {
                 // semantics for lagging readers).
                 let (served, pieces) =
                     self.store.query_at_or_below(req.var, req.version, &req.bbox);
-                let bytes: u64 = pieces.iter().map(|p| p.payload.accounted_len()).sum();
-                let digest = pieces_digest(&pieces);
-                self.queues.entry(req.app).or_default().push(LogEvent::Get {
+                let stats = self.admit(JournalEntry::Get {
                     app: req.app,
                     var: req.var,
                     requested: req.version,
                     served,
                     bbox: req.bbox,
-                    bytes,
-                    digest,
+                    bytes: pieces.iter().map(|p| p.payload.accounted_len()).sum(),
+                    digest: pieces_digest(&pieces),
                 });
-                self.journal_record(JournalEntry::Get {
-                    app: req.app,
-                    var: req.var,
-                    requested: req.version,
-                    served,
-                    bbox: req.bbox,
-                    bytes,
-                    digest,
-                });
-                (pieces, OpStats { touched_bytes: bytes, log_events: 1, ..Default::default() })
+                (pieces, stats)
             }
         }
     }
 
-    // lint: commit-point
     fn control(&mut self, req: CtlRequest) -> (CtlResponse, OpStats) {
-        match req {
+        let mut pending_replay = 0;
+        let stats = match req {
             CtlRequest::Checkpoint { app, upto_version } => {
-                let w_chk_id = self.next_w_chk;
-                self.next_w_chk += 1;
-                self.queues.entry(app).or_default().push(LogEvent::Checkpoint {
-                    app,
-                    w_chk_id,
-                    upto_version,
-                });
+                // Mark first (marks only advance, so `apply` marking again
+                // changes nothing): the floor this pass collects to counts
+                // this checkpoint, and rides the entry so a rebuild reruns
+                // the identical collection.
                 self.gc.mark_checkpoint(app, upto_version);
-                // GC pass: collect the data log, then trim event queues.
-                let (freed_data, freed_events, effective_floor) = if self.gc_enabled {
-                    let replay_floor = self.replay.active_floor();
-                    let freed_data = self.gc.collect(&mut self.store, replay_floor);
-                    let floor = self.gc.floor(replay_floor);
-                    let mut freed_events = 0u64;
-                    for q in self.queues.values_mut() {
-                        freed_events +=
-                            q.truncate_through(floor) as u64 * crate::event::EVENT_BYTES;
-                    }
-                    (freed_data, freed_events, Some(floor))
-                } else {
-                    (0, 0, None)
-                };
-                // Mirror the marker (with the effective floor, so a rebuild
-                // reruns the identical collection), then compact the durable
-                // journal. The journal floor is tighter than the GC floor:
-                // GC keeps the newest version of every variable even below
-                // the floor, and those puts must stay replayable from disk.
-                self.journal_record(JournalEntry::Checkpoint {
-                    app,
-                    w_chk_id,
-                    upto_version,
-                    floor: effective_floor,
-                });
-                if let (Some(floor), true) = (effective_floor, self.journal.is_some()) {
-                    let data_floor = self
-                        .store
-                        .vars()
-                        .iter()
-                        .filter_map(|&v| self.store.newest_version(v))
-                        .min()
-                        .unwrap_or(floor);
-                    let safe = u64::from(floor.min(data_floor));
-                    if let Some(j) = self.journal.as_mut() {
-                        j.compact_below(safe);
-                    }
+                let floor = self.gc_enabled.then(|| self.gc_floor());
+                let w_chk_id = self.next_w_chk;
+                let stats =
+                    self.admit(JournalEntry::Checkpoint { app, w_chk_id, upto_version, floor });
+                // Then compact the durable journal. The journal floor is
+                // tighter than the GC floor: GC keeps the newest version of
+                // every variable even below the floor, and those puts must
+                // stay replayable from disk.
+                if let (Some(floor), Some(j)) = (floor, self.journal.as_mut()) {
+                    let newest = |&v| self.store.newest_version(v);
+                    let data_floor = self.store.vars().iter().filter_map(newest).min();
+                    j.compact_below(u64::from(floor.min(data_floor.unwrap_or(floor))));
                 }
-                (
-                    CtlResponse { req, pending_replay: 0 },
-                    OpStats {
-                        log_events: 1,
-                        freed_bytes: freed_data + freed_events,
-                        ..Default::default()
-                    },
-                )
+                stats
             }
             CtlRequest::Recovery { app, resume_version } => {
                 let script = self
@@ -512,30 +418,14 @@ impl StoreBackend for LoggingBackend {
                     .get(&app)
                     .map(|q| q.replay_script(resume_version))
                     .unwrap_or_default();
-                let pending = self.replay.begin(app, resume_version, script) as u64;
-                self.queues
-                    .entry(app)
-                    .or_default()
-                    .push(LogEvent::Recovery { app, resume_version });
-                self.journal_record(JournalEntry::Recovery { app, resume_version });
-                (
-                    CtlResponse { req, pending_replay: pending },
-                    OpStats { log_events: 1, ..Default::default() },
-                )
+                pending_replay = self.replay.begin(app, resume_version, script) as u64;
+                self.admit(JournalEntry::Recovery { app, resume_version })
             }
             CtlRequest::GlobalReset { to_version } => {
-                // Coordinated rollback is foreign to the logging scheme (the
-                // whole point is to avoid it) but is honoured for
-                // completeness: discard data newer than the cut, and journal
-                // the cut so a cold restart does not resurrect it.
-                let freed = self.store.remove_newer_than(to_version);
-                self.journal_record(JournalEntry::GlobalReset { to_version });
-                (
-                    CtlResponse { req, pending_replay: 0 },
-                    OpStats { freed_bytes: freed, ..Default::default() },
-                )
+                self.admit(JournalEntry::GlobalReset { to_version })
             }
-        }
+        };
+        (CtlResponse { req, pending_replay }, stats)
     }
 
     fn get_ready(&self, req: &GetRequest) -> bool {
@@ -848,14 +738,14 @@ mod tests {
         run_steps(&mut b, 7, 8);
         assert_eq!(b.journal_errors(), 0);
         let live_versions = b.store().versions(0);
-        let live_next_w_chk = b.next_w_chk();
+        let live_next_w_chk = b.next_w_chk;
         drop(b); // full process death: no flush of the buffered tail
         mem.crash();
 
         let log = LogStore::open(Box::new(mem.clone()), cfg).unwrap();
         let entries = crate::journal::decode_records(&log.read_all().unwrap());
         let mut rebuilt = LoggingBackend::from_journal(entries, &[SIM, ANA]);
-        assert_eq!(rebuilt.next_w_chk(), live_next_w_chk);
+        assert_eq!(rebuilt.next_w_chk, live_next_w_chk);
         // Everything at or before the checkpoint floor is durable (the ctl
         // entry flushed); steps 7..8 may be lost to the crash but are
         // re-executed by the rolled-back apps — re-run them and compare.
@@ -900,7 +790,7 @@ mod tests {
         assert!(stats.freed_bytes > 0);
         assert_eq!(b.store().versions(0), vec![1]);
         assert_eq!(b.journal_errors(), 0);
-        let live = b.store_clone();
+        let live = b.store.clone();
         drop(b); // process death: the reset is a commit point, so it is durable
         mem.crash();
 

@@ -1,19 +1,22 @@
 //! Durable journaling of the staging event/data log.
 //!
 //! The paper's logging component keeps puts, gets, and `W_Chk_ID` markers in
-//! staging memory; this module gives those records a durable twin. Every
-//! event the [`crate::backend::LoggingBackend`] admits to its in-memory
-//! queues is also encoded as a [`JournalEntry`] and handed to a
-//! `logstore::Journal` sink. Control entries (checkpoint, recovery, reset) are
-//! commit points and force a flush, so the journal's durable prefix always
-//! extends at least through the last checkpoint — which is exactly the
-//! property the cold-restart equivalence proof needs: anything lost past
-//! that point is re-executed deterministically by the rolled-back apps.
+//! staging memory; this module gives those records a durable form, and the
+//! [`crate::backend::LoggingBackend`] is driven by it: a [`JournalEntry`] is
+//! the only thing that changes the backend's state. Whatever a request is
+//! decided to do — store a put, log a served get, mark a checkpoint, a
+//! recovery or a reset — becomes an entry, which is handed to the
+//! `logstore::Journal` sink (when one is attached) and then applied. Control
+//! entries (checkpoint, recovery, reset) are commit points and force a flush,
+//! so the journal's durable prefix always extends at least through the last
+//! checkpoint — which is exactly the property the cold-restart equivalence
+//! proof needs: anything lost past that point is re-executed
+//! deterministically by the rolled-back apps.
 //!
-//! This module holds only the entry type and its binary layout
-//! ([`staging::wire`] codec; a record body that does not start with
-//! `WIRE_MAGIC` is not an entry and is rejected). Coalescing, commit-point
-//! flushes, compaction and error counting are the shared
+//! This module holds only the entry type, the queue event it stands for and
+//! its binary layout ([`staging::wire`] codec; a record body that does not
+//! start with `WIRE_MAGIC` is not an entry and is rejected). Coalescing,
+//! commit-point flushes, compaction and error counting are the shared
 //! [`staging::journal::JournalWriter`], the same one the plain backend
 //! journals through.
 //!
@@ -21,11 +24,13 @@
 //! `wfcr::gc` truncating the in-memory queues: once the GC floor passes a
 //! whole segment's versions, the segment file is deleted.
 //!
-//! Replaying surviving entries in order through
-//! [`crate::backend::LoggingBackend::from_journal`] rebuilds the store,
-//! queues, GC marks, and `next_w_chk` exactly: checkpoint entries record the
-//! *effective* floor the live GC pass used, so the rebuild runs the same
-//! collections at the same points.
+//! [`crate::backend::LoggingBackend::from_journal`] is that same application
+//! folded over the surviving entries in order, so it rebuilds the store,
+//! queues, GC marks, and `next_w_chk` exactly. An entry therefore carries
+//! every decision its application needs and nothing it must re-derive: a
+//! checkpoint records the *effective* floor its collection pass used (which
+//! depended on the replays then in flight), and a recovery is a queue marker
+//! only (entering replay mode was the live request's decision).
 //!
 //! # The rebuild's reader
 //!
@@ -44,12 +49,13 @@
 //!   collection drops it from the rebuilt store, which keeps the newest
 //!   version of a variable (all of its blocks) even below the floor.
 //!
-//! Keeping a record is always safe: `from_journal` treats it as it always
-//! did. Retiring one takes proof, and only fully decoded entries give it —
-//! the checkpoints, and the kept puts (a record that reads like a newer put
-//! and does not decode proves nothing). Every control entry, and every record
-//! from `T` on, is decoded; a stream with no collecting checkpoint is decoded
-//! whole, and so is one holding a `GlobalReset`, which takes the newest
+//! Keeping a record is always safe: `from_journal` applies it and the
+//! checkpoint `T` collects it. Retiring one takes proof, and only fully
+//! decoded entries give it — the checkpoints, and the kept puts (a record
+//! that reads like a newer put and does not decode proves nothing). Every
+//! control entry, and every record from `T` on, is decoded; a stream with no
+//! collecting checkpoint is decoded whole, and so is one holding a
+//! `GlobalReset`, which takes the newest
 //! versions back out of the store where the rule above counts on them
 //! staying. What is judged without decoding is read off the front of the
 //! body — tag, `app`, `var`, and the version the entry's watermark is — and a
@@ -61,6 +67,7 @@
 //! `gc_reclaimed`), which count what was materialised, as they already
 //! counted only what compaction had left.
 
+use crate::event::LogEvent;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use staging::geometry::BBox;
@@ -120,26 +127,27 @@ pub enum JournalEntry {
         w_chk_id: u64,
         /// Highest version the checkpoint covers.
         upto_version: Version,
-        /// The effective GC floor the live collection pass used (`None` when
-        /// GC was disabled). Recording it makes the rebuild's collection
-        /// byte-identical: `min(marks) ≥ floor` holds at this point of the
-        /// replayed history, so passing the floor back as a pin reproduces
-        /// the original pass exactly.
+        /// The effective GC floor of this checkpoint's collection pass
+        /// (`None` when GC was disabled), decided when the entry was made.
+        /// `min(marks) ≥ floor` holds wherever the entry is applied — live,
+        /// or at this point of a replayed history — so collecting with the
+        /// floor as a pin is the same pass in both.
         floor: Option<Version>,
     },
-    /// A `workflow_restart()` marker. Replaying it re-inserts the queue
-    /// marker only — it must NOT re-enter replay mode: any replay in flight
-    /// at crash time is restarted from scratch by the app itself, which
-    /// calls `workflow_restart()` again after the cold restart.
+    /// A `workflow_restart()` marker. Applying it inserts the queue marker
+    /// only — it must NOT enter replay mode (the live `control` does that
+    /// before admitting the entry): any replay in flight at crash time is
+    /// restarted from scratch by the app itself, which calls
+    /// `workflow_restart()` again after the cold restart.
     Recovery {
         /// Recovering component.
         app: AppId,
         /// Version of the restored checkpoint.
         resume_version: Version,
     },
-    /// A coordinated rollback: the store dropped every version newer than
-    /// `to_version`. Replaying it re-applies the cut, so a rebuilt store does
-    /// not resurrect what the reset discarded.
+    /// A coordinated rollback: applying it drops every version newer than
+    /// `to_version` from the store — live and in a rebuild alike, so a
+    /// rebuilt store does not resurrect what the reset discarded.
     GlobalReset {
         /// Newest version kept.
         to_version: Version,
@@ -248,6 +256,29 @@ impl WireEntry for JournalEntry {
         };
         r.finish().ok()?;
         Some(entry)
+    }
+}
+
+impl JournalEntry {
+    /// The event this entry puts on its component's queue — the one place an
+    /// entry becomes a [`LogEvent`]. `None` for a `GlobalReset`, which belongs
+    /// to no component and is logged in no queue.
+    pub(crate) fn event(&self) -> Option<LogEvent> {
+        Some(match *self {
+            JournalEntry::Put { app, desc, ref payload, digest } => {
+                LogEvent::Put { app, desc, bytes: payload.accounted_len(), digest }
+            }
+            JournalEntry::Get { app, var, requested, served, bbox, bytes, digest } => {
+                LogEvent::Get { app, var, requested, served, bbox, bytes, digest }
+            }
+            JournalEntry::Checkpoint { app, w_chk_id, upto_version, .. } => {
+                LogEvent::Checkpoint { app, w_chk_id, upto_version }
+            }
+            JournalEntry::Recovery { app, resume_version } => {
+                LogEvent::Recovery { app, resume_version }
+            }
+            JournalEntry::GlobalReset { .. } => return None,
+        })
     }
 }
 

@@ -50,16 +50,19 @@ impl LoggingBackend {
             return Err(SnapshotError::ReplayActive { app: *app });
         }
         Ok(LogSnapshot {
-            store: self.store_clone(),
-            queues: self.queues_clone(),
-            gc: self.gc_clone(),
-            next_w_chk: self.next_w_chk(),
+            store: self.store.clone(),
+            queues: self.queues.clone(),
+            gc: self.gc.clone(),
+            next_w_chk: self.next_w_chk,
         })
     }
 
     /// Rebuild a backend from a snapshot (fresh replay state, counters reset).
     pub fn from_snapshot(snap: LogSnapshot) -> LoggingBackend {
-        LoggingBackend::restore_parts(snap.store, snap.queues, snap.gc, snap.next_w_chk)
+        let mut b = LoggingBackend::new();
+        (b.store, b.queues, b.gc, b.next_w_chk) =
+            (snap.store, snap.queues, snap.gc, snap.next_w_chk);
+        b
     }
 }
 

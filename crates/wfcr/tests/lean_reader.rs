@@ -8,10 +8,15 @@
 //! backend: store, retained events and markers, checkpoint versions, GC marks
 //! and floor, and the same answers to whatever is asked next.
 //!
+//! The same comparison pins "journal, then apply": a *live* backend against
+//! `from_journal` of everything it journalled — one transition applied twice —
+//! on every generated history, flushed instead of killed, that does not end
+//! mid-replay (a replay in flight is not durable state).
+//!
 //! The harness must be able to fail: `model_reader` is the rule written out
 //! over fully decoded entries (equal to the library's on every history), and
 //! three wrong variants of it must each be refuted within a bounded number
-//! of histories.
+//! of histories; so must a rebuild that forgets the `GlobalReset`s.
 
 use logstore::{FlushPolicy, LogConfig, LogStore, Media, MemMedia, Record};
 use proptest::prelude::*;
@@ -226,8 +231,9 @@ fn fresh_backend() -> LoggingBackend {
 }
 
 /// Run the first life against a journalling backend and return what a
-/// restart reads back, with the driver as the components left it.
-fn first_life(h: &History) -> (Vec<Record>, Driver) {
+/// restart reads back, with the driver as the components left it — and the
+/// backend itself, still live, when the history ends in a flush.
+fn first_life(h: &History) -> (Vec<Record>, Driver, Option<LoggingBackend>) {
     let cfg = log_config(h.segment_bytes);
     let mem = MemMedia::new();
     let mut b = fresh_backend();
@@ -237,8 +243,11 @@ fn first_life(h: &History) -> (Vec<Record>, Driver) {
         driver.apply(&mut b, op);
     }
     assert_eq!(b.journal_errors(), 0);
-    match h.kill {
-        None => b.flush_journal(),
+    let live = match h.kill {
+        None => {
+            b.flush_journal();
+            Some(b)
+        }
         Some(tear) => {
             drop(b);
             // Power loss part-way through the unsynced tail: every file keeps
@@ -249,14 +258,16 @@ fn first_life(h: &History) -> (Vec<Record>, Driver) {
                 let keep = synced.read(&name).unwrap().len();
                 mem.chop(&name, keep + tear.min(mem.read(&name).unwrap().len() - keep));
             }
+            None
         }
-    }
+    };
     let log = LogStore::open(Box::new(mem), cfg).unwrap();
-    (log.read_all().unwrap(), driver)
+    (log.read_all().unwrap(), driver, live)
 }
 
-/// Everything a rebuilt backend holds that the next request can depend on.
-fn observe(b: &LoggingBackend) -> Vec<String> {
+/// Everything a backend holds that the next request can depend on; the queue
+/// of a component outside `APPS` only with `unregistered`.
+fn observe(b: &LoggingBackend, unregistered: bool) -> Vec<String> {
     let mut seen = vec![format!(
         "floor {} marks {:?} store {} B in {} pieces",
         b.gc_floor(),
@@ -277,6 +288,9 @@ fn observe(b: &LoggingBackend) -> Vec<String> {
         }
     }
     for app in b.queue_apps() {
+        if !unregistered && !APPS.contains(&app) {
+            continue;
+        }
         let q = b.queue(app).unwrap();
         let events: Vec<&LogEvent> = q.iter().collect();
         seen.push(format!(
@@ -288,32 +302,24 @@ fn observe(b: &LoggingBackend) -> Vec<String> {
     seen
 }
 
-/// `from_journal` over `lean` against `from_journal` over every entry of
-/// `records`, both registering `apps` as the first life did: the same backend
-/// now, and after each op of `second_life` and one last checkpoint, whose
-/// marker shows `next_w_chk`.
-fn rebuilds_agree(
-    records: &[Record],
-    lean: Vec<JournalEntry>,
-    apps: &[AppId],
+/// Two backends that should be one (`from_journal` over two entry lists, or a
+/// live backend and the rebuild of its journal), left by the same `driver`:
+/// the same backend now, and after each op of `second_life` and one last
+/// checkpoint, whose marker shows `next_w_chk`.
+fn agree(
+    mut backends: [LoggingBackend; 2],
+    unregistered: bool,
     driver: &Driver,
     second_life: &[Op],
 ) -> Result<(), String> {
-    let full: Vec<JournalEntry> = staging::journal::decode_records(records);
-    let mut rest = full.iter();
-    if !lean.iter().all(|e| rest.any(|f| f == e)) {
-        return Err("the lean list is not a subsequence of the full one".into());
-    }
-    let mut backends =
-        [LoggingBackend::from_journal(lean, apps), LoggingBackend::from_journal(full, apps)];
     let mut drivers = [driver.clone(), driver.clone()];
-    let last_checkpoint = Op::Checkpoint(apps[0]);
+    let last_checkpoint = Op::Checkpoint(0);
     let mut ops = second_life.iter().chain([&last_checkpoint]);
     let mut op = 0;
     loop {
-        let [lean, full] = backends.each_ref().map(observe);
-        if lean != full {
-            return Err(format!("after {op} more ops\n lean {lean:#?}\n full {full:#?}"));
+        let [a, b] = backends.each_ref().map(|b| observe(b, unregistered));
+        if a != b {
+            return Err(format!("after {op} more ops\n one {a:#?}\n other {b:#?}"));
         }
         for b in &backends {
             for app in b.queue_apps() {
@@ -324,12 +330,19 @@ fn rebuilds_agree(
             }
         }
         let Some(next) = ops.next() else { return Ok(()) };
-        let [lean, full] = [0, 1].map(|i| drivers[i].apply(&mut backends[i], next));
-        if lean != full {
-            return Err(format!("{next:?} answered\n lean {lean}\n full {full}"));
+        let [a, b] = [0, 1].map(|i| drivers[i].apply(&mut backends[i], next));
+        if a != b {
+            return Err(format!("{next:?} answered\n one {a}\n other {b}"));
         }
         op += 1;
     }
+}
+
+/// `from_journal` over `lean` beside `from_journal` over every entry of
+/// `records`, both registering `apps` as the first life did.
+fn rebuilds(records: &[Record], lean: Vec<JournalEntry>, apps: &[AppId]) -> [LoggingBackend; 2] {
+    let full = staging::journal::decode_records(records);
+    [LoggingBackend::from_journal(lean, apps), LoggingBackend::from_journal(full, apps)]
 }
 
 /// A wrong variant of the retirement rule.
@@ -393,21 +406,50 @@ fn refuted_within(rule: Rule, resets: bool, limit: u32) -> Option<u32> {
     let histories = arb_history(resets);
     (0..limit).find(|&case| {
         let h = histories.generate(&mut Rng::for_case(case));
-        let (records, driver) = first_life(&h);
-        rebuilds_agree(&records, model_reader(&records, rule), &APPS, &driver, &h.second_life)
-            .is_err()
+        let (records, driver, _) = first_life(&h);
+        let lean = model_reader(&records, rule);
+        agree(rebuilds(&records, lean, &APPS), true, &driver, &h.second_life).is_err()
     })
 }
 
 /// The library's reader is the model's sound rule, and rebuilds what the
 /// full stream rebuilds.
 fn reader_agrees_with_full(h: &History) -> Result<(), String> {
-    let (records, driver) = first_life(h);
+    let (records, driver, _) = first_life(h);
     let lean = wfcr::journal::decode_records(&records);
     if lean != model_reader(&records, Rule::Sound) {
         return Err("the model is not the reader".into());
     }
-    rebuilds_agree(&records, lean, &APPS, &driver, &h.second_life)
+    let full: Vec<JournalEntry> = staging::journal::decode_records(&records);
+    let mut rest = full.iter();
+    if !lean.iter().all(|e| rest.any(|f| f == e)) {
+        return Err("the lean list is not a subsequence of the full one".into());
+    }
+    agree(rebuilds(&records, lean, &APPS), true, &driver, &h.second_life)
+}
+
+/// `h`'s first life, flushed, against `from_journal` of all it journalled —
+/// with `forget_resets`, of all but the `GlobalReset`s (PR 13's bug: the cut
+/// was applied and never journalled). Vacuous when the first life ends
+/// mid-replay: the rebuilt backend starts outside replay, by design.
+///
+/// One known divergence is left out, and only where it can occur (ROADMAP
+/// item 2, the tenth finding; pinned by `a_component_that_never_checkpoints_…`):
+/// the queue of a component that never registered, once a journal segment
+/// has been compacted away.
+fn live_agrees_with_its_rebuild(h: &History, forget_resets: bool) -> Result<(), String> {
+    let (records, driver, live) = first_life(&History { kill: None, ..h.clone() });
+    let live = live.expect("a flushed history hands back its backend");
+    if !live.replaying_apps().is_empty() {
+        return Ok(());
+    }
+    let mut journalled: Vec<JournalEntry> = staging::journal::decode_records(&records);
+    if forget_resets {
+        journalled.retain(|e| !matches!(e, JournalEntry::GlobalReset { .. }));
+    }
+    let nothing_compacted = live.journal_segments_compacted() == 0;
+    let rebuilt = LoggingBackend::from_journal(journalled, &APPS);
+    agree([live, rebuilt], nothing_compacted, &driver, &h.second_life)
 }
 
 proptest! {
@@ -422,6 +464,16 @@ proptest! {
     fn lean_rebuild_equals_full_rebuild_across_resets(h in arb_history(true)) {
         prop_assert_eq!(reader_agrees_with_full(&h), Ok(()));
     }
+
+    #[test]
+    fn live_backend_equals_the_rebuild_of_its_journal(h in arb_history(false)) {
+        prop_assert_eq!(live_agrees_with_its_rebuild(&h, false), Ok(()));
+    }
+
+    #[test]
+    fn live_backend_equals_the_rebuild_of_its_journal_across_resets(h in arb_history(true)) {
+        prop_assert_eq!(live_agrees_with_its_rebuild(&h, false), Ok(()));
+    }
 }
 
 /// The generator reaches what the reader is for: most histories retire
@@ -431,7 +483,7 @@ fn the_histories_exercise_the_rule() {
     let histories = arb_history(false);
     let (mut retiring, mut full_total, mut lean_total) = (0, 0, 0);
     for case in 0..200 {
-        let (records, _) = first_life(&histories.generate(&mut Rng::for_case(case)));
+        let (records, ..) = first_life(&histories.generate(&mut Rng::for_case(case)));
         let full = staging::journal::decode_records::<JournalEntry>(&records).len();
         let lean = wfcr::journal::decode_records(&records).len();
         retiring += usize::from(lean < full);
@@ -461,6 +513,57 @@ fn retiring_after_the_last_collecting_checkpoint_is_caught() {
     assert!(case.is_some(), "300 histories and nothing dead-looking after the pass was missed");
 }
 
+/// PR 13's bug as a mutant: the property above is the positive control (the
+/// sound rebuild is never refuted), and a rebuild that never saw the resets
+/// must resurrect a discarded version within a few histories.
+#[test]
+fn a_rebuild_that_forgets_the_global_resets_is_caught() {
+    let histories = arb_history(true);
+    let refuted = (0..50).any(|case| {
+        let h = histories.generate(&mut Rng::for_case(case));
+        live_agrees_with_its_rebuild(&h, true).is_err()
+    });
+    assert!(refuted, "50 histories and no forgotten reset ever showed");
+}
+
+/// A producer (0) and a consumer (1), the only registered components, in
+/// step for `steps` and checkpointing every fourth, journalled in
+/// `segment_bytes` segments and flushed; `once` is issued before the first
+/// step and `every_step` in each.
+fn coupled_life(
+    segment_bytes: u64,
+    steps: u32,
+    once: &[Op],
+    every_step: &[Op],
+) -> (LoggingBackend, Vec<Record>, Driver) {
+    let cfg = LogConfig { segment_bytes, flush: FlushPolicy::PerBatch { records: 16 } };
+    let mem = MemMedia::new();
+    let mut b = LoggingBackend::new();
+    b.register_app(0);
+    b.register_app(1);
+    b.attach_journal(Box::new(LogStore::open(Box::new(mem.clone()), cfg).unwrap()));
+    let mut driver = Driver::default();
+    for op in once {
+        driver.apply(&mut b, op);
+    }
+    for step in 1..=steps {
+        driver.apply(&mut b, &Op::Put { app: 0, var: 0, block: 0, late: 0 });
+        driver.apply(&mut b, &Op::Get { app: 1, var: 0, block: 0, ahead: 0 });
+        for op in every_step {
+            driver.apply(&mut b, op);
+        }
+        if step % 4 == 0 {
+            driver.apply(&mut b, &Op::Checkpoint(0));
+            driver.apply(&mut b, &Op::Checkpoint(1));
+        }
+        driver.apply(&mut b, &Op::Step(0));
+        driver.apply(&mut b, &Op::Step(1));
+    }
+    b.flush_journal();
+    let records = LogStore::open(Box::new(mem), cfg).unwrap().read_all().unwrap();
+    (b, records, driver)
+}
+
 /// ROADMAP item 2, the ninth bug found by reading — pinned here, not fixed.
 /// `LoggingBackend::control` compacts below `min(floor, data_floor)`, and
 /// `data_floor` is the lowest *newest* version over all variables: a variable
@@ -469,37 +572,16 @@ fn retiring_after_the_last_collecting_checkpoint_is_caught() {
 /// live plus the markers, and the rebuild is the full one.
 #[test]
 fn a_variable_written_once_pins_compaction_and_the_reader_still_reads_what_is_live() {
-    let run = |mesh: bool| {
-        let cfg = LogConfig { segment_bytes: 1024, flush: FlushPolicy::PerBatch { records: 16 } };
-        let mem = MemMedia::new();
-        let mut b = LoggingBackend::new();
-        b.register_app(0);
-        b.register_app(1);
-        b.attach_journal(Box::new(LogStore::open(Box::new(mem.clone()), cfg).unwrap()));
-        let mut driver = Driver::default();
-        if mesh {
-            driver.apply(&mut b, &Op::Put { app: 1, var: 1, block: 0, late: 0 });
-        }
-        for step in 1..=400 {
-            driver.apply(&mut b, &Op::Put { app: 0, var: 0, block: 0, late: 0 });
-            driver.apply(&mut b, &Op::Get { app: 1, var: 0, block: 0, ahead: 0 });
-            if step % 4 == 0 {
-                driver.apply(&mut b, &Op::Checkpoint(0));
-                driver.apply(&mut b, &Op::Checkpoint(1));
-            }
-            driver.apply(&mut b, &Op::Step(0));
-            driver.apply(&mut b, &Op::Step(1));
-        }
-        b.flush_journal();
-        let compacted = b.journal_segments_compacted();
-        let records = LogStore::open(Box::new(mem), cfg).unwrap().read_all().unwrap();
-        (compacted, records, driver)
+    let run = |mesh: &[Op]| {
+        let (b, records, driver) = coupled_life(1024, 400, mesh, &[]);
+        (b.journal_segments_compacted(), records, driver)
     };
-    let (compacted, records, _) = run(false);
+    let mesh = [Op::Put { app: 1, var: 1, block: 0, late: 0 }];
+    let (compacted, records, _) = run(&[]);
     assert!(compacted > 100, "{compacted} segments compacted");
     assert!(records.len() < 20, "{} records left", records.len());
 
-    let (compacted, records, driver) = run(true);
+    let (compacted, records, driver) = run(&mesh);
     assert_eq!(compacted, 0, "the bug is fixed: move this to a regression test");
     assert_eq!(records.len(), 1 + 400 * 2 + 200);
     let lean = wfcr::journal::decode_records(&records);
@@ -511,5 +593,45 @@ fn a_variable_written_once_pins_compaction_and_the_reader_still_reads_what_is_li
         Op::Get { app: 1, var: 1, block: 0, ahead: 0 },
         Op::Checkpoint(0),
     ];
-    rebuilds_agree(&records, lean, &[0, 1], &driver, &second_life).unwrap();
+    agree(rebuilds(&records, lean, &[0, 1]), true, &driver, &second_life).unwrap();
+}
+
+/// ROADMAP item 2, the tenth finding — found by `live_agrees_with_its_rebuild`,
+/// pinned here, not fixed. `EventQueue::truncate_through` drops nothing while
+/// the queue has seen no checkpoint, so the queue of a component that never
+/// registered and never checkpoints keeps every event it ever logged; journal
+/// compaction deletes the segments below the floor all the same. After a cold
+/// restart that component's replay window is shorter than the one the live
+/// server held — and with nothing compacted, the two are equal.
+#[test]
+fn a_component_that_never_checkpoints_keeps_a_queue_its_compacted_journal_cannot_rebuild() {
+    let reader = [Op::Get { app: 3, var: 0, block: 0, ahead: 0 }];
+    let life = |segment_bytes| {
+        let (live, records, driver) = coupled_life(segment_bytes, 40, &[], &reader);
+        let compacted = live.journal_segments_compacted();
+        let rebuilt =
+            LoggingBackend::from_journal(wfcr::journal::decode_records(&records), &[0, 1]);
+        let held = [&live, &rebuilt].map(|b| b.queue(3).unwrap().transport_len());
+        (compacted, held, [live, rebuilt], driver)
+    };
+    let recover = [Op::Recover { app: 3, older: false, reexecute: true }];
+
+    let (compacted, held, backends, driver) = life(1 << 20);
+    assert_eq!((compacted, held), (0, [40, 40]));
+    agree(backends, true, &driver, &recover).unwrap();
+
+    let (compacted, [live, rebuilt], backends, driver) = life(1024);
+    assert!(compacted > 0);
+    assert_eq!(live, 40, "the live queue is bounded now: a finding of its own");
+    assert!(
+        rebuilt < live,
+        "the divergence is gone: compare every queue in `live_agrees_with_its_rebuild` \
+         whatever was compacted, and turn this into a regression test"
+    );
+    // Nothing else differs, and the difference is one a request can see:
+    // the component's rollback is told of a shorter replay.
+    agree(backends, false, &driver, &[]).unwrap();
+    let (.., backends, driver) = life(1024);
+    let seen = agree(backends, false, &driver, &recover).unwrap_err();
+    assert!(seen.contains("pending_replay: 40"), "{seen}");
 }

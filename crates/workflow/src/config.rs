@@ -858,279 +858,21 @@ impl WorkflowConfig {
     }
 }
 
-/// The Table II setup: 256 simulation + 64 analytics + 32 staging cores,
-/// 512×512×256 domain, 20 GB over 40 time steps, checkpoint periods 4 (sim)
-/// and 5 (analytics), coordinated period 4.
-pub fn table2(protocol: WorkflowProtocol) -> WorkflowConfig {
-    let domain = [512u64, 512, 256];
-    let volume: u64 = domain.iter().product();
-    // 20 GB over 40 steps → 0.5 GB/step → 8 B per point (one double):
-    // 512·512·256 = 67,108,864 points × 8 B = 512 MiB per step.
-    let bytes_per_point = 8;
-    assert_eq!(volume * bytes_per_point, 536_870_912);
-    let sim_ranks = 256;
-    let ana_ranks = 64;
+/// What the presets below share, and the mid-size shape two of them
+/// (`dns_les`, `fanout`) run as is: one double per point and one variable on
+/// sixteen Morton-ordered servers over a 256³ domain in 128³ blocks, twelve
+/// steps, coordinated period 4, a Cori-like interconnect, default server,
+/// ULFM, PFS and node-local cost models, checkpoints to the PFS, GC on, no
+/// failures and none of the optional subsystems. A preset is its label, seed
+/// and components plus the fields it differs in.
+fn base(
+    label: &str,
+    protocol: WorkflowProtocol,
+    seed: u64,
+    components: Vec<ComponentConfig>,
+) -> WorkflowConfig {
     WorkflowConfig {
-        label: format!("table2/{}", protocol.label()),
-        components: vec![
-            ComponentConfig {
-                name: "simulation".into(),
-                app: 0,
-                role: Role::Producer,
-                ranks: sim_ranks,
-                spares: 4,
-                compute_per_step: SimTime::from_millis(12_000),
-                jitter: 0.03,
-                // ~40 MiB of solver state per rank: checkpoint volume grows
-                // with the job while the PFS does not — the classic C/R
-                // scaling pressure the paper leans on.
-                state_bytes: (sim_ranks as u64 * 40) << 20,
-                scheme: FtScheme::CheckpointRestart { period: 4 },
-                subset_millis: 1000,
-                subset_pattern: SubsetPattern::Fixed,
-                recovery: RecoveryPolicy::Checkpoint,
-            },
-            ComponentConfig {
-                name: "analytics".into(),
-                app: 1,
-                role: Role::Consumer,
-                ranks: ana_ranks,
-                spares: 2,
-                compute_per_step: SimTime::from_millis(2_000),
-                jitter: 0.03,
-                state_bytes: (ana_ranks as u64 * 40) << 20,
-                scheme: FtScheme::CheckpointRestart { period: 5 },
-                subset_millis: 1000,
-                subset_pattern: SubsetPattern::Fixed,
-                recovery: RecoveryPolicy::Checkpoint,
-            },
-        ],
-        domain,
-        block: [128, 128, 128],
-        sfc: staging::dist::Curve::Morton,
-        nservers: 32,
-        bytes_per_point,
-        nvars: 1,
-        total_steps: 40,
-        protocol,
-        coordinated_period: 4,
-        plain_max_versions: 2,
-        net: CostModel::cori_like(),
-        server_costs: ServerCosts::default(),
-        ulfm: mpi_sim::UlfmCosts::default(),
-        pfs: ckpt::PfsModel::default(),
-        // MTBF = 10 min with one failure inside the 40-step window.
-        failures: vec![FailureSpec::Mtbf { mtbf_secs: 600.0, count: 1 }],
-        staging_resilience: StagingResilienceCfg::default(),
-        ckpt_target: CkptTarget::Pfs,
-        node_local: ckpt::NodeLocalModel::default(),
-        proactive: None,
-        log_gc: true,
-        failover: SimTime::from_millis(500),
-        reconnect_per_rank: SimTime::from_millis(5),
-        seed: 42,
-        durability: None,
-        trace: None,
-        supervision: None,
-        sharding: None,
-        telemetry: None,
-    }
-}
-
-/// Table III scaling configurations. `scale` indexes the five columns:
-/// 0 → 704 cores … 4 → 11,264 cores. `mtbf_secs`/`nfailures` follow the
-/// paper's scalability scenarios (600/1, 300/2, 200/3).
-pub fn table3(scale: usize, protocol: WorkflowProtocol, nfailures: usize) -> WorkflowConfig {
-    assert!(scale < 5, "five scales: 704..11264 cores");
-    let sim_ranks = 512usize << scale; // 512,1024,2048,4096,8192
-    let ana_ranks = sim_ranks / 4; // 128..2048
-    let nservers = sim_ranks / 8; // 64..1024
-                                  // Data scales with cores: 40 GB → 640 GB per 40 steps, i.e. 1..16 GB per
-                                  // step. Domain doubles one axis per scale step from 512×512×512.
-    let domain = match scale {
-        0 => [512, 512, 512],
-        1 => [1024, 512, 512],
-        2 => [1024, 1024, 512],
-        3 => [1024, 1024, 1024],
-        _ => [2048, 1024, 1024],
-    };
-    let mtbf = match nfailures {
-        0 | 1 => 600.0,
-        2 => 300.0,
-        _ => 200.0,
-    };
-    WorkflowConfig {
-        label: format!(
-            "table3/{}cores/{}f/{}",
-            sim_ranks + ana_ranks + nservers,
-            nfailures,
-            protocol.label()
-        ),
-        components: vec![
-            ComponentConfig {
-                name: "simulation".into(),
-                app: 0,
-                role: Role::Producer,
-                ranks: sim_ranks,
-                spares: 8,
-                compute_per_step: SimTime::from_millis(15_000),
-                jitter: 0.03,
-                state_bytes: (sim_ranks as u64 * 40) << 20,
-                scheme: FtScheme::CheckpointRestart { period: 8 },
-                subset_millis: 1000,
-                subset_pattern: SubsetPattern::Fixed,
-                recovery: RecoveryPolicy::Checkpoint,
-            },
-            ComponentConfig {
-                name: "analytics".into(),
-                app: 1,
-                role: Role::Consumer,
-                ranks: ana_ranks,
-                spares: 4,
-                compute_per_step: SimTime::from_millis(2_500),
-                jitter: 0.03,
-                state_bytes: (ana_ranks as u64 * 40) << 20,
-                scheme: FtScheme::CheckpointRestart { period: 10 },
-                subset_millis: 1000,
-                subset_pattern: SubsetPattern::Fixed,
-                recovery: RecoveryPolicy::Checkpoint,
-            },
-        ],
-        domain,
-        block: [256, 256, 256],
-        sfc: staging::dist::Curve::Morton,
-        nservers,
-        bytes_per_point: 8,
-        nvars: 1,
-        total_steps: 40,
-        protocol,
-        coordinated_period: 8,
-        plain_max_versions: 2,
-        net: CostModel::cori_like(),
-        server_costs: ServerCosts::default(),
-        ulfm: mpi_sim::UlfmCosts::default(),
-        pfs: ckpt::PfsModel::default(),
-        failures: vec![FailureSpec::Mtbf { mtbf_secs: mtbf, count: nfailures }],
-        staging_resilience: StagingResilienceCfg::default(),
-        ckpt_target: CkptTarget::Pfs,
-        node_local: ckpt::NodeLocalModel::default(),
-        proactive: None,
-        log_gc: true,
-        failover: SimTime::from_millis(500),
-        reconnect_per_rank: SimTime::from_millis(5),
-        seed: 42 + scale as u64,
-        durability: None,
-        trace: None,
-        supervision: None,
-        sharding: None,
-        telemetry: None,
-    }
-}
-
-/// A DNS/LES-style pair of coupled solvers (paper §II-A, Figure 5): two
-/// simulations at different resolutions exchanging fields through staging
-/// every time step, each checkpointing on its own period.
-pub fn dns_les(protocol: WorkflowProtocol) -> WorkflowConfig {
-    WorkflowConfig {
-        label: format!("dns-les/{}", protocol.label()),
-        components: vec![
-            ComponentConfig {
-                name: "dns".into(),
-                app: 0,
-                role: Role::Peer,
-                ranks: 128,
-                spares: 4,
-                compute_per_step: SimTime::from_millis(10_000),
-                jitter: 0.03,
-                state_bytes: 128 * (40 << 20),
-                scheme: FtScheme::CheckpointRestart { period: 4 },
-                subset_millis: 1000,
-                subset_pattern: SubsetPattern::Fixed,
-                recovery: RecoveryPolicy::Checkpoint,
-            },
-            ComponentConfig {
-                name: "les".into(),
-                app: 1,
-                role: Role::Peer,
-                ranks: 32,
-                spares: 2,
-                compute_per_step: SimTime::from_millis(9_000),
-                jitter: 0.03,
-                state_bytes: 32 * (40 << 20),
-                scheme: FtScheme::CheckpointRestart { period: 5 },
-                subset_millis: 300, // boundary/coarse exchange, not the full domain
-                subset_pattern: SubsetPattern::Fixed,
-                recovery: RecoveryPolicy::Checkpoint,
-            },
-        ],
-        domain: [256, 256, 256],
-        block: [128, 128, 128],
-        sfc: staging::dist::Curve::Morton,
-        nservers: 16,
-        bytes_per_point: 8,
-        nvars: 2,
-        total_steps: 12,
-        protocol,
-        coordinated_period: 4,
-        plain_max_versions: 2,
-        net: CostModel::cori_like(),
-        server_costs: ServerCosts::default(),
-        ulfm: mpi_sim::UlfmCosts::default(),
-        pfs: ckpt::PfsModel::default(),
-        failures: Vec::new(),
-        staging_resilience: StagingResilienceCfg::default(),
-        ckpt_target: CkptTarget::Pfs,
-        node_local: ckpt::NodeLocalModel::default(),
-        proactive: None,
-        log_gc: true,
-        failover: SimTime::from_millis(500),
-        reconnect_per_rank: SimTime::from_millis(5),
-        seed: 77,
-        durability: None,
-        trace: None,
-        supervision: None,
-        sharding: None,
-        telemetry: None,
-    }
-}
-
-/// The Figure 1 topology: one simulation fanned out to several coupled
-/// consumers (secondary analysis, analytics, visualization), each with its
-/// own checkpoint period.
-pub fn fanout(protocol: WorkflowProtocol, nconsumers: usize) -> WorkflowConfig {
-    assert!(nconsumers >= 1);
-    let mut components = vec![ComponentConfig {
-        name: "simulation".into(),
-        app: 0,
-        role: Role::Producer,
-        ranks: 128,
-        spares: 4,
-        compute_per_step: SimTime::from_millis(8_000),
-        jitter: 0.03,
-        state_bytes: 128 * (40 << 20),
-        scheme: FtScheme::CheckpointRestart { period: 4 },
-        subset_millis: 1000,
-        subset_pattern: SubsetPattern::Fixed,
-        recovery: RecoveryPolicy::Checkpoint,
-    }];
-    for i in 0..nconsumers {
-        components.push(ComponentConfig {
-            name: format!("consumer-{i}"),
-            app: 1 + i as u32,
-            role: Role::Consumer,
-            ranks: 32,
-            spares: 2,
-            compute_per_step: SimTime::from_millis(1_000 + 500 * i as u64),
-            jitter: 0.03,
-            state_bytes: 32 * (40 << 20),
-            scheme: FtScheme::CheckpointRestart { period: 4 + i as u32 },
-            subset_millis: 1000,
-            subset_pattern: SubsetPattern::Fixed,
-            recovery: RecoveryPolicy::Checkpoint,
-        });
-    }
-    WorkflowConfig {
-        label: format!("fanout{nconsumers}/{}", protocol.label()),
+        label: format!("{label}/{}", protocol.label()),
         components,
         domain: [256, 256, 256],
         block: [128, 128, 128],
@@ -1154,7 +896,7 @@ pub fn fanout(protocol: WorkflowProtocol, nconsumers: usize) -> WorkflowConfig {
         log_gc: true,
         failover: SimTime::from_millis(500),
         reconnect_per_rank: SimTime::from_millis(5),
-        seed: 99,
+        seed,
         durability: None,
         trace: None,
         supervision: None,
@@ -1163,72 +905,151 @@ pub fn fanout(protocol: WorkflowProtocol, nconsumers: usize) -> WorkflowConfig {
     }
 }
 
+/// A component as the paper-scale presets build it: checkpoint/restart every
+/// `period` steps, recovering from its own checkpoint, the whole domain
+/// coupled each step, ±3 % compute jitter, and ~40 MiB of solver state per
+/// rank — checkpoint volume grows with the job while the PFS does not, the
+/// classic C/R scaling pressure the paper leans on.
+fn component(
+    name: &str,
+    app: u32,
+    role: Role,
+    ranks: usize,
+    spares: usize,
+    compute_ms: u64,
+    period: u32,
+) -> ComponentConfig {
+    ComponentConfig {
+        name: name.into(),
+        app,
+        role,
+        ranks,
+        spares,
+        compute_per_step: SimTime::from_millis(compute_ms),
+        jitter: 0.03,
+        state_bytes: (ranks as u64 * 40) << 20,
+        scheme: FtScheme::CheckpointRestart { period },
+        subset_millis: 1000,
+        subset_pattern: SubsetPattern::Fixed,
+        recovery: RecoveryPolicy::Checkpoint,
+    }
+}
+
+/// The Table II setup: 256 simulation + 64 analytics + 32 staging cores,
+/// 512×512×256 domain, 20 GB over 40 time steps, checkpoint periods 4 (sim)
+/// and 5 (analytics), coordinated period 4.
+pub fn table2(protocol: WorkflowProtocol) -> WorkflowConfig {
+    let domain = [512u64, 512, 256];
+    let volume: u64 = domain.iter().product();
+    // 20 GB over 40 steps → 0.5 GB/step → 8 B per point (one double):
+    // 512·512·256 = 67,108,864 points × 8 B = 512 MiB per step.
+    let bytes_per_point = 8;
+    assert_eq!(volume * bytes_per_point, 536_870_912);
+    let components = vec![
+        component("simulation", 0, Role::Producer, 256, 4, 12_000, 4),
+        component("analytics", 1, Role::Consumer, 64, 2, 2_000, 5),
+    ];
+    WorkflowConfig {
+        domain,
+        nservers: 32,
+        bytes_per_point,
+        total_steps: 40,
+        // MTBF = 10 min with one failure inside the 40-step window.
+        failures: vec![FailureSpec::Mtbf { mtbf_secs: 600.0, count: 1 }],
+        ..base("table2", protocol, 42, components)
+    }
+}
+
+/// Table III scaling configurations. `scale` indexes the five columns:
+/// 0 → 704 cores … 4 → 11,264 cores. `mtbf_secs`/`nfailures` follow the
+/// paper's scalability scenarios (600/1, 300/2, 200/3).
+pub fn table3(scale: usize, protocol: WorkflowProtocol, nfailures: usize) -> WorkflowConfig {
+    assert!(scale < 5, "five scales: 704..11264 cores");
+    let sim_ranks = 512usize << scale; // 512,1024,2048,4096,8192
+    let ana_ranks = sim_ranks / 4; // 128..2048
+    let nservers = sim_ranks / 8; // 64..1024
+    let cores = sim_ranks + ana_ranks + nservers;
+    // Data scales with cores: 40 GB → 640 GB per 40 steps, i.e. 1..16 GB per
+    // step. Domain doubles one axis per scale step from 512×512×512.
+    let domain = match scale {
+        0 => [512, 512, 512],
+        1 => [1024, 512, 512],
+        2 => [1024, 1024, 512],
+        3 => [1024, 1024, 1024],
+        _ => [2048, 1024, 1024],
+    };
+    let mtbf_secs = match nfailures {
+        0 | 1 => 600.0,
+        2 => 300.0,
+        _ => 200.0,
+    };
+    let components = vec![
+        component("simulation", 0, Role::Producer, sim_ranks, 8, 15_000, 8),
+        component("analytics", 1, Role::Consumer, ana_ranks, 4, 2_500, 10),
+    ];
+    WorkflowConfig {
+        domain,
+        block: [256, 256, 256],
+        nservers,
+        total_steps: 40,
+        coordinated_period: 8,
+        failures: vec![FailureSpec::Mtbf { mtbf_secs, count: nfailures }],
+        ..base(
+            &format!("table3/{cores}cores/{nfailures}f"),
+            protocol,
+            42 + scale as u64,
+            components,
+        )
+    }
+}
+
+/// A DNS/LES-style pair of coupled solvers (paper §II-A, Figure 5): two
+/// simulations at different resolutions exchanging fields through staging
+/// every time step, each checkpointing on its own period.
+pub fn dns_les(protocol: WorkflowProtocol) -> WorkflowConfig {
+    let components = vec![
+        component("dns", 0, Role::Peer, 128, 4, 10_000, 4),
+        ComponentConfig {
+            subset_millis: 300, // boundary/coarse exchange, not the full domain
+            ..component("les", 1, Role::Peer, 32, 2, 9_000, 5)
+        },
+    ];
+    WorkflowConfig { nvars: 2, ..base("dns-les", protocol, 77, components) }
+}
+
+/// The Figure 1 topology: one simulation fanned out to several coupled
+/// consumers (secondary analysis, analytics, visualization), each with its
+/// own checkpoint period.
+pub fn fanout(protocol: WorkflowProtocol, nconsumers: usize) -> WorkflowConfig {
+    assert!(nconsumers >= 1);
+    let mut components = vec![component("simulation", 0, Role::Producer, 128, 4, 8_000, 4)];
+    for i in 0..nconsumers as u32 {
+        let name = format!("consumer-{i}");
+        let (compute_ms, period) = (1_000 + 500 * u64::from(i), 4 + i);
+        components.push(component(&name, 1 + i, Role::Consumer, 32, 2, compute_ms, period));
+    }
+    base(&format!("fanout{nconsumers}"), protocol, 99, components)
+}
+
 /// A laptop-sized configuration for tests and the quickstart example: small
 /// domain, short steps, fast to simulate.
 pub fn tiny(protocol: WorkflowProtocol) -> WorkflowConfig {
+    let small = |state_bytes, c| ComponentConfig { jitter: 0.02, state_bytes, ..c };
+    let components = vec![
+        small(8 << 20, component("simulation", 0, Role::Producer, 8, 2, 100, 4)),
+        small(4 << 20, component("analytics", 1, Role::Consumer, 4, 1, 60, 5)),
+    ];
     WorkflowConfig {
-        label: format!("tiny/{}", protocol.label()),
-        components: vec![
-            ComponentConfig {
-                name: "simulation".into(),
-                app: 0,
-                role: Role::Producer,
-                ranks: 8,
-                spares: 2,
-                compute_per_step: SimTime::from_millis(100),
-                jitter: 0.02,
-                state_bytes: 8 << 20,
-                scheme: FtScheme::CheckpointRestart { period: 4 },
-                subset_millis: 1000,
-                subset_pattern: SubsetPattern::Fixed,
-                recovery: RecoveryPolicy::Checkpoint,
-            },
-            ComponentConfig {
-                name: "analytics".into(),
-                app: 1,
-                role: Role::Consumer,
-                ranks: 4,
-                spares: 1,
-                compute_per_step: SimTime::from_millis(60),
-                jitter: 0.02,
-                state_bytes: 4 << 20,
-                scheme: FtScheme::CheckpointRestart { period: 5 },
-                subset_millis: 1000,
-                subset_pattern: SubsetPattern::Fixed,
-                recovery: RecoveryPolicy::Checkpoint,
-            },
-        ],
         domain: [64, 64, 64],
         block: [32, 32, 32],
-        sfc: staging::dist::Curve::Morton,
         nservers: 4,
-        bytes_per_point: 8,
-        nvars: 1,
-        total_steps: 12,
-        protocol,
-        coordinated_period: 4,
-        plain_max_versions: 2,
-        net: CostModel::cori_like(),
-        server_costs: ServerCosts::default(),
         ulfm: mpi_sim::UlfmCosts {
             detect_ns: 10_000_000, // 10 ms: keep tiny runs snappy
             ..mpi_sim::UlfmCosts::default()
         },
-        pfs: ckpt::PfsModel::default(),
-        failures: Vec::new(),
-        staging_resilience: StagingResilienceCfg::default(),
-        ckpt_target: CkptTarget::Pfs,
-        node_local: ckpt::NodeLocalModel::default(),
-        proactive: None,
-        log_gc: true,
         failover: SimTime::from_millis(50),
         reconnect_per_rank: SimTime::from_micros(200),
-        seed: 7,
-        durability: None,
-        trace: None,
-        supervision: None,
-        sharding: None,
-        telemetry: None,
+        ..base("tiny", protocol, 7, components)
     }
 }
 
@@ -1240,69 +1061,25 @@ pub fn tiny(protocol: WorkflowProtocol) -> WorkflowConfig {
 /// exploration ([`crate::mcheck_mode`]) stays tractable while still
 /// covering the full write-then-read consistency protocol.
 pub fn micro(protocol: WorkflowProtocol) -> WorkflowConfig {
+    // No compute jitter: schedule choices are the only nondeterminism.
+    let still = |state_bytes, c| ComponentConfig { jitter: 0.0, state_bytes, ..c };
+    let components = vec![
+        still(1 << 20, component("producer", 0, Role::Producer, 2, 1, 2, 2)),
+        still(1 << 19, component("consumer", 1, Role::Consumer, 1, 1, 1, 2)),
+    ];
     WorkflowConfig {
-        label: format!("micro/{}", protocol.label()),
-        components: vec![
-            ComponentConfig {
-                name: "producer".into(),
-                app: 0,
-                role: Role::Producer,
-                ranks: 2,
-                spares: 1,
-                compute_per_step: SimTime::from_millis(2),
-                jitter: 0.0, // no compute jitter: schedule choices are the only nondeterminism
-                state_bytes: 1 << 20,
-                scheme: FtScheme::CheckpointRestart { period: 2 },
-                subset_millis: 1000,
-                subset_pattern: SubsetPattern::Fixed,
-                recovery: RecoveryPolicy::Checkpoint,
-            },
-            ComponentConfig {
-                name: "consumer".into(),
-                app: 1,
-                role: Role::Consumer,
-                ranks: 1,
-                spares: 1,
-                compute_per_step: SimTime::from_millis(1),
-                jitter: 0.0,
-                state_bytes: 1 << 19,
-                scheme: FtScheme::CheckpointRestart { period: 2 },
-                subset_millis: 1000,
-                subset_pattern: SubsetPattern::Fixed,
-                recovery: RecoveryPolicy::Checkpoint,
-            },
-        ],
         domain: [32, 32, 32],
         block: [32, 32, 32], // one block per step: minimal message fan-out
-        sfc: staging::dist::Curve::Morton,
         nservers: 1,
-        bytes_per_point: 8,
-        nvars: 1,
         total_steps: 3,
-        protocol,
         coordinated_period: 2,
-        plain_max_versions: 2,
-        net: CostModel::cori_like(),
-        server_costs: ServerCosts::default(),
         ulfm: mpi_sim::UlfmCosts {
             detect_ns: 1_000_000, // 1 ms: recoveries stay inside the short run
             ..mpi_sim::UlfmCosts::default()
         },
-        pfs: ckpt::PfsModel::default(),
-        failures: Vec::new(),
-        staging_resilience: StagingResilienceCfg::default(),
-        ckpt_target: CkptTarget::Pfs,
-        node_local: ckpt::NodeLocalModel::default(),
-        proactive: None,
-        log_gc: true,
         failover: SimTime::from_millis(5),
         reconnect_per_rank: SimTime::from_micros(100),
-        seed: 3,
-        durability: None,
-        trace: None,
-        supervision: None,
-        sharding: None,
-        telemetry: None,
+        ..base("micro", protocol, 3, components)
     }
 }
 
@@ -1559,5 +1336,41 @@ mod tests {
             .with_supervision(SupervisionCfg::default())
             .with_recovery(RecoveryPolicy::JournalReplay);
         assert!(ok.validate().is_ok());
+    }
+
+    /// The six presets are written as differences from one base; this pins
+    /// what they serialise to (FNV-1a of `serde_json::to_string`, every
+    /// protocol; all five `table3` scales × 0–3 failures, `fanout` with 1–3
+    /// consumers), as the spelled-out literals produced it before the base
+    /// existed. A change to the base, or to a preset, must move a pin here
+    /// deliberately.
+    #[test]
+    fn presets_are_pinned() {
+        let digest = |configs: Vec<WorkflowConfig>| {
+            let json: Vec<String> =
+                configs.iter().map(|c| serde_json::to_string(c).expect("serialises")).collect();
+            staging::payload::fnv1a(json.concat().as_bytes())
+        };
+        let per_protocol = |preset: &dyn Fn(WorkflowProtocol) -> Vec<WorkflowConfig>| {
+            digest(WorkflowProtocol::all().into_iter().flat_map(preset).collect())
+        };
+        let table3_all = |p| {
+            (0..5).flat_map(|scale| (0..4).map(move |nf| table3(scale, p, nf))).collect::<Vec<_>>()
+        };
+        let pins = [
+            ("table2", per_protocol(&|p| vec![table2(p)]), 0xE87E_B794_3C91_3885u64),
+            ("table3", per_protocol(&table3_all), 0x8851_5E04_F34A_CEB4),
+            ("dns_les", per_protocol(&|p| vec![dns_les(p)]), 0xF841_EB53_9E9D_E202),
+            (
+                "fanout",
+                per_protocol(&|p| (1..=3).map(|n| fanout(p, n)).collect()),
+                0x3116_EB9B_7A40_52BD,
+            ),
+            ("tiny", per_protocol(&|p| vec![tiny(p)]), 0x1AD3_EE0C_B1B9_A7B1),
+            ("micro", per_protocol(&|p| vec![micro(p)]), 0x3CEE_A356_30A0_35C2),
+        ];
+        for (preset, got, want) in pins {
+            assert_eq!(got, want, "{preset}: {got:#018X}");
+        }
     }
 }
