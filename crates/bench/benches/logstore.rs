@@ -50,7 +50,9 @@ fn bench_append(c: &mut Criterion) {
 /// `append_batch` under one group commit. Payloads are the small-record
 /// sizes the acceptance bar targets (≤ 4 KiB); each record is handed over
 /// as two scattered parts (a 24-byte "meta" prefix plus the payload) to
-/// exercise the zero-copy vectored path the journal handles use.
+/// exercise the zero-copy vectored path the journal handles use. The
+/// `journal_*` rows after them are the shapes `wfcr`'s journal really hands
+/// down, through the same public call.
 fn bench_append_batch(c: &mut Criterion) {
     const BATCH: usize = 32;
     let mut group = c.benchmark_group("logstore/append_batch");
@@ -107,6 +109,43 @@ fn bench_append_batch(c: &mut Criterion) {
                 })
             });
         }
+    }
+
+    // The journal's own hand-offs under its own policy: a group of gets
+    // (meta only), a group of 512 B block-puts and a step of 256 KiB ones,
+    // each record an encoded ~100 B prefix plus the payload's bytes as a
+    // second part. Bytes per second here is the write side's framing rate
+    // (header, four-abreast CRC, one vectored copy into `MemMedia`).
+    const META: usize = 100;
+    for (name, records, payload_len) in [
+        ("journal_gets", 16usize, 0usize),
+        ("journal_puts", 16, 512),
+        ("journal_bulk", 4, 256 * 1024),
+    ] {
+        let metas: Vec<Vec<u8>> = (0..records).map(|r| vec![0x11 ^ r as u8; META]).collect();
+        let payloads: Vec<Vec<u8>> =
+            (0..records).map(|r| vec![0xA5 ^ r as u8; payload_len]).collect();
+        let parts: Vec<[&[u8]; 2]> =
+            metas.iter().zip(&payloads).map(|(m, p)| [&m[..], &p[..]]).collect();
+        let mut batch: Vec<BatchRecord<'_>> =
+            parts.iter().map(|p| BatchRecord { watermark: 0, parts: p }).collect();
+        let bytes = records * (META + payload_len);
+        // Compact about every 16 MiB so the media holds a few segments at most.
+        let compact_every = ((16 << 20) / bytes).max(1) as u64;
+        let cfg = LogConfig { segment_bytes: 4 << 20, flush: FlushPolicy::Grouped { records: 16 } };
+        let mut log = LogStore::open(Box::new(MemMedia::new()), cfg).expect("open");
+        let mut w = 0u64;
+        group.throughput(Throughput::Bytes(bytes as u64));
+        group.bench_with_input(BenchmarkId::new(name, payload_len), &payload_len, |b, _| {
+            b.iter(|| {
+                w += 1;
+                if w.is_multiple_of(compact_every) {
+                    black_box(log.compact_below(w).expect("compact"));
+                }
+                batch.iter_mut().for_each(|r| r.watermark = w);
+                log.append_batch(&batch).expect("append_batch")
+            })
+        });
     }
     group.finish();
 }

@@ -29,7 +29,7 @@ fn unknown_or_missing_experiment_is_rejected_with_the_valid_list() {
 fn fig9_tables_and_json_reproduce_results_byte_for_byte() {
     let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     let committed = |file: &str| std::fs::read_to_string(results.join(file)).expect(file);
-    for exp in ["fig9a", "fig9b"] {
+    for exp in ["fig9a", "fig9b", "fig9e"] {
         let json = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("repro_{exp}.json"));
         let (code, stdout, _) = repro(&["--exp", exp, "--json", json.to_str().expect("utf-8")]);
         assert_eq!(code, Some(0), "{exp}");
@@ -37,9 +37,4 @@ fn fig9_tables_and_json_reproduce_results_byte_for_byte() {
         let written = std::fs::read_to_string(&json).expect("repro wrote the file");
         assert!(written == committed(&format!("{exp}.json")), "{exp} JSON differs from results/");
     }
-    // `results/fig9e.json` predates fields `RunReport` has since grown (its
-    // re-pin is 4c's last clause); the table is the paper's figure.
-    let (code, stdout, _) = repro(&["--exp", "fig9e"]);
-    assert_eq!(code, Some(0));
-    assert!(stdout == committed("fig9e.txt"), "fig9e table differs from results/");
 }

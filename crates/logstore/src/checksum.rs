@@ -140,7 +140,11 @@ impl Crc32 {
     /// over their common length. One lane's fold waits on its own previous
     /// state (the table indices are made of it), so a single stream runs at
     /// the latency of that chain; `K` independent chains fill the wait.
-    /// Whatever a lane holds beyond the common length is absorbed alone.
+    /// Whatever a lane holds beyond the common length is absorbed alone — all
+    /// of it when some lane is empty, which is then `K` plain `update`s.
+    ///
+    /// Two callers in `store`, one lane count: the recovery scan over the
+    /// frames it chains, and the write path over the records of a run.
     pub(crate) fn update_abreast<const K: usize>(lanes: &mut [Crc32; K], bytes: [&[u8]; K]) {
         let steps = bytes.iter().map(|b| b.len() / 8).min().unwrap_or(0);
         let heads = bytes.map(|b| &b.as_chunks::<8>().0[..steps]);

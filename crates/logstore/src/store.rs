@@ -15,15 +15,22 @@
 //! would otherwise read as a shorter-but-valid segment and let later
 //! segments smuggle a gap into the stream.
 //!
-//! **Write path.** Frames are encoded straight into a reusable buffer — no
-//! per-record allocation — with the CRC computed incrementally over the
-//! payload's scattered parts ([`LogStore::append_parts`]), so a record whose
-//! payload lives in two places (an encoded header plus zero-copy data bytes)
-//! is framed without ever being assembled. [`LogStore::append_batch`] takes a
-//! whole group of records and, when the policy commits at the batch boundary,
-//! hands the media **one vectored write** spanning every frame (headers from
-//! the scratch buffer, payload bytes straight from the caller's slices)
-//! followed by a single fsync: group commit, one flush instead of N.
+//! **Write path.** There is one: [`LogStore::append`] and
+//! [`LogStore::append_parts`] are [`LogStore::append_batch`] of a single
+//! record, so rotation, the oversized-record rule and the [`FlushPolicy`]
+//! decision each have one site. A run of records is framed at once: the
+//! headers go into a reusable scratch buffer [`FRAME_HEADER`] bytes apart —
+//! no per-record allocation — and the CRCs of up to four frames stream
+//! abreast over the payloads' scattered parts (frames are independent, and
+//! one CRC is bound by its own dependency chain; the recovery scan does the
+//! same on the way in), so a record whose payload lives in two places (an
+//! encoded header plus zero-copy data bytes) is framed without ever being
+//! assembled. A frame's CRC is a function of its own bytes only: the media
+//! holds what a frame-at-a-time writer would have put there. When the policy
+//! commits at the batch boundary the media gets **one vectored write**
+//! spanning every frame (headers from the scratch buffer, payload bytes
+//! straight from the caller's slices) followed by a single fsync: group
+//! commit, one flush instead of N.
 //!
 //! Appends buffer frames in memory and push them to the media under a
 //! [`FlushPolicy`]; only flushed-and-synced bytes survive a crash.
@@ -190,26 +197,44 @@ fn parse_seg_name(name: &str) -> Option<u64> {
     name.strip_prefix("seg-")?.strip_suffix(".log")?.parse().ok()
 }
 
-/// Encode one frame header (len + seq + watermark + crc) into `out` for a
-/// payload scattered across `parts`. The CRC streams over the parts, so the
-/// payload is never assembled into an intermediate buffer.
-fn encode_header_into(out: &mut Vec<u8>, seq: u64, watermark: u64, parts: &[&[u8]]) {
-    let len: usize = parts.iter().map(|p| p.len()).sum();
-    let mut crc = Crc32::new();
-    crc.update(&seq.to_le_bytes());
-    crc.update(&watermark.to_le_bytes());
-    for p in parts {
-        crc.update(p);
-    }
-    out.reserve(FRAME_HEADER);
-    out.extend_from_slice(&(len as u32).to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&watermark.to_le_bytes());
-    out.extend_from_slice(&crc.finish().to_le_bytes());
-}
-
-/// Frames the scan checksums at once (see [`Crc32::update_abreast`]).
+/// Frames checksummed at once, by the scan and by the write path alike (see
+/// [`Crc32::update_abreast`]).
 const LANES: usize = 4;
+
+/// Frame a run of records whose first takes `first_seq`: one header (len +
+/// seq + watermark + crc) a record is appended to `out`, [`FRAME_HEADER`]
+/// bytes apart. The records are taken [`LANES`] at a time: each lane's CRC
+/// is seeded with its `seq ‖ watermark` and the four then stream abreast
+/// over part after part of the payloads, so no payload is ever assembled
+/// and a group's frames do not wait on one another's checksum. A journal
+/// group's parts are of equal length record to record, so the common length
+/// is nearly all of it; a short last chunk leaves lanes empty and its
+/// records run alone, as the scan's do — a run of one is checksummed as the
+/// single stream it is.
+fn encode_headers_into(out: &mut Vec<u8>, first_seq: u64, run: &[BatchRecord<'_>]) {
+    out.reserve(run.len() * FRAME_HEADER);
+    for (chunk, seq) in run.chunks(LANES).zip((first_seq..).step_by(LANES)) {
+        let mut seeds = [[0u8; 16]; LANES];
+        let mut crcs: [Crc32; LANES] = std::array::from_fn(|_| Crc32::new());
+        for (k, r) in chunk.iter().enumerate() {
+            seeds[k][..8].copy_from_slice(&(seq + k as u64).to_le_bytes());
+            seeds[k][8..].copy_from_slice(&r.watermark.to_le_bytes());
+            crcs[k].update(&seeds[k]);
+        }
+        let parts = chunk.iter().map(|r| r.parts.len()).max().unwrap_or(0);
+        for part in 0..parts {
+            let lanes = std::array::from_fn(|k| {
+                chunk.get(k).and_then(|r| r.parts.get(part)).map_or(&[][..], |p| p)
+            });
+            Crc32::update_abreast(&mut crcs, lanes);
+        }
+        for ((r, seed), crc) in chunk.iter().zip(&seeds).zip(crcs) {
+            out.extend_from_slice(&(r.payload_len() as u32).to_le_bytes());
+            out.extend_from_slice(seed);
+            out.extend_from_slice(&crc.finish().to_le_bytes());
+        }
+    }
+}
 
 /// A frame whose header and payload lie inside the segment. Nothing in it is
 /// believed until its CRC has agreed.
@@ -476,20 +501,6 @@ impl LogStore {
         self.segments.last_mut().expect("log always has an active segment")
     }
 
-    /// Flush + rotate if appending `frame_len` more bytes would overflow the
-    /// active segment (which must already hold at least one record — a
-    /// single oversized record lands whole).
-    fn rotate_if_needed(&mut self, frame_len: u64) -> io::Result<()> {
-        let active = self.active();
-        let would_be = active.disk_len + self.staged + self.buf.len() as u64 + frame_len;
-        if would_be > self.cfg.segment_bytes && active.records > 0 {
-            self.flush()?;
-            let next = self.active().index + 1;
-            self.create_segment(next)?;
-        }
-        Ok(())
-    }
-
     /// Per-record accounting shared by every append path. Call once per
     /// record, after its frame bytes are handed to `buf`/`scratch`.
     fn note_appended(&mut self, watermark: u64, frame_len: u64) {
@@ -520,26 +531,11 @@ impl LogStore {
     }
 
     /// Append one record whose payload is scattered across `parts` (e.g. an
-    /// encoded metadata prefix plus the data's own bytes). The frame is
-    /// encoded directly into the reusable write buffer — no intermediate
-    /// allocation, CRC streamed over the parts.
+    /// encoded metadata prefix plus the data's own bytes): a batch of one, so
+    /// the frame is checksummed over the parts as they lie and never
+    /// assembled.
     pub fn append_parts(&mut self, watermark: u64, parts: &[&[u8]]) -> io::Result<()> {
-        self.scan.set(None);
-        let payload_len: usize = parts.iter().map(|p| p.len()).sum();
-        let frame_len = (FRAME_HEADER + payload_len) as u64;
-        self.rotate_if_needed(frame_len)?;
-        encode_header_into(&mut self.buf, self.next_seq, watermark, parts);
-        for p in parts {
-            self.buf.extend_from_slice(p);
-        }
-        self.note_appended(watermark, frame_len);
-        match self.cfg.flush {
-            FlushPolicy::PerRecord => self.flush(),
-            FlushPolicy::PerBatch { records } if self.buf_records >= records => self.flush(),
-            FlushPolicy::PerBytes { bytes } if self.buf.len() as u64 >= bytes => self.flush(),
-            FlushPolicy::Grouped { records } if self.buf_records >= records => self.seal_group(),
-            _ => Ok(()),
-        }
+        self.append_run(&[BatchRecord { watermark, parts }])
     }
 
     /// Append a whole group of records with **one** flush decision at the
@@ -553,11 +549,18 @@ impl LogStore {
     /// Segment rotation mid-batch splits the group; each sub-run that a
     /// rotation terminates is flushed by the rotation as usual.
     pub fn append_batch(&mut self, batch: &[BatchRecord<'_>]) -> io::Result<()> {
+        self.records_batched += batch.len() as u64;
+        self.append_run(batch)
+    }
+
+    /// The one write path: cut `batch` into the runs that fit a segment,
+    /// rotating between them, and decide once — at the end of the batch —
+    /// whether the policy buffers, flushes or seals.
+    fn append_run(&mut self, batch: &[BatchRecord<'_>]) -> io::Result<()> {
         if batch.is_empty() {
             return Ok(());
         }
         self.scan.set(None);
-        self.records_batched += batch.len() as u64;
         let mut i = 0;
         while i < batch.len() {
             let base = self.active().disk_len + self.staged + self.buf.len() as u64;
@@ -623,22 +626,19 @@ impl LogStore {
         run_bytes: u64,
         mode: RunMode,
     ) -> io::Result<()> {
+        self.scratch.clear();
+        encode_headers_into(&mut self.scratch, self.next_seq, run);
+        for r in run {
+            self.note_appended(r.watermark, (FRAME_HEADER + r.payload_len()) as u64);
+        }
         if matches!(mode, RunMode::Buffer) {
-            for r in run {
-                encode_header_into(&mut self.buf, self.next_seq, r.watermark, r.parts);
+            for (r, hdr) in run.iter().zip(self.scratch.chunks_exact(FRAME_HEADER)) {
+                self.buf.extend_from_slice(hdr);
                 for p in r.parts {
                     self.buf.extend_from_slice(p);
                 }
-                self.note_appended(r.watermark, (FRAME_HEADER + r.payload_len()) as u64);
             }
             return Ok(());
-        }
-        self.scratch.clear();
-        let mut hdr_ends = Vec::with_capacity(run.len());
-        for r in run {
-            encode_header_into(&mut self.scratch, self.next_seq, r.watermark, r.parts);
-            hdr_ends.push(self.scratch.len());
-            self.note_appended(r.watermark, (FRAME_HEADER + r.payload_len()) as u64);
         }
         let name = seg_name(self.active().index);
         let sealing = matches!(mode, RunMode::Seal);
@@ -656,15 +656,9 @@ impl LogStore {
             if !buf.is_empty() {
                 parts.push(buf.as_slice());
             }
-            let mut start = 0usize;
-            for (r, &hend) in run.iter().zip(&hdr_ends) {
-                parts.push(&scratch[start..hend]);
-                start = hend;
-                for p in r.parts {
-                    if !p.is_empty() {
-                        parts.push(p);
-                    }
-                }
+            for (r, hdr) in run.iter().zip(scratch.chunks_exact(FRAME_HEADER)) {
+                parts.push(hdr);
+                parts.extend(r.parts.iter().filter(|p| !p.is_empty()));
             }
             media.append_vectored(&name, &parts)?;
         }
@@ -680,26 +674,6 @@ impl LogStore {
             let (b, r) = (self.staged + batch_bytes, self.staged_records + batch_records);
             self.note_durable(b, r);
         }
-        Ok(())
-    }
-
-    /// Seal the buffered group: append its bytes to the media but leave the
-    /// fsync in flight, first completing the previous group's deferred sync.
-    fn seal_group(&mut self) -> io::Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        let name = seg_name(self.active().index);
-        if self.staged > 0 {
-            self.media.sync(&name)?;
-            let (b, r) = (self.staged, self.staged_records);
-            self.note_durable(b, r);
-        }
-        self.media.append(&name, &self.buf)?;
-        self.staged = self.buf.len() as u64;
-        self.staged_records = self.buf_records;
-        self.buf.clear();
-        self.buf_records = 0;
         Ok(())
     }
 
@@ -1263,14 +1237,23 @@ mod tests {
         assert_eq!(second.read_all().unwrap(), records);
     }
 
-    /// Counts `read` calls on the way to a shared [`MemMedia`].
-    struct CountingMedia {
+    /// A shared [`MemMedia`] behind a probe: `read` calls are counted, and the
+    /// `fail_at`-th append (segment magics included, counted from 0) returns
+    /// an error and writes nothing.
+    struct ProbedMedia {
         inner: MemMedia,
         reads: Arc<AtomicUsize>,
+        fail_at: Option<usize>,
+        appends: usize,
     }
 
-    impl Media for CountingMedia {
+    impl Media for ProbedMedia {
         fn append(&mut self, name: &str, data: &[u8]) -> io::Result<()> {
+            let nth = self.appends;
+            self.appends += 1;
+            if self.fail_at == Some(nth) {
+                return Err(io::Error::other("injected write failure"));
+            }
             self.inner.append(name, data)
         }
         fn sync(&mut self, name: &str) -> io::Result<()> {
@@ -1298,7 +1281,12 @@ mod tests {
         drop(filled(&mem, cfg, 30));
         let reads = Arc::new(AtomicUsize::new(0));
         let count = || reads.load(Ordering::Relaxed);
-        let media = CountingMedia { inner: mem.clone(), reads: Arc::clone(&reads) };
+        let media = ProbedMedia {
+            inner: mem.clone(),
+            reads: Arc::clone(&reads),
+            fail_at: None,
+            appends: 0,
+        };
         let mut log = LogStore::open(Box::new(media), cfg).unwrap();
         let segments = log.segment_count();
         assert!(segments >= 3);
@@ -1362,6 +1350,59 @@ mod tests {
         let err = log.read_all().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains(&seg_name(0)), "{err}");
+    }
+
+    /// The eleventh finding (ROADMAP item 1), pinned and not fixed: a group's
+    /// sequence numbers are consumed before its write, so one failed write
+    /// leaves a hole, and every later group is written, fsynced and
+    /// acknowledged behind it — where the next open stops at the gap and
+    /// throws all of it away as a torn tail. The recovered prefix is
+    /// consistent; the promise of durability made in between is not kept.
+    #[test]
+    fn one_failed_write_silently_voids_every_later_commit() {
+        const FIXED: &str = "the eleventh finding is fixed: turn this into a regression test";
+        for flush in [
+            FlushPolicy::PerRecord,
+            FlushPolicy::PerBatch { records: 4 },
+            FlushPolicy::Grouped { records: 4 },
+        ] {
+            let mem = MemMedia::new();
+            let cfg = LogConfig { flush, ..LogConfig::default() };
+            // Append 0 is the segment's magic; groups 0 and 1 land, group 2's
+            // write fails once.
+            let media = ProbedMedia {
+                inner: mem.clone(),
+                reads: Arc::default(),
+                fail_at: Some(3),
+                appends: 0,
+            };
+            let mut log = LogStore::open(Box::new(media), cfg).unwrap();
+            let payload = [0x5Au8; 20];
+            let parts: [&[u8]; 1] = [&payload];
+            let mut acknowledged = 0;
+            for group in 0..8u64 {
+                let batch = [BatchRecord { watermark: group, parts: &parts }; 4];
+                match log.append_batch(&batch) {
+                    Ok(()) => acknowledged += 4,
+                    Err(_) => assert_eq!(group, 2, "{flush:?}"),
+                }
+            }
+            assert_eq!(acknowledged, 28, "{flush:?}: seven groups were acknowledged");
+            assert!(log.flush().is_ok(), "{flush:?}: {FIXED}");
+            // The handle vouches for records it never wrote …
+            let err = log.read_all().expect_err(FIXED);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{flush:?}");
+            assert!(
+                err.to_string().contains("32 durable records in 1240 bytes"),
+                "{flush:?}: {err}"
+            );
+            // … and a restart keeps what came before the hole, nothing after.
+            drop(log);
+            let reopened = LogStore::open(Box::new(mem.clone()), cfg).unwrap();
+            assert_eq!(reopened.recovered_records(), 8, "{flush:?}: {FIXED}");
+            let frame = (FRAME_HEADER + payload.len()) as u64;
+            assert_eq!(reopened.truncated_bytes(), 20 * frame, "{flush:?}: CRC-clean frames");
+        }
     }
 
     #[test]
