@@ -1,32 +1,22 @@
-//! Journal entry codec benchmarks: the binary wire format of both entry
-//! types — the staging store journal's and the wfcr event journal's. Encode
-//! and decode are measured separately so the write path (encode + the
-//! zero-copy meta/payload split) and the recovery path (decode) are visible
-//! on their own. Numbers land in EXPERIMENTS.md §journal_codec; the JSON
-//! column there is the historical PR 6 measurement of a codec that has since
-//! been deleted. `rebuild` is the recovery path whole: one server's record
-//! stream through the rebuild's reader and `from_journal`, against how much
-//! history the journal still holds.
+//! Journal entry codec benchmarks: the binary wire format of the wfcr event
+//! journal's entries. Encode and decode are measured separately so the write
+//! path (encode + the zero-copy meta/payload split) and the recovery path
+//! (decode) are visible on their own. Numbers land in EXPERIMENTS.md
+//! §journal_codec; its JSON and store-journal rows are historical, measured
+//! on codecs that have since been deleted. `rebuild` is the recovery path
+//! whole: one server's record stream through the rebuild's reader and
+//! `from_journal`, against how much history the journal still holds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use logstore::{FlushPolicy, LogConfig, LogStore, MemMedia, Record};
 use staging::geometry::BBox;
-use staging::journal::WireEntry;
 use staging::payload::Payload;
 use staging::proto::{CtlRequest, GetRequest, ObjDesc, PutRequest, Version};
 use staging::service::StoreBackend;
-use staging::store_journal::StoreJournalEntry;
 use std::hint::black_box;
 use std::time::Duration;
 use wfcr::backend::LoggingBackend;
 use wfcr::journal::JournalEntry;
-
-fn store_put(payload_len: usize) -> StoreJournalEntry {
-    StoreJournalEntry::Put {
-        desc: ObjDesc { var: 3, version: 41, bbox: BBox::d1(0, 1023) },
-        payload: Payload::inline(vec![0xA5u8; payload_len]),
-    }
-}
 
 fn wfcr_put(payload_len: usize) -> JournalEntry {
     let payload = Payload::inline(vec![0xA5u8; payload_len]);
@@ -43,25 +33,21 @@ fn bench_encode(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(200));
     group.measurement_time(Duration::from_millis(800));
     for &len in &[256usize, 4096] {
-        let store = store_put(len);
         let wfcr = wfcr_put(len);
         group.throughput(Throughput::Bytes(len as u64));
-        group.bench_with_input(BenchmarkId::new("store_binary", len), &len, |b, _| {
-            b.iter(|| black_box(store.encode()))
+        group.bench_with_input(BenchmarkId::new("wfcr_binary", len), &len, |b, _| {
+            b.iter(|| black_box(wfcr.encode()))
         });
         // The write path proper never concatenates: the meta prefix goes
         // into a reused scratch and the payload Bytes ride as a separate
         // vectored part. This row is the true per-entry encode cost.
         let mut scratch = Vec::new();
-        group.bench_with_input(BenchmarkId::new("store_binary_scatter", len), &len, |b, _| {
+        group.bench_with_input(BenchmarkId::new("wfcr_binary_scatter", len), &len, |b, _| {
             b.iter(|| {
                 scratch.clear();
-                store.encode_meta_into(&mut scratch);
-                black_box((scratch.len(), store.inline_payload().map(|p| p.len())))
+                wfcr.encode_meta_into(&mut scratch);
+                black_box((scratch.len(), wfcr.inline_payload().map(|p| p.len())))
             })
-        });
-        group.bench_with_input(BenchmarkId::new("wfcr_binary", len), &len, |b, _| {
-            b.iter(|| black_box(wfcr.encode()))
         });
     }
     group.finish();
@@ -72,14 +58,8 @@ fn bench_decode(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(200));
     group.measurement_time(Duration::from_millis(800));
     for &len in &[256usize, 4096] {
-        let store = store_put(len);
-        let wfcr = wfcr_put(len);
-        let store_bin = store.encode();
-        let wfcr_bin = wfcr.encode();
+        let wfcr_bin = wfcr_put(len).encode();
         group.throughput(Throughput::Bytes(len as u64));
-        group.bench_with_input(BenchmarkId::new("store_binary", len), &len, |b, _| {
-            b.iter(|| black_box(StoreJournalEntry::decode(&store_bin).expect("decode")))
-        });
         group.bench_with_input(BenchmarkId::new("wfcr_binary", len), &len, |b, _| {
             b.iter(|| black_box(JournalEntry::decode(&wfcr_bin).expect("decode")))
         });

@@ -73,11 +73,6 @@ impl CheckpointStore {
         self.sink = SinkSlot(Some(sink));
     }
 
-    /// Is a durable backend attached?
-    pub fn has_sink(&self) -> bool {
-        self.sink.0.is_some()
-    }
-
     /// Persist calls that failed (durability degraded; in-memory state is
     /// still authoritative).
     pub fn sink_errors(&self) -> u64 {

@@ -76,9 +76,6 @@ pub struct Network {
     endpoint_actor: Vec<ActorId>,
     /// Time at which each endpoint's NIC becomes free.
     nic_free: Vec<SimTime>,
-    /// Are endpoints currently reachable? A failed process's endpoint drops
-    /// traffic (models RDMA peer death).
-    up: Vec<bool>,
     /// Optional deterministic fault injector (drop/dup/reorder/delay).
     faults: Option<FaultInjector>,
     /// Endpoints whose traffic bypasses injection (e.g. the coordination
@@ -103,7 +100,6 @@ impl Network {
             model,
             endpoint_actor: Vec::new(),
             nic_free: Vec::new(),
-            up: Vec::new(),
             faults: None,
             fault_exempt: Vec::new(),
             fault_space: None,
@@ -117,7 +113,6 @@ impl Network {
     pub fn register(&mut self, actor: ActorId) -> EndpointId {
         self.endpoint_actor.push(actor);
         self.nic_free.push(SimTime::ZERO);
-        self.up.push(true);
         self.fault_exempt.push(false);
         self.endpoint_actor.len() - 1
     }
@@ -189,93 +184,60 @@ impl Network {
     }
 }
 
-/// Control messages understood by the [`Network`] actor in addition to
-/// [`Transmit`].
-pub enum NetCtl {
-    /// Mark an endpoint down: subsequent traffic to it is dropped.
-    EndpointDown(EndpointId),
-    /// Mark an endpoint back up (e.g. a recovered process re-attaching).
-    EndpointUp(EndpointId),
-    /// Re-point an endpoint at a different actor (spare process takes over a
-    /// failed rank's endpoint identity).
-    Rebind(EndpointId, ActorId),
-}
-
 impl Actor for Network {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
-        let ev = match ev.downcast::<Transmit>() {
-            Ok((_, t)) => {
-                let Transmit { from, to, size, payload } = t;
-                assert!(to < self.endpoint_actor.len(), "unknown endpoint {to}");
-                if !self.up[to] || !self.up.get(from).copied().unwrap_or(false) {
-                    ctx.metrics().inc("net.dropped", 1);
-                    return;
-                }
-                let exempt = self.fault_exempt[from] || self.fault_exempt[to];
-                let decision = if exempt {
-                    FaultDecision::Deliver
-                } else if self.fault_space.is_some() && ctx.controlled() {
-                    self.space_decision(ctx)
-                } else {
-                    match &self.faults {
-                        Some(inj) => inj.next_decision(),
-                        None => FaultDecision::Deliver,
-                    }
-                };
-                if matches!(decision, FaultDecision::Drop) {
-                    ctx.metrics().inc("net.fault.dropped", 1);
-                    return;
-                }
-                let (arrival, free) = self.model.arrival(ctx.now(), self.nic_free[to], size);
-                self.nic_free[to] = free;
-                let mut delay = arrival.saturating_sub(ctx.now());
-                let target = self.endpoint_actor[to];
-                let (msgs, bytes) = *self.traffic.get_or_insert_with(|| {
-                    (ctx.metrics().counter_id("net.msgs"), ctx.metrics().counter_id("net.bytes"))
-                });
-                ctx.metrics().inc_id(msgs, 1);
-                ctx.metrics().inc_id(bytes, size);
-                match decision {
-                    FaultDecision::Delay { extra_delay_ns } => {
-                        delay += SimTime::from_nanos(extra_delay_ns);
-                        ctx.metrics().inc("net.fault.delayed", 1);
-                    }
-                    // In a DES, holding a message back past later traffic is
-                    // exactly a large extra delay: later sends overtake it.
-                    FaultDecision::Reorder { extra_delay_ns } => {
-                        delay += SimTime::from_nanos(extra_delay_ns);
-                        ctx.metrics().inc("net.fault.reordered", 1);
-                    }
-                    FaultDecision::Duplicate { extra_delay_ns } => {
-                        let copy = payload.clone_boxed();
-                        ctx.metrics().inc("net.fault.duplicated", 1);
-                        ctx.send_after(
-                            delay + SimTime::from_nanos(extra_delay_ns),
-                            target,
-                            Delivered { from, size, payload: copy.into_any() },
-                        );
-                    }
-                    FaultDecision::Deliver | FaultDecision::Drop => {}
-                }
-                ctx.send_after(
-                    delay,
-                    target,
-                    Delivered { from, size, payload: payload.into_any() },
-                );
-                return;
-            }
-            Err(ev) => ev,
+        let Ok((_, Transmit { from, to, size, payload })) = ev.downcast::<Transmit>() else {
+            return;
         };
-        if let Ok((_, c)) = ev.downcast::<NetCtl>() {
-            match c {
-                NetCtl::EndpointDown(ep) => self.up[ep] = false,
-                NetCtl::EndpointUp(ep) => self.up[ep] = true,
-                NetCtl::Rebind(ep, actor) => {
-                    self.endpoint_actor[ep] = actor;
-                    self.up[ep] = true;
-                }
+        assert!(from < self.endpoint_actor.len(), "unknown endpoint {from}");
+        assert!(to < self.endpoint_actor.len(), "unknown endpoint {to}");
+        let exempt = self.fault_exempt[from] || self.fault_exempt[to];
+        let decision = if exempt {
+            FaultDecision::Deliver
+        } else if self.fault_space.is_some() && ctx.controlled() {
+            self.space_decision(ctx)
+        } else {
+            match &self.faults {
+                Some(inj) => inj.next_decision(),
+                None => FaultDecision::Deliver,
             }
+        };
+        if matches!(decision, FaultDecision::Drop) {
+            ctx.metrics().inc("net.fault.dropped", 1);
+            return;
         }
+        let (arrival, free) = self.model.arrival(ctx.now(), self.nic_free[to], size);
+        self.nic_free[to] = free;
+        let mut delay = arrival.saturating_sub(ctx.now());
+        let target = self.endpoint_actor[to];
+        let (msgs, bytes) = *self.traffic.get_or_insert_with(|| {
+            (ctx.metrics().counter_id("net.msgs"), ctx.metrics().counter_id("net.bytes"))
+        });
+        ctx.metrics().inc_id(msgs, 1);
+        ctx.metrics().inc_id(bytes, size);
+        match decision {
+            FaultDecision::Delay { extra_delay_ns } => {
+                delay += SimTime::from_nanos(extra_delay_ns);
+                ctx.metrics().inc("net.fault.delayed", 1);
+            }
+            // In a DES, holding a message back past later traffic is
+            // exactly a large extra delay: later sends overtake it.
+            FaultDecision::Reorder { extra_delay_ns } => {
+                delay += SimTime::from_nanos(extra_delay_ns);
+                ctx.metrics().inc("net.fault.reordered", 1);
+            }
+            FaultDecision::Duplicate { extra_delay_ns } => {
+                let copy = payload.clone_boxed();
+                ctx.metrics().inc("net.fault.duplicated", 1);
+                ctx.send_after(
+                    delay + SimTime::from_nanos(extra_delay_ns),
+                    target,
+                    Delivered { from, size, payload: copy.into_any() },
+                );
+            }
+            FaultDecision::Deliver | FaultDecision::Drop => {}
+        }
+        ctx.send_after(delay, target, Delivered { from, size, payload: payload.into_any() });
     }
 
     fn name(&self) -> &str {
@@ -302,21 +264,6 @@ impl NetworkHandle {
         payload: T,
     ) {
         ctx.send_now(self.actor, Transmit { from, to, size, payload: Box::new(payload) });
-    }
-
-    /// Mark an endpoint down (models process failure).
-    pub fn endpoint_down(&self, ctx: &mut Ctx<'_>, ep: EndpointId) {
-        ctx.send_now(self.actor, NetCtl::EndpointDown(ep));
-    }
-
-    /// Mark an endpoint up (models recovery / re-attach).
-    pub fn endpoint_up(&self, ctx: &mut Ctx<'_>, ep: EndpointId) {
-        ctx.send_now(self.actor, NetCtl::EndpointUp(ep));
-    }
-
-    /// Rebind an endpoint to a different actor (spare process adoption).
-    pub fn rebind(&self, ctx: &mut Ctx<'_>, ep: EndpointId, actor: ActorId) {
-        ctx.send_now(self.actor, NetCtl::Rebind(ep, actor));
     }
 }
 
@@ -402,73 +349,6 @@ mod tests {
         let s = eng.actor_as::<Sink>(sink).unwrap();
         assert_eq!(s.arrivals.len(), 2);
         assert!(s.arrivals.iter().all(|(t, _)| *t == 1_100));
-    }
-
-    #[test]
-    fn down_endpoint_drops_traffic() {
-        let model = CostModel::slow_test();
-        let (mut eng, sink, _h, src, dst, _) = setup(model);
-        let net_actor = 1;
-        eng.schedule_now(net_actor, NetCtl::EndpointDown(dst));
-        eng.schedule_now(
-            net_actor,
-            Transmit { from: src, to: dst, size: 10, payload: Box::new("x".to_string()) },
-        );
-        eng.run();
-        assert!(eng.actor_as::<Sink>(sink).unwrap().arrivals.is_empty());
-        assert_eq!(eng.metrics().counter("net.dropped"), 1);
-    }
-
-    #[test]
-    fn up_after_down_restores_traffic() {
-        let model = CostModel::slow_test();
-        let (mut eng, sink, _h, src, dst, _) = setup(model);
-        let net_actor = 1;
-        eng.schedule_now(net_actor, NetCtl::EndpointDown(dst));
-        eng.schedule_now(net_actor, NetCtl::EndpointUp(dst));
-        eng.schedule_now(
-            net_actor,
-            Transmit { from: src, to: dst, size: 10, payload: Box::new("x".to_string()) },
-        );
-        eng.run();
-        assert_eq!(eng.actor_as::<Sink>(sink).unwrap().arrivals.len(), 1);
-    }
-
-    #[test]
-    fn rebind_redirects_traffic_to_new_actor() {
-        let model = CostModel::slow_test();
-        let mut eng = Engine::new(7);
-        let old_sink = eng.add_actor(Box::<Sink>::default());
-        let new_sink = eng.add_actor(Box::<Sink>::default());
-        let mut net = Network::new(model);
-        let src = net.register(old_sink);
-        let dst = net.register(old_sink);
-        let net_id = eng.add_actor(Box::new(net));
-
-        // Spare process adopts the failed rank's endpoint identity.
-        eng.schedule_now(net_id, NetCtl::Rebind(dst, new_sink));
-        eng.schedule_now(
-            net_id,
-            Transmit { from: src, to: dst, size: 10, payload: Box::new("x".to_string()) },
-        );
-        eng.run();
-        assert!(eng.actor_as::<Sink>(old_sink).unwrap().arrivals.is_empty());
-        assert_eq!(eng.actor_as::<Sink>(new_sink).unwrap().arrivals.len(), 1);
-    }
-
-    #[test]
-    fn traffic_from_down_sender_dropped() {
-        let model = CostModel::slow_test();
-        let (mut eng, sink, _h, src, dst, _) = setup(model);
-        let net_actor = 1;
-        eng.schedule_now(net_actor, NetCtl::EndpointDown(src));
-        eng.schedule_now(
-            net_actor,
-            Transmit { from: src, to: dst, size: 10, payload: Box::new("x".to_string()) },
-        );
-        eng.run();
-        assert!(eng.actor_as::<Sink>(sink).unwrap().arrivals.is_empty());
-        assert_eq!(eng.metrics().counter("net.dropped"), 1);
     }
 
     fn all_faults(seed: u64, drop: f64, duplicate: f64) -> FaultPlan {

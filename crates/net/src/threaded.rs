@@ -89,11 +89,6 @@ impl ThreadEndpoint {
         self.id
     }
 
-    /// Number of endpoints in the mesh (including this one).
-    pub fn mesh_size(&self) -> usize {
-        self.peers.len()
-    }
-
     /// Send `payload` (declared `size` bytes) to endpoint `to`.
     ///
     /// Returns `false` if the destination endpoint has been dropped — the

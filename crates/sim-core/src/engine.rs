@@ -267,11 +267,6 @@ impl Engine {
         self.actors.len() - 1
     }
 
-    /// Number of registered actors.
-    pub fn actor_count(&self) -> usize {
-        self.actors.len()
-    }
-
     /// Schedule an external (engine-initiated) event at absolute time `at`.
     pub fn schedule_at<T: Any>(&mut self, at: SimTime, target: ActorId, payload: T) {
         self.core.push(at, target, Event { from: None, payload: Box::new(payload) });
@@ -412,12 +407,6 @@ impl Engine {
     /// the [`crate::choice`] module docs for the contract.
     pub fn set_choice_source(&mut self, src: Box<dyn ChoiceSource>) {
         self.core.choice = Some(src);
-    }
-
-    /// Remove the controlled scheduler, returning the engine to canonical
-    /// FIFO dispatch.
-    pub fn clear_choice_source(&mut self) -> Option<Box<dyn ChoiceSource>> {
-        self.core.choice.take()
     }
 
     /// True when a controlled scheduler is installed.

@@ -78,12 +78,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// This time as fractional milliseconds.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Saturating subtraction: `a.saturating_sub(b)` is zero when `b > a`.
     #[inline]
     pub fn saturating_sub(self, rhs: SimTime) -> SimTime {

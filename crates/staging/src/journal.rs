@@ -1,13 +1,13 @@
-//! The coalescing journal writer, written once for both backends.
+//! The coalescing journal writer.
 //!
 //! The paper's logging component is one mechanism — puts, gets and
 //! `W_Chk_ID` markers kept by staging so a rolled-back component replays what
 //! it saw — and so is its durable twin: [`JournalWriter`] owns a
-//! `logstore::Journal` sink and is generic over the entry type it records
-//! ([`crate::store_journal::StoreJournalEntry`] for the plain backend,
-//! `wfcr::journal::JournalEntry` for the logging backend). The entry modules
-//! keep only what differs — the enums and their binary layouts, described to
-//! the writer through [`WireEntry`].
+//! `logstore::Journal` sink and records the logging backend's
+//! `wfcr::journal::JournalEntry`. Only that backend journals; the plain
+//! backend keeps no log to replay. The writer stays generic over the entry
+//! type, described to it through [`WireEntry`], so its tests can drive it with
+//! a three-field entry of their own.
 //!
 //! **Write path.** Entries are encoded with the binary [`crate::wire`] codec
 //! and the writer *coalesces*: encoded metadata accumulates in one reusable
@@ -222,10 +222,7 @@ impl<E: WireEntry> JournalWriter<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::BBox;
     use crate::payload::Payload;
-    use crate::proto::{CtlRequest, GetRequest, ObjDesc, PutRequest};
-    use crate::service::{PlainBackend, StoreBackend};
     use crate::wire::{self, Reader};
     use logstore::{FlushPolicy, LogConfig, LogStore, MemMedia};
     use std::io;
@@ -446,39 +443,5 @@ mod tests {
             *calls.lock().unwrap(),
             ["append_batch(2)", "append_batch(1)", "flush", "compact_below(9)"]
         );
-    }
-
-    #[test]
-    fn failing_sink_leaves_the_backend_answers_unchanged() {
-        let bbox = BBox::d1(0, 9);
-        let put = |version| PutRequest {
-            app: 0,
-            desc: ObjDesc { var: 0, version, bbox },
-            payload: Payload::inline(vec![version as u8; 10]),
-            seq: u64::from(version),
-            tctx: obs::TraceCtx::NONE,
-        };
-        let drive = |b: &mut PlainBackend| {
-            let mut answers = Vec::new();
-            for v in 1..=3 {
-                answers.push(format!("{:?}", b.put(&put(v))));
-            }
-            answers.push(format!("{:?}", b.control(CtlRequest::GlobalReset { to_version: 2 })));
-            for version in 1..=3 {
-                let get =
-                    GetRequest { app: 1, var: 0, version, bbox, seq: 0, tctx: obs::TraceCtx::NONE };
-                answers.push(format!("{:?} {:?}", b.get_ready(&get), b.get(&get)));
-            }
-            answers.push(b.bytes_resident().to_string());
-            answers
-        };
-        let mut detached = PlainBackend::new(4);
-        let mut failing = PlainBackend::new(4);
-        failing.attach_journal_coalesced(probe(true).0, 2);
-        assert_eq!(drive(&mut failing), drive(&mut detached));
-        // One failed window hand-off, then the reset's hand-off and flush.
-        assert_eq!(failing.journal_errors(), 3);
-        assert_eq!(failing.journal_stats().entries_recorded, 4);
-        assert_eq!(detached.journal_stats(), JournalStats::default());
     }
 }

@@ -37,15 +37,14 @@
 //! * [`server`] — the discrete-event staging server actor (request queuing +
 //!   CPU cost model) and client-side request planning.
 //! * [`threaded`] — a real-thread staging server over `net::ThreadedNet`.
-//! * [`journal`] — the one coalescing journal writer
-//!   ([`journal::JournalWriter`], generic over the entry type) behind both
-//!   backends' durable twins, and the [`journal::JournalStats`] every backend
-//!   reports through [`service::StoreBackend::journal_stats`].
-//! * [`store_journal`] — the plain backend's journal entry type and replay.
-//! * [`wire`] — little-endian binary codec primitives shared by the two
-//!   journal entry types (`store_journal` here, `wfcr`'s journal) so
-//!   hot-path entries skip serde; a body without the magic first byte is
-//!   rejected.
+//! * [`journal`] — the coalescing journal writer ([`journal::JournalWriter`])
+//!   behind the logging backend's durable twin, and the
+//!   [`journal::JournalStats`] every backend reports through
+//!   [`service::StoreBackend::journal_stats`]. The plain backend keeps no
+//!   journal: no restart path could read one.
+//! * [`wire`] — little-endian binary codec primitives for journal entries
+//!   (`wfcr`'s `JournalEntry`) so hot-path entries skip serde; a body without
+//!   the magic first byte is rejected.
 
 pub mod dist;
 pub mod geometry;
@@ -58,7 +57,6 @@ pub mod server;
 pub mod service;
 pub mod sfc;
 pub mod store;
-pub mod store_journal;
 pub mod store_linear;
 pub mod threaded;
 pub mod wire;

@@ -8,13 +8,12 @@
 //! data/event logging, replay, and garbage collection without forking any
 //! server code.
 
-use crate::journal::{JournalStats, JournalWriter, DEFAULT_COALESCE};
+use crate::journal::JournalStats;
 use crate::proto::{
     AppId, CtlAck, CtlMsg, CtlRequest, CtlResponse, GetPiece, GetRequest, GetResponse, PutRequest,
     PutResponse, PutStatus, Reply, Request,
 };
 use crate::store::VersionedStore;
-use crate::store_journal::StoreJournalEntry;
 use obs::{arg, TraceCtx};
 use serde::{Deserialize, Serialize};
 use sim_core::time::SimTime;
@@ -45,8 +44,8 @@ pub trait StoreBackend: Send + 'static {
     /// Handle a read.
     fn get(&mut self, req: &GetRequest) -> (Vec<GetPiece>, OpStats);
 
-    /// Handle a workflow control event (checkpoint / recovery notification).
-    /// The plain backend ignores these.
+    /// Handle a workflow control event (checkpoint / recovery notification,
+    /// coordinated reset). Default: acknowledge and do nothing.
     fn control(&mut self, req: CtlRequest) -> (CtlResponse, OpStats) {
         (CtlResponse { req, pending_replay: 0 }, OpStats::default())
     }
@@ -160,7 +159,9 @@ impl ServerCosts {
     }
 }
 
-/// The plain (baseline) backend: bounded version retention, no logging.
+/// The plain (baseline) backend: bounded version retention, no logging and
+/// no journal — a rollback under Ds/Co/In has no log to replay, so there is
+/// nothing a restart could read back.
 #[derive(Debug)]
 pub struct PlainBackend {
     store: VersionedStore,
@@ -168,60 +169,12 @@ pub struct PlainBackend {
     /// newer-resolved data). Zero in correct executions; nonzero quantifies
     /// the "In" baseline's lack of a consistency guarantee.
     stale_gets: u64,
-    /// Optional durable twin of the store's write/control history.
-    journal: Option<JournalWriter<StoreJournalEntry>>,
 }
 
 impl PlainBackend {
     /// Baseline staging retaining `max_versions` versions per variable.
     pub fn new(max_versions: usize) -> Self {
-        PlainBackend { store: VersionedStore::bounded(max_versions), stale_gets: 0, journal: None }
-    }
-
-    /// Rebuild from surviving journal entries (cold restart): replays puts
-    /// and global resets in recorded order into a fresh bounded store.
-    pub fn from_journal(entries: &[StoreJournalEntry], max_versions: usize) -> Self {
-        PlainBackend {
-            store: crate::store_journal::replay_into_store(entries, max_versions),
-            stale_gets: 0,
-            journal: None,
-        }
-    }
-
-    /// Attach a durable journal sink with the default coalescing window;
-    /// subsequent puts and control events are recorded through it.
-    pub fn attach_journal(&mut self, sink: Box<dyn logstore::Journal>) {
-        self.attach_journal_coalesced(sink, DEFAULT_COALESCE);
-    }
-
-    /// Attach a durable journal sink with an explicit coalescing window:
-    /// entries are handed to the sink in batches of `coalesce` records (one
-    /// vectored group commit each). Control events still flush immediately.
-    pub fn attach_journal_coalesced(&mut self, sink: Box<dyn logstore::Journal>, coalesce: usize) {
-        self.journal = Some(JournalWriter::new(sink, coalesce));
-    }
-
-    /// Is a journal sink attached?
-    pub fn has_journal(&self) -> bool {
-        self.journal.is_some()
-    }
-
-    /// Force the journal's buffered tail down (graceful shutdown / harvest).
-    pub fn flush_journal(&mut self) {
-        if let Some(j) = self.journal.as_mut() {
-            j.flush();
-        }
-    }
-
-    /// Journal `entry`, then apply it ([`StoreJournalEntry::apply`], the
-    /// transition [`PlainBackend::from_journal`] folds over): the one way the
-    /// live store changes. Returns the bytes freed.
-    // lint: commit-point
-    fn admit(&mut self, entry: StoreJournalEntry) -> u64 {
-        if let Some(j) = self.journal.as_mut() {
-            j.record(&entry);
-        }
-        entry.apply(&mut self.store)
+        PlainBackend { store: VersionedStore::bounded(max_versions), stale_gets: 0 }
     }
 
     /// Access the underlying store (tests).
@@ -238,8 +191,7 @@ impl PlainBackend {
 impl StoreBackend for PlainBackend {
     fn put(&mut self, req: &PutRequest) -> (PutStatus, OpStats) {
         let bytes = req.payload.accounted_len();
-        let freed =
-            self.admit(StoreJournalEntry::Put { desc: req.desc, payload: req.payload.clone() });
+        let freed = self.store.put(req.desc, req.payload.clone());
         (
             PutStatus::Stored,
             OpStats { touched_bytes: bytes, freed_bytes: freed, ..Default::default() },
@@ -262,8 +214,13 @@ impl StoreBackend for PlainBackend {
         (pieces, OpStats { touched_bytes: bytes, ..Default::default() })
     }
 
+    /// A `GlobalReset` cuts the store back to the coordinated cut; checkpoint
+    /// and recovery notifications change nothing here.
     fn control(&mut self, req: CtlRequest) -> (CtlResponse, OpStats) {
-        let freed_bytes = self.admit(StoreJournalEntry::Ctl { req });
+        let freed_bytes = match req {
+            CtlRequest::GlobalReset { to_version } => self.store.remove_newer_than(to_version),
+            CtlRequest::Checkpoint { .. } | CtlRequest::Recovery { .. } => 0,
+        };
         (CtlResponse { req, pending_replay: 0 }, OpStats { freed_bytes, ..Default::default() })
     }
 
@@ -274,10 +231,6 @@ impl StoreBackend for PlainBackend {
 
     fn bytes_resident(&self) -> u64 {
         self.store.bytes()
-    }
-
-    fn journal_stats(&self) -> JournalStats {
-        self.journal.as_ref().map_or_else(JournalStats::default, JournalWriter::stats)
     }
 }
 
@@ -866,33 +819,6 @@ mod tests {
             }
             assert_eq!((logic.puts_served(), logic.dup_hits()), (n + 3, 2));
         }
-    }
-
-    #[test]
-    fn plain_backend_journal_survives_crash() {
-        use logstore::{FlushPolicy, LogConfig, LogStore, MemMedia};
-        let mem = MemMedia::new();
-        let cfg =
-            LogConfig { flush: FlushPolicy::PerBatch { records: 1000 }, ..LogConfig::default() };
-        let mut backend = PlainBackend::new(4);
-        backend.attach_journal(Box::new(LogStore::open(Box::new(mem.clone()), cfg).unwrap()));
-        backend.put(&put_req(1, 100));
-        backend.put(&put_req(2, 100));
-        // Checkpoint is a commit point: everything so far becomes durable.
-        backend.control(CtlRequest::Checkpoint { app: 0, upto_version: 2 });
-        backend.put(&put_req(3, 100)); // buffered, lost at crash
-        assert!(backend.has_journal());
-        assert!(backend.journal_bytes_flushed() > 0);
-        assert_eq!(backend.journal_errors(), 0);
-        drop(backend);
-        mem.crash();
-
-        let survivors = LogStore::open(Box::new(mem.clone()), cfg).unwrap().read_all().unwrap();
-        let entries = crate::journal::decode_records::<StoreJournalEntry>(&survivors);
-        assert_eq!(entries.len(), 3, "both puts plus the checkpoint marker survive");
-        let rebuilt = PlainBackend::from_journal(&entries, 4);
-        assert_eq!(rebuilt.store().newest_version(0), Some(2));
-        assert_eq!(rebuilt.bytes_resident(), 200);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Binary wire codec primitives for journal entries.
 //!
-//! The two journal entry types (`staging::store_journal`, `wfcr::journal`)
-//! lay their records out with the length-free little-endian primitives of
-//! this module — no serde on the paper's hot path:
+//! Journal entries (`wfcr::journal::JournalEntry`) lay their records out
+//! with the length-free little-endian primitives of this module — no serde
+//! on the paper's hot path:
 //!
 //! ```text
 //! entry := WIRE_MAGIC  WIRE_VERSION  tag:u8  fields…  [inline payload bytes]

@@ -40,10 +40,6 @@ pub enum DomainHealth {
     Down,
     /// A restart grant is out; the domain is recovering.
     Restarting,
-    /// Permanently parked: the breaker gave up on it (only used when a
-    /// domain has no quarantinable input to shed — components normally go
-    /// back to `Restarting` with the poison quarantined instead).
-    Failed,
 }
 
 /// One failure domain's health, death history, and outage bookkeeping.
@@ -162,11 +158,6 @@ impl FailureDomain {
             }
             None => 0,
         }
-    }
-
-    /// Park the domain permanently.
-    pub fn on_give_up(&mut self) {
-        self.health = DomainHealth::Failed;
     }
 
     /// Progress beacon at `now_ns` (step advanced, put absorbed, ...).

@@ -626,6 +626,84 @@ mod tests {
         assert_eq!(rebuilt.digest_mismatches(), 1);
     }
 
+    /// A journal sink whose every call fails.
+    struct FailingJournal;
+
+    impl logstore::Journal for FailingJournal {
+        fn append(&mut self, _watermark: u64, _payload: &[u8]) -> std::io::Result<()> {
+            Err(std::io::Error::other("failing journal"))
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(std::io::Error::other("failing journal"))
+        }
+
+        fn compact_below(&mut self, _floor: u64) -> std::io::Result<usize> {
+            Err(std::io::Error::other("failing journal"))
+        }
+
+        fn bytes_flushed(&self) -> u64 {
+            0
+        }
+
+        fn segments_compacted(&self) -> u64 {
+            0
+        }
+    }
+
+    /// A failing journal degrades durability, never the backend's answers:
+    /// through puts, gets, a collecting checkpoint, a recovery with absorbed
+    /// re-puts and replayed gets, and a global reset, a backend journalling
+    /// into a sink that fails every call answers as one with no journal.
+    #[test]
+    fn failing_sink_leaves_the_backend_answers_unchanged() {
+        let drive = |b: &mut LoggingBackend| {
+            let mut answers = Vec::new();
+            for v in 1..=6 {
+                answers.push(format!("{:?}", b.put(&inline_put_req(SIM, v, v as u8))));
+                answers.push(format!("{:?}", b.get(&get_req(ANA, v))));
+            }
+            for app in [SIM, ANA] {
+                let ckpt = CtlRequest::Checkpoint { app, upto_version: 4 };
+                answers.push(format!("{:?}", b.control(ckpt)));
+            }
+            let recovery = |app| CtlRequest::Recovery { app, resume_version: 4 };
+            answers.push(format!("{:?}", b.control(recovery(SIM))));
+            for v in 5..=6 {
+                answers.push(format!("{:?}", b.put(&inline_put_req(SIM, v, v as u8))));
+            }
+            answers.push(format!("{:?}", b.control(recovery(ANA))));
+            for v in 5..=6 {
+                answers.push(format!("{:?}", b.get(&get_req(ANA, v))));
+            }
+            answers.push(format!("{:?}", b.control(CtlRequest::GlobalReset { to_version: 5 })));
+            answers.push(format!("{:?}", b.get(&get_req(ANA, 6))));
+            let counters = (b.bytes_resident(), b.gc_floor(), b.digest_mismatches());
+            answers.push(format!("{counters:?} {} {}", b.absorbed_puts(), b.replayed_gets()));
+            answers
+        };
+        let fresh = || {
+            let mut b = LoggingBackend::new();
+            b.register_app(SIM);
+            b.register_app(ANA);
+            b
+        };
+        let mut detached = fresh();
+        let mut failing = fresh();
+        failing.attach_journal_coalesced(Box::new(FailingJournal), 4);
+        let answers = drive(&mut detached);
+        assert_eq!(drive(&mut failing), answers);
+        assert_eq!((detached.absorbed_puts(), detached.replayed_gets()), (2, 2));
+        assert_eq!(detached.digest_mismatches(), 0);
+        assert!(detached.gc_reclaimed() > 0, "the checkpoints collected");
+        // Three failed window hand-offs of the twelve first requests; each
+        // checkpoint's hand-off, flush and compaction; each recovery's and
+        // the reset's hand-off and flush. The last get is still coalesced.
+        assert_eq!(failing.journal_errors(), 3 + 2 * 3 + 2 * 2 + 2);
+        assert_eq!(failing.journal_stats().entries_recorded, 12 + 2 + 2 + 1 + 1);
+        assert_eq!(detached.journal_stats(), JournalStats::default());
+    }
+
     #[test]
     fn checkpoints_trigger_gc() {
         let mut b = LoggingBackend::new();

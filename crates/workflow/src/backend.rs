@@ -56,8 +56,8 @@ impl AnyBackend {
         }
     }
 
-    /// The logging backend, mutably (cold-restart wiring and journal
-    /// harvest).
+    /// The logging backend, mutably: the only backend that journals, so
+    /// durable wiring, cold restart and journal harvest go through here.
     pub fn as_logging_mut(&mut self) -> Option<&mut LoggingBackend> {
         match self {
             AnyBackend::Logging(b) => Some(b),
@@ -70,31 +70,6 @@ impl AnyBackend {
         match self {
             AnyBackend::Plain(b) => Some(b),
             AnyBackend::Logging(_) => None,
-        }
-    }
-
-    /// Attach a durable journal sink to whichever backend this is.
-    pub fn attach_journal(&mut self, sink: Box<dyn logstore::Journal>) {
-        match self {
-            AnyBackend::Plain(b) => b.attach_journal(sink),
-            AnyBackend::Logging(b) => b.attach_journal(sink),
-        }
-    }
-
-    /// Attach a durable journal sink with an explicit coalescing window
-    /// (entries reach the log as batched group commits of this many records).
-    pub fn attach_journal_coalesced(&mut self, sink: Box<dyn logstore::Journal>, coalesce: usize) {
-        match self {
-            AnyBackend::Plain(b) => b.attach_journal_coalesced(sink, coalesce),
-            AnyBackend::Logging(b) => b.attach_journal_coalesced(sink, coalesce),
-        }
-    }
-
-    /// Force the journal's buffered tail down (graceful shutdown / harvest).
-    pub fn flush_journal(&mut self) {
-        match self {
-            AnyBackend::Plain(b) => b.flush_journal(),
-            AnyBackend::Logging(b) => b.flush_journal(),
         }
     }
 
@@ -145,10 +120,7 @@ impl StoreBackend for AnyBackend {
     }
 
     fn journal_stats(&self) -> JournalStats {
-        match self {
-            AnyBackend::Plain(b) => b.journal_stats(),
-            AnyBackend::Logging(b) => b.journal_stats(),
-        }
+        self.as_logging().map_or_else(JournalStats::default, LoggingBackend::journal_stats)
     }
 
     fn live_log_events(&self) -> u64 {

@@ -113,11 +113,6 @@ impl MemProvider {
             ckpt: MemMedia::new(),
         }
     }
-
-    /// The underlying per-server media (tests).
-    pub fn server_media(&self, server: usize) -> &MemMedia {
-        &self.servers[server]
-    }
 }
 
 impl MediaProvider for MemProvider {

@@ -246,11 +246,12 @@ pub struct ProactiveCfg {
     pub recall: f64,
 }
 
-/// Durable journaling of the staging stores (the persistence layer): every
-/// staging server writes its put/get/control history through a segmented
-/// `logstore::LogStore`, making a cold restart from disk possible after full
-/// process death. `None` (the default) keeps the seed's in-memory-only
-/// behaviour.
+/// Durable journaling of the staging log (the persistence layer): every
+/// staging server's logging backend writes its put/get/control history
+/// through a segmented `logstore::LogStore`, making a cold restart from disk
+/// possible after full process death. Only a logging protocol (Un/Hy) keeps a
+/// log to journal; [`WorkflowConfig::validate`] refuses durability under any
+/// other. `None` (the default) keeps the seed's in-memory-only behaviour.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DurabilityCfg {
     /// Directory for segment files (one subdirectory per staging server).
@@ -683,10 +684,23 @@ impl WorkflowConfig {
         staging::Router::sharded(dist, history)
     }
 
-    /// Validate the failure plan against this configuration: component and
-    /// server indices must exist, rates must be probabilities, windows and
-    /// stalls must be non-empty.
+    /// Durability journals the logging backend; a protocol without a log has
+    /// nothing a restart could read back.
+    pub(crate) fn check_durability(&self) -> Result<(), String> {
+        if self.durability.is_some() && !self.protocol.uses_logging() {
+            return Err(format!(
+                "durability journals the staging log, and protocol {} keeps none",
+                self.protocol.label()
+            ));
+        }
+        Ok(())
+    }
+
+    /// Validate the configuration: the failure plan's component and server
+    /// indices must exist, rates must be probabilities, windows and stalls
+    /// must be non-empty, and durability needs a logging protocol.
     pub fn validate(&self) -> Result<(), String> {
+        self.check_durability()?;
         for (i, spec) in self.failures.iter().enumerate() {
             let at_spec = |msg: String| format!("failures[{i}]: {msg}");
             match spec {
@@ -1336,6 +1350,16 @@ mod tests {
             .with_supervision(SupervisionCfg::default())
             .with_recovery(RecoveryPolicy::JournalReplay);
         assert!(ok.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_refuses_durability_without_a_log() {
+        for protocol in [WorkflowProtocol::Coordinated, WorkflowProtocol::Individual] {
+            let cfg = tiny(protocol).with_durability(DurabilityCfg::default());
+            assert!(cfg.validate().unwrap_err().contains("keeps none"), "{protocol:?}");
+        }
+        let un = tiny(WorkflowProtocol::Uncoordinated).with_durability(DurabilityCfg::default());
+        assert!(un.validate().is_ok());
     }
 
     /// The six presets are written as differences from one base; this pins

@@ -162,9 +162,11 @@ pub fn build(cfg: &WorkflowConfig) -> BuiltWorkflow {
         comp_ids.push(engine.add_actor(Box::new(actor)));
     }
 
-    // 2. Staging server actors. With durability on, each server's backend
-    // journals its history through a segmented log store: real files under
-    // `dir/server{i}` or per-server in-memory media when no dir is given.
+    // 2. Staging server actors. With durability on, each server's logging
+    // backend journals its history through a segmented log store: real files
+    // under `dir/server{i}` or per-server in-memory media when no dir is
+    // given. Durability without a log is refused, not silently dropped.
+    cfg.check_durability().expect("invalid durability config");
     let mut server_ids = Vec::new();
     for s in 0..cfg.nservers {
         let mut backend = AnyBackend::for_protocol_with_gc(
@@ -173,7 +175,7 @@ pub fn build(cfg: &WorkflowConfig) -> BuiltWorkflow {
             &apps,
             cfg.log_gc,
         );
-        if let Some(d) = &cfg.durability {
+        if let (Some(d), Some(b)) = (&cfg.durability, backend.as_logging_mut()) {
             let media: Box<dyn logstore::Media> = match &d.dir {
                 Some(dir) => Box::new(
                     logstore::FsMedia::new(std::path::Path::new(dir).join(format!("server{s}")))
@@ -183,7 +185,7 @@ pub fn build(cfg: &WorkflowConfig) -> BuiltWorkflow {
             };
             let log = logstore::LogStore::open(media, d.log_config())
                 .expect("open durable staging journal");
-            backend.attach_journal_coalesced(Box::new(log), d.coalesce);
+            b.attach_journal_coalesced(Box::new(log), d.coalesce);
         }
         let logic = ServerLogic::new(backend, cfg.server_costs);
         let actor = StagingServerActor::new(s, logic, NetworkHandle { actor: 0 }, 0);
@@ -474,7 +476,7 @@ pub fn harvest(built: &mut BuiltWorkflow) -> RunReport {
         for &sid in server_ids.iter() {
             let s =
                 engine.actor_as_mut::<StagingServerActor<AnyBackend>>(sid).expect("server actor");
-            let b = s.logic_mut().backend_mut();
+            let Some(b) = s.logic_mut().backend_mut().as_logging_mut() else { continue };
             b.flush_journal();
             let j = b.journal_stats();
             log_bytes_flushed += j.bytes_flushed;
@@ -863,6 +865,15 @@ mod tests {
         let again = run(&cfg);
         assert_eq!(again.log_bytes_flushed, r.log_bytes_flushed);
         assert_eq!(again.segments_compacted, r.segments_compacted);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid durability config")]
+    fn build_refuses_durability_without_a_log() {
+        build(
+            &tiny(WorkflowProtocol::Coordinated)
+                .with_durability(crate::config::DurabilityCfg::default()),
+        );
     }
 
     #[test]
