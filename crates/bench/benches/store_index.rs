@@ -9,12 +9,15 @@
 //! steady-state GC sweep. Methodology and before/after numbers are recorded
 //! in EXPERIMENTS.md §store_index.
 
+#[path = "../../staging/tests/support/linear_store.rs"]
+mod linear_store;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use linear_store::LinearStore;
 use staging::geometry::BBox;
 use staging::payload::Payload;
 use staging::proto::{ObjDesc, Version};
 use staging::store::VersionedStore;
-use staging::store_linear::LinearStore;
 use std::hint::black_box;
 use std::time::Duration;
 use wfcr::event::LogEvent;

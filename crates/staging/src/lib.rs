@@ -28,8 +28,6 @@
 //!   byte-accurate memory accounting (the "original data staging" baseline
 //!   whose memory usage Figure 9(c)/(d) compares against), and a block-keyed
 //!   spatial index over each version's pieces.
-//! * [`store_linear`] — the pre-index linear-scan store, retained as the
-//!   property-test oracle and benchmark baseline for the indexed store.
 //! * [`service`] — transport-agnostic server logic shared by the DES server
 //!   actor and the threaded server, pluggable via [`service::StoreBackend`]
 //!   so the crash-consistency layer (`wfcr`) can substitute its logging
@@ -57,7 +55,6 @@ pub mod server;
 pub mod service;
 pub mod sfc;
 pub mod store;
-pub mod store_linear;
 pub mod threaded;
 pub mod wire;
 

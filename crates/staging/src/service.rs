@@ -359,6 +359,10 @@ impl<B: StoreBackend> ServerLogic<B> {
             return None;
         }
         let window = self.reply_cache.get(&app)?;
+        // A client's seqs ascend: a fresh request is past the newest.
+        if window.back().is_none_or(|&(newest, _)| newest < seq) {
+            return None;
+        }
         let at = window.binary_search_by_key(&seq, |&(s, _)| s).ok()?;
         let hit = window[at].1.clone();
         self.dup_hits += 1;
@@ -401,24 +405,33 @@ impl<B: StoreBackend> ServerLogic<B> {
     /// time consumed; [`Self::last_outcome`] says what happened.
     ///
     /// DataSpaces `get` blocks until the requested version is available. A
-    /// get that is not ready ([`StoreBackend::get_ready`]) is answered empty
-    /// with [`Outcome::NotReady`] and touches neither the backend nor the
-    /// dedup cache, so failed polls never pollute the replay log: the
+    /// fresh get that is not ready ([`StoreBackend::get_ready`]) is answered
+    /// empty with [`Outcome::NotReady`] and touches neither the backend nor
+    /// the dedup cache, so failed polls never pollute the replay log: the
     /// threaded server sends that answer and the client retries, the DES
-    /// server parks the request instead.
+    /// server parks the request instead. A re-delivered get is answered
+    /// from the cache first — its reply was logged, even if a reset has cut
+    /// its version since.
     pub fn serve(&mut self, req: &Request) -> (Reply, SimTime) {
         match req {
             Request::Put(r) => {
                 let (resp, cost) = self.handle_put(r);
                 (Reply::Put(resp), cost)
             }
-            Request::Get(r) if !self.backend.get_ready(r) => {
-                let empty =
-                    GetResponse { var: r.var, version: r.version, seq: r.seq, pieces: Vec::new() };
-                (Reply::Get(empty), self.done(OpStats::default(), Outcome::NotReady))
-            }
             Request::Get(r) => {
-                let (resp, cost) = self.handle_get(r);
+                if let Some(hit @ (Reply::Get(_), _)) = self.cached(r.app, r.seq) {
+                    return hit;
+                }
+                if !self.backend.get_ready(r) {
+                    let empty = GetResponse {
+                        var: r.var,
+                        version: r.version,
+                        seq: r.seq,
+                        pieces: Vec::new(),
+                    };
+                    return (Reply::Get(empty), self.done(OpStats::default(), Outcome::NotReady));
+                }
+                let (resp, cost) = self.fresh_get(r);
                 (Reply::Get(resp), cost)
             }
             Request::Ctl(m) => {
@@ -452,6 +465,11 @@ impl<B: StoreBackend> ServerLogic<B> {
         if let Some((Reply::Get(resp), cost)) = self.cached(req.app, req.seq) {
             return (resp, cost);
         }
+        self.fresh_get(req)
+    }
+
+    /// Serve a get the cache has no reply for, and remember the reply.
+    fn fresh_get(&mut self, req: &GetRequest) -> (GetResponse, SimTime) {
         let (pieces, op) = self.backend.get(req);
         self.gets_served += 1;
         let resp = GetResponse { var: req.var, version: req.version, seq: req.seq, pieces };
@@ -694,6 +712,28 @@ mod tests {
         assert_eq!(put(1, 9).wire_bytes(), 564);
         assert_eq!(get(1, 9).wire_bytes(), 64);
         assert_eq!(ctl(9, recovery).wire_bytes(), 64);
+    }
+
+    /// A get served and logged, then re-delivered after a `GlobalReset` cut
+    /// its version, is answered with the reply recorded for it — not as a
+    /// poll of a version that is gone, which the threaded client would
+    /// report as `IncompleteCoverage`.
+    #[test]
+    fn a_get_redelivered_after_a_reset_gets_its_recorded_reply() {
+        let mut logic = ServerLogic::new(PlainBackend::new(4), ServerCosts::default());
+        logic.serve(&Request::Put(put_req(1, 500)));
+        let get = GetRequest { seq: 1, ..get_req(1) };
+        let (first, _) = logic.serve(&Request::Get(get.clone()));
+        assert_eq!(logic.last_outcome(), Outcome::Served);
+        let req = CtlRequest::GlobalReset { to_version: 0 };
+        logic.serve(&Request::Ctl(CtlMsg { app: 0, seq: 2, req, tctx: obs::TraceCtx::NONE }));
+        assert!(!logic.get_ready(&get), "the reset cut version 1");
+
+        let (again, _) = logic.serve(&Request::Get(get));
+        assert_eq!(logic.last_outcome(), Outcome::Dup);
+        assert_eq!(format!("{again:?}"), format!("{first:?}"), "the original pieces");
+        assert!(matches!(again, Reply::Get(r) if r.pieces.len() == 1));
+        assert_eq!((logic.gets_served(), logic.dup_hits()), (1, 1));
     }
 
     #[test]

@@ -9,16 +9,24 @@
 //!
 //! # Indexing
 //!
-//! Each `(var, version)` holds a `PieceSet`: pieces bucketed by the Morton
-//! code ([`crate::sfc::morton3`]) of their quantized lower bound. The cell
+//! Each `(var, version)` holds a `PieceSet`: one vector of its pieces in
+//! insertion order, and a map from the Morton code ([`crate::sfc::morton3`])
+//! of a quantized lower bound to the newest piece starting in that cell,
+//! whose older cell-mates are chained through a parallel `next` vector. A put
+//! appends to both vectors; no block has an allocation of its own. The cell
 //! extents are fixed per set from the first piece's extents (rounded up to a
 //! power of two), so block-aligned pieces — the common case, since
 //! [`crate::dist::Distribution`] clips every put to block granularity — land
-//! in distinct cells. This makes the put dedup probe O(1) and region queries
-//! O(blocks touched): a query enumerates only the candidate cells overlapping
-//! the (inflated) query region and falls back to a full bucket walk when that
-//! enumeration would exceed the bucket count, so it is never asymptotically
-//! worse than the seed's linear scan.
+//! in distinct cells, one piece a chain: the put dedup probe is O(1).
+//!
+//! A region query enumerates the cells its region covers, widened below on
+//! each axis by that axis's *reach*: the most cells any stored piece extends
+//! past the cell of its own lower bound. The reach is exact for what is
+//! stored, so a block-aligned block query probes the one cell its block
+//! lives in, and a piece straddling cells widens only the axes it straddles.
+//! When the enumeration would be no smaller than the set, the query walks
+//! the piece vector instead, so it is never asymptotically worse than a
+//! linear scan.
 //!
 //! Memory accounting is byte-accurate over payload *logical* sizes so the
 //! memory-usage experiments (Figure 9(c)/(d)) read directly off the store.
@@ -31,17 +39,35 @@ use std::collections::{BTreeMap, HashMap}; // detlint: allow(hashmap) — CellMa
 
 /// One stored piece.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct StoredObj {
+struct StoredObj {
     /// Region covered by this piece.
-    pub bbox: BBox,
+    bbox: BBox,
     /// The data.
-    pub payload: Payload,
+    payload: Payload,
 }
 
 /// Morton coordinates are limited to 21 bits per axis; cell coordinates are
 /// masked down to that range. Collisions only alias distant cells onto the
-/// same bucket, which costs a redundant intersection test, never correctness.
+/// same chain, which costs a redundant intersection test, never correctness.
 const CELL_MASK: u64 = (1 << 21) - 1;
+
+/// End of a cell's chain in [`PieceSet::next`].
+const NIL: u32 = u32::MAX;
+
+#[cfg(test)]
+thread_local! {
+    /// `[cells probed, pieces walked]` by [`PieceSet::scan`] on this thread:
+    /// the tests count the index's cost instead of timing it.
+    static SCANNED: std::cell::Cell<[usize; 2]> = const { std::cell::Cell::new([0; 2]) };
+}
+
+#[cfg(test)]
+fn note_scanned([cells, pieces]: [usize; 2]) {
+    SCANNED.with(|n| {
+        let [c, p] = n.get();
+        n.set([c + cells, p + pieces]);
+    });
+}
 
 /// Multiplicative hasher for cell keys. Morton codes are already
 /// well-mixed, so a single Fibonacci multiply beats SipHash by an order of
@@ -68,21 +94,27 @@ impl std::hash::Hasher for CellHasher {
 // Fixed-key CellHasher: bucket layout (and thus any iteration) is identical
 // on every run, and lookups are point queries anyway.
 // detlint: allow(hashmap) — fixed-key hasher, see above
-type CellMap = HashMap<u64, Vec<StoredObj>, std::hash::BuildHasherDefault<CellHasher>>;
+type CellMap = HashMap<u64, u32, std::hash::BuildHasherDefault<CellHasher>>;
 
-/// The pieces of one `(var, version)`, spatially bucketed by the Morton code
+/// The pieces of one `(var, version)`, spatially indexed by the Morton code
 /// of each piece's quantized lower bound.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 struct PieceSet {
     /// log2 of the cell extent per axis; fixed by the first inserted piece.
     shift: [u32; 3],
-    /// Largest piece extent seen per axis — the radius by which a query
-    /// region must be inflated to catch every piece overlapping it.
-    max_extent: [u64; 3],
-    /// Cell id → pieces whose lower bound quantizes into that cell.
+    /// Per axis, the most cells any stored piece extends past the cell of
+    /// its own lower bound: a piece overlapping a query region starts at
+    /// most this many cells below the region's first cell.
+    reach: [u64; 3],
+    /// Cell id → index in `pieces` of the newest piece whose lower bound
+    /// quantizes into that cell.
     cells: CellMap,
-    /// Total pieces across all cells.
-    len: usize,
+    /// Every piece of this version, in insertion order. Versions are
+    /// dropped whole, so nothing is ever unlinked.
+    pieces: Vec<StoredObj>,
+    /// `next[i]`: the next older piece in the chain of piece `i`'s cell, or
+    /// [`NIL`].
+    next: Vec<u32>,
     /// Total accounted payload bytes of this set.
     bytes: u64,
 }
@@ -94,7 +126,14 @@ impl PieceSet {
             let ext = first.ub[a] - first.lb[a] + 1;
             *s = ext.next_power_of_two().trailing_zeros();
         }
-        PieceSet { shift, max_extent: [1; 3], cells: CellMap::default(), len: 0, bytes: 0 }
+        PieceSet {
+            shift,
+            reach: [0; 3],
+            cells: CellMap::default(),
+            pieces: Vec::new(),
+            next: Vec::new(),
+            bytes: 0,
+        }
     }
 
     fn cell_of(&self, lb: &[u64; 3]) -> u64 {
@@ -108,65 +147,72 @@ impl PieceSet {
     /// Insert a piece; an identical bbox replaces the old payload and
     /// returns its accounted length.
     fn insert(&mut self, bbox: BBox, payload: Payload) -> Option<u64> {
-        for (a, m) in self.max_extent.iter_mut().enumerate() {
-            *m = (*m).max(bbox.ub[a] - bbox.lb[a] + 1);
-        }
         let key = self.cell_of(&bbox.lb);
-        let bucket = self.cells.entry(key).or_default();
-        if let Some(p) = bucket.iter_mut().find(|p| p.bbox == bbox) {
-            let old = p.payload.accounted_len();
-            self.bytes = self.bytes - old + payload.accounted_len();
-            p.payload = payload;
-            Some(old)
-        } else {
-            self.bytes += payload.accounted_len();
-            self.len += 1;
-            bucket.push(StoredObj { bbox, payload });
-            None
+        let head = self.cells.entry(key).or_insert(NIL);
+        let mut i = *head;
+        while i != NIL {
+            let p = &mut self.pieces[i as usize];
+            if p.bbox == bbox {
+                let old = p.payload.accounted_len();
+                self.bytes = self.bytes - old + payload.accounted_len();
+                p.payload = payload;
+                return Some(old);
+            }
+            i = self.next[i as usize];
         }
+        for (a, r) in self.reach.iter_mut().enumerate() {
+            *r = (*r).max((bbox.ub[a] >> self.shift[a]) - (bbox.lb[a] >> self.shift[a]));
+        }
+        let index = u32::try_from(self.pieces.len())
+            .ok()
+            .filter(|&i| i != NIL)
+            .expect("a version holds fewer than 2^32 - 1 pieces");
+        self.next.push(*head);
+        *head = index;
+        self.bytes += payload.accounted_len();
+        self.pieces.push(StoredObj { bbox, payload });
+        None
     }
 
     /// Visit every piece that *may* intersect `bbox` (callers still filter by
     /// actual intersection). Stops early and returns `true` as soon as `f`
-    /// does. Enumerates candidate cells over the inflated query region, or
-    /// walks all buckets when that enumeration would be larger.
+    /// does. Enumerates the cells of the query region widened by `reach`, or
+    /// walks the piece vector when that enumeration would be no smaller.
     fn scan(&self, bbox: &BBox, mut f: impl FnMut(&StoredObj) -> bool) -> bool {
         let mut clo = [0u64; 3];
         let mut chi = [0u64; 3];
         let mut ncells: u128 = 1;
         for a in 0..3 {
-            // A piece starting at L with extent ≤ max_extent[a] can only
-            // reach bbox if L > lb[a] - max_extent[a].
-            let lo = bbox.lb[a].saturating_sub(self.max_extent[a] - 1);
-            clo[a] = lo >> self.shift[a];
+            // A piece overlaps bbox on this axis only if it ends at or past
+            // lb[a], so its own first cell is at most reach[a] below lb[a]'s.
+            clo[a] = (bbox.lb[a] >> self.shift[a]).saturating_sub(self.reach[a]);
             chi[a] = bbox.ub[a] >> self.shift[a];
             ncells *= (chi[a] - clo[a] + 1) as u128;
         }
         // The 21-bit mask aliases cells 2^21 apart on an axis onto one key,
         // so an enumeration that wide would have to dedup keys to report a
-        // shared bucket once. It would also cost more than 2^21 probes:
-        // walk the buckets instead, which visits each exactly once.
+        // shared chain once. It would also cost more than 2^21 probes: walk
+        // the pieces instead, which visits each exactly once.
         let may_alias = (0..3).any(|a| chi[a] - clo[a] > CELL_MASK);
-        if may_alias || ncells >= self.cells.len() as u128 {
-            for bucket in self.cells.values() {
-                for p in bucket {
-                    if f(p) {
-                        return true;
-                    }
-                }
-            }
-            return false;
+        if may_alias || ncells >= self.pieces.len() as u128 {
+            return self.pieces.iter().any(|p| {
+                #[cfg(test)]
+                note_scanned([0, 1]);
+                f(p)
+            });
         }
         for x in clo[0]..=chi[0] {
             for y in clo[1]..=chi[1] {
                 for z in clo[2]..=chi[2] {
+                    #[cfg(test)]
+                    note_scanned([1, 0]);
                     let key = morton3(x & CELL_MASK, y & CELL_MASK, z & CELL_MASK);
-                    if let Some(bucket) = self.cells.get(&key) {
-                        for p in bucket {
-                            if f(p) {
-                                return true;
-                            }
+                    let mut i = self.cells.get(&key).copied().unwrap_or(NIL);
+                    while i != NIL {
+                        if f(&self.pieces[i as usize]) {
+                            return true;
                         }
+                        i = self.next[i as usize];
                     }
                 }
             }
@@ -384,7 +430,7 @@ impl VersionedStore {
 
     /// Number of stored pieces across all variables/versions.
     pub fn piece_count(&self) -> usize {
-        self.data.values().flat_map(|v| v.values()).map(|set| set.len).sum()
+        self.data.values().flat_map(|v| v.values()).map(|set| set.pieces.len()).sum()
     }
 }
 
@@ -541,7 +587,7 @@ mod tests {
     #[test]
     fn mixed_piece_sizes_stay_queryable() {
         // Later pieces larger than the first (which fixed the cell size)
-        // must still be found: max_extent inflation widens the probe window.
+        // must still be found: their reach widens the probe window.
         let mut s = VersionedStore::unbounded();
         s.put(desc(0, 1, 0, 3), pay(4)); // cell extent fixed at 4
         s.put(desc(0, 1, 4, 99), pay(96)); // 24 cells wide
@@ -571,7 +617,7 @@ mod tests {
     #[test]
     fn query_spanning_the_cell_mask_reports_an_aliased_bucket_once() {
         // Unit cells: cells 0 and 2^21 are the nearest pair sharing a key, so
-        // both pieces sit in one bucket. A query over 2^21 + 1 cells is the
+        // both pieces sit in one chain. A query over 2^21 + 1 cells is the
         // narrowest that reaches it from two cells; one over 2^21 cells is
         // the widest that cannot.
         let mut s = VersionedStore::unbounded();
@@ -585,6 +631,64 @@ mod tests {
         );
         assert_eq!(s.query(0, 1, &BBox::d1(0, alias - 1)).len(), 1);
         assert_eq!(s.query(0, 1, &BBox::d1(1, alias)).len(), 1);
+    }
+
+    /// Cells probed and pieces walked by the scans `f` makes on this thread.
+    fn scanned(f: impl FnOnce()) -> [usize; 2] {
+        SCANNED.with(|n| n.set([0; 2]));
+        f();
+        SCANNED.with(|n| n.get())
+    }
+
+    fn block(x: u64, y: u64, z: u64) -> BBox {
+        BBox::d3([x * 8, y * 8, z * 8], [x * 8 + 7, y * 8 + 7, z * 8 + 7])
+    }
+
+    /// Version 1 of var 0 tiled by a 4 × 4 × 4 grid of 8³ blocks — the
+    /// shape `plan_put` produces.
+    fn block_grid() -> VersionedStore {
+        let mut s = VersionedStore::unbounded();
+        for (x, y, z) in (0..64).map(|i| (i / 16, i / 4 % 4, i % 4)) {
+            s.put(ObjDesc { var: 0, version: 1, bbox: block(x, y, z) }, pay(512));
+        }
+        s
+    }
+
+    #[test]
+    fn probe_cost_is_counted_not_timed() {
+        // A block query probes the one cell its block lives in, in both
+        // halves of a get: `get_ready`'s coverage check and the query.
+        let s = block_grid();
+        let q = block(1, 2, 3);
+        assert_eq!(scanned(|| assert!(s.covers_fully(0, 1, &q))), [1, 0]);
+        assert_eq!(scanned(|| assert_eq!(s.query(0, 1, &q).len(), 1)), [1, 0]);
+
+        // One piece straddling two cells of one axis widens that axis only.
+        for a in 0..3 {
+            let mut s = block_grid();
+            let mut straddler = block(5, 5, 5);
+            straddler.ub[a] += 4;
+            s.put(ObjDesc { var: 0, version: 1, bbox: straddler }, pay(768));
+            let mut past = block(5, 5, 5);
+            (past.lb[a], past.ub[a]) = (past.lb[a] + 8, past.ub[a] + 8);
+            let found = scanned(|| assert_eq!(s.query(0, 1, &past).len(), 1, "axis {a}"));
+            assert_eq!(found, [2, 0], "axis {a}");
+            assert_eq!(scanned(|| assert_eq!(s.query(0, 1, &q).len(), 1)), [2, 0], "axis {a}");
+        }
+
+        // A query as wide as the set walks the piece vector once.
+        let all = BBox::d3([0; 3], [31; 3]);
+        assert_eq!(scanned(|| assert_eq!(s.query(0, 1, &all).len(), 64)), [0, 64]);
+
+        // So does one wide enough to alias: the piece sharing block (0, 0,
+        // 0)'s chain is walked once, and a block query reads the chain.
+        let mut s = block_grid();
+        let alias = (CELL_MASK + 1) * 8;
+        let far = BBox::d3([alias, 0, 0], [alias + 7, 7, 7]);
+        s.put(ObjDesc { var: 0, version: 1, bbox: far }, pay(512));
+        let row = BBox::d3([0; 3], [alias + 7, 7, 7]);
+        assert_eq!(scanned(|| assert_eq!(s.query(0, 1, &row).len(), 5)), [0, 65]);
+        assert_eq!(scanned(|| assert_eq!(s.query(0, 1, &block(0, 0, 0)).len(), 1)), [1, 0]);
     }
 
     #[test]

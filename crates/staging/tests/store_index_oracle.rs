@@ -4,16 +4,21 @@
 //! `latest_version_at`, plus matching accounting.
 //!
 //! Geometry is deliberately adversarial for the index: a mix of block-aligned
-//! 3-D pieces (the production shape), unaligned slivers, oversized pieces
-//! (which force `max_extent` inflation), and far-away coordinates past the
-//! 21-bit Morton mask (which force bucket aliasing).
+//! 3-D pieces (the production shape), unaligned slivers and oversized pieces
+//! (which straddle cells, so the index must widen a query by their reach),
+//! and far-away coordinates past the 21-bit Morton mask (which alias cells
+//! onto one chain). An index whose reach ignores straddling pieces fails
+//! here within the first few cases.
 
+#[path = "support/linear_store.rs"]
+mod linear_store;
+
+use linear_store::LinearStore;
 use proptest::prelude::*;
 use staging::geometry::BBox;
 use staging::payload::Payload;
 use staging::proto::{ObjDesc, VarId, Version};
 use staging::store::VersionedStore;
-use staging::store_linear::LinearStore;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -68,9 +73,98 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Fully observable projection of a query result.
+/// Puts and queries of one `(var, version)`: spread over many versions a
+/// set holds a few pieces and every query walks them all, so only a dense
+/// version makes queries go through the cell index.
+fn arb_dense_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        3 => (arb_bbox(), 1u64..100).prop_map(|(bbox, len)| {
+            Op::Put { var: 0, version: 1, bbox, len }
+        }),
+        2 => arb_bbox().prop_map(|bbox| Op::Query { var: 0, version: 1, bbox }),
+    ]
+}
+
+/// Fully observable projection of a query result, which must come in
+/// ascending `(lb, ub)` order. Overlapping pieces can clip to the same box,
+/// and their relative order is the scan's, so ties are broken here.
 fn obs(pieces: &[staging::proto::GetPiece]) -> Vec<(BBox, Version, u64, u64)> {
-    pieces.iter().map(|p| (p.bbox, p.version, p.payload.len(), p.payload.digest())).collect()
+    let key = |p: &staging::proto::GetPiece| (p.bbox.lb, p.bbox.ub);
+    assert!(pieces.windows(2).all(|w| key(&w[0]) <= key(&w[1])), "not in (lb, ub) order");
+    let mut out: Vec<_> =
+        pieces.iter().map(|p| (p.bbox, p.version, p.payload.len(), p.payload.digest())).collect();
+    out.sort_by_key(|&(bbox, _, len, digest)| (bbox.lb, bbox.ub, len, digest));
+    out
+}
+
+/// Apply `op` to both stores and require the same observable answers.
+fn step(indexed: &mut VersionedStore, linear: &mut LinearStore, op: Op) -> TestCaseResult {
+    match op {
+        Op::Put { var, version, bbox, len } => {
+            let digest = (var as u64) << 40 ^ (version as u64) << 32 ^ len;
+            let payload = Payload::Virtual { len, digest };
+            let desc = ObjDesc { var, version, bbox };
+            let ei = indexed.put(desc, payload.clone());
+            let el = linear.put(desc, payload);
+            prop_assert_eq!(ei, el, "eviction bytes diverged");
+        }
+        Op::Query { var, version, bbox } => {
+            prop_assert_eq!(
+                obs(&indexed.query(var, version, &bbox)),
+                obs(&linear.query(var, version, &bbox)),
+                "query diverged"
+            );
+            prop_assert_eq!(
+                indexed.covers_any(var, version, &bbox),
+                linear.covers_any(var, version, &bbox),
+                "covers_any diverged"
+            );
+            prop_assert_eq!(
+                indexed.covers_fully(var, version, &bbox),
+                linear.covers_fully(var, version, &bbox),
+                "covers_fully diverged"
+            );
+        }
+        Op::LatestAt { var, at_most, bbox } => {
+            prop_assert_eq!(
+                indexed.latest_version_at(var, at_most, &bbox),
+                linear.latest_version_at(var, at_most, &bbox),
+                "latest_version_at diverged"
+            );
+            prop_assert_eq!(
+                indexed.newest_version(var),
+                linear.newest_version(var),
+                "newest_version diverged"
+            );
+        }
+        Op::RemoveVersion { var, version } => {
+            prop_assert_eq!(
+                indexed.remove_version(var, version),
+                linear.remove_version(var, version),
+                "remove_version freed bytes diverged"
+            );
+        }
+        Op::RemoveOlderThan { var, keep_from } => {
+            prop_assert_eq!(
+                indexed.remove_older_than(var, keep_from),
+                linear.remove_older_than(var, keep_from),
+                "remove_older_than freed bytes diverged"
+            );
+        }
+        Op::RemoveNewerThan { keep } => {
+            prop_assert_eq!(
+                indexed.remove_newer_than(keep),
+                linear.remove_newer_than(keep),
+                "remove_newer_than freed bytes diverged"
+            );
+        }
+    }
+    prop_assert_eq!(indexed.bytes(), linear.bytes(), "byte accounting diverged");
+    prop_assert_eq!(indexed.piece_count(), linear.piece_count());
+    for var in 0..3u32 {
+        prop_assert_eq!(indexed.versions(var), linear.versions(var));
+    }
+    Ok(())
 }
 
 proptest! {
@@ -83,71 +177,19 @@ proptest! {
         let mut indexed = VersionedStore::unbounded();
         let mut linear = LinearStore::unbounded();
         for op in ops {
-            match op {
-                Op::Put { var, version, bbox, len } => {
-                    let digest = (var as u64) << 40 ^ (version as u64) << 32 ^ len;
-                    let payload = Payload::Virtual { len, digest };
-                    let desc = ObjDesc { var, version, bbox };
-                    let ei = indexed.put(desc, payload.clone());
-                    let el = linear.put(desc, payload);
-                    prop_assert_eq!(ei, el, "eviction bytes diverged");
-                }
-                Op::Query { var, version, bbox } => {
-                    prop_assert_eq!(
-                        obs(&indexed.query(var, version, &bbox)),
-                        obs(&linear.query(var, version, &bbox)),
-                        "query diverged"
-                    );
-                    prop_assert_eq!(
-                        indexed.covers_any(var, version, &bbox),
-                        linear.covers_any(var, version, &bbox),
-                        "covers_any diverged"
-                    );
-                    prop_assert_eq!(
-                        indexed.covers_fully(var, version, &bbox),
-                        linear.covers_fully(var, version, &bbox),
-                        "covers_fully diverged"
-                    );
-                }
-                Op::LatestAt { var, at_most, bbox } => {
-                    prop_assert_eq!(
-                        indexed.latest_version_at(var, at_most, &bbox),
-                        linear.latest_version_at(var, at_most, &bbox),
-                        "latest_version_at diverged"
-                    );
-                    prop_assert_eq!(
-                        indexed.newest_version(var),
-                        linear.newest_version(var),
-                        "newest_version diverged"
-                    );
-                }
-                Op::RemoveVersion { var, version } => {
-                    prop_assert_eq!(
-                        indexed.remove_version(var, version),
-                        linear.remove_version(var, version),
-                        "remove_version freed bytes diverged"
-                    );
-                }
-                Op::RemoveOlderThan { var, keep_from } => {
-                    prop_assert_eq!(
-                        indexed.remove_older_than(var, keep_from),
-                        linear.remove_older_than(var, keep_from),
-                        "remove_older_than freed bytes diverged"
-                    );
-                }
-                Op::RemoveNewerThan { keep } => {
-                    prop_assert_eq!(
-                        indexed.remove_newer_than(keep),
-                        linear.remove_newer_than(keep),
-                        "remove_newer_than freed bytes diverged"
-                    );
-                }
-            }
-            prop_assert_eq!(indexed.bytes(), linear.bytes(), "byte accounting diverged");
-            prop_assert_eq!(indexed.piece_count(), linear.piece_count());
-            for var in 0..3u32 {
-                prop_assert_eq!(indexed.versions(var), linear.versions(var));
-            }
+            step(&mut indexed, &mut linear, op)?;
+        }
+    }
+
+    /// One version filled with up to ~70 pieces, queried as it fills.
+    #[test]
+    fn a_dense_version_matches_linear_oracle(
+        ops in prop::collection::vec(arb_dense_op(), 1..120),
+    ) {
+        let mut indexed = VersionedStore::unbounded();
+        let mut linear = LinearStore::unbounded();
+        for op in ops {
+            step(&mut indexed, &mut linear, op)?;
         }
     }
 
