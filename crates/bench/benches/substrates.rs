@@ -1,9 +1,8 @@
-//! Micro-benchmarks for the substrate layers: GF(256)/Reed–Solomon coding,
-//! Morton encoding and domain decomposition, the versioned store, the
-//! event-queue/replay machinery, and the metrics registry's gauge write.
+//! Micro-benchmarks for the substrate layers: Morton encoding and domain
+//! decomposition, the versioned store, the event-queue/replay machinery, and
+//! the metrics registry's gauge write.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use resilience::rs::ReedSolomon;
+use criterion::{criterion_group, criterion_main, Criterion};
 use sim_core::metrics::{GaugeId, Metrics};
 use staging::dist::Distribution;
 use staging::geometry::BBox;
@@ -14,43 +13,6 @@ use staging::store::VersionedStore;
 use std::hint::black_box;
 use wfcr::event::LogEvent;
 use wfcr::queue::EventQueue;
-
-fn bench_rs(c: &mut Criterion) {
-    let mut group = c.benchmark_group("rs_coding");
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    for &shard_len in &[4usize << 10, 64 << 10] {
-        let rs = ReedSolomon::new(8, 2);
-        let data: Vec<Vec<u8>> = (0..8)
-            .map(|i| (0..shard_len).map(|j| ((i * 31 + j * 7) % 251) as u8).collect())
-            .collect();
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        group.throughput(Throughput::Bytes((shard_len * 8) as u64));
-        group.bench_with_input(BenchmarkId::new("encode_8_2", shard_len), &shard_len, |b, _| {
-            b.iter(|| black_box(rs.encode(&refs).unwrap()))
-        });
-        let parity = rs.encode(&refs).unwrap();
-        group.bench_with_input(
-            BenchmarkId::new("reconstruct_2_losses", shard_len),
-            &shard_len,
-            |b, _| {
-                b.iter(|| {
-                    let mut shards: Vec<Option<Vec<u8>>> = data
-                        .iter()
-                        .cloned()
-                        .map(Some)
-                        .chain(parity.iter().cloned().map(Some))
-                        .collect();
-                    shards[0] = None;
-                    shards[5] = None;
-                    rs.reconstruct(&mut shards).unwrap();
-                    black_box(shards)
-                })
-            },
-        );
-    }
-    group.finish();
-}
 
 fn bench_geometry(c: &mut Criterion) {
     let mut group = c.benchmark_group("geometry");
@@ -157,5 +119,5 @@ fn bench_metrics(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_rs, bench_geometry, bench_store, bench_event_queue, bench_metrics);
+criterion_group!(benches, bench_geometry, bench_store, bench_event_queue, bench_metrics);
 criterion_main!(benches);

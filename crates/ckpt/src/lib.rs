@@ -13,10 +13,8 @@
 //!   size of the process state it stands for.
 //! * [`target`] — storage-target cost models: a shared-bandwidth PFS (the
 //!   coordinated baseline's bottleneck — all components restore through it
-//!   simultaneously), unshared node-local storage, and a two-level SCR-style
-//!   combination.
-//! * [`store`] — the checkpoint directory: save/restore with retention,
-//!   plus node-failure invalidation of node-local copies.
+//!   simultaneously) and unshared node-local storage.
+//! * [`store`] — the checkpoint directory: save/restore with retention.
 //! * [`durable`] — the PFS tier made concrete: snapshots journaled through a
 //!   `logstore::LogStore` (real files via `FsMedia`), recovered after full
 //!   process death without re-sealing.
@@ -33,4 +31,4 @@ pub use logstore::checksum;
 pub use durable::DurableTier;
 pub use snapshot::Snapshot;
 pub use store::{CheckpointStore, SnapshotSink};
-pub use target::{CkptTarget, NodeLocalModel, PfsModel, TwoLevelModel};
+pub use target::{CkptTarget, NodeLocalModel, PfsModel};

@@ -1,14 +1,9 @@
-//! The checkpoint directory: save, restore, retention, and node-failure
-//! invalidation of fast copies.
+//! The checkpoint directory: save, restore and retention.
 //!
-//! One [`CheckpointStore`] stands for the whole job's checkpoint state. Every
-//! snapshot saved through a two-level target has a fast node-local copy and a
-//! durable PFS copy; a node failure destroys the fast copies of the
-//! components on that node (tracked per app here), forcing their next restore
-//! down the slow path — matching SCR/FTI semantics.
+//! One [`CheckpointStore`] stands for the whole job's checkpoint state.
 
 use crate::snapshot::Snapshot;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// A durable persistence hook invoked as the last step of every completed
@@ -37,8 +32,6 @@ impl fmt::Debug for SinkSlot {
 pub struct CheckpointStore {
     /// app → ckpt_id → snapshot.
     snaps: HashMap<u32, BTreeMap<u64, Snapshot>>,
-    /// Apps whose node-local copies are currently invalid.
-    local_lost: HashSet<u32>,
     /// Keep at most this many snapshots per app.
     retention: usize,
     /// Total bytes ever written (for I/O accounting).
@@ -58,7 +51,6 @@ impl CheckpointStore {
         assert!(retention >= 1, "must keep at least one checkpoint");
         CheckpointStore {
             snaps: HashMap::new(),
-            local_lost: HashSet::new(),
             retention,
             bytes_written: 0,
             torn_injected: 0,
@@ -96,9 +88,8 @@ impl CheckpointStore {
 
     /// Persist a snapshot. The store seals it (stamps the content checksum)
     /// as the final step of the write, so restore can distinguish complete
-    /// saves from torn ones. Re-validates the app's node-local copies (the
-    /// new checkpoint writes a fresh fast copy). Returns the evicted
-    /// snapshot, if retention pushed one out.
+    /// saves from torn ones. Returns the evicted snapshot, if retention
+    /// pushed one out.
     pub fn save(&mut self, mut snap: Snapshot) -> Option<Snapshot> {
         snap.seal();
         if let Some(sink) = self.sink.0.as_mut() {
@@ -107,7 +98,6 @@ impl CheckpointStore {
             }
         }
         self.bytes_written += snap.persisted_bytes();
-        self.local_lost.remove(&snap.app);
         let per_app = self.snaps.entry(snap.app).or_default();
         per_app.insert(snap.ckpt_id, snap);
         if per_app.len() > self.retention {
@@ -164,16 +154,6 @@ impl CheckpointStore {
         self.snaps.get(&app).map(BTreeMap::len).unwrap_or(0)
     }
 
-    /// Mark `app`'s node-local checkpoint copies destroyed (its node died).
-    pub fn invalidate_local(&mut self, app: u32) {
-        self.local_lost.insert(app);
-    }
-
-    /// Is a node-local copy available for `app`'s latest checkpoint?
-    pub fn local_available(&self, app: u32) -> bool {
-        !self.local_lost.contains(&app) && self.count(app) > 0
-    }
-
     /// Cumulative checkpoint bytes written.
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
@@ -225,24 +205,6 @@ mod tests {
         assert_eq!(st.latest(0).unwrap().resume_step, 4);
         assert_eq!(st.latest(1).unwrap().resume_step, 5);
         assert_eq!(st.apps(), vec![0, 1]);
-    }
-
-    #[test]
-    fn local_invalidation_cycle() {
-        let mut st = CheckpointStore::new(2);
-        st.save(snap(0, 1, 4));
-        assert!(st.local_available(0));
-        st.invalidate_local(0);
-        assert!(!st.local_available(0));
-        // A fresh checkpoint restores fast-copy availability.
-        st.save(snap(0, 2, 8));
-        assert!(st.local_available(0));
-    }
-
-    #[test]
-    fn local_unavailable_without_snapshots() {
-        let st = CheckpointStore::new(2);
-        assert!(!st.local_available(9));
     }
 
     #[test]

@@ -86,49 +86,6 @@ impl CkptTarget for NodeLocalModel {
     }
 }
 
-/// Two-level (SCR/FTI-style) checkpointing: blocking write to node-local,
-/// asynchronous flush to the PFS. Restores read node-local when the copy
-/// survived, PFS otherwise.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, Default)]
-pub struct TwoLevelModel {
-    /// Fast level.
-    pub local: NodeLocalModel,
-    /// Durable level.
-    pub pfs: PfsModel,
-}
-
-impl TwoLevelModel {
-    /// Restore time when the node-local copy is (or is not) available.
-    pub fn restore_time(
-        &self,
-        bytes: u64,
-        local_available: bool,
-        concurrent_readers: usize,
-    ) -> SimTime {
-        if local_available {
-            self.local.read_time(bytes, concurrent_readers)
-        } else {
-            self.pfs.read_time(bytes, concurrent_readers)
-        }
-    }
-}
-
-impl CkptTarget for TwoLevelModel {
-    fn write_time(&self, bytes: u64, concurrent_writers: usize) -> SimTime {
-        // Blocking cost is the local write; the PFS flush is asynchronous.
-        self.local.write_time(bytes, concurrent_writers)
-    }
-
-    fn read_time(&self, bytes: u64, concurrent_readers: usize) -> SimTime {
-        // Conservative default: assume the local copy was lost with the node.
-        self.pfs.read_time(bytes, concurrent_readers)
-    }
-
-    fn label(&self) -> &'static str {
-        "two-level"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,26 +124,8 @@ mod tests {
     }
 
     #[test]
-    fn two_level_blocking_cost_is_local() {
-        let tl = TwoLevelModel::default();
-        assert_eq!(tl.write_time(1 << 20, 8), tl.local.write_time(1 << 20, 8));
-    }
-
-    #[test]
-    fn two_level_restore_path_selection() {
-        let tl = TwoLevelModel::default();
-        let bytes = 1 << 30;
-        let local = tl.restore_time(bytes, true, 1);
-        let remote = tl.restore_time(bytes, false, 64);
-        assert!(remote > local);
-        assert_eq!(local, tl.local.read_time(bytes, 1));
-        assert_eq!(remote, tl.pfs.read_time(bytes, 64));
-    }
-
-    #[test]
     fn labels_stable() {
         assert_eq!(PfsModel::default().label(), "pfs");
         assert_eq!(NodeLocalModel::default().label(), "node-local");
-        assert_eq!(TwoLevelModel::default().label(), "two-level");
     }
 }

@@ -35,7 +35,6 @@ pub type CheckFn = Box<dyn FnMut(&Engine) -> Result<(), String>>;
 pub struct FnOracle {
     name: String,
     step: CheckFn,
-    end: Option<CheckFn>,
 }
 
 impl FnOracle {
@@ -44,16 +43,7 @@ impl FnOracle {
         name: impl Into<String>,
         step: impl FnMut(&Engine) -> Result<(), String> + 'static,
     ) -> FnOracle {
-        FnOracle { name: name.into(), step: Box::new(step), end: None }
-    }
-
-    /// Add an end-of-run check.
-    pub fn with_end(
-        mut self,
-        end: impl FnMut(&Engine) -> Result<(), String> + 'static,
-    ) -> FnOracle {
-        self.end = Some(Box::new(end));
-        self
+        FnOracle { name: name.into(), step: Box::new(step) }
     }
 }
 
@@ -64,13 +54,6 @@ impl Oracle for FnOracle {
 
     fn check(&mut self, engine: &Engine) -> Result<(), String> {
         (self.step)(engine)
-    }
-
-    fn at_end(&mut self, engine: &Engine) -> Result<(), String> {
-        match &mut self.end {
-            Some(f) => f(engine),
-            None => Ok(()),
-        }
     }
 }
 
@@ -165,11 +148,9 @@ mod tests {
             }
             last = v;
             Ok(())
-        })
-        .with_end(|_| Err("always fails at end".into()));
+        });
         let eng = Engine::new(1);
         assert!(o.check(&eng).is_ok());
         assert_eq!(o.name(), "monotone");
-        assert!(o.at_end(&eng).is_err());
     }
 }

@@ -3,7 +3,7 @@
 //! Coordinated checkpointing pays cross-component barriers before and after
 //! every snapshot ("a couple of synchronizing MPI barriers can be used,
 //! before and after taking the process checkpoints"); the recovery path pays
-//! agreement and broadcast costs. These grow with process count — one of the
+//! agreement and allreduce costs. These grow with process count — one of the
 //! reasons the coordinated baseline falls behind at 11k cores in Figure 10.
 
 use serde::{Deserialize, Serialize};
@@ -41,14 +41,6 @@ impl CollectiveCosts {
     pub fn barrier(&self, n: usize) -> SimTime {
         let hops = 2 * Self::depth(n);
         SimTime::from_nanos(self.call_overhead_ns + hops * self.hop_ns)
-    }
-
-    /// Broadcast `bytes` to `n` processes.
-    pub fn bcast(&self, n: usize, bytes: u64) -> SimTime {
-        let d = Self::depth(n);
-        let per_hop = self.hop_ns as f64 + bytes as f64 * self.ns_per_byte;
-        SimTime::from_nanos(self.call_overhead_ns)
-            + SimTime::from_secs_f64(d as f64 * per_hop / 1e9)
     }
 
     /// Allreduce of `bytes` over `n` processes (reduce + broadcast).
@@ -96,19 +88,16 @@ mod tests {
     fn single_process_collectives_nearly_free() {
         let c = CollectiveCosts::default();
         assert_eq!(c.barrier(1), SimTime::from_nanos(c.call_overhead_ns));
-        assert_eq!(c.bcast(1, 1 << 20), SimTime::from_nanos(c.call_overhead_ns));
-    }
-
-    #[test]
-    fn bcast_scales_with_bytes() {
-        let c = CollectiveCosts::default();
-        assert!(c.bcast(64, 1 << 20) > c.bcast(64, 1 << 10));
+        assert_eq!(c.allreduce(1, 1 << 20), SimTime::from_nanos(c.call_overhead_ns));
     }
 
     #[test]
     fn allreduce_is_two_sweeps() {
         let c = CollectiveCosts::default();
-        let b = c.bcast(256, 1024).as_nanos() - c.call_overhead_ns;
+        // One log-depth sweep carrying the payload.
+        let per_hop = c.hop_ns as f64 + 1024.0 * c.ns_per_byte;
+        let b =
+            SimTime::from_secs_f64(CollectiveCosts::depth(256) as f64 * per_hop / 1e9).as_nanos();
         let a = c.allreduce(256, 1024).as_nanos() - c.call_overhead_ns;
         assert_eq!(a, 2 * b);
     }

@@ -58,8 +58,6 @@ pub struct Communicator {
     epoch: u32,
     /// Ranks replaced from spares over the communicator's lifetime.
     replaced_total: u64,
-    /// Times the communicator shrank instead of replacing.
-    shrinks: u32,
 }
 
 impl Communicator {
@@ -72,7 +70,6 @@ impl Communicator {
             revoked: false,
             epoch: 0,
             replaced_total: 0,
-            shrinks: 0,
         }
     }
 
@@ -109,11 +106,6 @@ impl Communicator {
     /// Total ranks ever replaced from the spare pool.
     pub fn replaced_total(&self) -> u64 {
         self.replaced_total
-    }
-
-    /// Times the communicator shrank for lack of spares.
-    pub fn shrink_count(&self) -> u32 {
-        self.shrinks
     }
 
     /// Mark `rank` fail-stop failed. Idempotent for already-failed ranks.
@@ -174,9 +166,6 @@ impl Communicator {
         // Remove shrunk slots from the back to keep indices valid.
         for &i in to_shrink.iter().rev() {
             self.ranks.remove(i);
-        }
-        if shrunk > 0 {
-            self.shrinks += 1;
         }
         self.replaced_total += replaced as u64;
         self.revoked = false;
@@ -252,7 +241,6 @@ mod tests {
         assert!(c.usable());
         assert_eq!(c.agree(), Ok(1));
         assert_eq!(c.replaced_total(), 1);
-        assert_eq!(c.shrink_count(), 0);
     }
 
     #[test]
@@ -264,7 +252,6 @@ mod tests {
         assert_eq!((replaced, shrunk), (0, 2));
         assert_eq!(c.size(), 2);
         assert_eq!(c.alive(), 2);
-        assert_eq!(c.shrink_count(), 1);
         assert!(c.usable());
     }
 

@@ -17,7 +17,7 @@
 //!   (detect, revoke, shrink, respawn/adopt, agree) contributes a virtual-
 //!   time cost, returned as a [`ulfm::RecoveryBreakdown`] for the workflow
 //!   engine to charge against the failed component.
-//! * [`collective`] — log-tree cost models for barrier / broadcast /
+//! * [`collective`] — log-tree cost models for barrier / agreement /
 //!   allreduce, used both by the recovery model and by the coordinated-
 //!   checkpoint protocol (whose cross-component barriers are one of the
 //!   costs the paper's uncoordinated scheme avoids).

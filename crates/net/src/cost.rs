@@ -58,11 +58,6 @@ impl CostModel {
         SimTime::from_nanos(self.rx_overhead_ns)
     }
 
-    /// Unloaded end-to-end transfer time for `size` bytes (no queuing).
-    pub fn unloaded(&self, size: u64) -> SimTime {
-        self.flight() + self.serialization(size) + self.rx_overhead()
-    }
-
     /// Compute the arrival time of a message sent at `sent`, given the
     /// destination NIC is busy until `nic_free`. Returns `(arrival,
     /// new_nic_free)`.
@@ -91,12 +86,6 @@ mod tests {
     }
 
     #[test]
-    fn unloaded_sums_parts() {
-        let m = CostModel { latency_ns: 100, ns_per_byte: 1.0, rx_overhead_ns: 10 };
-        assert_eq!(m.unloaded(50), SimTime::from_nanos(100 + 50 + 10));
-    }
-
-    #[test]
     fn queuing_delays_behind_busy_nic() {
         let m = CostModel { latency_ns: 100, ns_per_byte: 1.0, rx_overhead_ns: 0 };
         // First message: arrives at 100, drains 1000 bytes -> done at 1100.
@@ -118,7 +107,7 @@ mod tests {
     fn cori_like_order_of_magnitude() {
         let m = CostModel::cori_like();
         // 1 MiB at 8 GB/s ≈ 131 µs + 2 µs overheads.
-        let t = m.unloaded(1 << 20);
+        let t = m.flight() + m.serialization(1 << 20) + m.rx_overhead();
         let us = t.as_secs_f64() * 1e6;
         assert!((100.0..200.0).contains(&us), "got {us} µs");
     }

@@ -5,27 +5,31 @@
 //!
 //! The paper's framework is implemented on CoREC (Duan et al., IPDPS'18), a
 //! DataSpaces branch that protects the *staging area itself* against staging
-//! process/node failures: hot data is replicated, colder data is erasure
-//! coded, and lost shards are rebuilt from survivors. The crash-consistency
-//! layer assumes staged/logged data survives staging failures ("to guarantee
-//! the data availability in staging, the data staging can contain data
-//! resilience mechanisms such as data replication or erasure coding").
+//! process/node failures by replication and erasure coding. The
+//! crash-consistency layer assumes staged/logged data survives staging
+//! failures ("to guarantee the data availability in staging, the data staging
+//! can contain data resilience mechanisms such as data replication or erasure
+//! coding"), and the paper evaluates only that layer.
 //!
-//! This crate rebuilds that substrate:
-//!
-//! * [`gf256`] — arithmetic over GF(2^8) with log/antilog tables.
-//! * [`rs`] — systematic Reed–Solomon `RS(k, m)` encode/decode over GF(2^8)
-//!   (Vandermonde-derived encoding matrix, Gaussian-elimination recovery).
-//! * [`placement`] — shard/replica placement across staging servers with
-//!   failure-domain separation.
-//! * [`protect`] — the policy layer: replicate small/hot objects, erasure
-//!   code large objects, verify and rebuild after failures.
+//! The reproduction therefore models the substrate by its cost alone: a
+//! failed staging server is back after a fixed failover delay plus the time
+//! to pull `rs_k` surviving shards' worth of its bytes over the NIC. This
+//! crate holds the one parameter of that model.
 
-pub mod gf256;
-pub mod placement;
-pub mod protect;
-pub mod rs;
+use serde::{Deserialize, Serialize};
 
-pub use placement::PlacementMap;
-pub use protect::{ProtectConfig, ProtectedStore, Protection};
-pub use rs::ReedSolomon;
+/// Erasure-coding geometry of the staged data, as the rebuild cost model
+/// reads it.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+pub struct ProtectConfig {
+    /// Reed–Solomon data shards: rebuilding one lost shard reads `rs_k`
+    /// survivors, so a rebuild moves `rs_k` times the lost bytes.
+    pub rs_k: usize,
+}
+
+impl Default for ProtectConfig {
+    fn default() -> Self {
+        // CoREC-flavoured RS(8, m) for bulk data.
+        ProtectConfig { rs_k: 8 }
+    }
+}

@@ -2,7 +2,7 @@
 
 //! Deterministic, versioned partition maps for the sharded staging fleet.
 //!
-//! A [`ShardMap`] is a pure function from a block key (the Morton/Hilbert
+//! A [`ShardMap`] is a pure function from a block key (the Morton
 //! code of a staging block) to the shard that owns it. It is explicitly
 //! serializable — the map is configuration, not emergent state — and every
 //! mutation produces a *new* map with a bumped [`ShardMap::version`], so two
@@ -131,11 +131,6 @@ impl ShardMap {
         self.nshards
     }
 
-    /// Keys currently carried in the override table, ascending.
-    pub fn override_keys(&self) -> Vec<u64> {
-        self.overrides.keys().copied().collect()
-    }
-
     /// The shard owning `key`: the override table first, then the base
     /// assignment. Always in `0..nshards`.
     pub fn owner_of(&self, key: u64) -> ShardIdx {
@@ -254,16 +249,6 @@ impl MapHistory {
         self.map_at(version).owner_of(key)
     }
 
-    /// Shards that own `key` in *any* epoch, ascending and deduplicated —
-    /// the fan-out set for key-targeted control traffic that must reach
-    /// every shard possibly holding the key's history.
-    pub fn owners_across(&self, key: u64) -> Vec<ShardIdx> {
-        let mut owners: Vec<ShardIdx> = self.epochs.iter().map(|e| e.map.owner_of(key)).collect();
-        owners.sort_unstable();
-        owners.dedup();
-        owners
-    }
-
     /// Number of shards (constant across epochs).
     pub fn nshards(&self) -> usize {
         self.current().nshards()
@@ -357,7 +342,6 @@ mod tests {
         for &c in &codes(16)[1..] {
             assert_eq!(next.owner_of(c), base.owner_of(c));
         }
-        assert_eq!(next.override_keys(), vec![1]);
     }
 
     #[test]
@@ -390,11 +374,6 @@ mod tests {
         for v in 6..12u64 {
             assert_eq!(hist.owner_at(key, v), to, "post-cutover version {v}");
         }
-        assert_eq!(hist.owners_across(key), {
-            let mut v = vec![from, to];
-            v.sort_unstable();
-            v
-        });
         assert_eq!(hist.rebalances(), 1);
         assert_eq!(hist.current().version(), 2);
     }
@@ -406,7 +385,6 @@ mod tests {
         let hist = MapHistory::single(base.clone()).with_epoch(6, base.migrate(&[cs[0]], 3));
         for &c in &cs[1..] {
             assert_eq!(hist.owner_at(c, 0), hist.owner_at(c, 100));
-            assert_eq!(hist.owners_across(c).len(), 1);
         }
     }
 

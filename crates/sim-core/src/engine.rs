@@ -355,7 +355,7 @@ impl Engine {
                 }
             }
             let Some(mut actor) = self.actors.get_mut(target).and_then(Option::take) else {
-                // Actor was removed (e.g. a killed rank): drop the event.
+                // No actor registered at `target`: drop the event.
                 continue;
             };
             {
@@ -475,17 +475,6 @@ impl Engine {
         }
         n
     }
-
-    /// Remove an actor permanently; pending events addressed to it are
-    /// silently dropped when they pop. Used to model hard process failure.
-    pub fn remove_actor(&mut self, id: ActorId) -> Option<Box<dyn Actor>> {
-        self.actors.get_mut(id).and_then(Option::take)
-    }
-
-    /// Clear a previous stop request so the engine can be driven further.
-    pub fn clear_stop(&mut self) {
-        self.core.stopped = false;
-    }
 }
 
 #[cfg(test)]
@@ -557,15 +546,6 @@ mod tests {
         assert!(eng.run() > 0);
     }
 
-    #[test]
-    fn removed_actor_drops_events() {
-        let mut eng = Engine::new(1);
-        let a = eng.add_actor(Box::<Counter>::default());
-        eng.schedule_at(SimTime::from_nanos(5), a, Msg::Tick(0));
-        eng.remove_actor(a);
-        assert_eq!(eng.run(), 1); // popped but dropped without dispatch panic
-    }
-
     struct Stopper;
     impl Actor for Stopper {
         fn on_event(&mut self, ctx: &mut Ctx<'_>, _ev: Event) {
@@ -582,9 +562,6 @@ mod tests {
         eng.schedule_at(SimTime::from_nanos(2), c, Msg::Tick(0));
         eng.run();
         assert_eq!(eng.now(), SimTime::from_nanos(1));
-        eng.clear_stop();
-        eng.run();
-        assert_eq!(eng.now(), SimTime::from_nanos(2));
     }
 
     #[test]

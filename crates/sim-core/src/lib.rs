@@ -53,7 +53,6 @@
 pub mod choice;
 pub mod engine;
 pub mod metrics;
-pub mod quantile;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -62,7 +61,6 @@ pub mod trace;
 pub use choice::{ChoiceKind, ChoiceSource, DeliveryOption};
 pub use engine::{Actor, ActorId, Ctx, Engine, Event};
 pub use metrics::Metrics;
-pub use quantile::P2Quantile;
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use stats::StreamStats;
 pub use time::SimTime;

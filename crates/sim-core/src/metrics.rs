@@ -15,7 +15,6 @@
 //! resolves the name once into a handle ([`CounterId`], [`GaugeId`],
 //! [`TailId`]) and writes through that — an index, no search, no allocation.
 
-use crate::quantile::P2Quantile;
 use crate::stats::StreamStats;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -54,28 +53,11 @@ pub struct CounterId(usize);
 pub struct GaugeId(usize);
 
 /// Handle of a tail-tracked stream, from [`Metrics::tail_id`]: the stream
-/// and its tail trackers, which [`Metrics::observe_tail`] writes together.
+/// and its tail histogram, which [`Metrics::observe_tail`] writes together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TailId {
     stream: usize,
     tail: usize,
-}
-
-/// The tail trackers of one stream.
-#[derive(Debug, Clone)]
-struct Tail {
-    /// Exact log-linear histogram (nanosecond ticks): the authoritative
-    /// source for p50/p99/p999, mergeable without loss.
-    hist: Histogram,
-    /// Legacy P² estimator, kept as a cross-check oracle for the exact
-    /// histogram (five markers, unmergeable, no error bound).
-    p2: P2Quantile,
-}
-
-impl Default for Tail {
-    fn default() -> Self {
-        Tail { hist: Histogram::default(), p2: P2Quantile::new(0.99) }
-    }
 }
 
 /// The metrics of one kind: values in creation order, so a handle is an
@@ -123,8 +105,10 @@ pub struct Metrics {
     counters: Table<u64>,
     gauges: Table<Gauge>,
     streams: Table<StreamStats>,
-    /// Present for the streams written through [`Metrics::observe_tail`].
-    tails: Table<Tail>,
+    /// Exact log-linear histograms (nanosecond ticks) of the streams written
+    /// through [`Metrics::observe_tail`]: the source of p50/p99/p999,
+    /// mergeable without loss.
+    tails: Table<Histogram>,
 }
 
 impl Metrics {
@@ -202,26 +186,22 @@ impl Metrics {
     }
 
     /// The handle of the tail-tracked stream `name`, creating the stream
-    /// and its tail trackers empty — exactly what the first
+    /// and its tail histogram empty — exactly what the first
     /// [`Metrics::observe_tail`] of that name does before it records.
     pub fn tail_id(&mut self, name: &str) -> TailId {
         TailId { stream: self.streams.slot(name), tail: self.tails.slot(name) }
     }
 
-    /// Record a sample into a stream and its tail trackers by handle.
+    /// Record a sample into a stream and its tail histogram by handle.
     #[inline]
     pub fn observe_tail_id(&mut self, id: TailId, sample: f64) {
         self.streams.slots[id.stream].push(sample);
-        let tail = &mut self.tails.slots[id.tail];
-        tail.hist.record(secs_to_ns(sample));
-        tail.p2.push(sample);
+        self.tails.slots[id.tail].record(secs_to_ns(sample));
     }
 
-    /// Record a sample into the stream `name` *and* its tail trackers — use
+    /// Record a sample into the stream `name` *and* its tail histogram — use
     /// for latency-style streams whose tail matters. The sample (seconds)
-    /// lands in an exact log-linear [`Histogram`] (nanosecond ticks, the
-    /// authoritative quantile source) and in the legacy P² estimator kept
-    /// as a cross-check oracle.
+    /// lands in an exact log-linear [`Histogram`] (nanosecond ticks).
     pub fn observe_tail(&mut self, name: &str, sample: f64) {
         let id = self.tail_id(name);
         self.observe_tail_id(id, sample);
@@ -241,23 +221,16 @@ impl Metrics {
         self.quantile(name, 0.99)
     }
 
-    /// The legacy P² p99 *estimate* for a stream — the cross-check oracle
-    /// the exact histogram replaced. Unmergeable and unbounded-error; kept
-    /// only so tests can assert the two sources agree.
-    pub fn p99_oracle(&self, name: &str) -> Option<f64> {
-        self.tails.get(name).and_then(|t| t.p2.estimate())
-    }
-
     /// The exact tail histogram for a stream (`None` if never recorded via
     /// [`Metrics::observe_tail`]). Values are nanosecond ticks.
     pub fn tail_hist(&self, name: &str) -> Option<&Histogram> {
-        self.tails.get(name).map(|t| &t.hist)
+        self.tails.get(name)
     }
 
     /// Iterate tail histograms in name order (the windowed scraper feeds
     /// these into the time series).
     pub fn tails(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.tails.iter().map(|(k, t)| (k, &t.hist))
+        self.tails.iter()
     }
 
     /// Iterate counters in name order.
@@ -304,17 +277,10 @@ impl Metrics {
         for (k, s) in other.streams.iter() {
             self.streams.entry(k).merge(s);
         }
-        for (k, t) in other.tails.iter() {
-            let mine = self.tails.entry(k);
+        for (k, h) in other.tails.iter() {
             // Exact histograms merge losslessly: bucket counts add, so the
             // merged quantiles equal those of the concatenated sample set.
-            mine.hist.merge(&t.hist);
-            // P² estimators cannot be merged exactly; keep whichever side
-            // saw more samples (diagnostic fidelity only — the histogram
-            // above is the authoritative tail source).
-            if mine.p2.count() < t.p2.count() {
-                mine.p2 = t.p2.clone();
-            }
+            self.tails.entry(k).merge(h);
         }
     }
 
@@ -345,7 +311,6 @@ impl Metrics {
                     p50: self.quantile(k, 0.50),
                     p99: self.p99(k),
                     p999: self.quantile(k, 0.999),
-                    p99_p2: self.p99_oracle(k),
                 })
                 .collect(),
         }
@@ -391,16 +356,12 @@ pub struct StreamEntry {
     /// [`Metrics::observe_tail`].
     #[serde(default)]
     pub p50: Option<f64>,
-    /// Exact p99 (seconds), when recorded via [`Metrics::observe_tail`].
-    /// Sourced from the log-linear histogram (bounded-error), not the old
-    /// P² markers.
+    /// Exact p99 (seconds), when recorded via [`Metrics::observe_tail`],
+    /// from the log-linear histogram (bounded relative error).
     pub p99: Option<f64>,
     /// Exact p999 (seconds), when recorded via [`Metrics::observe_tail`].
     #[serde(default)]
     pub p999: Option<f64>,
-    /// Legacy P² p99 estimate, kept as a cross-check oracle for `p99`.
-    #[serde(default)]
-    pub p99_p2: Option<f64>,
 }
 
 /// Serializable snapshot of a [`Metrics`] registry: what reports embed and
@@ -573,12 +534,8 @@ mod tests {
         assert!((p50 - 0.500).abs() / 0.500 < 0.01, "p50 {p50}");
         let p999 = m.quantile("lat", 0.999).unwrap();
         assert!((p999 - 0.999).abs() / 0.999 < 0.01, "p999 {p999}");
-        // The P² oracle agrees with the exact histogram on this smooth
-        // stream (cross-check, not authority).
-        let oracle = m.p99_oracle("lat").unwrap();
-        assert!((oracle - p99).abs() / p99 < 0.05, "oracle {oracle} vs exact {p99}");
         assert_eq!(m.p99("missing"), None);
-        // Plain observe creates neither histogram nor estimator.
+        // Plain observe creates no histogram.
         m.observe("plain", 1.0);
         assert_eq!(m.p99("plain"), None);
         assert!(m.tail_hist("plain").is_none());
@@ -598,13 +555,10 @@ mod tests {
             whole.observe_tail("x", (i * 2) as f64);
         }
         a.merge(&b);
-        // The merged histogram equals the histogram of all samples — the
-        // old P² merge could only keep one side.
+        // The merged histogram equals the histogram of all samples.
         assert_eq!(a.tail_hist("x"), whole.tail_hist("x"));
         assert_eq!(a.p99("x"), whole.p99("x"));
         assert!(a.p99("x").unwrap() > 100.0);
-        // The oracle keeps whichever side saw more samples (b).
-        assert!(a.p99_oracle("x").unwrap() > 100.0);
     }
 
     #[test]

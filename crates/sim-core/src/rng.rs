@@ -57,17 +57,6 @@ impl Xoshiro256StarStar {
         Xoshiro256StarStar { s }
     }
 
-    /// Construct directly from 256 bits of state (must not be all zero).
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(s.iter().any(|&w| w != 0), "xoshiro256** state must be nonzero");
-        Xoshiro256StarStar { s }
-    }
-
-    /// The raw 256-bit state, e.g. for checkpointing a component's RNG.
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
     /// Next 64 pseudo-random bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -101,20 +90,6 @@ impl Xoshiro256StarStar {
                 return (m >> 64) as u64;
             }
         }
-    }
-
-    /// Uniform integer in the inclusive range `[lo, hi]`.
-    pub fn next_range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "empty range");
-        if lo == hi {
-            return lo;
-        }
-        let span = hi - lo + 1;
-        if span == 0 {
-            // lo == 0 && hi == u64::MAX: full range.
-            return self.next_u64();
-        }
-        lo + self.next_bounded(span)
     }
 
     /// Sample an exponential distribution with the given mean.
@@ -178,7 +153,7 @@ mod tests {
     /// generator authors' reference C code.
     #[test]
     fn xoshiro_reference_vector() {
-        let mut g = Xoshiro256StarStar::from_state([1, 2, 3, 4]);
+        let mut g = Xoshiro256StarStar { s: [1, 2, 3, 4] };
         let expected: [u64; 10] = [
             11520,
             0,
@@ -235,16 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn range_inclusive() {
-        let mut g = Xoshiro256StarStar::seed_from_u64(6);
-        for _ in 0..1_000 {
-            let v = g.next_range(10, 12);
-            assert!((10..=12).contains(&v));
-        }
-        assert_eq!(g.next_range(42, 42), 42);
-    }
-
-    #[test]
     fn exponential_mean_close() {
         let mut g = Xoshiro256StarStar::seed_from_u64(8);
         let n = 100_000;
@@ -271,16 +236,5 @@ mod tests {
         let mut c1 = parent.split();
         let mut c2 = parent.split();
         assert_ne!(c1.next_u64(), c2.next_u64());
-    }
-
-    #[test]
-    fn state_round_trip() {
-        let mut g = Xoshiro256StarStar::seed_from_u64(11);
-        g.next_u64();
-        let snap = g.state();
-        let mut h = Xoshiro256StarStar::from_state(snap);
-        for _ in 0..100 {
-            assert_eq!(g.next_u64(), h.next_u64());
-        }
     }
 }

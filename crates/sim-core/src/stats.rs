@@ -87,11 +87,6 @@ impl StreamStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Merge another accumulator into this one.
     pub fn merge(&mut self, other: &StreamStats) {
         if other.n == 0 {
@@ -141,7 +136,6 @@ mod tests {
         assert_eq!(s.count(), 8);
         assert!(approx(s.mean(), 5.0));
         assert!(approx(s.variance(), 4.0));
-        assert!(approx(s.stddev(), 2.0));
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
         assert!(approx(s.sum(), 40.0));

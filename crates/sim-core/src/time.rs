@@ -115,12 +115,6 @@ impl SimTime {
             other
         }
     }
-
-    /// True iff this is the zero time.
-    #[inline]
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
 }
 
 impl Add for SimTime {

@@ -8,7 +8,6 @@ use sim_core::metrics::{
     CounterEntry, CounterId, Gauge, GaugeEntry, GaugeId, Metrics, MetricsSnapshot, StreamEntry,
     TailId,
 };
-use sim_core::quantile::P2Quantile;
 use sim_core::stats::StreamStats;
 use std::collections::BTreeMap;
 use telemetry::hist::{ns_to_secs, secs_to_ns};
@@ -37,14 +36,13 @@ fn script() -> impl Strategy<Value = Vec<(usize, Op)>> {
     proptest::collection::vec((0..NAMES.len(), op), 0..120)
 }
 
-/// The reference: five maps keyed by name, every write a find-or-insert.
+/// The reference: four maps keyed by name, every write a find-or-insert.
 #[derive(Default)]
 struct Model {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, Gauge>,
     streams: BTreeMap<String, StreamStats>,
     tails: BTreeMap<String, Histogram>,
-    p99s: BTreeMap<String, P2Quantile>,
 }
 
 impl Model {
@@ -65,7 +63,6 @@ impl Model {
             Op::ObserveTail(x) => {
                 self.streams.entry(name.to_owned()).or_default().push(x);
                 self.tails.entry(name.to_owned()).or_default().record(secs_to_ns(x));
-                self.p99s.entry(name.to_owned()).or_insert_with(|| P2Quantile::new(0.99)).push(x);
             }
         }
     }
@@ -94,7 +91,6 @@ impl Model {
                     p50: quantile(k, 0.50),
                     p99: quantile(k, 0.99),
                     p999: quantile(k, 0.999),
-                    p99_p2: self.p99s.get(k).and_then(P2Quantile::estimate),
                 })
                 .collect(),
         }

@@ -8,23 +8,11 @@
 //! server.
 
 use crate::geometry::{BBox, MAX_DIMS};
-use crate::hilbert::hilbert3;
 use crate::sfc::morton3;
 use serde::{Deserialize, Serialize};
 
 /// Staging server index.
 pub type ServerIdx = usize;
-
-/// Which space-filling curve linearizes the block grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Curve {
-    /// Morton (Z-order): cheap to compute, good locality.
-    #[default]
-    Morton,
-    /// Hilbert: strictly better locality (every consecutive pair of indices
-    /// is spatially adjacent) — the curve DataSpaces itself uses.
-    Hilbert,
-}
 
 /// Immutable description of how the domain is partitioned.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -35,10 +23,6 @@ pub struct Distribution {
     pub block: [u64; MAX_DIMS],
     /// Number of staging servers.
     pub nservers: usize,
-    /// Space-filling curve in use.
-    pub curve: Curve,
-    /// Hilbert order (bits per axis), when the curve is Hilbert.
-    order: u32,
     /// Sorted SFC codes of every block in the grid.
     codes: Vec<u64>,
 }
@@ -46,18 +30,8 @@ pub struct Distribution {
 impl Distribution {
     /// Build a Morton-distributed decomposition. `block` extents are clamped
     /// to the domain.
-    pub fn new(domain: BBox, block: [u64; MAX_DIMS], nservers: usize) -> Self {
-        Self::with_curve(domain, block, nservers, Curve::Morton)
-    }
-
-    /// Build a distribution along the chosen space-filling curve.
     #[allow(clippy::needless_range_loop)] // indexes two arrays by dimension
-    pub fn with_curve(
-        domain: BBox,
-        mut block: [u64; MAX_DIMS],
-        nservers: usize,
-        curve: Curve,
-    ) -> Self {
+    pub fn new(domain: BBox, mut block: [u64; MAX_DIMS], nservers: usize) -> Self {
         assert!(nservers > 0, "need at least one server");
         for d in 0..MAX_DIMS {
             if d < domain.ndim as usize {
@@ -68,27 +42,16 @@ impl Distribution {
             }
         }
         let counts = Self::grid_counts(&domain, &block);
-        // Hilbert order: enough bits for the largest axis (minimum 1).
-        let order = counts
-            .iter()
-            .map(|&c| 64 - c.saturating_sub(1).leading_zeros())
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        let encode = |bx: u64, by: u64, bz: u64| match curve {
-            Curve::Morton => morton3(bx, by, bz),
-            Curve::Hilbert => hilbert3(order, bx, by, bz),
-        };
         let mut codes = Vec::with_capacity((counts[0] * counts[1] * counts[2]) as usize);
         for bz in 0..counts[2] {
             for by in 0..counts[1] {
                 for bx in 0..counts[0] {
-                    codes.push(encode(bx, by, bz));
+                    codes.push(morton3(bx, by, bz));
                 }
             }
         }
         codes.sort_unstable();
-        Distribution { domain, block, nservers, curve, order, codes }
+        Distribution { domain, block, nservers, codes }
     }
 
     fn grid_counts(domain: &BBox, block: &[u64; MAX_DIMS]) -> [u64; MAX_DIMS] {
@@ -110,7 +73,7 @@ impl Distribution {
     }
 
     /// The block coordinate containing a grid point.
-    pub fn block_of_point(&self, p: [u64; MAX_DIMS]) -> [u64; MAX_DIMS] {
+    fn block_of_point(&self, p: [u64; MAX_DIMS]) -> [u64; MAX_DIMS] {
         let mut b = [0u64; MAX_DIMS];
         for d in 0..self.domain.ndim as usize {
             debug_assert!(p[d] >= self.domain.lb[d]);
@@ -133,10 +96,7 @@ impl Distribution {
     /// The SFC code of block `coord` — the block's key in partition maps
     /// (`shardmap`) and spatial indexes.
     pub fn block_code(&self, coord: [u64; MAX_DIMS]) -> u64 {
-        match self.curve {
-            Curve::Morton => morton3(coord[0], coord[1], coord[2]),
-            Curve::Hilbert => hilbert3(self.order, coord[0], coord[1], coord[2]),
-        }
+        morton3(coord[0], coord[1], coord[2])
     }
 
     /// The sorted SFC codes of every block in the grid (the key universe a
@@ -277,62 +237,6 @@ mod tests {
             }
         }
         assert!(same * 2 > total, "expected >50% x-neighbours colocated, got {same}/{total}");
-    }
-
-    fn neighbour_colocation(dist: &Distribution, n: u64) -> (usize, usize) {
-        let mut same = 0;
-        let mut total = 0;
-        for bz in 0..n {
-            for by in 0..n {
-                for bx in 0..n.saturating_sub(1) {
-                    total += 1;
-                    if dist.server_of_block([bx, by, bz]) == dist.server_of_block([bx + 1, by, bz])
-                    {
-                        same += 1;
-                    }
-                }
-            }
-        }
-        (same, total)
-    }
-
-    #[test]
-    fn hilbert_distribution_covers_all_blocks() {
-        let dist = Distribution::with_curve(d3([64, 64, 64]), [16, 16, 16], 5, Curve::Hilbert);
-        let mut per_server = vec![0usize; 5];
-        let counts = dist.counts();
-        for bz in 0..counts[2] {
-            for by in 0..counts[1] {
-                for bx in 0..counts[0] {
-                    per_server[dist.server_of_block([bx, by, bz])] += 1;
-                }
-            }
-        }
-        assert_eq!(per_server.iter().sum::<usize>(), dist.nblocks());
-        for &c in &per_server {
-            assert!((12..=13).contains(&c), "imbalanced: {per_server:?}");
-        }
-    }
-
-    #[test]
-    fn hilbert_locality_at_least_morton() {
-        // 8x8x8 block grid over 8 servers: the Hilbert partition keeps at
-        // least as many x-neighbours colocated as Morton does.
-        let morton = Distribution::with_curve(d3([128, 128, 128]), [16, 16, 16], 8, Curve::Morton);
-        let hilbert =
-            Distribution::with_curve(d3([128, 128, 128]), [16, 16, 16], 8, Curve::Hilbert);
-        let (ms, total) = neighbour_colocation(&morton, 8);
-        let (hs, _) = neighbour_colocation(&hilbert, 8);
-        assert!(hs >= ms, "Hilbert colocation ({hs}/{total}) must be >= Morton ({ms}/{total})");
-    }
-
-    #[test]
-    fn non_power_of_two_grid_works_with_hilbert() {
-        let dist = Distribution::with_curve(d3([100, 80, 60]), [32, 32, 32], 3, Curve::Hilbert);
-        let q = BBox::d3([10, 10, 10], [70, 50, 40]);
-        let blocks = dist.blocks_overlapping(&q);
-        let vol: u64 = blocks.iter().map(|(_, b, _)| b.volume()).sum();
-        assert_eq!(vol, q.volume());
     }
 
     #[test]

@@ -97,59 +97,6 @@ impl BBox {
         assert_eq!(self.ndim, other.ndim, "dimension mismatch");
         (0..self.ndim as usize).all(|d| self.lb[d] <= other.lb[d] && other.ub[d] <= self.ub[d])
     }
-
-    /// True if the grid point `p` lies within `self`.
-    pub fn contains_point(&self, p: [u64; MAX_DIMS]) -> bool {
-        (0..self.ndim as usize).all(|d| self.lb[d] <= p[d] && p[d] <= self.ub[d])
-    }
-
-    /// Smallest box covering both inputs.
-    pub fn hull(&self, other: &BBox) -> BBox {
-        assert_eq!(self.ndim, other.ndim, "dimension mismatch");
-        let mut lb = [0u64; MAX_DIMS];
-        let mut ub = [0u64; MAX_DIMS];
-        for d in 0..self.ndim as usize {
-            lb[d] = self.lb[d].min(other.lb[d]);
-            ub[d] = self.ub[d].max(other.ub[d]);
-        }
-        BBox { ndim: self.ndim, lb, ub }
-    }
-
-    /// Split this box along axis `axis` into chunks of at most `len` points,
-    /// appending the pieces to `out`. Used to decompose a put into block-sized
-    /// pieces.
-    pub fn split_axis(&self, axis: usize, len: u64, out: &mut Vec<BBox>) {
-        assert!(axis < self.ndim as usize && len > 0);
-        let mut lo = self.lb[axis];
-        while lo <= self.ub[axis] {
-            let hi = (lo + len - 1).min(self.ub[axis]);
-            let mut b = *self;
-            b.lb[axis] = lo;
-            b.ub[axis] = hi;
-            out.push(b);
-            if hi == u64::MAX {
-                break;
-            }
-            lo = hi + 1;
-        }
-    }
-
-    /// A sub-box covering the given fraction (in thousandths) of this box's
-    /// volume, taken as a prefix along the last axis. `frac_millis = 1000`
-    /// returns the whole box. Used by Case 1's "write X% of the domain".
-    pub fn prefix_fraction(&self, frac_millis: u64) -> Option<BBox> {
-        assert!(frac_millis <= 1000, "fraction over 100%");
-        if frac_millis == 0 {
-            return None;
-        }
-        let axis = self.ndim as usize - 1;
-        let ext = self.extent(axis);
-        let take = (ext as u128 * frac_millis as u128).div_ceil(1000) as u64;
-        let take = take.clamp(1, ext);
-        let mut b = *self;
-        b.ub[axis] = b.lb[axis] + take - 1;
-        Some(b)
-    }
 }
 
 impl fmt::Display for BBox {
@@ -212,45 +159,12 @@ mod tests {
     }
 
     #[test]
-    fn contains_and_points() {
+    fn contains_is_reflexive_and_one_way() {
         let a = BBox::d3([0, 0, 0], [9, 9, 9]);
         let b = BBox::d3([1, 1, 1], [8, 8, 8]);
         assert!(a.contains(&b));
         assert!(!b.contains(&a));
         assert!(a.contains(&a));
-        assert!(a.contains_point([0, 9, 5]));
-        assert!(!a.contains_point([10, 0, 0]));
-    }
-
-    #[test]
-    fn hull_covers_both() {
-        let a = BBox::d2([0, 0], [3, 3]);
-        let b = BBox::d2([10, 1], [12, 2]);
-        let h = a.hull(&b);
-        assert!(h.contains(&a) && h.contains(&b));
-        assert_eq!(h, BBox::d2([0, 0], [12, 3]));
-    }
-
-    #[test]
-    fn split_axis_covers_exactly() {
-        let b = BBox::d1(0, 9);
-        let mut out = Vec::new();
-        b.split_axis(0, 4, &mut out);
-        assert_eq!(out, vec![BBox::d1(0, 3), BBox::d1(4, 7), BBox::d1(8, 9)]);
-        let total: u64 = out.iter().map(|x| x.volume()).sum();
-        assert_eq!(total, b.volume());
-    }
-
-    #[test]
-    fn prefix_fraction_cases() {
-        let b = BBox::d3([0, 0, 0], [9, 9, 99]);
-        assert_eq!(b.prefix_fraction(1000).unwrap(), b);
-        let half = b.prefix_fraction(500).unwrap();
-        assert_eq!(half.extent(2), 50);
-        assert_eq!(half.volume(), b.volume() / 2);
-        assert!(b.prefix_fraction(0).is_none());
-        // Tiny fraction still returns at least one plane.
-        assert_eq!(b.prefix_fraction(1).unwrap().extent(2), 1);
     }
 
     #[test]
@@ -298,55 +212,9 @@ mod prop_tests {
         }
 
         #[test]
-        fn hull_contains_both_and_is_minimal_on_axes(a in arb_bbox(), b in arb_bbox()) {
-            let h = a.hull(&b);
-            prop_assert!(h.contains(&a));
-            prop_assert!(h.contains(&b));
-            for d in 0..3 {
-                prop_assert_eq!(h.lb[d], a.lb[d].min(b.lb[d]));
-                prop_assert_eq!(h.ub[d], a.ub[d].max(b.ub[d]));
-            }
-        }
-
-        #[test]
-        fn split_axis_partitions(a in arb_bbox(), axis in 0usize..3, len in 1u64..20) {
-            let mut out = Vec::new();
-            a.split_axis(axis, len, &mut out);
-            let total: u64 = out.iter().map(BBox::volume).sum();
-            prop_assert_eq!(total, a.volume(), "pieces must tile the box");
-            for (i, p) in out.iter().enumerate() {
-                prop_assert!(a.contains(p));
-                prop_assert!(p.extent(axis) <= len);
-                for q in &out[i + 1..] {
-                    prop_assert!(!p.intersects(q), "pieces must be disjoint");
-                }
-            }
-        }
-
-        #[test]
-        fn prefix_fraction_monotone(a in arb_bbox(), f1 in 1u64..=1000, f2 in 1u64..=1000) {
-            let (lo, hi) = if f1 <= f2 { (f1, f2) } else { (f2, f1) };
-            let v_lo = a.prefix_fraction(lo).unwrap().volume();
-            let v_hi = a.prefix_fraction(hi).unwrap().volume();
-            prop_assert!(v_lo <= v_hi, "larger fraction covers at least as much");
-            prop_assert!(a.contains(&a.prefix_fraction(hi).unwrap()));
-        }
-
-        #[test]
         fn contains_transitive(a in arb_bbox(), b in arb_bbox(), c in arb_bbox()) {
             if a.contains(&b) && b.contains(&c) {
                 prop_assert!(a.contains(&c));
-            }
-        }
-
-        #[test]
-        fn contains_point_consistent_with_intersect(a in arb_bbox(), b in arb_bbox()) {
-            // If boxes intersect, the intersection's corner is in both.
-            if let Some(i) = a.intersect(&b) {
-                prop_assert!(a.contains_point(i.lb));
-                prop_assert!(b.contains_point(i.lb));
-                prop_assert!(a.contains_point(i.ub));
-                prop_assert!(b.contains_point(i.ub));
             }
         }
     }

@@ -46,7 +46,6 @@
 
 pub mod dist;
 pub mod geometry;
-pub mod hilbert;
 pub mod journal;
 pub mod payload;
 pub mod proto;

@@ -9,15 +9,14 @@
 //! (simulation, analytics, ...) identified by [`AppId`]; each component has
 //! many ranks, but the staging protocol only needs the component identity —
 //! per-component event queues are the unit of the paper's consistency
-//! algorithm. Variables are interned to dense [`VarId`]s by [`VarRegistry`].
+//! algorithm. Variables are dense [`VarId`]s.
 
 use crate::geometry::BBox;
 use crate::payload::Payload;
 use obs::TraceCtx;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
-/// Interned variable identifier.
+/// Variable identifier.
 pub type VarId = u32;
 /// Data version; the synthetic workflows use the coupling time step.
 pub type Version = u32;
@@ -41,51 +40,6 @@ pub struct ObjDesc {
     pub version: Version,
     /// Region covered.
     pub bbox: BBox,
-}
-
-/// Name → [`VarId`] interner.
-#[derive(Debug, Default, Clone)]
-pub struct VarRegistry {
-    by_name: BTreeMap<String, VarId>,
-    names: Vec<String>,
-}
-
-impl VarRegistry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Intern `name`, returning its stable id.
-    pub fn intern(&mut self, name: &str) -> VarId {
-        if let Some(&id) = self.by_name.get(name) {
-            return id;
-        }
-        let id = self.names.len() as VarId;
-        self.names.push(name.to_owned());
-        self.by_name.insert(name.to_owned(), id);
-        id
-    }
-
-    /// Look up an already-interned name.
-    pub fn get(&self, name: &str) -> Option<VarId> {
-        self.by_name.get(name).copied()
-    }
-
-    /// The name for an id.
-    pub fn name(&self, id: VarId) -> Option<&str> {
-        self.names.get(id as usize).map(String::as_str)
-    }
-
-    /// Number of interned variables.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// True when no variables are interned.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
 }
 
 /// A write of one (block-aligned) piece of a variable version.
@@ -328,21 +282,6 @@ impl Reply {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn registry_interns_stably() {
-        let mut r = VarRegistry::new();
-        let t = r.intern("temperature");
-        let p = r.intern("pressure");
-        assert_ne!(t, p);
-        assert_eq!(r.intern("temperature"), t);
-        assert_eq!(r.get("pressure"), Some(p));
-        assert_eq!(r.name(t), Some("temperature"));
-        assert_eq!(r.len(), 2);
-        assert!(!r.is_empty());
-        assert_eq!(r.get("missing"), None);
-        assert_eq!(r.name(99), None);
-    }
 
     #[test]
     fn desc_equality_by_value() {

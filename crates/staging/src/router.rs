@@ -3,7 +3,7 @@
 //!
 //! The [`Distribution`] answers *what* blocks a region touches; the
 //! [`Router`] answers *which shard serves each block for a given data
-//! version*: every block's Morton/Hilbert code is looked up in a
+//! version*: every block's Morton code is looked up in a
 //! [`shardmap::MapHistory`] keyed by the data version, so historical reads
 //! and journal replay keep landing on the shard that holds the data even
 //! after a live rebalance moved the block's *current* owner. An unsharded

@@ -1,21 +1,17 @@
 //! Property tests on the domain distribution: for random domains, block
-//! shapes, server counts and curves, the decomposition must partition the
-//! grid exactly and balance load.
+//! shapes and server counts, the decomposition must partition the grid
+//! exactly and balance load.
 
 use proptest::prelude::*;
-use staging::dist::{Curve, Distribution};
+use staging::dist::Distribution;
 use staging::geometry::BBox;
 
-fn arb_setup() -> impl Strategy<Value = (BBox, [u64; 3], usize, Curve)> {
-    (
-        (1u64..80, 1u64..80, 1u64..80),
-        (1u64..40, 1u64..40, 1u64..40),
-        1usize..12,
-        prop_oneof![Just(Curve::Morton), Just(Curve::Hilbert)],
+fn arb_setup() -> impl Strategy<Value = (BBox, [u64; 3], usize)> {
+    ((1u64..80, 1u64..80, 1u64..80), (1u64..40, 1u64..40, 1u64..40), 1usize..12).prop_map(
+        |(dims, block, nservers)| {
+            (BBox::whole([dims.0, dims.1, dims.2]), [block.0, block.1, block.2], nservers)
+        },
     )
-        .prop_map(|(dims, block, nservers, curve)| {
-            (BBox::whole([dims.0, dims.1, dims.2]), [block.0, block.1, block.2], nservers, curve)
-        })
 }
 
 proptest! {
@@ -24,8 +20,8 @@ proptest! {
     /// Every block maps to exactly one server, and the whole-domain query
     /// tiles the domain exactly.
     #[test]
-    fn blocks_partition_domain((domain, block, nservers, curve) in arb_setup()) {
-        let dist = Distribution::with_curve(domain, block, nservers, curve);
+    fn blocks_partition_domain((domain, block, nservers) in arb_setup()) {
+        let dist = Distribution::new(domain, block, nservers);
         let pieces = dist.blocks_overlapping(&domain);
         prop_assert_eq!(pieces.len(), dist.nblocks());
         let vol: u64 = pieces.iter().map(|(_, b, _)| b.volume()).sum();
@@ -40,8 +36,8 @@ proptest! {
 
     /// SFC range partitioning balances servers to within one block.
     #[test]
-    fn server_load_balanced((domain, block, nservers, curve) in arb_setup()) {
-        let dist = Distribution::with_curve(domain, block, nservers, curve);
+    fn server_load_balanced((domain, block, nservers) in arb_setup()) {
+        let dist = Distribution::new(domain, block, nservers);
         let mut counts = vec![0usize; nservers];
         for (_, _, s) in dist.blocks_overlapping(&domain) {
             counts[s] += 1;
@@ -55,11 +51,11 @@ proptest! {
     /// every clipped piece routes to the block owner.
     #[test]
     fn queries_tile_exactly(
-        (domain, block, nservers, curve) in arb_setup(),
+        (domain, block, nservers) in arb_setup(),
         qx in 0u64..60, qy in 0u64..60, qz in 0u64..60,
         wx in 1u64..20, wy in 1u64..20, wz in 1u64..20,
     ) {
-        let dist = Distribution::with_curve(domain, block, nservers, curve);
+        let dist = Distribution::new(domain, block, nservers);
         let lb = [
             qx.min(domain.ub[0]),
             qy.min(domain.ub[1]),
@@ -80,19 +76,14 @@ proptest! {
         }
     }
 
-    /// Morton and Hilbert assign the same *set* of blocks (only ownership
-    /// differs) and both keep every server non-empty when there are at least
-    /// as many blocks as servers.
+    /// Range partitioning leaves no server empty when there are at least as
+    /// many blocks as servers.
     #[test]
-    fn curves_agree_on_block_structure((domain, block, nservers, _) in arb_setup()) {
-        let m = Distribution::with_curve(domain, block, nservers, Curve::Morton);
-        let h = Distribution::with_curve(domain, block, nservers, Curve::Hilbert);
-        prop_assert_eq!(m.nblocks(), h.nblocks());
-        prop_assert_eq!(m.counts(), h.counts());
-        if m.nblocks() >= nservers {
+    fn no_server_is_empty_when_blocks_cover_servers((domain, block, nservers) in arb_setup()) {
+        let dist = Distribution::new(domain, block, nservers);
+        if dist.nblocks() >= nservers {
             for s in 0..nservers {
-                prop_assert!(!m.blocks_of_server(s).is_empty());
-                prop_assert!(!h.blocks_of_server(s).is_empty());
+                prop_assert!(!dist.blocks_of_server(s).is_empty());
             }
         }
     }

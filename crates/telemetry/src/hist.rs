@@ -1,8 +1,7 @@
 //! Mergeable log-linear (HDR-style) histograms over `u64` values.
 //!
-//! The registry's tail streams previously kept only a P² estimate of p99 —
-//! five markers, unmergeable, with no error bound. A [`Histogram`] stores
-//! exact per-bucket counts instead, so:
+//! The registry's tail streams keep one [`Histogram`] each: exact per-bucket
+//! counts, so:
 //!
 //! * any quantile (p50/p99/p999/max) is available after the fact;
 //! * merging is exact: bucket counts add, so `merge` is associative and

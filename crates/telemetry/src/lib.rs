@@ -10,8 +10,8 @@
 //! report) is a byte-stable function of the run.
 //!
 //! * [`hist`] — exact, mergeable log-linear (HDR-style) [`Histogram`]s:
-//!   bucket counts instead of the old lossy P² markers, so p50/p99/p999
-//!   are available with a proven `2^-g` relative error bound and merging
+//!   exact bucket counts, so p50/p99/p999 are available with a proven
+//!   `2^-g` relative error bound and merging
 //!   (threaded per-thread registries, per-shard series) is lossless.
 //! * [`family`] — labeled metric families parsed from the registry's
 //!   dotted-name convention (`staging.server3.bytes` →

@@ -53,11 +53,6 @@ impl Window {
     pub fn hist(&self, name: &str) -> Option<&Histogram> {
         self.hists.iter().find(|(n, _)| n == name).map(|(_, h)| h)
     }
-
-    /// True when nothing moved inside the window.
-    pub fn is_quiet(&self) -> bool {
-        self.counters.iter().all(|(_, v)| *v == 0) && self.hists.iter().all(|(_, h)| h.is_empty())
-    }
 }
 
 /// A complete run's windowed time series.
@@ -266,7 +261,6 @@ mod tests {
         let s = b.finish();
         let pts: Vec<(u64, i64)> = s.gauge_points("depth").collect();
         assert_eq!(pts, vec![(0, 3), (10, 0)]);
-        assert!(s.windows[1].is_quiet());
     }
 
     #[test]

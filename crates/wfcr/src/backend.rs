@@ -161,11 +161,6 @@ impl LoggingBackend {
         self.journal = Some(JournalWriter::new(sink, coalesce));
     }
 
-    /// Is a durable journal attached?
-    pub fn has_journal(&self) -> bool {
-        self.journal.is_some()
-    }
-
     /// Flush the journal's buffered tail (graceful shutdown / stats
     /// harvest). No-op without a journal.
     pub fn flush_journal(&mut self) {
@@ -289,7 +284,7 @@ impl LoggingBackend {
     }
 
     /// Bytes currently held in event queues (log metadata).
-    pub fn queue_bytes(&self) -> u64 {
+    fn queue_bytes(&self) -> u64 {
         self.queues.values().map(EventQueue::bytes).sum()
     }
 

@@ -14,7 +14,6 @@
 //!   lower bound on execution time.
 
 use serde::{Deserialize, Serialize};
-use staging::proto::AppId;
 
 /// Per-component fault-tolerance scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -47,15 +46,6 @@ impl FtScheme {
             _ => None,
         }
     }
-
-    /// Compute-resource multiplier of the scheme (replication runs extra
-    /// copies).
-    pub fn resource_factor(&self) -> f64 {
-        match self {
-            FtScheme::Replication { replicas } => *replicas as f64,
-            _ => 1.0,
-        }
-    }
 }
 
 /// Workflow-level protocol tying the components' schemes together.
@@ -79,41 +69,10 @@ impl WorkflowProtocol {
         matches!(self, WorkflowProtocol::Uncoordinated | WorkflowProtocol::Hybrid)
     }
 
-    /// Does this protocol guarantee crash consistency of coupled data?
-    pub fn is_consistent(&self) -> bool {
-        !matches!(self, WorkflowProtocol::Individual | WorkflowProtocol::FailureFree)
-    }
-
     /// Are checkpoints coordinated across components (global period plus
     /// cross-component barrier)?
     pub fn coordinated_checkpoints(&self) -> bool {
         matches!(self, WorkflowProtocol::Coordinated)
-    }
-
-    /// Which components roll back when `failed` fails, given each
-    /// component's scheme? Returns the rollback set (component ids).
-    pub fn rollback_set(&self, failed: AppId, schemes: &[(AppId, FtScheme)]) -> Vec<AppId> {
-        match self {
-            WorkflowProtocol::FailureFree => Vec::new(),
-            WorkflowProtocol::Coordinated => {
-                // Everybody returns to the last global checkpoint.
-                schemes.iter().map(|(a, _)| *a).collect()
-            }
-            WorkflowProtocol::Uncoordinated
-            | WorkflowProtocol::Hybrid
-            | WorkflowProtocol::Individual => {
-                let scheme = schemes
-                    .iter()
-                    .find(|(a, _)| *a == failed)
-                    .map(|(_, s)| *s)
-                    .unwrap_or(FtScheme::None);
-                if scheme.rolls_back() || scheme == FtScheme::None {
-                    vec![failed]
-                } else {
-                    Vec::new() // replication fails over without rollback
-                }
-            }
-        }
     }
 
     /// Short label used in reports (matches the paper's legend).
@@ -143,47 +102,6 @@ impl WorkflowProtocol {
 mod tests {
     use super::*;
 
-    fn schemes() -> Vec<(AppId, FtScheme)> {
-        vec![
-            (0, FtScheme::CheckpointRestart { period: 4 }),
-            (1, FtScheme::CheckpointRestart { period: 5 }),
-        ]
-    }
-
-    fn hybrid_schemes() -> Vec<(AppId, FtScheme)> {
-        vec![
-            (0, FtScheme::CheckpointRestart { period: 4 }),
-            (1, FtScheme::Replication { replicas: 2 }),
-        ]
-    }
-
-    #[test]
-    fn coordinated_rolls_back_everyone() {
-        let rb = WorkflowProtocol::Coordinated.rollback_set(1, &schemes());
-        assert_eq!(rb, vec![0, 1]);
-    }
-
-    #[test]
-    fn uncoordinated_rolls_back_failed_only() {
-        let rb = WorkflowProtocol::Uncoordinated.rollback_set(1, &schemes());
-        assert_eq!(rb, vec![1]);
-        let rb = WorkflowProtocol::Uncoordinated.rollback_set(0, &schemes());
-        assert_eq!(rb, vec![0]);
-    }
-
-    #[test]
-    fn hybrid_replicated_component_never_rolls_back() {
-        let rb = WorkflowProtocol::Hybrid.rollback_set(1, &hybrid_schemes());
-        assert!(rb.is_empty(), "replicated analytics fails over");
-        let rb = WorkflowProtocol::Hybrid.rollback_set(0, &hybrid_schemes());
-        assert_eq!(rb, vec![0], "C/R simulation still rolls back");
-    }
-
-    #[test]
-    fn failure_free_never_rolls_back() {
-        assert!(WorkflowProtocol::FailureFree.rollback_set(0, &schemes()).is_empty());
-    }
-
     #[test]
     fn logging_flags() {
         assert!(WorkflowProtocol::Uncoordinated.uses_logging());
@@ -194,32 +112,16 @@ mod tests {
     }
 
     #[test]
-    fn consistency_flags() {
-        assert!(WorkflowProtocol::Coordinated.is_consistent());
-        assert!(WorkflowProtocol::Uncoordinated.is_consistent());
-        assert!(WorkflowProtocol::Hybrid.is_consistent());
-        assert!(!WorkflowProtocol::Individual.is_consistent());
-    }
-
-    #[test]
     fn scheme_properties() {
         assert!(FtScheme::CheckpointRestart { period: 4 }.rolls_back());
         assert!(!FtScheme::Replication { replicas: 2 }.rolls_back());
         assert_eq!(FtScheme::CheckpointRestart { period: 4 }.period(), Some(4));
         assert_eq!(FtScheme::Replication { replicas: 2 }.period(), None);
-        assert!((FtScheme::Replication { replicas: 2 }.resource_factor() - 2.0).abs() < 1e-12);
-        assert!((FtScheme::None.resource_factor() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn labels_match_paper() {
         let labels: Vec<&str> = WorkflowProtocol::all().iter().map(|p| p.label()).collect();
         assert_eq!(labels, vec!["Ds", "Co", "Un", "Hy", "In"]);
-    }
-
-    #[test]
-    fn unknown_component_treated_as_unprotected() {
-        let rb = WorkflowProtocol::Uncoordinated.rollback_set(99, &schemes());
-        assert_eq!(rb, vec![99]);
     }
 }

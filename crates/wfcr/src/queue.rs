@@ -27,8 +27,8 @@
 //! # Peek-before-commit
 //!
 //! Supervised restarts need a guarantee that in-flight work is never lost
-//! while a consumer is down: a restart *peeks* at the replay window
-//! ([`EventQueue::peek_since`], zero-copy) without consuming it, and events
+//! while a consumer is down: a restart reads the replay window
+//! ([`EventQueue::replay_script`]) without consuming it, and events
 //! only leave the queue when a checkpoint boundary *commits* them via
 //! [`EventQueue::truncate_through`]. The queue counts both sides —
 //! [`EventQueue::appended_transport`] and [`EventQueue::committed`] — so an
@@ -118,11 +118,10 @@ impl EventQueue {
 
     /// Peek at the replay window without consuming or copying it: every
     /// transport event recorded after `resume_version`, in order, as a
-    /// borrowed slice. This is the peek half of peek-before-commit — a
-    /// supervised restart inspects its in-flight window here, and the events
-    /// stay queued until [`EventQueue::truncate_through`] commits them at a
-    /// checkpoint boundary.
-    pub fn peek_since(&self, resume_version: Version) -> &[LogEvent] {
+    /// borrowed slice. The events stay queued until
+    /// [`EventQueue::truncate_through`] commits them at a checkpoint
+    /// boundary.
+    fn peek_since(&self, resume_version: Version) -> &[LogEvent] {
         let start = self.transport.partition_point(|ev| ev.version() <= resume_version);
         &self.transport[start..]
     }

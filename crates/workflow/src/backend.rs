@@ -65,14 +65,6 @@ impl AnyBackend {
         }
     }
 
-    /// The plain backend, if that is what this is.
-    pub fn as_plain(&self) -> Option<&PlainBackend> {
-        match self {
-            AnyBackend::Plain(b) => Some(b),
-            AnyBackend::Logging(_) => None,
-        }
-    }
-
     /// Gets served a version other than the requested one (plain backend
     /// only; the logging backend never serves unverified stale data).
     pub fn stale_gets(&self) -> u64 {
@@ -150,11 +142,9 @@ mod tests {
     #[test]
     fn accessors() {
         let p = AnyBackend::for_protocol(WorkflowProtocol::Coordinated, 2, &[]);
-        assert!(p.as_plain().is_some());
         assert!(p.as_logging().is_none());
         let l = AnyBackend::for_protocol(WorkflowProtocol::Uncoordinated, 2, &[0]);
         assert!(l.as_logging().is_some());
-        assert!(l.as_plain().is_none());
     }
 
     #[test]

@@ -207,11 +207,6 @@ pub struct ComponentActor {
     recoveries: u32,
     /// Fail-overs absorbed by replication.
     failovers: u32,
-    /// Failures ignored because a recovery was already in progress.
-    coalesced_failures: u32,
-    /// Puts acked as absorbed (server recognized a redundant replay write).
-    absorbed_acks: u64,
-    finish_time: Option<SimTime>,
     /// Handles of `wf.put_response_s` and `wf.puts`, resolved at this
     /// component's first put reply (a component that never wrote registers
     /// neither).
@@ -320,9 +315,6 @@ impl ComponentActor {
             steps_executed: 0,
             recoveries: 0,
             failovers: 0,
-            coalesced_failures: 0,
-            absorbed_acks: 0,
-            finish_time: None,
             put_metrics: None,
             get_metrics: None,
             supervisor: None,
@@ -383,11 +375,6 @@ impl ComponentActor {
         self.poison_step = Some(step);
     }
 
-    /// Steps the supervisor has quarantined on this component.
-    pub fn quarantined_steps(&self) -> &BTreeSet<u32> {
-        &self.quarantined_steps
-    }
-
     /// Rollback recoveries performed.
     pub fn recoveries(&self) -> u32 {
         self.recoveries
@@ -403,24 +390,9 @@ impl ComponentActor {
         self.steps_executed
     }
 
-    /// Acks that reported [`PutStatus::Absorbed`].
-    pub fn absorbed_acks(&self) -> u64 {
-        self.absorbed_acks
-    }
-
-    /// Failures coalesced into an in-progress recovery.
-    pub fn coalesced_failures(&self) -> u32 {
-        self.coalesced_failures
-    }
-
     /// Proactive (predictor-triggered) checkpoints taken.
     pub fn proactive_ckpts(&self) -> u32 {
         self.proactive_ckpts
-    }
-
-    /// Virtual time at which this component finished all steps.
-    pub fn finish_time(&self) -> Option<SimTime> {
-        self.finish_time
     }
 
     // ---- observability --------------------------------------------------
@@ -758,7 +730,6 @@ impl ComponentActor {
                 ctx.metrics().inc_id(puts, 1);
                 let absorbed = r.status == PutStatus::Absorbed;
                 if absorbed {
-                    self.absorbed_acks += 1;
                     ctx.metrics().inc("wf.puts_absorbed", 1);
                 }
                 if self.tracer.enabled() {
@@ -837,7 +808,6 @@ impl ComponentActor {
             }
         }
         self.phase = Phase::Done;
-        self.finish_time = Some(ctx.now());
         if let Some(sup) = self.supervisor {
             let msg = crate::supervisor_actor::Progress {
                 app: self.cfg.app,
@@ -872,7 +842,6 @@ impl ComponentActor {
         if matches!(self.phase, Phase::RecUlfm | Phase::RecRestore)
             || matches!(self.phase, Phase::CtlWait(AfterCtl::ResumeCompute))
         {
-            self.coalesced_failures += 1;
             ctx.metrics().inc("wf.failures_coalesced", 1);
             self.span_instant(ctx, self.recovery_span, "failure_coalesced", Vec::new());
             return;
@@ -932,7 +901,6 @@ impl ComponentActor {
         if self.phase == Phase::SupervisedWait {
             // Already dead and awaiting a grant: a dead component cannot
             // die again.
-            self.coalesced_failures += 1;
             ctx.metrics().inc("wf.failures_coalesced", 1);
             return;
         }

@@ -403,7 +403,7 @@ pub struct ShardingCfg {
 /// such as data replication or erasure coding").
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct StagingResilienceCfg {
-    /// Protection policy for staged objects.
+    /// Erasure-coding geometry of staged objects (sets the rebuild rate).
     pub protect: resilience::ProtectConfig,
     /// Fixed failover/detection cost before the rebuild starts.
     pub fixed: SimTime,
@@ -430,8 +430,6 @@ pub struct WorkflowConfig {
     pub domain: [u64; 3],
     /// Staging block extents.
     pub block: [u64; 3],
-    /// Space-filling curve for the staging distribution.
-    pub sfc: staging::dist::Curve,
     /// Staging server count.
     pub nservers: usize,
     /// Bytes per grid point per variable (8 = one double).
@@ -583,14 +581,6 @@ impl WorkflowConfig {
         vol * subset_millis / 1000 * self.bytes_per_point * self.nvars as u64
     }
 
-    /// Switch the protocol (and therefore the staging backend) on a copy.
-    pub fn with_protocol(&self, protocol: WorkflowProtocol) -> WorkflowConfig {
-        let mut c = self.clone();
-        c.protocol = protocol;
-        c.label = format!("{}/{}", self.label, protocol.label());
-        c
-    }
-
     /// Replace the failure plan on a copy.
     pub fn with_failures(&self, failures: Vec<FailureSpec>) -> WorkflowConfig {
         let mut c = self.clone();
@@ -658,7 +648,7 @@ impl WorkflowConfig {
 
     /// The staging domain decomposition this configuration describes.
     pub fn dist(&self) -> staging::Distribution {
-        staging::Distribution::with_curve(self.domain_bbox(), self.block, self.nservers, self.sfc)
+        staging::Distribution::new(self.domain_bbox(), self.block, self.nservers)
     }
 
     /// The request router: unsharded (classic range partition) unless
@@ -890,7 +880,6 @@ fn base(
         components,
         domain: [256, 256, 256],
         block: [128, 128, 128],
-        sfc: staging::dist::Curve::Morton,
         nservers: 16,
         bytes_per_point: 8,
         nvars: 1,
@@ -1151,14 +1140,6 @@ mod tests {
     }
 
     #[test]
-    fn with_protocol_relabels() {
-        let c = tiny(WorkflowProtocol::FailureFree);
-        let u = c.with_protocol(WorkflowProtocol::Uncoordinated);
-        assert_eq!(u.protocol, WorkflowProtocol::Uncoordinated);
-        assert!(u.label.ends_with("/Un"));
-    }
-
-    #[test]
     fn bytes_per_step_subsets() {
         let c = table2(WorkflowProtocol::FailureFree);
         let full = c.bytes_per_step(1000) as f64;
@@ -1365,9 +1346,8 @@ mod tests {
     /// The six presets are written as differences from one base; this pins
     /// what they serialise to (FNV-1a of `serde_json::to_string`, every
     /// protocol; all five `table3` scales × 0–3 failures, `fanout` with 1–3
-    /// consumers), as the spelled-out literals produced it before the base
-    /// existed. A change to the base, or to a preset, must move a pin here
-    /// deliberately.
+    /// consumers). A change to the base, or to a preset, must move a pin
+    /// here deliberately.
     #[test]
     fn presets_are_pinned() {
         let digest = |configs: Vec<WorkflowConfig>| {
@@ -1382,16 +1362,16 @@ mod tests {
             (0..5).flat_map(|scale| (0..4).map(move |nf| table3(scale, p, nf))).collect::<Vec<_>>()
         };
         let pins = [
-            ("table2", per_protocol(&|p| vec![table2(p)]), 0xE87E_B794_3C91_3885u64),
-            ("table3", per_protocol(&table3_all), 0x8851_5E04_F34A_CEB4),
-            ("dns_les", per_protocol(&|p| vec![dns_les(p)]), 0xF841_EB53_9E9D_E202),
+            ("table2", per_protocol(&|p| vec![table2(p)]), 0xAEC4_5775_97CF_1514u64),
+            ("table3", per_protocol(&table3_all), 0x74DC_803B_8D55_5D2A),
+            ("dns_les", per_protocol(&|p| vec![dns_les(p)]), 0xB8C5_B311_7FE7_DEAF),
             (
                 "fanout",
                 per_protocol(&|p| (1..=3).map(|n| fanout(p, n)).collect()),
-                0x3116_EB9B_7A40_52BD,
+                0x34B9_5B10_D42D_10CA,
             ),
-            ("tiny", per_protocol(&|p| vec![tiny(p)]), 0x1AD3_EE0C_B1B9_A7B1),
-            ("micro", per_protocol(&|p| vec![micro(p)]), 0x3CEE_A356_30A0_35C2),
+            ("tiny", per_protocol(&|p| vec![tiny(p)]), 0x3DB9_C810_A405_EE24),
+            ("micro", per_protocol(&|p| vec![micro(p)]), 0x16FD_8838_C6E8_B44F),
         ];
         for (preset, got, want) in pins {
             assert_eq!(got, want, "{preset}: {got:#018X}");

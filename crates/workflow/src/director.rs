@@ -99,10 +99,6 @@ pub struct Director {
     rolling_back: bool,
     finished: HashSet<u32>,
     finish_times: HashMap<u32, SimTime>,
-    /// Coordinated checkpoints completed.
-    co_ckpts: u32,
-    /// Global rollbacks performed.
-    co_rollbacks: u32,
     /// Control rounds sent to staging: the sequence number of the
     /// director's envelopes in its [`DIRECTOR_APP`] dedup namespace.
     ctl_rounds: u64,
@@ -146,8 +142,6 @@ impl Director {
             rolling_back: false,
             finished: HashSet::new(),
             finish_times: HashMap::new(),
-            co_ckpts: 0,
-            co_rollbacks: 0,
             ctl_rounds: 0,
             tracer: obs::Tracer::off(),
             track: obs::TrackId(0),
@@ -173,16 +167,6 @@ impl Director {
     /// Finish time per component (after the run).
     pub fn finish_times(&self) -> &HashMap<u32, SimTime> {
         &self.finish_times
-    }
-
-    /// Coordinated checkpoints completed.
-    pub fn co_ckpts(&self) -> u32 {
-        self.co_ckpts
-    }
-
-    /// Global rollbacks performed.
-    pub fn co_rollbacks(&self) -> u32 {
-        self.co_rollbacks
     }
 
     fn total_ranks(&self) -> usize {
@@ -239,7 +223,6 @@ impl Director {
         let s = std::mem::take(&mut self.ckpt_span);
         self.tracer.end(s, self.track, ctx.now().as_nanos(), ctx.seq(), Vec::new());
         self.last_co_ckpt = step;
-        self.co_ckpts += 1;
         for c in &self.components {
             ctx.send_now(c.actor, CkptRelease { step });
         }
@@ -251,7 +234,6 @@ impl Director {
             return;
         }
         self.rolling_back = true;
-        self.co_rollbacks += 1;
         self.ready.clear();
         ctx.metrics().inc("wf.recoveries", 1);
         if self.tracer.enabled() {

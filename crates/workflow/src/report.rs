@@ -150,12 +150,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Percentage change of total time vs. a baseline report:
-    /// negative = this run was faster.
-    pub fn time_delta_pct(&self, base: &RunReport) -> f64 {
-        (self.total_time_s - base.total_time_s) / base.total_time_s * 100.0
-    }
-
     /// Percentage increase of peak staging memory vs. a baseline.
     pub fn memory_delta_pct(&self, base: &RunReport) -> f64 {
         (self.staging_peak_bytes as f64 - base.staging_peak_bytes as f64)
@@ -308,7 +302,6 @@ mod tests {
     fn deltas() {
         let base = report(100.0, 1000, 10.0);
         let faster = report(90.0, 1840, 11.2);
-        assert!((faster.time_delta_pct(&base) + 10.0).abs() < 1e-9);
         assert!((faster.memory_delta_pct(&base) - 84.0).abs() < 1e-9);
         assert!((faster.write_response_delta_pct(&base) - 12.0).abs() < 1e-6);
     }

@@ -53,7 +53,6 @@ fn s3d_config(protocol: WorkflowProtocol) -> WorkflowConfig {
         ],
         domain: [256, 256, 256],
         block: [128, 128, 128],
-        sfc: staging::dist::Curve::Hilbert,
         nservers: 16,
         bytes_per_point: 8,
         nvars: 5, // T, p, rho, u, Y — "dozens of 3D scalar and vector fields"

@@ -126,28 +126,3 @@ fn coupled_regions_geometry() {
         assert_eq!(v, 3000, "step {step}");
     }
 }
-
-#[test]
-fn hilbert_distribution_workflow_equivalence() {
-    // Switching the staging distribution to the Hilbert curve redistributes
-    // blocks over servers but must not change any observable semantics:
-    // same request counts, zero mismatches, completion under failure.
-    use staging::dist::Curve;
-    let mut morton = fanout(WorkflowProtocol::Uncoordinated, 2);
-    let mut hilbert = morton.clone();
-    hilbert.sfc = Curve::Hilbert;
-    let rm = run(&morton);
-    let rh = run(&hilbert);
-    assert_eq!(rm.puts, rh.puts);
-    assert_eq!(rm.gets, rh.gets);
-    assert_eq!(rh.digest_mismatches, 0);
-
-    let failure = vec![FailureSpec::At { at: SimTime::from_secs(55), app: 1 }];
-    morton.failures = failure.clone();
-    hilbert.failures = failure;
-    let fm = run(&morton);
-    let fh = run(&hilbert);
-    assert_eq!(fm.recoveries, 1);
-    assert_eq!(fh.recoveries, 1);
-    assert_eq!(fh.digest_mismatches, 0);
-}
