@@ -12,9 +12,12 @@
 //!   destined for the same endpoint queue behind each other, which is what
 //!   produces the contention behaviour at staging servers that Figure 9's
 //!   write-response-time curves depend on.
-//! * [`threaded::ThreadedNet`] — a real message-passing mesh over crossbeam
-//!   channels, used by the examples and concurrency tests to run the exact
-//!   same protocol logic under genuine parallelism.
+//! * [`threaded::ThreadedNet`] — a real message-passing mesh over
+//!   `crossbeam::channel` (the workspace's offline stand-in under `vendor/`,
+//!   which follows the real crate's blocking protocol: a sender wakes only a
+//!   parked receiver, and a receiver yields once before it parks), used by
+//!   the examples, the concurrency tests and the host-time benchmark to run
+//!   the exact same protocol logic under genuine parallelism.
 //!
 //! Both transports carry opaque payloads; serialization is not simulated
 //! (payload bytes are counted through message sizes declared by senders).

@@ -4,6 +4,13 @@
 //! transport but with genuine OS-thread concurrency, so the examples and the
 //! race-condition tests exercise real interleavings. No time modeling is done
 //! here — wall-clock behaviour is whatever the machine provides.
+//!
+//! Each endpoint's queue is one `crossbeam::channel` (the offline stand-in
+//! under `vendor/crossbeam`). What a hand-off costs is that channel's
+//! blocking protocol: a receiver that finds its queue empty yields its core
+//! once and looks again before it parks, and a send wakes the receiver only
+//! if it is parked. A request and its reply between threads that share a
+//! core therefore usually cost two yields, not two sleeps and two wake-ups.
 
 // detlint: skip-file — real-thread transport: blocking channel receives and
 // wall-clock timeouts are its nature; determinism is only required of the DES
@@ -312,6 +319,52 @@ mod tests {
         assert_eq!(got, (0..200).collect::<Vec<_>>());
         assert_eq!(c.stats().msgs(), 200);
         assert_eq!(c.stats().bytes(), 800);
+    }
+
+    #[test]
+    fn fan_out_and_gather_loses_and_repeats_nothing() {
+        // A client asks two echo endpoints at once and gathers both replies
+        // with `recv_timeout`, as a sharded put does; each hand-off can meet
+        // its receiver looking, yielding or parked.
+        const ROUNDS: u64 = 10_000;
+        const STOP: u64 = u64::MAX;
+        let mut eps = ThreadedNet::mesh(3);
+        let echoes: Vec<_> = eps
+            .drain(1..)
+            .map(|ep| {
+                thread::spawn(move || loop {
+                    let m = ep.recv().expect("the client holds a sender");
+                    let v = *m.payload.downcast::<u64>().unwrap();
+                    if v == STOP {
+                        return;
+                    }
+                    assert!(ep.send(m.from, 8, v));
+                })
+            })
+            .collect();
+        let client = eps.pop().unwrap();
+        for round in 0..ROUNDS {
+            let asks = [(1, 2 * round), (2, 2 * round + 1)];
+            for (to, v) in asks {
+                assert!(client.send(to, 8, v));
+            }
+            let mut got = Vec::with_capacity(2);
+            for _ in 0..2 {
+                let m = client.recv_timeout(Duration::from_secs(20)).expect("no reply lost");
+                got.push((m.from, *m.payload.downcast::<u64>().unwrap()));
+            }
+            got.sort_unstable();
+            assert_eq!(got, asks, "round {round}: each reply exactly once");
+        }
+        assert!(client.try_recv().is_none(), "no reply repeated");
+        for to in 1..3 {
+            assert!(client.send(to, 8, STOP));
+        }
+        for t in echoes {
+            t.join().unwrap();
+        }
+        assert_eq!(client.stats().msgs(), 4 * ROUNDS + 2);
+        assert_eq!(client.stats().bytes(), 8 * (4 * ROUNDS + 2));
     }
 
     #[test]

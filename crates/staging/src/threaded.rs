@@ -8,8 +8,11 @@
 //!
 //! The unit of exchange is one [`Frame`] per shard per operation: a `put` or
 //! `get` hands each owning server all of its requests in one message and
-//! gets their responses back in one, so a thread wake-up is paid per shard
-//! and not per block.
+//! gets their responses back in one, so a hand-off is paid per shard and not
+//! per block. A hand-off costs a thread wake-up only when its receiver is
+//! parked: the mesh's channels let a receiver that finds nothing yield once
+//! and look again before it sleeps, and a send to a receiver that is not
+//! asleep wakes nobody (see `net::threaded`).
 
 // detlint: skip-file — real-thread transport: wall-clock timeouts are
 // inherent here; determinism is only required of the DES path.
