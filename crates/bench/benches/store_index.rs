@@ -239,6 +239,34 @@ fn bench_replay_match(c: &mut Criterion) {
     group.finish();
 }
 
+/// A fresh version after a full one: each iteration puts 64 blocks into a
+/// new version of a variable whose newest version holds 64 — the stream's
+/// step, which the store sizes from that predecessor at the first put.
+/// Retention keeps two versions, so each iteration also drops one.
+fn bench_fresh_version(c: &mut Criterion) {
+    let mut group = c.benchmark_group("store_index/fresh_version");
+    group.warm_up_time(Duration::from_millis(200));
+    group.measurement_time(Duration::from_millis(800));
+    let corners = block_corners(64);
+    group.throughput(Throughput::Elements(corners.len() as u64));
+    let mut store = VersionedStore::bounded(2);
+    let mut v = 0u32;
+    let mut step = |store: &mut VersionedStore| {
+        v += 1;
+        for &c in &corners {
+            store.put(ObjDesc { var: 0, version: v, bbox: piece_bbox(c) }, payload_for(c));
+        }
+    };
+    step(&mut store);
+    group.bench_function("indexed/64", |b| {
+        b.iter(|| {
+            step(&mut store);
+            black_box(store.bytes())
+        })
+    });
+    group.finish();
+}
+
 /// Steady-state GC sweep: each cycle writes one new version and drops the
 /// oldest from a `window`-version working set via a prefix-range removal.
 fn bench_gc(c: &mut Criterion) {
@@ -278,5 +306,13 @@ fn bench_gc(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_put, bench_query, bench_replay, bench_replay_match, bench_gc);
+criterion_group!(
+    benches,
+    bench_put,
+    bench_query,
+    bench_replay,
+    bench_replay_match,
+    bench_fresh_version,
+    bench_gc
+);
 criterion_main!(benches);

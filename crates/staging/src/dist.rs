@@ -123,7 +123,8 @@ impl Distribution {
         let q = bbox.intersect(&self.domain).expect("query bbox outside the domain");
         let lo = self.block_of_point(q.lb);
         let hi = self.block_of_point(q.ub);
-        let mut out = Vec::new();
+        let n: u64 = (0..MAX_DIMS).map(|d| hi[d] - lo[d] + 1).product();
+        let mut out = Vec::with_capacity(n as usize);
         for bz in lo[2]..=hi[2] {
             for by in lo[1]..=hi[1] {
                 for bx in lo[0]..=hi[0] {

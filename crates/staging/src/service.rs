@@ -11,7 +11,7 @@
 use crate::journal::JournalStats;
 use crate::proto::{
     AppId, CtlAck, CtlMsg, CtlRequest, CtlResponse, GetPiece, GetRequest, GetResponse, PutRequest,
-    PutResponse, PutStatus, Reply, Request,
+    PutResponse, PutStatus, Reply, Request, VarId, Version,
 };
 use crate::store::VersionedStore;
 use obs::{arg, TraceCtx};
@@ -239,6 +239,43 @@ impl StoreBackend for PlainBackend {
 /// short window suffices.
 const DEDUP_WINDOW: usize = 256;
 
+/// What the dedup window keeps of a reply it sent: enough to rebuild it
+/// identically for a re-delivery, without copying it on the way out.
+#[derive(Debug)]
+enum Receipt {
+    /// A get answered by exactly one piece — every block get of a
+    /// block-aligned read — keeps that piece inline: a payload refcount, no
+    /// `Vec`. `version` is the one the get asked for; the piece carries the
+    /// one served.
+    OnePiece { var: VarId, version: Version, piece: GetPiece },
+    /// Any other reply, kept as sent.
+    Whole(Reply),
+}
+
+impl Receipt {
+    fn of_get(resp: &GetResponse) -> Receipt {
+        match resp.pieces.as_slice() {
+            [piece] => {
+                Receipt::OnePiece { var: resp.var, version: resp.version, piece: piece.clone() }
+            }
+            _ => Receipt::Whole(Reply::Get(resp.clone())),
+        }
+    }
+
+    /// The reply recorded for request `seq`.
+    fn rebuild(&self, seq: u64) -> Reply {
+        match self {
+            Receipt::OnePiece { var, version, piece } => Reply::Get(GetResponse {
+                var: *var,
+                version: *version,
+                seq,
+                pieces: vec![piece.clone()],
+            }),
+            Receipt::Whole(reply) => reply.clone(),
+        }
+    }
+}
+
 /// What [`ServerLogic`] did with the most recent request — the one place
 /// the outcomes both transports report (span `decision`s) are named.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -288,11 +325,14 @@ pub struct ServerLogic<B> {
     costs: ServerCosts,
     puts_served: u64,
     gets_served: u64,
-    /// Recently-sent replies: per app, a window sorted by `seq`. A client's
-    /// seqs arrive ascending unless the fault plane reorders them, so
-    /// remembering one is a `push_back` and forgetting the lowest a
-    /// `pop_front`. Not pre-sized: large runs hold thousands of windows.
-    reply_cache: BTreeMap<AppId, VecDeque<(u64, Reply)>>,
+    /// Recently-sent replies: per app, a window sorted by `seq` of the
+    /// [`Receipt`] each reply left — a one-piece get's piece, any other reply
+    /// whole — from which a re-delivery is answered with the identical
+    /// reply. A client's seqs arrive ascending unless the fault plane
+    /// reorders them, so remembering one is a `push_back` and forgetting the
+    /// lowest a `pop_front`. Not pre-sized: large runs hold thousands of
+    /// windows.
+    reply_cache: BTreeMap<AppId, VecDeque<(u64, Receipt)>>,
     /// Exactly-once guard switch; disabled only by the mutation tests that
     /// prove the invariant checker notices a broken dedup.
     dedup_enabled: bool,
@@ -364,12 +404,12 @@ impl<B: StoreBackend> ServerLogic<B> {
             return None;
         }
         let at = window.binary_search_by_key(&seq, |&(s, _)| s).ok()?;
-        let hit = window[at].1.clone();
+        let hit = window[at].1.rebuild(seq);
         self.dup_hits += 1;
         Some((hit, self.done(OpStats::default(), Outcome::Dup)))
     }
 
-    fn remember(&mut self, app: AppId, seq: u64, reply: Reply) {
+    fn remember(&mut self, app: AppId, seq: u64, receipt: Receipt) {
         if !self.dedup_enabled {
             return;
         }
@@ -380,12 +420,12 @@ impl<B: StoreBackend> ServerLogic<B> {
             if window.len() == DEDUP_WINDOW {
                 window.pop_front();
             }
-            window.push_back((seq, reply));
+            window.push_back((seq, receipt));
             return;
         }
         match window.binary_search_by_key(&seq, |&(s, _)| s) {
-            Ok(at) => window[at].1 = reply,
-            Err(at) => window.insert(at, (seq, reply)),
+            Ok(at) => window[at].1 = receipt,
+            Err(at) => window.insert(at, (seq, receipt)),
         }
         if window.len() > DEDUP_WINDOW {
             window.pop_front();
@@ -449,7 +489,7 @@ impl<B: StoreBackend> ServerLogic<B> {
         let (status, op) = self.backend.put(req);
         self.puts_served += 1;
         let resp = PutResponse { desc: req.desc, seq: req.seq, status };
-        self.remember(req.app, req.seq, Reply::Put(resp.clone()));
+        self.remember(req.app, req.seq, Receipt::Whole(Reply::Put(resp.clone())));
         let outcome =
             if status == PutStatus::Absorbed { Outcome::Absorbed } else { Outcome::Stored };
         (resp, self.done(op, outcome))
@@ -473,7 +513,7 @@ impl<B: StoreBackend> ServerLogic<B> {
         let (pieces, op) = self.backend.get(req);
         self.gets_served += 1;
         let resp = GetResponse { var: req.var, version: req.version, seq: req.seq, pieces };
-        self.remember(req.app, req.seq, Reply::Get(resp.clone()));
+        self.remember(req.app, req.seq, Receipt::of_get(&resp));
         let outcome = if op.replayed { Outcome::Replayed } else { Outcome::Served };
         (resp, self.done(op, outcome))
     }
@@ -497,7 +537,7 @@ impl<B: StoreBackend> ServerLogic<B> {
         }
         let (resp, cost) = self.handle_ctl(msg.req);
         let ack = CtlAck { seq: msg.seq, resp };
-        self.remember(msg.app, msg.seq, Reply::Ctl(ack));
+        self.remember(msg.app, msg.seq, Receipt::Whole(Reply::Ctl(ack)));
         (ack, cost)
     }
 
@@ -734,6 +774,81 @@ mod tests {
         assert_eq!(format!("{again:?}"), format!("{first:?}"), "the original pieces");
         assert!(matches!(again, Reply::Get(r) if r.pieces.len() == 1));
         assert_eq!((logic.gets_served(), logic.dup_hits()), (1, 1));
+    }
+
+    /// The dedup window's receipts, case by case: a re-delivered get is
+    /// answered with the `{:?}`-identical reply first sent, and `dup_hits`
+    /// counts exactly the re-deliveries the window still held. Mutants
+    /// caught: a one-piece receipt rebuilt with the requested version in
+    /// place of the served piece's ("one piece of an older version"); a
+    /// receipt that keeps the first of several pieces ("two pieces"); a
+    /// window that keeps `DEDUP_WINDOW + 1` replies ("forgotten").
+    #[test]
+    fn a_receipt_rebuilds_the_reply_it_recorded() {
+        let put = |seq, version, (lo, hi)| {
+            let desc = ObjDesc { var: 0, version, bbox: BBox::d1(lo, hi) };
+            Request::Put(PutRequest { seq, desc, ..put_req(version, hi - lo + 1) })
+        };
+        let get = |seq, version| Request::Get(GetRequest { seq, ..get_req(version) });
+        let reset = Request::Ctl(CtlMsg {
+            app: 0,
+            seq: 9,
+            req: CtlRequest::GlobalReset { to_version: 0 },
+            tctx: obs::TraceCtx::NONE,
+        });
+        let newer: Vec<Request> = (1..=DEDUP_WINDOW as u64).map(|i| get(100 + i, 1)).collect();
+        let whole = (0, 9);
+        // (case, versions retained, requests before the get, the get,
+        //  requests between its two deliveries, served versions of its
+        //  pieces, dup hits)
+        let table = [
+            ("one piece", 4, vec![put(1, 1, whole)], get(100, 1), vec![], vec![1], 1),
+            (
+                "one piece of an older version",
+                4,
+                vec![put(1, 1, whole), put(2, 3, whole)],
+                get(100, 2),
+                vec![],
+                vec![1],
+                1,
+            ),
+            (
+                "two pieces",
+                4,
+                vec![put(1, 1, (0, 4)), put(2, 1, (5, 9))],
+                get(100, 1),
+                vec![],
+                vec![1, 1],
+                1,
+            ),
+            (
+                "no piece, stale",
+                1,
+                vec![put(1, 1, whole), put(2, 3, whole)],
+                get(100, 2),
+                vec![],
+                vec![],
+                1,
+            ),
+            ("after a reset", 4, vec![put(1, 1, whole)], get(100, 1), vec![reset], vec![1], 1),
+            ("forgotten", 4, vec![put(1, 1, whole)], get(100, 1), newer, vec![1], 0),
+        ];
+        for (case, retained, before, get, between, served, dups) in table {
+            let mut logic = ServerLogic::new(PlainBackend::new(retained), ServerCosts::default());
+            for req in &before {
+                logic.serve(req);
+            }
+            let (first, _) = logic.serve(&get);
+            assert_eq!(logic.last_outcome(), Outcome::Served, "{case}");
+            let Reply::Get(resp) = &first else { panic!("{case}: {first:?}") };
+            assert_eq!(resp.pieces.iter().map(|p| p.version).collect::<Vec<_>>(), served, "{case}");
+            for req in &between {
+                logic.serve(req);
+            }
+            let (again, _) = logic.serve(&get);
+            assert_eq!(format!("{again:?}"), format!("{first:?}"), "{case}");
+            assert_eq!(logic.dup_hits(), dups, "{case}");
+        }
     }
 
     #[test]

@@ -13,7 +13,12 @@
 //! insertion order, and a map from the Morton code ([`crate::sfc::morton3`])
 //! of a quantized lower bound to the newest piece starting in that cell,
 //! whose older cell-mates are chained through a parallel `next` vector. A put
-//! appends to both vectors; no block has an allocation of its own. The cell
+//! appends to both vectors; no block has an allocation of its own. A new
+//! version starts with room in `pieces`, `next` and the cell map for as many
+//! pieces as the variable's newest stored version holds: a coupled workflow
+//! writes each step with the decomposition of the step before, so a version
+//! is sized once instead of regrown on its way to full. A variable's first
+//! version has no predecessor and grows from empty. The cell
 //! extents are fixed per set from the first piece's extents (rounded up to a
 //! power of two), so block-aligned pieces — the common case, since
 //! [`crate::dist::Distribution`] clips every put to block granularity — land
@@ -120,7 +125,9 @@ struct PieceSet {
 }
 
 impl PieceSet {
-    fn new(first: &BBox) -> Self {
+    /// An empty set with room for `pieces` pieces, its cell extents fixed
+    /// by `first`.
+    fn new(first: &BBox, pieces: usize) -> Self {
         let mut shift = [0u32; 3];
         for (a, s) in shift.iter_mut().enumerate() {
             let ext = first.ub[a] - first.lb[a] + 1;
@@ -129,9 +136,9 @@ impl PieceSet {
         PieceSet {
             shift,
             reach: [0; 3],
-            cells: CellMap::default(),
-            pieces: Vec::new(),
-            next: Vec::new(),
+            cells: CellMap::with_capacity_and_hasher(pieces, Default::default()),
+            pieces: Vec::with_capacity(pieces),
+            next: Vec::with_capacity(pieces),
             bytes: 0,
         }
     }
@@ -271,7 +278,12 @@ impl VersionedStore {
     pub fn put(&mut self, desc: ObjDesc, payload: Payload) -> u64 {
         let versions = self.data.entry(desc.var).or_default();
         let added = payload.accounted_len();
-        let set = versions.entry(desc.version).or_insert_with(|| PieceSet::new(&desc.bbox));
+        if !versions.contains_key(&desc.version) {
+            // Sized like the newest stored version (see the module doc).
+            let hint = versions.values().next_back().map_or(0, |newest| newest.pieces.len());
+            versions.insert(desc.version, PieceSet::new(&desc.bbox, hint));
+        }
+        let set = versions.get_mut(&desc.version).expect("present or just inserted");
         if let Some(replaced) = set.insert(desc.bbox, payload) {
             self.bytes = self.bytes - replaced + added;
             return 0;
@@ -689,6 +701,67 @@ mod tests {
         let row = BBox::d3([0; 3], [alias + 7, 7, 7]);
         assert_eq!(scanned(|| assert_eq!(s.query(0, 1, &row).len(), 5)), [0, 65]);
         assert_eq!(scanned(|| assert_eq!(s.query(0, 1, &block(0, 0, 0)).len(), 1)), [1, 0]);
+    }
+
+    /// `[pieces, next, cells]` capacities of `(var, version)`'s set.
+    fn capacities(s: &VersionedStore, var: VarId, version: Version) -> [usize; 3] {
+        let set = &s.data[&var][&version];
+        [set.pieces.capacity(), set.next.capacity(), set.cells.capacity()]
+    }
+
+    /// What a set sized for `n` pieces reserves.
+    fn sized_for(n: usize) -> [usize; 3] {
+        let cells = CellMap::with_capacity_and_hasher(n, Default::default()).capacity();
+        [
+            Vec::<StoredObj>::with_capacity(n).capacity(),
+            Vec::<u32>::with_capacity(n).capacity(),
+            cells,
+        ]
+    }
+
+    /// Put blocks `0..n` of [`block_grid`]'s grid into `(var, version)`,
+    /// returning the set's capacities after each put.
+    fn fill(s: &mut VersionedStore, var: VarId, version: Version, n: u64) -> Vec<[usize; 3]> {
+        (0..n)
+            .map(|i| {
+                let bbox = block(i / 16, i / 4 % 4, i % 4);
+                s.put(ObjDesc { var, version, bbox }, pay(512));
+                capacities(s, var, version)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_new_version_is_sized_once_by_its_predecessor() {
+        // Mutant caught: a new set sized at 0 (grown from empty) regrows
+        // `pieces`, `next` and `cells` on its way to 64 pieces.
+        let mut s = block_grid();
+        let grown = fill(&mut s, 0, 2, 64);
+        assert_eq!(grown[0], sized_for(64), "reserved at creation");
+        assert!(grown.iter().all(|&c| c == grown[0]), "never regrown: {grown:?}");
+        assert_eq!(s.query(0, 2, &BBox::d3([0; 3], [31; 3])).len(), 64);
+    }
+
+    #[test]
+    fn a_first_version_grows_from_empty() {
+        // Mutant caught: a hint read from another variable (or from the
+        // store as a whole) sizes a variable's first version.
+        let mut s = block_grid();
+        let grown = fill(&mut s, 1, 1, 64);
+        assert!(grown[0][0] < 64 && grown[0][2] < sized_for(64)[2], "{:?}", grown[0]);
+        assert_eq!(grown[63][0], 64, "grown to hold every piece");
+    }
+
+    #[test]
+    fn a_smaller_successor_reserves_no_more_than_its_predecessor_held() {
+        // Mutant caught: a hint read from the oldest or the largest stored
+        // version instead of the newest. Version 2 holds 8 pieces (in room
+        // for 64, sized by version 1); version 3 is sized for those 8.
+        let mut s = block_grid();
+        fill(&mut s, 0, 2, 8);
+        let grown = fill(&mut s, 0, 3, 8);
+        assert_eq!(grown[0], sized_for(8));
+        assert!(grown.iter().all(|&c| c == grown[0]), "{grown:?}");
     }
 
     #[test]

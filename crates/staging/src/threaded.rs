@@ -271,13 +271,20 @@ impl SyncClient {
         let mut attempts = 0u32;
         let mut backoff_spent = 0u64;
         while left > 0 {
-            let mut frames = vec![Vec::new(); self.server_eps.len()];
-            for ((server, req), slot) in reqs.iter().zip(&slots) {
-                if slot.is_none() {
-                    frames[*server].push(req.clone());
-                }
+            // Each shard's share is counted first, so its frame is
+            // allocated once, at its size.
+            let unanswered = || reqs.iter().zip(&slots).filter(|(_, slot)| slot.is_none());
+            let mut frames = vec![(0, Vec::new()); self.server_eps.len()];
+            for ((server, _), _) in unanswered() {
+                frames[*server].0 += 1;
             }
-            for (frame, &to) in frames.into_iter().zip(&self.server_eps) {
+            for (share, frame) in &mut frames {
+                frame.reserve_exact(*share);
+            }
+            for ((server, req), _) in unanswered() {
+                frames[*server].1.push(req.clone());
+            }
+            for ((_, frame), &to) in frames.into_iter().zip(&self.server_eps) {
                 let size = frame.iter().map(Request::wire_bytes).sum();
                 if !frame.is_empty() && !self.endpoint.send(to, size, Frame(frame)) {
                     return Err(ClientError::Disconnected);
@@ -352,7 +359,8 @@ impl SyncClient {
         if !tiled || planned_volume != bbox.volume() {
             return Err(ClientError::IncompleteCoverage);
         }
-        let pieces: Vec<GetPiece> = answers.into_iter().flatten().collect();
+        let mut pieces = Vec::with_capacity(answers.iter().map(Vec::len).sum());
+        pieces.extend(answers.into_iter().flatten());
         // Servers may individually fall back to an older version while a put
         // of the requested version is still in flight; a mix of versions
         // tiles the region but is not a consistent snapshot.
