@@ -192,10 +192,9 @@ struct EngineCore {
     heap: BinaryHeap<Scheduled>,
     rng: Xoshiro256StarStar,
     metrics: Metrics,
-    trace: Option<TraceRing>,
-    /// Mirror of `trace` behind a lock, for out-of-thread diagnostics (a
+    /// Event trace ring behind a lock, for out-of-thread diagnostics (a
     /// test watchdog dumping the ring while the engine thread is wedged).
-    trace_shared: Option<std::sync::Arc<std::sync::Mutex<TraceRing>>>,
+    trace: Option<std::sync::Arc<std::sync::Mutex<TraceRing>>>,
     stopped: bool,
     dispatched: u64,
     choice: Option<Box<dyn ChoiceSource>>,
@@ -226,7 +225,6 @@ impl Engine {
                 rng: Xoshiro256StarStar::seed_from_u64(seed),
                 metrics: Metrics::new(),
                 trace: None,
-                trace_shared: None,
                 stopped: false,
                 dispatched: 0,
                 choice: None,
@@ -235,28 +233,17 @@ impl Engine {
         }
     }
 
-    /// Enable an event trace ring buffer holding the last `capacity` dispatches.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.core.trace = Some(TraceRing::new(capacity));
-    }
-
-    /// The trace ring, if tracing was enabled.
-    pub fn trace(&self) -> Option<&TraceRing> {
-        self.core.trace.as_ref()
-    }
-
     /// Enable a *shared* trace ring holding the last `capacity` dispatches
-    /// and return a handle to it. Unlike [`Engine::enable_trace`], the
-    /// returned ring can be read from another thread while the engine runs —
-    /// the hook a test watchdog needs to dump the event tail of a wedged
-    /// run it is about to abort. Costs one mutex lock per dispatch, so it is
+    /// and return a handle to it. The returned ring can be read from another
+    /// thread while the engine runs — the hook a test watchdog needs to dump
+    /// the event tail of a wedged run it is about to abort. Costs one mutex lock per dispatch, so it is
     /// a diagnostics tool, not a default.
     pub fn enable_trace_shared(
         &mut self,
         capacity: usize,
     ) -> std::sync::Arc<std::sync::Mutex<TraceRing>> {
         let ring = std::sync::Arc::new(std::sync::Mutex::new(TraceRing::new(capacity)));
-        self.core.trace_shared = Some(std::sync::Arc::clone(&ring));
+        self.core.trace = Some(std::sync::Arc::clone(&ring));
         ring
     }
 
@@ -346,10 +333,7 @@ impl Engine {
             self.core.dispatched += 1;
             n += 1;
             let target = sch.target;
-            if let Some(ring) = &mut self.core.trace {
-                ring.push(TraceEntry { at: sch.at, seq: sch.seq, from: sch.ev.from, target });
-            }
-            if let Some(shared) = &self.core.trace_shared {
+            if let Some(shared) = &self.core.trace {
                 if let Ok(mut ring) = shared.lock() {
                     ring.push(TraceEntry { at: sch.at, seq: sch.seq, from: sch.ev.from, target });
                 }
@@ -567,11 +551,11 @@ mod tests {
     #[test]
     fn trace_records_dispatches_in_order() {
         let mut eng = Engine::new(1);
-        eng.enable_trace(8);
+        let ring = eng.enable_trace_shared(8);
         let a = eng.add_actor(Box::<Counter>::default());
         eng.schedule_now(a, Msg::Tick(3));
         eng.run();
-        let trace = eng.trace().expect("tracing enabled");
+        let trace = ring.lock().unwrap();
         assert_eq!(trace.total(), 4);
         let entries = trace.entries();
         assert_eq!(entries.len(), 4);
@@ -588,11 +572,11 @@ mod tests {
     #[test]
     fn trace_ring_keeps_only_last_entries() {
         let mut eng = Engine::new(1);
-        eng.enable_trace(2);
+        let ring = eng.enable_trace_shared(2);
         let a = eng.add_actor(Box::<Counter>::default());
         eng.schedule_now(a, Msg::Tick(5));
         eng.run();
-        let trace = eng.trace().unwrap();
+        let trace = ring.lock().unwrap();
         assert_eq!(trace.total(), 6);
         assert_eq!(trace.len(), 2, "ring bounded");
     }

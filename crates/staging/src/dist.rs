@@ -9,13 +9,12 @@
 
 use crate::geometry::{BBox, MAX_DIMS};
 use crate::sfc::morton3;
-use serde::{Deserialize, Serialize};
 
 /// Staging server index.
 pub type ServerIdx = usize;
 
 /// Immutable description of how the domain is partitioned.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Distribution {
     /// The global domain.
     pub domain: BBox,

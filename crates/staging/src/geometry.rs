@@ -9,14 +9,13 @@
 //! Bounds are **inclusive** on both ends, matching the DataSpaces convention
 //! (`lb`/`ub`).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum supported dimensionality.
 pub const MAX_DIMS: usize = 3;
 
 /// An axis-aligned box with inclusive integer bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BBox {
     /// Number of meaningful dimensions (1..=3).
     pub ndim: u8,

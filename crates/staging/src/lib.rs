@@ -41,7 +41,7 @@
 //!   [`service::StoreBackend::journal_stats`]. The plain backend keeps no
 //!   journal: no restart path could read one.
 //! * [`wire`] — little-endian binary codec primitives for journal entries
-//!   (`wfcr`'s `JournalEntry`) so hot-path entries skip serde; a body without
+//!   (`wfcr`'s `JournalEntry`, which has no other encoding); a body without
 //!   the magic first byte is rejected.
 
 pub mod dist;

@@ -27,7 +27,6 @@
 //! ```
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// FNV-1a 64-bit hash.
 pub fn fnv1a(data: &[u8]) -> u64 {
@@ -129,47 +128,6 @@ impl Payload {
     /// for real data in memory-usage experiments).
     pub fn accounted_len(&self) -> u64 {
         self.len()
-    }
-}
-
-impl Serialize for Payload {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        // Serialized form: (is_inline, len, digest, bytes?)
-        use serde::ser::SerializeTuple;
-        let mut t = s.serialize_tuple(4)?;
-        match self {
-            Payload::Inline(Inline { digest, data }) => {
-                t.serialize_element(&true)?;
-                t.serialize_element(&(data.len() as u64))?;
-                t.serialize_element(digest)?;
-                t.serialize_element(&data.as_ref())?;
-            }
-            Payload::Virtual { len, digest } => {
-                t.serialize_element(&false)?;
-                t.serialize_element(len)?;
-                t.serialize_element(digest)?;
-                t.serialize_element::<[u8]>(&[])?;
-            }
-        }
-        t.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for Payload {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let (inline, len, digest, data): (bool, u64, u64, Vec<u8>) = Deserialize::deserialize(d)?;
-        if !inline {
-            return Ok(Payload::Virtual { len, digest });
-        }
-        // No frame CRC guards this form, so the digest is verified, not adopted.
-        let p = Payload::inline(data);
-        if p.digest() != digest {
-            return Err(serde::de::Error::custom(format_args!(
-                "inline payload digest {digest:#018x} is not the fnv1a of its {} bytes",
-                p.len()
-            )));
-        }
-        Ok(p)
     }
 }
 

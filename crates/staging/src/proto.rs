@@ -14,7 +14,6 @@
 use crate::geometry::BBox;
 use crate::payload::Payload;
 use obs::TraceCtx;
-use serde::{Deserialize, Serialize};
 
 /// Variable identifier.
 pub type VarId = u32;
@@ -32,7 +31,7 @@ pub const HEADER_BYTES: u64 = 64;
 pub const DIRECTOR_APP: AppId = AppId::MAX;
 
 /// Descriptor of a staged object: *which* variable, *which* version, *where*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ObjDesc {
     /// Variable.
     pub var: VarId,
@@ -127,8 +126,7 @@ pub struct GetResponse {
 
 /// Control messages from the workflow-level framework to staging servers
 /// (the paper's `workflow_check` / `workflow_restart` notifications).
-/// Serializable so the durable store journal can record them verbatim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CtlRequest {
     /// `workflow_check()`: the component finished a checkpoint covering all
     /// versions `<= upto_version`.

@@ -43,7 +43,7 @@ use crate::sfc::morton3;
 use std::collections::{BTreeMap, HashMap}; // detlint: allow(hashmap) — CellMap uses a fixed-key hasher; iteration never leaves this module unsorted
 
 /// One stored piece.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 struct StoredObj {
     /// Region covered by this piece.
     bbox: BBox,
@@ -103,7 +103,7 @@ type CellMap = HashMap<u64, u32, std::hash::BuildHasherDefault<CellHasher>>;
 
 /// The pieces of one `(var, version)`, spatially indexed by the Morton code
 /// of each piece's quantized lower bound.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 struct PieceSet {
     /// log2 of the cell extent per axis; fixed by the first inserted piece.
     shift: [u32; 3],
@@ -247,11 +247,11 @@ impl PieceSet {
 /// assert_eq!(store.versions(0), vec![2, 3]);
 /// assert_eq!(store.query(0, 3, &BBox::d1(0, 4)).len(), 1);
 /// ```
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VersionedStore {
     /// var → version → spatially indexed pieces. BTreeMap so whole-store
-    /// sweeps (`remove_newer_than`, `piece_count`, serialization) iterate in
-    /// a platform-independent order.
+    /// sweeps (`remove_newer_than`, `piece_count`) iterate in a
+    /// platform-independent order.
     data: BTreeMap<VarId, BTreeMap<Version, PieceSet>>,
     /// Total resident bytes (payload logical sizes).
     bytes: u64,
@@ -762,22 +762,5 @@ mod tests {
         let grown = fill(&mut s, 0, 3, 8);
         assert_eq!(grown[0], sized_for(8));
         assert!(grown.iter().all(|&c| c == grown[0]), "{grown:?}");
-    }
-
-    #[test]
-    fn snapshot_roundtrip_preserves_index() {
-        let mut s = VersionedStore::unbounded();
-        for v in 1..=3 {
-            for b in 0..4u64 {
-                s.put(desc(0, v, b * 10, b * 10 + 9), pay(10));
-            }
-        }
-        let json = serde_json::to_string(&s).expect("serialize");
-        let r: VersionedStore = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(r.bytes(), s.bytes());
-        assert_eq!(r.piece_count(), s.piece_count());
-        let q = r.query(0, 2, &BBox::d1(5, 25));
-        assert_eq!(q.len(), 3);
-        assert!(r.covers_fully(0, 3, &BBox::d1(0, 39)));
     }
 }

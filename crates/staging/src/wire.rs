@@ -1,8 +1,8 @@
 //! Binary wire codec primitives for journal entries.
 //!
 //! Journal entries (`wfcr::journal::JournalEntry`) lay their records out
-//! with the length-free little-endian primitives of this module — no serde
-//! on the paper's hot path:
+//! with the length-free little-endian primitives of this module; entries
+//! have no other encoding:
 //!
 //! ```text
 //! entry := WIRE_MAGIC  WIRE_VERSION  tag:u8  fields…  [inline payload bytes]

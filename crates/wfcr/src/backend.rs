@@ -93,16 +93,16 @@ pub fn pieces_digest(pieces: &[GetPiece]) -> u64 {
 /// ```
 #[derive(Debug)]
 pub struct LoggingBackend {
-    // The four fields `apply` owns are `pub(crate)` for `crate::snapshot`,
-    // which exports and restores exactly them.
-    pub(crate) store: VersionedStore,
+    // The four fields `apply` owns: past `register_app`'s set-up, which a
+    // rebuild repeats, no other code changes them.
+    store: VersionedStore,
     // BTreeMap, not HashMap: `queues.values_mut()` drives GC trimming and
     // journal rebuild, and those sweeps must visit apps in the same order on
     // every host for runs to be reproducible.
-    pub(crate) queues: BTreeMap<AppId, EventQueue>,
+    queues: BTreeMap<AppId, EventQueue>,
     replay: ReplayManager,
-    pub(crate) gc: GcState,
-    pub(crate) next_w_chk: u64,
+    gc: GcState,
+    next_w_chk: u64,
     /// Garbage collection enabled (disable only for ablation studies; the
     /// log grows without bound otherwise).
     gc_enabled: bool,
@@ -387,12 +387,12 @@ impl StoreBackend for LoggingBackend {
         let mut pending_replay = 0;
         let stats = match req {
             CtlRequest::Checkpoint { app, upto_version } => {
-                // Mark first (marks only advance, so `apply` marking again
-                // changes nothing): the floor this pass collects to counts
-                // this checkpoint, and rides the entry so a rebuild reruns
-                // the identical collection.
-                self.gc.mark_checkpoint(app, upto_version);
-                let floor = self.gc_enabled.then(|| self.gc_floor());
+                // The floor this pass collects to counts this checkpoint
+                // (`apply` marks before it collects), and rides the entry so
+                // a rebuild reruns the identical collection.
+                let floor = self
+                    .gc_enabled
+                    .then(|| self.gc.floor_after(app, upto_version, self.replay.active_floor()));
                 let w_chk_id = self.next_w_chk;
                 let stats =
                     self.admit(JournalEntry::Checkpoint { app, w_chk_id, upto_version, floor });

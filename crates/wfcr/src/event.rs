@@ -1,6 +1,5 @@
 //! Log events: the unit the staging area records and replays.
 
-use serde::{Deserialize, Serialize};
 use staging::geometry::BBox;
 use staging::proto::{AppId, ObjDesc, VarId, Version};
 
@@ -9,7 +8,7 @@ use staging::proto::{AppId, ObjDesc, VarId, Version};
 pub const EVENT_BYTES: u64 = 64;
 
 /// One entry in an application's event queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LogEvent {
     /// A data write that flowed through staging.
     Put {

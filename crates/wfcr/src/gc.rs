@@ -23,10 +23,10 @@ use staging::store::VersionedStore;
 use std::collections::BTreeMap;
 
 /// Tracks per-component checkpoint progress and computes the GC floor.
-#[derive(Debug, Default, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct GcState {
-    // BTreeMap keeps mark iteration (floor computation, serialization)
-    // deterministic across hosts.
+    // BTreeMap keeps mark iteration (floor computation) deterministic
+    // across hosts.
     marks: BTreeMap<AppId, Version>,
     /// Bytes reclaimed over the store's lifetime.
     reclaimed: u64,
@@ -69,6 +69,19 @@ impl GcState {
             Some(r) => mark_floor.min(r),
             None => mark_floor,
         }
+    }
+
+    /// [`GcState::floor`] as it reads once `app` has checkpointed through
+    /// `upto`, computed without recording the mark.
+    pub(crate) fn floor_after(
+        &self,
+        app: AppId,
+        upto: Version,
+        replay_floor: Option<Version>,
+    ) -> Version {
+        let others = self.marks.iter().filter(|&(&a, _)| a != app).map(|(_, &m)| m);
+        let mark_floor = others.fold(self.mark(app).max(upto), Version::min);
+        replay_floor.map_or(mark_floor, |r| mark_floor.min(r))
     }
 
     /// Run a collection pass over `store`: for every variable, delete
@@ -121,6 +134,24 @@ mod tests {
                 ObjDesc { var, version: v, bbox: BBox::d1(0, 9) },
                 Payload::virtual_from(100, &[var as u64, v as u64]),
             );
+        }
+    }
+
+    #[test]
+    fn floor_after_reads_the_floor_the_mark_will_give() {
+        // Mutants caught: the app's own old mark kept in the minimum, an
+        // unregistered app left out, a mark moved backwards, the replay
+        // floor ignored.
+        let mut gc = GcState::new();
+        gc.mark_checkpoint(0, 4);
+        gc.mark_checkpoint(1, 6);
+        for (app, upto, replay) in
+            [(0, 4, None), (0, 9, None), (1, 3, None), (2, 2, None), (0, 9, Some(5))]
+        {
+            let predicted = gc.floor_after(app, upto, replay);
+            let mut marked = gc.clone();
+            marked.mark_checkpoint(app, upto);
+            assert_eq!(predicted, marked.floor(replay), "app {app} upto {upto} replay {replay:?}");
         }
     }
 

@@ -17,7 +17,6 @@
 
 use ckpt::{CheckpointStore, Snapshot};
 use parking_lot::Mutex;
-use sim_core::rng::SplitMix64;
 use staging::geometry::BBox;
 use staging::payload::Payload;
 use staging::proto::{AppId, GetPiece, PutStatus, VarId, Version};
@@ -44,53 +43,18 @@ pub struct WorkflowClient {
     staging: SyncClient,
     ckpts: Arc<Mutex<CheckpointStore>>,
     next_ckpt_id: u64,
-    /// Torn-checkpoint fault injection: `(rate, seed)`; each save draws a
-    /// deterministic per-ckpt_id decision.
-    ckpt_faults: Option<(f64, u64)>,
-    torn_injected: u64,
     torn_detected: u64,
 }
 
 impl WorkflowClient {
     /// Wrap a connected staging client and a shared checkpoint store.
     pub fn new(staging: SyncClient, ckpts: Arc<Mutex<CheckpointStore>>) -> Self {
-        WorkflowClient {
-            staging,
-            ckpts,
-            next_ckpt_id: 1,
-            ckpt_faults: None,
-            torn_injected: 0,
-            torn_detected: 0,
-        }
-    }
-
-    /// Enable torn-checkpoint injection: each `workflow_check` save is torn
-    /// with probability `rate`, decided deterministically from
-    /// `(seed, app, ckpt_id)`.
-    pub fn with_ckpt_faults(mut self, rate: f64, seed: u64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "rate must be a probability");
-        self.ckpt_faults = Some((rate, seed));
-        self
-    }
-
-    /// Checkpoints torn by injection so far.
-    pub fn torn_injected(&self) -> u64 {
-        self.torn_injected
+        WorkflowClient { staging, ckpts, next_ckpt_id: 1, torn_detected: 0 }
     }
 
     /// Torn checkpoints detected (and skipped) by `workflow_restart`.
     pub fn torn_detected(&self) -> u64 {
         self.torn_detected
-    }
-
-    fn tear_roll(&self, ckpt_id: u64) -> bool {
-        let Some((rate, seed)) = self.ckpt_faults else { return false };
-        let mix = seed
-            ^ u64::from(self.staging.app()).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ ckpt_id.wrapping_mul(0xA24B_AED4_963E_E407);
-        let x = SplitMix64::new(mix).next_u64();
-        let unit = (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        unit < rate
     }
 
     /// This component's id.
@@ -112,17 +76,7 @@ impl WorkflowClient {
         let snap = Snapshot::new(self.app(), ckpt_id, resume_step, rng_state, state_bytes);
         let w_chk_id = snap.w_chk_id();
         // Step 1 (Fig. 7a): save process state to reliable storage.
-        {
-            let mut store = self.ckpts.lock();
-            store.save(snap);
-            // Fault injection: the save may be torn (crash mid-write). The
-            // marker below is still sent — the paper's ordering makes the
-            // torn snapshot the *newest*, so restore must fall back.
-            if self.tear_roll(ckpt_id) {
-                store.tear_latest(self.app());
-                self.torn_injected += 1;
-            }
-        }
+        self.ckpts.lock().save(snap);
         // Step 2: notify data staging; the marker bounds the replayable log.
         let upto = resume_step.saturating_sub(1);
         self.staging.checkpoint(upto)?;
@@ -180,11 +134,6 @@ impl WorkflowClient {
     /// Tear down the staging servers (test/shutdown convenience).
     pub fn shutdown_servers(&self) {
         self.staging.shutdown_servers();
-    }
-
-    /// Access to the shared checkpoint store.
-    pub fn checkpoint_store(&self) -> &Arc<Mutex<CheckpointStore>> {
-        &self.ckpts
     }
 }
 
@@ -311,7 +260,7 @@ mod tests {
             consumer.workflow_check(v + 1, [v as u64; 4], 100).unwrap();
         }
         // The newest checkpoint (resume_step 4) was torn mid-write.
-        consumer.checkpoint_store().lock().tear_latest(consumer.app());
+        consumer.ckpts.lock().tear_latest(consumer.app());
         let snap = consumer.workflow_restart().unwrap();
         assert_eq!(snap.resume_step, 3, "fell back to the previous complete checkpoint");
         assert_eq!(consumer.torn_detected(), 1);
@@ -324,16 +273,14 @@ mod tests {
     #[test]
     fn injected_torn_checkpoints_are_counted_and_skipped() {
         let (handles, mut clients) = setup(1, 1);
-        // Every save torn: restore must find nothing valid.
-        let mut c = {
-            let c = clients.pop().unwrap();
-            let WorkflowClient { staging, ckpts, .. } = c;
-            WorkflowClient::new(staging, ckpts).with_ckpt_faults(1.0, 9)
-        };
-        c.workflow_check(2, [1, 1, 1, 1], 100).unwrap();
-        c.workflow_check(3, [2, 2, 2, 2], 100).unwrap();
-        assert_eq!(c.torn_injected(), 2);
-        assert_eq!(c.checkpoint_store().lock().torn_count(c.app()), 2);
+        let mut c = clients.pop().unwrap();
+        // Every save torn (a crash mid-write; the marker is still sent, so
+        // the torn snapshot is the newest): restore must find nothing valid.
+        for (resume_step, rng) in [(2, [1; 4]), (3, [2; 4])] {
+            c.workflow_check(resume_step, rng, 100).unwrap();
+            c.ckpts.lock().tear_latest(c.app());
+        }
+        assert_eq!(c.ckpts.lock().torn_count(c.app()), 2);
         assert_eq!(c.workflow_restart().unwrap_err(), WorkflowError::NoCheckpoint);
         c.shutdown_servers();
         for h in handles {

@@ -69,7 +69,6 @@
 
 use crate::event::LogEvent;
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use staging::geometry::BBox;
 use staging::journal::WireEntry;
 use staging::payload::Payload;
@@ -86,7 +85,7 @@ const TAG_GLOBAL_RESET: u8 = 5;
 /// One durable log record. Struct variants only (mirrors [`crate::event::LogEvent`])
 /// plus the payload itself on puts — the journal must be able to rebuild the
 /// data log, not just its metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JournalEntry {
     /// A stored put (absorbed replays are never journaled — the original
     /// entry is already durable).

@@ -46,7 +46,6 @@ pub mod journal;
 pub mod protocol;
 pub mod queue;
 pub mod replay;
-pub mod snapshot;
 
 pub use backend::LoggingBackend;
 pub use conservation::{logged_put_keys, PieceKey};

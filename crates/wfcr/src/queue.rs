@@ -39,7 +39,7 @@ use crate::event::{LogEvent, EVENT_BYTES};
 use staging::proto::Version;
 
 /// Event queue for one application component.
-#[derive(Debug, Default, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct EventQueue {
     /// Transport events in non-decreasing `version()` order (stable, so
     /// same-version events keep their append order).
@@ -54,12 +54,10 @@ pub struct EventQueue {
     /// Events ever appended (diagnostics).
     appended: u64,
     /// Transport events ever appended (no-lost-event accounting).
-    #[serde(default)]
     appended_transport: u64,
     /// Transport events committed out of the queue by checkpoint-boundary
     /// truncation. Invariant: `appended_transport == committed +
     /// transport.len()` — nothing leaves the queue except through a commit.
-    #[serde(default)]
     committed: u64,
 }
 

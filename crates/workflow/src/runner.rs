@@ -491,7 +491,7 @@ pub fn harvest(built: &mut BuiltWorkflow) -> RunReport {
         dir.finish_times().iter().map(|(&app, &t)| (app, t.as_secs_f64())).collect();
     finish_times_s.sort_unstable_by_key(|&(app, _)| app);
     if finish_times_s.len() != cfg.components.len() {
-        dump_wedge_diagnostics(engine, tracer, &cfg.label);
+        dump_wedge_diagnostics(tracer, &cfg.label);
     }
     assert_eq!(
         finish_times_s.len(),
@@ -644,20 +644,14 @@ pub fn harvest(built: &mut BuiltWorkflow) -> RunReport {
 
 /// Failure-time flight recorder: when a run wedges, print whatever the
 /// recorder retained (the *last* records under a flight cap — exactly the
-/// window around the wedge) plus the tail of the engine's event trace ring,
-/// so the panic that follows carries the evidence and not just a count.
-fn dump_wedge_diagnostics(engine: &Engine, tracer: &obs::Tracer, label: &str) {
+/// window around the wedge), so the panic that follows carries the evidence
+/// and not just a count.
+fn dump_wedge_diagnostics(tracer: &obs::Tracer, label: &str) {
     eprintln!("=== wedge diagnostics (label {label}) ===");
     if tracer.enabled() {
         let t = tracer.dump();
         eprintln!("--- recorder: {} trace records ({} dropped) ---", t.records.len(), t.dropped);
         eprint!("{}", t.to_jsonl());
-    }
-    if let Some(ring) = engine.trace() {
-        eprintln!("--- engine trace ring: last {} of {} events ---", ring.len(), ring.total());
-        for e in ring.iter() {
-            eprintln!("{e:?}");
-        }
     }
     eprintln!("=== end wedge diagnostics ===");
 }

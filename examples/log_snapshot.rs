@@ -1,11 +1,14 @@
-//! Persisting the staging log itself (FTI-style staging resilience).
+//! Persisting the staging log itself: the journal round trip.
 //!
 //! The paper's framework assumes the staging area keeps logged data
 //! available across staging restarts ("it can also be integrated with the
-//! third part framework such as FTI for data resilience"). This example
-//! shows that integration surface: a logging staging server serializes its
-//! quiescent state to JSON, is torn down, is rebuilt from the snapshot, and
-//! then serves a component's rollback **replay** from the restored log.
+//! third part framework such as FTI for data resilience"). Here a logging
+//! staging server journals every event into a segmented `logstore` as it
+//! happens; checkpoint markers are commit points that force the buffered
+//! frames to media. The process then dies without a farewell flush, the
+//! media loses what was never synced, and a new server is rebuilt by
+//! replaying the journal's durable prefix. It then serves a component's
+//! rollback **replay** with the digests the original run observed.
 //!
 //! Run with:
 //! ```text
@@ -14,7 +17,7 @@
 
 use staging::geometry::BBox;
 use staging::payload::Payload;
-use staging::proto::{CtlRequest, GetRequest, ObjDesc, PutRequest, PutStatus};
+use staging::proto::{CtlRequest, GetRequest, ObjDesc, PutRequest};
 use staging::service::StoreBackend;
 use wfcr::backend::{pieces_digest, LoggingBackend};
 
@@ -45,58 +48,6 @@ fn get(version: u32) -> GetRequest {
 }
 
 fn main() {
-    // Phase 1: normal coupling builds up a log.
-    let mut backend = LoggingBackend::new();
-    backend.register_app(SIM);
-    backend.register_app(ANA);
-    let mut observed = Vec::new();
-    for v in 1..=6u32 {
-        backend.put(&put(v));
-        let (pieces, _) = backend.get(&get(v));
-        observed.push(pieces_digest(&pieces));
-    }
-    backend.control(CtlRequest::Checkpoint { app: ANA, upto_version: 3 });
-    println!(
-        "built staging log: {} bytes resident, {} versions of var 0",
-        backend.bytes_resident(),
-        backend.store().versions(0).len()
-    );
-
-    // Phase 2: persist the staging area (as FTI would) and tear it down.
-    let snapshot = backend.snapshot().expect("backend is quiescent");
-    let json = serde_json::to_vec(&snapshot).expect("serialize snapshot");
-    println!("persisted staging snapshot: {} bytes of JSON", json.len());
-    drop(backend);
-
-    // Phase 3: staging restarts from the snapshot.
-    let restored: wfcr::snapshot::LogSnapshot =
-        serde_json::from_slice(&json).expect("parse snapshot");
-    let mut backend = LoggingBackend::from_snapshot(restored);
-    println!("restored staging log: {} bytes resident", backend.bytes_resident());
-
-    // Phase 4: the analytics rolls back and replays against the restored log.
-    let (resp, _) = backend.control(CtlRequest::Recovery { app: ANA, resume_version: 3 });
-    println!("analytics workflow_restart(): {} events to replay", resp.pending_replay);
-    for v in 4..=6u32 {
-        let (pieces, _) = backend.get(&get(v));
-        let digest = pieces_digest(&pieces);
-        assert_eq!(digest, observed[(v - 1) as usize], "replayed step {v}");
-        println!("replayed step {v}: digest {digest:#018x} == original ✓");
-    }
-    assert_eq!(backend.digest_mismatches(), 0);
-
-    // Phase 5: and the producer keeps writing normally.
-    let (status, _) = backend.put(&put(7));
-    assert_eq!(status, PutStatus::Stored);
-    println!("post-restore write of step 7 stored normally.");
-    println!("\nOK: staging-log persistence round trip verified.");
-
-    // Phase 6: the durable-journal alternative. Instead of serializing a
-    // quiescent snapshot, the backend journals every event into a segmented
-    // `logstore` as it happens; checkpoint markers are commit points that
-    // force the buffered frames to media. A crash then needs no cooperation
-    // from the dying process at all — recovery is a scan of whatever made it
-    // to disk.
     let media = logstore::MemMedia::new();
     let log = logstore::LogStore::open(Box::new(media.clone()), logstore::LogConfig::default())
         .expect("open journal");
@@ -112,11 +63,11 @@ fn main() {
     }
     backend.control(CtlRequest::Checkpoint { app: ANA, upto_version: 6 });
     println!(
-        "\ndurable journal: {} bytes flushed at the checkpoint commit point",
+        "durable journal: {} bytes flushed at the checkpoint commit point",
         backend.journal_bytes_flushed()
     );
     assert_eq!(backend.journal_errors(), 0);
-    drop(backend); // process death — no snapshot, no farewell flush
+    drop(backend); // process death — no farewell flush
     media.crash(); // unsynced bytes vanish with the page cache
 
     // Recovery: scan the durable prefix and rebuild the staging log.
