@@ -166,4 +166,32 @@ mod tests {
         assert_eq!(rebuilt.latest_valid(0).unwrap().ckpt_id, 1, "falls back past the torn one");
         assert_eq!(rebuilt.torn_count(0), 1);
     }
+
+    /// Every snapshot the store writes is sealed, so a record whose seal is
+    /// zeroed or missing is damage, not an older format: the zeroed one is
+    /// restored but fails its check, the missing one does not decode, and
+    /// restore falls back past both to the sealed one.
+    #[test]
+    fn a_record_without_a_seal_is_not_restored_as_intact() {
+        let mem = MemMedia::new();
+        let mut tier = DurableTier::new(Box::new(mem.clone()), LogConfig::default()).unwrap();
+        let mut sealed = snap(0, 1, 4);
+        sealed.seal();
+        tier.persist(&sealed).unwrap();
+        tier.persist(&snap(0, 2, 8)).unwrap();
+        let missing =
+            br#"{"app":0,"ckpt_id":3,"resume_step":12,"rng_state":[3,2,3,4],"state_bytes":1000}"#;
+        tier.log.append(3, missing).unwrap();
+        tier.log.flush().unwrap();
+        drop(tier);
+
+        let (_, snaps) = open(Box::new(mem.clone()), LogConfig::default()).unwrap();
+        assert_eq!(snaps.len(), 2, "the record without a checksum does not decode");
+        let mut rebuilt = CheckpointStore::new(3);
+        DurableTier::load_into(&mut rebuilt, snaps);
+        assert_eq!(rebuilt.latest(0).unwrap().checksum, 0);
+        assert!(!rebuilt.latest(0).unwrap().is_intact(), "a zeroed seal is not intact");
+        assert_eq!(rebuilt.latest_valid(0).unwrap().ckpt_id, 1, "falls back to the sealed one");
+        assert_eq!(rebuilt.torn_count(0), 1);
+    }
 }

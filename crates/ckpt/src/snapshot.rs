@@ -28,11 +28,9 @@ pub struct Snapshot {
     #[serde(default)]
     pub user_data: Vec<u8>,
     /// Integrity checksum over the logical content, written last by a
-    /// completed save ([`Snapshot::seal`]). `0` means unsealed (legacy
-    /// snapshots predating checksums), which is treated as intact. A torn
-    /// write leaves a checksum that does not match the content, which
+    /// completed save ([`Snapshot::seal`]); `0` until then. A torn write
+    /// leaves a checksum that does not match the content, which
     /// [`Snapshot::is_intact`] detects at restore time.
-    #[serde(default)]
     pub checksum: u64,
 }
 
@@ -78,10 +76,9 @@ impl Snapshot {
         self.checksum = self.computed_checksum();
     }
 
-    /// Does the checksum match the content? Unsealed (`checksum == 0`)
-    /// snapshots are accepted for backward compatibility.
+    /// Does the checksum match the content? An unsealed snapshot does not.
     pub fn is_intact(&self) -> bool {
-        self.checksum == 0 || self.checksum == self.computed_checksum()
+        self.checksum == self.computed_checksum()
     }
 
     /// The paper's globally unique checkpoint event id for this snapshot.
@@ -135,7 +132,7 @@ mod tests {
     #[test]
     fn seal_and_detect_torn_content() {
         let mut s = Snapshot::new(0, 1, 4, [1, 2, 3, 4], 100);
-        assert!(s.is_intact(), "unsealed legacy snapshots are accepted");
+        assert!(!s.is_intact(), "an unsealed snapshot is not intact");
         s.seal();
         assert!(s.is_intact());
         s.state_bytes += 1; // torn write: content changed after the seal
@@ -169,14 +166,5 @@ mod tests {
             h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
         }
         assert_eq!(s.computed_checksum(), h);
-    }
-
-    #[test]
-    fn legacy_json_without_checksum_deserializes_intact() {
-        let json = r#"{"app":0,"ckpt_id":1,"resume_step":4,
-                       "rng_state":[1,2,3,4],"state_bytes":100}"#;
-        let s: Snapshot = serde_json::from_str(json).unwrap();
-        assert_eq!(s.checksum, 0);
-        assert!(s.is_intact());
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! The paper's crash-consistency protocols are only credible if they survive
 //! the messy failure modes a real staging deployment sees: lost, duplicated,
-//! reordered, and delayed messages; stalled servers; torn checkpoint writes.
+//! reordered, and delayed messages; torn, flipped and unsynced media writes.
 //! This crate provides the *plan* layer shared by both transports:
 //!
 //! * [`plan::FaultPlan`] — a serde-serializable description of what to
@@ -18,9 +18,8 @@
 //!   jitter and a deadline, used by the staging clients to survive the
 //!   injected faults with bounded effort.
 //!
-//! The transports in `net::des` / `net::threaded` consume the decisions; the
-//! staging server consumes stall windows scheduled by the workflow layer; the
-//! checkpoint path consumes the torn-write rate. None of this crate knows
+//! The transports in `net::des` / `net::threaded` consume the decisions, and
+//! `logstore`'s faulty media consumes [`media`]'s. None of this crate knows
 //! about those layers — it only hands out reproducible randomness.
 
 pub mod inject;

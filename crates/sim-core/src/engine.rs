@@ -10,7 +10,6 @@ use crate::choice::{ChoiceKind, ChoiceSource, DeliveryOption, Fnv1a};
 use crate::metrics::Metrics;
 use crate::rng::Xoshiro256StarStar;
 use crate::time::SimTime;
-use crate::trace::{TraceEntry, TraceRing};
 use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -192,9 +191,6 @@ struct EngineCore {
     heap: BinaryHeap<Scheduled>,
     rng: Xoshiro256StarStar,
     metrics: Metrics,
-    /// Event trace ring behind a lock, for out-of-thread diagnostics (a
-    /// test watchdog dumping the ring while the engine thread is wedged).
-    trace: Option<std::sync::Arc<std::sync::Mutex<TraceRing>>>,
     stopped: bool,
     dispatched: u64,
     choice: Option<Box<dyn ChoiceSource>>,
@@ -224,27 +220,12 @@ impl Engine {
                 heap: BinaryHeap::new(),
                 rng: Xoshiro256StarStar::seed_from_u64(seed),
                 metrics: Metrics::new(),
-                trace: None,
                 stopped: false,
                 dispatched: 0,
                 choice: None,
             },
             actors: Vec::new(),
         }
-    }
-
-    /// Enable a *shared* trace ring holding the last `capacity` dispatches
-    /// and return a handle to it. The returned ring can be read from another
-    /// thread while the engine runs — the hook a test watchdog needs to dump
-    /// the event tail of a wedged run it is about to abort. Costs one mutex lock per dispatch, so it is
-    /// a diagnostics tool, not a default.
-    pub fn enable_trace_shared(
-        &mut self,
-        capacity: usize,
-    ) -> std::sync::Arc<std::sync::Mutex<TraceRing>> {
-        let ring = std::sync::Arc::new(std::sync::Mutex::new(TraceRing::new(capacity)));
-        self.core.trace = Some(std::sync::Arc::clone(&ring));
-        ring
     }
 
     /// Register an actor; returns its id. Ids are assigned densely from 0 in
@@ -333,11 +314,6 @@ impl Engine {
             self.core.dispatched += 1;
             n += 1;
             let target = sch.target;
-            if let Some(shared) = &self.core.trace {
-                if let Ok(mut ring) = shared.lock() {
-                    ring.push(TraceEntry { at: sch.at, seq: sch.seq, from: sch.ev.from, target });
-                }
-            }
             let Some(mut actor) = self.actors.get_mut(target).and_then(Option::take) else {
                 // No actor registered at `target`: drop the event.
                 continue;
@@ -546,55 +522,6 @@ mod tests {
         eng.schedule_at(SimTime::from_nanos(2), c, Msg::Tick(0));
         eng.run();
         assert_eq!(eng.now(), SimTime::from_nanos(1));
-    }
-
-    #[test]
-    fn trace_records_dispatches_in_order() {
-        let mut eng = Engine::new(1);
-        let ring = eng.enable_trace_shared(8);
-        let a = eng.add_actor(Box::<Counter>::default());
-        eng.schedule_now(a, Msg::Tick(3));
-        eng.run();
-        let trace = ring.lock().unwrap();
-        assert_eq!(trace.total(), 4);
-        let entries = trace.entries();
-        assert_eq!(entries.len(), 4);
-        // Times are nondecreasing; targets all point at the counter.
-        for w in entries.windows(2) {
-            assert!(w[0].at <= w[1].at);
-        }
-        assert!(entries.iter().all(|e| e.target == a));
-        // The first event came from the engine, the rest from the actor.
-        assert_eq!(entries[0].from, None);
-        assert!(entries[1..].iter().all(|e| e.from == Some(a)));
-    }
-
-    #[test]
-    fn trace_ring_keeps_only_last_entries() {
-        let mut eng = Engine::new(1);
-        let ring = eng.enable_trace_shared(2);
-        let a = eng.add_actor(Box::<Counter>::default());
-        eng.schedule_now(a, Msg::Tick(5));
-        eng.run();
-        let trace = ring.lock().unwrap();
-        assert_eq!(trace.total(), 6);
-        assert_eq!(trace.len(), 2, "ring bounded");
-    }
-
-    #[test]
-    fn shared_trace_ring_is_readable_from_another_thread() {
-        let mut eng = Engine::new(1);
-        let ring = eng.enable_trace_shared(8);
-        let a = eng.add_actor(Box::<Counter>::default());
-        eng.schedule_now(a, Msg::Tick(3));
-        eng.run();
-        let seen = std::thread::spawn(move || {
-            let r = ring.lock().unwrap();
-            (r.total(), r.len())
-        })
-        .join()
-        .unwrap();
-        assert_eq!(seen, (4, 4));
     }
 
     #[test]

@@ -56,7 +56,6 @@ pub mod metrics;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use choice::{ChoiceKind, ChoiceSource, DeliveryOption};
 pub use engine::{Actor, ActorId, Ctx, Engine, Event};

@@ -68,20 +68,6 @@ pub struct ServerUpNotice {
     pub server: ServerIdx,
 }
 
-/// Transient stall of this staging server (runner → server): the server CPU
-/// stops consuming its queue for `dur`. Unlike [`ServerFail`] this is not
-/// fail-stop — nothing is lost or rebuilt, requests simply queue and are
-/// served when the stall lifts (a GC pause, an OS hiccup, a slow RDMA CQ).
-pub struct Stall {
-    /// How long the server is unresponsive.
-    pub dur: SimTime,
-}
-
-/// Timer: stall window elapsed, server resumes.
-struct StallOver {
-    incarnation: u32,
-}
-
 /// One of a server's gauges, `staging.server{index}.{name}`; the discriminant
 /// indexes [`StagingServerActor::gauges`].
 #[derive(Clone, Copy)]
@@ -132,19 +118,10 @@ pub struct StagingServerActor<B> {
     /// Is the server currently down for a resilience rebuild? Requests queue
     /// and are served when the rebuild completes.
     down: bool,
-    /// Is the server inside an injected stall window? Requests queue, no
-    /// state is lost.
-    stalled: bool,
-    /// End of the longest stall window injected so far. Overlapping stalls
-    /// extend the window; a StallOver timer from a shorter, earlier window
-    /// must not resume the server while a longer one is still open.
-    stall_until: SimTime,
     /// Guards stale rebuild timers across overlapping failures.
     incarnation: u32,
     /// Rebuilds survived.
     rebuilds: u32,
-    /// Stall windows survived.
-    stalls: u32,
     /// Observability (inert when the tracer is off).
     tracer: obs::Tracer,
     track: obs::TrackId,
@@ -152,8 +129,6 @@ pub struct StagingServerActor<B> {
     op_span: TraceCtx,
     /// Span of an in-progress resilience rebuild.
     rebuild_span: TraceCtx,
-    /// Span of an in-progress stall window.
-    stall_span: TraceCtx,
     /// Supervisor to notify on fail-stop / rebuild-complete (runner wiring;
     /// `None` outside supervised runs).
     supervisor: Option<sim_core::engine::ActorId>,
@@ -179,16 +154,12 @@ impl<B: StoreBackend> StagingServerActor<B> {
             gauges: [None; 4],
             index,
             down: false,
-            stalled: false,
-            stall_until: SimTime::ZERO,
             incarnation: 0,
             rebuilds: 0,
-            stalls: 0,
             tracer: obs::Tracer::off(),
             track: obs::TrackId(0),
             op_span: TraceCtx::NONE,
             rebuild_span: TraceCtx::NONE,
-            stall_span: TraceCtx::NONE,
             supervisor: None,
         }
     }
@@ -210,11 +181,6 @@ impl<B: StoreBackend> StagingServerActor<B> {
     /// Rebuilds this server has survived.
     pub fn rebuilds(&self) -> u32 {
         self.rebuilds
-    }
-
-    /// Injected stall windows this server has survived.
-    pub fn stalls(&self) -> u32 {
-        self.stalls
     }
 
     /// Runner wiring: set the network handle and this server's endpoint
@@ -347,7 +313,7 @@ impl<B: StoreBackend> StagingServerActor<B> {
     }
 
     fn start_next(&mut self, ctx: &mut Ctx<'_>) {
-        if self.in_service.is_some() || self.down || self.stalled {
+        if self.in_service.is_some() || self.down {
             return;
         }
         let (p, reply, cost) = loop {
@@ -415,91 +381,26 @@ impl<B: StoreBackend> Actor for StagingServerActor<B> {
                 // the (protected) log — are answered once the rebuild
                 // completes.
                 self.down = true;
-                // A fail-stop supersedes any stall window in progress (the
-                // incarnation bump orphans the pending StallOver timer, so
-                // the window end must be cleared too — a later stall would
-                // otherwise inherit it and never see its own timer).
-                self.stalled = false;
-                self.stall_until = SimTime::ZERO;
                 self.incarnation += 1;
                 let rebuild = f.fixed
                     + SimTime::from_secs_f64(self.logic.bytes_resident() as f64 * f.per_byte_s);
                 ctx.metrics().inc("staging.server_failures", 1);
                 ctx.metrics().observe("staging.rebuild_s", rebuild.as_secs_f64());
-                if self.tracer.enabled() {
-                    // A fail-stop supersedes an open stall window.
-                    let s = std::mem::take(&mut self.stall_span);
-                    self.tracer.end(
-                        s,
+                if self.tracer.enabled() && self.rebuild_span.is_none() {
+                    self.rebuild_span = self.tracer.begin(
+                        TraceCtx::NONE,
                         self.track,
+                        "rebuild",
                         ctx.now().as_nanos(),
                         ctx.seq(),
-                        vec![arg("status", "superseded")],
+                        vec![arg("bytes", self.logic.bytes_resident())],
                     );
-                    if self.rebuild_span.is_none() {
-                        self.rebuild_span = self.tracer.begin(
-                            TraceCtx::NONE,
-                            self.track,
-                            "rebuild",
-                            ctx.now().as_nanos(),
-                            ctx.seq(),
-                            vec![arg("bytes", self.logic.bytes_resident())],
-                        );
-                    }
                 }
                 if let Some(sup) = self.supervisor {
                     ctx.send_now(sup, ServerDownNotice { server: self.index });
                 }
                 let incarnation = self.incarnation;
                 ctx.timer(rebuild, RebuildDone { incarnation });
-                return;
-            }
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<Stall>() {
-            Ok((_, s)) => {
-                // Freeze the server CPU: nothing is lost, requests queue and
-                // are served when the window lifts. Overlapping windows
-                // merge: the server resumes at the latest end, not when the
-                // first (shorter) window's timer fires.
-                self.stalled = true;
-                self.stall_until = self.stall_until.max(ctx.now() + s.dur);
-                ctx.metrics().inc("staging.server_stalls", 1);
-                if self.tracer.enabled() && self.stall_span.is_none() {
-                    self.stall_span = self.tracer.begin(
-                        TraceCtx::NONE,
-                        self.track,
-                        "stall",
-                        ctx.now().as_nanos(),
-                        ctx.seq(),
-                        Vec::new(),
-                    );
-                }
-                let incarnation = self.incarnation;
-                ctx.timer(s.dur, StallOver { incarnation });
-                return;
-            }
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<StallOver>() {
-            Ok((_, s)) => {
-                if s.incarnation == self.incarnation
-                    && self.stalled
-                    && ctx.now() >= self.stall_until
-                {
-                    self.stalled = false;
-                    self.stalls += 1;
-                    let sp = std::mem::take(&mut self.stall_span);
-                    self.tracer.end(sp, self.track, ctx.now().as_nanos(), ctx.seq(), Vec::new());
-                    if self.in_service.is_some() {
-                        // Deliver the frozen op's (late) response.
-                        let incarnation = self.incarnation;
-                        ctx.timer(SimTime::ZERO, OpDone { incarnation });
-                    } else {
-                        self.rescan_waiting();
-                        self.start_next(ctx);
-                    }
-                }
                 return;
             }
             Err(ev) => ev,
@@ -529,8 +430,8 @@ impl<B: StoreBackend> Actor for StagingServerActor<B> {
         };
         let ev = match ev.downcast::<OpDone>() {
             Ok((_, o)) => {
-                if self.down || self.stalled || o.incarnation != self.incarnation {
-                    return; // completion from before a failure or mid-stall
+                if self.down || o.incarnation != self.incarnation {
+                    return; // completion from before a failure
                 }
                 self.finish_op(ctx);
                 return;
@@ -940,19 +841,6 @@ mod failure_tests {
         assert!(acks[0] >= 2_000_000);
     }
 
-    #[test]
-    fn requests_during_stall_are_served_after() {
-        let mut rig = Rig::new();
-        rig.eng.schedule_at(SimTime::ZERO, rig.server, Stall { dur: SimTime::from_millis(3) });
-        put_at(&mut rig, SimTime::from_micros(10), 1);
-        rig.eng.run();
-        let acks = ack_times(&rig);
-        assert_eq!(acks.len(), 1, "stalled request served, not lost");
-        assert!(acks[0] >= 3_000_000, "ack at {} ns waited out the stall", acks[0]);
-        assert_eq!(rig.server().stalls(), 1);
-        assert_eq!(rig.eng.metrics().counter("staging.server_stalls"), 1);
-    }
-
     /// The first-write rule holds per gauge: none exists before the server
     /// is asked anything, and a request that only queues registers the
     /// queue depth alone — the rest appear when it is served.
@@ -962,47 +850,19 @@ mod failure_tests {
             rig.eng.metrics().gauges().map(|(name, _)| name.to_owned()).collect()
         };
         let mut rig = Rig::new();
-        rig.eng.schedule_at(SimTime::ZERO, rig.server, Stall { dur: SimTime::from_millis(3) });
+        let fail = ServerFail { fixed: SimTime::from_millis(3), per_byte_s: 0.0 };
+        rig.eng.schedule_at(SimTime::ZERO, rig.server, fail);
         rig.eng.run_until(SimTime::from_micros(5));
         assert!(gauges(&rig).is_empty(), "a server that was asked nothing registers nothing");
         put_at(&mut rig, SimTime::from_micros(10), 1);
         rig.eng.run_until(SimTime::from_millis(1));
-        assert_eq!(gauges(&rig), ["staging.server0.qdepth"], "queued behind the stall");
+        assert_eq!(gauges(&rig), ["staging.server0.qdepth"], "queued behind the rebuild");
         assert_eq!(rig.eng.metrics().gauge("staging.server0.qdepth").value, 1);
         rig.eng.run();
         let all =
             ["bytes", "get_waits", "log_events", "qdepth"].map(|g| format!("staging.server0.{g}"));
         assert_eq!(gauges(&rig), all);
         assert_eq!(rig.eng.metrics().gauge("staging.server0.bytes").value, 100);
-    }
-
-    #[test]
-    fn overlapping_stalls_resume_at_the_latest_end() {
-        // Regression for an early-resume bug found by schedule exploration:
-        // a second, longer stall landing inside the first window used to be
-        // cut short when the first window's timer fired.
-        let mut rig = Rig::new();
-        rig.eng.schedule_at(SimTime::ZERO, rig.server, Stall { dur: SimTime::from_millis(3) });
-        rig.eng.schedule_at(
-            SimTime::from_millis(1),
-            rig.server,
-            Stall { dur: SimTime::from_millis(4) },
-        );
-        put_at(&mut rig, SimTime::from_micros(10), 1);
-        rig.eng.run();
-        let acks = ack_times(&rig);
-        assert_eq!(acks.len(), 1);
-        assert!(
-            acks[0] >= 5_000_000,
-            "ack at {} ns must wait out the merged window (1 ms + 4 ms)",
-            acks[0]
-        );
-        assert_eq!(rig.server().stalls(), 1, "merged windows count as one stall survived");
-        assert_eq!(
-            rig.eng.metrics().counter("staging.server_stalls"),
-            2,
-            "but both injections count"
-        );
     }
 
     #[test]

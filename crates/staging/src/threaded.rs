@@ -30,14 +30,10 @@ use crate::service::{ServerLogic, StoreBackend};
 use faultplane::RetryPolicy;
 use net::threaded::{NetMsg, RecvTimeoutError, ThreadEndpoint};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Shutdown message for server threads.
 pub struct Shutdown;
-
-/// Stall request for server threads: sleep for the given duration without
-/// consuming the queue (the threaded analogue of [`crate::server::Stall`]).
-pub struct StallFor(pub Duration);
 
 /// One operation's share for one shard: a `Frame<Request>` holds the requests
 /// a `put` or `get` planned for that server, in `seq` order (a control round's
@@ -128,11 +124,6 @@ fn serve_loop<B: StoreBackend>(
         };
         if other.is::<Shutdown>() {
             break;
-        }
-        if let Ok(stall) = other.downcast::<StallFor>() {
-            let (t, s) = tick();
-            tracer.instant(obs::TraceCtx::NONE, track, "stall", t, s, Vec::new());
-            std::thread::sleep(stall.0);
         }
         // Anything else is dropped, as in the DES server.
     }

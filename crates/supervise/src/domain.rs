@@ -63,10 +63,6 @@ pub struct FailureDomain {
     outage_total_ns: u64,
     /// Longest single outage.
     outage_max_ns: u64,
-    /// Virtual time of the last progress beacon (wedge detection).
-    last_progress_ns: u64,
-    /// Set when the domain has finished its work (exempt from wedge scans).
-    finished: bool,
 }
 
 impl FailureDomain {
@@ -82,8 +78,6 @@ impl FailureDomain {
             poison_hits: BTreeMap::new(),
             outage_total_ns: 0,
             outage_max_ns: 0,
-            last_progress_ns: 0,
-            finished: false,
         }
     }
 
@@ -148,7 +142,6 @@ impl FailureDomain {
         self.health = DomainHealth::Healthy;
         self.consecutive = 0;
         self.recovered += 1;
-        self.last_progress_ns = now_ns;
         match self.outage_start_ns.take() {
             Some(start) => {
                 let dur = now_ns.saturating_sub(start);
@@ -158,31 +151,6 @@ impl FailureDomain {
             }
             None => 0,
         }
-    }
-
-    /// Progress beacon at `now_ns` (step advanced, put absorbed, ...).
-    pub fn on_progress(&mut self, now_ns: u64) {
-        self.last_progress_ns = self.last_progress_ns.max(now_ns);
-    }
-
-    /// Mark the domain's work complete (exempts it from wedge scans).
-    pub fn on_finished(&mut self, now_ns: u64) {
-        self.finished = true;
-        self.on_progress(now_ns);
-    }
-
-    /// Has the domain finished its work?
-    pub fn finished(&self) -> bool {
-        self.finished
-    }
-
-    /// Is the domain wedged at `now_ns`: healthy on paper, unfinished, but
-    /// silent for longer than `timeout_ns`? Down/restarting domains are
-    /// exempt — they are *supposed* to be silent.
-    pub fn wedged(&self, now_ns: u64, timeout_ns: u64) -> bool {
-        self.health == DomainHealth::Healthy
-            && !self.finished
-            && now_ns.saturating_sub(self.last_progress_ns) > timeout_ns
     }
 
     /// Sum of closed-outage durations.
@@ -247,18 +215,5 @@ mod tests {
         assert_eq!(d.on_poison_hit(5), 2, "not reset by recovery");
         assert_eq!(d.poison_hits(5), 2);
         assert_eq!(d.poison_hits(6), 0);
-    }
-
-    #[test]
-    fn wedge_detection_exempts_down_and_finished() {
-        let mut d = FailureDomain::new(DomainKey::Component(0));
-        d.on_progress(1_000);
-        assert!(!d.wedged(1_500, 1_000), "within timeout");
-        assert!(d.wedged(2_500, 1_000), "silent past timeout");
-        d.on_death(2_600);
-        assert!(!d.wedged(9_999, 1_000), "down domains are supposed to be silent");
-        d.on_recovered(3_000);
-        d.on_finished(3_100);
-        assert!(!d.wedged(99_999, 1_000), "finished domains exempt");
     }
 }

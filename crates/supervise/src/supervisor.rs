@@ -2,8 +2,8 @@
 //!
 //! The [`Supervisor`] owns one [`FailureDomain`] per supervised key plus one
 //! [`Breaker`] each, and a shared [`DeadLetterQueue`]. The embedding runtime
-//! (the DES workflow runner here) reports deaths, recoveries, and progress
-//! beacons with virtual-time timestamps; the supervisor answers with a
+//! (the DES workflow runner here) reports deaths and recoveries with
+//! virtual-time timestamps; the supervisor answers with a
 //! [`Verdict`] the runtime enacts. The supervisor itself never touches the
 //! clock or any RNG — it is a pure, deterministic policy machine.
 
@@ -22,18 +22,11 @@ pub struct SupervisorCfg {
     pub backoff: BackoffCfg,
     /// Deaths the same input may cause before it is quarantined.
     pub poison_threshold: u32,
-    /// Silence (ns) after which an unfinished healthy domain counts as
-    /// wedged. `None` disables wedge detection.
-    pub wedge_timeout_ns: Option<u64>,
 }
 
 impl Default for SupervisorCfg {
     fn default() -> Self {
-        SupervisorCfg {
-            backoff: BackoffCfg::default(),
-            poison_threshold: 3,
-            wedge_timeout_ns: None,
-        }
+        SupervisorCfg { backoff: BackoffCfg::default(), poison_threshold: 3 }
     }
 }
 
@@ -47,8 +40,6 @@ pub enum DeathCause {
         /// The workflow step whose input killed the consumer.
         step: u32,
     },
-    /// Wedge: the domain stopped making progress and was shot.
-    Wedge,
 }
 
 impl DeathCause {
@@ -57,7 +48,6 @@ impl DeathCause {
         match self {
             DeathCause::FailStop => "fail-stop",
             DeathCause::PoisonPut { .. } => "poison-put",
-            DeathCause::Wedge => "wedge",
         }
     }
 }
@@ -191,38 +181,6 @@ impl Supervisor {
         }
     }
 
-    /// Progress beacon for `key` at `now_ns`.
-    pub fn on_progress(&mut self, key: DomainKey, now_ns: u64) {
-        if let Some(slot) = self.slots.get_mut(&key) {
-            slot.domain.on_progress(now_ns);
-        }
-    }
-
-    /// `key`'s work is complete (exempt from wedge scans).
-    pub fn on_finished(&mut self, key: DomainKey, now_ns: u64) {
-        if let Some(slot) = self.slots.get_mut(&key) {
-            slot.domain.on_finished(now_ns);
-        }
-    }
-
-    /// Domains that look wedged at `now_ns` (empty when wedge detection is
-    /// disabled). Deterministic order.
-    pub fn wedged(&self, now_ns: u64) -> Vec<DomainKey> {
-        let Some(timeout) = self.cfg.wedge_timeout_ns else {
-            return Vec::new();
-        };
-        self.slots
-            .iter()
-            .filter(|(_, s)| s.domain.wedged(now_ns, timeout))
-            .map(|(k, _)| *k)
-            .collect()
-    }
-
-    /// Are any watched domains still unfinished?
-    pub fn any_unfinished(&self) -> bool {
-        self.slots.values().any(|s| !s.domain.finished())
-    }
-
     /// Restart grants issued.
     pub fn restarts(&self) -> u64 {
         self.restarts
@@ -273,7 +231,6 @@ mod tests {
                 cooldown_ns: 500,
             },
             poison_threshold: 3,
-            wedge_timeout_ns: None,
         }
     }
 
@@ -352,31 +309,5 @@ mod tests {
         // Second death inside the window trips the breaker: backoff(2)=20
         // plus the 500ns cooldown hold.
         assert_eq!(s.on_death(k, 5, DeathCause::FailStop).delay_ns(), 520);
-    }
-
-    #[test]
-    fn wedge_scan_reports_silent_unfinished_domains() {
-        let mut s = Supervisor::new(SupervisorCfg { wedge_timeout_ns: Some(1_000), ..cfg() });
-        let a = DomainKey::Component(0);
-        let b = DomainKey::Component(1);
-        s.watch(a);
-        s.watch(b);
-        s.on_progress(a, 5_000);
-        s.on_progress(b, 5_000);
-        assert!(s.wedged(5_500).is_empty());
-        s.on_progress(a, 8_000);
-        assert_eq!(s.wedged(8_900), vec![b], "b silent past timeout, a not yet");
-        s.on_finished(b, 9_200);
-        assert!(s.wedged(20_000).is_empty() || s.wedged(20_000) == vec![a]);
-        s.on_finished(a, 9_300);
-        assert!(!s.any_unfinished());
-        assert!(s.wedged(99_999).is_empty());
-    }
-
-    #[test]
-    fn wedge_detection_off_by_default() {
-        let mut s = Supervisor::new(cfg());
-        s.watch(DomainKey::Component(0));
-        assert!(s.wedged(u64::MAX).is_empty());
     }
 }

@@ -18,19 +18,14 @@ use serde::{Deserialize, Serialize};
 /// Per-component fault-tolerance scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FtScheme {
-    /// No protection; a failure is fatal for the workflow.
-    None,
     /// Periodic checkpoint/restart every `period` time steps.
     CheckpointRestart {
         /// Steps between checkpoints.
         period: u32,
     },
-    /// Process replication with `replicas` copies; tolerates `replicas - 1`
-    /// failures with near-zero recovery cost (fail-over to the replica).
-    Replication {
-        /// Total copies (≥ 2 to tolerate a failure).
-        replicas: u32,
-    },
+    /// Process replication: a failure costs a fail-over to the replica,
+    /// never a rollback.
+    Replication,
 }
 
 impl FtScheme {
@@ -43,7 +38,7 @@ impl FtScheme {
     pub fn period(&self) -> Option<u32> {
         match self {
             FtScheme::CheckpointRestart { period } => Some(*period),
-            _ => None,
+            FtScheme::Replication => None,
         }
     }
 }
@@ -114,9 +109,9 @@ mod tests {
     #[test]
     fn scheme_properties() {
         assert!(FtScheme::CheckpointRestart { period: 4 }.rolls_back());
-        assert!(!FtScheme::Replication { replicas: 2 }.rolls_back());
+        assert!(!FtScheme::Replication.rolls_back());
         assert_eq!(FtScheme::CheckpointRestart { period: 4 }.period(), Some(4));
-        assert_eq!(FtScheme::Replication { replicas: 2 }.period(), None);
+        assert_eq!(FtScheme::Replication.period(), None);
     }
 
     #[test]

@@ -357,6 +357,35 @@ mod tests {
         assert_eq!(q.appended(), 3);
     }
 
+    /// The `served ≤ resume < requested` hole, pinned and not fixed: the
+    /// window is cut by the version a get was *served*, but a rolled-back
+    /// component re-issues the version it *asked for*. A get asked for v6
+    /// and served v4 sits below a resume at v5, so it is missing from the
+    /// script the component replays, and its re-issue is answered afresh
+    /// instead of with the logged v4. Becomes a regression test with
+    /// ROADMAP item 6 (one frontier).
+    #[test]
+    fn a_get_served_below_the_resume_point_is_missing_from_its_replay() {
+        const FIXED: &str = "the served-version hole is fixed: turn this into a regression test";
+        let mut q = EventQueue::new();
+        q.push(put(0, 4));
+        q.push(ckpt(0, 1, 5));
+        let mut stale = get(0, 6);
+        if let LogEvent::Get { served, .. } = &mut stale {
+            *served = 4;
+        }
+        q.push(stale);
+        q.push(put(0, 7));
+        let script = q.replay_script(5);
+        let asked_after_resume = |e: &&LogEvent| match e {
+            LogEvent::Get { requested, .. } => *requested > 5,
+            _ => false,
+        };
+        assert_eq!(q.iter().filter(asked_after_resume).count(), 1, "the get is logged");
+        assert_eq!(script.iter().filter(asked_after_resume).count(), 0, "{FIXED}");
+        assert_eq!(script.iter().map(LogEvent::version).collect::<Vec<_>>(), [7], "{FIXED}");
+    }
+
     #[test]
     fn peek_before_commit_conserves_events() {
         let mut q = EventQueue::new();

@@ -772,15 +772,6 @@ impl ComponentActor {
     fn advance_step(&mut self, ctx: &mut Ctx<'_>) {
         let s = std::mem::take(&mut self.step_span);
         self.span_end(ctx, s, Vec::new());
-        if let Some(sup) = self.supervisor {
-            // Progress beacon for wedge detection.
-            let msg = crate::supervisor_actor::Progress {
-                app: self.cfg.app,
-                step: self.step,
-                done: false,
-            };
-            ctx.send_now(sup, msg);
-        }
         self.step += 1;
         // Re-execution caught up with the failed step: the replay window —
         // and with it the whole recovery — is over.
@@ -808,14 +799,6 @@ impl ComponentActor {
             }
         }
         self.phase = Phase::Done;
-        if let Some(sup) = self.supervisor {
-            let msg = crate::supervisor_actor::Progress {
-                app: self.cfg.app,
-                step: self.step,
-                done: true,
-            };
-            ctx.send_now(sup, msg);
-        }
         let msg = crate::director::Finished { app: self.cfg.app };
         ctx.send_now(self.director, msg);
     }
@@ -833,7 +816,7 @@ impl ComponentActor {
         // Replication absorbs a fail-stop without a death (supervised or
         // not): the replica takes over and the workflow never notices.
         let replicated = !self.cfg.scheme.rolls_back()
-            && matches!(self.cfg.scheme, wfcr::protocol::FtScheme::Replication { .. })
+            && matches!(self.cfg.scheme, wfcr::protocol::FtScheme::Replication)
             && !self.protocol.coordinated_checkpoints();
         if self.supervisor.is_some() && !(replicated && cause == DeathCause::FailStop) {
             self.supervised_fail(ctx, cause);
@@ -1201,10 +1184,6 @@ impl Actor for ComponentActor {
             }
             Err(ev) => ev,
         };
-        if ev.is::<crate::supervisor_actor::WedgeKill>() {
-            self.fail_with(ctx, DeathCause::Wedge);
-            return;
-        }
         if ev.is::<FailureWarning>() {
             self.proactive_pending = true;
             return;

@@ -152,19 +152,6 @@ pub enum FailureSpec {
         /// The fault plan (rates, windows, seed).
         plan: FaultPlan,
     },
-    /// Transient stall of staging server `server` for `dur` starting at
-    /// `at` — a GC pause, OS jitter, or a slow RDMA completion queue.
-    /// Unlike [`FailureSpec::StagingAt`] this is *not* fail-stop: no state
-    /// is lost and no rebuild runs; requests queue and are served when the
-    /// stall ends.
-    StagingStall {
-        /// Stall start time.
-        at: SimTime,
-        /// Stall duration.
-        dur: SimTime,
-        /// Staging server index.
-        server: usize,
-    },
     /// Cascading failure: `first` fails at `at`, and every *other* component
     /// (ascending app order) fails `spread` after the previous one — the
     /// domino pattern a rack-level power or fabric event produces. Each
@@ -314,10 +301,6 @@ pub struct SupervisionCfg {
     pub breaker_cooldown: SimTime,
     /// Deaths the same input may cause before it is quarantined to the DLQ.
     pub poison_threshold: u32,
-    /// Silence after which an unfinished healthy component counts as wedged
-    /// and is restarted in place. `None` disables wedge detection.
-    #[serde(default)]
-    pub wedge_timeout: Option<SimTime>,
     /// Directory for the persisted dead-letter queue (a `logstore` log).
     /// `None` keeps the DLQ in memory only.
     #[serde(default)]
@@ -333,7 +316,6 @@ impl Default for SupervisionCfg {
             breaker_window: SimTime::from_millis(60_000),
             breaker_cooldown: SimTime::from_millis(2_000),
             poison_threshold: 3,
-            wedge_timeout: None,
             dlq_dir: None,
         }
     }
@@ -351,7 +333,6 @@ impl SupervisionCfg {
                 cooldown_ns: self.breaker_cooldown.0,
             },
             poison_threshold: self.poison_threshold,
-            wedge_timeout_ns: self.wedge_timeout.map(|t| t.0),
         }
     }
 }
@@ -687,7 +668,7 @@ impl WorkflowConfig {
     }
 
     /// Validate the configuration: the failure plan's component and server
-    /// indices must exist, rates must be probabilities, windows and stalls
+    /// indices must exist, rates must be probabilities, windows and spreads
     /// must be non-empty, and durability needs a logging protocol.
     pub fn validate(&self) -> Result<(), String> {
         self.check_durability()?;
@@ -717,17 +698,6 @@ impl WorkflowConfig {
                 }
                 FailureSpec::NetFaults { plan } => {
                     plan.validate().map_err(|e| at_spec(format!("bad fault plan: {e}")))?;
-                }
-                FailureSpec::StagingStall { dur, server, .. } => {
-                    if *server >= self.nservers {
-                        return Err(at_spec(format!(
-                            "staging server {server} out of range ({} servers)",
-                            self.nservers
-                        )));
-                    }
-                    if dur.0 == 0 {
-                        return Err(at_spec("stall duration must be nonzero".into()));
-                    }
                 }
                 FailureSpec::Cascading { first, spread, servers, .. } => {
                     if !self.components.iter().any(|c| c.app == *first) {
@@ -1163,11 +1133,6 @@ mod tests {
             FailureSpec::Mtbf { mtbf_secs: 300.0, count: 2 },
             FailureSpec::StagingAt { at: SimTime::from_millis(20), server: 1 },
             FailureSpec::NetFaults { plan: plan(0.25) },
-            FailureSpec::StagingStall {
-                at: SimTime::from_millis(30),
-                dur: SimTime::from_millis(5),
-                server: 2,
-            },
         ]);
         assert!(cfg.validate().is_ok());
         let json = serde_json::to_string(&cfg).unwrap();
@@ -1200,7 +1165,7 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_bad_indices_and_stalls() {
+    fn validate_rejects_bad_indices_and_zero_spreads() {
         let base = tiny(WorkflowProtocol::Uncoordinated); // 4 servers, apps 0/1
         let bad_app =
             base.with_failures(vec![FailureSpec::At { at: SimTime::from_millis(1), app: 99 }]);
@@ -1208,12 +1173,13 @@ mod tests {
         let bad_server =
             base.with_failures(vec![FailureSpec::StagingAt { at: SimTime::ZERO, server: 4 }]);
         assert!(bad_server.validate().unwrap_err().contains("out of range"));
-        let zero_stall = base.with_failures(vec![FailureSpec::StagingStall {
+        let zero_spread = base.with_failures(vec![FailureSpec::Cascading {
             at: SimTime::ZERO,
-            dur: SimTime::ZERO,
-            server: 0,
+            first: 0,
+            spread: SimTime::ZERO,
+            servers: vec![],
         }]);
-        assert!(zero_stall.validate().unwrap_err().contains("nonzero"));
+        assert!(zero_spread.validate().unwrap_err().contains("nonzero"));
         let bad_mtbf = base.with_failures(vec![FailureSpec::Mtbf { mtbf_secs: -1.0, count: 1 }]);
         assert!(bad_mtbf.validate().unwrap_err().contains("positive"));
     }

@@ -77,8 +77,6 @@ pub struct RunReport {
     /// Component-level retransmissions issued while riding out injected
     /// network faults (0 in fault-free runs).
     pub net_retries: u64,
-    /// Transient staging-server stall windows served through.
-    pub server_stalls: u64,
     /// Discrete events dispatched (simulation diagnostics).
     pub events_dispatched: u64,
     /// Bytes physically flushed by the durable staging journals (0 when
@@ -179,7 +177,7 @@ impl RunReport {
             format!("{:.1}MiB", mib(self.staging_peak_bytes))
         };
         let mut s = format!(
-            "{:<28} {:>4} total={:>9.2}s puts={} cumW={:.3}s peakMem={peak_mem} ckpts={} rec={} replay(g={},p={}) mism={} retries={} stalls={} stale={}",
+            "{:<28} {:>4} total={:>9.2}s puts={} cumW={:.3}s peakMem={peak_mem} ckpts={} rec={} replay(g={},p={}) mism={} retries={} stale={}",
             self.label,
             self.protocol.label(),
             self.total_time_s,
@@ -191,7 +189,6 @@ impl RunReport {
             self.absorbed_puts,
             self.digest_mismatches,
             self.net_retries,
-            self.server_stalls,
             self.stale_gets,
         );
         if self.journal_group_commits > 0 || self.journal_records_batched > 0 {
@@ -265,7 +262,6 @@ mod tests {
             net_msgs: 0,
             net_bytes: 0,
             net_retries: 0,
-            server_stalls: 0,
             events_dispatched: 0,
             log_bytes_flushed: 0,
             segments_compacted: 0,

@@ -34,7 +34,6 @@ pub fn materialize_failures(cfg: &WorkflowConfig) -> Vec<FailureSpec> {
         match spec {
             FailureSpec::At { .. }
             | FailureSpec::StagingAt { .. }
-            | FailureSpec::StagingStall { .. }
             | FailureSpec::NetFaults { .. }
             | FailureSpec::Cascading { .. }
             | FailureSpec::Correlated { .. }
@@ -135,7 +134,7 @@ pub fn build(cfg: &WorkflowConfig) -> BuiltWorkflow {
     if cfg.protocol == WorkflowProtocol::Hybrid {
         for c in cfg.components.iter_mut() {
             if c.role == crate::config::Role::Consumer {
-                c.scheme = FtScheme::Replication { replicas: 2 };
+                c.scheme = FtScheme::Replication;
             }
         }
     }
@@ -260,11 +259,6 @@ pub fn build(cfg: &WorkflowConfig) -> BuiltWorkflow {
         sup.set_tracer(tracer.clone());
         engine.add_actor(Box::new(sup))
     });
-    if let (Some(sid), Some(s)) = (sup_id, &cfg.supervision) {
-        if let Some(timeout) = s.wedge_timeout {
-            engine.schedule_at(timeout, sid, crate::supervisor_actor::WedgeScan);
-        }
-    }
 
     // 5. Wire everyone.
     for (i, &cid) in comp_ids.iter().enumerate() {
@@ -309,16 +303,6 @@ pub fn build(cfg: &WorkflowConfig) -> BuiltWorkflow {
                 cfg.components.iter().position(|c| c.app == *victim).expect("poison victim exists");
             let c = engine.actor_as_mut::<ComponentActor>(comp_ids[idx]).expect("component actor");
             c.set_poison(*step);
-        }
-    }
-
-    // 5b. Transient staging stalls: perturbations, not failures, so they are
-    // scheduled regardless of the protocol (even FailureFree serves through
-    // a stall — nothing is lost).
-    for spec in &cfg.failures {
-        if let FailureSpec::StagingStall { at, dur, server } = spec {
-            assert!(*server < server_ids.len(), "staging stall server index");
-            engine.schedule_at(*at, server_ids[*server], staging::server::Stall { dur: *dur });
         }
     }
 
@@ -431,10 +415,8 @@ pub fn build(cfg: &WorkflowConfig) -> BuiltWorkflow {
                     engine.schedule_at(at, comp_ids[idx], Fail);
                     engine.schedule_at(at + again_after, comp_ids[idx], Fail);
                 }
-                // Installed on the network / scheduled or wired in step 5.
-                FailureSpec::NetFaults { .. }
-                | FailureSpec::StagingStall { .. }
-                | FailureSpec::PoisonPut { .. } => {}
+                // Installed on the network / wired in step 5.
+                FailureSpec::NetFaults { .. } | FailureSpec::PoisonPut { .. } => {}
                 FailureSpec::Mtbf { .. } => unreachable!("materialized"),
             }
         }
@@ -527,7 +509,6 @@ pub fn harvest(built: &mut BuiltWorkflow) -> RunReport {
     let mut gc_reclaimed = 0u64;
     let mut staging_rebuilds = 0u64;
     let mut stale_gets = 0u64;
-    let mut server_stalls = 0u64;
     let sharded = cfg.sharding.is_some();
     let mut shard_puts = Vec::new();
     let mut shard_replays = Vec::new();
@@ -538,7 +519,6 @@ pub fn harvest(built: &mut BuiltWorkflow) -> RunReport {
         let s = engine.actor_as::<StagingServerActor<AnyBackend>>(sid).expect("server actor");
         staging_final_bytes += s.logic().bytes_resident();
         staging_rebuilds += u64::from(s.rebuilds());
-        server_stalls += u64::from(s.stalls());
         stale_gets += s.logic().backend().stale_gets();
         if sharded {
             shard_puts.push(s.logic().puts_served());
@@ -615,7 +595,6 @@ pub fn harvest(built: &mut BuiltWorkflow) -> RunReport {
         net_msgs: m.counter("net.msgs"),
         net_bytes: m.counter("net.bytes"),
         net_retries: m.counter("wf.net_retries"),
-        server_stalls,
         events_dispatched: engine.dispatched(),
         log_bytes_flushed,
         segments_compacted,
@@ -867,27 +846,6 @@ mod tests {
         build(
             &tiny(WorkflowProtocol::Coordinated)
                 .with_durability(crate::config::DurabilityCfg::default()),
-        );
-    }
-
-    #[test]
-    fn staging_stall_is_served_through() {
-        use crate::config::FailureSpec;
-        let clean = run(&tiny(WorkflowProtocol::Uncoordinated));
-        let cfg =
-            tiny(WorkflowProtocol::Uncoordinated).with_failures(vec![FailureSpec::StagingStall {
-                at: sim_core::time::SimTime::from_millis(600),
-                dur: sim_core::time::SimTime::from_millis(200),
-                server: 0,
-            }]);
-        let r = run(&cfg);
-        assert_eq!(r.server_stalls, 1);
-        assert_eq!(r.recoveries, 0, "a stall is not a failure");
-        assert_eq!(r.puts, clean.puts);
-        assert_eq!(r.digest_mismatches, 0);
-        assert!(
-            r.total_time_s >= clean.total_time_s,
-            "a stalled server cannot make the run faster"
         );
     }
 }

@@ -1,18 +1,12 @@
 //! The supervisor actor: the DES embedding of [`supervise::Supervisor`].
 //!
-//! One actor per supervised run. Components report deaths and progress
-//! beacons; staging servers report fail-stop / rebuild-complete. The actor
-//! feeds the pure policy machine in the `supervise` crate with virtual-time
-//! timestamps and enacts its verdicts as delayed [`RestartGrant`] messages
-//! — so backoff, breaker holds, and quarantine decisions all land on the
-//! simulated clock and replay identically for a given seed.
-//!
-//! Wedge detection is a periodic self-timer ([`WedgeScan`], armed by the
-//! runner when [`crate::config::SupervisionCfg::wedge_timeout`] is set):
-//! any healthy, unfinished component domain silent past the timeout is shot
-//! with a [`WedgeKill`], which re-enters the ordinary death path with
-//! [`DeathCause::Wedge`] and a restart-in-place grant (a wedged process has
-//! nothing wrong with its state — it lost an event, not its memory).
+//! One actor per supervised run. Components report deaths, recoveries and
+//! failovers; staging servers report fail-stop / rebuild-complete. The
+//! actor feeds the pure policy machine in the `supervise` crate with
+//! virtual-time timestamps and enacts its verdicts as delayed
+//! [`RestartGrant`] messages — so backoff, breaker holds, and quarantine
+//! decisions all land on the simulated clock and replay identically for a
+//! given seed.
 
 use std::collections::BTreeMap;
 
@@ -49,16 +43,6 @@ pub struct FailoverNotice {
     pub app: u32,
 }
 
-/// Component → supervisor: progress beacon (step advanced, or `done`).
-pub struct Progress {
-    /// The reporting component's app id.
-    pub app: u32,
-    /// The step just completed.
-    pub step: u32,
-    /// All steps complete; exempt this component from wedge scans.
-    pub done: bool,
-}
-
 /// Supervisor → component: restart now, under `policy`. Fires after the
 /// backoff (and any breaker hold) chosen by the policy machine.
 pub struct RestartGrant {
@@ -68,24 +52,15 @@ pub struct RestartGrant {
     pub quarantine: Option<u32>,
 }
 
-/// Supervisor → component: you look wedged; die and restart.
-pub struct WedgeKill;
-
-/// Periodic self-timer driving wedge scans. The runner schedules the first
-/// tick when wedge detection is configured.
-pub struct WedgeScan;
-
 /// The supervision actor. Build with [`SupervisorActor::new`], then wire
 /// domains with [`watch_component`](SupervisorActor::watch_component) /
 /// [`watch_server`](SupervisorActor::watch_server) during runner assembly.
 pub struct SupervisorActor {
     sup: Supervisor,
-    /// App id → component actor, for grant delivery and wedge kills.
+    /// App id → component actor, for grant delivery.
     comp_actor: BTreeMap<u32, ActorId>,
     /// App id → that component's recovery policy.
     comp_policy: BTreeMap<u32, RecoveryPolicy>,
-    /// Wedge scan period (the configured wedge timeout).
-    wedge_period: Option<SimTime>,
     // Observability (inert when the tracer is off).
     tracer: obs::Tracer,
     track: obs::TrackId,
@@ -102,12 +77,10 @@ impl SupervisorActor {
     /// A supervisor actor around a fresh policy machine quarantining into
     /// `dlq`.
     pub fn new(cfg: supervise::SupervisorCfg, dlq: DeadLetterQueue) -> SupervisorActor {
-        let wedge_period = cfg.wedge_timeout_ns.map(SimTime::from_nanos);
         SupervisorActor {
             sup: Supervisor::with_dlq(cfg, dlq),
             comp_actor: BTreeMap::new(),
             comp_policy: BTreeMap::new(),
-            wedge_period,
             tracer: obs::Tracer::off(),
             track: obs::TrackId(0),
             outage_spans: BTreeMap::new(),
@@ -188,13 +161,7 @@ impl SupervisorActor {
         let verdict = self.sup.on_death(key, now, msg.cause);
         ctx.metrics().inc("sup.deaths", 1);
         ctx.metrics().inc("sup.restarts", 1);
-        // A wedged component's state is intact — it lost an event, not its
-        // memory — so the kill restarts it in place regardless of policy.
-        let policy = if msg.cause == DeathCause::Wedge {
-            RecoveryPolicy::RestartInPlace
-        } else {
-            *self.comp_policy.get(&msg.app).expect("death from unwatched component")
-        };
+        let policy = *self.comp_policy.get(&msg.app).expect("death from unwatched component");
         let quarantine = match verdict {
             supervise::Verdict::Quarantine { step, .. } => {
                 ctx.metrics().inc("sup.quarantined", 1);
@@ -216,32 +183,6 @@ impl SupervisorActor {
         let target = *self.comp_actor.get(&msg.app).expect("death from unwatched component");
         let delay = SimTime::from_nanos(verdict.delay_ns());
         ctx.send_after(delay, target, RestartGrant { policy, quarantine });
-    }
-
-    fn on_wedge_scan(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(period) = self.wedge_period else { return };
-        let now = ctx.now().as_nanos();
-        for key in self.sup.wedged(now) {
-            if let DomainKey::Component(app) = key {
-                if let Some(&target) = self.comp_actor.get(&app) {
-                    ctx.metrics().inc("sup.wedge_kills", 1);
-                    if self.tracer.enabled() {
-                        self.tracer.instant(
-                            TraceCtx::NONE,
-                            self.track,
-                            "wedge_kill",
-                            ctx.now().as_nanos(),
-                            ctx.seq(),
-                            vec![arg("domain", key.label())],
-                        );
-                    }
-                    ctx.send_now(target, WedgeKill);
-                }
-            }
-        }
-        if self.sup.any_unfinished() {
-            ctx.timer(period, WedgeScan);
-        }
     }
 }
 
@@ -278,19 +219,6 @@ impl Actor for SupervisorActor {
             }
             Err(ev) => ev,
         };
-        let ev = match ev.downcast::<Progress>() {
-            Ok((_, p)) => {
-                let key = DomainKey::Component(p.app);
-                let now = ctx.now().as_nanos();
-                if p.done {
-                    self.sup.on_finished(key, now);
-                } else {
-                    self.sup.on_progress(key, now);
-                }
-                return;
-            }
-            Err(ev) => ev,
-        };
         let ev = match ev.downcast::<ServerDownNotice>() {
             Ok((_, d)) => {
                 // Server restarts ride the resilience rebuild, not a grant:
@@ -306,17 +234,10 @@ impl Actor for SupervisorActor {
             }
             Err(ev) => ev,
         };
-        let ev = match ev.downcast::<ServerUpNotice>() {
-            Ok((_, u)) => {
-                let key = DomainKey::Server(u.server as u32);
-                self.sup.on_recovered(key, ctx.now().as_nanos());
-                self.close_outage(ctx, key);
-                return;
-            }
-            Err(ev) => ev,
-        };
-        if ev.is::<WedgeScan>() {
-            self.on_wedge_scan(ctx);
+        if let Ok((_, u)) = ev.downcast::<ServerUpNotice>() {
+            let key = DomainKey::Server(u.server as u32);
+            self.sup.on_recovered(key, ctx.now().as_nanos());
+            self.close_outage(ctx, key);
         }
     }
 

@@ -27,8 +27,7 @@ pub fn watchdog(test: &'static str, limit: Duration) -> Watchdog {
 
 /// Arm a watchdog that runs `dump` before aborting — the hook for dumping
 /// whatever shared diagnostics the test wired up (the obs flight recorder
-/// via a cloned [`obs::Tracer`], the engine's shared event-trace ring via
-/// `Engine::enable_trace_shared`), so a wedged run dies with its evidence
+/// via a cloned [`obs::Tracer`]), so a wedged run dies with its evidence
 /// attached instead of just a timeout.
 pub fn watchdog_with_dump<F>(test: &'static str, limit: Duration, dump: F) -> Watchdog
 where
@@ -53,12 +52,9 @@ where
 }
 
 /// A ready-made dump closure for workflow tests: prints the obs flight
-/// recorder (if recording) and the tail of a shared engine trace ring.
+/// recorder (if recording).
 #[allow(dead_code)] // each test binary compiles common/ independently
-pub fn dump_tracer_and_ring(
-    tracer: obs::Tracer,
-    ring: Arc<std::sync::Mutex<sim_core::trace::TraceRing>>,
-) -> impl FnOnce() + Send + 'static {
+pub fn dump_tracer(tracer: obs::Tracer) -> impl FnOnce() + Send + 'static {
     move || {
         if tracer.enabled() {
             let t = tracer.dump();
@@ -68,12 +64,6 @@ pub fn dump_tracer_and_ring(
                 t.dropped
             );
             eprint!("{}", t.to_jsonl());
-        }
-        if let Ok(r) = ring.lock() {
-            eprintln!("--- engine trace ring: last {} of {} events ---", r.len(), r.total());
-            for e in r.iter() {
-                eprintln!("{e:?}");
-            }
         }
     }
 }

@@ -270,8 +270,8 @@ fn scenario_cfg(s: &faultplane::Scenario) -> WorkflowConfig {
 /// Satellite 5 — the supervision soak: sweep the full cascading-failure
 /// scenario matrix, run every cell twice, and require completion, clean
 /// digests and byte-identical reports. Each cell is armed with a watchdog
-/// that dumps the obs flight recorder and the engine trace ring on hang,
-/// so a wedged cell dies with its evidence attached. Nightly / label-run
+/// that dumps the obs flight recorder on hang, so a wedged cell dies with
+/// its evidence attached. Nightly / label-run
 /// via CI; locally: `cargo test --test supervision -- --ignored`.
 #[test]
 #[ignore]
@@ -282,11 +282,10 @@ fn supervision_soak() {
         cfg.validate().unwrap_or_else(|e| panic!("{}: invalid cfg: {e}", cell.label()));
 
         let mut built = workflow::runner::build(&cfg);
-        let ring = built.engine.enable_trace_shared(512);
         let wd = common::watchdog_with_dump(
             "supervision_soak",
             Duration::from_secs(120),
-            common::dump_tracer_and_ring(built.tracer.clone(), ring),
+            common::dump_tracer(built.tracer.clone()),
         );
         built.engine.run_limited(200_000_000);
         let rep = workflow::runner::harvest(&mut built);
