@@ -36,8 +36,6 @@ pub struct CheckpointStore {
     retention: usize,
     /// Total bytes ever written (for I/O accounting).
     bytes_written: u64,
-    /// Snapshots torn by fault injection ([`CheckpointStore::tear_latest`]).
-    torn_injected: u64,
     /// Optional durable backend.
     sink: SinkSlot,
     /// Persist calls that returned an error (the in-memory copy stays
@@ -53,7 +51,6 @@ impl CheckpointStore {
             snaps: HashMap::new(),
             retention,
             bytes_written: 0,
-            torn_injected: 0,
             sink: SinkSlot(None),
             sink_errors: 0,
         }
@@ -127,16 +124,10 @@ impl CheckpointStore {
     pub fn tear_latest(&mut self, app: u32) -> bool {
         if let Some(s) = self.snaps.get_mut(&app).and_then(|m| m.values_mut().next_back()) {
             s.state_bytes ^= 0xDEAD;
-            self.torn_injected += 1;
             true
         } else {
             false
         }
-    }
-
-    /// Number of snapshots torn by fault injection.
-    pub fn torn_injected(&self) -> u64 {
-        self.torn_injected
     }
 
     /// Torn (checksum-failing) snapshots currently retained for `app`.
@@ -214,7 +205,6 @@ mod tests {
         st.save(snap(0, 2, 8));
         assert!(st.latest(0).unwrap().is_intact(), "save seals");
         assert!(st.tear_latest(0));
-        assert_eq!(st.torn_injected(), 1);
         assert_eq!(st.torn_count(0), 1);
         // latest() still returns the torn snapshot; latest_valid() skips it.
         assert_eq!(st.latest(0).unwrap().ckpt_id, 2);
@@ -231,7 +221,6 @@ mod tests {
     fn tear_without_snapshots_is_a_noop() {
         let mut st = CheckpointStore::new(2);
         assert!(!st.tear_latest(5));
-        assert_eq!(st.torn_injected(), 0);
         assert!(st.latest_valid(5).is_none());
     }
 

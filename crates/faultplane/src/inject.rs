@@ -167,7 +167,6 @@ mod tests {
                 reorder: 0.1,
                 delay: 0.2,
                 max_extra_delay_ns: 1_000,
-                torn_ckpt: 0.0,
             },
             windows: Vec::new(),
         }

@@ -20,11 +20,6 @@ pub struct FaultRates {
     pub delay: f64,
     /// Upper bound on injected extra latency, nanoseconds.
     pub max_extra_delay_ns: u64,
-    /// Probability a checkpoint write is torn (persisted bytes corrupted so
-    /// the checksum no longer matches). Consumed by the checkpoint layer,
-    /// not the transports.
-    #[serde(default)]
-    pub torn_ckpt: f64,
 }
 
 impl Default for FaultRates {
@@ -35,7 +30,6 @@ impl Default for FaultRates {
             reorder: 0.0,
             delay: 0.0,
             max_extra_delay_ns: 1_000_000,
-            torn_ckpt: 0.0,
         }
     }
 }
@@ -91,7 +85,6 @@ impl FaultPlan {
             ("duplicate", self.rates.duplicate),
             ("reorder", self.rates.reorder),
             ("delay", self.rates.delay),
-            ("torn_ckpt", self.rates.torn_ckpt),
         ];
         for (name, r) in rates {
             if !(0.0..=1.0).contains(&r) || r.is_nan() {
@@ -181,7 +174,6 @@ mod tests {
                 reorder: 0.02,
                 delay: 0.2,
                 max_extra_delay_ns: 500_000,
-                torn_ckpt: 0.5,
             },
             windows: vec![FaultWindow { from_msg: 10, to_msg: 99 }],
         }

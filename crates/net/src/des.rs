@@ -360,7 +360,6 @@ mod tests {
                 reorder: 0.0,
                 delay: 0.0,
                 max_extra_delay_ns: 1_000,
-                torn_ckpt: 0.0,
             },
             windows: Vec::new(),
         }

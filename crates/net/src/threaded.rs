@@ -399,7 +399,6 @@ mod tests {
                 reorder,
                 delay: 0.0,
                 max_extra_delay_ns: 1_000,
-                torn_ckpt: 0.0,
             },
             windows: Vec::new(),
         }

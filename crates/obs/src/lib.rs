@@ -19,10 +19,9 @@
 //!   tracer (`Tracer::off()`) is a `None` and every call on it is a no-op, so
 //!   instrumentation-off runs do no extra work and allocate nothing;
 //! * a [`Recorder`] is where records go: [`FullRecorder`] keeps everything
-//!   (the JSONL / Perfetto export source), [`FlightRecorder`] keeps a bounded
-//!   ring of the most recent records for post-mortem dumps on failure, and
-//!   [`JsonlSink`] / [`PerfettoSink`] pair a full recorder with an export
-//!   format.
+//!   (the JSONL / Perfetto export source), and [`FlightRecorder`] keeps a
+//!   bounded ring of the most recent records for post-mortem dumps on
+//!   failure.
 //!
 //! Span and trace identifiers are allocated from a per-tracer monotonic
 //! counter. Allocation happens in engine-dispatch order, which is itself
@@ -212,40 +211,6 @@ impl Recorder for FlightRecorder {
 
     fn dropped(&self) -> u64 {
         self.shed
-    }
-}
-
-/// Full sink tagged with the JSONL export format (see
-/// [`Trace::to_jsonl`]).
-#[derive(Debug, Default)]
-pub struct JsonlSink(pub FullRecorder);
-
-impl Recorder for JsonlSink {
-    fn record(&mut self, r: Record) {
-        self.0.record(r);
-    }
-    fn drain(&mut self) -> Vec<Record> {
-        self.0.drain()
-    }
-    fn snapshot(&self) -> Vec<Record> {
-        self.0.snapshot()
-    }
-}
-
-/// Full sink tagged with the Chrome/Perfetto export format (see
-/// [`Trace::to_perfetto`]).
-#[derive(Debug, Default)]
-pub struct PerfettoSink(pub FullRecorder);
-
-impl Recorder for PerfettoSink {
-    fn record(&mut self, r: Record) {
-        self.0.record(r);
-    }
-    fn drain(&mut self) -> Vec<Record> {
-        self.0.drain()
-    }
-    fn snapshot(&self) -> Vec<Record> {
-        self.0.snapshot()
     }
 }
 

@@ -590,7 +590,6 @@ mod tests {
                 reorder: 0.10,
                 delay: 0.10,
                 max_extra_delay_ns: 200_000,
-                ..Default::default()
             },
             windows: Vec::new(),
         }

@@ -42,75 +42,3 @@ pub use backoff::{BackoffCfg, Breaker, BreakerState};
 pub use dlq::{DeadLetter, DeadLetterQueue};
 pub use domain::{DomainHealth, DomainKey, FailureDomain};
 pub use supervisor::{DeathCause, Supervisor, SupervisorCfg, Verdict};
-
-use serde::{Deserialize, Serialize};
-
-/// How a supervised component is brought back after a fail-stop, selectable
-/// per component (heterogeneous recovery — Mulone et al.'s per-task policies).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum RecoveryPolicy {
-    /// Roll back to the last checkpoint: ULFM repair, restore the checkpoint
-    /// from its storage tier, then re-execute with staging absorbing re-puts
-    /// and replaying gets (the paper's scheme).
-    #[default]
-    Checkpoint,
-    /// Roll back without re-reading the checkpoint image: ULFM repair plus
-    /// staging-client reconnection only, with the staging event log replaying
-    /// everything past the resume point. Valid only under logging protocols —
-    /// the journal *is* the recovery state.
-    JournalReplay,
-    /// Restart the process where it stood: no rollback, no staging recovery
-    /// round; the current step re-executes from its beginning and in-flight
-    /// requests are simply re-issued (localised recovery — Dichev et al.).
-    RestartInPlace,
-}
-
-impl RecoveryPolicy {
-    /// Does this policy roll the component's step counter back to its last
-    /// checkpoint (vs. resuming in place)?
-    pub fn rolls_back(&self) -> bool {
-        !matches!(self, RecoveryPolicy::RestartInPlace)
-    }
-
-    /// Does this policy require the staging event log (a logging protocol)?
-    pub fn needs_log(&self) -> bool {
-        matches!(self, RecoveryPolicy::JournalReplay)
-    }
-
-    /// Short label for traces and reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            RecoveryPolicy::Checkpoint => "checkpoint",
-            RecoveryPolicy::JournalReplay => "journal-replay",
-            RecoveryPolicy::RestartInPlace => "in-place",
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn policy_predicates() {
-        assert!(RecoveryPolicy::Checkpoint.rolls_back());
-        assert!(RecoveryPolicy::JournalReplay.rolls_back());
-        assert!(!RecoveryPolicy::RestartInPlace.rolls_back());
-        assert!(RecoveryPolicy::JournalReplay.needs_log());
-        assert!(!RecoveryPolicy::Checkpoint.needs_log());
-        assert_eq!(RecoveryPolicy::default(), RecoveryPolicy::Checkpoint);
-    }
-
-    #[test]
-    fn policy_serde_round_trips() {
-        for p in [
-            RecoveryPolicy::Checkpoint,
-            RecoveryPolicy::JournalReplay,
-            RecoveryPolicy::RestartInPlace,
-        ] {
-            let j = serde_json::to_string(&p).unwrap();
-            let back: RecoveryPolicy = serde_json::from_str(&j).unwrap();
-            assert_eq!(back, p);
-        }
-    }
-}

@@ -175,7 +175,7 @@ impl SeriesBuilder {
         self.windows.len()
     }
 
-    /// The most recently closed window (the SLO evaluator steps on this).
+    /// The most recently closed window.
     pub fn last_window(&self) -> Option<&Window> {
         self.windows.last()
     }

@@ -34,14 +34,12 @@
 //! component stops orchestrating its own recovery: a death notifies the
 //! [`crate::supervisor_actor::SupervisorActor`] and the component parks in
 //! `SupervisedWait` until a [`crate::supervisor_actor::RestartGrant`]
-//! arrives (after backoff and any breaker hold). The grant carries the
-//! component's [`RecoveryPolicy`] — checkpoint rollback, journal replay
-//! (rollback without re-reading the checkpoint image), or restart-in-place
-//! (no rollback at all) — and, for poison inputs past the breaker
-//! threshold, the step to quarantine. Unlike the unsupervised path, a
-//! failure *during* recovery is not coalesced: it kills the recovery and
-//! re-notifies the supervisor, whose backoff grows with the consecutive
-//! death count.
+//! arrives (after backoff and any breaker hold), then rolls back to its
+//! last checkpoint as the unsupervised path does. For poison inputs past
+//! the breaker threshold the grant carries the step to quarantine. Unlike
+//! the unsupervised path, a failure *during* recovery is not coalesced: it
+//! kills the recovery and re-notifies the supervisor, whose backoff grows
+//! with the consecutive death count.
 
 use crate::config::{ComponentConfig, WorkflowConfig};
 use ckpt::target::CkptTarget;
@@ -59,7 +57,7 @@ use staging::proto::{CtlMsg, CtlRequest, PutStatus, Reply, Request};
 use staging::server::{plan_get_routed, plan_put_virtual_routed};
 use staging::Router;
 use std::collections::BTreeSet;
-use supervise::{DeathCause, RecoveryPolicy};
+use supervise::DeathCause;
 
 /// Kick-off message (runner → component at t=0).
 pub struct StartStep;
@@ -215,9 +213,7 @@ pub struct ComponentActor {
     get_metrics: Option<(TailId, CounterId)>,
 
     // ---- supervision (all fields inert when `supervisor` is None) -------
-    /// The supervisor actor, when the run enables supervision. The
-    /// component's [`RecoveryPolicy`] lives with the supervisor and arrives
-    /// in each grant.
+    /// The supervisor actor, when the run enables supervision.
     supervisor: Option<ActorId>,
     /// Step whose input is poisoned (crashes this consumer on every attempt).
     poison_step: Option<u32>,
@@ -225,10 +221,6 @@ pub struct ComponentActor {
     quarantined_steps: BTreeSet<u32>,
     /// An outage is open (death reported, recovery not yet complete).
     outage_open: bool,
-    /// The granted restart skips the checkpoint read (journal replay).
-    restore_skips_ckpt: bool,
-    /// The granted restart is in-place: no rollback, no staging recovery.
-    restart_in_place: bool,
 
     // ---- observability (all fields inert when the tracer is off) -------
     tracer: obs::Tracer,
@@ -321,8 +313,6 @@ impl ComponentActor {
             poison_step: None,
             quarantined_steps: BTreeSet::new(),
             outage_open: false,
-            restore_skips_ckpt: false,
-            restart_in_place: false,
             tracer: obs::Tracer::off(),
             track: obs::TrackId(0),
             step_span: TraceCtx::NONE,
@@ -896,8 +886,6 @@ impl ComponentActor {
         );
         self.incarnation += 1;
         self.abort_work(ctx);
-        self.restore_skips_ckpt = false;
-        self.restart_in_place = false;
         if self.tracer.enabled() {
             // A death during recovery aborts the open recovery phase.
             let p = std::mem::take(&mut self.rec_phase_span);
@@ -948,45 +936,15 @@ impl ComponentActor {
             ctx.metrics().inc("wf.quarantined_steps", 1);
             self.span_instant(ctx, self.recovery_span, "quarantine", vec![arg("step", step)]);
         }
-        match grant.policy {
-            RecoveryPolicy::Checkpoint => {}
-            RecoveryPolicy::JournalReplay => self.restore_skips_ckpt = true,
-            RecoveryPolicy::RestartInPlace => self.restart_in_place = true,
-        }
-        if !self.restart_in_place {
-            // Rollback policies re-execute from the checkpoint; in-place
-            // restart resumes the interrupted step from live state and is
-            // not counted as a rollback recovery.
-            self.recoveries += 1;
-            ctx.metrics().inc("wf.recoveries", 1);
-            ctx.metrics().inc(
-                "wf.rollback_steps",
-                u64::from(self.step.saturating_sub(self.last_ckpt_step + 1)),
-            );
-        }
         if self.tracer.enabled() {
-            self.rec_phase_span = self.span_begin(
-                ctx,
-                self.recovery_span,
-                "ulfm",
-                vec![arg("policy", grant.policy.label())],
-            );
+            self.rec_phase_span = self.span_begin(ctx, self.recovery_span, "ulfm", Vec::new());
         }
-        self.phase = Phase::RecUlfm;
-        let victim = self.rng.next_bounded(self.comm.size().max(1) as u64) as usize;
-        let breakdown = ulfm::recover(&mut self.comm, &[victim], &self.ulfm, true);
-        ctx.metrics().observe("wf.ulfm_s", breakdown.total().as_secs_f64());
-        let incarnation = self.incarnation;
-        ctx.timer(breakdown.total(), UlfmDone { incarnation });
+        self.start_ulfm(ctx);
     }
 
     fn begin_rollback(&mut self, ctx: &mut Ctx<'_>) {
         self.incarnation += 1;
         self.abort_work(ctx);
-        self.recoveries += 1;
-        ctx.metrics().inc("wf.recoveries", 1);
-        ctx.metrics()
-            .inc("wf.rollback_steps", u64::from(self.step.saturating_sub(self.last_ckpt_step + 1)));
         if self.tracer.enabled() {
             if self.recovery_span.is_none() {
                 self.replay_until = self.step;
@@ -1005,6 +963,16 @@ impl ComponentActor {
             }
             self.rec_phase_span = self.span_begin(ctx, self.recovery_span, "ulfm", Vec::new());
         }
+        self.start_ulfm(ctx);
+    }
+
+    /// Count one rollback recovery and start its ULFM repair; restore and
+    /// the staging restart follow on `UlfmDone`.
+    fn start_ulfm(&mut self, ctx: &mut Ctx<'_>) {
+        self.recoveries += 1;
+        ctx.metrics().inc("wf.recoveries", 1);
+        ctx.metrics()
+            .inc("wf.rollback_steps", u64::from(self.step.saturating_sub(self.last_ckpt_step + 1)));
         self.phase = Phase::RecUlfm;
         let victim = self.rng.next_bounded(self.comm.size().max(1) as u64) as usize;
         let breakdown = ulfm::recover(&mut self.comm, &[victim], &self.ulfm, true);
@@ -1029,15 +997,9 @@ impl ComponentActor {
         // of the restarted component re-registers with staging — the
         // `workflow_restart()` client-recovery step of Fig. 7b). The failed
         // component's node-local checkpoint copies died with it, so even
-        // under two-level checkpointing its restore reads the PFS. Journal
-        // replay and in-place restarts skip the checkpoint image read and
-        // pay only the reconnect.
-        let read = if self.restore_skips_ckpt || self.restart_in_place {
-            SimTime::ZERO
-        } else {
-            self.pfs.read_time(self.cfg.state_bytes, 1)
-        };
-        let cost = read + self.reconnect_per_rank.scale(self.cfg.ranks as u64);
+        // under two-level checkpointing its restore reads the PFS.
+        let cost = self.pfs.read_time(self.cfg.state_bytes, 1)
+            + self.reconnect_per_rank.scale(self.cfg.ranks as u64);
         ctx.metrics().observe("wf.restore_s", cost.as_secs_f64());
         let incarnation = self.incarnation;
         ctx.timer(cost, RestoreDone { incarnation });
@@ -1046,15 +1008,6 @@ impl ComponentActor {
     fn on_restore_done(&mut self, ctx: &mut Ctx<'_>) {
         let p = std::mem::take(&mut self.rec_phase_span);
         self.span_end(ctx, p, Vec::new());
-        if self.restart_in_place {
-            // In-place restart: no rollback — the interrupted step
-            // re-executes from live state and staging needs no replay
-            // script.
-            self.restart_in_place = false;
-            self.begin_step(ctx);
-            return;
-        }
-        self.restore_skips_ckpt = false;
         self.step = self.last_ckpt_step + 1;
         if self.protocol.uses_logging() {
             // workflow_restart(): notify staging; servers build the replay

@@ -7,7 +7,6 @@ use serde::{Deserialize, Serialize};
 use sim_core::time::SimTime;
 use staging::geometry::BBox;
 use staging::service::ServerCosts;
-use supervise::RecoveryPolicy;
 use wfcr::protocol::{FtScheme, WorkflowProtocol};
 
 /// What a component does each coupling cycle.
@@ -108,12 +107,6 @@ pub struct ComponentConfig {
     pub subset_millis: u64,
     /// How the coupled subset moves across steps.
     pub subset_pattern: SubsetPattern,
-    /// How the supervisor brings this component back after a fail-stop
-    /// (per-component heterogeneous recovery). Only consulted when
-    /// [`WorkflowConfig::supervision`] is enabled; unsupervised runs keep
-    /// the director-orchestrated protocol recovery.
-    #[serde(default)]
-    pub recovery: RecoveryPolicy,
 }
 
 /// When and whom failures strike.
@@ -484,7 +477,7 @@ pub struct WorkflowConfig {
     /// configs — `#[serde(default)]` keeps old documents readable). When
     /// enabled, a virtual-time scraper actor samples the metrics registry
     /// every window and the run report carries a byte-deterministic windowed
-    /// series (plus online SLO breach detection when objectives are set).
+    /// series.
     #[serde(default)]
     pub telemetry: Option<TelemetryCfg>,
 }
@@ -497,28 +490,18 @@ pub struct TelemetryCfg {
     /// counter deltas, gauge closes, and exact per-window latency
     /// histograms.
     pub window: SimTime,
-    /// Optional SLO objectives evaluated online, window by window. Breach
-    /// instants are emitted into the obs trace as they fire.
-    #[serde(default)]
-    pub slo: Option<telemetry::SloCfg>,
 }
 
 impl Default for TelemetryCfg {
     fn default() -> Self {
-        TelemetryCfg { window: SimTime::from_millis(1_000), slo: None }
+        TelemetryCfg { window: SimTime::from_millis(1_000) }
     }
 }
 
 impl TelemetryCfg {
-    /// Telemetry with `window`-wide scrape windows and no SLOs.
+    /// Telemetry with `window`-wide scrape windows.
     pub fn windowed(window: SimTime) -> TelemetryCfg {
-        TelemetryCfg { window, slo: None }
-    }
-
-    /// Attach SLO objectives on a copy.
-    pub fn with_slo(mut self, slo: telemetry::SloCfg) -> TelemetryCfg {
-        self.slo = Some(slo);
-        self
+        TelemetryCfg { window }
     }
 }
 
@@ -601,15 +584,6 @@ impl WorkflowConfig {
     pub fn with_supervision(&self, supervision: SupervisionCfg) -> WorkflowConfig {
         let mut c = self.clone();
         c.supervision = Some(supervision);
-        c
-    }
-
-    /// Set every component's recovery policy on a copy.
-    pub fn with_recovery(&self, recovery: RecoveryPolicy) -> WorkflowConfig {
-        let mut c = self.clone();
-        for comp in &mut c.components {
-            comp.recovery = recovery;
-        }
         c
     }
 
@@ -799,33 +773,17 @@ impl WorkflowConfig {
                 }
             }
         }
-        if self.supervision.is_some() {
-            if self.protocol.coordinated_checkpoints() {
-                // Coordinated rollback is global by construction; a per-domain
-                // supervisor restarting one component would race the
-                // director's whole-workflow rollback.
-                return Err("supervision composes with per-component recovery, not with the \
-                     coordinated protocol's global rollback"
-                    .into());
-            }
-            for comp in &self.components {
-                if comp.recovery.needs_log() && !self.protocol.uses_logging() {
-                    return Err(format!(
-                        "component {} ({}): journal-replay recovery requires a \
-                         logging protocol, got {}",
-                        comp.app,
-                        comp.name,
-                        self.protocol.label()
-                    ));
-                }
-            }
+        if self.supervision.is_some() && self.protocol.coordinated_checkpoints() {
+            // Coordinated rollback is global by construction; a per-domain
+            // supervisor restarting one component would race the
+            // director's whole-workflow rollback.
+            return Err("supervision composes with per-component recovery, not with the \
+                 coordinated protocol's global rollback"
+                .into());
         }
         if let Some(t) = &self.telemetry {
             if t.window.0 == 0 {
                 return Err("telemetry scrape window must be nonzero".into());
-            }
-            if let Some(slo) = &t.slo {
-                slo.validate().map_err(|e| format!("telemetry SLO: {e}"))?;
             }
         }
         Ok(())
@@ -904,7 +862,6 @@ fn component(
         scheme: FtScheme::CheckpointRestart { period },
         subset_millis: 1000,
         subset_pattern: SubsetPattern::Fixed,
-        recovery: RecoveryPolicy::Checkpoint,
     }
 }
 
@@ -1288,15 +1245,6 @@ mod tests {
         // Supervision cannot ride the coordinated protocol's global rollback.
         let co = tiny(WorkflowProtocol::Coordinated).with_supervision(SupervisionCfg::default());
         assert!(co.validate().unwrap_err().contains("coordinated"));
-        // Journal-replay recovery requires a logging protocol.
-        let bad = tiny(WorkflowProtocol::Individual)
-            .with_supervision(SupervisionCfg::default())
-            .with_recovery(RecoveryPolicy::JournalReplay);
-        assert!(bad.validate().unwrap_err().contains("logging"));
-        let ok = tiny(WorkflowProtocol::Uncoordinated)
-            .with_supervision(SupervisionCfg::default())
-            .with_recovery(RecoveryPolicy::JournalReplay);
-        assert!(ok.validate().is_ok());
     }
 
     #[test]
@@ -1328,16 +1276,16 @@ mod tests {
             (0..5).flat_map(|scale| (0..4).map(move |nf| table3(scale, p, nf))).collect::<Vec<_>>()
         };
         let pins = [
-            ("table2", per_protocol(&|p| vec![table2(p)]), 0xAEC4_5775_97CF_1514u64),
-            ("table3", per_protocol(&table3_all), 0x74DC_803B_8D55_5D2A),
-            ("dns_les", per_protocol(&|p| vec![dns_les(p)]), 0xB8C5_B311_7FE7_DEAF),
+            ("table2", per_protocol(&|p| vec![table2(p)]), 0x9CB5_D7C9_55ED_C798u64),
+            ("table3", per_protocol(&table3_all), 0xC582_E9B5_A505_895A),
+            ("dns_les", per_protocol(&|p| vec![dns_les(p)]), 0xE7EC_1DE4_93EA_32B5),
             (
                 "fanout",
                 per_protocol(&|p| (1..=3).map(|n| fanout(p, n)).collect()),
-                0x34B9_5B10_D42D_10CA,
+                0xA201_EC66_F02F_890D,
             ),
-            ("tiny", per_protocol(&|p| vec![tiny(p)]), 0x3DB9_C810_A405_EE24),
-            ("micro", per_protocol(&|p| vec![micro(p)]), 0x16FD_8838_C6E8_B44F),
+            ("tiny", per_protocol(&|p| vec![tiny(p)]), 0x6C74_AB07_B692_8470),
+            ("micro", per_protocol(&|p| vec![micro(p)]), 0x483D_5393_6831_7B97),
         ];
         for (preset, got, want) in pins {
             assert_eq!(got, want, "{preset}: {got:#018X}");

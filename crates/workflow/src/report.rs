@@ -52,8 +52,11 @@ pub struct RunReport {
     pub replayed_gets: u64,
     /// Replay digest mismatches (must be 0 for deterministic components).
     pub digest_mismatches: u64,
-    /// Gets served a version other than the one requested (nonzero only
-    /// under non-logging protocols — quantifies In's inconsistency).
+    /// Gets served a version other than the one requested. Un and Hy must
+    /// read 0. In reads it by design (bounded retention, no log replay).
+    /// Co reads it today because of an unfixed defect: a put the
+    /// pre-rollback incarnation left in flight survives the `GlobalReset`
+    /// (`tests/crash_consistency_cases.rs` pins it).
     pub stale_gets: u64,
     /// Bytes reclaimed by log garbage collection.
     pub gc_reclaimed_bytes: u64,
@@ -142,9 +145,6 @@ pub struct RunReport {
     /// scrape window, byte-identical across same-seed runs.
     #[serde(default)]
     pub series: Option<telemetry::Series>,
-    /// SLO evaluation outcome (telemetry-on runs with objectives only).
-    #[serde(default)]
-    pub slo: Option<telemetry::SloReport>,
 }
 
 impl RunReport {
@@ -208,13 +208,6 @@ impl RunReport {
         }
         if let Some(series) = &self.series {
             s.push_str(&format!(" windows={}", series.windows.len()));
-        }
-        if let Some(slo) = &self.slo {
-            if slo.ok() {
-                s.push_str(" slo=ok");
-            } else {
-                s.push_str(&format!(" slo=BREACH({})", slo.breaches().len()));
-            }
         }
         s
     }
@@ -280,7 +273,6 @@ mod tests {
             states_pruned: 0,
             metrics: None,
             series: None,
-            slo: None,
         }
     }
 

@@ -251,7 +251,7 @@ pub fn build(cfg: &WorkflowConfig) -> BuiltWorkflow {
         };
         let mut sup = crate::supervisor_actor::SupervisorActor::new(s.supervisor_cfg(), dlq);
         for (i, c) in cfg.components.iter().enumerate() {
-            sup.watch_component(c.app, comp_ids[i], c.recovery);
+            sup.watch_component(c.app, comp_ids[i]);
         }
         for srv in 0..cfg.nservers {
             sup.watch_server(srv as u32);
@@ -428,8 +428,7 @@ pub fn build(cfg: &WorkflowConfig) -> BuiltWorkflow {
     // registry, never the RNG — so enabling it cannot change the simulated
     // outcome, only the dispatch count (its ticks are events).
     let tel_id = cfg.telemetry.as_ref().map(|t| {
-        let mut tel = crate::telemetry_actor::TelemetryActor::new(t);
-        tel.set_tracer(tracer.clone());
+        let tel = crate::telemetry_actor::TelemetryActor::new(t);
         let id = engine.add_actor(Box::new(tel));
         engine.schedule_at(t.window, id, crate::telemetry_actor::Tick);
         id
@@ -486,19 +485,14 @@ pub fn harvest(built: &mut BuiltWorkflow) -> RunReport {
     let total_time_s = finish_times_s.iter().map(|&(_, t)| t).fold(0.0, f64::max);
 
     // Telemetry: flush the final (partial) window against the end-of-run
-    // registry and detach the series + SLO outcome.
-    let telemetry_harvest = tel_id.map(|tid| {
+    // registry and detach the series.
+    let series = tel_id.map(|tid| {
         let end_ns = engine.now().0;
-        let seq = engine.dispatched();
         let tel = engine
             .actor_as_mut::<crate::telemetry_actor::TelemetryActor>(tid)
             .expect("telemetry actor");
-        tel.harvest(end_ns, seq, &m)
+        tel.harvest(end_ns, &m)
     });
-    let (series, slo) = match telemetry_harvest {
-        Some((s, r)) => (Some(s), r),
-        None => (None, None),
-    };
 
     let mut staging_peak_bytes = 0u64;
     let mut staging_peak_upper_bytes = 0u64;
@@ -617,7 +611,6 @@ pub fn harvest(built: &mut BuiltWorkflow) -> RunReport {
         states_pruned: 0,
         metrics: Some(m.snapshot()),
         series,
-        slo,
     }
 }
 
@@ -781,7 +774,6 @@ mod tests {
                 reorder: 0.05,
                 delay: 0.10,
                 max_extra_delay_ns: 500_000,
-                ..Default::default()
             },
             windows: Vec::new(),
         }

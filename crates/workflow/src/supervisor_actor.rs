@@ -14,7 +14,7 @@ use obs::{arg, TraceCtx};
 use sim_core::engine::{Actor, ActorId, Ctx, Event};
 use sim_core::time::SimTime;
 use staging::server::{ServerDownNotice, ServerUpNotice};
-use supervise::{DeadLetterQueue, DeathCause, DomainKey, RecoveryPolicy, Supervisor};
+use supervise::{DeadLetterQueue, DeathCause, DomainKey, Supervisor};
 
 /// Component → supervisor: the component died.
 pub struct ComponentDown {
@@ -43,11 +43,10 @@ pub struct FailoverNotice {
     pub app: u32,
 }
 
-/// Supervisor → component: restart now, under `policy`. Fires after the
-/// backoff (and any breaker hold) chosen by the policy machine.
+/// Supervisor → component: restart now, rolling back to the last
+/// checkpoint. Fires after the backoff (and any breaker hold) chosen by the
+/// policy machine.
 pub struct RestartGrant {
-    /// How the component must recover its state.
-    pub policy: RecoveryPolicy,
     /// A step to quarantine before restarting (poison past the threshold).
     pub quarantine: Option<u32>,
 }
@@ -59,8 +58,6 @@ pub struct SupervisorActor {
     sup: Supervisor,
     /// App id → component actor, for grant delivery.
     comp_actor: BTreeMap<u32, ActorId>,
-    /// App id → that component's recovery policy.
-    comp_policy: BTreeMap<u32, RecoveryPolicy>,
     // Observability (inert when the tracer is off).
     tracer: obs::Tracer,
     track: obs::TrackId,
@@ -68,7 +65,7 @@ pub struct SupervisorActor {
     outage_spans: BTreeMap<DomainKey, TraceCtx>,
     /// Outage start (virtual ns) per down domain — always on, unlike the
     /// tracer spans, so the `sup.outage_s` tail histogram (MTTR for the
-    /// windowed telemetry series and SLO targets) exists in untraced runs.
+    /// windowed telemetry series) exists in untraced runs.
     /// Consecutive deaths extend the one open outage.
     outage_since: BTreeMap<DomainKey, u64>,
 }
@@ -80,7 +77,6 @@ impl SupervisorActor {
         SupervisorActor {
             sup: Supervisor::with_dlq(cfg, dlq),
             comp_actor: BTreeMap::new(),
-            comp_policy: BTreeMap::new(),
             tracer: obs::Tracer::off(),
             track: obs::TrackId(0),
             outage_spans: BTreeMap::new(),
@@ -88,12 +84,10 @@ impl SupervisorActor {
         }
     }
 
-    /// Watch the component `app`, delivering grants to `actor` under
-    /// `policy`.
-    pub fn watch_component(&mut self, app: u32, actor: ActorId, policy: RecoveryPolicy) {
+    /// Watch the component `app`, delivering grants to `actor`.
+    pub fn watch_component(&mut self, app: u32, actor: ActorId) {
         self.sup.watch(DomainKey::Component(app));
         self.comp_actor.insert(app, actor);
-        self.comp_policy.insert(app, policy);
     }
 
     /// Watch staging server `server`. Its restarts are driven by the
@@ -161,7 +155,6 @@ impl SupervisorActor {
         let verdict = self.sup.on_death(key, now, msg.cause);
         ctx.metrics().inc("sup.deaths", 1);
         ctx.metrics().inc("sup.restarts", 1);
-        let policy = *self.comp_policy.get(&msg.app).expect("death from unwatched component");
         let quarantine = match verdict {
             supervise::Verdict::Quarantine { step, .. } => {
                 ctx.metrics().inc("sup.quarantined", 1);
@@ -182,7 +175,7 @@ impl SupervisorActor {
         };
         let target = *self.comp_actor.get(&msg.app).expect("death from unwatched component");
         let delay = SimTime::from_nanos(verdict.delay_ns());
-        ctx.send_after(delay, target, RestartGrant { policy, quarantine });
+        ctx.send_after(delay, target, RestartGrant { quarantine });
     }
 }
 

@@ -10,11 +10,6 @@
 //! functions of the seed, the same seed always yields the same series,
 //! byte for byte.
 //!
-//! When the config carries SLO objectives, a [`telemetry::SloEval`] steps
-//! on every closed window; burn-rate breaches are emitted as `slo.breach`
-//! instants into the obs trace at the window-close timestamp, so a breach
-//! sits causally among the puts and faults that caused it.
-//!
 //! The actor is observational only: it never touches the RNG, sends
 //! nothing to other actors, and stops rescheduling once the engine is
 //! stopping, so a telemetry-on run produces the same simulated outcome as
@@ -25,7 +20,7 @@ use crate::config::TelemetryCfg;
 use sim_core::engine::{Actor, Ctx, Event};
 use sim_core::metrics::Metrics;
 use sim_core::time::SimTime;
-use telemetry::{Series, SeriesBuilder, SloEval, SloReport};
+use telemetry::{Series, SeriesBuilder};
 
 /// The scraper's self-rescheduling tick.
 pub struct Tick;
@@ -35,8 +30,6 @@ pub struct Tick;
 pub struct TelemetryActor {
     window: SimTime,
     builder: Option<SeriesBuilder>,
-    slo: Option<SloEval>,
-    tracer: obs::Tracer,
 }
 
 impl TelemetryActor {
@@ -45,14 +38,7 @@ impl TelemetryActor {
         TelemetryActor {
             window: cfg.window,
             builder: Some(SeriesBuilder::new(cfg.window.0.max(1))),
-            slo: cfg.slo.as_ref().map(|s| SloEval::new(s.clone())),
-            tracer: obs::Tracer::off(),
         }
-    }
-
-    /// Attach the run's shared trace recorder.
-    pub fn set_tracer(&mut self, tracer: obs::Tracer) {
-        self.tracer = tracer;
     }
 
     /// Scrape the cumulative registry into one closed window ending at
@@ -71,46 +57,14 @@ impl TelemetryActor {
         builder.close_window();
     }
 
-    /// Step the SLO evaluator on the most recent window and emit any
-    /// burn-rate breaches as trace instants stamped `(t, seq)`.
-    fn step_slo(&mut self, t: u64, seq: u64) {
-        let (Some(ev), Some(w)) =
-            (&mut self.slo, self.builder.as_ref().and_then(|b| b.last_window()))
-        else {
-            return;
-        };
-        let fired = ev.step(w);
-        if fired.is_empty() || !self.tracer.enabled() {
-            return;
-        }
-        let track = self.tracer.track("telemetry");
-        for b in fired {
-            self.tracer.instant(
-                obs::TraceCtx::NONE,
-                track,
-                "slo.breach",
-                t,
-                seq,
-                vec![
-                    obs::arg("objective", &b.objective),
-                    obs::arg("burn", format!("{:.3}", b.burn_rate)),
-                ],
-            );
-        }
-    }
-
     /// Flush the final (usually partial) window at `end_ns` and hand back
-    /// the finished series plus the SLO outcome. Called once from harvest.
-    pub fn harvest(&mut self, end_ns: u64, seq: u64, m: &Metrics) -> (Series, Option<SloReport>) {
+    /// the finished series. Called once from harvest.
+    pub fn harvest(&mut self, end_ns: u64, m: &Metrics) -> Series {
         let mut builder = self.builder.take().expect("telemetry harvested once");
-        let needs_final = builder.last_window().is_none_or(|w| w.end_ns < end_ns);
-        if needs_final {
+        if builder.last_window().is_none_or(|w| w.end_ns < end_ns) {
             Self::scrape(&mut builder, end_ns, m);
-            self.builder = Some(builder);
-            self.step_slo(end_ns, seq);
-            builder = self.builder.take().expect("builder restored");
         }
-        (builder.finish(), self.slo.take().map(SloEval::finish))
+        builder.finish()
     }
 }
 
@@ -119,11 +73,8 @@ impl Actor for TelemetryActor {
         if !ev.is::<Tick>() {
             return;
         }
-        let end_ns = ctx.now().0;
-        let seq = ctx.seq();
         if let Some(builder) = self.builder.as_mut() {
-            Self::scrape(builder, end_ns, ctx.metrics());
-            self.step_slo(end_ns, seq);
+            Self::scrape(builder, ctx.now().0, ctx.metrics());
         }
         if !ctx.stopping() {
             ctx.timer(self.window, Tick);

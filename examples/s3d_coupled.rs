@@ -32,7 +32,6 @@ fn s3d_config(protocol: WorkflowProtocol) -> WorkflowConfig {
                 jitter: 0.04,
                 state_bytes: 128 * (40 << 20),
                 scheme: FtScheme::CheckpointRestart { period: 4 },
-                recovery: supervise::RecoveryPolicy::Checkpoint,
                 subset_millis: 1000,
                 subset_pattern: workflow::config::SubsetPattern::Fixed,
             },
@@ -46,7 +45,6 @@ fn s3d_config(protocol: WorkflowProtocol) -> WorkflowConfig {
                 jitter: 0.04,
                 state_bytes: 32 * (40 << 20),
                 scheme: FtScheme::CheckpointRestart { period: 6 },
-                recovery: supervise::RecoveryPolicy::Checkpoint,
                 subset_millis: 1000,
                 subset_pattern: workflow::config::SubsetPattern::Fixed,
             },

@@ -21,15 +21,12 @@
 //! supervision counters) followed by the machine-readable report line.
 
 use sim_core::time::SimTime;
-use supervise::RecoveryPolicy;
 use wfcr::protocol::WorkflowProtocol;
 use workflow::config::{tiny, FailureSpec, SupervisionCfg};
 use workflow::runner::run;
 
 fn main() {
-    let base = tiny(WorkflowProtocol::Uncoordinated)
-        .with_supervision(SupervisionCfg::default())
-        .with_recovery(RecoveryPolicy::Checkpoint);
+    let base = tiny(WorkflowProtocol::Uncoordinated).with_supervision(SupervisionCfg::default());
 
     println!("-- single crash, healed by restart --");
     let crash = base.with_failures(vec![FailureSpec::At {

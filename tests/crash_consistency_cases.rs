@@ -7,12 +7,18 @@
 //! * **Case 2** — the simulation fails and re-writes steps already staged.
 //!   Under individual C/R the duplicate writes land as fresh data (and can
 //!   resurrect stale versions); under the logging scheme they are absorbed.
+//!
+//! The last test runs the whole workflow and pins a defect of the
+//! coordinated baseline: a consumer failure leaves it serving stale data.
 
+use sim_core::time::SimTime;
 use staging::geometry::BBox;
 use staging::payload::Payload;
 use staging::proto::{CtlRequest, GetRequest, ObjDesc, PutRequest, PutStatus};
 use staging::service::{PlainBackend, StoreBackend};
 use wfcr::backend::{pieces_digest, LoggingBackend};
+use wfcr::protocol::WorkflowProtocol;
+use workflow::config::{tiny, FailureSpec};
 
 const SIM: u32 = 0;
 const ANA: u32 = 1;
@@ -156,4 +162,29 @@ fn consumer_downstream_of_producer_rollback_sees_single_consistent_history() {
         assert_eq!(got, expect, "step {v} content");
     }
     assert_eq!(logged.digest_mismatches(), 0);
+}
+
+/// The consumer fails at 700 ms of `tiny`, after the producer has put
+/// v1–v6. Un and Hy replay every re-read from the log; In, with bounded
+/// retention and no log, serves stale versions by design (the positive
+/// control). Co should read 0 like the logging protocols, but does not: a
+/// v7 put that the producer's pre-rollback incarnation already had on the
+/// wire lands after the `GlobalReset` that cut v5 and v6, and the rolled-back
+/// consumer's gets of v5 and v6 are released against it.
+#[test]
+fn a_consumer_failure_reads_stale_data_only_where_the_protocol_allows() {
+    let stale = |protocol| {
+        let cfg = tiny(protocol)
+            .with_failures(vec![FailureSpec::At { at: SimTime::from_millis(700), app: ANA }]);
+        workflow::runner::run(&cfg).stale_gets
+    };
+    assert_eq!(stale(WorkflowProtocol::Uncoordinated), 0, "Un replays from the log");
+    assert_eq!(stale(WorkflowProtocol::Hybrid), 0, "Hy replays from the log");
+    assert!(stale(WorkflowProtocol::Individual) > 0, "In keeps no log: stale reads by design");
+    assert_eq!(
+        stale(WorkflowProtocol::Coordinated),
+        16,
+        "pins an unfixed defect (the orphan put): a put from the pre-rollback \
+         incarnation survives the GlobalReset. The fix must turn this into `== 0`"
+    );
 }

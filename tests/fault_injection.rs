@@ -66,7 +66,6 @@ fn lossy(seed: u64) -> FaultPlan {
             reorder: 0.08,
             delay: 0.10,
             max_extra_delay_ns: 200_000,
-            ..Default::default()
         },
         windows: Vec::new(),
     }

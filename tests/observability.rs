@@ -135,7 +135,6 @@ fn net_retries_appear_as_resend_instants() {
             reorder: 0.05,
             delay: 0.10,
             max_extra_delay_ns: 500_000,
-            ..Default::default()
         },
         windows: Vec::new(),
     };

@@ -4,7 +4,7 @@
 //! The invariants pinned here, per the supervision design (DESIGN §8):
 //!
 //! * A single component crash — including one landing *during its own
-//!   recovery* — recovers under every [`RecoveryPolicy`] without a global
+//!   recovery* — recovers by checkpoint rollback without a global
 //!   rollback: only the victim rolls back, the run completes, and the
 //!   staging replay digests verify clean.
 //! * A poison put crash-loops its consumer until the breaker trips, the
@@ -17,7 +17,7 @@
 mod common;
 
 use std::time::Duration;
-use supervise::{DeadLetterQueue, RecoveryPolicy};
+use supervise::DeadLetterQueue;
 use wfcr::protocol::WorkflowProtocol;
 use workflow::config::{tiny, FailureSpec, SupervisionCfg, TraceCfg, WorkflowConfig};
 use workflow::runner::run;
@@ -28,10 +28,8 @@ use sim_core::time::SimTime;
 /// Supervised tiny workflow under the uncoordinated (logging) protocol —
 /// logging keeps the replay digest checker live so `digest_mismatches`
 /// means something in every test.
-fn supervised(policy: RecoveryPolicy) -> WorkflowConfig {
-    tiny(WorkflowProtocol::Uncoordinated)
-        .with_supervision(SupervisionCfg::default())
-        .with_recovery(policy)
+fn supervised() -> WorkflowConfig {
+    tiny(WorkflowProtocol::Uncoordinated).with_supervision(SupervisionCfg::default())
 }
 
 fn assert_completed(rep: &RunReport, ctx: &str) {
@@ -39,40 +37,20 @@ fn assert_completed(rep: &RunReport, ctx: &str) {
     assert_eq!(rep.digest_mismatches, 0, "{ctx}: replay digests must verify clean");
 }
 
-/// One mid-run crash of the consumer, per recovery policy. Each policy
-/// restarts exactly once, only the victim pays (no global rollback), and
-/// the policies' restore costs are ordered the way the design promises:
-/// journal replay skips the checkpoint-image read, restart-in-place skips
-/// the rollback entirely.
+/// One mid-run crash of the consumer: the supervisor restarts it exactly
+/// once, by checkpoint rollback, and only the victim pays (no global
+/// rollback).
 #[test]
 fn single_crash_recovers_per_policy() {
     let _wd = common::watchdog("single_crash_recovers_per_policy", Duration::from_secs(120));
     let fail = vec![FailureSpec::At { at: SimTime::from_millis(700), app: 1 }];
 
-    let ck = run(&supervised(RecoveryPolicy::Checkpoint).with_failures(fail.clone()));
+    let ck = run(&supervised().with_failures(fail));
     assert_completed(&ck, "checkpoint");
     assert_eq!(ck.restarts, 1);
     assert_eq!(ck.quarantined, 0);
     assert_eq!(ck.recoveries, 1, "checkpoint: only the victim rolls back");
     assert!(ck.mttr_mean_s > 0.0 && ck.mttr_max_s >= ck.mttr_mean_s);
-
-    let jr = run(&supervised(RecoveryPolicy::JournalReplay).with_failures(fail.clone()));
-    assert_completed(&jr, "journal-replay");
-    assert_eq!(jr.restarts, 1);
-    assert_eq!(jr.recoveries, 1);
-    assert!(
-        jr.recovery_restore_s < ck.recovery_restore_s,
-        "journal replay must skip the checkpoint-image read ({} vs {})",
-        jr.recovery_restore_s,
-        ck.recovery_restore_s
-    );
-
-    let ip = run(&supervised(RecoveryPolicy::RestartInPlace).with_failures(fail));
-    assert_completed(&ip, "restart-in-place");
-    assert_eq!(ip.restarts, 1);
-    assert_eq!(ip.recoveries, 0, "restart-in-place does not roll back");
-    assert_eq!(ip.rollback_steps, 0);
-    assert!(ip.mttr_mean_s > 0.0);
 }
 
 /// Satellite 4 — the deterministic poison-put regression. A poisoned step-3
@@ -83,8 +61,7 @@ fn single_crash_recovers_per_policy() {
 #[test]
 fn poison_put_quarantines_and_rest_completes_byte_identically() {
     let _wd = common::watchdog("poison_put_quarantines", Duration::from_secs(120));
-    let cfg = supervised(RecoveryPolicy::Checkpoint)
-        .with_failures(vec![FailureSpec::PoisonPut { victim: 1, step: 3 }]);
+    let cfg = supervised().with_failures(vec![FailureSpec::PoisonPut { victim: 1, step: 3 }]);
     let a = run(&cfg);
     assert_completed(&a, "poison-put");
     assert_eq!(a.quarantined, 1, "the poisoned step must land in the DLQ");
@@ -115,13 +92,11 @@ fn poison_put_without_supervision_is_rejected() {
 #[test]
 fn crash_during_recovery_extends_the_outage() {
     let _wd = common::watchdog("crash_during_recovery", Duration::from_secs(120));
-    let cfg = supervised(RecoveryPolicy::Checkpoint).with_failures(vec![
-        FailureSpec::FailDuringRecovery {
-            at: SimTime::from_millis(700),
-            app: 1,
-            again_after: SimTime::from_millis(80),
-        },
-    ]);
+    let cfg = supervised().with_failures(vec![FailureSpec::FailDuringRecovery {
+        at: SimTime::from_millis(700),
+        app: 1,
+        again_after: SimTime::from_millis(80),
+    }]);
     let rep = run(&cfg);
     assert_completed(&rep, "fail-during-recovery");
     assert_eq!(rep.restarts, 2, "both deaths must be granted a restart");
@@ -142,24 +117,22 @@ fn crash_during_recovery_extends_the_outage() {
 #[test]
 fn cascading_and_correlated_failures_recover_deterministically() {
     let _wd = common::watchdog("cascading_and_correlated", Duration::from_secs(120));
-    let cascade =
-        supervised(RecoveryPolicy::Checkpoint).with_failures(vec![FailureSpec::Cascading {
-            at: SimTime::from_millis(600),
-            first: 0,
-            spread: SimTime::from_millis(120),
-            servers: vec![],
-        }]);
+    let cascade = supervised().with_failures(vec![FailureSpec::Cascading {
+        at: SimTime::from_millis(600),
+        first: 0,
+        spread: SimTime::from_millis(120),
+        servers: vec![],
+    }]);
     let c1 = run(&cascade);
     assert_completed(&c1, "cascading");
     assert_eq!(c1.restarts, 2, "the failure must spread to both components");
     assert_eq!(c1.to_json_line(), run(&cascade).to_json_line());
 
-    let correlated =
-        supervised(RecoveryPolicy::Checkpoint).with_failures(vec![FailureSpec::Correlated {
-            at: SimTime::from_millis(650),
-            apps: vec![0, 1],
-            servers: vec![],
-        }]);
+    let correlated = supervised().with_failures(vec![FailureSpec::Correlated {
+        at: SimTime::from_millis(650),
+        apps: vec![0, 1],
+        servers: vec![],
+    }]);
     let r1 = run(&correlated);
     assert_completed(&r1, "correlated");
     assert_eq!(r1.restarts, 2, "both victims must restart");
@@ -262,7 +235,7 @@ fn scenario_cfg(s: &faultplane::Scenario) -> WorkflowConfig {
         }
         ScenarioKind::PoisonPut => vec![FailureSpec::PoisonPut { victim: 1, step: 3 }],
     };
-    let mut cfg = supervised(RecoveryPolicy::Checkpoint).with_failures(failures).with_seed(s.seed);
+    let mut cfg = supervised().with_failures(failures).with_seed(s.seed);
     cfg.trace = Some(TraceCfg { flight_cap: Some(2048) });
     cfg
 }

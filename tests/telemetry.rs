@@ -1,7 +1,7 @@
 //! Telemetry guarantees: exact histograms, deterministic windowed series,
-//! SLO breach detection, and scraper inertness.
+//! and scraper inertness.
 //!
-//! Four claims are checked here, next to `tests/observability.rs`'s trace
+//! Three claims are checked here, next to `tests/observability.rs`'s trace
 //! determinism suite:
 //!
 //! 1. **Exactness** — the mergeable log-linear histogram is associative and
@@ -10,20 +10,17 @@
 //!    relative error bound.
 //! 2. **Byte-determinism** — two same-seed telemetry-on runs export
 //!    byte-identical JSONL and OpenMetrics series.
-//! 3. **SLO evaluation** — a seeded violation scenario fails `slo-check`
-//!    semantics and lands a `slo.breach` instant in the obs trace at the
-//!    breaching window close.
-//! 4. **Inertness** — the scraper must not perturb the simulated outcome:
+//! 3. **Inertness** — the scraper must not perturb the simulated outcome:
 //!    telemetry-on and telemetry-off runs agree on every
 //!    consistency-relevant output.
 
 use proptest::prelude::*;
 use sim_core::metrics::Metrics;
 use sim_core::time::SimTime;
-use telemetry::{export, Histogram, Objective, SloCfg, SloEval, Target};
+use telemetry::{export, Histogram};
 use wfcr::protocol::WorkflowProtocol;
-use workflow::config::{tiny, FailureSpec, SupervisionCfg, TraceCfg, WorkflowConfig};
-use workflow::runner::{run, run_traced};
+use workflow::config::{tiny, FailureSpec, SupervisionCfg, WorkflowConfig};
+use workflow::runner::run;
 use workflow::TelemetryCfg;
 
 fn hist_of(values: &[u64]) -> Histogram {
@@ -159,56 +156,26 @@ fn hot_path_gauges_land_in_the_series() {
     assert!(cum.count() > 0);
 }
 
+/// `staging.server{i}.qdepth` is set only when a request is enqueued, so
+/// it never records the queue draining: every server's gauge ends at 1
+/// though every queue is empty when the run completes. This pins the value
+/// as it is today; the fix changes `series.jsonl` and goes in its own
+/// change, which must turn this into `== 0`.
 #[test]
-fn seeded_slo_violation_breaches_and_lands_in_the_trace() {
-    // An objective no run can hold: sub-nanosecond p99 on the put path,
-    // zero tolerance for violating windows.
-    let slo = SloCfg {
-        objectives: vec![Objective {
-            name: "put-p99".into(),
-            target: Target::Quantile { metric: "wf.put_response_s".into(), q: 0.99, max_s: 1e-9 },
-            budget: 0.01,
-            burn_windows: 1,
-        }],
-    };
-    let cfg = tiny(WorkflowProtocol::Uncoordinated)
-        .with_telemetry(telemetry_cfg().with_slo(slo.clone()))
-        .with_tracing(TraceCfg::full());
-    let (report, trace) = run_traced(&cfg);
-    let slo_report = report.slo.expect("SLO report attached");
-    assert!(!slo_report.ok(), "impossible objective breaches");
-    let breaches = slo_report.breaches();
-    assert!(!breaches.is_empty());
-
-    // Offline replay over the exported series produces the same breaches —
-    // the `wf-metrics slo-check` contract.
+fn qdepth_gauges_end_at_one_on_drained_queues() {
+    let cfg = tiny(WorkflowProtocol::Uncoordinated).with_telemetry(TelemetryCfg::default());
+    let report = run(&cfg);
     let series = report.series.expect("series");
-    let offline = SloEval::evaluate(&slo, &series);
-    assert_eq!(offline, slo_report, "online and offline evaluation agree");
-
-    // The breach instant sits in the obs trace at the window close.
-    let instants: Vec<_> = trace
-        .records
-        .iter()
-        .filter(|r| r.k == obs::RecordKind::Instant && r.name == "slo.breach")
-        .collect();
-    assert_eq!(instants.len(), breaches.len(), "one instant per breach");
-    assert_eq!(instants[0].t, breaches[0].at_ns, "instant lands at the breaching close");
-    assert!(
-        instants[0].args.iter().any(|a| a.k == "objective" && a.v == "put-p99"),
-        "instant names the objective"
-    );
-
-    // An honest objective on the same run holds.
-    let ok_slo = SloCfg {
-        objectives: vec![Objective {
-            name: "put-p99-lenient".into(),
-            target: Target::Quantile { metric: "wf.put_response_s".into(), q: 0.99, max_s: 10.0 },
-            budget: 0.5,
-            burn_windows: 4,
-        }],
-    };
-    assert!(SloEval::evaluate(&ok_slo, &series).ok(), "lenient objective holds");
+    for i in 0..cfg.nservers {
+        let name = format!("staging.server{i}.qdepth");
+        let last = series.gauge_points(&name).last().map(|(_, v)| v);
+        assert_eq!(
+            last,
+            Some(1),
+            "{name}: pinned known defect, the gauge is not updated on dequeue; \
+             its fix goes in its own change (it changes series.jsonl)"
+        );
+    }
 }
 
 #[test]
@@ -220,17 +187,11 @@ fn supervised_outages_feed_the_mttr_series_and_slo() {
     let series = report.series.expect("series");
     let mttr = series.cumulative_hist("sup.outage_s").expect("outage tail recorded");
     assert!(mttr.count() >= 1, "at least the injected outage");
-
-    // The paper's `recovery.mttr < Y s` SLO form: worst outage under a
-    // bound that the observed MTTR satisfies, and one it cannot.
-    let objective = |max_s: f64| SloCfg {
-        objectives: vec![Objective {
-            name: "mttr".into(),
-            target: Target::Quantile { metric: "sup.outage_s".into(), q: 1.0, max_s },
-            budget: 0.01,
-            burn_windows: 1,
-        }],
-    };
-    assert!(SloEval::evaluate(&objective(60.0), &series).ok(), "loose MTTR bound holds");
-    assert!(!SloEval::evaluate(&objective(1e-9), &series).ok(), "impossible MTTR bound breaches");
+    // The series' worst outage is the report's.
+    let worst_s = telemetry::ns_to_secs(mttr.max().expect("nonempty"));
+    assert!(
+        (worst_s - report.mttr_max_s).abs() < 1e-6,
+        "series max {worst_s} vs report {}",
+        report.mttr_max_s
+    );
 }

@@ -5,16 +5,13 @@
 //!
 //! Reads a series exported with `telemetry::export::to_jsonl` (attached to
 //! a `RunReport` when the workflow runs with `TelemetryCfg`) and answers
-//! the questions dashboards would: what moved per window, did the run hold
-//! its SLOs, and what changed between two runs.
+//! the questions dashboards would: what moved per window and what changed
+//! between two runs.
 //!
 //! Subcommands (file arguments are always last):
 //!
 //! * `wf-metrics summary <series.jsonl>` — per-metric overview: counter
 //!   totals, gauge close/peak values, histogram counts and p50/p99/p999.
-//! * `wf-metrics slo-check <slo.json> <series.jsonl>` — replay the SLO
-//!   evaluator offline over the series; prints per-objective violations,
-//!   peak burn rate, and every breach instant. Exit 1 on any breach.
 //! * `wf-metrics diff <runA.jsonl> <runB.jsonl>` — run-to-run comparison:
 //!   counter totals and histogram quantiles side by side with drift.
 //! * `wf-metrics export <series.jsonl>` — OpenMetrics text exposition on
@@ -28,7 +25,7 @@
 
 use std::process::ExitCode;
 
-use telemetry::{bench, export, Series, SloCfg, SloEval};
+use telemetry::{bench, export, Series};
 
 /// Nanoseconds → `S.mmmuuu ms`, integer math only, so output bytes are a
 /// pure function of the input.
@@ -113,33 +110,6 @@ fn cmd_summary(series: &Series) {
                 h.max().map_or_else(|| "-".into(), fmt_ms)
             );
         }
-    }
-}
-
-fn cmd_slo_check(cfg_path: &str, series: &Series) -> Result<ExitCode, String> {
-    let text = read(cfg_path)?;
-    let cfg: SloCfg = serde_json::from_str(text.trim()).map_err(|e| format!("{cfg_path}: {e}"))?;
-    cfg.validate().map_err(|e| format!("{cfg_path}: {e}"))?;
-    let report = SloEval::evaluate(&cfg, series);
-    for o in &report.objectives {
-        println!(
-            "{:<24} {:>8} windows {:>6} violations  peak burn {:.3}  {}",
-            o.objective,
-            o.windows,
-            o.violations,
-            o.peak_burn,
-            if o.ok() { "ok" } else { "BREACH" }
-        );
-        for b in &o.breaches {
-            println!("  breach at {} (burn {:.3})", fmt_ms(b.at_ns), b.burn_rate);
-        }
-    }
-    if report.ok() {
-        println!("slo: ok ({} objectives)", report.objectives.len());
-        Ok(ExitCode::SUCCESS)
-    } else {
-        println!("slo: {} breach(es)", report.breaches().len());
-        Ok(ExitCode::FAILURE)
     }
 }
 
@@ -236,12 +206,12 @@ fn cmd_gate(baseline_path: &str, fresh_path: &str) -> Result<ExitCode, String> {
     }
 }
 
-const USAGE: &str = "usage: wf-metrics <summary <series>|slo-check <slo.json> <series>|diff <a> <b>|export <series>|gate <baseline> <fresh>>";
+const USAGE: &str =
+    "usage: wf-metrics <summary <series>|diff <a> <b>|export <series>|gate <baseline> <fresh>>";
 
 /// Parsed invocation: which report to produce over which files.
 enum Cmd {
     Summary(String),
-    SloCheck(String, String),
     Diff(String, String),
     Export(String),
     Gate(String, String),
@@ -259,7 +229,6 @@ fn parse_args(args: &[String]) -> Result<Cmd, String> {
     match args.split_first() {
         Some((cmd, rest)) => match cmd.as_str() {
             "summary" => Ok(Cmd::Summary(one(rest)?)),
-            "slo-check" => two(rest).map(|(c, s)| Cmd::SloCheck(c, s)),
             "diff" => two(rest).map(|(a, b)| Cmd::Diff(a, b)),
             "export" => Ok(Cmd::Export(one(rest)?)),
             "gate" => two(rest).map(|(b, f)| Cmd::Gate(b, f)),
@@ -277,7 +246,6 @@ fn run(cmd: Cmd) -> Result<ExitCode, String> {
             cmd_summary(&load_series(&f)?);
             Ok(ExitCode::SUCCESS)
         }
-        Cmd::SloCheck(cfg, f) => cmd_slo_check(&cfg, &load_series(&f)?),
         Cmd::Diff(a, b) => {
             cmd_diff(&load_series(&a)?, &load_series(&b)?);
             Ok(ExitCode::SUCCESS)
@@ -334,10 +302,6 @@ mod tests {
     fn parses_subcommands() {
         assert!(matches!(parse_args(&s(&["t.jsonl"])), Ok(Cmd::Summary(f)) if f == "t.jsonl"));
         assert!(matches!(parse_args(&s(&["summary", "t.jsonl"])), Ok(Cmd::Summary(_))));
-        assert!(matches!(
-            parse_args(&s(&["slo-check", "slo.json", "t.jsonl"])),
-            Ok(Cmd::SloCheck(c, f)) if c == "slo.json" && f == "t.jsonl"
-        ));
         assert!(matches!(parse_args(&s(&["diff", "a.jsonl", "b.jsonl"])), Ok(Cmd::Diff(..))));
         assert!(matches!(parse_args(&s(&["export", "t.jsonl"])), Ok(Cmd::Export(_))));
         assert!(matches!(parse_args(&s(&["gate", "base.json", "fresh.json"])), Ok(Cmd::Gate(..))));
@@ -347,7 +311,6 @@ mod tests {
     fn rejects_malformed_invocations() {
         assert!(parse_args(&s(&[])).is_err());
         assert!(parse_args(&s(&["bogus", "x", "t.jsonl"])).is_err());
-        assert!(parse_args(&s(&["slo-check", "t.jsonl"])).is_err());
         assert!(parse_args(&s(&["diff", "a.jsonl"])).is_err());
         assert!(parse_args(&s(&["gate", "base.json"])).is_err());
         assert!(parse_args(&s(&["--help"])).is_err());
