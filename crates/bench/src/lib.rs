@@ -381,11 +381,8 @@ pub fn period_sweep(seeds: u64) -> (Vec<PeriodRow>, f64) {
     }
     // Young/Daly: T_opt = sqrt(2·MTBF·C); in steps, divide by the step time.
     let cfg = table2(WorkflowProtocol::Uncoordinated);
-    let ckpt_cost_s = {
-        let pfs = ckpt::PfsModel { aggregate_bw: 2e9, latency_s: 0.05 };
-        use ckpt::target::CkptTarget as _;
-        pfs.write_time(cfg.components[0].state_bytes, 1).as_secs_f64()
-    };
+    let pfs = ckpt::PfsModel { aggregate_bw: 2e9, latency_s: 0.05 };
+    let ckpt_cost_s = pfs.write_time(cfg.components[0].state_bytes, 1).as_secs_f64();
     let step_s = cfg.components[0].compute_per_step.as_secs_f64();
     let young_steps = (2.0 * mtbf_secs * ckpt_cost_s).sqrt() / step_s;
     (rows, young_steps)

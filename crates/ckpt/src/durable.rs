@@ -3,14 +3,15 @@
 //!
 //! The paper assumes "checkpoints can be stored through a centralized
 //! parallel file system, assumed to be fault-free"; [`DurableTier`] is that
-//! tier made concrete. It implements [`SnapshotSink`], journaling every
-//! sealed snapshot (JSON-encoded) through a `logstore::LogStore` with an
-//! immediate flush — a checkpoint the caller believes taken must survive the
-//! very next crash, so there is no batching on this path. After a process
-//! death, [`open`] replays the surviving records into snapshots and
-//! [`DurableTier::load_into`] rebuilds the directory via
-//! [`CheckpointStore::restore`] (no re-sealing: a snapshot torn on the media
-//! still fails its integrity check and restore falls back to an older one).
+//! tier made concrete. [`CheckpointStore::save`] persists through it,
+//! journaling every sealed snapshot (JSON-encoded) through a
+//! `logstore::LogStore` with an immediate flush — a checkpoint the caller
+//! believes taken must survive the very next crash, so there is no batching
+//! on this path. After a process death, [`open`] replays the surviving
+//! records into snapshots and [`DurableTier::load_into`] rebuilds the
+//! directory via [`CheckpointStore::restore`] (no re-sealing: a snapshot torn
+//! on the media still fails its integrity check and restore falls back to an
+//! older one).
 //!
 //! The checkpoint log is **never compacted**: watermarks are `w_chk_id =
 //! (app << 48) | ckpt_id`, which is not monotonic across apps, and the
@@ -18,7 +19,7 @@
 //! own eviction keeping the replay set tiny.
 
 use crate::snapshot::Snapshot;
-use crate::store::{CheckpointStore, SnapshotSink};
+use crate::store::CheckpointStore;
 use logstore::{LogConfig, LogStore, Media};
 use std::io;
 
@@ -74,10 +75,10 @@ impl DurableTier {
     pub fn was_clean(&self) -> bool {
         self.log.was_clean()
     }
-}
 
-impl SnapshotSink for DurableTier {
-    fn persist(&mut self, snap: &Snapshot) -> io::Result<()> {
+    /// Persist one sealed snapshot. Called after the seal, so what lands on
+    /// the media is exactly what a restore must verify.
+    pub(crate) fn persist(&mut self, snap: &Snapshot) -> io::Result<()> {
         self.scratch.clear();
         serde_json::to_writer(&mut self.scratch, snap)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;

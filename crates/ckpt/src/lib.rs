@@ -30,5 +30,5 @@ pub use logstore::checksum;
 
 pub use durable::DurableTier;
 pub use snapshot::Snapshot;
-pub use store::{CheckpointStore, SnapshotSink};
-pub use target::{CkptTarget, NodeLocalModel, PfsModel};
+pub use store::CheckpointStore;
+pub use target::{NodeLocalModel, PfsModel};

@@ -2,30 +2,9 @@
 //!
 //! One [`CheckpointStore`] stands for the whole job's checkpoint state.
 
+use crate::durable::DurableTier;
 use crate::snapshot::Snapshot;
 use std::collections::{BTreeMap, HashMap};
-use std::fmt;
-
-/// A durable persistence hook invoked as the last step of every completed
-/// [`CheckpointStore::save`]. The production implementation is
-/// [`crate::durable::DurableTier`] (snapshots journaled through a
-/// `logstore::LogStore`); the default store has no sink and stays purely
-/// in-memory.
-pub trait SnapshotSink: Send {
-    /// Persist one sealed snapshot. Called after the seal, so what lands on
-    /// the media is exactly what a restore must verify.
-    fn persist(&mut self, snap: &Snapshot) -> std::io::Result<()>;
-}
-
-/// Holds the optional sink without breaking `CheckpointStore`'s `Debug`.
-#[derive(Default)]
-struct SinkSlot(Option<Box<dyn SnapshotSink>>);
-
-impl fmt::Debug for SinkSlot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(if self.0.is_some() { "SinkSlot(attached)" } else { "SinkSlot(none)" })
-    }
-}
 
 /// In-memory checkpoint directory with bounded retention per component.
 #[derive(Debug)]
@@ -36,8 +15,8 @@ pub struct CheckpointStore {
     retention: usize,
     /// Total bytes ever written (for I/O accounting).
     bytes_written: u64,
-    /// Optional durable backend.
-    sink: SinkSlot,
+    /// Optional durable tier; without one the store stays purely in-memory.
+    sink: Option<Box<DurableTier>>,
     /// Persist calls that returned an error (the in-memory copy stays
     /// authoritative; durability is degraded, not correctness).
     sink_errors: u64,
@@ -51,15 +30,15 @@ impl CheckpointStore {
             snaps: HashMap::new(),
             retention,
             bytes_written: 0,
-            sink: SinkSlot(None),
+            sink: None,
             sink_errors: 0,
         }
     }
 
-    /// Attach a durable backend; every subsequent save is persisted through
-    /// it after sealing.
-    pub fn attach_sink(&mut self, sink: Box<dyn SnapshotSink>) {
-        self.sink = SinkSlot(Some(sink));
+    /// Attach a durable tier; every subsequent save is persisted through it
+    /// after sealing.
+    pub fn attach_sink(&mut self, sink: Box<DurableTier>) {
+        self.sink = Some(sink);
     }
 
     /// Persist calls that failed (durability degraded; in-memory state is
@@ -89,7 +68,7 @@ impl CheckpointStore {
     /// pushed one out.
     pub fn save(&mut self, mut snap: Snapshot) -> Option<Snapshot> {
         snap.seal();
-        if let Some(sink) = self.sink.0.as_mut() {
+        if let Some(sink) = self.sink.as_mut() {
             if sink.persist(&snap).is_err() {
                 self.sink_errors += 1;
             }

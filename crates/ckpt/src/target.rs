@@ -10,20 +10,6 @@
 use serde::{Deserialize, Serialize};
 use sim_core::time::SimTime;
 
-/// A checkpoint storage target's timing model.
-pub trait CkptTarget {
-    /// Time for one writer to persist `bytes` while `concurrent_writers`
-    /// total writers (including this one) stream to the target.
-    fn write_time(&self, bytes: u64, concurrent_writers: usize) -> SimTime;
-
-    /// Time for one reader to restore `bytes` with `concurrent_readers`
-    /// total readers.
-    fn read_time(&self, bytes: u64, concurrent_readers: usize) -> SimTime;
-
-    /// Human-readable name for reports.
-    fn label(&self) -> &'static str;
-}
-
 /// Centralized parallel file system with shared aggregate bandwidth.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct PfsModel {
@@ -41,18 +27,18 @@ impl Default for PfsModel {
     }
 }
 
-impl CkptTarget for PfsModel {
-    fn write_time(&self, bytes: u64, concurrent_writers: usize) -> SimTime {
+impl PfsModel {
+    /// Time for one writer to persist `bytes` while `concurrent_writers`
+    /// total writers (including this one) share the aggregate bandwidth.
+    pub fn write_time(&self, bytes: u64, concurrent_writers: usize) -> SimTime {
         let w = concurrent_writers.max(1) as f64;
         SimTime::from_secs_f64(self.latency_s + bytes as f64 * w / self.aggregate_bw)
     }
 
-    fn read_time(&self, bytes: u64, concurrent_readers: usize) -> SimTime {
+    /// Time for one reader to restore `bytes` with `concurrent_readers`
+    /// total readers.
+    pub fn read_time(&self, bytes: u64, concurrent_readers: usize) -> SimTime {
         self.write_time(bytes, concurrent_readers)
-    }
-
-    fn label(&self) -> &'static str {
-        "pfs"
     }
 }
 
@@ -72,17 +58,15 @@ impl Default for NodeLocalModel {
     }
 }
 
-impl CkptTarget for NodeLocalModel {
-    fn write_time(&self, bytes: u64, _concurrent_writers: usize) -> SimTime {
+impl NodeLocalModel {
+    /// Time for one writer to persist `bytes`; other writers do not contend.
+    pub fn write_time(&self, bytes: u64, _concurrent_writers: usize) -> SimTime {
         SimTime::from_secs_f64(self.latency_s + bytes as f64 / self.bw)
     }
 
-    fn read_time(&self, bytes: u64, concurrent_readers: usize) -> SimTime {
+    /// Time for one reader to restore `bytes`; other readers do not contend.
+    pub fn read_time(&self, bytes: u64, concurrent_readers: usize) -> SimTime {
         self.write_time(bytes, concurrent_readers)
-    }
-
-    fn label(&self) -> &'static str {
-        "node-local"
     }
 }
 
@@ -121,11 +105,5 @@ mod tests {
         assert!(pfs.write_time(bytes, 1) < nl.write_time(bytes, 1));
         // ...but with 64 concurrent writers node-local wins.
         assert!(nl.write_time(bytes, 64) < pfs.write_time(bytes, 64));
-    }
-
-    #[test]
-    fn labels_stable() {
-        assert_eq!(PfsModel::default().label(), "pfs");
-        assert_eq!(NodeLocalModel::default().label(), "node-local");
     }
 }

@@ -14,8 +14,7 @@
 //!   members and `mod` declarations instead of a hardcoded file list;
 //! * [`rules`] — the rule families, with function-scope tracking for
 //!   `panic-in-actor`, `commit-point-order`, and `lock-order`;
-//! * [`output`] — text / JSON / GitHub-annotation rendering plus the
-//!   committed ratcheting baseline.
+//! * [`output`] — text / JSON / GitHub-annotation rendering.
 //!
 //! The library is std-only (it polices the rest of the workspace, so it must
 //! build before anything else) and `forbid(unsafe_code)`.
@@ -71,7 +70,7 @@ pub fn lint_files(root: &Path, files: &[PathBuf]) -> std::io::Result<Report> {
     let mut sources = Vec::new();
     for f in files {
         let text = std::fs::read_to_string(root.join(f))?;
-        // Normalize label separators so baselines are stable across hosts.
+        // Normalize label separators so findings are stable across hosts.
         let label = f.to_string_lossy().replace('\\', "/");
         sources.push((label, text));
     }

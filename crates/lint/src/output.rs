@@ -1,4 +1,4 @@
-//! Machine-readable output and the ratcheting baseline.
+//! Machine-readable output.
 //!
 //! Three formats:
 //!
@@ -7,19 +7,10 @@
 //! * `github` — `::error file=…,line=…::…` workflow annotations, so CI
 //!   failures land on the offending line of the PR diff
 //!
-//! The **baseline** makes adoption of new rules non-disruptive without
-//! grandfathering new violations: `lint-baseline.json` (committed) records
-//! accepted pre-existing findings keyed by `(file, rule, snippet)` — line
-//! numbers are deliberately absent so unrelated edits above a finding don't
-//! invalidate it. At lint time, each finding consumes one matching baseline
-//! count; leftovers fail. Baseline entries that no longer match anything are
-//! reported as `stale-baseline` so the file only ever shrinks (the ratchet).
-//!
-//! The crate is std-only, so JSON is written by hand and read by a ~100-line
-//! recursive-descent parser that accepts exactly the JSON we emit.
+//! A finding is fixed or waived where it stands; nothing suppresses it from
+//! outside the tree. The crate is std-only, so JSON is written by hand.
 
 use crate::rules::Finding;
-use std::collections::BTreeMap;
 
 /// Escape a string for JSON output.
 fn esc(s: &str) -> String {
@@ -39,15 +30,11 @@ fn esc(s: &str) -> String {
 }
 
 /// The findings document (`--format=json`, and the `--out` artifact).
-pub fn findings_json(
-    findings: &[Finding],
-    stale_baseline: &[String],
-    files_linted: usize,
-) -> String {
+pub fn findings_json(findings: &[Finding], files_linted: usize) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"tool\": \"detlint\",\n");
-    s.push_str("  \"schema\": 2,\n");
+    s.push_str("  \"schema\": 3,\n");
     s.push_str(&format!("  \"files_linted\": {files_linted},\n"));
     s.push_str("  \"findings\": [\n");
     for (i, f) in findings.iter().enumerate() {
@@ -61,21 +48,12 @@ pub fn findings_json(
             if i + 1 < findings.len() { "," } else { "" }
         ));
     }
-    s.push_str("  ],\n");
-    s.push_str("  \"stale_baseline\": [\n");
-    for (i, k) in stale_baseline.iter().enumerate() {
-        s.push_str(&format!(
-            "    \"{}\"{}\n",
-            esc(k),
-            if i + 1 < stale_baseline.len() { "," } else { "" }
-        ));
-    }
     s.push_str("  ]\n}\n");
     s
 }
 
 /// GitHub Actions workflow annotations (one `::error` line per finding).
-pub fn findings_github(findings: &[Finding], stale_baseline: &[String]) -> String {
+pub fn findings_github(findings: &[Finding]) -> String {
     let mut s = String::new();
     for f in findings {
         // Annotation message text must keep to one line; %0A is the escaped
@@ -88,280 +66,34 @@ pub fn findings_github(findings: &[Finding], stale_baseline: &[String]) -> Strin
             f.message.replace('\n', " ")
         ));
     }
-    for k in stale_baseline {
-        s.push_str(&format!(
-            "::error title=detlint(stale-baseline)::baseline entry no longer matches anything — regenerate with --write-baseline: {k}\n"
-        ));
-    }
     s
 }
 
 /// Plain text (default format).
-pub fn findings_text(findings: &[Finding], stale_baseline: &[String]) -> String {
+pub fn findings_text(findings: &[Finding]) -> String {
     let mut s = String::new();
     for f in findings {
         s.push_str(&format!("{f}\n"));
     }
-    for k in stale_baseline {
-        s.push_str(&format!("stale-baseline: {k} (regenerate with --write-baseline)\n"));
-    }
     s
-}
-
-/// Baseline key for one finding.
-fn key(f: &Finding) -> String {
-    format!("{}|{}|{}", f.file, f.rule, f.snippet)
-}
-
-/// Serialize the current findings as a baseline document.
-pub fn write_baseline(findings: &[Finding]) -> String {
-    let mut counts: BTreeMap<(String, String, String), usize> = BTreeMap::new();
-    for f in findings {
-        *counts.entry((f.file.clone(), f.rule.to_string(), f.snippet.clone())).or_insert(0) += 1;
-    }
-    let mut s = String::new();
-    s.push_str("{\n  \"schema\": 1,\n  \"entries\": [\n");
-    let n = counts.len();
-    for (i, ((file, rule, snippet), count)) in counts.into_iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"file\": \"{}\", \"rule\": \"{}\", \"snippet\": \"{}\", \"count\": {}}}{}\n",
-            esc(&file),
-            esc(&rule),
-            esc(&snippet),
-            count,
-            if i + 1 < n { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Apply a baseline: returns `(unsuppressed findings, stale baseline keys)`.
-pub fn apply_baseline(
-    findings: Vec<Finding>,
-    baseline_text: &str,
-) -> Result<(Vec<Finding>, Vec<String>), String> {
-    let doc = json::parse(baseline_text)?;
-    let mut budget: BTreeMap<String, usize> = BTreeMap::new();
-    for entry in doc.get("entries").and_then(json::Value::as_array).unwrap_or(&[]) {
-        let file = entry.get("file").and_then(json::Value::as_str).unwrap_or_default();
-        let rule = entry.get("rule").and_then(json::Value::as_str).unwrap_or_default();
-        let snippet = entry.get("snippet").and_then(json::Value::as_str).unwrap_or_default();
-        let count = entry.get("count").and_then(json::Value::as_usize).unwrap_or(1);
-        *budget.entry(format!("{file}|{rule}|{snippet}")).or_insert(0) += count;
-    }
-    let mut kept = Vec::new();
-    for f in findings {
-        match budget.get_mut(&key(&f)) {
-            Some(n) if *n > 0 => *n -= 1,
-            _ => kept.push(f),
-        }
-    }
-    let stale: Vec<String> = budget.into_iter().filter(|(_, n)| *n > 0).map(|(k, _)| k).collect();
-    Ok((kept, stale))
-}
-
-/// Minimal JSON: exactly the subset this module emits (objects, arrays,
-/// strings with the escapes we write, non-negative integers, bools, null).
-pub mod json {
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        Null,
-        Bool(bool),
-        Num(f64),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn get(&self, k: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(pairs) => pairs.iter().find(|(key, _)| key == k).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(v) => Some(v),
-                _ => None,
-            }
-        }
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-        pub fn as_usize(&self) -> Option<usize> {
-            match self {
-                Value::Num(n) if *n >= 0.0 => Some(*n as usize),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing bytes at offset {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && b[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at offset {}", c as char, pos))
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => {
-                *pos += 1;
-                let mut pairs = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Obj(pairs));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let k = match value(b, pos)? {
-                        Value::Str(s) => s,
-                        _ => return Err("object key must be a string".into()),
-                    };
-                    expect(b, pos, b':')?;
-                    pairs.push((k, value(b, pos)?));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Obj(pairs));
-                        }
-                        _ => return Err(format!("expected `,` or `}}` at offset {pos}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                loop {
-                    items.push(value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Arr(items));
-                        }
-                        _ => return Err(format!("expected `,` or `]` at offset {pos}")),
-                    }
-                }
-            }
-            Some(b'"') => {
-                *pos += 1;
-                let mut s = String::new();
-                while let Some(&c) = b.get(*pos) {
-                    *pos += 1;
-                    match c {
-                        b'"' => return Ok(Value::Str(s)),
-                        b'\\' => {
-                            let e = b.get(*pos).copied().ok_or("truncated escape")?;
-                            *pos += 1;
-                            match e {
-                                b'"' => s.push('"'),
-                                b'\\' => s.push('\\'),
-                                b'/' => s.push('/'),
-                                b'n' => s.push('\n'),
-                                b'r' => s.push('\r'),
-                                b't' => s.push('\t'),
-                                b'u' => {
-                                    let hex =
-                                        b.get(*pos..*pos + 4).ok_or("truncated \\u escape")?;
-                                    *pos += 4;
-                                    let code = u32::from_str_radix(
-                                        std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                        16,
-                                    )
-                                    .map_err(|e| e.to_string())?;
-                                    s.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                                }
-                                other => {
-                                    return Err(format!("unknown escape `\\{}`", other as char))
-                                }
-                            }
-                        }
-                        _ => {
-                            // Re-walk the UTF-8 scalar starting at c.
-                            let start = *pos - 1;
-                            let mut end = *pos;
-                            while end < b.len() && b[end] & 0xC0 == 0x80 {
-                                end += 1;
-                            }
-                            let chunk =
-                                std::str::from_utf8(&b[start..end]).map_err(|e| e.to_string())?;
-                            s.push_str(chunk);
-                            *pos = end;
-                        }
-                    }
-                }
-                Err("unterminated string".into())
-            }
-            Some(c) if c.is_ascii_digit() || *c == b'-' => {
-                let start = *pos;
-                *pos += 1;
-                while b.get(*pos).is_some_and(|c| {
-                    c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-')
-                }) {
-                    *pos += 1;
-                }
-                std::str::from_utf8(&b[start..*pos])
-                    .map_err(|e| e.to_string())?
-                    .parse::<f64>()
-                    .map(Value::Num)
-                    .map_err(|e| e.to_string())
-            }
-            Some(b't') if b[*pos..].starts_with(b"true") => {
-                *pos += 4;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') if b[*pos..].starts_with(b"false") => {
-                *pos += 5;
-                Ok(Value::Bool(false))
-            }
-            Some(b'n') if b[*pos..].starts_with(b"null") => {
-                *pos += 4;
-                Ok(Value::Null)
-            }
-            _ => Err(format!("unexpected byte at offset {pos}")),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Deserialize;
+
+    /// The fields of the findings document the tests read back.
+    #[derive(Deserialize)]
+    struct Doc {
+        findings: Vec<Entry>,
+    }
+
+    #[derive(Deserialize)]
+    struct Entry {
+        rule: String,
+        snippet: String,
+    }
 
     fn finding(file: &str, line: u32, rule: &'static str, snippet: &str) -> Finding {
         Finding {
@@ -374,65 +106,22 @@ mod tests {
     }
 
     #[test]
-    fn baseline_round_trips_and_suppresses() {
-        let f1 = finding("a.rs", 3, "hashmap", "let m = HashMap::new();");
-        let f2 = finding("b.rs", 9, "ambient-time", "Instant::now()");
-        let text = write_baseline(&[f1.clone(), f2.clone()]);
-        let (kept, stale) = apply_baseline(vec![f1.clone(), f2], &text).unwrap();
-        assert!(kept.is_empty());
-        assert!(stale.is_empty());
-        // A new, unbaselined finding survives.
-        let f3 = finding("a.rs", 5, "rng", "thread_rng()");
-        let (kept, stale) = apply_baseline(vec![f1, f3.clone()], &text).unwrap();
-        assert_eq!(kept, vec![f3]);
-        assert_eq!(stale.len(), 1, "the unmatched ambient-time entry is stale");
-    }
-
-    #[test]
-    fn baseline_counts_are_per_occurrence() {
-        let f = finding("a.rs", 3, "hashmap", "use std::collections::HashMap;");
-        let text = write_baseline(std::slice::from_ref(&f));
-        // Two findings, budget of one: one survives.
-        let (kept, _) = apply_baseline(vec![f.clone(), f], &text).unwrap();
-        assert_eq!(kept.len(), 1);
-    }
-
-    #[test]
-    fn baseline_is_line_number_insensitive() {
-        let old = finding("a.rs", 3, "hashmap", "let m = HashMap::new();");
-        let text = write_baseline(&[old]);
-        let moved = finding("a.rs", 42, "hashmap", "let m = HashMap::new();");
-        let (kept, stale) = apply_baseline(vec![moved], &text).unwrap();
-        assert!(kept.is_empty(), "drifted line number must still match");
-        assert!(stale.is_empty());
-    }
-
-    #[test]
     fn json_formats_carry_file_and_line() {
         let f = finding("crates/x/src/lib.rs", 17, "lock-order", "a.lock();");
-        let j = findings_json(std::slice::from_ref(&f), &[], 1);
+        let j = findings_json(std::slice::from_ref(&f), 1);
         assert!(j.contains("\"file\": \"crates/x/src/lib.rs\""));
         assert!(j.contains("\"line\": 17"));
-        let parsed = json::parse(&j).unwrap();
-        let arr = parsed.get("findings").unwrap().as_array().unwrap();
-        assert_eq!(arr[0].get("rule").unwrap().as_str(), Some("lock-order"));
-        let gh = findings_github(&[f], &[]);
+        let parsed: Doc = serde_json::from_str(&j).unwrap();
+        assert_eq!(parsed.findings[0].rule, "lock-order");
+        let gh = findings_github(&[f]);
         assert!(gh.contains("::error file=crates/x/src/lib.rs,line=17,title=detlint(lock-order)::"));
     }
 
     #[test]
     fn json_escapes_special_chars() {
         let f = finding("a.rs", 1, "hashmap", "let s = \"x\\y\";\t");
-        let j = findings_json(&[f], &[], 1);
-        let parsed = json::parse(&j).unwrap();
-        let arr = parsed.get("findings").unwrap().as_array().unwrap();
-        assert_eq!(arr[0].get("snippet").unwrap().as_str(), Some("let s = \"x\\y\";\t"));
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(json::parse("{\"a\": }").is_err());
-        assert!(json::parse("[1, 2").is_err());
-        assert!(json::parse("{} trailing").is_err());
+        let j = findings_json(&[f], 1);
+        let parsed: Doc = serde_json::from_str(&j).unwrap();
+        assert_eq!(parsed.findings[0].snippet, "let s = \"x\\y\";\t");
     }
 }

@@ -39,8 +39,7 @@
 
 use crate::lexer::{lex, Tok, TokKind};
 
-/// Rule names (stable identifiers: waivers, baselines, and CI reference
-/// them).
+/// Rule names (stable identifiers: waivers and CI reference them).
 pub const AMBIENT_TIME: &str = "ambient-time";
 pub const AMBIENT_ENV: &str = "ambient-env";
 pub const RNG: &str = "rng";
@@ -95,7 +94,7 @@ pub struct Finding {
     pub line: u32,
     pub rule: &'static str,
     pub message: String,
-    /// The full source line, trimmed (also the baseline key).
+    /// The full source line, trimmed.
     pub snippet: String,
 }
 

@@ -31,22 +31,18 @@
 //! * [`service`] — transport-agnostic server logic shared by the DES server
 //!   actor and the threaded server, pluggable via [`service::StoreBackend`]
 //!   so the crash-consistency layer (`wfcr`) can substitute its logging
-//!   backend without forking the server.
+//!   backend without forking the server, and the [`service::JournalStats`]
+//!   every backend reports through [`service::StoreBackend::journal_stats`].
+//!   The plain backend keeps no journal: no restart path could read one.
 //! * [`server`] — the discrete-event staging server actor (request queuing +
 //!   CPU cost model) and client-side request planning.
 //! * [`threaded`] — a real-thread staging server over `net::ThreadedNet`.
-//! * [`journal`] — the coalescing journal writer ([`journal::JournalWriter`])
-//!   behind the logging backend's durable twin, and the
-//!   [`journal::JournalStats`] every backend reports through
-//!   [`service::StoreBackend::journal_stats`]. The plain backend keeps no
-//!   journal: no restart path could read one.
 //! * [`wire`] — little-endian binary codec primitives for journal entries
 //!   (`wfcr`'s `JournalEntry`, which has no other encoding); a body without
 //!   the magic first byte is rejected.
 
 pub mod dist;
 pub mod geometry;
-pub mod journal;
 pub mod payload;
 pub mod proto;
 pub mod router;

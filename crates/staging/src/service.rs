@@ -8,7 +8,6 @@
 //! data/event logging, replay, and garbage collection without forking any
 //! server code.
 
-use crate::journal::JournalStats;
 use crate::proto::{
     AppId, CtlAck, CtlMsg, CtlRequest, CtlResponse, GetPiece, GetRequest, GetResponse, PutRequest,
     PutResponse, PutStatus, Reply, Request, VarId, Version,
@@ -34,6 +33,24 @@ pub struct OpStats {
     /// read replayed back to a restarted consumer)? Cost-neutral; carried so
     /// observability can mark replayed serves in the trace.
     pub replayed: bool,
+}
+
+/// One journal's counters. All zero for a backend without a journal; every
+/// field is monotone.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct JournalStats {
+    /// Entries recorded through the writer.
+    pub entries_recorded: u64,
+    /// Sink I/O errors swallowed (durability degraded, state unaffected).
+    pub errors: u64,
+    /// Bytes the sink has physically flushed.
+    pub bytes_flushed: u64,
+    /// Segment files the sink has deleted by watermark compaction.
+    pub segments_compacted: u64,
+    /// Fsyncs that made two or more records durable at once.
+    pub group_commits: u64,
+    /// Records that reached the sink through batched hand-offs.
+    pub records_batched: u64,
 }
 
 /// Storage behaviour behind the server request loop.

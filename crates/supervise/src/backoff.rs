@@ -26,18 +26,6 @@ pub struct BackoffCfg {
     pub cooldown_ns: u64,
 }
 
-impl Default for BackoffCfg {
-    fn default() -> Self {
-        BackoffCfg {
-            base_ns: 20_000_000, // 20 ms
-            cap_ns: 640_000_000, // 640 ms
-            threshold: 3,
-            window_ns: 10_000_000_000,  // 10 s
-            cooldown_ns: 2_000_000_000, // 2 s
-        }
-    }
-}
-
 impl BackoffCfg {
     /// The capped-exponential delay for restart attempt `n` (1-based).
     pub fn delay_ns(&self, attempt: u32) -> u64 {

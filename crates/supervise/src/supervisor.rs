@@ -24,12 +24,6 @@ pub struct SupervisorCfg {
     pub poison_threshold: u32,
 }
 
-impl Default for SupervisorCfg {
-    fn default() -> Self {
-        SupervisorCfg { backoff: BackoffCfg::default(), poison_threshold: 3 }
-    }
-}
-
 /// Why a domain died.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DeathCause {

@@ -25,15 +25,14 @@
 
 use crate::event::EVENT_BYTES;
 use crate::gc::GcState;
-use crate::journal::JournalEntry;
+use crate::journal::{JournalEntry, JournalWriter, DEFAULT_COALESCE};
 use crate::queue::EventQueue;
 use crate::replay::{GetDecision, PutDecision, ReplayManager};
-use staging::journal::{JournalStats, JournalWriter, DEFAULT_COALESCE};
 use staging::payload::fnv1a_words;
 use staging::proto::{
     AppId, CtlRequest, CtlResponse, GetPiece, GetRequest, PutRequest, PutStatus, Version,
 };
-use staging::service::{OpStats, StoreBackend};
+use staging::service::{JournalStats, OpStats, StoreBackend};
 use staging::store::VersionedStore;
 use std::collections::BTreeMap;
 
@@ -113,7 +112,7 @@ pub struct LoggingBackend {
     /// Optional durable journal: every stored put, served get, and control
     /// marker is mirrored to disk so the whole backend can be rebuilt after
     /// full process death ([`LoggingBackend::from_journal`]).
-    journal: Option<JournalWriter<JournalEntry>>,
+    journal: Option<JournalWriter>,
     /// Mutation hook: offset added to the version served for replayed gets,
     /// deliberately breaking replay-version fidelity. Model-checker tests
     /// use it to verify the oracles catch the violation; always 0 otherwise.

@@ -13,12 +13,21 @@
 //! proof needs: anything lost past that point is re-executed
 //! deterministically by the rolled-back apps.
 //!
-//! This module holds only the entry type, the queue event it stands for and
-//! its binary layout ([`staging::wire`] codec; a record body that does not
-//! start with `WIRE_MAGIC` is not an entry and is rejected). Coalescing,
-//! commit-point flushes, compaction and error counting are the shared
-//! [`staging::journal::JournalWriter`], the same one the plain backend
-//! journals through.
+//! This module holds the entry type, the queue event it stands for, its
+//! binary layout ([`staging::wire`] codec; a record body that does not start
+//! with `WIRE_MAGIC` is not an entry and is rejected) and the
+//! [`JournalWriter`] that owns the backend's sink.
+//!
+//! **Write path.** The writer *coalesces*: encoded metadata accumulates in
+//! one reusable scratch buffer (inline payload `Bytes` ride alongside by
+//! refcount, never copied) and is handed to the sink as one
+//! [`logstore::BatchRecord`] group at natural boundaries — a commit point, or
+//! every `coalesce` records. The sink then frames the whole group with a
+//! single vectored write (group commit). Pending entries are exactly as
+//! volatile as sink-buffered ones: a crash loses them, a commit point makes
+//! them durable. Sink I/O errors are swallowed into a counter: a journal
+//! failure degrades durability, never the backend's in-memory state, which
+//! stays authoritative.
 //!
 //! Watermarks are data versions, so `compact_below` on the journal mirrors
 //! `wfcr::gc` truncating the in-memory queues: once the GC floor passes a
@@ -69,12 +78,15 @@
 
 use crate::event::LogEvent;
 use bytes::Bytes;
+use logstore::{BatchRecord, Journal};
 use staging::geometry::BBox;
-use staging::journal::WireEntry;
 use staging::payload::Payload;
 use staging::proto::{AppId, ObjDesc, VarId, Version};
+use staging::service::JournalStats;
 use staging::wire::{self, Reader};
 use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::Range;
 
 const TAG_PUT: u8 = 1;
 const TAG_GET: u8 = 2;
@@ -97,7 +109,7 @@ pub enum JournalEntry {
         /// The written data (inline bytes or virtual size+digest).
         payload: Payload,
         /// Payload digest, always `payload.digest()`: the layout records it
-        /// here and again in the payload meta, and [`WireEntry::decode`]
+        /// here and again in the payload meta, and [`JournalEntry::decode`]
         /// refuses a record whose two copies disagree.
         digest: u64,
     },
@@ -153,7 +165,8 @@ pub enum JournalEntry {
     },
 }
 
-impl WireEntry for JournalEntry {
+impl JournalEntry {
+    /// Compaction watermark: the data version this entry is tied to.
     fn watermark(&self) -> u64 {
         u64::from(match *self {
             JournalEntry::Put { desc, .. } => desc.version,
@@ -164,13 +177,17 @@ impl WireEntry for JournalEntry {
         })
     }
 
-    /// Control markers — everything but a put or a get — must be durable
-    /// before the call returns.
+    /// Must this entry be durable before `record` returns? Control markers —
+    /// everything but a put or a get — must.
     fn is_commit_point(&self) -> bool {
         !matches!(self, JournalEntry::Put { .. } | JournalEntry::Get { .. })
     }
 
-    fn encode_meta_into(&self, out: &mut Vec<u8>) {
+    /// Encode everything *except* an inline payload's bytes into `out`
+    /// (binary codec). The inline bytes — [`JournalEntry::inline_payload`] —
+    /// must land immediately after this prefix; the zero-copy append path
+    /// hands them to the log as a separate vectored part.
+    pub fn encode_meta_into(&self, out: &mut Vec<u8>) {
         match self {
             JournalEntry::Put { app, desc, payload, digest } => {
                 wire::put_header(out, TAG_PUT);
@@ -210,14 +227,29 @@ impl WireEntry for JournalEntry {
         }
     }
 
-    fn inline_payload(&self) -> Option<&Bytes> {
+    /// The inline payload bytes that follow the metadata prefix, if any.
+    pub fn inline_payload(&self) -> Option<&Bytes> {
         match self {
             JournalEntry::Put { payload, .. } => payload.bytes(),
             _ => None,
         }
     }
 
-    fn decode(bytes: &[u8]) -> Option<Self> {
+    /// Contiguous serialized form: metadata prefix plus inline bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_meta_into(&mut out);
+        if let Some(b) = self.inline_payload() {
+            out.extend_from_slice(b);
+        }
+        out
+    }
+
+    /// Parse a record body back. `None` for anything that is not a complete
+    /// binary entry — a foreign first byte, an unknown version or tag, a
+    /// truncated or over-long body (the log frame CRC already rules out
+    /// corruption).
+    pub fn decode(bytes: &[u8]) -> Option<Self> {
         let (tag, mut r) = Reader::for_entry(bytes).ok()?;
         let entry = match tag {
             TAG_PUT => {
@@ -256,9 +288,7 @@ impl WireEntry for JournalEntry {
         r.finish().ok()?;
         Some(entry)
     }
-}
 
-impl JournalEntry {
     /// The event this entry puts on its component's queue — the one place an
     /// entry becomes a [`LogEvent`]. `None` for a `GlobalReset`, which belongs
     /// to no component and is logged in no queue.
@@ -281,27 +311,132 @@ impl JournalEntry {
     }
 }
 
-/// The codec under the entry's own name, so callers that only encode or
-/// decode need not import [`WireEntry`].
-impl JournalEntry {
-    /// [`WireEntry::encode_meta_into`].
-    pub fn encode_meta_into(&self, out: &mut Vec<u8>) {
-        WireEntry::encode_meta_into(self, out);
+/// Records coalesced per hand-off to the sink when no commit point arrives
+/// first.
+pub const DEFAULT_COALESCE: usize = 16;
+
+/// A record coalesced in the writer, waiting for the next hand-off: its
+/// metadata prefix lives in the shared scratch buffer, its inline payload
+/// (if any) rides by refcount.
+struct PendingRec {
+    watermark: u64,
+    meta: Range<usize>,
+    payload: Option<Bytes>,
+}
+
+/// The logging backend's handle on its durable sink: owns the boxed
+/// `logstore::Journal`, coalesces entries into batched group commits,
+/// enforces commit-point flushes, and counts the I/O errors it swallows.
+pub struct JournalWriter {
+    sink: Box<dyn Journal>,
+    scratch: Vec<u8>,
+    pending: Vec<PendingRec>,
+    coalesce: usize,
+    entries_recorded: u64,
+    errors: u64,
+}
+
+impl fmt::Debug for JournalWriter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("JournalWriter")
+            .field("entries_recorded", &self.entries_recorded)
+            .field("pending", &self.pending.len())
+            .field("errors", &self.errors)
+            .finish()
+    }
+}
+
+impl JournalWriter {
+    /// Wrap a sink, handing off batches every `coalesce` records (commit
+    /// points always hand off immediately; 0 behaves as 1).
+    pub fn new(sink: Box<dyn Journal>, coalesce: usize) -> Self {
+        JournalWriter {
+            sink,
+            scratch: Vec::new(),
+            pending: Vec::new(),
+            coalesce: coalesce.max(1),
+            entries_recorded: 0,
+            errors: 0,
+        }
     }
 
-    /// [`WireEntry::inline_payload`].
-    pub fn inline_payload(&self) -> Option<&Bytes> {
-        WireEntry::inline_payload(self)
+    /// Record one entry. The entry is encoded now (metadata into the shared
+    /// scratch, payload bytes by refcount) and handed to the sink in a batch
+    /// at the next boundary; commit-point entries hand off and flush
+    /// immediately.
+    // lint: commit-point
+    pub fn record(&mut self, entry: &JournalEntry) {
+        self.entries_recorded += 1;
+        let start = self.scratch.len();
+        entry.encode_meta_into(&mut self.scratch);
+        self.pending.push(PendingRec {
+            watermark: entry.watermark(),
+            meta: start..self.scratch.len(),
+            payload: entry.inline_payload().cloned(),
+        });
+        if entry.is_commit_point() {
+            self.flush();
+        } else if self.pending.len() >= self.coalesce {
+            self.hand_off();
+        }
     }
 
-    /// [`WireEntry::encode`].
-    pub fn encode(&self) -> Vec<u8> {
-        WireEntry::encode(self)
+    /// Hand every pending record to the sink as one batch (one flush
+    /// decision at the group boundary — the group commit).
+    fn hand_off(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let JournalWriter { sink, scratch, pending, errors, .. } = self;
+        let parts: Vec<[&[u8]; 2]> = pending
+            .iter()
+            .map(|p| [&scratch[p.meta.clone()], p.payload.as_deref().unwrap_or(&[])])
+            .collect();
+        let batch: Vec<BatchRecord<'_>> = pending
+            .iter()
+            .zip(&parts)
+            .map(|(p, parts)| BatchRecord { watermark: p.watermark, parts })
+            .collect();
+        if sink.append_batch(&batch).is_err() {
+            *errors += 1;
+        }
+        self.pending.clear();
+        self.scratch.clear();
     }
 
-    /// [`WireEntry::decode`].
-    pub fn decode(bytes: &[u8]) -> Option<Self> {
-        <Self as WireEntry>::decode(bytes)
+    /// Force everything — coalesced and sink-buffered — down to the media
+    /// (commit point / graceful shutdown / stats harvest).
+    pub fn flush(&mut self) {
+        self.hand_off();
+        if self.sink.flush().is_err() {
+            self.errors += 1;
+        }
+    }
+
+    /// Drop sealed segments wholly below `floor`; returns segments removed.
+    /// Pending records are handed off first so compaction sees the full
+    /// stream.
+    pub fn compact_below(&mut self, floor: u64) -> usize {
+        self.hand_off();
+        match self.sink.compact_below(floor) {
+            Ok(n) => n,
+            Err(_) => {
+                self.errors += 1;
+                0
+            }
+        }
+    }
+
+    /// The writer's own counters plus the sink's.
+    pub fn stats(&self) -> JournalStats {
+        JournalStats {
+            entries_recorded: self.entries_recorded,
+            errors: self.errors,
+            bytes_flushed: self.sink.bytes_flushed(),
+            segments_compacted: self.sink.segments_compacted(),
+            group_commits: self.sink.group_commits(),
+            records_batched: self.sink.records_batched(),
+        }
     }
 }
 
@@ -329,11 +464,18 @@ fn peek_transport(body: &[u8]) -> Option<Transport> {
     Some(Transport { is_put: tag == TAG_PUT, app, var, version: r.u32().ok()? })
 }
 
+/// Decode every entry of a recovered record stream (e.g.
+/// `LogStore::read_all`), dropping undecodable payloads: the reference
+/// [`decode_records`] is checked against.
+pub fn decode_all(records: &[logstore::Record]) -> Vec<JournalEntry> {
+    records.iter().filter_map(|r| JournalEntry::decode(&r.payload)).collect()
+}
+
 /// Decode a recovered record stream (e.g. `LogStore::read_all`) into the
 /// entries [`crate::backend::LoggingBackend::from_journal`] still needs, in
 /// stream order, dropping undecodable payloads. See the module docs ("The
 /// rebuild's reader") for what is retired unread and why that is safe;
-/// [`staging::journal::decode_records`] is the decode-everything form.
+/// [`decode_all`] is the decode-everything form.
 pub fn decode_records(records: &[logstore::Record]) -> Vec<JournalEntry> {
     // One look at every body: what each put or get is about, and — from the
     // control entries, few and always decoded — the last checkpoint that ran
@@ -350,9 +492,7 @@ pub fn decode_records(records: &[logstore::Record]) -> Vec<JournalEntry> {
         match JournalEntry::decode(&rec.payload) {
             // A reset takes the newest versions back out of the store, and
             // the newest-kept rule below counts on them staying.
-            Some(JournalEntry::GlobalReset { .. }) => {
-                return staging::journal::decode_records(records)
-            }
+            Some(JournalEntry::GlobalReset { .. }) => return decode_all(records),
             Some(JournalEntry::Checkpoint { app, upto_version, floor, .. }) => {
                 let c = ckpt.entry(app).or_insert(upto_version);
                 *c = (*c).max(upto_version);
@@ -364,7 +504,7 @@ pub fn decode_records(records: &[logstore::Record]) -> Vec<JournalEntry> {
         }
     }
     let Some((pass_at, floor, ckpt)) = last_pass else {
-        return staging::journal::decode_records(records);
+        return decode_all(records);
     };
     // What that pass truncated from `app`'s queue, if still there.
     let truncated = |app, version| ckpt.get(&app).is_some_and(|&c| version <= floor.min(c));
@@ -395,6 +535,9 @@ pub fn decode_records(records: &[logstore::Record]) -> Vec<JournalEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use logstore::{FlushPolicy, LogConfig, LogStore, MemMedia};
+    use std::io;
+    use std::sync::{Arc, Mutex};
 
     /// The pinned first sample. Its `digest: 7` is not its payload's digest —
     /// the pin predates `decode` comparing the two — so it encodes as always
@@ -609,6 +752,183 @@ mod tests {
         ]);
         let kept = vec![newest_that_decodes, ckpt(0, 5, Some(5))];
         assert_eq!(decode_records(&records), kept);
-        assert_eq!(staging::journal::decode_records::<JournalEntry>(&records), kept);
+        assert_eq!(decode_all(&records), kept);
+    }
+
+    /// A `LogStore` on `mem` that never flushes on its own.
+    fn lazy_cfg() -> LogConfig {
+        LogConfig { flush: FlushPolicy::PerBatch { records: 1_000 }, ..LogConfig::default() }
+    }
+
+    fn writer(mem: &MemMedia, cfg: LogConfig, coalesce: usize) -> JournalWriter {
+        JournalWriter::new(Box::new(LogStore::open(Box::new(mem.clone()), cfg).unwrap()), coalesce)
+    }
+
+    fn survivors(mem: &MemMedia, cfg: LogConfig) -> Vec<JournalEntry> {
+        decode_all(&LogStore::open(Box::new(mem.clone()), cfg).unwrap().read_all().unwrap())
+    }
+
+    #[test]
+    fn coalescing_hands_off_at_window_and_commit_points() {
+        let mem = MemMedia::new();
+        let mut j = writer(&mem, lazy_cfg(), 4);
+        for v in 0..3 {
+            j.record(&inline_put(0, v));
+        }
+        assert_eq!(j.pending.len(), 3, "below the window: coalesced in the writer");
+        j.record(&inline_put(0, 3));
+        assert_eq!(j.pending.len(), 0, "window reached: handed to the sink");
+        assert_eq!(j.stats().records_batched, 4);
+        // A commit point hands off AND flushes, regardless of window fill.
+        j.record(&inline_put(0, 4));
+        j.record(&ckpt(0, 4, None));
+        assert_eq!(j.pending.len(), 0);
+        assert_eq!(j.stats().entries_recorded, 6);
+        assert_eq!(j.stats().errors, 0);
+        // Everything is durable and decodes back.
+        let entries = survivors(&mem, lazy_cfg());
+        assert_eq!(entries.len(), 6);
+        assert_eq!(entries[5], ckpt(0, 4, None));
+    }
+
+    #[test]
+    fn crash_loses_coalesced_tail_but_keeps_commit_prefix() {
+        let mem = MemMedia::new();
+        let mut j = writer(&mem, lazy_cfg(), DEFAULT_COALESCE);
+        j.record(&inline_put(0, 1));
+        j.record(&ckpt(0, 1, None));
+        j.record(&inline_put(0, 2)); // coalesced, never flushed
+        drop(j);
+        mem.crash();
+        let entries = survivors(&mem, lazy_cfg());
+        assert_eq!(entries.len(), 2, "the record after the commit point dies with the crash");
+        assert!(entries[1].is_commit_point());
+    }
+
+    #[test]
+    fn commit_points_force_the_tail_durable() {
+        let mem = MemMedia::new();
+        let mut j = writer(&mem, lazy_cfg(), DEFAULT_COALESCE);
+        j.record(&inline_put(0, 1));
+        j.record(&inline_put(0, 2));
+        let before = mem.synced_bytes();
+        j.record(&ckpt(0, 2, None));
+        assert!(mem.synced_bytes() > before, "a commit-point entry must flush");
+        assert_eq!(j.stats().bytes_flushed, mem.synced_bytes() as u64);
+        j.record(&inline_put(0, 3)); // coalesced again
+        drop(j);
+        mem.crash();
+        let entries = survivors(&mem, lazy_cfg());
+        assert_eq!(entries, vec![inline_put(0, 1), inline_put(0, 2), ckpt(0, 2, None)]);
+    }
+
+    #[test]
+    fn coalescing_batches_records_to_the_sink() {
+        let mem = MemMedia::new();
+        let cfg = LogConfig { flush: FlushPolicy::PerRecord, ..LogConfig::default() };
+        let mut j = writer(&mem, cfg, 8);
+        for v in 0..8 {
+            j.record(&inline_put(0, v));
+        }
+        assert_eq!(j.pending.len(), 0, "window reached: handed off");
+        assert_eq!(j.stats().records_batched, 8);
+        // PerRecord sink + batched hand-off = ONE group commit for all 8.
+        assert_eq!(j.stats().group_commits, 1);
+        let entries = survivors(&mem, cfg);
+        assert_eq!(entries.len(), 8);
+        for (v, e) in entries.iter().enumerate() {
+            assert_eq!(
+                e,
+                &inline_put(0, v as Version),
+                "zero-copy path preserves the payload bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_window_behaves_as_one() {
+        let mem = MemMedia::new();
+        let mut j = writer(&mem, lazy_cfg(), 0);
+        j.record(&inline_put(0, 1));
+        assert_eq!(j.pending.len(), 0);
+        assert_eq!(j.stats().records_batched, 1);
+    }
+
+    /// A sink that logs the calls it receives and can be told to fail them.
+    struct ProbeSink {
+        calls: Arc<Mutex<Vec<String>>>,
+        fail: bool,
+    }
+
+    impl ProbeSink {
+        fn note(&self, call: String) -> io::Result<()> {
+            self.calls.lock().unwrap().push(call);
+            if self.fail {
+                return Err(io::Error::other("probe sink failure"));
+            }
+            Ok(())
+        }
+    }
+
+    impl Journal for ProbeSink {
+        fn append(&mut self, _watermark: u64, _payload: &[u8]) -> io::Result<()> {
+            self.note("append".into())
+        }
+
+        fn append_batch(&mut self, batch: &[BatchRecord<'_>]) -> io::Result<()> {
+            self.note(format!("append_batch({})", batch.len()))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.note("flush".into())
+        }
+
+        fn compact_below(&mut self, floor: u64) -> io::Result<usize> {
+            self.note(format!("compact_below({floor})")).map(|()| 3)
+        }
+
+        fn bytes_flushed(&self) -> u64 {
+            0
+        }
+
+        fn segments_compacted(&self) -> u64 {
+            0
+        }
+    }
+
+    fn probe(fail: bool) -> (Box<ProbeSink>, Arc<Mutex<Vec<String>>>) {
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        (Box::new(ProbeSink { calls: calls.clone(), fail }), calls)
+    }
+
+    #[test]
+    fn compact_below_hands_pending_records_off_first() {
+        let (sink, calls) = probe(false);
+        let mut j = JournalWriter::new(sink, 8);
+        j.record(&inline_put(0, 5));
+        j.record(&inline_put(0, 6));
+        assert!(calls.lock().unwrap().is_empty(), "below the window: nothing reached the sink");
+        assert_eq!(j.compact_below(5), 3, "the sink's count is passed through");
+        assert_eq!(*calls.lock().unwrap(), ["append_batch(2)", "compact_below(5)"]);
+        assert_eq!(j.pending.len(), 0);
+        assert_eq!(j.stats().errors, 0);
+    }
+
+    #[test]
+    fn sink_errors_are_counted_and_swallowed() {
+        let (sink, calls) = probe(true);
+        let mut j = JournalWriter::new(sink, 2);
+        j.record(&inline_put(0, 1));
+        j.record(&inline_put(0, 2)); // window: append_batch fails
+        assert_eq!(j.stats().errors, 1);
+        j.record(&ckpt(0, 2, None)); // commit point: append_batch and flush both fail
+        assert_eq!(j.stats().errors, 3);
+        assert_eq!(j.compact_below(9), 0, "a failed compaction removed nothing");
+        assert_eq!(j.stats().errors, 4);
+        assert_eq!(j.pending.len(), 0, "failed batches are dropped, not retried forever");
+        assert_eq!(
+            *calls.lock().unwrap(),
+            ["append_batch(2)", "append_batch(1)", "flush", "compact_below(9)"]
+        );
     }
 }

@@ -4,11 +4,10 @@
 
 use proptest::prelude::*;
 use staging::geometry::BBox;
-use staging::journal::decode_records;
 use staging::payload::{fnv1a, Payload};
 use staging::proto::ObjDesc;
 use staging::wire;
-use wfcr::journal::JournalEntry;
+use wfcr::journal::{decode_all, JournalEntry};
 
 fn arb_bbox() -> impl Strategy<Value = BBox> {
     (1u8..=3, any::<[u64; 3]>(), any::<[u64; 3]>()).prop_map(|(ndim, lb, ub)| BBox { ndim, lb, ub })
@@ -83,7 +82,7 @@ proptest! {
 
     /// A put records its digest twice — the entry field and the payload meta.
     /// A record whose two copies disagree is not an entry: it decodes to
-    /// `None` and `decode_records` drops it without disturbing its neighbours.
+    /// `None` and `decode_all` drops it without disturbing its neighbours.
     #[test]
     fn put_with_disagreeing_digests_is_rejected(
         entry in arb_entry(),
@@ -99,12 +98,12 @@ proptest! {
         prop_assert_eq!(JournalEntry::decode(&torn.encode()), None);
         let stream =
             [record(0, entry.encode()), record(1, torn.encode()), record(2, entry.encode())];
-        prop_assert_eq!(decode_records::<JournalEntry>(&stream), vec![entry.clone(), entry]);
+        prop_assert_eq!(decode_all(&stream), vec![entry.clone(), entry]);
     }
 
     /// A body whose first byte is not the wire magic is not an entry: the
     /// binary encoding under any other first byte decodes to `None`, and
-    /// `decode_records` drops it without disturbing its neighbours.
+    /// `decode_all` drops it without disturbing its neighbours.
     #[test]
     fn foreign_bodies_are_rejected(entry in arb_entry(), first in any::<u8>()) {
         prop_assume!(first != wire::WIRE_MAGIC);
@@ -118,7 +117,7 @@ proptest! {
             record(1, mangled),
             record(2, entry.encode()),
         ];
-        let kept = decode_records::<JournalEntry>(&stream);
+        let kept = decode_all(&stream);
         prop_assert_eq!(kept, vec![entry.clone(), entry]);
     }
 

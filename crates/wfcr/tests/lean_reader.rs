@@ -2,11 +2,11 @@
 //!
 //! `wfcr::journal::decode_records` retires, unread, the puts and gets the
 //! journal's own last collecting checkpoint already made dead;
-//! `staging::journal::decode_records::<JournalEntry>` decodes everything. A
-//! live `LoggingBackend` journals a generated history to `MemMedia`, the log
-//! is reopened, and `from_journal` over either list must build the same
-//! backend: store, retained events and markers, checkpoint versions, GC marks
-//! and floor, and the same answers to whatever is asked next.
+//! `wfcr::journal::decode_all` decodes everything. A live `LoggingBackend`
+//! journals a generated history to `MemMedia`, the log is reopened, and
+//! `from_journal` over either list must build the same backend: store,
+//! retained events and markers, checkpoint versions, GC marks and floor, and
+//! the same answers to whatever is asked next.
 //!
 //! The same comparison pins "journal, then apply": a *live* backend against
 //! `from_journal` of everything it journalled — one transition applied twice —
@@ -341,7 +341,7 @@ fn agree(
 /// `from_journal` over `lean` beside `from_journal` over every entry of
 /// `records`, both registering `apps` as the first life did.
 fn rebuilds(records: &[Record], lean: Vec<JournalEntry>, apps: &[AppId]) -> [LoggingBackend; 2] {
-    let full = staging::journal::decode_records(records);
+    let full = wfcr::journal::decode_all(records);
     [LoggingBackend::from_journal(lean, apps), LoggingBackend::from_journal(full, apps)]
 }
 
@@ -420,7 +420,7 @@ fn reader_agrees_with_full(h: &History) -> Result<(), String> {
     if lean != model_reader(&records, Rule::Sound) {
         return Err("the model is not the reader".into());
     }
-    let full: Vec<JournalEntry> = staging::journal::decode_records(&records);
+    let full: Vec<JournalEntry> = wfcr::journal::decode_all(&records);
     let mut rest = full.iter();
     if !lean.iter().all(|e| rest.any(|f| f == e)) {
         return Err("the lean list is not a subsequence of the full one".into());
@@ -443,7 +443,7 @@ fn live_agrees_with_its_rebuild(h: &History, forget_resets: bool) -> Result<(), 
     if !live.replaying_apps().is_empty() {
         return Ok(());
     }
-    let mut journalled: Vec<JournalEntry> = staging::journal::decode_records(&records);
+    let mut journalled: Vec<JournalEntry> = wfcr::journal::decode_all(&records);
     if forget_resets {
         journalled.retain(|e| !matches!(e, JournalEntry::GlobalReset { .. }));
     }
@@ -484,7 +484,7 @@ fn the_histories_exercise_the_rule() {
     let (mut retiring, mut full_total, mut lean_total) = (0, 0, 0);
     for case in 0..200 {
         let (records, ..) = first_life(&histories.generate(&mut Rng::for_case(case)));
-        let full = staging::journal::decode_records::<JournalEntry>(&records).len();
+        let full = wfcr::journal::decode_all(&records).len();
         let lean = wfcr::journal::decode_records(&records).len();
         retiring += usize::from(lean < full);
         full_total += full;

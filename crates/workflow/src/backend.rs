@@ -1,9 +1,8 @@
 //! Runtime backend selection: plain staging (Ds/Co/In) vs. logging staging
 //! (Un/Hy), behind one concrete type so the server actor stays monomorphic.
 
-use staging::journal::JournalStats;
 use staging::proto::{CtlRequest, CtlResponse, GetPiece, GetRequest, PutRequest, PutStatus};
-use staging::service::{OpStats, PlainBackend, StoreBackend};
+use staging::service::{JournalStats, OpStats, PlainBackend, StoreBackend};
 use wfcr::backend::LoggingBackend;
 use wfcr::protocol::WorkflowProtocol;
 

@@ -41,8 +41,7 @@
 //! kills the recovery and re-notifies the supervisor, whose backoff grows
 //! with the consecutive death count.
 
-use crate::config::{ComponentConfig, WorkflowConfig};
-use ckpt::target::CkptTarget;
+use crate::config::{CkptTarget, ComponentConfig, WorkflowConfig};
 use faultplane::RetryPolicy;
 use mpi_sim::comm::Communicator;
 use mpi_sim::ulfm::{self, UlfmCosts};
@@ -166,7 +165,7 @@ pub struct ComponentActor {
     comm: Communicator,
     ulfm: UlfmCosts,
     pfs: ckpt::PfsModel,
-    ckpt_target: crate::config::CkptTarget,
+    ckpt_target: CkptTarget,
     node_local: ckpt::NodeLocalModel,
     failover: SimTime,
     reconnect_per_rank: SimTime,
@@ -663,12 +662,10 @@ impl ComponentActor {
             self.phase = Phase::CkptWrite;
             // Independent checkpoint: sole writer on its target.
             let cost = match self.ckpt_target {
-                crate::config::CkptTarget::Pfs => self.pfs.write_time(self.cfg.state_bytes, 1),
+                CkptTarget::Pfs => self.pfs.write_time(self.cfg.state_bytes, 1),
                 // Two-level: blocking cost is the node-local write; the PFS
                 // flush proceeds asynchronously.
-                crate::config::CkptTarget::TwoLevel => {
-                    self.node_local.write_time(self.cfg.state_bytes, 1)
-                }
+                CkptTarget::TwoLevel => self.node_local.write_time(self.cfg.state_bytes, 1),
             };
             ctx.metrics().observe("wf.ckpt_write_s", cost.as_secs_f64());
             let incarnation = self.incarnation;

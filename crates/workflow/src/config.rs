@@ -252,7 +252,7 @@ pub struct DurabilityCfg {
 }
 
 fn default_coalesce() -> usize {
-    staging::journal::DEFAULT_COALESCE
+    wfcr::journal::DEFAULT_COALESCE
 }
 
 impl Default for DurabilityCfg {

@@ -21,7 +21,7 @@
 //!    execution time.
 
 use crate::component::{CkptRelease, RollbackComplete};
-use ckpt::target::CkptTarget;
+use crate::config::CkptTarget;
 use mpi_sim::collective::CollectiveCosts;
 use mpi_sim::comm::Communicator;
 use mpi_sim::ulfm::{self, UlfmCosts};
@@ -86,7 +86,7 @@ pub struct Director {
     collectives: CollectiveCosts,
     ulfm: UlfmCosts,
     pfs: ckpt::PfsModel,
-    ckpt_target: crate::config::CkptTarget,
+    ckpt_target: CkptTarget,
     node_local: ckpt::NodeLocalModel,
     reconnect_per_rank: SimTime,
     detect: SimTime,
@@ -120,7 +120,7 @@ impl Director {
         collectives: CollectiveCosts,
         ulfm: UlfmCosts,
         pfs: ckpt::PfsModel,
-        ckpt_target: crate::config::CkptTarget,
+        ckpt_target: CkptTarget,
         node_local: ckpt::NodeLocalModel,
         reconnect_per_rank: SimTime,
     ) -> Self {
@@ -194,10 +194,8 @@ impl Director {
             .components
             .iter()
             .map(|c| match self.ckpt_target {
-                crate::config::CkptTarget::Pfs => self.pfs.write_time(c.state_bytes, writers),
-                crate::config::CkptTarget::TwoLevel => {
-                    self.node_local.write_time(c.state_bytes, writers)
-                }
+                CkptTarget::Pfs => self.pfs.write_time(c.state_bytes, writers),
+                CkptTarget::TwoLevel => self.node_local.write_time(c.state_bytes, writers),
             })
             .max()
             .unwrap_or(SimTime::ZERO);
@@ -295,12 +293,8 @@ impl Director {
                     self.pfs.read_time(c.state_bytes, readers)
                 } else {
                     match self.ckpt_target {
-                        crate::config::CkptTarget::Pfs => {
-                            self.pfs.read_time(c.state_bytes, readers)
-                        }
-                        crate::config::CkptTarget::TwoLevel => {
-                            self.node_local.read_time(c.state_bytes, readers)
-                        }
+                        CkptTarget::Pfs => self.pfs.read_time(c.state_bytes, readers),
+                        CkptTarget::TwoLevel => self.node_local.read_time(c.state_bytes, readers),
                     }
                 }
             })

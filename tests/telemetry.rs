@@ -179,7 +179,7 @@ fn qdepth_gauges_end_at_one_on_drained_queues() {
 }
 
 #[test]
-fn supervised_outages_feed_the_mttr_series_and_slo() {
+fn supervised_outages_feed_the_mttr_series() {
     let cfg =
         failing(1).with_supervision(SupervisionCfg::default()).with_telemetry(telemetry_cfg());
     let report = run(&cfg);

@@ -9,15 +9,10 @@
 //! recursed) override inference.
 //!
 //! ```text
-//! detlint [paths…] [--format=text|json|github] [--baseline FILE]
-//!         [--write-baseline FILE] [--out FILE] [--root DIR] [--list]
+//! detlint [paths…] [--format=text|json|github] [--out FILE] [--root DIR] [--list]
 //! ```
 //!
 //! * `--format=github` emits `::error` workflow annotations (CI).
-//! * `--baseline FILE` suppresses findings recorded in the committed
-//!   baseline; entries that no longer match are reported (the ratchet).
-//! * `--write-baseline FILE` writes the current findings as the new baseline
-//!   and exits 0 (use after deliberately accepting a finding).
 //! * `--out FILE` additionally writes the JSON findings document (uploaded
 //!   as a CI artifact on failure).
 //! * `--list` prints the inferred envelope and exits (debugging).
@@ -30,23 +25,14 @@ use std::process::ExitCode;
 struct Args {
     paths: Vec<PathBuf>,
     format: String,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
     out: Option<PathBuf>,
     root: Option<PathBuf>,
     list: bool,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        paths: Vec::new(),
-        format: "text".to_string(),
-        baseline: None,
-        write_baseline: None,
-        out: None,
-        root: None,
-        list: false,
-    };
+    let mut args =
+        Args { paths: Vec::new(), format: "text".to_string(), out: None, root: None, list: false };
     let mut it = argv.iter();
     while let Some(a) = it.next() {
         let mut take = |name: &str| -> Result<PathBuf, String> {
@@ -54,8 +40,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         };
         match a.as_str() {
             "--list" => args.list = true,
-            "--baseline" => args.baseline = Some(take("--baseline")?),
-            "--write-baseline" => args.write_baseline = Some(take("--write-baseline")?),
             "--out" => args.out = Some(take("--out")?),
             "--root" => args.root = Some(take("--root")?),
             a if a.starts_with("--format=") => {
@@ -123,51 +107,21 @@ fn run() -> Result<ExitCode, String> {
 
     let report = lint::lint_files(&root, &files).map_err(|e| format!("lint: {e}"))?;
 
-    if let Some(path) = &args.write_baseline {
-        std::fs::write(path, lint::output::write_baseline(&report.findings))
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        eprintln!(
-            "detlint: wrote baseline with {} finding(s) to {}",
-            report.findings.len(),
-            path.display()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let (findings, stale_baseline) = match &args.baseline {
-        Some(path) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-            lint::output::apply_baseline(report.findings, &text)
-                .map_err(|e| format!("baseline {}: {e}", path.display()))?
-        }
-        None => (report.findings, Vec::new()),
-    };
-
+    let findings = &report.findings;
     let rendered = match args.format.as_str() {
-        "json" => lint::output::findings_json(&findings, &stale_baseline, report.files_linted),
-        "github" => lint::output::findings_github(&findings, &stale_baseline),
-        _ => lint::output::findings_text(&findings, &stale_baseline),
+        "json" => lint::output::findings_json(findings, report.files_linted),
+        "github" => lint::output::findings_github(findings),
+        _ => lint::output::findings_text(findings),
     };
     print!("{rendered}");
 
     if let Some(path) = &args.out {
-        std::fs::write(
-            path,
-            lint::output::findings_json(&findings, &stale_baseline, report.files_linted),
-        )
-        .map_err(|e| format!("{}: {e}", path.display()))?;
+        std::fs::write(path, lint::output::findings_json(findings, report.files_linted))
+            .map_err(|e| format!("{}: {e}", path.display()))?;
     }
 
-    let dirty = !findings.is_empty() || !stale_baseline.is_empty();
-    if dirty {
-        eprintln!(
-            "detlint: {} finding(s), {} stale baseline entr{} in {} files",
-            findings.len(),
-            stale_baseline.len(),
-            if stale_baseline.len() == 1 { "y" } else { "ies" },
-            report.files_linted
-        );
+    if !findings.is_empty() {
+        eprintln!("detlint: {} finding(s) in {} files", findings.len(), report.files_linted);
         Ok(ExitCode::FAILURE)
     } else {
         eprintln!("detlint: {} files clean", report.files_linted);
@@ -195,24 +149,22 @@ mod tests {
 
     #[test]
     fn parses_flags_and_paths() {
-        let a = parse_args(&argv(&[
-            "crates/staging/src",
-            "--format=json",
-            "--baseline",
-            "lint-baseline.json",
-            "--out",
-            "f.json",
-        ]))
-        .unwrap();
+        let a =
+            parse_args(&argv(&["crates/staging/src", "--format=json", "--out", "f.json"])).unwrap();
         assert_eq!(a.paths, vec![PathBuf::from("crates/staging/src")]);
         assert_eq!(a.format, "json");
-        assert_eq!(a.baseline, Some(PathBuf::from("lint-baseline.json")));
         assert_eq!(a.out, Some(PathBuf::from("f.json")));
     }
 
     #[test]
     fn rejects_unknown_flag_and_format() {
-        assert!(parse_args(&argv(&["--what"])).is_err());
-        assert!(parse_args(&argv(&["--format=yaml"])).is_err());
+        // The deleted baseline flags are unknown like any other.
+        let removed = ["baseline", "write-baseline"].map(|name| format!("--{name}"));
+        let mut inputs = vec![argv(&["--what"]), argv(&["--format=yaml"])];
+        inputs.extend(removed.iter().map(|flag| argv(&[flag, "x"])));
+        for bad in inputs {
+            let err = parse_args(&bad).err();
+            assert!(err.is_some_and(|e| e.starts_with("unknown")), "{bad:?}");
+        }
     }
 }
