@@ -21,12 +21,14 @@
 //! The transports in `net::des` / `net::threaded` consume the decisions, and
 //! `logstore`'s faulty media consumes [`media`]'s. None of this crate knows
 //! about those layers — it only hands out reproducible randomness.
+//!
+//! Component and staging-server fail-stops are not planned here: the
+//! workflow's `FailureSpec` names each one as a victim and an instant.
 
 pub mod inject;
 pub mod media;
 pub mod plan;
 pub mod retry;
-pub mod scenario;
 
 pub use inject::{schedule, FaultDecision, FaultInjector, FaultReport};
 pub use media::{
@@ -34,4 +36,3 @@ pub use media::{
 };
 pub use plan::{FaultPlan, FaultRates, FaultSpace, FaultWindow, PlanError};
 pub use retry::RetryPolicy;
-pub use scenario::{Scenario, ScenarioKind};

@@ -3,15 +3,10 @@
 //! When the breaker decides an input is a showstopper — it has killed its
 //! consumer `N` times — the supervisor writes a [`DeadLetter`] describing it
 //! and the consumer skips that input from then on. Letters are held in
-//! memory and, when a sink is attached, persisted through `logstore` as one
-//! JSON record per letter, so a post-mortem (or a re-run with the input
-//! fixed) can read them back with [`DeadLetterQueue::load`].
-
-use logstore::{LogConfig, LogStore, Media};
-use serde::{Deserialize, Serialize};
+//! memory for the run's harvest; [`crate::Supervisor::dlq`] reads them.
 
 /// One quarantined input: who it killed, how often, and why.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeadLetter {
     /// Label of the domain the input kept killing (e.g. `comp:2`).
     pub domain: String,
@@ -25,48 +20,21 @@ pub struct DeadLetter {
     pub at_ns: u64,
 }
 
-/// In-memory dead-letter queue with an optional `logstore` persistence sink.
+/// In-memory dead-letter queue.
+#[derive(Default)]
 pub struct DeadLetterQueue {
     letters: Vec<DeadLetter>,
-    sink: Option<LogStore>,
 }
 
 impl DeadLetterQueue {
-    /// An empty, memory-only queue.
+    /// An empty queue.
     pub fn new() -> DeadLetterQueue {
-        DeadLetterQueue { letters: Vec::new(), sink: None }
+        DeadLetterQueue::default()
     }
 
-    /// An empty queue that persists each letter through `media`.
-    pub fn with_sink(media: Box<dyn Media>, cfg: LogConfig) -> std::io::Result<DeadLetterQueue> {
-        let sink = LogStore::open(media, cfg)?;
-        Ok(DeadLetterQueue { letters: Vec::new(), sink: Some(sink) })
-    }
-
-    /// Reload a persisted queue: every record in the store becomes a letter.
-    pub fn load(media: Box<dyn Media>, cfg: LogConfig) -> std::io::Result<DeadLetterQueue> {
-        let sink = LogStore::open(media, cfg)?;
-        let mut letters = Vec::new();
-        for rec in sink.read_all()? {
-            let letter: DeadLetter = serde_json::from_slice(&rec.payload)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-            letters.push(letter);
-        }
-        Ok(DeadLetterQueue { letters, sink: Some(sink) })
-    }
-
-    /// Quarantine `letter`: append to memory and, if a sink is attached,
-    /// durably (append + flush — a letter must survive the next crash, that
-    /// is its whole purpose).
-    pub fn push(&mut self, letter: DeadLetter) -> std::io::Result<()> {
-        if let Some(sink) = &mut self.sink {
-            let payload = serde_json::to_vec(&letter)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-            sink.append(letter.at_ns, &payload)?;
-            sink.flush()?;
-        }
+    /// Quarantine `letter`.
+    pub fn push(&mut self, letter: DeadLetter) {
         self.letters.push(letter);
-        Ok(())
     }
 
     /// Letters quarantined so far, in order.
@@ -85,16 +53,9 @@ impl DeadLetterQueue {
     }
 }
 
-impl Default for DeadLetterQueue {
-    fn default() -> Self {
-        DeadLetterQueue::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logstore::MemMedia;
 
     fn letter(step: u32) -> DeadLetter {
         DeadLetter {
@@ -110,33 +71,10 @@ mod tests {
     fn memory_only_queue() {
         let mut q = DeadLetterQueue::new();
         assert!(q.is_empty());
-        q.push(letter(5)).unwrap();
-        q.push(letter(9)).unwrap();
+        q.push(letter(5));
+        q.push(letter(9));
         assert_eq!(q.len(), 2);
         assert_eq!(q.letters()[0].step, 5);
         assert_eq!(q.letters()[1].step, 9);
-    }
-
-    #[test]
-    fn letters_persist_through_logstore() {
-        let media = MemMedia::new();
-        let mut q =
-            DeadLetterQueue::with_sink(Box::new(media.clone()), LogConfig::default()).unwrap();
-        q.push(letter(3)).unwrap();
-        q.push(letter(7)).unwrap();
-        // MemMedia clones share the backing store, so a fresh queue opened
-        // over the same media sees both letters.
-        let re = DeadLetterQueue::load(Box::new(media.clone()), LogConfig::default()).unwrap();
-        assert_eq!(re.len(), 2);
-        assert_eq!(re.letters()[0], letter(3));
-        assert_eq!(re.letters()[1], letter(7));
-    }
-
-    #[test]
-    fn letter_serde_round_trips() {
-        let l = letter(11);
-        let j = serde_json::to_string(&l).unwrap();
-        let back: DeadLetter = serde_json::from_str(&j).unwrap();
-        assert_eq!(back, l);
     }
 }

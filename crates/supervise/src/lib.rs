@@ -19,8 +19,8 @@
 //!   (`Healthy → Down → Restarting → Healthy`), outage/MTTR accounting, and
 //!   poison-input hit tracking.
 //! * [`dlq`] — the dead-letter queue: a poison input that kills its consumer
-//!   `N` times is *quarantined* — recorded as a [`dlq::DeadLetter`] persisted
-//!   through `logstore` — so the workflow completes without it instead of
+//!   `N` times is *quarantined* — recorded in memory as a
+//!   [`dlq::DeadLetter`] — so the workflow completes without it instead of
 //!   crash-looping forever.
 //! * [`supervisor`] — the brain tying it together: feed it deaths and
 //!   recoveries (with virtual-time timestamps), get back a

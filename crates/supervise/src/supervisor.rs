@@ -92,17 +92,12 @@ pub struct Supervisor {
 }
 
 impl Supervisor {
-    /// A supervisor with a memory-only DLQ.
+    /// A supervisor with an empty dead-letter queue.
     pub fn new(cfg: SupervisorCfg) -> Supervisor {
-        Supervisor::with_dlq(cfg, DeadLetterQueue::new())
-    }
-
-    /// A supervisor quarantining into `dlq` (possibly logstore-backed).
-    pub fn with_dlq(cfg: SupervisorCfg, dlq: DeadLetterQueue) -> Supervisor {
         Supervisor {
             cfg,
             slots: BTreeMap::new(),
-            dlq,
+            dlq: DeadLetterQueue::new(),
             restarts: 0,
             quarantined: 0,
             mttr_total_ns: 0,
@@ -142,9 +137,7 @@ impl Supervisor {
                     reason: cause.label().to_string(),
                     at_ns: now_ns,
                 };
-                // A full DLQ sink is a diagnostics loss, not a liveness
-                // hazard: quarantine proceeds in memory either way.
-                let _ = self.dlq.push(letter);
+                self.dlq.push(letter);
                 self.quarantined += 1;
                 self.note_grant(key, now_ns, delay);
                 return Verdict::Quarantine { delay_ns: delay, step };

@@ -127,9 +127,10 @@ pub enum FailureSpec {
         /// Number of failures to inject.
         count: usize,
     },
-    /// Fail-stop failure of staging server `server` at `at`; the staging
-    /// resilience layer (CoREC-style replication/erasure coding) rebuilds
-    /// its contents from survivors while requests queue.
+    /// Fail-stop failure of staging server `server` at `at`; the server
+    /// rebuilds its contents from survivors while requests queue, ingesting
+    /// `staging_resilience.protect.rs_k` bytes through its NIC per byte
+    /// rebuilt.
     StagingAt {
         /// Failure time.
         at: SimTime,
@@ -144,48 +145,6 @@ pub enum FailureSpec {
     NetFaults {
         /// The fault plan (rates, windows, seed).
         plan: FaultPlan,
-    },
-    /// Cascading failure: `first` fails at `at`, and every *other* component
-    /// (ascending app order) fails `spread` after the previous one — the
-    /// domino pattern a rack-level power or fabric event produces. Each
-    /// victim recovers independently under supervision; the scenario checks
-    /// that recoveries overlap without interfering.
-    Cascading {
-        /// When the first victim fails.
-        at: SimTime,
-        /// The first victim.
-        first: u32,
-        /// Gap between successive victims.
-        spread: SimTime,
-        /// Staging shards pulled into the cascade: after the components,
-        /// each listed server fails `spread` after the previous victim
-        /// (the scenario-matrix `srv:N` dimension).
-        #[serde(default)]
-        servers: Vec<usize>,
-    },
-    /// Correlated failure: all of `apps` fail at the same instant `at` (a
-    /// shared-switch or shared-blade loss).
-    Correlated {
-        /// The common failure time.
-        at: SimTime,
-        /// Victims (must be non-empty).
-        apps: Vec<u32>,
-        /// Staging shards sharing the failure domain: each listed server
-        /// fails at the same instant `at`.
-        #[serde(default)]
-        servers: Vec<usize>,
-    },
-    /// `app` fails at `at` and then fails *again* `again_after` into its own
-    /// recovery — the fail-during-recovery shape that breaks naive
-    /// restart logic (the second death must extend the same outage, not
-    /// deadlock or double-restart).
-    FailDuringRecovery {
-        /// First failure time.
-        at: SimTime,
-        /// Victim component.
-        app: u32,
-        /// Delay from the first failure to the failure-during-recovery.
-        again_after: SimTime,
     },
     /// Poison input: the data `victim` consumes at `step` is malformed and
     /// kills it on every attempt. Without supervision this wedges the run in
@@ -294,10 +253,6 @@ pub struct SupervisionCfg {
     pub breaker_cooldown: SimTime,
     /// Deaths the same input may cause before it is quarantined to the DLQ.
     pub poison_threshold: u32,
-    /// Directory for the persisted dead-letter queue (a `logstore` log).
-    /// `None` keeps the DLQ in memory only.
-    #[serde(default)]
-    pub dlq_dir: Option<String>,
 }
 
 impl Default for SupervisionCfg {
@@ -309,7 +264,6 @@ impl Default for SupervisionCfg {
             breaker_window: SimTime::from_millis(60_000),
             breaker_cooldown: SimTime::from_millis(2_000),
             poison_threshold: 3,
-            dlq_dir: None,
         }
     }
 }
@@ -642,17 +596,24 @@ impl WorkflowConfig {
     }
 
     /// Validate the configuration: the failure plan's component and server
-    /// indices must exist, rates must be probabilities, windows and spreads
-    /// must be non-empty, and durability needs a logging protocol.
+    /// indices must exist, rates must be probabilities, windows must be
+    /// non-empty, there is at most one network fault plan and one poison put
+    /// per victim, and durability needs a logging protocol.
     pub fn validate(&self) -> Result<(), String> {
         self.check_durability()?;
+        let mut net_faults = false;
+        let mut poisoned: Vec<u32> = Vec::new();
         for (i, spec) in self.failures.iter().enumerate() {
             let at_spec = |msg: String| format!("failures[{i}]: {msg}");
+            let victim = |app: u32| {
+                self.components
+                    .iter()
+                    .find(|c| c.app == app)
+                    .ok_or_else(|| at_spec(format!("unknown victim app {app}")))
+            };
             match spec {
                 FailureSpec::At { app, .. } => {
-                    if !self.components.iter().any(|c| c.app == *app) {
-                        return Err(at_spec(format!("unknown victim app {app}")));
-                    }
+                    victim(*app)?;
                 }
                 FailureSpec::Mtbf { mtbf_secs, count } => {
                     if !(mtbf_secs.is_finite() && *mtbf_secs > 0.0) {
@@ -671,64 +632,17 @@ impl WorkflowConfig {
                     }
                 }
                 FailureSpec::NetFaults { plan } => {
-                    plan.validate().map_err(|e| at_spec(format!("bad fault plan: {e}")))?;
-                }
-                FailureSpec::Cascading { first, spread, servers, .. } => {
-                    if !self.components.iter().any(|c| c.app == *first) {
-                        return Err(at_spec(format!("unknown first victim app {first}")));
-                    }
-                    if spread.0 == 0 {
-                        return Err(at_spec("cascade spread must be nonzero".into()));
-                    }
-                    for s in servers {
-                        if *s >= self.nservers {
-                            return Err(at_spec(format!(
-                                "staging server {s} out of range ({} servers)",
-                                self.nservers
-                            )));
-                        }
-                    }
-                }
-                FailureSpec::Correlated { apps, servers, .. } => {
-                    if apps.is_empty() && servers.is_empty() {
-                        return Err(at_spec("correlated victim list is empty".into()));
-                    }
-                    for app in apps {
-                        if !self.components.iter().any(|c| c.app == *app) {
-                            return Err(at_spec(format!("unknown victim app {app}")));
-                        }
-                    }
-                    for s in servers {
-                        if *s >= self.nservers {
-                            return Err(at_spec(format!(
-                                "staging server {s} out of range ({} servers)",
-                                self.nservers
-                            )));
-                        }
-                    }
-                }
-                FailureSpec::FailDuringRecovery { app, again_after, .. } => {
-                    if !self.components.iter().any(|c| c.app == *app) {
-                        return Err(at_spec(format!("unknown victim app {app}")));
-                    }
-                    if again_after.0 == 0 {
-                        return Err(at_spec("fail-during-recovery delay must be nonzero".into()));
-                    }
-                    if self.supervision.is_none() {
+                    if net_faults {
                         return Err(at_spec(
-                            "fail-during-recovery requires supervision (the \
-                             unsupervised director coalesces failures during \
-                             recovery)"
-                                .into(),
+                            "a second network fault plan; the run installs one".into(),
                         ));
                     }
+                    net_faults = true;
+                    plan.validate().map_err(|e| at_spec(format!("bad fault plan: {e}")))?;
                 }
-                FailureSpec::PoisonPut { victim, step } => {
-                    let Some(comp) = self.components.iter().find(|c| c.app == *victim) else {
-                        return Err(at_spec(format!("unknown victim app {victim}")));
-                    };
-                    if !comp.role.reads() {
-                        return Err(at_spec(format!("poison victim {victim} never consumes data")));
+                FailureSpec::PoisonPut { victim: app, step } => {
+                    if !victim(*app)?.role.reads() {
+                        return Err(at_spec(format!("poison victim {app} never consumes data")));
                     }
                     if *step >= self.total_steps {
                         return Err(at_spec(format!(
@@ -743,6 +657,13 @@ impl WorkflowConfig {
                                 .into(),
                         ));
                     }
+                    if poisoned.contains(app) {
+                        return Err(at_spec(format!(
+                            "a second poison put for victim {app}; a component carries one \
+                             poisoned step"
+                        )));
+                    }
+                    poisoned.push(*app);
                 }
             }
         }
@@ -1085,12 +1006,15 @@ mod tests {
 
     #[test]
     fn failure_spec_serde_round_trips() {
-        let cfg = tiny(WorkflowProtocol::Uncoordinated).with_failures(vec![
-            FailureSpec::At { at: SimTime::from_millis(10), app: 0 },
-            FailureSpec::Mtbf { mtbf_secs: 300.0, count: 2 },
-            FailureSpec::StagingAt { at: SimTime::from_millis(20), server: 1 },
-            FailureSpec::NetFaults { plan: plan(0.25) },
-        ]);
+        let cfg = tiny(WorkflowProtocol::Uncoordinated)
+            .with_supervision(SupervisionCfg::default())
+            .with_failures(vec![
+                FailureSpec::At { at: SimTime::from_millis(10), app: 0 },
+                FailureSpec::Mtbf { mtbf_secs: 300.0, count: 2 },
+                FailureSpec::StagingAt { at: SimTime::from_millis(20), server: 1 },
+                FailureSpec::NetFaults { plan: plan(0.25) },
+                FailureSpec::PoisonPut { victim: 1, step: 3 },
+            ]);
         assert!(cfg.validate().is_ok());
         let json = serde_json::to_string(&cfg).unwrap();
         let back: WorkflowConfig = serde_json::from_str(&json).unwrap();
@@ -1119,6 +1043,9 @@ mod tests {
         let mut p = plan(0.1);
         p.windows = vec![faultplane::FaultWindow { from_msg: 50, to_msg: 10 }];
         assert!(base.with_net_faults(p).validate().is_err());
+        // A second plan: the runner installs only one.
+        let twice = base.with_net_faults(plan(0.1)).with_net_faults(plan(0.2));
+        assert!(twice.validate().unwrap_err().contains("second network fault plan"));
     }
 
     #[test]
@@ -1130,38 +1057,26 @@ mod tests {
         let bad_server =
             base.with_failures(vec![FailureSpec::StagingAt { at: SimTime::ZERO, server: 4 }]);
         assert!(bad_server.validate().unwrap_err().contains("out of range"));
-        let zero_spread = base.with_failures(vec![FailureSpec::Cascading {
-            at: SimTime::ZERO,
-            first: 0,
-            spread: SimTime::ZERO,
-            servers: vec![],
-        }]);
-        assert!(zero_spread.validate().unwrap_err().contains("nonzero"));
         let bad_mtbf = base.with_failures(vec![FailureSpec::Mtbf { mtbf_secs: -1.0, count: 1 }]);
         assert!(bad_mtbf.validate().unwrap_err().contains("positive"));
     }
 
     #[test]
     fn supervised_failure_specs_round_trip_and_validate() {
+        let ms = SimTime::from_millis;
         let cfg = tiny(WorkflowProtocol::Uncoordinated)
             .with_supervision(SupervisionCfg::default())
             .with_failures(vec![
-                FailureSpec::Cascading {
-                    at: SimTime::from_millis(10),
-                    first: 0,
-                    spread: SimTime::from_millis(50),
-                    servers: vec![],
-                },
-                FailureSpec::Correlated {
-                    at: SimTime::from_millis(20),
-                    apps: vec![0, 1],
-                    servers: vec![1],
-                },
-                FailureSpec::FailDuringRecovery {
-                    at: SimTime::from_millis(30),
-                    app: 1,
-                    again_after: SimTime::from_millis(5),
-                },
+                // A cascade: app 0, then app 1 one spread later.
+                FailureSpec::At { at: ms(10), app: 0 },
+                FailureSpec::At { at: ms(60), app: 1 },
+                // A correlated failure of both apps and server 1.
+                FailureSpec::At { at: ms(20), app: 0 },
+                FailureSpec::At { at: ms(20), app: 1 },
+                FailureSpec::StagingAt { at: ms(20), server: 1 },
+                // A second failure during app 1's recovery.
+                FailureSpec::At { at: ms(30), app: 1 },
+                FailureSpec::At { at: ms(35), app: 1 },
                 FailureSpec::PoisonPut { victim: 1, step: 3 },
             ]);
         assert!(cfg.validate().is_ok());
@@ -1175,57 +1090,13 @@ mod tests {
     fn supervised_spec_validation_rejections() {
         let base = tiny(WorkflowProtocol::Uncoordinated);
         let sup = base.with_supervision(SupervisionCfg::default());
-        // Cascading: unknown first victim / zero spread.
+        // Server targets must exist (tiny has 4 servers).
         assert!(sup
-            .with_failures(vec![FailureSpec::Cascading {
-                at: SimTime::ZERO,
-                first: 99,
-                spread: SimTime::from_millis(1),
-                servers: vec![],
-            }])
-            .validate()
-            .unwrap_err()
-            .contains("unknown first victim"));
-        assert!(sup
-            .with_failures(vec![FailureSpec::Cascading {
-                at: SimTime::ZERO,
-                first: 0,
-                spread: SimTime::ZERO,
-                servers: vec![],
-            }])
-            .validate()
-            .unwrap_err()
-            .contains("nonzero"));
-        // Correlated: empty list.
-        assert!(sup
-            .with_failures(vec![FailureSpec::Correlated {
-                at: SimTime::ZERO,
-                apps: vec![],
-                servers: vec![],
-            }])
-            .validate()
-            .unwrap_err()
-            .contains("empty"));
-        // Shard targets must exist (tiny has 4 servers).
-        assert!(sup
-            .with_failures(vec![FailureSpec::Correlated {
-                at: SimTime::ZERO,
-                apps: vec![0],
-                servers: vec![4],
-            }])
+            .with_failures(vec![FailureSpec::StagingAt { at: SimTime::ZERO, server: 4 }])
             .validate()
             .unwrap_err()
             .contains("out of range"));
-        // Fail-during-recovery and poison need supervision.
-        assert!(base
-            .with_failures(vec![FailureSpec::FailDuringRecovery {
-                at: SimTime::ZERO,
-                app: 0,
-                again_after: SimTime::from_millis(1),
-            }])
-            .validate()
-            .unwrap_err()
-            .contains("supervision"));
+        // Poison needs supervision.
         assert!(base
             .with_failures(vec![FailureSpec::PoisonPut { victim: 1, step: 1 }])
             .validate()
@@ -1242,6 +1113,15 @@ mod tests {
             .validate()
             .unwrap_err()
             .contains("out of range"));
+        // A victim carries one poisoned step.
+        assert!(sup
+            .with_failures(vec![
+                FailureSpec::PoisonPut { victim: 1, step: 3 },
+                FailureSpec::PoisonPut { victim: 1, step: 5 },
+            ])
+            .validate()
+            .unwrap_err()
+            .contains("second poison put"));
         // Supervision cannot ride the coordinated protocol's global rollback.
         let co = tiny(WorkflowProtocol::Coordinated).with_supervision(SupervisionCfg::default());
         assert!(co.validate().unwrap_err().contains("coordinated"));

@@ -35,9 +35,6 @@ pub fn materialize_failures(cfg: &WorkflowConfig) -> Vec<FailureSpec> {
             FailureSpec::At { .. }
             | FailureSpec::StagingAt { .. }
             | FailureSpec::NetFaults { .. }
-            | FailureSpec::Cascading { .. }
-            | FailureSpec::Correlated { .. }
-            | FailureSpec::FailDuringRecovery { .. }
             | FailureSpec::PoisonPut { .. } => out.push(spec.clone()),
             FailureSpec::Mtbf { mtbf_secs, count } => {
                 let mut t = 0.0;
@@ -238,18 +235,7 @@ pub fn build(cfg: &WorkflowConfig) -> BuiltWorkflow {
     // actor so the component/server actor-id layout mcheck depends on is
     // untouched.
     let sup_id = cfg.supervision.as_ref().map(|s| {
-        let dlq = match &s.dlq_dir {
-            Some(dir) => {
-                let media = Box::new(
-                    logstore::FsMedia::new(std::path::Path::new(dir))
-                        .expect("create dead-letter directory"),
-                );
-                supervise::DeadLetterQueue::with_sink(media, logstore::LogConfig::default())
-                    .expect("open dead-letter queue")
-            }
-            None => supervise::DeadLetterQueue::new(),
-        };
-        let mut sup = crate::supervisor_actor::SupervisorActor::new(s.supervisor_cfg(), dlq);
+        let mut sup = crate::supervisor_actor::SupervisorActor::new(s.supervisor_cfg());
         for (i, c) in cfg.components.iter().enumerate() {
             sup.watch_component(c.app, comp_ids[i]);
         }
@@ -345,75 +331,6 @@ pub fn build(cfg: &WorkflowConfig) -> BuiltWorkflow {
                             per_byte_s: rebuild_per_byte_s,
                         },
                     );
-                }
-                FailureSpec::Cascading { at, first, spread, servers } => {
-                    // The first victim dies at `at`; the failure then spreads
-                    // to every other component in ascending app order, one
-                    // `spread` apart — the correlated-cascade scenario. Named
-                    // staging shards join the domino chain after the
-                    // components, each one `spread` later still.
-                    let idx_of = |app: u32| {
-                        cfg.components
-                            .iter()
-                            .position(|c| c.app == app)
-                            .expect("cascade victim exists")
-                    };
-                    engine.schedule_at(at, comp_ids[idx_of(first)], Fail);
-                    let mut rest: Vec<u32> =
-                        cfg.components.iter().map(|c| c.app).filter(|&a| a != first).collect();
-                    rest.sort_unstable();
-                    let mut t = at;
-                    for app in rest {
-                        t += spread;
-                        engine.schedule_at(t, comp_ids[idx_of(app)], Fail);
-                    }
-                    for server in servers {
-                        assert!(server < server_ids.len(), "cascade server index");
-                        t += spread;
-                        engine.schedule_at(
-                            t,
-                            server_ids[server],
-                            staging::server::ServerFail {
-                                fixed: cfg.staging_resilience.fixed,
-                                per_byte_s: rebuild_per_byte_s,
-                            },
-                        );
-                    }
-                }
-                FailureSpec::Correlated { at, apps, servers } => {
-                    // One root cause (rack power, switch) takes several
-                    // components — and any staging shards sharing the failure
-                    // domain — down at the same instant.
-                    for app in apps {
-                        let idx = cfg
-                            .components
-                            .iter()
-                            .position(|c| c.app == app)
-                            .expect("correlated victim exists");
-                        engine.schedule_at(at, comp_ids[idx], Fail);
-                    }
-                    for server in servers {
-                        assert!(server < server_ids.len(), "correlated server index");
-                        engine.schedule_at(
-                            at,
-                            server_ids[server],
-                            staging::server::ServerFail {
-                                fixed: cfg.staging_resilience.fixed,
-                                per_byte_s: rebuild_per_byte_s,
-                            },
-                        );
-                    }
-                }
-                FailureSpec::FailDuringRecovery { at, app, again_after } => {
-                    // The second blow lands while the first recovery is in
-                    // flight (size `again_after` below the recovery time).
-                    let idx = cfg
-                        .components
-                        .iter()
-                        .position(|c| c.app == app)
-                        .expect("fail-during-recovery victim exists");
-                    engine.schedule_at(at, comp_ids[idx], Fail);
-                    engine.schedule_at(at + again_after, comp_ids[idx], Fail);
                 }
                 // Installed on the network / wired in step 5.
                 FailureSpec::NetFaults { .. } | FailureSpec::PoisonPut { .. } => {}

@@ -14,7 +14,7 @@ use obs::{arg, TraceCtx};
 use sim_core::engine::{Actor, ActorId, Ctx, Event};
 use sim_core::time::SimTime;
 use staging::server::{ServerDownNotice, ServerUpNotice};
-use supervise::{DeadLetterQueue, DeathCause, DomainKey, Supervisor};
+use supervise::{DeathCause, DomainKey, Supervisor};
 
 /// Component → supervisor: the component died.
 pub struct ComponentDown {
@@ -71,11 +71,10 @@ pub struct SupervisorActor {
 }
 
 impl SupervisorActor {
-    /// A supervisor actor around a fresh policy machine quarantining into
-    /// `dlq`.
-    pub fn new(cfg: supervise::SupervisorCfg, dlq: DeadLetterQueue) -> SupervisorActor {
+    /// A supervisor actor around a fresh policy machine.
+    pub fn new(cfg: supervise::SupervisorCfg) -> SupervisorActor {
         SupervisorActor {
-            sup: Supervisor::with_dlq(cfg, dlq),
+            sup: Supervisor::new(cfg),
             comp_actor: BTreeMap::new(),
             tracer: obs::Tracer::off(),
             track: obs::TrackId(0),

@@ -38,11 +38,10 @@ fn main() {
     println!("{}", rep.to_json_line());
 
     println!("-- crash during recovery: one outage, growing backoff --");
-    let redeath = base.with_failures(vec![FailureSpec::FailDuringRecovery {
-        at: SimTime::from_millis(700),
-        app: 1,
-        again_after: SimTime::from_millis(80),
-    }]);
+    let redeath = base.with_failures(vec![
+        FailureSpec::At { at: SimTime::from_millis(700), app: 1 },
+        FailureSpec::At { at: SimTime::from_millis(780), app: 1 }, // 80 ms into recovery
+    ]);
     let rep = run(&redeath);
     println!("{}", rep.summary());
     println!("{}", rep.to_json_line());

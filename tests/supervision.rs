@@ -1,5 +1,5 @@
 //! Self-healing supervision: automatic restarts, dead-letter quarantine,
-//! and the cascading-failure scenario matrix.
+//! and composed failures written as lists of single fail-stops.
 //!
 //! The invariants pinned here, per the supervision design (DESIGN §8):
 //!
@@ -10,17 +10,19 @@
 //! * A poison put crash-loops its consumer until the breaker trips, the
 //!   step is quarantined to the dead-letter queue, and the *rest* of the
 //!   run completes — byte-identically across same-seed runs.
-//! * The DLQ persisted through `logstore` survives a process restart.
-//! * The cascading/correlated/fail-during-recovery matrix from
-//!   `faultplane::scenario` is deterministic end to end (soak, `--ignored`).
+//! * The quarantined step's letter names its domain, step, death count and
+//!   reason.
+//! * Cascading, correlated and fail-during-recovery failures — each a list
+//!   of `FailureSpec::At` — and poison puts are deterministic end to end
+//!   (soak, `--ignored`).
 
 mod common;
 
 use std::time::Duration;
-use supervise::DeadLetterQueue;
 use wfcr::protocol::WorkflowProtocol;
 use workflow::config::{tiny, FailureSpec, SupervisionCfg, TraceCfg, WorkflowConfig};
 use workflow::runner::run;
+use workflow::supervisor_actor::SupervisorActor;
 use workflow::RunReport;
 
 use sim_core::time::SimTime;
@@ -92,11 +94,10 @@ fn poison_put_without_supervision_is_rejected() {
 #[test]
 fn crash_during_recovery_extends_the_outage() {
     let _wd = common::watchdog("crash_during_recovery", Duration::from_secs(120));
-    let cfg = supervised().with_failures(vec![FailureSpec::FailDuringRecovery {
-        at: SimTime::from_millis(700),
-        app: 1,
-        again_after: SimTime::from_millis(80),
-    }]);
+    let cfg = supervised().with_failures(vec![
+        FailureSpec::At { at: SimTime::from_millis(700), app: 1 },
+        FailureSpec::At { at: SimTime::from_millis(780), app: 1 },
+    ]);
     let rep = run(&cfg);
     assert_completed(&rep, "fail-during-recovery");
     assert_eq!(rep.restarts, 2, "both deaths must be granted a restart");
@@ -111,28 +112,26 @@ fn crash_during_recovery_extends_the_outage() {
     assert_eq!(rep.to_json_line(), again.to_json_line());
 }
 
-/// Cascading (domino) and correlated (same-instant) multi-component
-/// failures: every victim recovers independently, recoveries overlap
-/// without interfering, and same-seed runs stay byte-identical.
+/// Cascading (domino: one victim after another, a spread apart) and
+/// correlated (same-instant) multi-component failures: every victim
+/// recovers independently, recoveries overlap without interfering, and
+/// same-seed runs stay byte-identical.
 #[test]
 fn cascading_and_correlated_failures_recover_deterministically() {
     let _wd = common::watchdog("cascading_and_correlated", Duration::from_secs(120));
-    let cascade = supervised().with_failures(vec![FailureSpec::Cascading {
-        at: SimTime::from_millis(600),
-        first: 0,
-        spread: SimTime::from_millis(120),
-        servers: vec![],
-    }]);
+    let cascade = supervised().with_failures(vec![
+        FailureSpec::At { at: SimTime::from_millis(600), app: 0 },
+        FailureSpec::At { at: SimTime::from_millis(720), app: 1 },
+    ]);
     let c1 = run(&cascade);
     assert_completed(&c1, "cascading");
     assert_eq!(c1.restarts, 2, "the failure must spread to both components");
     assert_eq!(c1.to_json_line(), run(&cascade).to_json_line());
 
-    let correlated = supervised().with_failures(vec![FailureSpec::Correlated {
-        at: SimTime::from_millis(650),
-        apps: vec![0, 1],
-        servers: vec![],
-    }]);
+    let correlated = supervised().with_failures(vec![
+        FailureSpec::At { at: SimTime::from_millis(650), app: 0 },
+        FailureSpec::At { at: SimTime::from_millis(650), app: 1 },
+    ]);
     let r1 = run(&correlated);
     assert_completed(&r1, "correlated");
     assert_eq!(r1.restarts, 2, "both victims must restart");
@@ -181,98 +180,87 @@ fn replicated_failover_routes_through_the_supervisor() {
     assert_eq!(sup.to_json_line(), again.to_json_line(), "same seed, same supervised report");
 }
 
-/// The dead-letter queue is a `logstore` log: letters written during the
-/// run are readable by a fresh process (simulated here by re-opening the
-/// sink from disk) with domain, step, death count and reason intact.
+/// A quarantined poison step leaves one letter in the supervisor's
+/// dead-letter queue, with domain, step, death count and reason intact.
 #[test]
 fn dead_letter_queue_persists_across_restart() {
-    let _wd = common::watchdog("dlq_persists", Duration::from_secs(120));
-    let dir = std::env::temp_dir().join(format!("sup-dlq-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-
-    let sup = SupervisionCfg {
-        dlq_dir: Some(dir.to_string_lossy().into_owned()),
-        ..SupervisionCfg::default()
-    };
-    let cfg = tiny(WorkflowProtocol::Uncoordinated)
-        .with_supervision(sup)
-        .with_failures(vec![FailureSpec::PoisonPut { victim: 1, step: 3 }]);
-    let rep = run(&cfg);
+    let _wd = common::watchdog("dlq_letter", Duration::from_secs(120));
+    let cfg = supervised().with_failures(vec![FailureSpec::PoisonPut { victim: 1, step: 3 }]);
+    let mut built = workflow::runner::build(&cfg);
+    built.engine.run_limited(200_000_000);
+    let rep = workflow::runner::harvest(&mut built);
     assert_eq!(rep.quarantined, 1);
 
-    let media = Box::new(logstore::FsMedia::new(&dir).unwrap());
-    let dlq = DeadLetterQueue::load(media, logstore::LogConfig::default()).unwrap();
-    assert_eq!(dlq.len(), 1, "exactly one letter must survive the restart");
+    let sup_id = built.sup_id.expect("supervised run");
+    let sup = built.engine.actor_as::<SupervisorActor>(sup_id).expect("supervisor actor");
+    let dlq = sup.supervisor().dlq();
+    assert_eq!(dlq.len(), 1, "exactly one letter must be quarantined");
     let letter = &dlq.letters()[0];
     assert_eq!(letter.domain, "comp:1");
     assert_eq!(letter.step, 3);
     assert_eq!(letter.deaths, SupervisionCfg::default().poison_threshold);
     assert_eq!(letter.reason, "poison-put");
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The staging servers a scenario cell's `srv:N` shard target names.
-fn shard_servers(s: &faultplane::Scenario) -> Vec<usize> {
-    s.shard.into_iter().map(|n| n as usize).collect()
+/// One soak cell's failure list: `shape` striking at `at`, its second
+/// blow (if any) `lag` later.
+fn soak_failures(shape: &str, at: SimTime, lag: SimTime) -> Vec<FailureSpec> {
+    match shape {
+        "cascading" => {
+            vec![FailureSpec::At { at, app: 0 }, FailureSpec::At { at: at + lag, app: 1 }]
+        }
+        "correlated" => vec![FailureSpec::At { at, app: 0 }, FailureSpec::At { at, app: 1 }],
+        "fail-during-recovery" => {
+            vec![FailureSpec::At { at, app: 1 }, FailureSpec::At { at: at + lag, app: 1 }]
+        }
+        "poison-put" => vec![FailureSpec::PoisonPut { victim: 1, step: 3 }],
+        _ => unreachable!("unknown soak shape {shape}"),
+    }
 }
 
-/// Map one scenario-matrix cell onto a concrete workflow config.
-fn scenario_cfg(s: &faultplane::Scenario) -> WorkflowConfig {
-    use faultplane::ScenarioKind;
-    let at = SimTime::from_millis(s.at_ms);
-    let lag = SimTime::from_millis(s.lag_ms);
-    let failures = match s.kind {
-        ScenarioKind::Cascading => {
-            vec![FailureSpec::Cascading { at, first: 0, spread: lag, servers: shard_servers(s) }]
-        }
-        ScenarioKind::Correlated => {
-            vec![FailureSpec::Correlated { at, apps: vec![0, 1], servers: shard_servers(s) }]
-        }
-        ScenarioKind::FailDuringRecovery => {
-            vec![FailureSpec::FailDuringRecovery { at, app: 1, again_after: lag }]
-        }
-        ScenarioKind::PoisonPut => vec![FailureSpec::PoisonPut { victim: 1, step: 3 }],
-    };
-    let mut cfg = supervised().with_failures(failures).with_seed(s.seed);
-    cfg.trace = Some(TraceCfg { flight_cap: Some(2048) });
-    cfg
-}
-
-/// Satellite 5 — the supervision soak: sweep the full cascading-failure
-/// scenario matrix, run every cell twice, and require completion, clean
+/// The supervision soak: four failure shapes × onsets {600, 700} ms × lag
+/// 80 ms × seeds {7, 11}, every cell run twice, requiring completion, clean
 /// digests and byte-identical reports. Each cell is armed with a watchdog
 /// that dumps the obs flight recorder on hang, so a wedged cell dies with
-/// its evidence attached. Nightly / label-run
-/// via CI; locally: `cargo test --test supervision -- --ignored`.
+/// its evidence attached. Nightly / label-run via CI; locally:
+/// `cargo test -q --release -p workflow --test supervision -- --ignored supervision_soak`.
 #[test]
 #[ignore]
 fn supervision_soak() {
-    let cells = faultplane::scenario::matrix(&[7, 11], &[600, 700], &[80]);
-    for cell in &cells {
-        let cfg = scenario_cfg(cell);
-        cfg.validate().unwrap_or_else(|e| panic!("{}: invalid cfg: {e}", cell.label()));
+    let ms = SimTime::from_millis;
+    let lag = ms(80);
+    let mut cells = 0;
+    for shape in ["cascading", "correlated", "fail-during-recovery", "poison-put"] {
+        for at_ms in [600, 700] {
+            for seed in [7, 11] {
+                let label = format!("{shape}@{at_ms}+80ms/s{seed}");
+                let mut cfg = supervised()
+                    .with_failures(soak_failures(shape, ms(at_ms), lag))
+                    .with_seed(seed);
+                cfg.trace = Some(TraceCfg { flight_cap: Some(2048) });
+                cfg.validate().unwrap_or_else(|e| panic!("{label}: invalid cfg: {e}"));
 
-        let mut built = workflow::runner::build(&cfg);
-        let wd = common::watchdog_with_dump(
-            "supervision_soak",
-            Duration::from_secs(120),
-            common::dump_tracer(built.tracer.clone()),
-        );
-        built.engine.run_limited(200_000_000);
-        let rep = workflow::runner::harvest(&mut built);
-        drop(wd);
+                let mut built = workflow::runner::build(&cfg);
+                let wd = common::watchdog_with_dump(
+                    "supervision_soak",
+                    Duration::from_secs(120),
+                    common::dump_tracer(built.tracer.clone()),
+                );
+                built.engine.run_limited(200_000_000);
+                let rep = workflow::runner::harvest(&mut built);
+                drop(wd);
 
-        assert_completed(&rep, &cell.label());
-        assert!(rep.restarts > 0, "{}: supervision must have acted", cell.label());
-        let again = run(&cfg);
-        assert_eq!(
-            rep.to_json_line(),
-            again.to_json_line(),
-            "{}: same seed, same report",
-            cell.label()
-        );
+                assert_completed(&rep, &label);
+                assert!(rep.restarts > 0, "{label}: supervision must have acted");
+                let again = run(&cfg);
+                assert_eq!(
+                    rep.to_json_line(),
+                    again.to_json_line(),
+                    "{label}: same seed, same report"
+                );
+                cells += 1;
+            }
+        }
     }
-    eprintln!("supervision_soak: {} cells green", cells.len());
+    eprintln!("supervision_soak: {cells} cells green");
 }
