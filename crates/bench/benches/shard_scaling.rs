@@ -57,14 +57,14 @@ fn bench_shard_scaling(c: &mut Criterion) {
     eprintln!("{:>7} {:>8} {:>12} {:>14}", "shards", "puts", "total [s]", "puts/s (sim)");
     for shards in [1usize, 2, 4, 8] {
         let rep = run(&sharded_cfg(shards));
-        assert_eq!(rep.shards, shards as u64, "report must carry the fleet size");
+        assert_eq!(rep.shard_puts.len(), shards, "report must carry the fleet size");
         assert_eq!(rep.digest_mismatches, 0);
         eprintln!(
             "{:>7} {:>8} {:>12.3} {:>14.1}",
             shards,
-            rep.puts,
+            rep.puts(),
             rep.total_time_s,
-            rep.puts as f64 / rep.total_time_s,
+            rep.puts() as f64 / rep.total_time_s,
         );
     }
 

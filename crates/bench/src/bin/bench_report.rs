@@ -47,14 +47,14 @@ fn build_report() -> (BenchReport, String, String) {
         // Deterministic virtual-time metrics: tolerances exist for the day
         // a metric becomes wall-clock-derived, not because these drift.
         row.metric("total_time_s", r.total_time_s, Direction::LargerWorse, 0.02);
-        row.metric("p99_put_response_s", r.p99_put_response_s, Direction::LargerWorse, 0.05);
+        row.metric("p99_put_response_s", r.p99_put_response_s(), Direction::LargerWorse, 0.05);
         row.metric(
             "staging_peak_mib",
             r.staging_peak_bytes as f64 / (1 << 20) as f64,
             Direction::LargerWorse,
             0.05,
         );
-        row.metric("puts", r.puts as f64, Direction::Exact, 0.0);
+        row.metric("puts", r.puts() as f64, Direction::Exact, 0.0);
         row.metric("digest_mismatches", r.digest_mismatches as f64, Direction::Exact, 0.0);
         row.metric("events_dispatched", r.events_dispatched as f64, Direction::Exact, 0.0);
         let series = r.series.as_ref().expect("telemetry-on run attaches a series");

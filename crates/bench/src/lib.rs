@@ -252,7 +252,7 @@ pub fn ablation_gc() -> Vec<AblationRow> {
             variant: label.to_string(),
             total_s: r.total_time_s,
             peak_bytes: r.staging_peak_bytes,
-            rollback_steps: r.rollback_steps,
+            rollback_steps: r.rollback_steps(),
             aux: r.gc_reclaimed_bytes,
         });
     }
@@ -275,8 +275,8 @@ pub fn ablation_proactive() -> Vec<AblationRow> {
             variant: format!("recall={recall:.1}"),
             total_s: r.total_time_s,
             peak_bytes: r.staging_peak_bytes,
-            rollback_steps: r.rollback_steps,
-            aux: r.proactive_ckpts,
+            rollback_steps: r.rollback_steps(),
+            aux: r.proactive_ckpts(),
         });
     }
     rows
@@ -300,8 +300,8 @@ pub fn ablation_ckpt_target() -> Vec<AblationRow> {
                 variant: format!("{}/{}", proto.label(), label),
                 total_s: r.total_time_s,
                 peak_bytes: r.staging_peak_bytes,
-                rollback_steps: r.rollback_steps,
-                aux: r.ckpts,
+                rollback_steps: r.rollback_steps(),
+                aux: r.ckpts(),
             });
         }
     }
@@ -329,8 +329,8 @@ pub fn ablation_spares() -> Vec<AblationRow> {
             variant: label.to_string(),
             total_s: r.total_time_s,
             peak_bytes: r.staging_peak_bytes,
-            rollback_steps: r.rollback_steps,
-            aux: r.recoveries,
+            rollback_steps: r.rollback_steps(),
+            aux: r.recoveries(),
         });
     }
     rows
@@ -373,8 +373,8 @@ pub fn period_sweep(seeds: u64) -> (Vec<PeriodRow>, f64) {
             cfg.failures = failures;
             let r = run(&cfg);
             total += r.total_time_s;
-            redo += r.rollback_steps as f64;
-            ckpts += r.ckpts as f64;
+            redo += r.rollback_steps() as f64;
+            ckpts += r.ckpts() as f64;
         }
         let n = seeds as f64;
         rows.push(PeriodRow { period, total_s: total / n, redo_steps: redo / n, ckpts: ckpts / n });

@@ -1,7 +1,8 @@
 //! `repro`'s argument handling: a run that would print nothing is an error.
-//! And the gate on the paper: what `repro` prints and writes for Fig. 9 is
-//! `results/`, byte for byte (ROADMAP item 4c; `fig10`, 8 s optimised, is
-//! gated in CI's `metrics-gate` job).
+//! And the gate on the paper: what `repro` prints and writes for Fig. 9, the
+//! two tables, the ablations and the checkpoint-period sweep is `results/`,
+//! byte for byte (ROADMAP item 4c; `fig10`, 8 s optimised, is gated in CI's
+//! `metrics-gate` job).
 
 use std::path::Path;
 use std::process::Command;
@@ -25,10 +26,13 @@ fn unknown_or_missing_experiment_is_rejected_with_the_valid_list() {
     assert!(stdout.contains("Table II"));
 }
 
+fn committed(file: &str) -> String {
+    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    std::fs::read_to_string(results.join(file)).expect(file)
+}
+
 #[test]
 fn fig9_tables_and_json_reproduce_results_byte_for_byte() {
-    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    let committed = |file: &str| std::fs::read_to_string(results.join(file)).expect(file);
     for exp in ["fig9a", "fig9b", "fig9e"] {
         let json = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("repro_{exp}.json"));
         let (code, stdout, _) = repro(&["--exp", exp, "--json", json.to_str().expect("utf-8")]);
@@ -36,5 +40,24 @@ fn fig9_tables_and_json_reproduce_results_byte_for_byte() {
         assert!(stdout == committed(&format!("{exp}.txt")), "{exp} table differs from results/");
         let written = std::fs::read_to_string(&json).expect("repro wrote the file");
         assert!(written == committed(&format!("{exp}.json")), "{exp} JSON differs from results/");
+    }
+}
+
+/// The results that are only a printed table: `tables.txt` is `table2`'s
+/// output followed by `table3`'s.
+#[test]
+fn tables_ablations_and_period_sweep_reproduce_results_byte_for_byte() {
+    for (file, exps) in [
+        ("tables.txt", &["table2", "table3"][..]),
+        ("ablations.txt", &["ablations"][..]),
+        ("period_sweep.txt", &["period_sweep"][..]),
+    ] {
+        let mut stdout = String::new();
+        for exp in exps {
+            let (code, out, _) = repro(&["--exp", exp]);
+            assert_eq!(code, Some(0), "{exp}");
+            stdout.push_str(&out);
+        }
+        assert!(stdout == committed(file), "{exps:?} output differs from results/{file}");
     }
 }

@@ -20,10 +20,7 @@
 //!   state-hash pruning;
 //! * [`oracle::Oracle`]s are checked after every transition; on violation the
 //!   offending schedule is [`minimize::ddmin`]-minimized and serialized as a
-//!   replayable [`schedule::Schedule`] (`.schedule` file);
-//! * [`hb`] provides the vector-clock happens-before tracker used to flag
-//!   ordering races (e.g. between the staging server's keyed get-wakeup
-//!   index and control-plane acks).
+//!   replayable [`schedule::Schedule`] (`.schedule` file).
 //!
 //! The crate knows nothing about the workflow layer: models implement
 //! [`explore::Model`] and supply their own oracles, so `workflow` depends on
@@ -31,14 +28,12 @@
 
 pub mod cursor;
 pub mod explore;
-pub mod hb;
 pub mod minimize;
 pub mod oracle;
 pub mod schedule;
 
 pub use cursor::{CursorSource, RecordedChoice, Recorder, SharedRecorder};
 pub use explore::{ExploreConfig, ExploreOutcome, Explorer, Model, Violation};
-pub use hb::{HbTracker, Race, VectorClock};
 pub use minimize::ddmin;
 pub use oracle::{disjoint_owners, CounterZero, FnOracle, Oracle};
 pub use schedule::{Choice, Schedule};

@@ -33,4 +33,4 @@ pub mod threaded;
 
 pub use cost::CostModel;
 pub use des::{Delivered, EndpointId, Msg, Network, NetworkHandle, Transmit};
-pub use threaded::{MeshProbe, NetMsg, ThreadEndpoint, ThreadedNet};
+pub use threaded::{NetMsg, ThreadEndpoint, ThreadedNet};

@@ -31,27 +31,8 @@ pub struct NetMsg {
     pub from: usize,
     /// Declared size in bytes (for accounting parity with the DES transport).
     pub size: u64,
-    /// Mesh-unique message id, stamped at send time. Feeds happens-before
-    /// analysis (a [`MeshProbe`] pairs the send and receive of one id).
-    pub mid: u64,
     /// Opaque payload.
     pub payload: Box<dyn Any + Send>,
-}
-
-/// Observation hook for happens-before analysis over the threaded mesh.
-///
-/// `on_send` fires on the sending thread just before the message is enqueued;
-/// `on_recv` fires on the receiving thread just after it is dequeued. The
-/// `mid` pairs the two ends of one message, so a vector-clock tracker (see
-/// `mcheck::HbTracker`) can build the message edges of the happens-before
-/// relation and flag concurrent accesses that a schedule-explorer should
-/// chase. Implementations must be cheap and non-blocking — they run on the
-/// hot path of every send and receive.
-pub trait MeshProbe: Send + Sync {
-    /// Endpoint `from` hands message `mid` to endpoint `to`'s queue.
-    fn on_send(&self, from: usize, to: usize, mid: u64);
-    /// Endpoint `at` dequeues message `mid`.
-    fn on_recv(&self, at: usize, mid: u64);
 }
 
 /// Shared counters for the whole mesh.
@@ -59,7 +40,6 @@ pub trait MeshProbe: Send + Sync {
 pub struct MeshStats {
     msgs: AtomicU64,
     bytes: AtomicU64,
-    next_mid: AtomicU64,
 }
 
 impl MeshStats {
@@ -86,8 +66,6 @@ pub struct ThreadEndpoint {
     /// after the *next* send from this endpoint, so later traffic overtakes
     /// it. Flushed on drop so nothing is lost at teardown.
     holdback: Mutex<Option<(usize, NetMsg)>>,
-    /// Optional happens-before observation hook.
-    probe: Option<Arc<dyn MeshProbe>>,
 }
 
 impl ThreadEndpoint {
@@ -118,12 +96,10 @@ impl ThreadEndpoint {
                 a && b
             }
             FaultDecision::Reorder { .. } => {
-                // mid 0 is a placeholder: the real id is stamped by
-                // `raw_send` when the held message is actually enqueued.
-                let prev = self.holdback.lock().replace((
-                    to,
-                    NetMsg { from: self.id, size, mid: 0, payload: Box::new(payload) },
-                ));
+                let prev = self
+                    .holdback
+                    .lock()
+                    .replace((to, NetMsg { from: self.id, size, payload: Box::new(payload) }));
                 if let Some((pto, pmsg)) = prev {
                     self.raw_send(pto, pmsg.size, pmsg.payload);
                 }
@@ -150,13 +126,7 @@ impl ThreadEndpoint {
     fn raw_send(&self, to: usize, size: u64, payload: Box<dyn Any + Send>) -> bool {
         self.stats.msgs.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes.fetch_add(size, Ordering::Relaxed);
-        let mid = self.stats.next_mid.fetch_add(1, Ordering::Relaxed) + 1;
-        // Probe before the enqueue so the send observation cannot race the
-        // receiver's dequeue observation of the same mid.
-        if let Some(p) = &self.probe {
-            p.on_send(self.id, to, mid);
-        }
-        self.peers[to].send(NetMsg { from: self.id, size, mid, payload }).is_ok()
+        self.peers[to].send(NetMsg { from: self.id, size, payload }).is_ok()
     }
 
     fn flush_holdback(&self) {
@@ -174,29 +144,17 @@ impl ThreadEndpoint {
     ///
     /// Returns `None` when every sender has been dropped (mesh shutdown).
     pub fn recv(&self) -> Option<NetMsg> {
-        let m = self.rx.recv().ok()?;
-        self.observe_recv(&m);
-        Some(m)
+        self.rx.recv().ok()
     }
 
     /// Block until a message arrives or `timeout` passes.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<NetMsg, RecvTimeoutError> {
-        let m = self.rx.recv_timeout(timeout)?;
-        self.observe_recv(&m);
-        Ok(m)
+        self.rx.recv_timeout(timeout)
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<NetMsg> {
-        let m = self.rx.try_recv().ok()?;
-        self.observe_recv(&m);
-        Some(m)
-    }
-
-    fn observe_recv(&self, m: &NetMsg) {
-        if let Some(p) = &self.probe {
-            p.on_recv(self.id, m.mid);
-        }
+        self.rx.try_recv().ok()
     }
 
     /// Shared mesh statistics.
@@ -220,28 +178,17 @@ impl ThreadedNet {
     /// Create `n` endpoints wired all-to-all (including self-loops, which are
     /// occasionally convenient for uniform code paths).
     pub fn mesh(n: usize) -> Vec<ThreadEndpoint> {
-        Self::build(n, None, None)
+        Self::build(n, None)
     }
 
     /// Create `n` endpoints sharing one deterministic fault injector driven
     /// by `plan`. The per-message decision stream is seed-deterministic; the
     /// assignment of stream indices to messages follows real send order.
     pub fn mesh_with_faults(n: usize, plan: FaultPlan) -> Vec<ThreadEndpoint> {
-        Self::build(n, Some(Arc::new(FaultInjector::new(plan))), None)
+        Self::build(n, Some(Arc::new(FaultInjector::new(plan))))
     }
 
-    /// Create `n` endpoints sharing a happens-before observation probe; every
-    /// send and receive on the mesh is reported to `probe` with a
-    /// mesh-unique message id.
-    pub fn mesh_with_probe(n: usize, probe: Arc<dyn MeshProbe>) -> Vec<ThreadEndpoint> {
-        Self::build(n, None, Some(probe))
-    }
-
-    fn build(
-        n: usize,
-        faults: Option<Arc<FaultInjector>>,
-        probe: Option<Arc<dyn MeshProbe>>,
-    ) -> Vec<ThreadEndpoint> {
+    fn build(n: usize, faults: Option<Arc<FaultInjector>>) -> Vec<ThreadEndpoint> {
         let stats = Arc::new(MeshStats::default());
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
@@ -260,7 +207,6 @@ impl ThreadedNet {
                 stats: Arc::clone(&stats),
                 faults: faults.clone(),
                 holdback: Mutex::new(None),
-                probe: probe.clone(),
             })
             .collect()
     }
@@ -450,37 +396,6 @@ mod tests {
         assert!(b.try_recv().is_none());
         drop(a);
         assert_eq!(*b.recv().unwrap().payload.downcast::<u32>().unwrap(), 42);
-    }
-
-    #[test]
-    fn probe_observes_paired_send_and_recv() {
-        #[derive(Default)]
-        struct Log {
-            events: Mutex<Vec<(&'static str, usize, u64)>>,
-        }
-        impl MeshProbe for Log {
-            fn on_send(&self, from: usize, _to: usize, mid: u64) {
-                self.events.lock().push(("send", from, mid));
-            }
-            fn on_recv(&self, at: usize, mid: u64) {
-                self.events.lock().push(("recv", at, mid));
-            }
-        }
-        let probe = Arc::new(Log::default());
-        let mut eps = ThreadedNet::mesh_with_probe(2, probe.clone());
-        let b = eps.pop().unwrap();
-        let a = eps.pop().unwrap();
-        assert!(a.send(1, 4, 7u32));
-        assert!(a.send(1, 4, 8u32));
-        let m1 = b.recv().unwrap();
-        let m2 = b.recv().unwrap();
-        assert_ne!(m1.mid, m2.mid, "mids are mesh-unique");
-        let ev = probe.events.lock().clone();
-        assert_eq!(ev.len(), 4);
-        assert_eq!(ev[0], ("send", 0, m1.mid));
-        assert_eq!(ev[1], ("send", 0, m2.mid));
-        assert_eq!(ev[2], ("recv", 1, m1.mid));
-        assert_eq!(ev[3], ("recv", 1, m2.mid));
     }
 
     #[test]

@@ -35,11 +35,11 @@
 //! [`crate::supervisor_actor::SupervisorActor`] and the component parks in
 //! `SupervisedWait` until a [`crate::supervisor_actor::RestartGrant`]
 //! arrives (after backoff and any breaker hold), then rolls back to its
-//! last checkpoint as the unsupervised path does. For poison inputs past
-//! the breaker threshold the grant carries the step to quarantine. Unlike
-//! the unsupervised path, a failure *during* recovery is not coalesced: it
-//! kills the recovery and re-notifies the supervisor, whose backoff grows
-//! with the consecutive death count.
+//! last checkpoint as the unsupervised path does. For a poison input that
+//! reached the poison threshold the grant carries the step to quarantine.
+//! Unlike the unsupervised path, a failure *during* recovery is not
+//! coalesced: it kills the recovery and re-notifies the supervisor, whose
+//! backoff grows with the consecutive death count.
 
 use crate::config::{CkptTarget, ComponentConfig, WorkflowConfig};
 use faultplane::RetryPolicy;
@@ -195,15 +195,9 @@ pub struct ComponentActor {
     pending_delay: SimTime,
     /// A failure warning arrived: checkpoint at the next step boundary.
     proactive_pending: bool,
-    /// Proactive checkpoints taken.
-    proactive_ckpts: u32,
 
     /// Steps executed including re-execution.
     steps_executed: u64,
-    /// Rollback recoveries performed.
-    recoveries: u32,
-    /// Fail-overs absorbed by replication.
-    failovers: u32,
     /// Handles of `wf.put_response_s` and `wf.puts`, resolved at this
     /// component's first put reply (a component that never wrote registers
     /// neither).
@@ -302,10 +296,7 @@ impl ComponentActor {
             last_ckpt_step: 0,
             pending_delay: SimTime::ZERO,
             proactive_pending: false,
-            proactive_ckpts: 0,
             steps_executed: 0,
-            recoveries: 0,
-            failovers: 0,
             put_metrics: None,
             get_metrics: None,
             supervisor: None,
@@ -364,24 +355,9 @@ impl ComponentActor {
         self.poison_step = Some(step);
     }
 
-    /// Rollback recoveries performed.
-    pub fn recoveries(&self) -> u32 {
-        self.recoveries
-    }
-
-    /// Replication fail-overs absorbed.
-    pub fn failovers(&self) -> u32 {
-        self.failovers
-    }
-
     /// Steps executed including re-execution.
     pub fn steps_executed(&self) -> u64 {
         self.steps_executed
-    }
-
-    /// Proactive (predictor-triggered) checkpoints taken.
-    pub fn proactive_ckpts(&self) -> u32 {
-        self.proactive_ckpts
     }
 
     // ---- observability --------------------------------------------------
@@ -638,7 +614,6 @@ impl ComponentActor {
             && self.cfg.scheme.rolls_back();
         if proactive_now {
             self.proactive_pending = false;
-            self.proactive_ckpts += 1;
             ctx.metrics().inc("wf.proactive_ckpts", 1);
         }
         if !self.ckpt_due() && !proactive_now {
@@ -826,7 +801,6 @@ impl ComponentActor {
             // opens an outage (MTTR accounting) that the next step start
             // closes — but it grants no restart, because the replica already
             // took over.
-            self.failovers += 1;
             self.pending_delay += self.failover;
             ctx.metrics().inc("wf.failovers", 1);
             self.span_instant(ctx, self.step_span, "failover", Vec::new());
@@ -966,7 +940,6 @@ impl ComponentActor {
     /// Count one rollback recovery and start its ULFM repair; restore and
     /// the staging restart follow on `UlfmDone`.
     fn start_ulfm(&mut self, ctx: &mut Ctx<'_>) {
-        self.recoveries += 1;
         ctx.metrics().inc("wf.recoveries", 1);
         ctx.metrics()
             .inc("wf.rollback_steps", u64::from(self.step.saturating_sub(self.last_ckpt_step + 1)));
@@ -1097,7 +1070,6 @@ impl Actor for ComponentActor {
                     // work; the failed component closes its `co_rollback`
                     // phase and enters the replay window.
                     self.abort_work(ctx);
-                    self.recoveries += 1;
                     ctx.metrics().inc("wf.recoveries", 1);
                     let p = std::mem::take(&mut self.rec_phase_span);
                     self.span_end(ctx, p, Vec::new());

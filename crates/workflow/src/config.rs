@@ -148,8 +148,9 @@ pub enum FailureSpec {
     },
     /// Poison input: the data `victim` consumes at `step` is malformed and
     /// kills it on every attempt. Without supervision this wedges the run in
-    /// a crash loop; with supervision the breaker trips after N deaths and
-    /// the step is quarantined to the dead-letter queue.
+    /// a crash loop; with supervision the step is quarantined to the
+    /// dead-letter queue once it has caused
+    /// [`SupervisionCfg::poison_threshold`] deaths.
     PoisonPut {
         /// The consumer that crashes on the poisoned input.
         victim: u32,
@@ -235,36 +236,21 @@ impl DurabilityCfg {
 
 /// Self-healing supervision (the `supervise` crate wired into the runner):
 /// a supervisor actor watches every component and staging server as its own
-/// failure domain, restarts dead ones from preserved state with
-/// capped-exponential backoff, and quarantines poison inputs to a
-/// dead-letter queue after the crash-loop breaker trips.
+/// failure domain and restarts dead ones from preserved state with
+/// capped-exponential backoff (50 ms doubling to 800 ms). An input that kills
+/// its component [`SupervisionCfg::poison_threshold`] times is quarantined to
+/// a dead-letter queue. The crash-loop breaker (4 deaths within 60 s hold
+/// restarts back for 2 s) is not what quarantines: each recovery clears its
+/// window.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SupervisionCfg {
-    /// Delay before the first restart of an outage.
-    pub base_backoff: SimTime,
-    /// Ceiling on the per-restart backoff.
-    pub max_backoff: SimTime,
-    /// Deaths within [`SupervisionCfg::breaker_window`] that trip the
-    /// crash-loop breaker.
-    pub breaker_threshold: u32,
-    /// Rolling window the breaker counts deaths within.
-    pub breaker_window: SimTime,
-    /// How long a tripped breaker holds restarts back.
-    pub breaker_cooldown: SimTime,
     /// Deaths the same input may cause before it is quarantined to the DLQ.
     pub poison_threshold: u32,
 }
 
 impl Default for SupervisionCfg {
     fn default() -> Self {
-        SupervisionCfg {
-            base_backoff: SimTime::from_millis(50),
-            max_backoff: SimTime::from_millis(800),
-            breaker_threshold: 4,
-            breaker_window: SimTime::from_millis(60_000),
-            breaker_cooldown: SimTime::from_millis(2_000),
-            poison_threshold: 3,
-        }
+        SupervisionCfg { poison_threshold: 3 }
     }
 }
 
@@ -273,11 +259,11 @@ impl SupervisionCfg {
     pub fn supervisor_cfg(&self) -> supervise::SupervisorCfg {
         supervise::SupervisorCfg {
             backoff: supervise::BackoffCfg {
-                base_ns: self.base_backoff.0,
-                cap_ns: self.max_backoff.0,
-                threshold: self.breaker_threshold,
-                window_ns: self.breaker_window.0,
-                cooldown_ns: self.breaker_cooldown.0,
+                base_ns: SimTime::from_millis(50).0,
+                cap_ns: SimTime::from_millis(800).0,
+                threshold: 4,
+                window_ns: SimTime::from_millis(60_000).0,
+                cooldown_ns: SimTime::from_millis(2_000).0,
             },
             poison_threshold: self.poison_threshold,
         }

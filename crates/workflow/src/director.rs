@@ -233,7 +233,6 @@ impl Director {
         }
         self.rolling_back = true;
         self.ready.clear();
-        ctx.metrics().inc("wf.recoveries", 1);
         if self.tracer.enabled() {
             // A rollback abandons any rendezvous in flight.
             let s = std::mem::take(&mut self.ckpt_span);

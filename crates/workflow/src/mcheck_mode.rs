@@ -24,7 +24,6 @@
 
 use crate::backend::AnyBackend;
 use crate::config::WorkflowConfig;
-use crate::report::RunReport;
 use crate::runner;
 use faultplane::FaultSpace;
 use mcheck::{ExploreConfig, ExploreOutcome, Explorer, FnOracle, Model, Oracle, Schedule};
@@ -317,20 +316,11 @@ impl Model for WorkflowModel {
     }
 }
 
-/// The mcheck runner mode: explore the schedule tree of `cfg` under `opts`,
-/// then stamp the exploration counters into a canonical-schedule
-/// [`RunReport`] (the all-defaults schedule is the ordinary seeded run).
-pub fn explore(
-    cfg: &WorkflowConfig,
-    opts: McheckOptions,
-    ecfg: ExploreConfig,
-) -> (ExploreOutcome, RunReport) {
-    let model = WorkflowModel::new(cfg.clone(), opts);
-    let outcome = Explorer::new(ecfg).explore(&model);
-    let mut report = runner::run(cfg);
-    report.schedules_explored = outcome.schedules_explored;
-    report.states_pruned = outcome.states_pruned;
-    (outcome, report)
+/// The mcheck runner mode: explore the schedule tree of `cfg` under `opts`.
+/// The all-defaults schedule is the ordinary seeded run, which
+/// [`runner::run`] reports.
+pub fn explore(cfg: &WorkflowConfig, opts: McheckOptions, ecfg: ExploreConfig) -> ExploreOutcome {
+    Explorer::new(ecfg).explore(&WorkflowModel::new(cfg.clone(), opts))
 }
 
 /// Re-execute a stored `.schedule` against `cfg`+`opts`. Returns the violated
@@ -357,10 +347,9 @@ mod tests {
         let r = runner::run(&micro(WorkflowProtocol::Uncoordinated));
         assert_eq!(r.finish_times_s.len(), 2);
         // 3 steps × 1 block per component.
-        assert_eq!(r.puts, 3);
-        assert_eq!(r.gets, 3);
+        assert_eq!(r.puts(), 3);
+        assert_eq!(r.gets(), 3);
         assert_eq!(r.digest_mismatches, 0);
-        assert_eq!(r.schedules_explored, 0, "plain runs do not explore");
     }
 
     #[test]

@@ -412,8 +412,6 @@ pub fn harvest(built: &mut BuiltWorkflow) -> RunReport {
     });
 
     let mut staging_peak_bytes = 0u64;
-    let mut staging_peak_upper_bytes = 0u64;
-    let mut staging_final_bytes = 0u64;
     let mut absorbed = 0u64;
     let mut replayed = 0u64;
     let mut mismatches = 0u64;
@@ -422,13 +420,9 @@ pub fn harvest(built: &mut BuiltWorkflow) -> RunReport {
     let mut stale_gets = 0u64;
     let sharded = cfg.sharding.is_some();
     let mut shard_puts = Vec::new();
-    let mut shard_replays = Vec::new();
     for (i, &sid) in server_ids.iter().enumerate() {
-        let g = m.gauge(&format!("staging.server{i}.bytes"));
-        staging_peak_bytes += g.peak.max(0) as u64;
-        staging_peak_upper_bytes += g.peak_upper.max(0) as u64;
+        staging_peak_bytes += m.gauge(&format!("staging.server{i}.bytes")).peak.max(0) as u64;
         let s = engine.actor_as::<StagingServerActor<AnyBackend>>(sid).expect("server actor");
-        staging_final_bytes += s.logic().bytes_resident();
         staging_rebuilds += u64::from(s.rebuilds());
         stale_gets += s.logic().backend().stale_gets();
         if sharded {
@@ -439,94 +433,45 @@ pub fn harvest(built: &mut BuiltWorkflow) -> RunReport {
             replayed += lb.replayed_gets();
             mismatches += lb.digest_mismatches();
             gc_reclaimed += lb.gc_reclaimed();
-            if sharded {
-                shard_replays.push(lb.replayed_gets());
-            }
-        } else if sharded {
-            shard_replays.push(0);
         }
     }
 
-    let mut steps_executed = 0u64;
-    let mut failovers = 0u64;
-    let mut recoveries = 0u64;
-    let mut proactive_ckpts = 0u64;
-    for &cid in comp_ids.iter() {
-        let c = engine.actor_as::<ComponentActor>(cid).expect("component");
-        steps_executed += c.steps_executed();
-        failovers += u64::from(c.failovers());
-        recoveries += u64::from(c.recoveries());
-        proactive_ckpts += u64::from(c.proactive_ckpts());
-    }
+    let steps_executed = comp_ids
+        .iter()
+        .map(|&cid| engine.actor_as::<ComponentActor>(cid).expect("component").steps_executed())
+        .sum();
 
-    let mut restarts = 0u64;
-    let mut quarantined = 0u64;
-    let mut mttr_mean_s = 0.0;
-    let mut mttr_max_s = 0.0;
-    if let Some(sid) = sup_id {
-        let sa = engine
-            .actor_as::<crate::supervisor_actor::SupervisorActor>(*sid)
-            .expect("supervisor actor");
-        let sup = sa.supervisor();
-        restarts = sup.restarts();
-        quarantined = sup.quarantined();
-        mttr_mean_s = sup.mttr_mean_ns() as f64 / 1e9;
-        mttr_max_s = sup.mttr_max_ns() as f64 / 1e9;
-    }
+    let (mttr_mean_s, mttr_max_s) = sup_id.map_or((0.0, 0.0), |sid| {
+        let sup = engine
+            .actor_as::<crate::supervisor_actor::SupervisorActor>(sid)
+            .expect("supervisor actor")
+            .supervisor();
+        (sup.mttr_mean_ns() as f64 / 1e9, sup.mttr_max_ns() as f64 / 1e9)
+    });
 
-    let put_stream = m.stream("wf.put_response_s");
     RunReport {
         label: cfg.label.clone(),
         protocol: cfg.protocol,
         total_time_s,
         finish_times_s,
-        puts: m.counter("wf.puts"),
-        gets: m.counter("wf.gets"),
-        cumulative_put_response_s: put_stream.sum(),
-        mean_put_response_s: put_stream.mean(),
-        p99_put_response_s: m.p99("wf.put_response_s").unwrap_or(0.0),
+        cumulative_put_response_s: m.stream("wf.put_response_s").sum(),
         staging_peak_bytes,
-        staging_peak_upper_bytes,
-        staging_final_bytes,
-        ckpts: m.counter("wf.ckpts"),
-        recoveries,
-        failovers,
-        rollback_steps: m.counter("wf.rollback_steps"),
         absorbed_puts: absorbed,
         replayed_gets: replayed,
         digest_mismatches: mismatches,
         stale_gets,
         gc_reclaimed_bytes: gc_reclaimed,
         staging_rebuilds,
-        proactive_ckpts,
         steps_executed,
-        recovery_ulfm_s: m.stream("wf.ulfm_s").sum(),
-        recovery_restore_s: m.stream("wf.restore_s").sum(),
-        co_rollback_s: m.stream("wf.co_rollback_s").sum(),
-        net_msgs: m.counter("net.msgs"),
-        net_bytes: m.counter("net.bytes"),
-        net_retries: m.counter("wf.net_retries"),
         events_dispatched: engine.dispatched(),
         log_bytes_flushed,
         segments_compacted,
         journal_group_commits,
         journal_records_batched,
-        restarts,
-        quarantined,
         mttr_mean_s,
         mttr_max_s,
-        cold_restart_ms: 0.0,
-        shards: if sharded { cfg.nservers as u64 } else { 0 },
-        rebalances: if sharded {
-            cfg.sharding.as_ref().and_then(|s| s.rebalance.as_ref()).map_or(0, |_| 1)
-        } else {
-            0
-        },
         shard_puts,
-        shard_replays,
-        schedules_explored: 0,
-        states_pruned: 0,
-        metrics: Some(m.snapshot()),
+        metrics: m.snapshot(),
         series,
     }
 }
@@ -557,10 +502,10 @@ mod tests {
         assert!(r.total_time_s > 0.0);
         assert_eq!(r.finish_times_s.len(), 2);
         // 12 steps × 8 blocks of 32³ in a 64³ domain per component.
-        assert_eq!(r.puts, 12 * 8);
-        assert_eq!(r.gets, 12 * 8);
-        assert_eq!(r.ckpts, 0);
-        assert_eq!(r.recoveries, 0);
+        assert_eq!(r.puts(), 12 * 8);
+        assert_eq!(r.gets(), 12 * 8);
+        assert_eq!(r.ckpts(), 0);
+        assert_eq!(r.recoveries(), 0);
         assert_eq!(r.digest_mismatches, 0);
         assert_eq!(r.steps_executed, 24);
     }
@@ -569,8 +514,8 @@ mod tests {
     fn uncoordinated_failure_free_checkpoints() {
         let r = run(&tiny(WorkflowProtocol::Uncoordinated));
         // sim: periods 4 → steps 4,8,12 = 3 ckpts; ana: period 5 → 5,10 = 2.
-        assert_eq!(r.ckpts, 5);
-        assert_eq!(r.recoveries, 0);
+        assert_eq!(r.ckpts(), 5);
+        assert_eq!(r.recoveries(), 0);
         assert!(r.staging_peak_bytes > 0);
     }
 
@@ -579,7 +524,7 @@ mod tests {
         let r = run(&tiny(WorkflowProtocol::Coordinated));
         // Global period 4 over 12 steps → 3 coordinated checkpoints; both
         // components count each → 6 component-level ckpts.
-        assert_eq!(r.ckpts, 6);
+        assert_eq!(r.ckpts(), 6);
     }
 
     #[test]
@@ -625,7 +570,7 @@ mod tests {
             app: 0,
         }]);
         let r = run(&cfg);
-        assert_eq!(r.recoveries, 1);
+        assert_eq!(r.recoveries(), 1);
         assert!(r.absorbed_puts > 0, "re-puts must be absorbed");
         assert_eq!(r.digest_mismatches, 0);
         assert!(r.steps_executed > 24, "re-execution happened");
@@ -639,7 +584,7 @@ mod tests {
             app: 1,
         }]);
         let r = run(&cfg);
-        assert_eq!(r.recoveries, 1);
+        assert_eq!(r.recoveries(), 1);
         assert!(r.replayed_gets > 0, "re-reads must come from the log");
         assert_eq!(r.digest_mismatches, 0);
     }
@@ -652,8 +597,10 @@ mod tests {
             app: 0,
         }]);
         let r = run(&cfg);
-        // Global rollback counts one recovery per component.
-        assert_eq!(r.recoveries, 2);
+        // Global rollback counts one recovery per component, and only the
+        // components count it: the director adds none of its own.
+        assert_eq!(r.recoveries(), 2);
+        assert_eq!(r.metrics.counter("wf.recoveries"), 2);
     }
 
     #[test]
@@ -664,8 +611,8 @@ mod tests {
             app: 1,
         }]);
         let r = run(&cfg);
-        assert_eq!(r.recoveries, 0, "replicated analytics never rolls back");
-        assert_eq!(r.failovers, 1);
+        assert_eq!(r.recoveries(), 0, "replicated analytics never rolls back");
+        assert_eq!(r.failovers(), 1);
     }
 
     #[test]
@@ -700,10 +647,10 @@ mod tests {
     fn net_faults_are_ridden_out_by_retries() {
         let cfg = tiny(WorkflowProtocol::Uncoordinated).with_net_faults(lossy_plan(7));
         let r = run(&cfg);
-        assert_eq!(r.puts, 12 * 8, "every put must eventually land");
-        assert_eq!(r.gets, 12 * 8);
+        assert_eq!(r.puts(), 12 * 8, "every put must eventually land");
+        assert_eq!(r.gets(), 12 * 8);
         assert_eq!(r.digest_mismatches, 0);
-        assert!(r.net_retries > 0, "a 5% drop rate over ~200 requests must retry");
+        assert!(r.net_retries() > 0, "a 5% drop rate over ~200 requests must retry");
     }
 
     #[test]
@@ -716,7 +663,7 @@ mod tests {
             }])
             .with_net_faults(lossy_plan(11));
         let r = run(&cfg);
-        assert_eq!(r.recoveries, 1);
+        assert_eq!(r.recoveries(), 1);
         assert_eq!(r.digest_mismatches, 0, "replay must stay exact under dup/drop/reorder");
         assert!(r.absorbed_puts > 0);
     }
@@ -728,7 +675,7 @@ mod tests {
         let b = run(&cfg);
         assert_eq!(a.total_time_s, b.total_time_s);
         assert_eq!(a.events_dispatched, b.events_dispatched);
-        assert_eq!(a.net_retries, b.net_retries);
+        assert_eq!(a.net_retries(), b.net_retries());
     }
 
     #[test]
@@ -737,7 +684,6 @@ mod tests {
             .with_durability(crate::config::DurabilityCfg::default());
         let r = run(&cfg);
         assert!(r.log_bytes_flushed > 0, "durable run must flush journal bytes");
-        assert_eq!(r.cold_restart_ms, 0.0, "no cold restart inside a DES run");
         // Journaling must not perturb the simulated execution.
         let plain = run(&tiny(WorkflowProtocol::Uncoordinated));
         assert_eq!(r.total_time_s, plain.total_time_s);

@@ -25,7 +25,10 @@ fn main() {
     let clean = run(&dns_les(WorkflowProtocol::Uncoordinated));
     println!(
         "failure-free: total {:.2}s | puts {} gets {} ckpts {}",
-        clean.total_time_s, clean.puts, clean.gets, clean.ckpts
+        clean.total_time_s,
+        clean.puts(),
+        clean.gets(),
+        clean.ckpts()
     );
 
     // Figure 5: the LES solver fails around step 7.
@@ -37,7 +40,7 @@ fn main() {
         "LES fails @{}s: total {:.2}s | rollbacks {} replayed-gets {} absorbed-puts {} mismatches {}",
         fail_at.as_secs_f64(),
         r.total_time_s,
-        r.recoveries,
+        r.recoveries(),
         r.replayed_gets,
         r.absorbed_puts,
         r.digest_mismatches
@@ -55,7 +58,8 @@ fn main() {
         .with_failures(vec![FailureSpec::At { at: fail_at, app: 1 }]));
     println!(
         "coordinated baseline: total {:.2}s | rollbacks {} (both solvers redo work)",
-        co.total_time_s, co.recoveries
+        co.total_time_s,
+        co.recoveries()
     );
     println!(
         "\nUn {:.2}s vs Co {:.2}s -> the log confines the rollback to the failed solver.",

@@ -23,10 +23,14 @@ fn main() {
     let r = run(&cfg);
     println!(
         "total {:.3}s | rollbacks {} failovers {} replayed-gets {} absorbed-puts {}",
-        r.total_time_s, r.recoveries, r.failovers, r.replayed_gets, r.absorbed_puts
+        r.total_time_s,
+        r.recoveries(),
+        r.failovers(),
+        r.replayed_gets,
+        r.absorbed_puts
     );
-    assert_eq!(r.recoveries, 0, "replication absorbs the failure");
-    assert_eq!(r.failovers, 1);
+    assert_eq!(r.recoveries(), 0, "replication absorbs the failure");
+    assert_eq!(r.failovers(), 1);
     println!("-> replica took over; nothing rolled back, staging untouched\n");
 
     println!("== Hybrid workflow, failure in the CHECKPOINTED simulation ==");
@@ -35,10 +39,14 @@ fn main() {
     let r = run(&cfg);
     println!(
         "total {:.3}s | rollbacks {} failovers {} replayed-gets {} absorbed-puts {}",
-        r.total_time_s, r.recoveries, r.failovers, r.replayed_gets, r.absorbed_puts
+        r.total_time_s,
+        r.recoveries(),
+        r.failovers(),
+        r.replayed_gets,
+        r.absorbed_puts
     );
-    assert_eq!(r.recoveries, 1, "C/R component rolls back");
-    assert_eq!(r.failovers, 0);
+    assert_eq!(r.recoveries(), 1, "C/R component rolls back");
+    assert_eq!(r.failovers(), 0);
     assert!(r.absorbed_puts > 0, "its re-writes are absorbed by the log");
     assert_eq!(r.digest_mismatches, 0);
     println!("-> simulation rolled back; the log absorbed its redundant re-writes\n");
@@ -50,9 +58,13 @@ fn main() {
         let r = run(&cfg);
         println!(
             "victim app {}: total {:.3}s | rollbacks {} replayed-gets {} absorbed-puts {}",
-            victim, r.total_time_s, r.recoveries, r.replayed_gets, r.absorbed_puts
+            victim,
+            r.total_time_s,
+            r.recoveries(),
+            r.replayed_gets,
+            r.absorbed_puts
         );
-        assert_eq!(r.recoveries, 1);
+        assert_eq!(r.recoveries(), 1);
     }
     println!("\nOK: hybrid = C/R where rollback is cheap, replication where it is not.");
 }

@@ -105,9 +105,9 @@ fn main() {
              absorbed-puts {:>3} replayed-gets {:>3} mismatches {} | {}",
             proto.label(),
             r.total_time_s,
-            r.ckpts,
-            r.recoveries,
-            r.failovers,
+            r.ckpts(),
+            r.recoveries(),
+            r.failovers(),
             r.absorbed_puts,
             r.replayed_gets,
             r.digest_mismatches,

@@ -1,5 +1,5 @@
-//! Self-healing supervised run: automatic restarts, crash-loop breaker,
-//! and dead-letter quarantine end to end.
+//! Self-healing supervised run: automatic restarts, backoff across a
+//! crash during recovery, and dead-letter quarantine end to end.
 //!
 //! Runs the Table-II tiny workflow under the uncoordinated protocol three
 //! times, each under supervision:
@@ -9,8 +9,9 @@
 //! 2. a second blow landing *during* the first recovery — the outage
 //!    extends (growing backoff) instead of deadlocking;
 //! 3. a poison put that kills the consumer on every attempt — after
-//!    `poison_threshold` deaths the breaker quarantines the step to the
-//!    dead-letter queue and the rest of the run completes.
+//!    `poison_threshold` deaths the supervisor quarantines the step to the
+//!    dead-letter queue and the rest of the run completes. The crash-loop
+//!    breaker never trips here: each restart's recovery clears its window.
 //!
 //! Run with:
 //! ```text
@@ -46,13 +47,15 @@ fn main() {
     println!("{}", rep.summary());
     println!("{}", rep.to_json_line());
 
-    println!("-- poison put: breaker trips, step quarantined to the DLQ --");
+    println!("-- poison put: step quarantined to the DLQ after poison_threshold deaths --");
     let poison = base.with_failures(vec![FailureSpec::PoisonPut { victim: 1, step: 3 }]);
     let rep = run(&poison);
     println!("{}", rep.summary());
     println!(
         "quarantined {} step(s) after {} restart(s); mean time to repair {:.3}s",
-        rep.quarantined, rep.restarts, rep.mttr_mean_s
+        rep.quarantined(),
+        rep.restarts(),
+        rep.mttr_mean_s
     );
     println!("{}", rep.to_json_line());
 }

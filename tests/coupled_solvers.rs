@@ -15,12 +15,12 @@ fn coupled_solvers_run_failure_free() {
     assert_eq!(r.finish_times_s.len(), 2);
     assert_eq!(r.digest_mismatches, 0);
     // Both components write AND read every step.
-    assert!(r.puts > 0 && r.gets > 0);
+    assert!(r.puts() > 0 && r.gets() > 0);
     // DNS writes the full domain (2 vars × 8 blocks), LES a subset, for 12
     // steps each; both also read the other's fields.
     assert_eq!(r.steps_executed, 24);
     // Periods 4 and 5 over 12 steps → 3 + 2 checkpoints.
-    assert_eq!(r.ckpts, 5);
+    assert_eq!(r.ckpts(), 5);
 }
 
 #[test]
@@ -33,7 +33,7 @@ fn figure5_scenario_les_rollback_replays_both_directions() {
     }]);
     let r = run(&cfg);
     assert_eq!(r.finish_times_s.len(), 2);
-    assert_eq!(r.recoveries, 1);
+    assert_eq!(r.recoveries(), 1);
     assert!(r.absorbed_puts > 0, "the rolled-back solver's re-writes must be absorbed");
     assert!(r.replayed_gets > 0, "its re-reads must be served from the log");
     assert_eq!(r.digest_mismatches, 0, "replayed data is bit-identical");
@@ -44,7 +44,7 @@ fn figure5_scenario_dns_rollback() {
     let cfg = dns_les(WorkflowProtocol::Uncoordinated)
         .with_failures(vec![FailureSpec::At { at: SimTime::from_secs(65), app: 0 }]);
     let r = run(&cfg);
-    assert_eq!(r.recoveries, 1);
+    assert_eq!(r.recoveries(), 1);
     assert!(r.absorbed_puts > 0 && r.replayed_gets > 0);
     assert_eq!(r.digest_mismatches, 0);
     assert_eq!(r.finish_times_s.len(), 2);
@@ -78,7 +78,7 @@ fn double_failure_both_solvers() {
         FailureSpec::At { at: SimTime::from_secs(85), app: 1 },
     ]);
     let r = run(&cfg);
-    assert_eq!(r.recoveries, 2);
+    assert_eq!(r.recoveries(), 2);
     assert_eq!(r.finish_times_s.len(), 2);
     assert_eq!(r.digest_mismatches, 0);
 }

@@ -14,7 +14,7 @@ fn staging_server_failure_is_survived() {
     let r = run(&cfg);
     assert_eq!(r.finish_times_s.len(), 2, "workflow completes through the rebuild");
     assert_eq!(r.staging_rebuilds, 1);
-    assert_eq!(r.recoveries, 0, "no application component rolled back");
+    assert_eq!(r.recoveries(), 0, "no application component rolled back");
     assert_eq!(r.digest_mismatches, 0);
 
     // The rebuild window delays traffic: the run takes longer than clean.
@@ -38,7 +38,7 @@ fn staging_failure_preserves_coupled_data() {
     let r = run(&cfg);
     assert_eq!(r.finish_times_s.len(), 2);
     assert_eq!(r.staging_rebuilds, 1);
-    assert_eq!(r.recoveries, 1);
+    assert_eq!(r.recoveries(), 1);
     assert!(r.replayed_gets > 0, "replay still served from the rebuilt log");
     assert_eq!(r.digest_mismatches, 0);
 }
@@ -61,17 +61,17 @@ fn proactive_checkpoint_reduces_lost_work() {
     let failure = vec![FailureSpec::At { at: SimTime::from_millis(750), app: 0 }];
 
     let base = run(&tiny(WorkflowProtocol::Uncoordinated).with_failures(failure.clone()));
-    assert_eq!(base.proactive_ckpts, 0);
+    assert_eq!(base.proactive_ckpts(), 0);
 
     let mut cfg = tiny(WorkflowProtocol::Uncoordinated).with_failures(failure);
     cfg.proactive = Some(ProactiveCfg { lead: SimTime::from_millis(250), recall: 1.0 });
     let pro = run(&cfg);
-    assert_eq!(pro.proactive_ckpts, 1, "the predictor triggered a checkpoint");
+    assert_eq!(pro.proactive_ckpts(), 1, "the predictor triggered a checkpoint");
     assert!(
-        pro.rollback_steps < base.rollback_steps,
+        pro.rollback_steps() < base.rollback_steps(),
         "proactive checkpoint must shrink lost work: {} vs {}",
-        pro.rollback_steps,
-        base.rollback_steps
+        pro.rollback_steps(),
+        base.rollback_steps()
     );
     assert!(
         pro.total_time_s < base.total_time_s,
@@ -89,7 +89,7 @@ fn proactive_with_zero_recall_changes_nothing() {
     let mut cfg = tiny(WorkflowProtocol::Uncoordinated).with_failures(failure);
     cfg.proactive = Some(ProactiveCfg { lead: SimTime::from_millis(250), recall: 0.0 });
     let pro = run(&cfg);
-    assert_eq!(pro.proactive_ckpts, 0);
+    assert_eq!(pro.proactive_ckpts(), 0);
     assert_eq!(pro.total_time_s, base.total_time_s, "recall 0 ⇒ identical run");
 }
 
@@ -125,7 +125,7 @@ fn two_level_restore_still_works_after_failure() {
     cfg.ckpt_target = CkptTarget::TwoLevel;
     let r = run(&cfg);
     assert_eq!(r.finish_times_s.len(), 2);
-    assert_eq!(r.recoveries, 1);
+    assert_eq!(r.recoveries(), 1);
     assert_eq!(r.digest_mismatches, 0);
 }
 

@@ -13,7 +13,7 @@ fn three_consumers_run_failure_free() {
     assert_eq!(r.finish_times_s.len(), 4);
     assert_eq!(r.digest_mismatches, 0);
     // Periods 4/4/5/6 over 12 steps: 3 + 3 + 2 + 2 checkpoints.
-    assert_eq!(r.ckpts, 10);
+    assert_eq!(r.ckpts(), 10);
     assert_eq!(r.steps_executed, 4 * 12);
 }
 
@@ -24,7 +24,7 @@ fn one_consumer_failure_leaves_the_rest_untouched() {
     let cfg = fanout(WorkflowProtocol::Uncoordinated, 3)
         .with_failures(vec![FailureSpec::At { at: SimTime::from_secs(55), app: 2 }]);
     let r = run(&cfg);
-    assert_eq!(r.recoveries, 1, "only the failed consumer rolls back");
+    assert_eq!(r.recoveries(), 1, "only the failed consumer rolls back");
     assert!(r.replayed_gets > 0, "replayed_gets = {}", r.replayed_gets);
     assert_eq!(r.digest_mismatches, 0);
     assert_eq!(r.finish_times_s.len(), 4);
@@ -35,7 +35,7 @@ fn producer_failure_absorbed_once_despite_many_readers() {
     let cfg = fanout(WorkflowProtocol::Uncoordinated, 3)
         .with_failures(vec![FailureSpec::At { at: SimTime::from_secs(50), app: 0 }]);
     let r = run(&cfg);
-    assert_eq!(r.recoveries, 1);
+    assert_eq!(r.recoveries(), 1);
     assert!(r.absorbed_puts > 0, "re-writes absorbed");
     // Consumers that already read old versions are NOT disturbed: no
     // replayed gets (none of them rolled back).
@@ -48,7 +48,7 @@ fn coordinated_rolls_back_all_four() {
     let cfg = fanout(WorkflowProtocol::Coordinated, 3)
         .with_failures(vec![FailureSpec::At { at: SimTime::from_secs(50), app: 3 }]);
     let r = run(&cfg);
-    assert_eq!(r.recoveries, 4, "global rollback counts every component");
+    assert_eq!(r.recoveries(), 4, "global rollback counts every component");
     assert_eq!(r.finish_times_s.len(), 4);
 }
 
@@ -70,8 +70,8 @@ fn hybrid_fanout_mixes_schemes() {
         FailureSpec::At { at: SimTime::from_secs(60), app: 0 },
     ]);
     let r = run(&cfg);
-    assert_eq!(r.failovers, 1, "consumer failure -> replica failover");
-    assert_eq!(r.recoveries, 1, "producer failure -> rollback");
+    assert_eq!(r.failovers(), 1, "consumer failure -> replica failover");
+    assert_eq!(r.recoveries(), 1, "producer failure -> rollback");
     assert_eq!(r.digest_mismatches, 0);
 }
 
@@ -92,7 +92,7 @@ fn rotating_subsets_couple_and_recover() {
     // And recovery still replays correctly with moving regions.
     let failed =
         run(&cfg.with_failures(vec![FailureSpec::At { at: SimTime::from_secs(55), app: 1 }]));
-    assert_eq!(failed.recoveries, 1);
+    assert_eq!(failed.recoveries(), 1);
     assert!(failed.replayed_gets > 0, "rotating-region replay must be served");
     assert_eq!(failed.digest_mismatches, 0);
 }

@@ -233,10 +233,10 @@ fn sharded_des_reports_are_byte_identical_per_shard_count() {
         cfg.nservers = nshards;
         let r = run(&cfg);
         assert_eq!(r.finish_times_s.len(), 2, "{nshards} shards: must finish");
-        assert_eq!(r.shards, nshards as u64);
+        assert_eq!(r.shard_puts.len(), nshards);
         assert_eq!(r.digest_mismatches, 0, "{nshards} shards: replay drifted");
         assert_eq!(r.stale_gets, 0);
-        assert_eq!(r.recoveries, 1);
+        assert_eq!(r.recoveries(), 1);
         let again = run(&cfg);
         assert_eq!(
             r.to_json_line(),
@@ -340,7 +340,7 @@ proptest! {
             .with_net_faults(lossy(seed));
         let r = run(&cfg);
         prop_assert_eq!(r.finish_times_s.len(), 2, "both components must finish");
-        prop_assert_eq!(r.recoveries, 1);
+        prop_assert_eq!(r.recoveries(), 1);
         prop_assert_eq!(r.digest_mismatches, 0, "replay must be exact under faults");
         prop_assert_eq!(r.stale_gets, 0, "logging protocols never serve stale data");
     }
@@ -361,7 +361,7 @@ fn fault_injected_runs_are_byte_identical() {
     let b = serde_json::to_string(&run(&cfg)).expect("serialize");
     assert_eq!(a, b, "identical {{seed, plan}} must reproduce the report byte-for-byte");
     let r: workflow::RunReport = serde_json::from_str(&a).expect("round trip");
-    assert!(r.net_retries > 0, "the report must show the faults were actually exercised");
+    assert!(r.net_retries() > 0, "the report must show the faults were actually exercised");
 }
 
 /// Long-running soak matrix (CI `fault-soak` job): every protocol × a spread

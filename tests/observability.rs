@@ -56,13 +56,13 @@ fn recorder_is_inert_replay_equivalence() {
         for on in [&full, &flight] {
             assert_eq!(on.total_time_s, off.total_time_s, "{}", cfg.label);
             assert_eq!(on.events_dispatched, off.events_dispatched, "{}", cfg.label);
-            assert_eq!(on.puts, off.puts);
-            assert_eq!(on.gets, off.gets);
+            assert_eq!(on.puts(), off.puts());
+            assert_eq!(on.gets(), off.gets());
             assert_eq!(on.absorbed_puts, off.absorbed_puts);
             assert_eq!(on.replayed_gets, off.replayed_gets);
             assert_eq!(on.digest_mismatches, off.digest_mismatches);
             assert_eq!(on.staging_peak_bytes, off.staging_peak_bytes);
-            assert_eq!(on.recoveries, off.recoveries);
+            assert_eq!(on.recoveries(), off.recoveries());
             assert_eq!(on.steps_executed, off.steps_executed);
         }
     }
@@ -72,7 +72,7 @@ fn recorder_is_inert_replay_equivalence() {
 fn crash_recovery_trace_is_a_causal_story() {
     // Consumer (app 1) fails: its re-reads replay from the log.
     let (report, trace) = run_traced(&failing(1).with_tracing(TraceCfg::full()));
-    assert_eq!(report.recoveries, 1);
+    assert_eq!(report.recoveries(), 1);
     assert!(report.replayed_gets > 0);
     analyze::validate(&trace).expect("trace validates");
 
@@ -141,7 +141,7 @@ fn net_retries_appear_as_resend_instants() {
     let cfg =
         tiny(WorkflowProtocol::Uncoordinated).with_net_faults(plan).with_tracing(TraceCfg::full());
     let (report, trace) = run_traced(&cfg);
-    assert!(report.net_retries > 0);
+    assert!(report.net_retries() > 0);
     let resends =
         trace.records.iter().filter(|r| r.k == RecordKind::Instant && r.name == "resend").count();
     assert!(resends > 0, "retries must surface as resend instants");
@@ -195,6 +195,6 @@ fn report_json_line_round_trips() {
     assert!(!line.contains('\n'));
     let back: workflow::RunReport = serde_json::from_str(&line).expect("parse");
     assert_eq!(back.replayed_gets, report.replayed_gets);
-    let m = back.metrics.expect("snapshot embedded");
-    assert_eq!(m.counter("wf.puts"), report.puts);
+    assert_eq!(back.metrics, report.metrics);
+    assert_eq!(back.puts(), report.puts());
 }

@@ -36,7 +36,7 @@ fn uncoordinated_survives_dense_failures() {
     );
     let r = run(&stress_cfg(WorkflowProtocol::Uncoordinated, 1));
     assert_eq!(r.finish_times_s.len(), 2);
-    assert!(r.recoveries >= 4, "recoveries: {}", r.recoveries);
+    assert!(r.recoveries() >= 4, "recoveries: {}", r.recoveries());
     assert_eq!(r.staging_rebuilds, 2);
     assert_eq!(r.digest_mismatches, 0);
     assert!(r.steps_executed > 120, "re-execution happened");
@@ -48,8 +48,8 @@ fn hybrid_survives_dense_failures() {
         common::watchdog("hybrid_survives_dense_failures", std::time::Duration::from_secs(300));
     let r = run(&stress_cfg(WorkflowProtocol::Hybrid, 2));
     assert_eq!(r.finish_times_s.len(), 2);
-    assert!(r.failovers >= 1, "analytics failures fail over");
-    assert!(r.recoveries >= 1, "simulation failures roll back");
+    assert!(r.failovers() >= 1, "analytics failures fail over");
+    assert!(r.recoveries() >= 1, "simulation failures roll back");
     assert_eq!(r.digest_mismatches, 0);
 }
 
@@ -61,7 +61,7 @@ fn coordinated_survives_dense_failures() {
     );
     let r = run(&stress_cfg(WorkflowProtocol::Coordinated, 3));
     assert_eq!(r.finish_times_s.len(), 2);
-    assert!(r.recoveries >= 4);
+    assert!(r.recoveries() >= 4);
 }
 
 #[test]

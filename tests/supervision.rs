@@ -7,9 +7,10 @@
 //!   recovery* — recovers by checkpoint rollback without a global
 //!   rollback: only the victim rolls back, the run completes, and the
 //!   staging replay digests verify clean.
-//! * A poison put crash-loops its consumer until the breaker trips, the
-//!   step is quarantined to the dead-letter queue, and the *rest* of the
-//!   run completes — byte-identically across same-seed runs.
+//! * A poison put crash-loops its consumer until it has caused
+//!   `poison_threshold` deaths, the step is quarantined to the dead-letter
+//!   queue, and the *rest* of the run completes — byte-identically across
+//!   same-seed runs.
 //! * The quarantined step's letter names its domain, step, death count and
 //!   reason.
 //! * Cascading, correlated and fail-during-recovery failures — each a list
@@ -49,15 +50,15 @@ fn single_crash_recovers_per_policy() {
 
     let ck = run(&supervised().with_failures(fail));
     assert_completed(&ck, "checkpoint");
-    assert_eq!(ck.restarts, 1);
-    assert_eq!(ck.quarantined, 0);
-    assert_eq!(ck.recoveries, 1, "checkpoint: only the victim rolls back");
+    assert_eq!(ck.restarts(), 1);
+    assert_eq!(ck.quarantined(), 0);
+    assert_eq!(ck.recoveries(), 1, "checkpoint: only the victim rolls back");
     assert!(ck.mttr_mean_s > 0.0 && ck.mttr_max_s >= ck.mttr_mean_s);
 }
 
 /// Satellite 4 — the deterministic poison-put regression. A poisoned step-3
 /// input kills the consumer on every attempt; after `poison_threshold`
-/// deaths the breaker quarantines the step to the DLQ, the consumer skips
+/// deaths the supervisor quarantines the step to the DLQ, the consumer skips
 /// it, and the rest of the run completes. Two same-seed runs must produce
 /// byte-identical reports.
 #[test]
@@ -66,11 +67,11 @@ fn poison_put_quarantines_and_rest_completes_byte_identically() {
     let cfg = supervised().with_failures(vec![FailureSpec::PoisonPut { victim: 1, step: 3 }]);
     let a = run(&cfg);
     assert_completed(&a, "poison-put");
-    assert_eq!(a.quarantined, 1, "the poisoned step must land in the DLQ");
+    assert_eq!(a.quarantined(), 1, "the poisoned step must land in the DLQ");
     assert_eq!(
-        a.restarts as u32,
+        a.restarts() as u32,
         SupervisionCfg::default().poison_threshold,
-        "one restart per death until the breaker trips"
+        "one restart per death until the step is quarantined"
     );
     assert!(a.mttr_mean_s > 0.0);
 
@@ -100,8 +101,8 @@ fn crash_during_recovery_extends_the_outage() {
     ]);
     let rep = run(&cfg);
     assert_completed(&rep, "fail-during-recovery");
-    assert_eq!(rep.restarts, 2, "both deaths must be granted a restart");
-    assert_eq!(rep.quarantined, 0);
+    assert_eq!(rep.restarts(), 2, "both deaths must be granted a restart");
+    assert_eq!(rep.quarantined(), 0);
     assert!(
         rep.mttr_max_s > 0.08,
         "the re-death must extend the same outage past the 80 ms lag (mttr_max={})",
@@ -125,7 +126,7 @@ fn cascading_and_correlated_failures_recover_deterministically() {
     ]);
     let c1 = run(&cascade);
     assert_completed(&c1, "cascading");
-    assert_eq!(c1.restarts, 2, "the failure must spread to both components");
+    assert_eq!(c1.restarts(), 2, "the failure must spread to both components");
     assert_eq!(c1.to_json_line(), run(&cascade).to_json_line());
 
     let correlated = supervised().with_failures(vec![
@@ -134,7 +135,7 @@ fn cascading_and_correlated_failures_recover_deterministically() {
     ]);
     let r1 = run(&correlated);
     assert_completed(&r1, "correlated");
-    assert_eq!(r1.restarts, 2, "both victims must restart");
+    assert_eq!(r1.restarts(), 2, "both victims must restart");
     assert_eq!(r1.to_json_line(), run(&correlated).to_json_line());
 }
 
@@ -150,8 +151,8 @@ fn replicated_failover_routes_through_the_supervisor() {
     let fail = vec![FailureSpec::At { at: SimTime::from_millis(700), app: 1 }];
 
     let unsup = run(&tiny(WorkflowProtocol::Hybrid).with_failures(fail.clone()));
-    assert_eq!(unsup.failovers, 1);
-    assert_eq!(unsup.restarts, 0);
+    assert_eq!(unsup.failovers(), 1);
+    assert_eq!(unsup.restarts(), 0);
     assert_eq!(unsup.mttr_mean_s, 0.0, "no supervisor, no MTTR accounting");
 
     let cfg = tiny(WorkflowProtocol::Hybrid)
@@ -159,11 +160,11 @@ fn replicated_failover_routes_through_the_supervisor() {
         .with_failures(fail);
     let sup = run(&cfg);
     assert_eq!(sup.finish_times_s.len(), 2);
-    assert_eq!(sup.failovers, 1, "failover semantics unchanged under supervision");
-    assert_eq!(sup.recoveries, unsup.recoveries, "replication still absorbs the death");
+    assert_eq!(sup.failovers(), 1, "failover semantics unchanged under supervision");
+    assert_eq!(sup.recoveries(), unsup.recoveries(), "replication still absorbs the death");
     assert_eq!(sup.digest_mismatches, 0);
-    assert_eq!(sup.restarts, 1, "the outage is accounted by the policy machine");
-    assert_eq!(sup.quarantined, 0);
+    assert_eq!(sup.restarts(), 1, "the outage is accounted by the policy machine");
+    assert_eq!(sup.quarantined(), 0);
     assert!(
         sup.mttr_mean_s > 0.0,
         "the supervisor must time the failover outage (mttr={})",
@@ -189,7 +190,7 @@ fn dead_letter_queue_persists_across_restart() {
     let mut built = workflow::runner::build(&cfg);
     built.engine.run_limited(200_000_000);
     let rep = workflow::runner::harvest(&mut built);
-    assert_eq!(rep.quarantined, 1);
+    assert_eq!(rep.quarantined(), 1);
 
     let sup_id = built.sup_id.expect("supervised run");
     let sup = built.engine.actor_as::<SupervisorActor>(sup_id).expect("supervisor actor");
@@ -251,7 +252,7 @@ fn supervision_soak() {
                 drop(wd);
 
                 assert_completed(&rep, &label);
-                assert!(rep.restarts > 0, "{label}: supervision must have acted");
+                assert!(rep.restarts() > 0, "{label}: supervision must have acted");
                 let again = run(&cfg);
                 assert_eq!(
                     rep.to_json_line(),

@@ -128,9 +128,9 @@ fn telemetry_scraper_is_inert() {
         let off = run(&cfg);
         let on = run(&cfg.with_telemetry(telemetry_cfg()));
         assert_eq!(on.total_time_s, off.total_time_s, "{}", cfg.label);
-        assert_eq!(on.puts, off.puts, "{}", cfg.label);
-        assert_eq!(on.gets, off.gets, "{}", cfg.label);
-        assert_eq!(on.recoveries, off.recoveries, "{}", cfg.label);
+        assert_eq!(on.puts(), off.puts(), "{}", cfg.label);
+        assert_eq!(on.gets(), off.gets(), "{}", cfg.label);
+        assert_eq!(on.recoveries(), off.recoveries(), "{}", cfg.label);
         assert_eq!(on.digest_mismatches, off.digest_mismatches, "{}", cfg.label);
         assert_eq!(on.replayed_gets, off.replayed_gets, "{}", cfg.label);
         // Only the scrape ticks themselves may differ.
@@ -183,7 +183,7 @@ fn supervised_outages_feed_the_mttr_series() {
     let cfg =
         failing(1).with_supervision(SupervisionCfg::default()).with_telemetry(telemetry_cfg());
     let report = run(&cfg);
-    assert!(report.recoveries > 0, "the failure recovered");
+    assert!(report.recoveries() > 0, "the failure recovered");
     let series = report.series.expect("series");
     let mttr = series.cumulative_hist("sup.outage_s").expect("outage tail recorded");
     assert!(mttr.count() >= 1, "at least the injected outage");

@@ -12,7 +12,7 @@ fn all_protocols_complete_failure_free() {
     for proto in WorkflowProtocol::all() {
         let r = run(&tiny(proto).with_failures(vec![]));
         assert_eq!(r.finish_times_s.len(), 2, "{proto:?}");
-        assert_eq!(r.recoveries, 0);
+        assert_eq!(r.recoveries(), 0);
         assert_eq!(r.digest_mismatches, 0);
         assert!(r.total_time_s > 0.0);
     }
@@ -138,7 +138,7 @@ fn multiple_failures_multiple_recoveries() {
         FailureSpec::At { at: SimTime::from_millis(1_100), app: 0 },
     ]);
     let r = run(&cfg);
-    assert_eq!(r.recoveries, 3);
+    assert_eq!(r.recoveries(), 3);
     assert_eq!(r.finish_times_s.len(), 2);
     assert_eq!(r.digest_mismatches, 0);
     assert!(r.absorbed_puts > 0 && r.replayed_gets > 0);
@@ -152,7 +152,7 @@ fn runs_are_deterministic_across_protocols() {
         assert_eq!(a.total_time_s, b.total_time_s, "{proto:?}");
         assert_eq!(a.events_dispatched, b.events_dispatched, "{proto:?}");
         assert_eq!(a.staging_peak_bytes, b.staging_peak_bytes, "{proto:?}");
-        assert_eq!(a.net_bytes, b.net_bytes, "{proto:?}");
+        assert_eq!(a.net_bytes(), b.net_bytes(), "{proto:?}");
     }
 }
 
@@ -161,8 +161,8 @@ fn seed_changes_jitter_but_not_structure() {
     let a = run(&tiny(WorkflowProtocol::Uncoordinated).with_seed(1).with_failures(vec![]));
     let b = run(&tiny(WorkflowProtocol::Uncoordinated).with_seed(2).with_failures(vec![]));
     assert_ne!(a.total_time_s, b.total_time_s, "jitter must differ");
-    assert_eq!(a.puts, b.puts, "request structure is seed-independent");
-    assert_eq!(a.ckpts, b.ckpts);
+    assert_eq!(a.puts(), b.puts(), "request structure is seed-independent");
+    assert_eq!(a.ckpts(), b.ckpts());
 }
 
 #[test]
@@ -203,7 +203,7 @@ fn coordinated_failure_during_rendezvous_window() {
             .with_failures(vec![FailureSpec::At { at: SimTime::from_millis(at_ms), app: 0 }]);
         let r = run(&cfg);
         assert_eq!(r.finish_times_s.len(), 2, "stuck at failure time {at_ms}ms");
-        assert_eq!(r.recoveries, 2);
+        assert_eq!(r.recoveries(), 2);
     }
 }
 
@@ -216,7 +216,7 @@ fn failure_during_checkpoint_write_recovers() {
             .with_failures(vec![FailureSpec::At { at: SimTime::from_millis(at_ms), app: 0 }]);
         let r = run(&cfg);
         assert_eq!(r.finish_times_s.len(), 2, "stuck at {at_ms}ms");
-        assert_eq!(r.recoveries, 1);
+        assert_eq!(r.recoveries(), 1);
         assert_eq!(r.digest_mismatches, 0);
     }
 }
@@ -230,7 +230,7 @@ fn back_to_back_failures_same_component() {
     ]);
     let r = run(&cfg);
     assert_eq!(r.finish_times_s.len(), 2);
-    assert!(r.recoveries + u64::from(r.rollback_steps == 0) >= 1);
+    assert!(r.recoveries() + u64::from(r.rollback_steps() == 0) >= 1);
     assert_eq!(r.digest_mismatches, 0);
 }
 
@@ -242,6 +242,6 @@ fn simultaneous_failures_both_components() {
     ]);
     let r = run(&cfg);
     assert_eq!(r.finish_times_s.len(), 2);
-    assert_eq!(r.recoveries, 2);
+    assert_eq!(r.recoveries(), 2);
     assert_eq!(r.digest_mismatches, 0);
 }
