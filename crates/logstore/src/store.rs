@@ -32,6 +32,15 @@
 //! straight from the caller's slices) followed by a single fsync: group
 //! commit, one flush instead of N.
 //!
+//! **A failed write is final.** A run's `seq`s are used up before the media
+//! sees it, so after a media error the log has a hole that the next open
+//! truncates everything behind. The store keeps the first error's kind, and
+//! every later [`LogStore::append`], [`LogStore::append_parts`],
+//! [`LogStore::append_batch`], [`LogStore::flush`] and
+//! [`LogStore::compact_below`] fails with it and writes nothing: no record
+//! is acknowledged past the hole. Reopening the media recovers the prefix
+//! and writes again.
+//!
 //! Appends buffer frames in memory and push them to the media under a
 //! [`FlushPolicy`]; only flushed-and-synced bytes survive a crash.
 //! [`FlushPolicy::Grouped`] double-buffers: a sealed group's bytes are
@@ -366,6 +375,9 @@ pub struct LogStore {
     /// call, dropped by the first append or compaction — whichever comes
     /// first — so the segment buffers never outlive the restart.
     scan: Cell<Option<Vec<Record>>>,
+    /// The kind of the first media error a write met; every later write
+    /// fails with it (module docs: "A failed write is final").
+    failed: Option<io::ErrorKind>,
     bytes_flushed: u64,
     bytes_appended: u64,
     records_appended: u64,
@@ -385,6 +397,7 @@ impl std::fmt::Debug for LogStore {
             .field("buffered_bytes", &self.buf.len())
             .field("staged_bytes", &self.staged)
             .field("bytes_flushed", &self.bytes_flushed)
+            .field("failed", &self.failed)
             .finish()
     }
 }
@@ -410,6 +423,7 @@ impl LogStore {
             staged_records: 0,
             scratch: Vec::new(),
             scan: Cell::new(None),
+            failed: None,
             bytes_flushed: 0,
             bytes_appended: 0,
             records_appended: 0,
@@ -535,7 +549,7 @@ impl LogStore {
     /// the frame is checksummed over the parts as they lie and never
     /// assembled.
     pub fn append_parts(&mut self, watermark: u64, parts: &[&[u8]]) -> io::Result<()> {
-        self.append_run(&[BatchRecord { watermark, parts }])
+        self.unless_failed(|log| log.append_run(&[BatchRecord { watermark, parts }]))
     }
 
     /// Append a whole group of records with **one** flush decision at the
@@ -549,8 +563,26 @@ impl LogStore {
     /// Segment rotation mid-batch splits the group; each sub-run that a
     /// rotation terminates is flushed by the rotation as usual.
     pub fn append_batch(&mut self, batch: &[BatchRecord<'_>]) -> io::Result<()> {
-        self.records_batched += batch.len() as u64;
-        self.append_run(batch)
+        self.unless_failed(|log| {
+            log.records_batched += batch.len() as u64;
+            log.append_run(batch)
+        })
+    }
+
+    /// Run one write-path operation unless an earlier one failed, and
+    /// remember the kind of its error if it fails now.
+    fn unless_failed<T>(&mut self, op: impl FnOnce(&mut Self) -> io::Result<T>) -> io::Result<T> {
+        if let Some(kind) = self.failed {
+            return Err(io::Error::new(
+                kind,
+                "an earlier write to this log failed; nothing more is written until it is reopened",
+            ));
+        }
+        let result = op(self);
+        if let Err(e) = &result {
+            self.failed = Some(e.kind());
+        }
+        result
     }
 
     /// The one write path: cut `batch` into the runs that fit a segment,
@@ -583,7 +615,7 @@ impl LogStore {
             }
             if end == i {
                 // The next record needs a fresh segment.
-                self.flush()?;
+                self.drain()?;
                 let next = self.active().index + 1;
                 self.create_segment(next)?;
                 continue;
@@ -681,6 +713,10 @@ impl LogStore {
     /// completing any deferred group sync. After `flush` returns, every
     /// record appended so far is durable.
     pub fn flush(&mut self) -> io::Result<()> {
+        self.unless_failed(Self::drain)
+    }
+
+    fn drain(&mut self) -> io::Result<()> {
         let pending = self.staged + self.buf.len() as u64;
         if pending == 0 {
             return Ok(());
@@ -705,6 +741,10 @@ impl LogStore {
     /// and the active segment is never deleted. Returns the number of
     /// segments removed.
     pub fn compact_below(&mut self, floor: u64) -> io::Result<usize> {
+        self.unless_failed(|log| log.compact(floor))
+    }
+
+    fn compact(&mut self, floor: u64) -> io::Result<usize> {
         self.scan.set(None);
         let mut removed = 0usize;
         let last = self.segments.len() - 1;
@@ -1352,15 +1392,13 @@ mod tests {
         assert!(err.to_string().contains(&seg_name(0)), "{err}");
     }
 
-    /// The eleventh finding (ROADMAP item 1), pinned and not fixed: a group's
-    /// sequence numbers are consumed before its write, so one failed write
-    /// leaves a hole, and every later group is written, fsynced and
-    /// acknowledged behind it — where the next open stops at the gap and
-    /// throws all of it away as a torn tail. The recovered prefix is
-    /// consistent; the promise of durability made in between is not kept.
+    /// A group's sequence numbers are used up before its write, so a failed
+    /// write leaves a hole, and the next open truncates every later frame at
+    /// it. The first failure is therefore sticky: every later append, flush
+    /// and compaction fails with its kind and writes nothing, and no record
+    /// is acknowledged that a restart would throw away.
     #[test]
-    fn one_failed_write_silently_voids_every_later_commit() {
-        const FIXED: &str = "the eleventh finding is fixed: turn this into a regression test";
+    fn a_failed_write_is_sticky_and_voids_no_acknowledged_record() {
         for flush in [
             FlushPolicy::PerRecord,
             FlushPolicy::PerBatch { records: 4 },
@@ -1384,24 +1422,34 @@ mod tests {
                 let batch = [BatchRecord { watermark: group, parts: &parts }; 4];
                 match log.append_batch(&batch) {
                     Ok(()) => acknowledged += 4,
-                    Err(_) => assert_eq!(group, 2, "{flush:?}"),
+                    Err(e) => {
+                        assert!(group >= 2, "{flush:?}: group {group} failed");
+                        assert_eq!(e.kind(), io::ErrorKind::Other, "{flush:?}: the first kind");
+                    }
                 }
             }
-            assert_eq!(acknowledged, 28, "{flush:?}: seven groups were acknowledged");
-            assert!(log.flush().is_ok(), "{flush:?}: {FIXED}");
-            // The handle vouches for records it never wrote …
-            let err = log.read_all().expect_err(FIXED);
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{flush:?}");
-            assert!(
-                err.to_string().contains("32 durable records in 1240 bytes"),
-                "{flush:?}: {err}"
-            );
-            // … and a restart keeps what came before the hole, nothing after.
+            assert_eq!(acknowledged, 8, "{flush:?}: only the groups before the failure");
+            let on_media = mem.total_bytes();
+            let refused = [
+                log.append(9, &payload),
+                log.append_parts(9, &parts),
+                log.flush(),
+                log.compact_below(u64::MAX).map(drop),
+            ];
+            for r in refused {
+                assert_eq!(r.unwrap_err().kind(), io::ErrorKind::Other, "{flush:?}");
+            }
+            assert_eq!(mem.total_bytes(), on_media, "{flush:?}: a refused call writes nothing");
+            assert_eq!(log.read_all().unwrap().len(), 8, "{flush:?}: the handle vouches for 8");
+            // A restart keeps every acknowledged record, and the log writes again.
             drop(log);
-            let reopened = LogStore::open(Box::new(mem.clone()), cfg).unwrap();
-            assert_eq!(reopened.recovered_records(), 8, "{flush:?}: {FIXED}");
-            let frame = (FRAME_HEADER + payload.len()) as u64;
-            assert_eq!(reopened.truncated_bytes(), 20 * frame, "{flush:?}: CRC-clean frames");
+            mem.crash();
+            let mut reopened = LogStore::open(Box::new(mem.clone()), cfg).unwrap();
+            assert_eq!(reopened.recovered_records(), acknowledged, "{flush:?}");
+            assert!(reopened.was_clean(), "{flush:?}");
+            reopened.append(9, &payload).unwrap();
+            reopened.flush().unwrap();
+            assert_eq!(reopened.read_all().unwrap().len(), 9, "{flush:?}");
         }
     }
 

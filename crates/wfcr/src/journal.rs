@@ -188,41 +188,42 @@ impl JournalEntry {
     /// must land immediately after this prefix; the zero-copy append path
     /// hands them to the log as a separate vectored part.
     pub fn encode_meta_into(&self, out: &mut Vec<u8>) {
+        let varint32 = |out: &mut Vec<u8>, v: u32| wire::put_varint(out, u64::from(v));
         match self {
             JournalEntry::Put { app, desc, payload, digest } => {
                 wire::put_header(out, TAG_PUT);
-                wire::put_u32(out, *app);
-                wire::put_u32(out, desc.var);
-                wire::put_u32(out, desc.version);
+                varint32(out, *app);
+                varint32(out, desc.var);
+                varint32(out, desc.version);
                 wire::put_bbox(out, &desc.bbox);
                 wire::put_u64(out, *digest);
                 wire::put_payload_meta(out, payload);
             }
             JournalEntry::Get { app, var, requested, served, bbox, bytes, digest } => {
                 wire::put_header(out, TAG_GET);
-                wire::put_u32(out, *app);
-                wire::put_u32(out, *var);
-                wire::put_u32(out, *requested);
-                wire::put_u32(out, *served);
+                varint32(out, *app);
+                varint32(out, *var);
+                varint32(out, *requested);
+                varint32(out, *served);
                 wire::put_bbox(out, bbox);
-                wire::put_u64(out, *bytes);
+                wire::put_varint(out, *bytes);
                 wire::put_u64(out, *digest);
             }
             JournalEntry::Checkpoint { app, w_chk_id, upto_version, floor } => {
                 wire::put_header(out, TAG_CHECKPOINT);
-                wire::put_u32(out, *app);
-                wire::put_u64(out, *w_chk_id);
-                wire::put_u32(out, *upto_version);
-                wire::put_opt_u32(out, *floor);
+                varint32(out, *app);
+                wire::put_varint(out, *w_chk_id);
+                varint32(out, *upto_version);
+                wire::put_opt_varint(out, *floor);
             }
             JournalEntry::Recovery { app, resume_version } => {
                 wire::put_header(out, TAG_RECOVERY);
-                wire::put_u32(out, *app);
-                wire::put_u32(out, *resume_version);
+                varint32(out, *app);
+                varint32(out, *resume_version);
             }
             JournalEntry::GlobalReset { to_version } => {
                 wire::put_header(out, TAG_GLOBAL_RESET);
-                wire::put_u32(out, *to_version);
+                varint32(out, *to_version);
             }
         }
     }
@@ -253,9 +254,9 @@ impl JournalEntry {
         let (tag, mut r) = Reader::for_entry(bytes).ok()?;
         let entry = match tag {
             TAG_PUT => {
-                let app = r.u32().ok()?;
-                let var = r.u32().ok()?;
-                let version = r.u32().ok()?;
+                let app = r.var_u32().ok()?;
+                let var = r.var_u32().ok()?;
+                let version = r.var_u32().ok()?;
                 let bbox = r.bbox().ok()?;
                 let digest = r.u64().ok()?;
                 let payload = r.payload().ok()?;
@@ -265,24 +266,24 @@ impl JournalEntry {
                 JournalEntry::Put { app, desc: ObjDesc { var, version, bbox }, payload, digest }
             }
             TAG_GET => JournalEntry::Get {
-                app: r.u32().ok()?,
-                var: r.u32().ok()?,
-                requested: r.u32().ok()?,
-                served: r.u32().ok()?,
+                app: r.var_u32().ok()?,
+                var: r.var_u32().ok()?,
+                requested: r.var_u32().ok()?,
+                served: r.var_u32().ok()?,
                 bbox: r.bbox().ok()?,
-                bytes: r.u64().ok()?,
+                bytes: r.varint().ok()?,
                 digest: r.u64().ok()?,
             },
             TAG_CHECKPOINT => JournalEntry::Checkpoint {
-                app: r.u32().ok()?,
-                w_chk_id: r.u64().ok()?,
-                upto_version: r.u32().ok()?,
-                floor: r.opt_u32().ok()?,
+                app: r.var_u32().ok()?,
+                w_chk_id: r.varint().ok()?,
+                upto_version: r.var_u32().ok()?,
+                floor: r.opt_var_u32().ok()?,
             },
             TAG_RECOVERY => {
-                JournalEntry::Recovery { app: r.u32().ok()?, resume_version: r.u32().ok()? }
+                JournalEntry::Recovery { app: r.var_u32().ok()?, resume_version: r.var_u32().ok()? }
             }
-            TAG_GLOBAL_RESET => JournalEntry::GlobalReset { to_version: r.u32().ok()? },
+            TAG_GLOBAL_RESET => JournalEntry::GlobalReset { to_version: r.var_u32().ok()? },
             _ => return None,
         };
         r.finish().ok()?;
@@ -457,11 +458,11 @@ fn peek_transport(body: &[u8]) -> Option<Transport> {
     if tag != TAG_PUT && tag != TAG_GET {
         return None;
     }
-    let (app, var) = (r.u32().ok()?, r.u32().ok()?);
+    let (app, var) = (r.var_u32().ok()?, r.var_u32().ok()?);
     if tag == TAG_GET {
-        r.u32().ok()?; // the version asked for
+        r.var_u32().ok()?; // the version asked for
     }
-    Some(Transport { is_put: tag == TAG_PUT, app, var, version: r.u32().ok()? })
+    Some(Transport { is_put: tag == TAG_PUT, app, var, version: r.var_u32().ok()? })
 }
 
 /// Decode every entry of a recovered record stream (e.g.
@@ -609,23 +610,64 @@ mod tests {
         assert_eq!(meta, e.encode());
     }
 
-    /// The bytes on media are a compatibility surface: existing journals must
-    /// stay readable. (Length, FNV-1a digest) of each pre-existing sample's
-    /// encoding, as the codec wrote it before `GlobalReset` was added.
+    /// The bytes on media are pinned: (length, FNV-1a digest) of each
+    /// sample's encoding. A change to any of them is a layout change, and a
+    /// layout change bumps `WIRE_VERSION` — the reader knows one version, so
+    /// a record of any other is refused whole rather than misread.
     #[test]
     fn encoding_of_existing_variants_is_pinned() {
         let pinned = [
-            (89, 0x36DF_3EBB_A65B_FD7A),
-            (153, 0x8C59_BB3D_C7F1_0DF4),
-            (84, 0x1690_4A4A_3570_585E),
-            (24, 0x4F6C_26B1_7970_F42C),
-            (24, 0xD6B5_303E_8C95_EC61),
-            (11, 0x74D8_500F_8D81_E4EB),
+            (31, 0xB7B3_7174_5DB4_1C55),
+            (95, 0xAE71_8EB5_4844_95F9),
+            (23, 0xD1BF_9DD4_338A_2B11),
+            (8, 0x2B84_7B20_E5B3_1397),
+            (7, 0xF8D8_D941_2B09_2442),
+            (5, 0xC72F_7A56_3AA9_62E6),
+            (4, 0xBC3A_041D_08F9_475D),
         ];
-        for (entry, want) in sample_entries().iter().zip(pinned) {
+        let samples = sample_entries();
+        assert_eq!(samples.len(), pinned.len());
+        for (entry, want) in samples.iter().zip(pinned) {
             let bytes = entry.encode();
             assert_eq!((bytes.len(), staging::payload::fnv1a(&bytes)), want, "{entry:?}");
         }
+        assert_eq!(wire::WIRE_VERSION, 2);
+        for entry in &samples {
+            let mut v1 = entry.encode();
+            v1[1] = 1;
+            assert_eq!(Reader::for_entry(&v1).unwrap_err(), wire::WireError::BadVersion(1));
+            assert_eq!(JournalEntry::decode(&v1), None);
+        }
+    }
+
+    /// The sizes the journal's overhead rests on: a stream step puts and gets
+    /// 512-byte blocks with coordinates below 128 at versions below 16 384.
+    #[test]
+    fn stream_shaped_metadata_stays_small() {
+        let bbox = BBox::d3([96, 64, 0], [103, 71, 7]);
+        let payload = Payload::inline(vec![0xA5; 512]);
+        let put = JournalEntry::Put {
+            app: 3,
+            desc: ObjDesc { var: 2, version: 16_383, bbox },
+            digest: payload.digest(),
+            payload,
+        };
+        let get = JournalEntry::Get {
+            app: 4,
+            var: 2,
+            requested: 16_383,
+            served: 16_383,
+            bbox,
+            bytes: 512,
+            digest: u64::MAX,
+        };
+        let meta_len = |e: &JournalEntry| {
+            let mut meta = Vec::new();
+            e.encode_meta_into(&mut meta);
+            meta.len()
+        };
+        assert!(meta_len(&put) <= 33, "put metadata: {} bytes", meta_len(&put));
+        assert!(meta_len(&get) <= 26, "get metadata: {} bytes", meta_len(&get));
     }
 
     fn get(app: AppId, served: Version) -> JournalEntry {

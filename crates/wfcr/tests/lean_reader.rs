@@ -573,7 +573,7 @@ fn coupled_life(
 #[test]
 fn a_variable_written_once_pins_compaction_and_the_reader_still_reads_what_is_live() {
     let run = |mesh: &[Op]| {
-        let (b, records, driver) = coupled_life(1024, 400, mesh, &[]);
+        let (b, records, driver) = coupled_life(512, 400, mesh, &[]);
         (b.journal_segments_compacted(), records, driver)
     };
     let mesh = [Op::Put { app: 1, var: 1, block: 0, late: 0 }];
