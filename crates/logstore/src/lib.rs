@@ -19,7 +19,10 @@
 //!   CRC32-framed records into segment files, rotates segments at a size
 //!   threshold, flushes under a configurable [`store::FlushPolicy`], recovers
 //!   by truncating a torn tail, and compacts whole segments that fall below
-//!   a watermark floor (the `W_Chk_ID`-driven GC, on disk).
+//!   a watermark floor (the `W_Chk_ID`-driven GC, on disk). Compaction also
+//!   seals the active segment once it holds a record below the floor, so
+//!   the live log follows checkpoints; a segment's magic is written with its
+//!   first records, never on its own.
 //! * [`Journal`] — the minimal sink trait higher layers (wfcr's logging
 //!   backend, staging's plain store, ckpt's durable tier) write through.
 
@@ -68,8 +71,9 @@ pub trait Journal: Send {
     /// Flush and fsync everything appended so far.
     fn flush(&mut self) -> io::Result<()>;
 
-    /// Delete sealed segments whose records all fall strictly below `floor`.
-    /// Returns the number of segments removed.
+    /// Delete sealed segments whose records all fall strictly below `floor`
+    /// (then [`LogStore`] seals its active segment if it holds a record
+    /// below `floor`). Returns the number of segments removed.
     fn compact_below(&mut self, floor: u64) -> io::Result<usize>;
 
     /// Bytes physically flushed (written + synced) to the media so far.

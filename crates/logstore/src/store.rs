@@ -15,6 +15,12 @@
 //! would otherwise read as a shorter-but-valid segment and let later
 //! segments smuggle a gap into the stream.
 //!
+//! A segment reaches the media with its first records: the magic waits in
+//! the write buffer and goes down in the same write, and under the same
+//! fsync, as the frames behind it. Opening or rotating writes nothing, so a
+//! segment file exists only once it holds a record, and a file a crash left
+//! empty is read as absent.
+//!
 //! **Write path.** There is one: [`LogStore::append`] and
 //! [`LogStore::append_parts`] are [`LogStore::append_batch`] of a single
 //! record, so rotation, the oversized-record rule and the [`FlushPolicy`]
@@ -53,6 +59,13 @@
 //! discards everything after it — the surviving log is always a
 //! checksum-clean prefix of what was written, the invariant the crash-point
 //! oracle pins down byte by byte.
+//!
+//! **Segments follow checkpoints.** [`LogStore::compact_below`] deletes the
+//! sealed segments wholly below the caller's checkpoint floor and then seals
+//! the active segment if it holds a record below that floor, so the next
+//! checkpoint's compaction can delete it too. The live log is therefore
+//! about one checkpoint interval long: a cold restart reads that much, not
+//! a whole `segment_bytes` segment, which stays the size cap.
 
 use crate::checksum::Crc32;
 use crate::media::Media;
@@ -106,7 +119,9 @@ pub enum FlushPolicy {
 pub struct LogConfig {
     /// Rotate to a new segment once the active one would exceed this size
     /// (bytes, including the magic). A single oversized record still lands
-    /// whole — segments are never split mid-frame.
+    /// whole — segments are never split mid-frame. A cap, not a length:
+    /// compaction seals the active segment earlier once it holds a record
+    /// below the checkpoint floor.
     pub segment_bytes: u64,
     /// Flush/fsync policy.
     pub flush: FlushPolicy,
@@ -192,10 +207,24 @@ impl BatchRecord<'_> {
 struct SegmentMeta {
     index: u64,
     /// Bytes *durable* on the media (magic + flushed-and-synced frames).
-    /// Buffered and staged frames are not included until fsynced.
+    /// Buffered and staged frames are not included until fsynced; 0 until
+    /// the segment's first sync, which carries its magic.
     disk_len: u64,
+    min_watermark: Option<u64>,
     max_watermark: Option<u64>,
     records: u64,
+}
+
+impl SegmentMeta {
+    fn new(index: u64) -> Self {
+        SegmentMeta { index, disk_len: 0, min_watermark: None, max_watermark: None, records: 0 }
+    }
+
+    fn note_record(&mut self, watermark: u64) {
+        self.records += 1;
+        self.min_watermark = Some(self.min_watermark.map_or(watermark, |m| m.min(watermark)));
+        self.max_watermark = Some(self.max_watermark.map_or(watermark, |m| m.max(watermark)));
+    }
 }
 
 fn seg_name(index: u64) -> String {
@@ -302,7 +331,7 @@ fn scan_segment(
     if !bytes.starts_with(&SEGMENT_MAGIC) {
         return None;
     }
-    let mut meta = SegmentMeta { index, disk_len: 0, max_watermark: None, records: 0 };
+    let mut meta = SegmentMeta::new(index);
     let mut offset = SEGMENT_MAGIC.len();
     'scan: loop {
         let mut next = offset;
@@ -325,8 +354,7 @@ fn scan_segment(
             }
             offset = payload.end;
             *expected_seq = Some(seq + 1);
-            meta.records += 1;
-            meta.max_watermark = Some(meta.max_watermark.map_or(watermark, |m| m.max(watermark)));
+            meta.note_record(watermark);
             out.push(Record {
                 seq,
                 watermark,
@@ -403,14 +431,18 @@ impl std::fmt::Debug for LogStore {
 }
 
 impl LogStore {
-    /// Open a log over `media`, running the recovery scan.
+    /// Open a log over `media`, running the recovery scan. Opening writes
+    /// nothing: a log with no surviving segment gets a fresh active one
+    /// whose magic reaches the media with its first records.
     ///
     /// The scan walks segments in index order and keeps the longest
-    /// checksum-clean prefix: the first segment with a short/invalid magic is
-    /// removed; the first torn or CRC-failing frame truncates its segment at
-    /// that offset; every segment after the first damage is removed (a later
-    /// segment cannot be trusted once an earlier one lost its tail — order
-    /// across segments must match append order).
+    /// checksum-clean prefix: an empty file is a segment whose first write
+    /// never became durable and is removed as absent; the first segment
+    /// with a short/invalid magic or no intact record is removed; the first
+    /// torn or CRC-failing frame truncates its segment at that offset; every
+    /// segment after the first damage is removed (a later segment cannot be
+    /// trusted once an earlier one lost its tail — order across segments
+    /// must match append order).
     pub fn open(media: Box<dyn Media>, cfg: LogConfig) -> io::Result<Self> {
         let mut store = LogStore {
             media,
@@ -436,7 +468,7 @@ impl LogStore {
         };
         store.recover()?;
         if store.segments.is_empty() {
-            store.create_segment(0)?;
+            store.create_segment(0);
         }
         Ok(store)
     }
@@ -449,7 +481,6 @@ impl LogStore {
         // Contiguity across the whole scan; `None` accepts any starting seq
         // (compaction may have deleted the front of the log).
         let mut expected_seq: Option<u64> = None;
-        let mut first = true;
         let mut scan = Vec::new();
         for index in indices {
             let name = seg_name(index);
@@ -458,23 +489,18 @@ impl LogStore {
                 self.removed_segments += 1;
                 continue;
             }
-            if !first && expected_seq.is_none() {
-                // An earlier surviving segment holds zero records. Rotation
-                // only ever seals a segment with records in it, so a later
-                // segment can exist only if the empty one lost its whole
-                // tail — distrust everything from here on.
-                clean = false;
-                self.media.remove(&name)?;
-                self.removed_segments += 1;
-                continue;
-            }
-            first = false;
             let data = Arc::new(self.media.read(&name)?);
-            let Some(meta) = scan_segment(index, &data, data.len(), &mut expected_seq, &mut scan)
-            else {
-                self.truncated_bytes += data.len() as u64;
+            let meta = scan_segment(index, &data, data.len(), &mut expected_seq, &mut scan);
+            let Some(meta) = meta.filter(|m| m.records > 0) else {
+                // Nothing durable: the segment ends the clean prefix. Rotation
+                // syncs a segment before the next one is written, so nothing
+                // after it can be trusted. An empty file is a new segment
+                // whose first sync never happened — absent, not damage.
+                if !data.is_empty() {
+                    self.truncated_bytes += data.len() as u64;
+                    self.removed_segments += 1;
+                }
                 self.media.remove(&name)?;
-                self.removed_segments += 1;
                 clean = false;
                 continue;
             };
@@ -493,18 +519,32 @@ impl LogStore {
         Ok(())
     }
 
-    fn create_segment(&mut self, index: u64) -> io::Result<()> {
-        let name = seg_name(index);
-        self.media.append(&name, &SEGMENT_MAGIC)?;
-        self.media.sync(&name)?;
-        self.bytes_flushed += SEGMENT_MAGIC.len() as u64;
-        self.segments.push(SegmentMeta {
-            index,
-            disk_len: SEGMENT_MAGIC.len() as u64,
-            max_watermark: None,
-            records: 0,
-        });
+    /// Make segment `index` the active one. Nothing reaches the media here:
+    /// the magic waits in the write buffer and goes down in the same write,
+    /// and under the same fsync, as the segment's first frames — so a
+    /// segment exists on the media only once it holds a record, and no
+    /// header costs a sync of its own.
+    fn create_segment(&mut self, index: u64) {
+        debug_assert!(self.buf.is_empty() && self.staged == 0);
+        self.buf.extend_from_slice(&SEGMENT_MAGIC);
+        self.segments.push(SegmentMeta::new(index));
+    }
+
+    /// Seal the active segment and open the next one: the sealed segment's
+    /// pending frames reach the media (and its fsync) before any byte of
+    /// the next, so recovery's order across segments stays append order.
+    fn rotate(&mut self) -> io::Result<()> {
+        self.drain()?;
+        let next = self.active().index + 1;
+        self.create_segment(next);
         Ok(())
+    }
+
+    /// Frame bytes waiting in the write buffer — without the magic a fresh
+    /// segment's buffer starts with.
+    fn buffered_frame_bytes(&self) -> u64 {
+        let unwritten = self.active().disk_len + self.staged == 0;
+        self.buf.len() as u64 - if unwritten { SEGMENT_MAGIC.len() as u64 } else { 0 }
     }
 
     fn active(&self) -> &SegmentMeta {
@@ -522,9 +562,7 @@ impl LogStore {
         self.bytes_appended += frame_len;
         self.records_appended += 1;
         self.buf_records += 1;
-        let active = self.active_mut();
-        active.records += 1;
-        active.max_watermark = Some(active.max_watermark.map_or(watermark, |m| m.max(watermark)));
+        self.active_mut().note_record(watermark);
     }
 
     /// Account `bytes`/`records` as durable (fsync completed) and clear the
@@ -615,9 +653,7 @@ impl LogStore {
             }
             if end == i {
                 // The next record needs a fresh segment.
-                self.drain()?;
-                let next = self.active().index + 1;
-                self.create_segment(next)?;
+                self.rotate()?;
                 continue;
             }
             let mode = if end < batch.len() {
@@ -632,7 +668,7 @@ impl LogStore {
                         RunMode::Flush
                     }
                     FlushPolicy::PerBytes { bytes }
-                        if self.buf.len() as u64 + run_bytes >= bytes =>
+                        if self.buffered_frame_bytes() + run_bytes >= bytes =>
                     {
                         RunMode::Flush
                     }
@@ -711,16 +747,17 @@ impl LogStore {
 
     /// Push all buffered frames to the media and fsync the active segment,
     /// completing any deferred group sync. After `flush` returns, every
-    /// record appended so far is durable.
+    /// record appended so far is durable. With no record pending it writes
+    /// and syncs nothing.
     pub fn flush(&mut self) -> io::Result<()> {
         self.unless_failed(Self::drain)
     }
 
     fn drain(&mut self) -> io::Result<()> {
-        let pending = self.staged + self.buf.len() as u64;
-        if pending == 0 {
+        if self.buf_records + self.staged_records == 0 {
             return Ok(());
         }
+        let pending = self.staged + self.buf.len() as u64;
         let name = seg_name(self.active().index);
         if !self.buf.is_empty() {
             self.media.append(&name, &self.buf)?;
@@ -740,6 +777,12 @@ impl LogStore {
     /// sequence stays contiguous and recovery's gap check keeps its teeth),
     /// and the active segment is never deleted. Returns the number of
     /// segments removed.
+    ///
+    /// Then, if the active segment holds a record below `floor`, it is
+    /// sealed and a fresh one opened, so the next compaction can delete it:
+    /// the live log is about one checkpoint interval long, whatever
+    /// `segment_bytes` is. Sealing syncs only records still pending (none,
+    /// after a commit point) and writes nothing of the new segment.
     pub fn compact_below(&mut self, floor: u64) -> io::Result<usize> {
         self.unless_failed(|log| log.compact(floor))
     }
@@ -750,7 +793,7 @@ impl LogStore {
         let last = self.segments.len() - 1;
         while removed < last {
             let seg = &self.segments[removed];
-            if seg.records == 0 || seg.max_watermark.is_none_or(|w| w >= floor) {
+            if seg.max_watermark.is_none_or(|w| w >= floor) {
                 break;
             }
             self.media.remove(&seg_name(seg.index))?;
@@ -758,6 +801,9 @@ impl LogStore {
         }
         self.segments.drain(..removed);
         self.segments_compacted += removed as u64;
+        if self.active().min_watermark.is_some_and(|w| w < floor) {
+            self.rotate()?;
+        }
         Ok(removed)
     }
 
@@ -775,7 +821,9 @@ impl LogStore {
         }
         let mut out = Vec::new();
         let mut expected_seq = None;
-        for seg in &self.segments {
+        // A segment with nothing durable (the active one before its first
+        // sync) has no file yet, or one a crash would leave empty.
+        for seg in self.segments.iter().filter(|s| s.disk_len > 0) {
             let name = seg_name(seg.index);
             let data = Arc::new(self.media.read(&name)?);
             let end = seg.disk_len as usize;
@@ -835,7 +883,8 @@ impl LogStore {
         self.staged
     }
 
-    /// Live segment files (sealed + active).
+    /// Live segments (sealed + active). The active one has no file until its
+    /// first write reaches the media.
     pub fn segment_count(&self) -> usize {
         self.segments.len()
     }
@@ -908,8 +957,8 @@ mod tests {
         for i in 0..7 {
             log.append(i, b"abc").unwrap();
         }
-        // 7 < 8: nothing but the magic is on media yet.
-        assert_eq!(mem.total_bytes(), SEGMENT_MAGIC.len());
+        // 7 < 8: nothing is on the media yet, not even the magic.
+        assert_eq!(mem.total_bytes(), 0);
         log.append(7, b"abc").unwrap();
         assert!(mem.total_bytes() > SEGMENT_MAGIC.len());
         assert_eq!(mem.synced_bytes(), mem.total_bytes());
@@ -925,8 +974,9 @@ mod tests {
         let mut log = LogStore::open(Box::new(mem.clone()), cfg).unwrap();
         log.append(0, b"abc").unwrap();
         log.append(1, b"abc").unwrap();
-        // Two frames < threshold: still buffered.
-        assert_eq!(mem.total_bytes(), SEGMENT_MAGIC.len());
+        // Two frames < threshold (the buffered magic does not count): still
+        // buffered, magic and all.
+        assert_eq!(mem.total_bytes(), 0);
         log.append(2, b"abc").unwrap();
         assert!(mem.total_bytes() > SEGMENT_MAGIC.len());
         assert_eq!(mem.synced_bytes(), mem.total_bytes());
@@ -952,7 +1002,7 @@ mod tests {
         }
         // Group 0 sealed: its bytes are on the media but NOT yet synced.
         assert!(mem.total_bytes() > SEGMENT_MAGIC.len());
-        assert_eq!(mem.synced_bytes(), SEGMENT_MAGIC.len(), "fsync is deferred");
+        assert_eq!(mem.synced_bytes(), 0, "fsync is deferred, the magic's too");
         assert!(log.staged_bytes() > 0);
         for i in 4..8u64 {
             log.append(i, b"abcd").unwrap();
@@ -1135,7 +1185,7 @@ mod tests {
         let batch: Vec<BatchRecord<'_>> =
             (0..8).map(|i| BatchRecord { watermark: i, parts: &parts }).collect();
         log.append_batch(&batch).unwrap();
-        assert_eq!(mem.total_bytes(), SEGMENT_MAGIC.len(), "8 < 64: batch rides the buffer");
+        assert_eq!(mem.total_bytes(), 0, "8 < 64: batch and magic ride the buffer");
         // A second batch crosses the threshold: everything goes down at once.
         let batch2: Vec<BatchRecord<'_>> =
             (8..72).map(|i| BatchRecord { watermark: i, parts: &parts }).collect();
@@ -1156,7 +1206,7 @@ mod tests {
             (0..8).map(|i| BatchRecord { watermark: i, parts: &parts }).collect();
         log.append_batch(&batch).unwrap();
         assert!(log.staged_bytes() > 0, "group sealed, fsync deferred");
-        assert_eq!(mem.synced_bytes(), SEGMENT_MAGIC.len());
+        assert_eq!(mem.synced_bytes(), 0);
         drop(log);
         mem.crash();
         let reopened = LogStore::open(Box::new(mem.clone()), cfg).unwrap();
@@ -1277,30 +1327,50 @@ mod tests {
         assert_eq!(second.read_all().unwrap(), records);
     }
 
-    /// A shared [`MemMedia`] behind a probe: `read` calls are counted, and the
-    /// `fail_at`-th append (segment magics included, counted from 0) returns
-    /// an error and writes nothing.
+    /// What a [`ProbedMedia`] has been asked to do.
+    #[derive(Default)]
+    struct Calls {
+        reads: AtomicUsize,
+        appends: AtomicUsize,
+        syncs: AtomicUsize,
+    }
+
+    impl Calls {
+        /// `(appends, syncs)` so far.
+        fn writes(&self) -> (usize, usize) {
+            (self.appends.load(Ordering::Relaxed), self.syncs.load(Ordering::Relaxed))
+        }
+    }
+
+    /// A shared [`MemMedia`] behind a probe: calls are counted, and the
+    /// `fail_at`-th append (counted from 0; a segment's magic rides in its
+    /// first) returns an error and writes nothing.
     struct ProbedMedia {
         inner: MemMedia,
-        reads: Arc<AtomicUsize>,
+        calls: Arc<Calls>,
         fail_at: Option<usize>,
-        appends: usize,
+    }
+
+    impl ProbedMedia {
+        fn boxed(inner: &MemMedia, calls: &Arc<Calls>, fail_at: Option<usize>) -> Box<dyn Media> {
+            Box::new(ProbedMedia { inner: inner.clone(), calls: Arc::clone(calls), fail_at })
+        }
     }
 
     impl Media for ProbedMedia {
         fn append(&mut self, name: &str, data: &[u8]) -> io::Result<()> {
-            let nth = self.appends;
-            self.appends += 1;
+            let nth = self.calls.appends.fetch_add(1, Ordering::Relaxed);
             if self.fail_at == Some(nth) {
                 return Err(io::Error::other("injected write failure"));
             }
             self.inner.append(name, data)
         }
         fn sync(&mut self, name: &str) -> io::Result<()> {
+            self.calls.syncs.fetch_add(1, Ordering::Relaxed);
             self.inner.sync(name)
         }
         fn read(&self, name: &str) -> io::Result<Vec<u8>> {
-            self.reads.fetch_add(1, Ordering::Relaxed);
+            self.calls.reads.fetch_add(1, Ordering::Relaxed);
             self.inner.read(name)
         }
         fn truncate(&mut self, name: &str, len: u64) -> io::Result<()> {
@@ -1319,15 +1389,9 @@ mod tests {
         let mem = MemMedia::new();
         let cfg = LogConfig { segment_bytes: 128, flush: FlushPolicy::PerRecord };
         drop(filled(&mem, cfg, 30));
-        let reads = Arc::new(AtomicUsize::new(0));
-        let count = || reads.load(Ordering::Relaxed);
-        let media = ProbedMedia {
-            inner: mem.clone(),
-            reads: Arc::clone(&reads),
-            fail_at: None,
-            appends: 0,
-        };
-        let mut log = LogStore::open(Box::new(media), cfg).unwrap();
+        let calls = Arc::<Calls>::default();
+        let count = || calls.reads.load(Ordering::Relaxed);
+        let mut log = LogStore::open(ProbedMedia::boxed(&mem, &calls, None), cfg).unwrap();
         let segments = log.segment_count();
         assert!(segments >= 3);
         assert_eq!(count(), segments, "the scan reads each surviving segment once");
@@ -1406,15 +1470,10 @@ mod tests {
         ] {
             let mem = MemMedia::new();
             let cfg = LogConfig { flush, ..LogConfig::default() };
-            // Append 0 is the segment's magic; groups 0 and 1 land, group 2's
+            // Groups 0 (with the segment's magic) and 1 land, group 2's
             // write fails once.
-            let media = ProbedMedia {
-                inner: mem.clone(),
-                reads: Arc::default(),
-                fail_at: Some(3),
-                appends: 0,
-            };
-            let mut log = LogStore::open(Box::new(media), cfg).unwrap();
+            let media = ProbedMedia::boxed(&mem, &Arc::default(), Some(2));
+            let mut log = LogStore::open(media, cfg).unwrap();
             let payload = [0x5Au8; 20];
             let parts: [&[u8]; 1] = [&payload];
             let mut acknowledged = 0;
@@ -1451,6 +1510,118 @@ mod tests {
             reopened.flush().unwrap();
             assert_eq!(reopened.read_all().unwrap().len(), 9, "{flush:?}");
         }
+    }
+
+    /// A segment costs no sync of its own: opening and an empty flush write
+    /// nothing, the magic rides in the segment's first write, and neither a
+    /// rotation at the size cap nor a compaction's seal adds a write or a
+    /// sync — `PerRecord` makes exactly one of each a record.
+    #[test]
+    fn rotations_and_compaction_seals_add_no_sync() {
+        let mem = MemMedia::new();
+        let calls = Arc::<Calls>::default();
+        let cfg = LogConfig { segment_bytes: 128, flush: FlushPolicy::PerRecord };
+        let mut log = LogStore::open(ProbedMedia::boxed(&mem, &calls, None), cfg).unwrap();
+        log.flush().unwrap();
+        assert_eq!(calls.writes(), (0, 0), "open and an empty flush touch nothing");
+        assert!(mem.list().unwrap().is_empty());
+        assert_eq!(log.bytes_flushed(), 0);
+
+        for i in 0..30 {
+            log.append(i, &payload(i)).unwrap();
+        }
+        let rotated = log.segment_count();
+        assert!(rotated >= 3, "{rotated} segments");
+        assert_eq!(calls.writes(), (30, 30), "natural rotations: one write and sync a record");
+        assert_eq!(log.bytes_flushed(), log.bytes_appended() + 8 * rotated as u64);
+
+        // A checkpoint's compaction: every sealed segment goes, the active one
+        // holds records below the floor and is sealed — for free.
+        assert_eq!(log.compact_below(30).unwrap(), rotated - 1);
+        assert_eq!(log.segment_count(), 2, "the sealed segment and a fresh active one");
+        assert_eq!(mem.list().unwrap().len(), 1, "the fresh one is not on the media");
+        assert_eq!(calls.writes(), (30, 30));
+        for i in 30..35 {
+            log.append(i, &payload(i)).unwrap();
+        }
+        assert_eq!(calls.writes(), (35, 35));
+        // The next checkpoint deletes what the last one sealed, and seals again.
+        assert!(log.compact_below(35).unwrap() >= 2);
+        assert_eq!(log.segment_count(), 2);
+        assert_eq!(calls.writes(), (35, 35));
+        let live: Vec<u64> = log.read_all().unwrap().iter().map(|r| r.watermark).collect();
+        assert!(!live.is_empty() && live.len() < 5, "{live:?}");
+        assert_eq!(live, (35 - live.len() as u64..35).collect::<Vec<u64>>());
+        for name in mem.list().unwrap() {
+            assert_eq!(&mem.read(&name).unwrap()[..8], &SEGMENT_MAGIC);
+        }
+    }
+
+    /// A crash between a new segment's opening and its first sync loses the
+    /// records that were never synced and nothing else, under every policy:
+    /// the segment either never reached the media or was left an empty
+    /// file, which the next open reads as absent — the reopened log is
+    /// clean and appends again.
+    #[test]
+    fn a_crash_before_a_new_segments_first_sync_loses_only_unsynced_records() {
+        for (flush, durable) in [
+            (FlushPolicy::PerRecord, 13),
+            (FlushPolicy::PerBatch { records: 4 }, 10),
+            (FlushPolicy::PerBytes { bytes: 4096 }, 10),
+            // One group of two sealed — written, not synced — and one buffered.
+            (FlushPolicy::Grouped { records: 2 }, 10),
+        ] {
+            let mem = MemMedia::new();
+            let cfg = LogConfig { flush, ..LogConfig::default() };
+            let mut log = filled(&mem, cfg, 10);
+            log.flush().unwrap();
+            log.compact_below(10).unwrap();
+            assert_eq!(log.segment_count(), 2, "{flush:?}: the checkpoint sealed segment 0");
+            for i in 10..13 {
+                log.append(i, &payload(i)).unwrap();
+            }
+            assert_eq!(log.read_all().unwrap().len(), durable, "{flush:?}");
+            drop(log);
+            mem.crash();
+            let mut reopened = LogStore::open(Box::new(mem.clone()), cfg).unwrap();
+            assert!(reopened.was_clean(), "{flush:?}");
+            let survivors = reopened.read_all().unwrap();
+            assert_eq!(survivors.len(), durable, "{flush:?}");
+            assert!(survivors.iter().enumerate().all(|(i, r)| r.seq == i as u64));
+            assert_eq!(mem.list().unwrap().len(), reopened.segment_count(), "{flush:?}");
+            reopened.append(99, b"after").unwrap();
+            reopened.flush().unwrap();
+            assert_eq!(reopened.read_all().unwrap().len(), durable + 1, "{flush:?}");
+            drop(reopened);
+            let again = LogStore::open(Box::new(mem.clone()), cfg).unwrap();
+            assert!(again.was_clean(), "{flush:?}");
+            assert_eq!(again.recovered_records(), durable as u64 + 1, "{flush:?}");
+        }
+    }
+
+    /// Checkpoints bound the log, not the segment size: with segments far
+    /// larger than the whole history, a compaction at each interval's end
+    /// leaves at most the last two intervals on the media.
+    #[test]
+    fn two_checkpoint_compactions_leave_at_most_two_intervals() {
+        let mem = MemMedia::new();
+        let cfg = LogConfig { segment_bytes: 1 << 20, flush: FlushPolicy::PerBatch { records: 4 } };
+        let mut log = LogStore::open(Box::new(mem.clone()), cfg).unwrap();
+        for interval in 0..8u64 {
+            for i in 0..6 {
+                log.append(interval, &payload(i)).unwrap();
+            }
+            // The interval's checkpoint: a commit point, then the floor it
+            // makes every earlier interval dead below.
+            log.flush().unwrap();
+            log.compact_below(interval).unwrap();
+            let live: Vec<u64> = log.read_all().unwrap().iter().map(|r| r.watermark).collect();
+            let oldest = interval.saturating_sub(1);
+            assert!(live.iter().all(|&w| w >= oldest), "after interval {interval}: {live:?}");
+            assert_eq!(live.iter().filter(|&&w| w == interval).count(), 6);
+        }
+        assert!(log.segments_compacted() >= 3, "{}", log.segments_compacted());
+        assert!(mem.total_bytes() < 2 * 6 * (FRAME_HEADER + 16) + 16);
     }
 
     #[test]

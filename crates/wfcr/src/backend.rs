@@ -398,11 +398,17 @@ impl StoreBackend for LoggingBackend {
                 // Then compact the durable journal. The journal floor is
                 // tighter than the GC floor: GC keeps the newest version of
                 // every variable even below the floor, and those puts must
-                // stay replayable from disk.
+                // stay replayable from disk; a queue that has never
+                // checkpointed keeps every event it logged, and those must
+                // stay rebuildable.
                 if let (Some(floor), Some(j)) = (floor, self.journal.as_mut()) {
                     let newest = |&v| self.store.newest_version(v);
                     let data_floor = self.store.vars().iter().filter_map(newest).min();
-                    j.compact_below(u64::from(floor.min(data_floor.unwrap_or(floor))));
+                    let queue_floor =
+                        self.queues.values().filter_map(|q| q.first_transport()).min();
+                    let floor =
+                        [data_floor, queue_floor].into_iter().flatten().fold(floor, Version::min);
+                    j.compact_below(u64::from(floor));
                 }
                 stats
             }

@@ -176,6 +176,13 @@ impl EventQueue {
         self.committed
     }
 
+    /// The version of the oldest transport event still retained: what the
+    /// queue's journal must keep from (a journal record's watermark is its
+    /// event's version).
+    pub fn first_transport(&self) -> Option<Version> {
+        self.transport.first().map(LogEvent::version)
+    }
+
     /// Transport events currently retained.
     pub fn transport_len(&self) -> usize {
         self.transport.len()

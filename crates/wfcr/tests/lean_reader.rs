@@ -18,7 +18,7 @@
 //! three wrong variants of it must each be refuted within a bounded number
 //! of histories; so must a rebuild that forgets the `GlobalReset`s.
 
-use logstore::{FlushPolicy, LogConfig, LogStore, Media, MemMedia, Record};
+use logstore::{BatchRecord, FlushPolicy, Journal, LogConfig, LogStore, Media, MemMedia, Record};
 use proptest::prelude::*;
 use proptest::test_runner::Rng;
 use staging::geometry::BBox;
@@ -26,6 +26,7 @@ use staging::payload::Payload;
 use staging::proto::{AppId, CtlRequest, GetRequest, ObjDesc, PutRequest, VarId, Version};
 use staging::service::StoreBackend;
 use std::collections::BTreeMap;
+use std::io;
 use wfcr::backend::{pieces_digest, LoggingBackend};
 use wfcr::journal::JournalEntry;
 use wfcr::LogEvent;
@@ -230,14 +231,52 @@ fn fresh_backend() -> LoggingBackend {
     b
 }
 
+/// A `LogStore` whose compaction deletes nothing: the whole history.
+struct Uncompacted(LogStore);
+
+impl Journal for Uncompacted {
+    fn append(&mut self, watermark: u64, payload: &[u8]) -> io::Result<()> {
+        self.0.append(watermark, payload)
+    }
+
+    fn append_batch(&mut self, batch: &[BatchRecord<'_>]) -> io::Result<()> {
+        self.0.append_batch(batch)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.0.flush()
+    }
+
+    fn compact_below(&mut self, _floor: u64) -> io::Result<usize> {
+        Ok(0)
+    }
+
+    fn bytes_flushed(&self) -> u64 {
+        self.0.bytes_flushed()
+    }
+
+    fn segments_compacted(&self) -> u64 {
+        0
+    }
+}
+
 /// Run the first life against a journalling backend and return what a
 /// restart reads back, with the driver as the components left it — and the
 /// backend itself, still live, when the history ends in a flush.
 fn first_life(h: &History) -> (Vec<Record>, Driver, Option<LoggingBackend>) {
+    journalled_life(h, true)
+}
+
+/// [`first_life`], with a journal that checkpoints compact or, without
+/// `compacting`, one that keeps everything.
+fn journalled_life(h: &History, compacting: bool) -> (Vec<Record>, Driver, Option<LoggingBackend>) {
     let cfg = log_config(h.segment_bytes);
     let mem = MemMedia::new();
     let mut b = fresh_backend();
-    b.attach_journal_coalesced(Box::new(LogStore::open(Box::new(mem.clone()), cfg).unwrap()), 3);
+    let log = LogStore::open(Box::new(mem.clone()), cfg).unwrap();
+    let sink: Box<dyn Journal> =
+        if compacting { Box::new(log) } else { Box::new(Uncompacted(log)) };
+    b.attach_journal_coalesced(sink, 3);
     let mut driver = Driver::default();
     for op in &h.ops {
         driver.apply(&mut b, op);
@@ -431,12 +470,9 @@ fn reader_agrees_with_full(h: &History) -> Result<(), String> {
 /// `h`'s first life, flushed, against `from_journal` of all it journalled —
 /// with `forget_resets`, of all but the `GlobalReset`s (PR 13's bug: the cut
 /// was applied and never journalled). Vacuous when the first life ends
-/// mid-replay: the rebuilt backend starts outside replay, by design.
-///
-/// One known divergence is left out, and only where it can occur (ROADMAP
-/// item 2, the tenth finding; pinned by `a_component_that_never_checkpoints_…`):
-/// the queue of a component that never registered, once a journal segment
-/// has been compacted away.
+/// mid-replay: the rebuilt backend starts outside replay, by design. Every
+/// queue is compared, that of a component that never registered too,
+/// whatever compaction deleted.
 fn live_agrees_with_its_rebuild(h: &History, forget_resets: bool) -> Result<(), String> {
     let (records, driver, live) = first_life(&History { kill: None, ..h.clone() });
     let live = live.expect("a flushed history hands back its backend");
@@ -447,9 +483,8 @@ fn live_agrees_with_its_rebuild(h: &History, forget_resets: bool) -> Result<(), 
     if forget_resets {
         journalled.retain(|e| !matches!(e, JournalEntry::GlobalReset { .. }));
     }
-    let nothing_compacted = live.journal_segments_compacted() == 0;
     let rebuilt = LoggingBackend::from_journal(journalled, &APPS);
-    agree([live, rebuilt], nothing_compacted, &driver, &h.second_life)
+    agree([live, rebuilt], true, &driver, &h.second_life)
 }
 
 proptest! {
@@ -492,6 +527,33 @@ fn the_histories_exercise_the_rule() {
     }
     assert!((60..200).contains(&retiring), "{retiring} of 200 histories retire something");
     assert!(lean_total * 10 < full_total * 9, "{lean_total} of {full_total} entries kept");
+}
+
+/// Compaction deletes only what a rebuild does not need: the rebuild from a
+/// journal whose segments the checkpoints compacted (and sealed) is the
+/// rebuild from the same history journalled whole, and answers the same.
+#[test]
+fn a_rebuild_from_the_compacted_journal_equals_the_rebuild_from_the_full_one() {
+    for resets in [false, true] {
+        let histories = arb_history(resets);
+        let mut shorter = 0;
+        for case in 0..150 {
+            let mut h = History { kill: None, ..histories.generate(&mut Rng::for_case(case)) };
+            // A component that never registers pins compaction at its first
+            // request; leave it out so there is something to compact.
+            h.ops.retain(|op| !matches!(op, Op::Put { app: 3, .. } | Op::Get { app: 3, .. }));
+            let (compacted, driver, _) = journalled_life(&h, true);
+            let (full, ..) = journalled_life(&h, false);
+            shorter += usize::from(compacted.len() < full.len());
+            let rebuilt = [&compacted, &full].map(|records| {
+                LoggingBackend::from_journal(wfcr::journal::decode_records(records), &APPS)
+            });
+            if let Err(e) = agree(rebuilt, true, &driver, &h.second_life) {
+                panic!("case {case} (resets: {resets}): {e}");
+            }
+        }
+        assert!(shorter >= 30, "{shorter} of 150 journals lost a record to compaction");
+    }
 }
 
 #[test]
@@ -564,7 +626,7 @@ fn coupled_life(
     (b, records, driver)
 }
 
-/// ROADMAP item 2, the ninth bug found by reading — pinned here, not fixed.
+/// ROADMAP item 6, the ninth bug found by reading — pinned here, not fixed.
 /// `LoggingBackend::control` compacts below `min(floor, data_floor)`, and
 /// `data_floor` is the lowest *newest* version over all variables: a variable
 /// written once (a mesh, a geometry) holds it at 1 and no segment is ever
@@ -596,42 +658,24 @@ fn a_variable_written_once_pins_compaction_and_the_reader_still_reads_what_is_li
     agree(rebuilds(&records, lean, &[0, 1]), true, &driver, &second_life).unwrap();
 }
 
-/// ROADMAP item 2, the tenth finding — found by `live_agrees_with_its_rebuild`,
-/// pinned here, not fixed. `EventQueue::truncate_through` drops nothing while
-/// the queue has seen no checkpoint, so the queue of a component that never
-/// registered and never checkpoints keeps every event it ever logged; journal
-/// compaction deletes the segments below the floor all the same. After a cold
-/// restart that component's replay window is shorter than the one the live
-/// server held — and with nothing compacted, the two are equal.
+/// ROADMAP item 6, the tenth finding — found by `live_agrees_with_its_rebuild`.
+/// `EventQueue::truncate_through` drops nothing while the queue has seen no
+/// checkpoint, so the queue of a component that never registered and never
+/// checkpoints keeps every event it ever logged. `LoggingBackend::control`
+/// caps the compaction floor at the oldest event any queue still holds, so
+/// the journal keeps them too: after a cold restart the rebuilt queue is the
+/// live one at either segment size, and so is the replay a rollback is told
+/// of.
 #[test]
-fn a_component_that_never_checkpoints_keeps_a_queue_its_compacted_journal_cannot_rebuild() {
+fn a_queue_that_never_checkpoints_is_rebuilt_from_its_compacted_journal() {
     let reader = [Op::Get { app: 3, var: 0, block: 0, ahead: 0 }];
-    let life = |segment_bytes| {
+    let recover = [Op::Recover { app: 3, older: false, reexecute: true }];
+    for segment_bytes in [1 << 20, 1024] {
         let (live, records, driver) = coupled_life(segment_bytes, 40, &[], &reader);
-        let compacted = live.journal_segments_compacted();
         let rebuilt =
             LoggingBackend::from_journal(wfcr::journal::decode_records(&records), &[0, 1]);
         let held = [&live, &rebuilt].map(|b| b.queue(3).unwrap().transport_len());
-        (compacted, held, [live, rebuilt], driver)
-    };
-    let recover = [Op::Recover { app: 3, older: false, reexecute: true }];
-
-    let (compacted, held, backends, driver) = life(1 << 20);
-    assert_eq!((compacted, held), (0, [40, 40]));
-    agree(backends, true, &driver, &recover).unwrap();
-
-    let (compacted, [live, rebuilt], backends, driver) = life(1024);
-    assert!(compacted > 0);
-    assert_eq!(live, 40, "the live queue is bounded now: a finding of its own");
-    assert!(
-        rebuilt < live,
-        "the divergence is gone: compare every queue in `live_agrees_with_its_rebuild` \
-         whatever was compacted, and turn this into a regression test"
-    );
-    // Nothing else differs, and the difference is one a request can see:
-    // the component's rollback is told of a shorter replay.
-    agree(backends, false, &driver, &[]).unwrap();
-    let (.., backends, driver) = life(1024);
-    let seen = agree(backends, false, &driver, &recover).unwrap_err();
-    assert!(seen.contains("pending_replay: 40"), "{seen}");
+        assert_eq!(held, [40, 40], "{segment_bytes} B segments");
+        agree([live, rebuilt], true, &driver, &recover).unwrap();
+    }
 }
