@@ -83,9 +83,10 @@ pub const FRAME_HEADER: usize = 4 + 8 + 8 + 4;
 
 /// When buffered frames are pushed to the media and fsynced.
 ///
-/// Every trigger is a pure function of the append stream (record counts and
-/// byte counts) — never of wall time — so flush decisions replay identically
-/// under the deterministic simulator and the model checker.
+/// Every trigger is a pure function of the append stream (record counts,
+/// plus the segment size for rotation) — never of wall time — so flush
+/// decisions replay identically under the deterministic simulator and the
+/// model checker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FlushPolicy {
     /// Flush + fsync after every record (strongest, slowest).
@@ -94,14 +95,6 @@ pub enum FlushPolicy {
     PerBatch {
         /// Batch size in records.
         records: usize,
-    },
-    /// Flush + fsync once at least `bytes` framed bytes have accumulated —
-    /// the deterministic replacement for the old wall-clock interval trigger
-    /// (a byte budget bounds the loss window the way a time budget did,
-    /// without consulting a clock).
-    PerBytes {
-        /// Buffered-byte threshold.
-        bytes: u64,
     },
     /// Group commit with a deferred fsync: once `records` records have
     /// accumulated the group's bytes are appended to the media but the fsync
@@ -540,13 +533,6 @@ impl LogStore {
         Ok(())
     }
 
-    /// Frame bytes waiting in the write buffer — without the magic a fresh
-    /// segment's buffer starts with.
-    fn buffered_frame_bytes(&self) -> u64 {
-        let unwritten = self.active().disk_len + self.staged == 0;
-        self.buf.len() as u64 - if unwritten { SEGMENT_MAGIC.len() as u64 } else { 0 }
-    }
-
     fn active(&self) -> &SegmentMeta {
         self.segments.last().expect("log always has an active segment")
     }
@@ -664,11 +650,6 @@ impl LogStore {
                     FlushPolicy::PerRecord => RunMode::Flush,
                     FlushPolicy::PerBatch { records }
                         if self.buf_records + (end - i) >= records =>
-                    {
-                        RunMode::Flush
-                    }
-                    FlushPolicy::PerBytes { bytes }
-                        if self.buffered_frame_bytes() + run_bytes >= bytes =>
                     {
                         RunMode::Flush
                     }
@@ -966,33 +947,6 @@ mod tests {
     }
 
     #[test]
-    fn per_bytes_flushes_on_byte_threshold() {
-        let mem = MemMedia::new();
-        let frame = (FRAME_HEADER + 3) as u64;
-        let cfg =
-            LogConfig { flush: FlushPolicy::PerBytes { bytes: 3 * frame }, ..LogConfig::default() };
-        let mut log = LogStore::open(Box::new(mem.clone()), cfg).unwrap();
-        log.append(0, b"abc").unwrap();
-        log.append(1, b"abc").unwrap();
-        // Two frames < threshold (the buffered magic does not count): still
-        // buffered, magic and all.
-        assert_eq!(mem.total_bytes(), 0);
-        log.append(2, b"abc").unwrap();
-        assert!(mem.total_bytes() > SEGMENT_MAGIC.len());
-        assert_eq!(mem.synced_bytes(), mem.total_bytes());
-    }
-
-    #[test]
-    fn per_bytes_one_flushes_every_append() {
-        let mem = MemMedia::new();
-        let cfg = LogConfig { flush: FlushPolicy::PerBytes { bytes: 1 }, ..LogConfig::default() };
-        let mut log = LogStore::open(Box::new(mem.clone()), cfg).unwrap();
-        log.append(1, b"x").unwrap();
-        assert_eq!(mem.synced_bytes(), mem.total_bytes());
-        assert!(mem.total_bytes() > SEGMENT_MAGIC.len());
-    }
-
-    #[test]
     fn grouped_defers_the_fsync_one_group() {
         let mem = MemMedia::new();
         let cfg = LogConfig { flush: FlushPolicy::Grouped { records: 4 }, ..LogConfig::default() };
@@ -1122,7 +1076,6 @@ mod tests {
             FlushPolicy::PerRecord,
             FlushPolicy::PerBatch { records: 4 },
             FlushPolicy::PerBatch { records: 100 },
-            FlushPolicy::PerBytes { bytes: 96 },
             FlushPolicy::Grouped { records: 4 },
         ] {
             batch_round_trip(LogConfig { segment_bytes: 64 * 1024, flush }, 23);
@@ -1567,7 +1520,6 @@ mod tests {
         for (flush, durable) in [
             (FlushPolicy::PerRecord, 13),
             (FlushPolicy::PerBatch { records: 4 }, 10),
-            (FlushPolicy::PerBytes { bytes: 4096 }, 10),
             // One group of two sealed — written, not synced — and one buffered.
             (FlushPolicy::Grouped { records: 2 }, 10),
         ] {
@@ -1629,7 +1581,6 @@ mod tests {
         for cfg in [
             LogConfig::default(),
             LogConfig { segment_bytes: 1024, flush: FlushPolicy::PerRecord },
-            LogConfig { segment_bytes: 4096, flush: FlushPolicy::PerBytes { bytes: 2048 } },
             LogConfig { segment_bytes: 4096, flush: FlushPolicy::Grouped { records: 32 } },
         ] {
             let json = serde_json::to_string(&cfg).unwrap();

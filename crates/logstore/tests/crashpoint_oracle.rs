@@ -36,7 +36,6 @@ fn arb_config() -> impl Strategy<Value = LogConfig> {
     let policy = prop_oneof![
         Just(FlushPolicy::PerRecord),
         (1usize..6).prop_map(|records| FlushPolicy::PerBatch { records }),
-        (1u64..256).prop_map(|bytes| FlushPolicy::PerBytes { bytes }),
         (1usize..6).prop_map(|records| FlushPolicy::Grouped { records }),
     ];
     (64u64..512, policy).prop_map(|(segment_bytes, flush)| LogConfig { segment_bytes, flush })
@@ -94,7 +93,6 @@ fn arb_wide_config() -> impl Strategy<Value = LogConfig> {
     let policy = prop_oneof![
         Just(FlushPolicy::PerRecord),
         (1usize..24).prop_map(|records| FlushPolicy::PerBatch { records }),
-        (1u64..16_384).prop_map(|bytes| FlushPolicy::PerBytes { bytes }),
         (1usize..24).prop_map(|records| FlushPolicy::Grouped { records }),
     ];
     (prop_oneof![64u64..2_048, 2_048u64..32_768], policy)

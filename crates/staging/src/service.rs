@@ -71,10 +71,12 @@ pub trait StoreBackend: Send + 'static {
     /// requested version is available; the server defers requests for which
     /// this returns `false` and retries them after subsequent puts.
     ///
-    /// Default: ready when the requested version fully covers the region, or
-    /// a newer version of the variable already exists (the producer has
-    /// moved past this step, so waiting would be futile — serve what's
-    /// resolvable instead).
+    /// Default: always ready. [`PlainBackend`] and `wfcr`'s logging backend
+    /// override it with the covers-or-newer rule: ready when the requested
+    /// version fully covers the region, or a newer version of the variable
+    /// already exists (the producer has moved past this step, so waiting
+    /// would be futile — serve what's resolvable instead). The logging
+    /// backend is also always ready for a component replaying its log.
     fn get_ready(&self, req: &GetRequest) -> bool {
         let _ = req;
         true

@@ -1,8 +1,8 @@
 //! Dead-letter quarantine: poison inputs are shed, not retried forever.
 //!
-//! When the breaker decides an input is a showstopper — it has killed its
-//! consumer `N` times — the supervisor writes a [`DeadLetter`] describing it
-//! and the consumer skips that input from then on. Letters are held in
+//! When an input has killed its consumer [`crate::POISON_THRESHOLD`] times,
+//! the supervisor writes a [`DeadLetter`] describing it and the consumer
+//! skips that input from then on. Letters are held in
 //! memory for the run's harvest; [`crate::Supervisor::dlq`] reads them.
 
 /// One quarantined input: who it killed, how often, and why.

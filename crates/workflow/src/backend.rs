@@ -6,6 +6,9 @@ use staging::service::{JournalStats, OpStats, PlainBackend, StoreBackend};
 use wfcr::backend::LoggingBackend;
 use wfcr::protocol::WorkflowProtocol;
 
+/// Versions per variable the plain backend retains: the latest couple.
+const PLAIN_MAX_VERSIONS: usize = 2;
+
 /// Either staging backend, chosen by protocol.
 #[derive(Debug)]
 #[allow(clippy::large_enum_variant)] // one long-lived instance per server actor
@@ -18,23 +21,9 @@ pub enum AnyBackend {
 
 impl AnyBackend {
     /// Build the backend a protocol requires. `apps` pre-registers the
-    /// workflow components with the logging backend's GC.
-    pub fn for_protocol(
-        protocol: WorkflowProtocol,
-        plain_max_versions: usize,
-        apps: &[u32],
-    ) -> AnyBackend {
-        Self::for_protocol_with_gc(protocol, plain_max_versions, apps, true)
-    }
-
-    /// As [`AnyBackend::for_protocol`], with explicit GC control (the GC
-    /// ablation disables collection to expose unbounded log growth).
-    pub fn for_protocol_with_gc(
-        protocol: WorkflowProtocol,
-        plain_max_versions: usize,
-        apps: &[u32],
-        gc_enabled: bool,
-    ) -> AnyBackend {
+    /// workflow components with the logging backend's GC; `gc_enabled`
+    /// false turns collection off (the GC ablation's unbounded log growth).
+    pub fn for_protocol(protocol: WorkflowProtocol, apps: &[u32], gc_enabled: bool) -> AnyBackend {
         if protocol.uses_logging() {
             let mut b = LoggingBackend::new();
             for &a in apps {
@@ -43,7 +32,7 @@ impl AnyBackend {
             b.set_gc_enabled(gc_enabled);
             AnyBackend::Logging(b)
         } else {
-            AnyBackend::Plain(PlainBackend::new(plain_max_versions))
+            AnyBackend::Plain(PlainBackend::new(PLAIN_MAX_VERSIONS))
         }
     }
 
@@ -129,7 +118,7 @@ mod tests {
     #[test]
     fn backend_selection_by_protocol() {
         for p in WorkflowProtocol::all() {
-            let b = AnyBackend::for_protocol(p, 2, &[0, 1]);
+            let b = AnyBackend::for_protocol(p, &[0, 1], true);
             match (p.uses_logging(), &b) {
                 (true, AnyBackend::Logging(_)) => {}
                 (false, AnyBackend::Plain(_)) => {}
@@ -140,9 +129,9 @@ mod tests {
 
     #[test]
     fn accessors() {
-        let p = AnyBackend::for_protocol(WorkflowProtocol::Coordinated, 2, &[]);
+        let p = AnyBackend::for_protocol(WorkflowProtocol::Coordinated, &[], true);
         assert!(p.as_logging().is_none());
-        let l = AnyBackend::for_protocol(WorkflowProtocol::Uncoordinated, 2, &[0]);
+        let l = AnyBackend::for_protocol(WorkflowProtocol::Uncoordinated, &[0], true);
         assert!(l.as_logging().is_some());
     }
 
@@ -151,7 +140,7 @@ mod tests {
         use staging::geometry::BBox;
         use staging::payload::Payload;
         use staging::proto::ObjDesc;
-        let mut b = AnyBackend::for_protocol(WorkflowProtocol::Uncoordinated, 2, &[0]);
+        let mut b = AnyBackend::for_protocol(WorkflowProtocol::Uncoordinated, &[0], true);
         let req = PutRequest {
             app: 0,
             desc: ObjDesc { var: 0, version: 1, bbox: BBox::d1(0, 9) },

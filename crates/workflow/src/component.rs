@@ -30,12 +30,13 @@
 //!
 //! ## Supervised failure handling
 //!
-//! When the run enables supervision ([`crate::config::SupervisionCfg`]), the
-//! component stops orchestrating its own recovery: a death notifies the
+//! When the run enables supervision
+//! ([`crate::config::WorkflowConfig::supervision`]), the component stops
+//! orchestrating its own recovery: a death notifies the
 //! [`crate::supervisor_actor::SupervisorActor`] and the component parks in
 //! `SupervisedWait` until a [`crate::supervisor_actor::RestartGrant`]
-//! arrives (after backoff and any breaker hold), then rolls back to its
-//! last checkpoint as the unsupervised path does. For a poison input that
+//! arrives (after the restart backoff), then rolls back to its last
+//! checkpoint as the unsupervised path does. For a poison input that
 //! reached the poison threshold the grant carries the step to quarantine.
 //! Unlike the unsupervised path, a failure *during* recovery is not
 //! coalesced: it kills the recovery and re-notifies the supervisor, whose
@@ -891,7 +892,7 @@ impl ComponentActor {
         ctx.send_now(sup, msg);
     }
 
-    /// The supervisor granted a restart (after backoff / breaker hold).
+    /// The supervisor granted a restart (after the backoff).
     fn on_restart_grant(
         &mut self,
         ctx: &mut Ctx<'_>,

@@ -149,8 +149,8 @@ pub enum FailureSpec {
     /// Poison input: the data `victim` consumes at `step` is malformed and
     /// kills it on every attempt. Without supervision this wedges the run in
     /// a crash loop; with supervision the step is quarantined to the
-    /// dead-letter queue once it has caused
-    /// [`SupervisionCfg::poison_threshold`] deaths.
+    /// dead-letter queue once it has caused [`supervise::POISON_THRESHOLD`]
+    /// deaths.
     PoisonPut {
         /// The consumer that crashes on the poisoned input.
         victim: u32,
@@ -231,42 +231,6 @@ impl DurabilityCfg {
     /// The equivalent `logstore` configuration.
     pub fn log_config(&self) -> logstore::LogConfig {
         logstore::LogConfig { segment_bytes: self.segment_bytes, flush: self.flush }
-    }
-}
-
-/// Self-healing supervision (the `supervise` crate wired into the runner):
-/// a supervisor actor watches every component and staging server as its own
-/// failure domain and restarts dead ones from preserved state with
-/// capped-exponential backoff (50 ms doubling to 800 ms). An input that kills
-/// its component [`SupervisionCfg::poison_threshold`] times is quarantined to
-/// a dead-letter queue. The crash-loop breaker (4 deaths within 60 s hold
-/// restarts back for 2 s) is not what quarantines: each recovery clears its
-/// window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SupervisionCfg {
-    /// Deaths the same input may cause before it is quarantined to the DLQ.
-    pub poison_threshold: u32,
-}
-
-impl Default for SupervisionCfg {
-    fn default() -> Self {
-        SupervisionCfg { poison_threshold: 3 }
-    }
-}
-
-impl SupervisionCfg {
-    /// The equivalent `supervise` policy configuration.
-    pub fn supervisor_cfg(&self) -> supervise::SupervisorCfg {
-        supervise::SupervisorCfg {
-            backoff: supervise::BackoffCfg {
-                base_ns: SimTime::from_millis(50).0,
-                cap_ns: SimTime::from_millis(800).0,
-                threshold: 4,
-                window_ns: SimTime::from_millis(60_000).0,
-                cooldown_ns: SimTime::from_millis(2_000).0,
-            },
-            poison_threshold: self.poison_threshold,
-        }
     }
 }
 
@@ -356,9 +320,6 @@ pub struct WorkflowConfig {
     pub protocol: WorkflowProtocol,
     /// Global checkpoint period under the Co protocol (time steps).
     pub coordinated_period: u32,
-    /// Version retention of the *plain* staging backend (baseline keeps the
-    /// latest couple of versions).
-    pub plain_max_versions: usize,
     /// Interconnect cost model.
     pub net: CostModel,
     /// Staging server CPU cost model.
@@ -401,12 +362,17 @@ pub struct WorkflowConfig {
     /// same run untraced.
     #[serde(default)]
     pub trace: Option<TraceCfg>,
-    /// Optional self-healing supervision (absent in the seed's configs —
-    /// `#[serde(default)]` keeps old documents readable). When enabled, a
-    /// supervisor actor owns failure handling: automatic restarts with
-    /// backoff, a crash-loop breaker, and dead-letter quarantine.
+    /// Self-healing supervision (the `supervise` crate wired into the
+    /// runner; off in the seed's configs — `#[serde(default)]` keeps old
+    /// documents readable). When on, a supervisor actor owns component
+    /// failure handling: restarts from the last checkpoint after a
+    /// capped-exponential backoff ([`supervise::BACKOFF_BASE_NS`] doubling
+    /// to [`supervise::BACKOFF_CAP_NS`]), and dead-letter quarantine of an
+    /// input that kills its component [`supervise::POISON_THRESHOLD`] times.
+    /// Staging-server outages are timed, not restarted: the resilience
+    /// layer's rebuild brings a server back.
     #[serde(default)]
-    pub supervision: Option<SupervisionCfg>,
+    pub supervision: bool,
     /// Optional sharded staging fleet (absent in the seed's configs —
     /// `#[serde(default)]` keeps old documents readable). When enabled,
     /// every put/get routes through an explicit versioned partition map;
@@ -521,9 +487,9 @@ impl WorkflowConfig {
     }
 
     /// Enable self-healing supervision on a copy.
-    pub fn with_supervision(&self, supervision: SupervisionCfg) -> WorkflowConfig {
+    pub fn with_supervision(&self) -> WorkflowConfig {
         let mut c = self.clone();
-        c.supervision = Some(supervision);
+        c.supervision = true;
         c
     }
 
@@ -636,7 +602,7 @@ impl WorkflowConfig {
                             self.total_steps
                         )));
                     }
-                    if self.supervision.is_none() {
+                    if !self.supervision {
                         return Err(at_spec(
                             "a poison put without supervision wedges the run; \
                              enable supervision"
@@ -680,7 +646,7 @@ impl WorkflowConfig {
                 }
             }
         }
-        if self.supervision.is_some() && self.protocol.coordinated_checkpoints() {
+        if self.supervision && self.protocol.coordinated_checkpoints() {
             // Coordinated rollback is global by construction; a per-domain
             // supervisor restarting one component would race the
             // director's whole-workflow rollback.
@@ -721,7 +687,6 @@ fn base(
         total_steps: 12,
         protocol,
         coordinated_period: 4,
-        plain_max_versions: 2,
         net: CostModel::cori_like(),
         server_costs: ServerCosts::default(),
         ulfm: mpi_sim::UlfmCosts::default(),
@@ -737,7 +702,7 @@ fn base(
         seed,
         durability: None,
         trace: None,
-        supervision: None,
+        supervision: false,
         sharding: None,
         telemetry: None,
     }
@@ -992,15 +957,13 @@ mod tests {
 
     #[test]
     fn failure_spec_serde_round_trips() {
-        let cfg = tiny(WorkflowProtocol::Uncoordinated)
-            .with_supervision(SupervisionCfg::default())
-            .with_failures(vec![
-                FailureSpec::At { at: SimTime::from_millis(10), app: 0 },
-                FailureSpec::Mtbf { mtbf_secs: 300.0, count: 2 },
-                FailureSpec::StagingAt { at: SimTime::from_millis(20), server: 1 },
-                FailureSpec::NetFaults { plan: plan(0.25) },
-                FailureSpec::PoisonPut { victim: 1, step: 3 },
-            ]);
+        let cfg = tiny(WorkflowProtocol::Uncoordinated).with_supervision().with_failures(vec![
+            FailureSpec::At { at: SimTime::from_millis(10), app: 0 },
+            FailureSpec::Mtbf { mtbf_secs: 300.0, count: 2 },
+            FailureSpec::StagingAt { at: SimTime::from_millis(20), server: 1 },
+            FailureSpec::NetFaults { plan: plan(0.25) },
+            FailureSpec::PoisonPut { victim: 1, step: 3 },
+        ]);
         assert!(cfg.validate().is_ok());
         let json = serde_json::to_string(&cfg).unwrap();
         let back: WorkflowConfig = serde_json::from_str(&json).unwrap();
@@ -1050,32 +1013,30 @@ mod tests {
     #[test]
     fn supervised_failure_specs_round_trip_and_validate() {
         let ms = SimTime::from_millis;
-        let cfg = tiny(WorkflowProtocol::Uncoordinated)
-            .with_supervision(SupervisionCfg::default())
-            .with_failures(vec![
-                // A cascade: app 0, then app 1 one spread later.
-                FailureSpec::At { at: ms(10), app: 0 },
-                FailureSpec::At { at: ms(60), app: 1 },
-                // A correlated failure of both apps and server 1.
-                FailureSpec::At { at: ms(20), app: 0 },
-                FailureSpec::At { at: ms(20), app: 1 },
-                FailureSpec::StagingAt { at: ms(20), server: 1 },
-                // A second failure during app 1's recovery.
-                FailureSpec::At { at: ms(30), app: 1 },
-                FailureSpec::At { at: ms(35), app: 1 },
-                FailureSpec::PoisonPut { victim: 1, step: 3 },
-            ]);
+        let cfg = tiny(WorkflowProtocol::Uncoordinated).with_supervision().with_failures(vec![
+            // A cascade: app 0, then app 1 one spread later.
+            FailureSpec::At { at: ms(10), app: 0 },
+            FailureSpec::At { at: ms(60), app: 1 },
+            // A correlated failure of both apps and server 1.
+            FailureSpec::At { at: ms(20), app: 0 },
+            FailureSpec::At { at: ms(20), app: 1 },
+            FailureSpec::StagingAt { at: ms(20), server: 1 },
+            // A second failure during app 1's recovery.
+            FailureSpec::At { at: ms(30), app: 1 },
+            FailureSpec::At { at: ms(35), app: 1 },
+            FailureSpec::PoisonPut { victim: 1, step: 3 },
+        ]);
         assert!(cfg.validate().is_ok());
         let json = serde_json::to_string(&cfg).unwrap();
         let back: WorkflowConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(serde_json::to_string(&back).unwrap(), json);
-        assert!(back.supervision.is_some());
+        assert!(back.supervision);
     }
 
     #[test]
     fn supervised_spec_validation_rejections() {
         let base = tiny(WorkflowProtocol::Uncoordinated);
-        let sup = base.with_supervision(SupervisionCfg::default());
+        let sup = base.with_supervision();
         // Server targets must exist (tiny has 4 servers).
         assert!(sup
             .with_failures(vec![FailureSpec::StagingAt { at: SimTime::ZERO, server: 4 }])
@@ -1109,7 +1070,7 @@ mod tests {
             .unwrap_err()
             .contains("second poison put"));
         // Supervision cannot ride the coordinated protocol's global rollback.
-        let co = tiny(WorkflowProtocol::Coordinated).with_supervision(SupervisionCfg::default());
+        let co = tiny(WorkflowProtocol::Coordinated).with_supervision();
         assert!(co.validate().unwrap_err().contains("coordinated"));
     }
 
@@ -1142,16 +1103,16 @@ mod tests {
             (0..5).flat_map(|scale| (0..4).map(move |nf| table3(scale, p, nf))).collect::<Vec<_>>()
         };
         let pins = [
-            ("table2", per_protocol(&|p| vec![table2(p)]), 0x9CB5_D7C9_55ED_C798u64),
-            ("table3", per_protocol(&table3_all), 0xC582_E9B5_A505_895A),
-            ("dns_les", per_protocol(&|p| vec![dns_les(p)]), 0xE7EC_1DE4_93EA_32B5),
+            ("table2", per_protocol(&|p| vec![table2(p)]), 0xE08F_050A_166C_E575u64),
+            ("table3", per_protocol(&table3_all), 0x9EB2_A05C_CAC8_254C),
+            ("dns_les", per_protocol(&|p| vec![dns_les(p)]), 0x452B_9AF2_17CB_ED2E),
             (
                 "fanout",
                 per_protocol(&|p| (1..=3).map(|n| fanout(p, n)).collect()),
-                0xA201_EC66_F02F_890D,
+                0xF045_8B6C_2FA9_8AE2,
             ),
-            ("tiny", per_protocol(&|p| vec![tiny(p)]), 0x6C74_AB07_B692_8470),
-            ("micro", per_protocol(&|p| vec![micro(p)]), 0x483D_5393_6831_7B97),
+            ("tiny", per_protocol(&|p| vec![tiny(p)]), 0x0CFB_1F25_923F_5BF7),
+            ("micro", per_protocol(&|p| vec![micro(p)]), 0xE68E_2E1D_8D8B_CC7A),
         ];
         for (preset, got, want) in pins {
             assert_eq!(got, want, "{preset}: {got:#018X}");

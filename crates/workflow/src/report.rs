@@ -55,11 +55,6 @@ pub struct RunReport {
     /// Journal records that reached the log through batched coalesced
     /// hand-offs rather than per-record appends.
     pub journal_records_batched: u64,
-    /// Mean time to repair across supervised outages, seconds (death of a
-    /// domain → resumed execution; consecutive deaths extend one outage).
-    pub mttr_mean_s: f64,
-    /// Longest single supervised outage, seconds.
-    pub mttr_max_s: f64,
     /// Puts served per shard, shard order (empty in unsharded runs).
     pub shard_puts: Vec<u64>,
     /// Full metrics-registry snapshot at harvest time: every counter, gauge
@@ -137,6 +132,18 @@ impl RunReport {
         self.metrics.counter("sup.quarantined")
     }
 
+    /// Mean time to repair across supervised outages, seconds (death of a
+    /// domain → resumed execution; consecutive deaths extend one outage; 0
+    /// in unsupervised runs).
+    pub fn mttr_mean_s(&self) -> f64 {
+        self.metrics.stream("sup.outage_s").map_or(0.0, |s| s.mean)
+    }
+
+    /// Longest single supervised outage, seconds (0 in unsupervised runs).
+    pub fn mttr_max_s(&self) -> f64 {
+        self.metrics.stream("sup.outage_s").map_or(0.0, |s| s.max)
+    }
+
     /// Percentage increase of peak staging memory vs. a baseline.
     pub fn memory_delta_pct(&self, base: &RunReport) -> f64 {
         (self.staging_peak_bytes as f64 - base.staging_peak_bytes as f64)
@@ -179,7 +186,8 @@ impl RunReport {
         if restarts > 0 || quarantined > 0 {
             s.push_str(&format!(
                 " rst={restarts} quar={quarantined} mttr={:.3}s/max={:.3}s",
-                self.mttr_mean_s, self.mttr_max_s
+                self.mttr_mean_s(),
+                self.mttr_max_s()
             ));
         }
         if !self.shard_puts.is_empty() {
@@ -223,8 +231,6 @@ mod tests {
             segments_compacted: 0,
             journal_group_commits: 0,
             journal_records_batched: 0,
-            mttr_mean_s: 0.0,
-            mttr_max_s: 0.0,
             shard_puts: vec![],
             metrics: MetricsSnapshot::default(),
             series: None,
@@ -258,9 +264,9 @@ mod tests {
         m.inc("sup.restarts", 2);
         m.inc("sup.failovers", 1);
         m.inc("sup.quarantined", 1);
+        m.observe_tail("sup.outage_s", 0.0);
+        m.observe_tail("sup.outage_s", 0.5);
         r.metrics = m.snapshot();
-        r.mttr_mean_s = 0.25;
-        r.mttr_max_s = 0.5;
         let s = r.summary();
         assert!(s.contains("gc=4 batch=17"), "journal counters surface: {s}");
         assert!(s.contains("rst=3 quar=1 mttr=0.250s/max=0.500s"), "supervision: {s}");
@@ -268,6 +274,7 @@ mod tests {
         let back: RunReport = serde_json::from_str(&r.to_json_line()).unwrap();
         assert_eq!(back.restarts(), 3);
         assert_eq!(back.quarantined(), 1);
+        assert_eq!((back.mttr_mean_s(), back.mttr_max_s()), (0.25, 0.5));
         assert_eq!(back.journal_group_commits, 4);
     }
 

@@ -165,12 +165,7 @@ pub fn build(cfg: &WorkflowConfig) -> BuiltWorkflow {
     cfg.check_durability().expect("invalid durability config");
     let mut server_ids = Vec::new();
     for s in 0..cfg.nservers {
-        let mut backend = AnyBackend::for_protocol_with_gc(
-            cfg.protocol,
-            cfg.plain_max_versions,
-            &apps,
-            cfg.log_gc,
-        );
+        let mut backend = AnyBackend::for_protocol(cfg.protocol, &apps, cfg.log_gc);
         if let (Some(d), Some(b)) = (&cfg.durability, backend.as_logging_mut()) {
             let media: Box<dyn logstore::Media> = match &d.dir {
                 Some(dir) => Box::new(
@@ -234,15 +229,11 @@ pub fn build(cfg: &WorkflowConfig) -> BuiltWorkflow {
     // 4b. Supervisor (supervised runs only). Registered after the network
     // actor so the component/server actor-id layout mcheck depends on is
     // untouched.
-    let sup_id = cfg.supervision.as_ref().map(|s| {
-        let mut sup = crate::supervisor_actor::SupervisorActor::new(s.supervisor_cfg());
+    let sup_id = cfg.supervision.then(|| {
+        let mut sup = crate::supervisor_actor::SupervisorActor::new(tracer.clone());
         for (i, c) in cfg.components.iter().enumerate() {
             sup.watch_component(c.app, comp_ids[i]);
         }
-        for srv in 0..cfg.nservers {
-            sup.watch_server(srv as u32);
-        }
-        sup.set_tracer(tracer.clone());
         engine.add_actor(Box::new(sup))
     });
 
@@ -361,8 +352,7 @@ pub fn build(cfg: &WorkflowConfig) -> BuiltWorkflow {
 /// Distill a completed run into a [`RunReport`]. Asserts every component
 /// finished (a wedged run is a bug, not a result).
 pub fn harvest(built: &mut BuiltWorkflow) -> RunReport {
-    let BuiltWorkflow { engine, cfg, comp_ids, server_ids, dir_id, tracer, sup_id, tel_id, .. } =
-        built;
+    let BuiltWorkflow { engine, cfg, comp_ids, server_ids, dir_id, tracer, tel_id, .. } = built;
     // Journal counters need a flush pre-pass (mutable access) before the
     // read-only sweep: the graceful end of a run drains each server's
     // buffered journal tail so `bytes_flushed` reflects the whole history.
@@ -441,14 +431,6 @@ pub fn harvest(built: &mut BuiltWorkflow) -> RunReport {
         .map(|&cid| engine.actor_as::<ComponentActor>(cid).expect("component").steps_executed())
         .sum();
 
-    let (mttr_mean_s, mttr_max_s) = sup_id.map_or((0.0, 0.0), |sid| {
-        let sup = engine
-            .actor_as::<crate::supervisor_actor::SupervisorActor>(sid)
-            .expect("supervisor actor")
-            .supervisor();
-        (sup.mttr_mean_ns() as f64 / 1e9, sup.mttr_max_ns() as f64 / 1e9)
-    });
-
     RunReport {
         label: cfg.label.clone(),
         protocol: cfg.protocol,
@@ -468,8 +450,6 @@ pub fn harvest(built: &mut BuiltWorkflow) -> RunReport {
         segments_compacted,
         journal_group_commits,
         journal_records_batched,
-        mttr_mean_s,
-        mttr_max_s,
         shard_puts,
         metrics: m.snapshot(),
         series,

@@ -2,11 +2,14 @@
 //!
 //! One actor per supervised run. Components report deaths, recoveries and
 //! failovers; staging servers report fail-stop / rebuild-complete. The
-//! actor feeds the pure policy machine in the `supervise` crate with
-//! virtual-time timestamps and enacts its verdicts as delayed
-//! [`RestartGrant`] messages — so backoff, breaker holds, and quarantine
-//! decisions all land on the simulated clock and replay identically for a
-//! given seed.
+//! actor feeds component deaths to the pure policy machine in the
+//! `supervise` crate with virtual-time timestamps and enacts its verdicts
+//! as delayed [`RestartGrant`] messages — so backoff and quarantine
+//! decisions land on the simulated clock and replay identically for a
+//! given seed. A staging server comes back through the resilience layer's
+//! rebuild, so the policy machine never sees it: the actor only times its
+//! outage. Every outage, component or server, lands in the metrics
+//! registry's `sup.outage_s` stream, which is the run's MTTR.
 
 use std::collections::BTreeMap;
 
@@ -44,16 +47,15 @@ pub struct FailoverNotice {
 }
 
 /// Supervisor → component: restart now, rolling back to the last
-/// checkpoint. Fires after the backoff (and any breaker hold) chosen by the
-/// policy machine.
+/// checkpoint. Fires after the backoff chosen by the policy machine.
 pub struct RestartGrant {
     /// A step to quarantine before restarting (poison past the threshold).
     pub quarantine: Option<u32>,
 }
 
 /// The supervision actor. Build with [`SupervisorActor::new`], then wire
-/// domains with [`watch_component`](SupervisorActor::watch_component) /
-/// [`watch_server`](SupervisorActor::watch_server) during runner assembly.
+/// components with [`watch_component`](SupervisorActor::watch_component)
+/// during runner assembly.
 pub struct SupervisorActor {
     sup: Supervisor,
     /// App id → component actor, for grant delivery.
@@ -71,13 +73,14 @@ pub struct SupervisorActor {
 }
 
 impl SupervisorActor {
-    /// A supervisor actor around a fresh policy machine.
-    pub fn new(cfg: supervise::SupervisorCfg) -> SupervisorActor {
+    /// A supervisor actor around a fresh policy machine, tracing to its own
+    /// `supervisor` track of `tracer`.
+    pub fn new(tracer: obs::Tracer) -> SupervisorActor {
         SupervisorActor {
-            sup: Supervisor::new(cfg),
+            sup: Supervisor::new(),
             comp_actor: BTreeMap::new(),
-            tracer: obs::Tracer::off(),
-            track: obs::TrackId(0),
+            track: tracer.track("supervisor"),
+            tracer,
             outage_spans: BTreeMap::new(),
             outage_since: BTreeMap::new(),
         }
@@ -89,20 +92,8 @@ impl SupervisorActor {
         self.comp_actor.insert(app, actor);
     }
 
-    /// Watch staging server `server`. Its restarts are driven by the
-    /// resilience layer's rebuild, not by grants; the supervisor only
-    /// accounts the outage.
-    pub fn watch_server(&mut self, server: u32) {
-        self.sup.watch(DomainKey::Server(server));
-    }
-
-    /// Runner wiring: attach a tracer (own `supervisor` track).
-    pub fn set_tracer(&mut self, tracer: obs::Tracer) {
-        self.track = tracer.track("supervisor");
-        self.tracer = tracer;
-    }
-
-    /// The wrapped policy machine, for post-run harvest.
+    /// The wrapped policy machine; its dead-letter queue is read after the
+    /// run.
     pub fn supervisor(&self) -> &Supervisor {
         &self.sup
     }
@@ -190,7 +181,7 @@ impl Actor for SupervisorActor {
         let ev = match ev.downcast::<ComponentRecovered>() {
             Ok((_, r)) => {
                 let key = DomainKey::Component(r.app);
-                self.sup.on_recovered(key, ctx.now().as_nanos());
+                self.sup.on_recovered(key);
                 self.close_outage(ctx, key);
                 return;
             }
@@ -198,9 +189,10 @@ impl Actor for SupervisorActor {
         };
         let ev = match ev.downcast::<FailoverNotice>() {
             Ok((_, f)) => {
-                // Like a server down-notice: account the outage, grant
-                // nothing — the replica is already serving. Failover
-                // semantics are unchanged; only observability is added.
+                // Time the outage, grant nothing — the replica is already
+                // serving. The death still extends the component's streak,
+                // so a poison death before its next recovery backs off
+                // further. Failover semantics are unchanged.
                 let key = DomainKey::Component(f.app);
                 let now = ctx.now().as_nanos();
                 self.open_outage(ctx, key, DeathCause::FailStop);
@@ -214,12 +206,9 @@ impl Actor for SupervisorActor {
         let ev = match ev.downcast::<ServerDownNotice>() {
             Ok((_, d)) => {
                 // Server restarts ride the resilience rebuild, not a grant:
-                // the policy machine only accounts the outage (and its
-                // breaker state answers "is this server crash-looping?").
+                // only the outage is timed.
                 let key = DomainKey::Server(d.server as u32);
-                let now = ctx.now().as_nanos();
                 self.open_outage(ctx, key, DeathCause::FailStop);
-                let _ = self.sup.on_death(key, now, DeathCause::FailStop);
                 ctx.metrics().inc("sup.deaths", 1);
                 ctx.metrics().inc("sup.restarts", 1);
                 return;
@@ -227,9 +216,7 @@ impl Actor for SupervisorActor {
             Err(ev) => ev,
         };
         if let Ok((_, u)) = ev.downcast::<ServerUpNotice>() {
-            let key = DomainKey::Server(u.server as u32);
-            self.sup.on_recovered(key, ctx.now().as_nanos());
-            self.close_outage(ctx, key);
+            self.close_outage(ctx, DomainKey::Server(u.server as u32));
         }
     }
 

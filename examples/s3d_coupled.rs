@@ -57,7 +57,6 @@ fn s3d_config(protocol: WorkflowProtocol) -> WorkflowConfig {
         total_steps: 24,
         protocol,
         coordinated_period: 4,
-        plain_max_versions: 2,
         net: net::cost::CostModel::cori_like(),
         server_costs: staging::service::ServerCosts::default(),
         ulfm: mpi_sim::UlfmCosts::default(),
@@ -72,7 +71,7 @@ fn s3d_config(protocol: WorkflowProtocol) -> WorkflowConfig {
         reconnect_per_rank: SimTime::from_millis(5),
         seed: 1234,
         durability: None,
-        supervision: None,
+        supervision: false,
         sharding: None,
         trace: None,
         telemetry: None,

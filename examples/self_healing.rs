@@ -9,9 +9,8 @@
 //! 2. a second blow landing *during* the first recovery — the outage
 //!    extends (growing backoff) instead of deadlocking;
 //! 3. a poison put that kills the consumer on every attempt — after
-//!    `poison_threshold` deaths the supervisor quarantines the step to the
-//!    dead-letter queue and the rest of the run completes. The crash-loop
-//!    breaker never trips here: each restart's recovery clears its window.
+//!    `supervise::POISON_THRESHOLD` deaths the supervisor quarantines the
+//!    step to the dead-letter queue and the rest of the run completes.
 //!
 //! Run with:
 //! ```text
@@ -23,11 +22,11 @@
 
 use sim_core::time::SimTime;
 use wfcr::protocol::WorkflowProtocol;
-use workflow::config::{tiny, FailureSpec, SupervisionCfg};
+use workflow::config::{tiny, FailureSpec};
 use workflow::runner::run;
 
 fn main() {
-    let base = tiny(WorkflowProtocol::Uncoordinated).with_supervision(SupervisionCfg::default());
+    let base = tiny(WorkflowProtocol::Uncoordinated).with_supervision();
 
     println!("-- single crash, healed by restart --");
     let crash = base.with_failures(vec![FailureSpec::At {
@@ -55,7 +54,7 @@ fn main() {
         "quarantined {} step(s) after {} restart(s); mean time to repair {:.3}s",
         rep.quarantined(),
         rep.restarts(),
-        rep.mttr_mean_s
+        rep.mttr_mean_s()
     );
     println!("{}", rep.to_json_line());
 }

@@ -199,7 +199,6 @@ fn disk_soak_cold_restart_matrix() {
     let policies = [
         FlushPolicy::PerRecord,
         FlushPolicy::PerBatch { records: 4 },
-        FlushPolicy::PerBytes { bytes: 4096 },
         FlushPolicy::Grouped { records: 4 },
     ];
     for (pi, &flush) in policies.iter().enumerate() {

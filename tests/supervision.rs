@@ -8,20 +8,20 @@
 //!   rollback: only the victim rolls back, the run completes, and the
 //!   staging replay digests verify clean.
 //! * A poison put crash-loops its consumer until it has caused
-//!   `poison_threshold` deaths, the step is quarantined to the dead-letter
+//!   `supervise::POISON_THRESHOLD` deaths, the step is quarantined to the dead-letter
 //!   queue, and the *rest* of the run completes — byte-identically across
 //!   same-seed runs.
 //! * The quarantined step's letter names its domain, step, death count and
 //!   reason.
 //! * Cascading, correlated and fail-during-recovery failures — each a list
 //!   of `FailureSpec::At` — and poison puts are deterministic end to end
-//!   (soak, `--ignored`).
+//!   (the soak).
 
 mod common;
 
 use std::time::Duration;
 use wfcr::protocol::WorkflowProtocol;
-use workflow::config::{tiny, FailureSpec, SupervisionCfg, TraceCfg, WorkflowConfig};
+use workflow::config::{tiny, FailureSpec, TraceCfg, WorkflowConfig};
 use workflow::runner::run;
 use workflow::supervisor_actor::SupervisorActor;
 use workflow::RunReport;
@@ -32,7 +32,7 @@ use sim_core::time::SimTime;
 /// logging keeps the replay digest checker live so `digest_mismatches`
 /// means something in every test.
 fn supervised() -> WorkflowConfig {
-    tiny(WorkflowProtocol::Uncoordinated).with_supervision(SupervisionCfg::default())
+    tiny(WorkflowProtocol::Uncoordinated).with_supervision()
 }
 
 fn assert_completed(rep: &RunReport, ctx: &str) {
@@ -53,11 +53,11 @@ fn single_crash_recovers_per_policy() {
     assert_eq!(ck.restarts(), 1);
     assert_eq!(ck.quarantined(), 0);
     assert_eq!(ck.recoveries(), 1, "checkpoint: only the victim rolls back");
-    assert!(ck.mttr_mean_s > 0.0 && ck.mttr_max_s >= ck.mttr_mean_s);
+    assert!(ck.mttr_mean_s() > 0.0 && ck.mttr_max_s() >= ck.mttr_mean_s());
 }
 
 /// Satellite 4 — the deterministic poison-put regression. A poisoned step-3
-/// input kills the consumer on every attempt; after `poison_threshold`
+/// input kills the consumer on every attempt; after `POISON_THRESHOLD`
 /// deaths the supervisor quarantines the step to the DLQ, the consumer skips
 /// it, and the rest of the run completes. Two same-seed runs must produce
 /// byte-identical reports.
@@ -70,13 +70,36 @@ fn poison_put_quarantines_and_rest_completes_byte_identically() {
     assert_eq!(a.quarantined(), 1, "the poisoned step must land in the DLQ");
     assert_eq!(
         a.restarts() as u32,
-        SupervisionCfg::default().poison_threshold,
+        supervise::POISON_THRESHOLD,
         "one restart per death until the step is quarantined"
     );
-    assert!(a.mttr_mean_s > 0.0);
+    assert!(a.mttr_mean_s() > 0.0);
 
     let b = run(&cfg);
     assert_eq!(a.to_json_line(), b.to_json_line(), "same seed, same supervised report");
+}
+
+/// The supervision numbers of the three `self_healing` example runs, as
+/// their summary lines print them: restarts, quarantines and MTTR mean/max.
+#[test]
+fn self_healing_numbers_are_pinned() {
+    let _wd = common::watchdog("self_healing_numbers", Duration::from_secs(120));
+    let ms = SimTime::from_millis;
+    let runs = [
+        (vec![FailureSpec::At { at: ms(700), app: 1 }], "rst=1 quar=0 mttr=0.141s/max=0.141s"),
+        (
+            vec![FailureSpec::At { at: ms(700), app: 1 }, FailureSpec::At { at: ms(780), app: 1 }],
+            "rst=2 quar=0 mttr=2.221s/max=2.221s",
+        ),
+        (
+            vec![FailureSpec::PoisonPut { victim: 1, step: 3 }],
+            "rst=3 quar=1 mttr=1.441s/max=2.091s",
+        ),
+    ];
+    for (failures, want) in runs {
+        let summary = run(&supervised().with_failures(failures)).summary();
+        assert!(summary.contains(want), "want `{want}` in {summary}");
+    }
 }
 
 /// Without supervision the same poison-put spec is rejected up front — the
@@ -104,9 +127,9 @@ fn crash_during_recovery_extends_the_outage() {
     assert_eq!(rep.restarts(), 2, "both deaths must be granted a restart");
     assert_eq!(rep.quarantined(), 0);
     assert!(
-        rep.mttr_max_s > 0.08,
+        rep.mttr_max_s() > 0.08,
         "the re-death must extend the same outage past the 80 ms lag (mttr_max={})",
-        rep.mttr_max_s
+        rep.mttr_max_s()
     );
 
     let again = run(&cfg);
@@ -153,11 +176,9 @@ fn replicated_failover_routes_through_the_supervisor() {
     let unsup = run(&tiny(WorkflowProtocol::Hybrid).with_failures(fail.clone()));
     assert_eq!(unsup.failovers(), 1);
     assert_eq!(unsup.restarts(), 0);
-    assert_eq!(unsup.mttr_mean_s, 0.0, "no supervisor, no MTTR accounting");
+    assert_eq!(unsup.mttr_mean_s(), 0.0, "no supervisor, no MTTR accounting");
 
-    let cfg = tiny(WorkflowProtocol::Hybrid)
-        .with_supervision(SupervisionCfg::default())
-        .with_failures(fail);
+    let cfg = tiny(WorkflowProtocol::Hybrid).with_supervision().with_failures(fail);
     let sup = run(&cfg);
     assert_eq!(sup.finish_times_s.len(), 2);
     assert_eq!(sup.failovers(), 1, "failover semantics unchanged under supervision");
@@ -166,9 +187,9 @@ fn replicated_failover_routes_through_the_supervisor() {
     assert_eq!(sup.restarts(), 1, "the outage is accounted by the policy machine");
     assert_eq!(sup.quarantined(), 0);
     assert!(
-        sup.mttr_mean_s > 0.0,
+        sup.mttr_mean_s() > 0.0,
         "the supervisor must time the failover outage (mttr={})",
-        sup.mttr_mean_s
+        sup.mttr_mean_s()
     );
     assert!(
         (sup.total_time_s - unsup.total_time_s).abs() < 1e-9,
@@ -199,7 +220,7 @@ fn dead_letter_queue_persists_across_restart() {
     let letter = &dlq.letters()[0];
     assert_eq!(letter.domain, "comp:1");
     assert_eq!(letter.step, 3);
-    assert_eq!(letter.deaths, SupervisionCfg::default().poison_threshold);
+    assert_eq!(letter.deaths, supervise::POISON_THRESHOLD);
     assert_eq!(letter.reason, "poison-put");
 }
 
@@ -223,10 +244,9 @@ fn soak_failures(shape: &str, at: SimTime, lag: SimTime) -> Vec<FailureSpec> {
 /// 80 ms × seeds {7, 11}, every cell run twice, requiring completion, clean
 /// digests and byte-identical reports. Each cell is armed with a watchdog
 /// that dumps the obs flight recorder on hang, so a wedged cell dies with
-/// its evidence attached. Nightly / label-run via CI; locally:
-/// `cargo test -q --release -p workflow --test supervision -- --ignored supervision_soak`.
+/// its evidence attached. Alone:
+/// `cargo test -q --release -p workflow --test supervision supervision_soak`.
 #[test]
-#[ignore]
 fn supervision_soak() {
     let ms = SimTime::from_millis;
     let lag = ms(80);

@@ -19,7 +19,7 @@ use sim_core::metrics::Metrics;
 use sim_core::time::SimTime;
 use telemetry::{export, Histogram};
 use wfcr::protocol::WorkflowProtocol;
-use workflow::config::{tiny, FailureSpec, SupervisionCfg, WorkflowConfig};
+use workflow::config::{tiny, FailureSpec, WorkflowConfig};
 use workflow::runner::run;
 use workflow::TelemetryCfg;
 
@@ -180,18 +180,17 @@ fn qdepth_gauges_end_at_one_on_drained_queues() {
 
 #[test]
 fn supervised_outages_feed_the_mttr_series() {
-    let cfg =
-        failing(1).with_supervision(SupervisionCfg::default()).with_telemetry(telemetry_cfg());
+    let cfg = failing(1).with_supervision().with_telemetry(telemetry_cfg());
     let report = run(&cfg);
     assert!(report.recoveries() > 0, "the failure recovered");
-    let series = report.series.expect("series");
+    let series = report.series.as_ref().expect("series");
     let mttr = series.cumulative_hist("sup.outage_s").expect("outage tail recorded");
     assert!(mttr.count() >= 1, "at least the injected outage");
     // The series' worst outage is the report's.
     let worst_s = telemetry::ns_to_secs(mttr.max().expect("nonempty"));
     assert!(
-        (worst_s - report.mttr_max_s).abs() < 1e-6,
+        (worst_s - report.mttr_max_s()).abs() < 1e-6,
         "series max {worst_s} vs report {}",
-        report.mttr_max_s
+        report.mttr_max_s()
     );
 }
