@@ -2,11 +2,13 @@
 //! `BENCH_fig9.json` regression report.
 //!
 //! Runs the fig9-style smoke matrix (tiny workload: logging vs. coordinated
-//! protocol, fault-free and one mid-run failure) with telemetry enabled and
-//! writes one `telemetry::BenchReport` covering the metrics the paper's
-//! evaluation cares about: execution time, write-path p99, peak staging
-//! memory, and the determinism anchors (puts, events dispatched, scrape
-//! windows, digest mismatches — all bit-exact for a given seed).
+//! protocol fault-free, plus one failure at 700 ms of each shape the paper
+//! contrasts) with telemetry enabled and writes one `telemetry::BenchReport`
+//! covering the metrics the paper's evaluation cares about: execution time,
+//! write-path p99, peak staging memory, the determinism anchors (puts,
+//! events dispatched, scrape windows, digest mismatches — all bit-exact for
+//! a given seed) and, on the failure rows, what the recovery did (rollbacks,
+//! replayed gets, absorbed puts, stale reads, re-executed steps).
 //!
 //! CI's `metrics-gate` job regenerates this file and gates it against the
 //! committed baseline in `crates/bench/baselines/` with
@@ -25,16 +27,41 @@ use workflow::config::{tiny, FailureSpec, WorkflowConfig};
 use workflow::runner::run;
 use workflow::TelemetryCfg;
 
-/// The benched matrix: fault-free logging and coordinated runs plus a
-/// mid-run component failure under logging (the fig9e "1 failure" shape).
-fn matrix() -> Vec<(String, WorkflowConfig)> {
+/// The series export flags write this row's series: the consumer's
+/// recovery under logging, whose timeline has a replay to show.
+const EXPORTED_ROW: &str = "fig9/Un+fail";
+
+/// The producer and the consumer of `tiny`.
+const PRODUCER: u32 = 0;
+const CONSUMER: u32 = 1;
+
+/// The benched matrix: fault-free logging and coordinated runs, then one
+/// failure at 700 ms per row. The failure rows cover the
+/// consumer failing under Un (the fig9e "1 failure" shape: it recovers off
+/// the critical path, so its time equals the fault-free run's), the
+/// producer failing under Un (its re-executed puts are absorbed by the
+/// log), and the consumer failing under In (stale reads by design: the
+/// positive control) and under Co.
+fn matrix() -> Vec<(&'static str, WorkflowConfig)> {
     let telemetry = TelemetryCfg::windowed(SimTime::from_millis(500));
-    let un = tiny(WorkflowProtocol::Uncoordinated).with_telemetry(telemetry.clone());
-    let co = tiny(WorkflowProtocol::Coordinated).with_telemetry(telemetry.clone());
-    let failing = tiny(WorkflowProtocol::Uncoordinated)
-        .with_failures(vec![FailureSpec::At { at: SimTime::from_millis(700), app: 1 }])
-        .with_telemetry(telemetry);
-    vec![("fig9/Un".into(), un), ("fig9/Co".into(), co), ("fig9/Un+fail".into(), failing)]
+    let clean = |protocol| tiny(protocol).with_telemetry(telemetry.clone());
+    let failing = |protocol, app| {
+        clean(protocol).with_failures(vec![FailureSpec::At { at: SimTime::from_millis(700), app }])
+    };
+    vec![
+        ("fig9/Un", clean(WorkflowProtocol::Uncoordinated)),
+        ("fig9/Co", clean(WorkflowProtocol::Coordinated)),
+        ("fig9/Un+fail", failing(WorkflowProtocol::Uncoordinated, CONSUMER)),
+        ("fig9/Un+fail-producer", failing(WorkflowProtocol::Uncoordinated, PRODUCER)),
+        ("fig9/In+fail", failing(WorkflowProtocol::Individual, CONSUMER)),
+        // Pins two unfixed defects of the coordinated baseline (ROADMAP
+        // item 1b): `stale_gets` reads 16 because a put the producer's
+        // pre-rollback incarnation left in flight survives the
+        // `GlobalReset` (tests/crash_consistency_cases.rs pins it too), and
+        // `rollback_steps` reads 0 because a Co rollback never counts its
+        // redo. The fix must turn `stale_gets` into 0 and count the redo.
+        ("fig9/Co+fail", failing(WorkflowProtocol::Coordinated, CONSUMER)),
+    ]
 }
 
 fn build_report() -> (BenchReport, String, String) {
@@ -43,7 +70,7 @@ fn build_report() -> (BenchReport, String, String) {
     let mut jsonl = String::new();
     for (id, cfg) in matrix() {
         let r = run(&cfg);
-        let row = report.push_row(&id);
+        let row = report.push_row(id);
         // Deterministic virtual-time metrics: tolerances exist for the day
         // a metric becomes wall-clock-derived, not because these drift.
         row.metric("total_time_s", r.total_time_s, Direction::LargerWorse, 0.02);
@@ -59,10 +86,17 @@ fn build_report() -> (BenchReport, String, String) {
         row.metric("events_dispatched", r.events_dispatched as f64, Direction::Exact, 0.0);
         let series = r.series.as_ref().expect("telemetry-on run attaches a series");
         row.metric("scrape_windows", series.windows.len() as f64, Direction::Exact, 0.0);
-        // Keep the last (failure) row's series for the export flags — the
-        // one whose timeline has a recovery to show.
-        openmetrics = telemetry::export::to_openmetrics(series);
-        jsonl = telemetry::export::to_jsonl(series);
+        if !cfg.failures.is_empty() {
+            row.metric("recoveries", r.recoveries() as f64, Direction::Exact, 0.0);
+            row.metric("replayed_gets", r.replayed_gets as f64, Direction::Exact, 0.0);
+            row.metric("absorbed_puts", r.absorbed_puts as f64, Direction::Exact, 0.0);
+            row.metric("stale_gets", r.stale_gets as f64, Direction::Exact, 0.0);
+            row.metric("rollback_steps", r.rollback_steps() as f64, Direction::Exact, 0.0);
+        }
+        if id == EXPORTED_ROW {
+            openmetrics = telemetry::export::to_openmetrics(series);
+            jsonl = telemetry::export::to_jsonl(series);
+        }
         eprintln!("{}", r.summary());
     }
     (report, openmetrics, jsonl)

@@ -1,5 +1,6 @@
 //! `bench_report`'s three outputs are pinned byte for byte: the report CI
-//! gates, and the OpenMetrics and JSONL exports of the failure run's series.
+//! gates, and the OpenMetrics and JSONL exports of the `fig9/Un+fail` run's
+//! series.
 //! Any change to an event, a metric name, a gauge's first window or the
 //! registry's iteration order shows up here as a diff.
 

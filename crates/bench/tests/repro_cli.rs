@@ -1,7 +1,7 @@
 //! `repro`'s argument handling: a run that would print nothing is an error.
 //! And the gate on the paper: what `repro` prints and writes for Fig. 9, the
 //! two tables, the ablations and the checkpoint-period sweep is `results/`,
-//! byte for byte (ROADMAP item 4c; `fig10`, 8 s optimised, is gated in CI's
+//! byte for byte (ROADMAP item 12; `fig10`, 8 s optimised, is gated in CI's
 //! `metrics-gate` job).
 
 use std::path::Path;

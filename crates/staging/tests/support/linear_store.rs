@@ -1,21 +1,14 @@
-//! The seed's linear-scan versioned store, kept as a yardstick for the
+//! The seed's linear-scan versioned store, kept as an oracle for the
 //! indexed [`staging::store::VersionedStore`].
 //!
 //! [`LinearStore`] is the pre-index store: every lookup walks the full piece
 //! vector of its `(var, version)`. It is test-support code, included with
-//! `#[path]` by the two places that measure the index against it:
-//!
-//! 1. **Oracle** — `staging/tests/store_index_oracle.rs` drives both stores
-//!    with identical operation sequences and requires byte-identical
-//!    answers from `query` / `covers_fully` / `latest_version_at`.
-//! 2. **Baseline** — `bench/benches/store_index.rs` measures the indexed
-//!    store's speedup against it (EXPERIMENTS.md).
+//! `#[path]` by `staging/tests/store_index_oracle.rs`, which drives both
+//! stores with identical operation sequences and requires byte-identical
+//! answers from `query` / `covers_fully` / `latest_version_at`.
 //!
 //! Both stores canonicalize `query` output to ascending `(lb, ub)` order so
 //! results compare exactly.
-
-// Each includer uses a different subset of the store.
-#![allow(dead_code)]
 
 use staging::geometry::BBox;
 use staging::payload::Payload;

@@ -15,12 +15,15 @@
 //!   (clean digests, same data observed) and deterministic.
 //! * **Conservation** — across the whole fleet no logged piece is owned by
 //!   two different shards (the cross-shard-conservation oracle).
+//! * **Scaling** — on a put-bound workload, aggregate put throughput rises
+//!   from 1 to 8 shards in virtual time (pinned totals).
 
 mod common;
 
 use proptest::prelude::*;
 use shardmap::{MapHistory, ShardMap};
 use sim_core::time::SimTime;
+use staging::service::ServerCosts;
 use std::time::Duration;
 use wfcr::protocol::WorkflowProtocol;
 use workflow::config::{tiny, FailureSpec, RebalanceCfg, ShardAssign, ShardingCfg, WorkflowConfig};
@@ -187,6 +190,49 @@ fn fleet_conservation_holds_after_a_sharded_run() {
         let rep = workflow::runner::harvest(&mut built);
         assert_eq!(rep.digest_mismatches, 0);
         assert_eq!(rep.recoveries(), 1, "the component crash still recovers");
+    }
+}
+
+/// Aggregate put throughput rises with the fleet, in virtual time. The
+/// workload is put-bound: fine blocks (64 a step), a storage-class server
+/// cost model (per-byte store and log cost well above the interconnect's)
+/// and light compute, so staging service time dominates a step and the
+/// fleet, not the producer's NIC, is what the total time measures. The
+/// shards serve their queues concurrently in virtual time, which wall-clock
+/// threads on a small host cannot show. The totals are pinned exactly: they
+/// are virtual-time outputs, and a difference is a changed event.
+#[test]
+fn aggregate_put_throughput_rises_with_shards() {
+    let _wd =
+        common::watchdog("aggregate_put_throughput_rises_with_shards", Duration::from_secs(120));
+    let sharded_cfg = |nshards: usize| {
+        let mut cfg = sharded(ShardAssign::Hashed { seed: 0xC0FFEE });
+        cfg.block = [16, 16, 16];
+        cfg.nservers = nshards;
+        cfg.bytes_per_point = 256;
+        for c in &mut cfg.components {
+            c.compute_per_step = SimTime::from_millis(5);
+        }
+        cfg.server_costs = ServerCosts {
+            per_request_ns: 2_000,
+            per_byte_ns: 1.2,
+            log_event_ns: 1_000,
+            log_byte_ns: 0.4,
+        };
+        cfg
+    };
+    // (shards, total seconds): 335.3, 623.7, 1094.0 and 1367.1 puts/s.
+    let pinned = [(1usize, 2.290443801), (2, 1.231319121), (4, 0.702021973), (8, 0.561776369)];
+    for (shards, total_time_s) in pinned {
+        let rep = run(&sharded_cfg(shards));
+        assert_eq!(rep.puts(), 768, "{shards} shards");
+        assert_eq!(
+            rep.shard_puts.len(),
+            shards,
+            "{shards} shards: the report carries the fleet size"
+        );
+        assert_eq!(rep.digest_mismatches, 0, "{shards} shards");
+        assert_eq!(rep.total_time_s, total_time_s, "{shards} shards");
     }
 }
 
