@@ -7,8 +7,9 @@
 //! covering the metrics the paper's evaluation cares about: execution time,
 //! write-path p99, peak staging memory, the determinism anchors (puts,
 //! events dispatched, scrape windows, digest mismatches — all bit-exact for
-//! a given seed) and, on the failure rows, what the recovery did (rollbacks,
-//! replayed gets, absorbed puts, stale reads, re-executed steps).
+//! a given seed), on the failure rows what the recovery did (rollbacks,
+//! replayed gets, absorbed puts, stale reads, re-executed steps) and on the
+//! hybrid row what log collection reclaimed.
 //!
 //! CI's `metrics-gate` job regenerates this file and gates it against the
 //! committed baseline in `crates/bench/baselines/` with
@@ -40,26 +41,35 @@ const CONSUMER: u32 = 1;
 /// consumer failing under Un (the fig9e "1 failure" shape: it recovers off
 /// the critical path, so its time equals the fault-free run's), the
 /// producer failing under Un (its re-executed puts are absorbed by the
-/// log), and the consumer failing under In (stale reads by design: the
-/// positive control) and under Co.
+/// log), the consumer failing again 35 ms later, inside the first
+/// failure's 70 ms ULFM repair (the repair restarts), and the consumer
+/// failing under In (stale reads by design: the positive control) and
+/// under Co. The fault-free hybrid row gates log collection with a
+/// replicated reader, which must not pin the collection floor.
 fn matrix() -> Vec<(&'static str, WorkflowConfig)> {
     let telemetry = TelemetryCfg::windowed(SimTime::from_millis(500));
     let clean = |protocol| tiny(protocol).with_telemetry(telemetry.clone());
-    let failing = |protocol, app| {
-        clean(protocol).with_failures(vec![FailureSpec::At { at: SimTime::from_millis(700), app }])
+    let failing_at = |protocol, app, at_ms: &[u64]| {
+        let at = at_ms.iter().map(|&ms| FailureSpec::At { at: SimTime::from_millis(ms), app });
+        clean(protocol).with_failures(at.collect())
     };
+    let failing = |protocol, app| failing_at(protocol, app, &[700]);
     vec![
         ("fig9/Un", clean(WorkflowProtocol::Uncoordinated)),
         ("fig9/Co", clean(WorkflowProtocol::Coordinated)),
+        ("fig9/Hy", clean(WorkflowProtocol::Hybrid)),
         ("fig9/Un+fail", failing(WorkflowProtocol::Uncoordinated, CONSUMER)),
         ("fig9/Un+fail-producer", failing(WorkflowProtocol::Uncoordinated, PRODUCER)),
+        (
+            "fig9/Un+fail-in-ulfm",
+            failing_at(WorkflowProtocol::Uncoordinated, CONSUMER, &[700, 735]),
+        ),
         ("fig9/In+fail", failing(WorkflowProtocol::Individual, CONSUMER)),
-        // Pins two unfixed defects of the coordinated baseline (ROADMAP
-        // item 1b): `stale_gets` reads 16 because a put the producer's
+        // Pins an unfixed defect of the coordinated baseline (ROADMAP item
+        // 1b): `stale_gets` reads 16 because a put the producer's
         // pre-rollback incarnation left in flight survives the
-        // `GlobalReset` (tests/crash_consistency_cases.rs pins it too), and
-        // `rollback_steps` reads 0 because a Co rollback never counts its
-        // redo. The fix must turn `stale_gets` into 0 and count the redo.
+        // `GlobalReset` (tests/crash_consistency_cases.rs pins it too). The
+        // fix must turn it into 0.
         ("fig9/Co+fail", failing(WorkflowProtocol::Coordinated, CONSUMER)),
     ]
 }
@@ -92,6 +102,10 @@ fn build_report() -> (BenchReport, String, String) {
             row.metric("absorbed_puts", r.absorbed_puts as f64, Direction::Exact, 0.0);
             row.metric("stale_gets", r.stale_gets as f64, Direction::Exact, 0.0);
             row.metric("rollback_steps", r.rollback_steps() as f64, Direction::Exact, 0.0);
+        }
+        if cfg.protocol == WorkflowProtocol::Hybrid {
+            let reclaimed = r.gc_reclaimed_bytes as f64 / (1 << 20) as f64;
+            row.metric("gc_reclaimed_mib", reclaimed, Direction::SmallerWorse, 0.05);
         }
         if id == EXPORTED_ROW {
             openmetrics = telemetry::export::to_openmetrics(series);

@@ -28,19 +28,21 @@
 //! * any component under Co: reports to the director, which orchestrates the
 //!   global rollback (see `director.rs`).
 //!
+//! A death in any live phase — recovery included — takes the same path: it
+//! kills the current incarnation, aborts what was in flight (an open
+//! recovery phase with it) and starts repair again. Only a replica's
+//! fail-over and a death of an already dead component cost no repair.
+//!
 //! ## Supervised failure handling
 //!
 //! When the run enables supervision
-//! ([`crate::config::WorkflowConfig::supervision`]), the component stops
-//! orchestrating its own recovery: a death notifies the
+//! ([`crate::config::WorkflowConfig::supervision`]), a death notifies the
 //! [`crate::supervisor_actor::SupervisorActor`] and the component parks in
 //! `SupervisedWait` until a [`crate::supervisor_actor::RestartGrant`]
-//! arrives (after the restart backoff), then rolls back to its last
-//! checkpoint as the unsupervised path does. For a poison input that
+//! arrives (after the restart backoff, which grows with the consecutive
+//! death count), then starts its ULFM repair. For a poison input that
 //! reached the poison threshold the grant carries the step to quarantine.
-//! Unlike the unsupervised path, a failure *during* recovery is not
-//! coalesced: it kills the recovery and re-notifies the supervisor, whose
-//! backoff grows with the consecutive death count.
+//! An unsupervised run is the same with no supervisor and no backoff.
 
 use crate::config::{CkptTarget, ComponentConfig, WorkflowConfig};
 use faultplane::RetryPolicy;
@@ -605,7 +607,7 @@ impl ComponentActor {
             && self.poison_step == Some(self.step)
             && !self.quarantined_steps.contains(&self.step)
         {
-            self.fail_with(ctx, DeathCause::PoisonPut { step: self.step });
+            self.die(ctx, DeathCause::PoisonPut { step: self.step });
             return;
         }
         // A predictor warning forces an out-of-band checkpoint under the
@@ -768,34 +770,30 @@ impl ComponentActor {
 
     // ---- failure machinery ---------------------------------------------
 
-    fn on_fail(&mut self, ctx: &mut Ctx<'_>) {
-        self.fail_with(ctx, DeathCause::FailStop);
-    }
-
-    fn fail_with(&mut self, ctx: &mut Ctx<'_>, cause: DeathCause) {
-        if self.phase == Phase::Done {
-            return;
-        }
-        // Replication absorbs a fail-stop without a death (supervised or
-        // not): the replica takes over and the workflow never notices.
-        let replicated = !self.cfg.scheme.rolls_back()
-            && matches!(self.cfg.scheme, wfcr::protocol::FtScheme::Replication)
-            && !self.protocol.coordinated_checkpoints();
-        if self.supervisor.is_some() && !(replicated && cause == DeathCause::FailStop) {
-            self.supervised_fail(ctx, cause);
-            return;
-        }
-        if matches!(self.phase, Phase::RecUlfm | Phase::RecRestore)
-            || matches!(self.phase, Phase::CtlWait(AfterCtl::ResumeCompute))
-        {
-            ctx.metrics().inc("wf.failures_coalesced", 1);
-            self.span_instant(ctx, self.recovery_span, "failure_coalesced", Vec::new());
-            return;
+    /// A death: an injected fail-stop or a poison input, in any live phase,
+    /// recovery included. A replica absorbs a fail-stop by failing over.
+    /// Any other death kills the current incarnation (its timers and
+    /// replies, a recovery's `UlfmDone`, `RestoreDone` and control replies
+    /// among them, then match nothing), aborts its work and any open
+    /// recovery phase, and starts repair again: through the director under
+    /// Co, after the supervisor's grant in a supervised run, at once
+    /// otherwise.
+    fn die(&mut self, ctx: &mut Ctx<'_>, cause: DeathCause) {
+        match self.phase {
+            Phase::Done => return,
+            Phase::SupervisedWait => {
+                // Already dead and awaiting a grant: a dead component cannot
+                // die again.
+                ctx.metrics().inc("wf.failures_coalesced", 1);
+                return;
+            }
+            _ => {}
         }
         ctx.metrics().inc("wf.failures", 1);
-        self.span_instant(ctx, self.step_span, "failure", vec![arg("step", self.step)]);
-
-        if replicated {
+        let args = vec![arg("step", self.step), arg("cause", cause.label())];
+        self.span_instant(ctx, self.step_span, "failure", args);
+        let coordinated = self.protocol.coordinated_checkpoints();
+        if cause == DeathCause::FailStop && !self.cfg.scheme.rolls_back() && !coordinated {
             // Replication: fail over to the replica; no rollback, no staging
             // recovery. The pause lands on the next compute phase. Under
             // supervision the fail-stop is still *observed*: the supervisor
@@ -812,84 +810,52 @@ impl ComponentActor {
             }
             return;
         }
-
-        if self.protocol.coordinated_checkpoints() {
-            // Co: the director orchestrates the global rollback.
-            self.incarnation += 1;
-            self.abort_work(ctx);
-            self.phase = Phase::Idle;
-            if self.tracer.enabled() && self.recovery_span.is_none() {
+        self.incarnation += 1;
+        self.abort_work(ctx);
+        if self.tracer.enabled() {
+            // A death during recovery aborts the open phase and replay
+            // window; the recovery root stays open until re-execution
+            // passes every step that failed.
+            for s in
+                [std::mem::take(&mut self.rec_phase_span), std::mem::take(&mut self.replay_span)]
+            {
+                if !s.is_none() {
+                    self.span_end(ctx, s, vec![arg("status", "aborted")]);
+                }
+            }
+            if self.recovery_span.is_none() {
                 self.replay_until = self.step;
-                self.recovery_span = self.span_begin(
-                    ctx,
-                    TraceCtx::NONE,
-                    "recovery",
-                    vec![arg("kind", "coordinated"), arg("failed_step", self.step)],
-                );
+                let args = vec![
+                    arg("cause", cause.label()),
+                    arg("failed_step", self.step),
+                    arg("ckpt_step", self.last_ckpt_step),
+                ];
+                self.recovery_span = self.span_begin(ctx, TraceCtx::NONE, "recovery", args);
+            } else {
+                self.replay_until = self.replay_until.max(self.step);
+            }
+        }
+        if coordinated {
+            // Co: the director orchestrates the global rollback.
+            self.phase = Phase::Idle;
+            if self.tracer.enabled() {
                 self.rec_phase_span =
                     self.span_begin(ctx, self.recovery_span, "co_rollback", Vec::new());
             }
             let msg = crate::director::CoFailure { app: self.cfg.app };
             ctx.send_now(self.director, msg);
-            return;
+        } else if let Some(sup) = self.supervisor {
+            self.outage_open = true;
+            self.phase = Phase::SupervisedWait;
+            let msg = crate::supervisor_actor::ComponentDown {
+                app: self.cfg.app,
+                step: self.step,
+                cause,
+            };
+            ctx.send_now(sup, msg);
+        } else {
+            self.start_ulfm(ctx);
         }
-
-        // Un / Hy(C-R component) / In: local rollback recovery.
-        self.begin_rollback(ctx);
-    }
-
-    /// Supervised death: tear down in-flight work, park in `SupervisedWait`,
-    /// and report to the supervisor. Unlike the unsupervised path a death
-    /// during recovery is *not* coalesced — it kills the recovery and counts
-    /// as another consecutive death (growing the supervisor's backoff).
-    fn supervised_fail(&mut self, ctx: &mut Ctx<'_>, cause: DeathCause) {
-        if self.phase == Phase::SupervisedWait {
-            // Already dead and awaiting a grant: a dead component cannot
-            // die again.
-            ctx.metrics().inc("wf.failures_coalesced", 1);
-            return;
-        }
-        ctx.metrics().inc("wf.failures", 1);
-        self.span_instant(
-            ctx,
-            self.step_span,
-            "failure",
-            vec![arg("step", self.step), arg("cause", cause.label())],
-        );
-        self.incarnation += 1;
-        self.abort_work(ctx);
-        if self.tracer.enabled() {
-            // A death during recovery aborts the open recovery phase.
-            let p = std::mem::take(&mut self.rec_phase_span);
-            if !p.is_none() {
-                self.span_end(ctx, p, vec![arg("status", "aborted")]);
-            }
-            if self.recovery_span.is_none() {
-                self.replay_until = self.step;
-                self.recovery_span = self.span_begin(
-                    ctx,
-                    TraceCtx::NONE,
-                    "recovery",
-                    vec![
-                        arg("kind", "supervised"),
-                        arg("cause", cause.label()),
-                        arg("failed_step", self.step),
-                    ],
-                );
-            } else {
-                let r = std::mem::take(&mut self.replay_span);
-                if !r.is_none() {
-                    self.span_end(ctx, r, vec![arg("status", "aborted")]);
-                }
-                self.replay_until = self.replay_until.max(self.step);
-            }
-        }
-        self.outage_open = true;
-        self.phase = Phase::SupervisedWait;
-        let sup = self.supervisor.expect("supervised_fail requires a supervisor");
-        let msg =
-            crate::supervisor_actor::ComponentDown { app: self.cfg.app, step: self.step, cause };
-        ctx.send_now(sup, msg);
     }
 
     /// The supervisor granted a restart (after the backoff).
@@ -908,33 +874,6 @@ impl ComponentActor {
             ctx.metrics().inc("wf.quarantined_steps", 1);
             self.span_instant(ctx, self.recovery_span, "quarantine", vec![arg("step", step)]);
         }
-        if self.tracer.enabled() {
-            self.rec_phase_span = self.span_begin(ctx, self.recovery_span, "ulfm", Vec::new());
-        }
-        self.start_ulfm(ctx);
-    }
-
-    fn begin_rollback(&mut self, ctx: &mut Ctx<'_>) {
-        self.incarnation += 1;
-        self.abort_work(ctx);
-        if self.tracer.enabled() {
-            if self.recovery_span.is_none() {
-                self.replay_until = self.step;
-                self.recovery_span = self.span_begin(
-                    ctx,
-                    TraceCtx::NONE,
-                    "recovery",
-                    vec![arg("failed_step", self.step), arg("ckpt_step", self.last_ckpt_step)],
-                );
-            } else {
-                // A second failure landed inside the replay window: the
-                // window restarts but the recovery root stays open.
-                let r = std::mem::take(&mut self.replay_span);
-                self.span_end(ctx, r, vec![arg("status", "aborted")]);
-                self.replay_until = self.replay_until.max(self.step);
-            }
-            self.rec_phase_span = self.span_begin(ctx, self.recovery_span, "ulfm", Vec::new());
-        }
         self.start_ulfm(ctx);
     }
 
@@ -942,14 +881,23 @@ impl ComponentActor {
     /// the staging restart follow on `UlfmDone`.
     fn start_ulfm(&mut self, ctx: &mut Ctx<'_>) {
         ctx.metrics().inc("wf.recoveries", 1);
-        ctx.metrics()
-            .inc("wf.rollback_steps", u64::from(self.step.saturating_sub(self.last_ckpt_step + 1)));
+        if self.tracer.enabled() {
+            self.rec_phase_span = self.span_begin(ctx, self.recovery_span, "ulfm", Vec::new());
+        }
         self.phase = Phase::RecUlfm;
         let victim = self.rng.next_bounded(self.comm.size().max(1) as u64) as usize;
         let breakdown = ulfm::recover(&mut self.comm, &[victim], &self.ulfm, true);
         ctx.metrics().observe("wf.ulfm_s", breakdown.total().as_secs_f64());
         let incarnation = self.incarnation;
         ctx.timer(breakdown.total(), UlfmDone { incarnation });
+    }
+
+    /// Move the step pointer back to `resume` and count the steps that
+    /// will run again. A recovery that a death aborted before this point
+    /// counted nothing, so a restarted one counts its redo once.
+    fn rewind(&mut self, ctx: &mut Ctx<'_>, resume: u32) {
+        ctx.metrics().inc("wf.rollback_steps", u64::from(self.step.saturating_sub(resume)));
+        self.step = resume;
     }
 
     fn on_ulfm_done(&mut self, ctx: &mut Ctx<'_>) {
@@ -979,7 +927,7 @@ impl ComponentActor {
     fn on_restore_done(&mut self, ctx: &mut Ctx<'_>) {
         let p = std::mem::take(&mut self.rec_phase_span);
         self.span_end(ctx, p, Vec::new());
-        self.step = self.last_ckpt_step + 1;
+        self.rewind(ctx, self.last_ckpt_step + 1);
         if self.protocol.uses_logging() {
             // workflow_restart(): notify staging; servers build the replay
             // script before the component re-issues anything.
@@ -1075,7 +1023,7 @@ impl Actor for ComponentActor {
                     let p = std::mem::take(&mut self.rec_phase_span);
                     self.span_end(ctx, p, Vec::new());
                     self.last_ckpt_step = r.resume_step.saturating_sub(1);
-                    self.step = r.resume_step;
+                    self.rewind(ctx, r.resume_step);
                     self.begin_step(ctx);
                 }
                 return;
@@ -1112,7 +1060,7 @@ impl Actor for ComponentActor {
             return;
         }
         if ev.is::<Fail>() {
-            self.on_fail(ctx);
+            self.die(ctx, DeathCause::FailStop);
         }
     }
 

@@ -15,7 +15,9 @@
 //!    failure detection, resets staging to the last coordinated checkpoint
 //!    (`GlobalReset`), charges ULFM repair for the failed component and a
 //!    *contended* restore for every component, then broadcasts
-//!    [`RollbackComplete`].
+//!    [`RollbackComplete`]. A failure during the rollback re-runs repair
+//!    for its own component, and the rollback ends when the last repair
+//!    does.
 //! 3. **Completion tracking.** Components report [`Finished`]; when all have,
 //!    the director stops the engine — the stop time is the workflow's total
 //!    execution time.
@@ -57,9 +59,10 @@ struct CoCkptDone {
     step: u32,
 }
 
-/// Timer: global rollback delay elapsed.
+/// Timer: global rollback delay elapsed. A later failure re-arms the
+/// timer, and `epoch` retires the earlier one.
 struct CoRollbackDone {
-    resume_step: u32,
+    epoch: u64,
 }
 
 /// Per-component info the director needs.
@@ -95,8 +98,10 @@ pub struct Director {
     ready: HashMap<u32, HashSet<u32>>,
     /// Last completed coordinated checkpoint step.
     last_co_ckpt: u32,
-    /// A global rollback is in flight (coalesce concurrent failures).
-    rolling_back: bool,
+    /// When the global rollback in flight ends, if one is.
+    rollback_end: Option<SimTime>,
+    /// Names the latest [`CoRollbackDone`] timer.
+    rollback_epoch: u64,
     finished: HashSet<u32>,
     finish_times: HashMap<u32, SimTime>,
     /// Control rounds sent to staging: the sequence number of the
@@ -139,7 +144,8 @@ impl Director {
             detect,
             ready: HashMap::new(),
             last_co_ckpt: 0,
-            rolling_back: false,
+            rollback_end: None,
+            rollback_epoch: 0,
             finished: HashSet::new(),
             finish_times: HashMap::new(),
             ctl_rounds: 0,
@@ -174,7 +180,7 @@ impl Director {
     }
 
     fn on_ready(&mut self, ctx: &mut Ctx<'_>, app: u32, step: u32) {
-        if self.rolling_back {
+        if self.rollback_end.is_some() {
             // The rollback broadcast will reset everyone; drop the rendezvous.
             return;
         }
@@ -215,7 +221,7 @@ impl Director {
     }
 
     fn on_co_ckpt_done(&mut self, ctx: &mut Ctx<'_>, step: u32) {
-        if self.rolling_back {
+        if self.rollback_end.is_some() {
             return;
         }
         let s = std::mem::take(&mut self.ckpt_span);
@@ -226,50 +232,41 @@ impl Director {
         }
     }
 
+    /// A component failed. The first failure of a rollback abandons any
+    /// rendezvous and resets staging; every failure, the first and any that
+    /// lands while the rollback is under way, re-runs repair for its own
+    /// component, and the rollback ends at the latest repair's end.
     fn on_co_failure(&mut self, ctx: &mut Ctx<'_>, app: u32) {
-        if self.rolling_back {
-            ctx.metrics().inc("wf.failures_coalesced", 1);
-            return;
+        let first = self.rollback_end.is_none();
+        if first {
+            self.ready.clear();
+            if self.tracer.enabled() {
+                let s = std::mem::take(&mut self.ckpt_span);
+                let (now, seq) = (ctx.now().as_nanos(), ctx.seq());
+                self.tracer.end(s, self.track, now, seq, vec![arg("status", "aborted")]);
+                let args = vec![arg("failed_app", app), arg("resume_step", self.last_co_ckpt + 1)];
+                self.rollback_span =
+                    self.tracer.begin(TraceCtx::NONE, self.track, "co.rollback", now, seq, args);
+            }
+            // Reset staging to the coordinated cut so re-execution
+            // repopulates it exactly as the first execution did. The
+            // servers' replies are not awaited; this actor drops them.
+            self.ctl_rounds += 1;
+            let reset = Request::Ctl(CtlMsg {
+                app: DIRECTOR_APP,
+                seq: self.ctl_rounds,
+                req: CtlRequest::GlobalReset { to_version: self.last_co_ckpt },
+                tctx: TraceCtx::NONE,
+            });
+            for &to in &self.server_eps {
+                self.net.send(ctx, self.ep, to, reset.wire_bytes(), reset.clone());
+            }
         }
-        self.rolling_back = true;
-        self.ready.clear();
-        if self.tracer.enabled() {
-            // A rollback abandons any rendezvous in flight.
-            let s = std::mem::take(&mut self.ckpt_span);
-            self.tracer.end(
-                s,
-                self.track,
-                ctx.now().as_nanos(),
-                ctx.seq(),
-                vec![arg("status", "aborted")],
-            );
-            self.rollback_span = self.tracer.begin(
-                TraceCtx::NONE,
-                self.track,
-                "co.rollback",
-                ctx.now().as_nanos(),
-                ctx.seq(),
-                vec![arg("failed_app", app), arg("resume_step", self.last_co_ckpt + 1)],
-            );
-        }
-
-        // Reset staging to the coordinated cut so re-execution repopulates
-        // it exactly as the first execution did. The servers' replies are
-        // not awaited; this actor drops them.
-        self.ctl_rounds += 1;
-        let reset = Request::Ctl(CtlMsg {
-            app: DIRECTOR_APP,
-            seq: self.ctl_rounds,
-            req: CtlRequest::GlobalReset { to_version: self.last_co_ckpt },
-            tctx: TraceCtx::NONE,
-        });
-        for &to in &self.server_eps {
-            self.net.send(ctx, self.ep, to, reset.wire_bytes(), reset.clone());
-        }
-
         // Timing: detection, then ULFM repair of the failed component, then
-        // every component restores its checkpoint simultaneously from the
-        // shared PFS.
+        // the restore. A global restart restores every component at once
+        // from the shared PFS and re-registers every rank's staging client
+        // (registration serializes at the staging master); a failure during
+        // it repeats that for its own component only.
         let failed = self
             .components
             .iter()
@@ -284,34 +281,35 @@ impl Director {
         // components restore from node-local storage when two-level
         // checkpointing is in use.
         let readers = self.components.len();
-        let restore = self
-            .components
-            .iter()
-            .map(|c| {
-                if c.app == app {
-                    self.pfs.read_time(c.state_bytes, readers)
-                } else {
-                    match self.ckpt_target {
-                        CkptTarget::Pfs => self.pfs.read_time(c.state_bytes, readers),
-                        CkptTarget::TwoLevel => self.node_local.read_time(c.state_bytes, readers),
-                    }
+        let restored = self.components.iter().filter(|c| first || c.app == app);
+        let restore = restored
+            .clone()
+            .map(|c| match self.ckpt_target {
+                CkptTarget::TwoLevel if c.app != app => {
+                    self.node_local.read_time(c.state_bytes, readers)
                 }
+                _ => self.pfs.read_time(c.state_bytes, readers),
             })
             .max()
             .unwrap_or(SimTime::ZERO);
-        // Under global restart every rank of every component re-registers
-        // its staging client (registration serializes at the staging master).
-        let reconnect = self.reconnect_per_rank.scale(self.total_ranks() as u64);
+        let ranks: usize = restored.map(|c| c.ranks).sum();
+        let reconnect = self.reconnect_per_rank.scale(ranks as u64);
         let total = self.detect + ulfm_time + restore + reconnect;
         ctx.metrics().observe("wf.co_rollback_s", total.as_secs_f64());
-        let resume_step = self.last_co_ckpt + 1;
-        ctx.timer(total, CoRollbackDone { resume_step });
+        let end = (ctx.now() + total).max(self.rollback_end.unwrap_or(SimTime::ZERO));
+        self.rollback_end = Some(end);
+        self.rollback_epoch += 1;
+        ctx.timer(end.saturating_sub(ctx.now()), CoRollbackDone { epoch: self.rollback_epoch });
     }
 
-    fn on_co_rollback_done(&mut self, ctx: &mut Ctx<'_>, resume_step: u32) {
-        self.rolling_back = false;
+    fn on_co_rollback_done(&mut self, ctx: &mut Ctx<'_>, epoch: u64) {
+        if epoch != self.rollback_epoch {
+            return;
+        }
+        self.rollback_end = None;
         let s = std::mem::take(&mut self.rollback_span);
         self.tracer.end(s, self.track, ctx.now().as_nanos(), ctx.seq(), Vec::new());
+        let resume_step = self.last_co_ckpt + 1;
         for c in &self.components {
             ctx.send_now(c.actor, RollbackComplete { resume_step });
         }
@@ -351,7 +349,7 @@ impl Actor for Director {
         };
         let ev = match ev.downcast::<CoRollbackDone>() {
             Ok((_, m)) => {
-                self.on_co_rollback_done(ctx, m.resume_step);
+                self.on_co_rollback_done(ctx, m.epoch);
                 return;
             }
             Err(ev) => ev,

@@ -83,7 +83,10 @@ impl RunReport {
         self.metrics.counter("wf.ckpts")
     }
 
-    /// Time steps re-executed due to rollbacks.
+    /// Time steps re-executed due to rollbacks: each time a component's
+    /// step moves back to its resume step (a local restore's end, or a Co
+    /// `RollbackComplete` for every component), the steps it moved over. A
+    /// recovery that a death restarts counts its redo once.
     pub fn rollback_steps(&self) -> u64 {
         self.metrics.counter("wf.rollback_steps")
     }
@@ -104,8 +107,10 @@ impl RunReport {
         self.metrics.stream("wf.put_response_s").and_then(|s| s.p99).unwrap_or(0.0)
     }
 
-    /// Rollback recoveries performed: one per component that rolls back, so
-    /// a coordinated rollback counts every component once.
+    /// Rollback recoveries performed: one per ULFM repair a component starts
+    /// (a death during a recovery starts another), and under Co one per
+    /// component that rolls back, so a coordinated rollback counts every
+    /// component once however many failures landed in it.
     pub fn recoveries(&self) -> u64 {
         self.metrics.counter("wf.recoveries")
     }

@@ -138,7 +138,10 @@ pub fn build(cfg: &WorkflowConfig) -> BuiltWorkflow {
 
     let mut engine = Engine::new(cfg.seed);
     let mut network = Network::new(cfg.net);
-    let apps: Vec<u32> = cfg.components.iter().map(|c| c.app).collect();
+    // The logging backend's GC waits for the components that can roll back.
+    // A replicated one never replays, so it must not pin the floor.
+    let apps: Vec<u32> =
+        cfg.components.iter().filter(|c| c.scheme.rolls_back()).map(|c| c.app).collect();
     // Observability: one shared recorder, cloned into every actor. Span ids
     // and timestamps come from the engine's virtual clock and dispatch
     // counter, so recording is deterministic and cannot perturb the run.

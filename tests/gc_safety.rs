@@ -6,7 +6,7 @@
 //! from the log with the original digests — i.e. GC (which runs at every
 //! checkpoint) never deleted anything a replay later required. Also assert
 //! GC is not vacuous: with both components checkpointing, memory is actually
-//! reclaimed.
+//! reclaimed, and a replicated reader does not hold it back.
 
 use proptest::prelude::*;
 use staging::geometry::BBox;
@@ -185,4 +185,22 @@ fn gc_floor_respects_slowest_component() {
     let versions = backend.store().versions(0);
     assert!(!versions.contains(&1) && !versions.contains(&5), "old versions gone");
     assert!(versions.contains(&7) && versions.contains(&10), "recent kept");
+}
+
+/// A replicated reader never rolls back, so it must not pin the floor: on
+/// Table II, Hy's staging data is collected exactly as Un's is. Hy's peak
+/// still sits 1 056 queue events (67 584 B) above Un's: the replicated
+/// reader's event queue never holds a checkpoint marker, so
+/// `EventQueue::truncate_through` never trims the gets it logged (ROADMAP
+/// item 14 step 2).
+#[test]
+fn a_replicated_reader_does_not_pin_the_gc_floor() {
+    use wfcr::protocol::WorkflowProtocol;
+    let hy = workflow::run(&workflow::config::table2(WorkflowProtocol::Hybrid));
+    let un = workflow::run(&workflow::config::table2(WorkflowProtocol::Uncoordinated));
+    assert!(hy.gc_reclaimed_bytes > 0, "Hy reclaims nothing");
+    assert_eq!(hy.gc_reclaimed_bytes, un.gc_reclaimed_bytes);
+    let above = hy.staging_peak_bytes.saturating_sub(un.staging_peak_bytes);
+    let events = above / wfcr::event::EVENT_BYTES;
+    assert!(events <= 1_056, "Hy peaks {events} events above Un");
 }

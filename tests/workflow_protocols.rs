@@ -2,10 +2,11 @@
 //! every protocol completes, preserves consistency where it promises to,
 //! and the paper's performance orderings hold.
 
+use obs::RecordKind;
 use sim_core::time::SimTime;
 use wfcr::protocol::WorkflowProtocol;
-use workflow::config::{tiny, FailureSpec};
-use workflow::runner::{materialize_failures, run};
+use workflow::config::{table3, tiny, FailureSpec, TraceCfg, WorkflowConfig};
+use workflow::runner::{materialize_failures, run, run_traced};
 
 #[test]
 fn all_protocols_complete_failure_free() {
@@ -244,4 +245,121 @@ fn simultaneous_failures_both_components() {
     assert_eq!(r.finish_times_s.len(), 2);
     assert_eq!(r.recoveries(), 2);
     assert_eq!(r.digest_mismatches, 0);
+}
+
+/// `[begin, end]` (virtual ns) of every span named `name` on a track whose
+/// name ends with `track`, in begin order, with the args of its end record.
+fn span_windows(t: &obs::Trace, track: &str, name: &str) -> Vec<(u64, u64, Vec<obs::Arg>)> {
+    let on_track = |r: &obs::Record| t.tracks[r.track as usize].ends_with(track);
+    t.records
+        .iter()
+        .filter(|r| r.k == RecordKind::Begin && r.name == name && on_track(r))
+        .map(|b| {
+            let end = t.records.iter().find(|r| r.k == RecordKind::End && r.sp == b.sp);
+            let end = end.expect("every span is closed");
+            (b.t, end.t, end.args.clone())
+        })
+        .collect()
+}
+
+fn consumer_fails_at(protocol: WorkflowProtocol, at: &[u64]) -> WorkflowConfig {
+    let failures = at.iter().map(|&ns| FailureSpec::At { at: SimTime::from_nanos(ns), app: 1 });
+    tiny(protocol).with_failures(failures.collect()).with_tracing(TraceCfg::full())
+}
+
+/// A second failure inside the first one's ULFM repair kills that repair
+/// and starts another: the restore waits for the second ULFM, both deaths
+/// count, and the re-execution still reads exactly what it read before.
+#[test]
+fn a_failure_inside_ulfm_restarts_the_recovery() {
+    let first = SimTime::from_millis(700).as_nanos();
+    let (one, once) = run_traced(&consumer_fails_at(WorkflowProtocol::Uncoordinated, &[first]));
+    let ulfm = span_windows(&once, ":analytics", "ulfm");
+    assert_eq!(ulfm.len(), 1);
+    let (ulfm_begin, ulfm_end, _) = ulfm[0];
+    let again = (ulfm_begin + ulfm_end) / 2;
+
+    let cfg = consumer_fails_at(WorkflowProtocol::Uncoordinated, &[first, again]);
+    let (r, trace) = run_traced(&cfg);
+    assert_eq!(r.finish_times_s.len(), 2);
+    assert_eq!(r.metrics.counter("wf.failures"), 2, "the second death is not free");
+    assert_eq!(r.recoveries(), 2, "one ULFM repair per death");
+    assert_eq!(r.digest_mismatches, 0);
+    assert_eq!(r.stale_gets, 0);
+    obs::analyze::validate(&trace).expect("trace validates");
+
+    let ulfm = span_windows(&trace, ":analytics", "ulfm");
+    assert_eq!(ulfm.len(), 2, "a second ULFM runs");
+    assert!(ulfm[0].2.iter().any(|a| a.k == "status" && a.v == "aborted"), "{:?}", ulfm[0]);
+    assert_eq!((ulfm[0].1, ulfm[1].0), (again, again), "the death ends one repair, starts one");
+    let restore = span_windows(&trace, ":analytics", "restore");
+    assert_eq!(restore.len(), 1);
+    assert_eq!(restore[0].0, ulfm[1].1, "the restore follows the second ULFM");
+    assert!(restore[0].0 > ulfm_end, "the recovery ends after the first ULFM's time");
+    assert_eq!(obs::analyze::recovery_paths(&trace).len(), 1, "one recovery, restarted");
+    assert_eq!(
+        r.rollback_steps(),
+        one.rollback_steps(),
+        "a restarted recovery counts its redo once"
+    );
+}
+
+/// Under Co, a failure while the director's global rollback is under way
+/// re-runs repair for its component, and the rollback waits for it.
+#[test]
+fn a_failure_inside_the_co_rollback_delays_rollback_complete() {
+    let first = SimTime::from_millis(700).as_nanos();
+    let (one, once) = run_traced(&consumer_fails_at(WorkflowProtocol::Coordinated, &[first]));
+    let rollback = span_windows(&once, "director", "co.rollback");
+    assert_eq!(rollback.len(), 1);
+    let (begin, end, _) = rollback[0];
+
+    let cfg = consumer_fails_at(WorkflowProtocol::Coordinated, &[first, (begin + end) / 2]);
+    let (two, trace) = run_traced(&cfg);
+    assert_eq!(two.finish_times_s.len(), 2);
+    assert_eq!(two.metrics.counter("wf.failures"), 2);
+    assert_eq!(two.metrics.counter("wf.failures_coalesced"), 0);
+    obs::analyze::validate(&trace).expect("trace validates");
+    let rollback = span_windows(&trace, "director", "co.rollback");
+    assert_eq!(rollback.len(), 1, "one rollback, extended");
+    assert_eq!(rollback[0].0, begin);
+    assert!(rollback[0].1 > end, "RollbackComplete comes later: {} vs {end}", rollback[0].1);
+    assert!(two.total_time_s > one.total_time_s);
+    assert_eq!(two.recoveries(), one.recoveries(), "one rollback of every component");
+}
+
+/// No scheduled failure is free: in one of Figure 10's exact schedules
+/// (2 816 cores, two producer failures 9.5 s apart; `bench::fig10`'s seed
+/// `42 + 1000·scale + 11`) the second failure lands in the first one's
+/// recovery. Every protocol counts each failure that hit a component before
+/// it finished, and none coalesces one.
+#[test]
+fn every_failure_that_hits_a_live_component_counts() {
+    let (scale, nf) = (2, 2);
+    let seed = 42 + 1000 * scale as u64 + 11;
+    let failures =
+        materialize_failures(&table3(scale, WorkflowProtocol::Uncoordinated, nf).with_seed(seed));
+    for proto in [
+        WorkflowProtocol::Coordinated,
+        WorkflowProtocol::Uncoordinated,
+        WorkflowProtocol::Hybrid,
+        WorkflowProtocol::Individual,
+    ] {
+        let r = run(&table3(scale, proto, nf).with_seed(seed).with_failures(failures.clone()));
+        let hits = failures
+            .iter()
+            .filter(|f| match f {
+                FailureSpec::At { at, app } => {
+                    r.finish_times_s.iter().any(|&(a, done)| a == *app && at.as_secs_f64() < done)
+                }
+                _ => false,
+            })
+            .count() as u64;
+        assert_eq!(hits, 2, "{proto:?}: both failures hit a live component");
+        assert_eq!(r.metrics.counter("wf.failures"), hits, "{proto:?}");
+        assert!(
+            r.metrics.counters.iter().all(|c| c.name != "wf.failures_coalesced"),
+            "{proto:?}: an unsupervised run coalesces nothing"
+        );
+    }
 }
