@@ -3,7 +3,7 @@
 //! wflint — token-level static analysis for the deterministic envelope.
 //!
 //! Every guarantee this codebase makes — byte-identical replay, `.schedule`
-//! counterexamples that re-execute, FNV state-hash pruning in `mcheck` —
+//! counterexamples that re-execute —
 //! rests on the premise that a run is a pure function of config + pick
 //! vector, and that servers journal before they ack. This crate promotes the
 //! old substring lint to real analysis:

@@ -74,11 +74,6 @@ impl Recorder {
         Recorder::new(schedule.picks(), 0, false)
     }
 
-    /// Choice points consumed so far.
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
     /// True once the run has moved past the forced prefix (everything from
     /// here on is canonical-default territory).
     pub fn past_prefix(&self) -> bool {

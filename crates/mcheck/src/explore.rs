@@ -8,20 +8,13 @@
 //! prefix is pushed. Branching is restricted to the first
 //! [`ExploreConfig::max_branch_points`] choice points of a run — the
 //! "bounded depth" within which exploration is exhaustive.
-//!
-//! State-hash pruning: when [`ExploreConfig::state_prune`] is on and every
-//! actor implements [`sim_core::engine::Actor::fingerprint`], the engine
-//! state at the moment a run diverges from its forced prefix is hashed; if
-//! an earlier run reached the same state having consumed no more choice
-//! points (so its remaining branch budget was no smaller), the new run is
-//! redundant and is cut.
 
 use crate::cursor::{shared, CursorSource, RecordedChoice, Recorder};
 use crate::minimize::ddmin;
 use crate::oracle::Oracle;
 use crate::schedule::Schedule;
 use sim_core::engine::Engine;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Something the explorer can repeatedly instantiate and run.
 pub trait Model {
@@ -47,7 +40,7 @@ pub trait Model {
 #[derive(Debug, Clone)]
 pub struct ExploreConfig {
     /// Branch only at the first N choice points of each run. Within this
-    /// window exploration is exhaustive (modulo POR and pruning).
+    /// window exploration is exhaustive (modulo POR).
     pub max_branch_points: usize,
     /// Hard cap on schedules run; hitting it sets
     /// [`ExploreOutcome::truncated`].
@@ -55,9 +48,6 @@ pub struct ExploreConfig {
     /// Target-partitioned partial-order reduction (see
     /// [`crate::cursor::Recorder::new`]).
     pub por: bool,
-    /// FNV state-hash pruning (needs fingerprinting actors; silently
-    /// inactive otherwise).
-    pub state_prune: bool,
     /// Stop at the first violation instead of mapping all violating oracles.
     pub stop_on_first: bool,
     /// ddmin-minimize violating schedules before reporting them.
@@ -70,7 +60,6 @@ impl Default for ExploreConfig {
             max_branch_points: 8,
             max_schedules: 20_000,
             por: true,
-            state_prune: false,
             stop_on_first: false,
             minimize: true,
         }
@@ -93,8 +82,6 @@ pub struct Violation {
 pub struct ExploreOutcome {
     /// Schedules fully run (excludes ddmin replays).
     pub schedules_explored: u64,
-    /// Runs cut by state-hash pruning.
-    pub states_pruned: u64,
     /// Extra runs spent minimizing counterexamples.
     pub minimize_replays: u64,
     /// First violation found per oracle.
@@ -120,7 +107,6 @@ struct RunResult {
     violation: Option<(String, String)>,
     recorded: Vec<RecordedChoice>,
     beyond: bool,
-    pruned: bool,
 }
 
 /// The DFS driver.
@@ -136,44 +122,17 @@ impl Explorer {
         Explorer { cfg }
     }
 
-    /// Run one schedule: replay `prefix`, then defaults. `seen` is the
-    /// cross-run pruning table (state hash → fewest choice points consumed
-    /// when first reached).
-    fn run_one<M: Model>(
-        &self,
-        model: &M,
-        prefix: &[u32],
-        seen: &mut BTreeMap<u64, usize>,
-    ) -> RunResult {
+    /// Run one schedule: replay `prefix`, then defaults.
+    fn run_one<M: Model>(&self, model: &M, prefix: &[u32]) -> RunResult {
         let mut engine = model.build();
         let rec = shared(Recorder::new(prefix.to_vec(), self.cfg.max_branch_points, self.cfg.por));
         engine.set_choice_source(Box::new(CursorSource(rec.clone())));
         let mut oracles = model.oracles();
         let mut violation = None;
-        let mut prune_checked = !self.cfg.state_prune;
         let mut steps = 0u64;
         let max_events = model.max_events();
 
         'run: loop {
-            if !prune_checked && rec.borrow().past_prefix() {
-                prune_checked = true;
-                if let Some(h) = engine.state_fingerprint() {
-                    let pos = rec.borrow().pos();
-                    match seen.get(&h) {
-                        Some(&p) if p <= pos => {
-                            return RunResult {
-                                violation: None,
-                                recorded: Vec::new(),
-                                beyond: false,
-                                pruned: true,
-                            };
-                        }
-                        _ => {
-                            seen.insert(h, pos);
-                        }
-                    }
-                }
-            }
             if steps >= max_events || engine.run_limited(1) == 0 {
                 break 'run;
             }
@@ -194,20 +153,13 @@ impl Explorer {
             }
         }
         let r = rec.borrow();
-        RunResult {
-            violation,
-            recorded: r.recorded().to_vec(),
-            beyond: r.saw_beyond_limit(),
-            pruned: false,
-        }
+        RunResult { violation, recorded: r.recorded().to_vec(), beyond: r.saw_beyond_limit() }
     }
 
     /// Replay `picks` and report the violated oracle, if any. Public so
     /// regression tests can re-execute a stored `.schedule`.
     pub fn check_picks<M: Model>(&self, model: &M, picks: &[u32]) -> Option<(String, String)> {
-        let mut throwaway = BTreeMap::new();
-        let sub = Explorer { cfg: ExploreConfig { state_prune: false, ..self.cfg.clone() } };
-        sub.run_one(model, picks, &mut throwaway).violation
+        self.run_one(model, picks).violation
     }
 
     /// Re-run `picks` and serialize the choice points actually taken as a
@@ -231,7 +183,6 @@ impl Explorer {
     /// Explore the schedule tree of `model`.
     pub fn explore<M: Model>(&self, model: &M) -> ExploreOutcome {
         let mut out = ExploreOutcome::default();
-        let mut seen: BTreeMap<u64, usize> = BTreeMap::new();
         let mut violated: BTreeSet<String> = BTreeSet::new();
         let mut stack: Vec<Vec<u32>> = vec![Vec::new()];
 
@@ -240,11 +191,7 @@ impl Explorer {
                 out.truncated = true;
                 break;
             }
-            let r = self.run_one(model, &prefix, &mut seen);
-            if r.pruned {
-                out.states_pruned += 1;
-                continue;
-            }
+            let r = self.run_one(model, &prefix);
             out.schedules_explored += 1;
             out.depth_bounded |= r.beyond;
 
@@ -293,7 +240,6 @@ impl Explorer {
 mod tests {
     use super::*;
     use crate::oracle::CounterZero;
-    use sim_core::choice::Fnv1a;
     use sim_core::engine::{Actor, Ctx, Event};
     use sim_core::time::SimTime;
 
@@ -305,9 +251,6 @@ mod tests {
     impl Actor for Relay {
         fn on_event(&mut self, ctx: &mut Ctx<'_>, _ev: Event) {
             ctx.send_after(SimTime::from_nanos(10), self.judge, self.tag);
-        }
-        fn fingerprint(&self) -> Option<u64> {
-            Some(self.tag as u64)
         }
     }
 
@@ -324,13 +267,6 @@ mod tests {
                 }
                 self.seen.push(tag);
             }
-        }
-        fn fingerprint(&self) -> Option<u64> {
-            let mut h = Fnv1a::new();
-            for &t in &self.seen {
-                h.write_u64(t as u64);
-            }
-            Some(h.finish())
         }
     }
 
@@ -421,58 +357,6 @@ mod tests {
         assert_eq!(out.schedules_explored, 6, "3! interleavings");
         assert!(!out.depth_bounded);
         assert!(!out.truncated);
-    }
-
-    #[test]
-    fn state_pruning_cuts_converged_histories() {
-        // All 3! orders converge to judge states that differ (seen order is
-        // part of the fingerprint), but the *pending-event* half collapses
-        // branches early... use a judge that ignores order instead.
-        #[derive(Default)]
-        struct SetJudge {
-            seen: std::collections::BTreeSet<u32>,
-        }
-        impl Actor for SetJudge {
-            fn on_event(&mut self, _ctx: &mut Ctx<'_>, ev: Event) {
-                if let Ok((_, tag)) = ev.downcast::<u32>() {
-                    self.seen.insert(tag);
-                }
-            }
-            fn fingerprint(&self) -> Option<u64> {
-                let mut h = Fnv1a::new();
-                for &t in &self.seen {
-                    h.write_u64(t as u64);
-                }
-                Some(h.finish())
-            }
-        }
-        struct SetModel;
-        impl Model for SetModel {
-            fn build(&self) -> Engine {
-                let mut eng = Engine::new(1);
-                let judge = eng.add_actor(Box::<SetJudge>::default());
-                for tag in [0u32, 1, 2] {
-                    eng.schedule_at(SimTime::from_nanos(1), judge, tag);
-                }
-                eng
-            }
-            fn oracles(&self) -> Vec<Box<dyn Oracle>> {
-                Vec::new()
-            }
-        }
-        let plain =
-            Explorer::new(ExploreConfig { por: false, minimize: false, ..Default::default() });
-        let pruned = Explorer::new(ExploreConfig {
-            por: false,
-            minimize: false,
-            state_prune: true,
-            ..Default::default()
-        });
-        let a = plain.explore(&SetModel);
-        let b = pruned.explore(&SetModel);
-        assert_eq!(a.schedules_explored, 6);
-        assert!(b.states_pruned > 0, "equal-state runs must be cut");
-        assert!(b.schedules_explored < 6);
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //!   engine replays a recorded prefix, then takes canonical defaults;
 //! * [`explore::Explorer`] drives a DFS over prefixes, branching at the
 //!   first `max_branch_points` choice points (bounded-depth exhaustiveness),
-//!   with target-partitioned partial-order reduction and optional FNV
-//!   state-hash pruning;
+//!   with target-partitioned partial-order reduction;
 //! * [`oracle::Oracle`]s are checked after every transition; on violation the
 //!   offending schedule is [`minimize::ddmin`]-minimized and serialized as a
 //!   replayable [`schedule::Schedule`] (`.schedule` file).

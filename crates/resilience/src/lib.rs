@@ -14,7 +14,10 @@
 //! The reproduction therefore models the substrate by its cost alone: a
 //! failed staging server is back after a fixed failover delay plus the time
 //! to pull `rs_k` surviving shards' worth of its bytes over the NIC. This
-//! crate holds the one parameter of that model.
+//! crate holds the one parameter of that model; the workflow runner, which
+//! no configuration overrides, reads it as a constant of its own, and the
+//! crate stays only because the benchmark package's lock file records the
+//! `workflow → resilience` edge.
 
 use serde::{Deserialize, Serialize};
 

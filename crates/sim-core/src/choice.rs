@@ -83,11 +83,10 @@ pub trait ChoiceSource {
     fn choose(&mut self, kind: ChoiceKind, arity: usize) -> usize;
 }
 
-/// The incremental FNV-1a hasher used for state fingerprints.
+/// An incremental FNV-1a hasher.
 ///
 /// FNV is not cryptographic — it is small, has no external dependency, and
-/// produces the same digest on every platform, which is all state-hash
-/// pruning needs.
+/// produces the same digest on every platform.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv1a(u64);
 

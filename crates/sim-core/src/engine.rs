@@ -6,7 +6,7 @@
 //! at the same virtual times in the same order. Ties on time are broken by a
 //! monotonically increasing sequence number (i.e. FIFO).
 
-use crate::choice::{ChoiceKind, ChoiceSource, DeliveryOption, Fnv1a};
+use crate::choice::{ChoiceKind, ChoiceSource, DeliveryOption};
 use crate::metrics::Metrics;
 use crate::rng::Xoshiro256StarStar;
 use crate::time::SimTime;
@@ -88,15 +88,6 @@ pub trait Actor: Any {
     /// Human-readable name for traces; defaults to the type name.
     fn name(&self) -> &str {
         std::any::type_name::<Self>()
-    }
-
-    /// Stable digest of the actor's logical state, for state-hash pruning in
-    /// a model checker. Two actors with equal fingerprints must behave
-    /// identically on all future events. Return `None` (the default) to opt
-    /// out — [`Engine::state_fingerprint`] then reports no fingerprint at
-    /// all, so pruning stays sound when any actor cannot summarize itself.
-    fn fingerprint(&self) -> Option<u64> {
-        None
     }
 }
 
@@ -374,46 +365,6 @@ impl Engine {
         self.core.choice.is_some()
     }
 
-    /// FNV-1a digest of the engine's logical state: virtual time, pending
-    /// events (time/target/sender, *not* sequence numbers — two schedules
-    /// reaching the same state differ in seq history) and every actor's
-    /// [`Actor::fingerprint`]. Returns `None` unless *all* live actors
-    /// provide a fingerprint: pruning on a partial digest would be unsound.
-    pub fn state_fingerprint(&self) -> Option<u64> {
-        let mut h = Fnv1a::new();
-        h.write_u64(self.core.now.as_nanos());
-        // Pending events, in a canonical order independent of heap layout.
-        // The payload type id distinguishes messages the (time, target,
-        // sender) triple cannot; its numeric value is only stable within one
-        // process, which is exactly the lifetime of a pruning table.
-        let mut pending: Vec<(u64, usize, usize, u64)> = self
-            .core
-            .heap
-            .iter()
-            .map(|s| {
-                let mut th = Fnv1a::new();
-                use std::hash::Hash;
-                (*s.ev.payload).type_id().hash(&mut th);
-                (s.at.as_nanos(), s.target, s.ev.from.map_or(usize::MAX, |f| f), th.finish())
-            })
-            .collect();
-        pending.sort_unstable();
-        h.write_u64(pending.len() as u64);
-        for (at, target, from, tid) in pending {
-            h.write_u64(at);
-            h.write_u64(target as u64);
-            h.write_u64(from as u64);
-            h.write_u64(tid);
-        }
-        for (id, slot) in self.actors.iter().enumerate() {
-            if let Some(actor) = slot {
-                h.write_u64(id as u64);
-                h.write_u64(actor.fingerprint()?);
-            }
-        }
-        Some(h.finish())
-    }
-
     /// Run to completion (empty heap or stop request).
     pub fn run(&mut self) -> u64 {
         self.run_limited(u64::MAX)
@@ -440,7 +391,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::choice::{ChoiceKind, DeliveryOption, Fnv1a};
+    use crate::choice::{ChoiceKind, DeliveryOption};
 
     enum Msg {
         Tick(u32),
@@ -551,13 +502,6 @@ mod tests {
                 self.order.push(k);
             }
         }
-        fn fingerprint(&self) -> Option<u64> {
-            let mut h = Fnv1a::new();
-            for &k in &self.order {
-                h.write_u64(k as u64);
-            }
-            Some(h.finish())
-        }
     }
 
     #[test]
@@ -625,33 +569,6 @@ mod tests {
         eng.set_choice_source(Box::new(ReverseSource));
         eng.run();
         assert_eq!(eng.actor_as::<Chooser>(a).unwrap().picked, Some(2));
-    }
-
-    #[test]
-    fn state_fingerprint_requires_all_actors() {
-        let mut eng = Engine::new(1);
-        eng.add_actor(Box::new(Recorder { order: vec![] }));
-        assert!(eng.state_fingerprint().is_some());
-        // Counter opts out of fingerprinting → engine digest unavailable.
-        eng.add_actor(Box::<Counter>::default());
-        assert!(eng.state_fingerprint().is_none());
-    }
-
-    #[test]
-    fn equal_states_hash_equal_across_histories() {
-        let run = |order: [u32; 2]| -> u64 {
-            let mut eng = Engine::new(1);
-            let a = eng.add_actor(Box::new(Recorder { order: vec![] }));
-            // Different schedules (seq history differs)...
-            for k in order {
-                eng.schedule_at(SimTime::from_nanos(2), a, Msg::Tick(k));
-            }
-            eng.run();
-            // ...but force identical logical state before hashing.
-            eng.actor_as_mut::<Recorder>(a).unwrap().order = vec![1, 2];
-            eng.state_fingerprint().unwrap()
-        };
-        assert_eq!(run([1, 2]), run([2, 1]));
     }
 
     #[test]

@@ -54,20 +54,6 @@ struct RebuildDone {
     incarnation: u32,
 }
 
-/// Server → supervisor: this staging server lost its process and entered a
-/// resilience rebuild. Sent only when a supervisor is wired.
-pub struct ServerDownNotice {
-    /// The failed server's index.
-    pub server: ServerIdx,
-}
-
-/// Server → supervisor: the rebuild completed and the server is serving
-/// again. Sent only when a supervisor is wired.
-pub struct ServerUpNotice {
-    /// The recovered server's index.
-    pub server: ServerIdx,
-}
-
 /// One of a server's gauges, `staging.server{index}.{name}`; the discriminant
 /// indexes [`StagingServerActor::gauges`].
 #[derive(Clone, Copy)]
@@ -129,9 +115,12 @@ pub struct StagingServerActor<B> {
     op_span: TraceCtx,
     /// Span of an in-progress resilience rebuild.
     rebuild_span: TraceCtx,
-    /// Supervisor to notify on fail-stop / rebuild-complete (runner wiring;
-    /// `None` outside supervised runs).
-    supervisor: Option<sim_core::engine::ActorId>,
+    /// The run is supervised: each fail-stop counts as a death and a
+    /// restart, and the outage it opens is timed.
+    supervised: bool,
+    /// Start of the open outage (first failure of the streak); the rebuild
+    /// that brings the server back closes it into `sup.outage_s`.
+    outage_since: Option<SimTime>,
 }
 
 impl<B: StoreBackend> StagingServerActor<B> {
@@ -160,14 +149,16 @@ impl<B: StoreBackend> StagingServerActor<B> {
             track: obs::TrackId(0),
             op_span: TraceCtx::NONE,
             rebuild_span: TraceCtx::NONE,
-            supervisor: None,
+            supervised: false,
+            outage_since: None,
         }
     }
 
-    /// Runner wiring: notify `supervisor` when this server fails and when
-    /// its rebuild completes (supervised runs only).
-    pub fn set_supervisor(&mut self, supervisor: sim_core::engine::ActorId) {
-        self.supervisor = Some(supervisor);
+    /// Runner wiring: count this server's fail-stops as supervised deaths
+    /// and time their outages (supervised runs only). A server comes back
+    /// through the resilience rebuild, never after a backoff.
+    pub fn set_supervised(&mut self) {
+        self.supervised = true;
     }
 
     /// Runner wiring: attach a tracer. The server records onto its own
@@ -396,8 +387,10 @@ impl<B: StoreBackend> Actor for StagingServerActor<B> {
                         vec![arg("bytes", self.logic.bytes_resident())],
                     );
                 }
-                if let Some(sup) = self.supervisor {
-                    ctx.send_now(sup, ServerDownNotice { server: self.index });
+                if self.supervised {
+                    self.outage_since.get_or_insert(ctx.now());
+                    ctx.metrics().inc("sup.deaths", 1);
+                    ctx.metrics().inc("sup.restarts", 1);
                 }
                 let incarnation = self.incarnation;
                 ctx.timer(rebuild, RebuildDone { incarnation });
@@ -412,8 +405,9 @@ impl<B: StoreBackend> Actor for StagingServerActor<B> {
                     self.rebuilds += 1;
                     let sp = std::mem::take(&mut self.rebuild_span);
                     self.tracer.end(sp, self.track, ctx.now().as_nanos(), ctx.seq(), Vec::new());
-                    if let Some(sup) = self.supervisor {
-                        ctx.send_now(sup, ServerUpNotice { server: self.index });
+                    if let Some(since) = self.outage_since.take() {
+                        let outage_s = ctx.now().saturating_sub(since).as_secs_f64();
+                        ctx.metrics().observe_tail("sup.outage_s", outage_s);
                     }
                     if self.in_service.is_some() {
                         // Deliver the interrupted op's (late) response.

@@ -1,35 +1,15 @@
-//! Per-component failure domains: the consecutive-death count and the
+//! One component's failure domain: its consecutive-death count and its
 //! poison hits.
 //!
 //! A *failure domain* is the blast radius of one fault — here, one workflow
-//! component. Each domain counts its own deaths independently so a
-//! crash-looping consumer cannot wedge its neighbours; the
-//! [`crate::Supervisor`] owns one [`FailureDomain`] per key and consults it
-//! when deciding a restart verdict.
+//! component, which owns its [`FailureDomain`] and asks it what to do about
+//! each death of its own. Each domain counts its own deaths independently
+//! so a crash-looping consumer cannot wedge its neighbours.
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
-/// Identity of a failure domain. `Ord` so supervisor iteration is
-/// deterministic (domains live in a `BTreeMap`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum DomainKey {
-    /// A workflow component, by app id.
-    Component(u32),
-    /// A staging server, by server index.
-    Server(u32),
-}
-
-impl DomainKey {
-    /// Short label for traces and dead letters, e.g. `comp:2` / `srv:0`.
-    pub fn label(&self) -> String {
-        match self {
-            DomainKey::Component(app) => format!("comp:{app}"),
-            DomainKey::Server(idx) => format!("srv:{idx}"),
-        }
-    }
-}
+use crate::backoff;
+use crate::supervisor::{DeathCause, POISON_THRESHOLD};
 
 /// One failure domain's death streak and poison hits.
 #[derive(Debug, Clone, Default)]
@@ -48,19 +28,22 @@ impl FailureDomain {
         self.consecutive
     }
 
-    /// Record a death. Returns the consecutive-death count (1-based restart
-    /// attempt number for backoff).
-    pub fn on_death(&mut self) -> u32 {
+    /// A death: extends the streak and returns the restart backoff (ns)
+    /// and, once a poisoned step has killed the domain
+    /// [`POISON_THRESHOLD`] times, that step, to be quarantined before the
+    /// restart.
+    pub fn on_death(&mut self, cause: DeathCause) -> (u64, Option<u32>) {
         self.consecutive += 1;
-        self.consecutive
-    }
-
-    /// Record a poison hit against `step`; returns how many times this step
-    /// has now killed the domain.
-    pub fn on_poison_hit(&mut self, step: u32) -> u32 {
-        let n = self.poison_hits.entry(step).or_insert(0);
-        *n += 1;
-        *n
+        let delay_ns = backoff::delay_ns(self.consecutive);
+        let quarantine = match cause {
+            DeathCause::PoisonPut { step } => {
+                let hits = self.poison_hits.entry(step).or_insert(0);
+                *hits += 1;
+                (*hits >= POISON_THRESHOLD).then_some(step)
+            }
+            DeathCause::FailStop => None,
+        };
+        (delay_ns, quarantine)
     }
 
     /// Poison hits recorded against `step`.
@@ -68,7 +51,8 @@ impl FailureDomain {
         self.poison_hits.get(&step).copied().unwrap_or(0)
     }
 
-    /// Recovery completed: the death streak ends.
+    /// Recovery completed: the death streak ends, so the next outage's
+    /// backoff starts at the base again.
     pub fn on_recovered(&mut self) {
         self.consecutive = 0;
     }
@@ -79,41 +63,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn key_ordering_and_labels() {
-        let mut m = BTreeMap::new();
-        m.insert(DomainKey::Server(1), ());
-        m.insert(DomainKey::Component(2), ());
-        m.insert(DomainKey::Component(0), ());
-        let keys: Vec<_> = m.keys().copied().collect();
-        assert_eq!(
-            keys,
-            vec![DomainKey::Component(0), DomainKey::Component(2), DomainKey::Server(1)]
-        );
-        assert_eq!(DomainKey::Component(2).label(), "comp:2");
-        assert_eq!(DomainKey::Server(0).label(), "srv:0");
-    }
-
-    #[test]
     fn outage_accounting_spans_consecutive_deaths() {
         let mut d = FailureDomain::default();
-        assert_eq!(d.on_death(), 1);
+        d.on_death(DeathCause::FailStop);
+        assert_eq!(d.consecutive(), 1);
         // Dies again during its own recovery: the same streak.
-        assert_eq!(d.on_death(), 2);
+        d.on_death(DeathCause::FailStop);
+        assert_eq!(d.consecutive(), 2);
         d.on_recovered();
         assert_eq!(d.consecutive(), 0);
         // A fresh outage starts a fresh streak.
-        assert_eq!(d.on_death(), 1);
+        d.on_death(DeathCause::FailStop);
+        assert_eq!(d.consecutive(), 1);
     }
 
     #[test]
     fn poison_hits_survive_recovery() {
         let mut d = FailureDomain::default();
-        d.on_death();
-        assert_eq!(d.on_poison_hit(5), 1);
+        d.on_death(DeathCause::PoisonPut { step: 5 });
+        assert_eq!(d.poison_hits(5), 1);
         d.on_recovered();
-        d.on_death();
-        assert_eq!(d.on_poison_hit(5), 2, "not reset by recovery");
-        assert_eq!(d.poison_hits(5), 2);
+        d.on_death(DeathCause::PoisonPut { step: 5 });
+        assert_eq!(d.poison_hits(5), 2, "not reset by recovery");
         assert_eq!(d.poison_hits(6), 0);
+        d.on_death(DeathCause::FailStop);
+        assert_eq!(d.poison_hits(5), 2, "a fail-stop is no poison hit");
     }
 }

@@ -36,13 +36,23 @@
 //! ## Supervised failure handling
 //!
 //! When the run enables supervision
-//! ([`crate::config::WorkflowConfig::supervision`]), a death notifies the
-//! [`crate::supervisor_actor::SupervisorActor`] and the component parks in
-//! `SupervisedWait` until a [`crate::supervisor_actor::RestartGrant`]
-//! arrives (after the restart backoff, which grows with the consecutive
-//! death count), then starts its ULFM repair. For a poison input that
-//! reached the poison threshold the grant carries the step to quarantine.
-//! An unsupervised run is the same with no supervisor and no backoff.
+//! ([`crate::config::WorkflowConfig::supervision`]), the component enacts
+//! the supervision policy itself. A death asks the component's own
+//! [`supervise::FailureDomain`] for the restart backoff (which grows with
+//! the consecutive death count) and, for a poison input that reached
+//! [`supervise::POISON_THRESHOLD`], the step to quarantine; the component
+//! opens its outage clock and parks in `SupervisedWait` until the backoff
+//! elapses, then starts its ULFM repair. Resuming compute closes the
+//! outage into the `sup.outage_s` stream (the run's MTTR) and ends the
+//! death streak. An unsupervised run is the same with no backoff.
+//!
+//! ## Timers
+//!
+//! Every phase that ends after a modelled delay — `Computing`,
+//! `CkptWrite`, `RecUlfm`, `RecRestore` and `SupervisedWait` — ends on one
+//! self-timer, `PhaseDone`, dispatched on the phase. One incarnation
+//! never has two phase timers outstanding, so a timer whose incarnation
+//! still matches ends the phase the component is in.
 
 use crate::config::{CkptTarget, ComponentConfig, WorkflowConfig};
 use faultplane::RetryPolicy;
@@ -59,19 +69,14 @@ use staging::proto::{CtlMsg, CtlRequest, PutStatus, Reply, Request};
 use staging::server::{plan_get_routed, plan_put_virtual_routed};
 use staging::Router;
 use std::collections::BTreeSet;
-use supervise::DeathCause;
+use supervise::{DeathCause, FailureDomain};
 
 /// Kick-off message (runner → component at t=0).
 pub struct StartStep;
 
-/// Compute phase finished.
-struct ComputeDone {
-    step: u32,
-    incarnation: u32,
-}
-
-/// Independent checkpoint write finished.
-struct CkptWriteDone {
+/// Self-timer: the current timed phase is over. A death or a global
+/// rollback bumps the incarnation, which orphans the timer.
+struct PhaseDone {
     incarnation: u32,
 }
 
@@ -82,16 +87,6 @@ pub struct Fail;
 /// take an out-of-band checkpoint at the next step boundary (proactive
 /// checkpointing).
 pub struct FailureWarning;
-
-/// ULFM repair finished.
-struct UlfmDone {
-    incarnation: u32,
-}
-
-/// Checkpoint restore finished.
-struct RestoreDone {
-    incarnation: u32,
-}
 
 /// Director → component: coordinated checkpoint at `step` is complete.
 pub struct CkptRelease {
@@ -132,7 +127,7 @@ enum Phase {
     CtlWait(AfterCtl),
     RecUlfm,
     RecRestore,
-    /// Dead; waiting for the supervisor's restart grant (supervised runs).
+    /// Dead; waiting out the restart backoff (supervised runs).
     SupervisedWait,
     Done,
 }
@@ -208,15 +203,18 @@ pub struct ComponentActor {
     /// Handles of `wf.get_response_s` and `wf.gets`, likewise.
     get_metrics: Option<(TailId, CounterId)>,
 
-    // ---- supervision (all fields inert when `supervisor` is None) -------
-    /// The supervisor actor, when the run enables supervision.
-    supervisor: Option<ActorId>,
+    // ---- supervision (all fields inert unless `supervised`) -------------
+    /// The run enables supervision.
+    supervised: bool,
+    /// This component's death streak and poison hits.
+    fault_domain: FailureDomain,
     /// Step whose input is poisoned (crashes this consumer on every attempt).
     poison_step: Option<u32>,
-    /// Steps quarantined by the supervisor: their poison no longer fires.
+    /// Quarantined steps: their poison no longer fires.
     quarantined_steps: BTreeSet<u32>,
-    /// An outage is open (death reported, recovery not yet complete).
-    outage_open: bool,
+    /// Start of the open outage (first death of the streak); resuming
+    /// compute closes it.
+    outage_since: Option<SimTime>,
 
     // ---- observability (all fields inert when the tracer is off) -------
     tracer: obs::Tracer,
@@ -302,10 +300,11 @@ impl ComponentActor {
             steps_executed: 0,
             put_metrics: None,
             get_metrics: None,
-            supervisor: None,
+            supervised: false,
+            fault_domain: FailureDomain::default(),
             poison_step: None,
             quarantined_steps: BTreeSet::new(),
-            outage_open: false,
+            outage_since: None,
             tracer: obs::Tracer::off(),
             track: obs::TrackId(0),
             step_span: TraceCtx::NONE,
@@ -345,15 +344,16 @@ impl ComponentActor {
         self.retry = Some(policy);
     }
 
-    /// Runner wiring: place this component under supervision. Failures then
-    /// notify `supervisor` instead of self-orchestrating recovery.
-    pub fn set_supervisor(&mut self, supervisor: ActorId) {
-        self.supervisor = Some(supervisor);
+    /// Runner wiring: place this component under supervision. A death then
+    /// waits out the restart backoff before repair starts, and outages are
+    /// timed.
+    pub fn set_supervised(&mut self) {
+        self.supervised = true;
     }
 
     /// Runner wiring: the input this component consumes at `step` is
     /// poisoned — it kills the component every time it is processed, until
-    /// the supervisor quarantines the step.
+    /// the step is quarantined.
     pub fn set_poison(&mut self, step: u32) {
         self.poison_step = Some(step);
     }
@@ -425,13 +425,11 @@ impl ComponentActor {
     fn begin_step(&mut self, ctx: &mut Ctx<'_>) {
         // Resuming compute closes the outage: the component is back in
         // service (MTTR measures death → resumed execution, not death →
-        // caught-up re-execution).
-        if self.outage_open {
-            self.outage_open = false;
-            if let Some(sup) = self.supervisor {
-                let msg = crate::supervisor_actor::ComponentRecovered { app: self.cfg.app };
-                ctx.send_now(sup, msg);
-            }
+        // caught-up re-execution), and its death streak ends.
+        if let Some(since) = self.outage_since.take() {
+            let outage_s = ctx.now().saturating_sub(since).as_secs_f64();
+            ctx.metrics().observe_tail("sup.outage_s", outage_s);
+            self.fault_domain.on_recovered();
         }
         if self.step > self.total_steps {
             self.finish(ctx);
@@ -461,8 +459,7 @@ impl ComponentActor {
         let dur = SimTime::from_secs_f64(self.cfg.compute_per_step.as_secs_f64() * jitter)
             + self.pending_delay;
         self.pending_delay = SimTime::ZERO;
-        let (step, incarnation) = (self.step, self.incarnation);
-        ctx.timer(dur, ComputeDone { step, incarnation });
+        ctx.timer(dur, PhaseDone { incarnation: self.incarnation });
     }
 
     fn issue_io(&mut self, ctx: &mut Ctx<'_>) {
@@ -600,10 +597,10 @@ impl ComponentActor {
     fn step_io_done(&mut self, ctx: &mut Ctx<'_>) {
         self.cancel_retry();
         // Poison input: the data consumed this step is malformed and kills
-        // the component while it processes it — every time, until the
-        // supervisor quarantines the step (after which the input is shed
-        // and the step completes without it).
-        if self.supervisor.is_some()
+        // the component while it processes it — every time, until the step
+        // is quarantined (after which the input is shed and the step
+        // completes without it).
+        if self.supervised
             && self.poison_step == Some(self.step)
             && !self.quarantined_steps.contains(&self.step)
         {
@@ -646,8 +643,22 @@ impl ComponentActor {
                 CkptTarget::TwoLevel => self.node_local.write_time(self.cfg.state_bytes, 1),
             };
             ctx.metrics().observe("wf.ckpt_write_s", cost.as_secs_f64());
-            let incarnation = self.incarnation;
-            ctx.timer(cost, CkptWriteDone { incarnation });
+            ctx.timer(cost, PhaseDone { incarnation: self.incarnation });
+        }
+    }
+
+    /// The independent checkpoint write finished: tell staging (logging
+    /// protocols), then move on.
+    fn on_ckpt_written(&mut self, ctx: &mut Ctx<'_>) {
+        self.last_ckpt_step = self.step;
+        ctx.metrics().inc("wf.ckpts", 1);
+        let s = std::mem::take(&mut self.ckpt_span);
+        self.span_end(ctx, s, Vec::new());
+        if self.protocol.uses_logging() {
+            let req = CtlRequest::Checkpoint { app: self.cfg.app, upto_version: self.step };
+            self.send_ctl_all(ctx, req, AfterCtl::AdvanceStep);
+        } else {
+            self.advance_step(ctx);
         }
     }
 
@@ -772,18 +783,17 @@ impl ComponentActor {
 
     /// A death: an injected fail-stop or a poison input, in any live phase,
     /// recovery included. A replica absorbs a fail-stop by failing over.
-    /// Any other death kills the current incarnation (its timers and
-    /// replies, a recovery's `UlfmDone`, `RestoreDone` and control replies
-    /// among them, then match nothing), aborts its work and any open
-    /// recovery phase, and starts repair again: through the director under
-    /// Co, after the supervisor's grant in a supervised run, at once
-    /// otherwise.
+    /// Any other death kills the current incarnation (its phase timer and
+    /// replies, a recovery's control replies among them, then match
+    /// nothing), aborts its work and any open recovery phase, and starts
+    /// repair again: through the director under Co, after the restart
+    /// backoff in a supervised run, at once otherwise.
     fn die(&mut self, ctx: &mut Ctx<'_>, cause: DeathCause) {
         match self.phase {
             Phase::Done => return,
             Phase::SupervisedWait => {
-                // Already dead and awaiting a grant: a dead component cannot
-                // die again.
+                // Already dead and waiting out the backoff: a dead component
+                // cannot die again.
                 ctx.metrics().inc("wf.failures_coalesced", 1);
                 return;
             }
@@ -796,17 +806,18 @@ impl ComponentActor {
         if cause == DeathCause::FailStop && !self.cfg.scheme.rolls_back() && !coordinated {
             // Replication: fail over to the replica; no rollback, no staging
             // recovery. The pause lands on the next compute phase. Under
-            // supervision the fail-stop is still *observed*: the supervisor
-            // opens an outage (MTTR accounting) that the next step start
-            // closes — but it grants no restart, because the replica already
-            // took over.
+            // supervision the fail-stop is still *observed*: it opens an
+            // outage (MTTR accounting) that the next step start closes, and
+            // extends the death streak — but no restart follows, because the
+            // replica already took over.
             self.pending_delay += self.failover;
             ctx.metrics().inc("wf.failovers", 1);
             self.span_instant(ctx, self.step_span, "failover", Vec::new());
-            if let Some(sup) = self.supervisor {
-                self.outage_open = true;
-                let msg = crate::supervisor_actor::FailoverNotice { app: self.cfg.app };
-                ctx.send_now(sup, msg);
+            if self.supervised {
+                self.outage_since.get_or_insert(ctx.now());
+                self.fault_domain.on_death(cause);
+                ctx.metrics().inc("sup.deaths", 1);
+                ctx.metrics().inc("sup.failovers", 1);
             }
             return;
         }
@@ -844,41 +855,41 @@ impl ComponentActor {
             }
             let msg = crate::director::CoFailure { app: self.cfg.app };
             ctx.send_now(self.director, msg);
-        } else if let Some(sup) = self.supervisor {
-            self.outage_open = true;
-            self.phase = Phase::SupervisedWait;
-            let msg = crate::supervisor_actor::ComponentDown {
-                app: self.cfg.app,
-                step: self.step,
-                cause,
-            };
-            ctx.send_now(sup, msg);
+        } else if self.supervised {
+            self.supervised_wait(ctx, cause);
         } else {
             self.start_ulfm(ctx);
         }
     }
 
-    /// The supervisor granted a restart (after the backoff).
-    fn on_restart_grant(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        grant: &crate::supervisor_actor::RestartGrant,
-    ) {
-        if self.phase != Phase::SupervisedWait {
-            return;
-        }
-        if let Some(step) = grant.quarantine {
+    /// Enact the supervision policy for a rollback death: open (or extend)
+    /// the outage, quarantine a poisoned step that reached the threshold,
+    /// and park until the restart backoff elapses; repair starts on the
+    /// [`PhaseDone`] that ends the wait.
+    fn supervised_wait(&mut self, ctx: &mut Ctx<'_>, cause: DeathCause) {
+        self.outage_since.get_or_insert(ctx.now());
+        let (backoff_ns, quarantine) = self.fault_domain.on_death(cause);
+        ctx.metrics().inc("sup.deaths", 1);
+        ctx.metrics().inc("sup.restarts", 1);
+        if let Some(step) = quarantine {
             // The poisoned input is shed: re-execution of `step` completes
             // without it instead of dying again.
             self.quarantined_steps.insert(step);
+            ctx.metrics().inc("sup.quarantined", 1);
             ctx.metrics().inc("wf.quarantined_steps", 1);
-            self.span_instant(ctx, self.recovery_span, "quarantine", vec![arg("step", step)]);
+            let args = vec![
+                arg("step", step),
+                arg("deaths", self.fault_domain.poison_hits(step)),
+                arg("cause", cause.label()),
+            ];
+            self.span_instant(ctx, self.recovery_span, "quarantine", args);
         }
-        self.start_ulfm(ctx);
+        self.phase = Phase::SupervisedWait;
+        ctx.timer(SimTime::from_nanos(backoff_ns), PhaseDone { incarnation: self.incarnation });
     }
 
     /// Count one rollback recovery and start its ULFM repair; restore and
-    /// the staging restart follow on `UlfmDone`.
+    /// the staging restart follow when the repair's [`PhaseDone`] fires.
     fn start_ulfm(&mut self, ctx: &mut Ctx<'_>) {
         ctx.metrics().inc("wf.recoveries", 1);
         if self.tracer.enabled() {
@@ -888,8 +899,7 @@ impl ComponentActor {
         let victim = self.rng.next_bounded(self.comm.size().max(1) as u64) as usize;
         let breakdown = ulfm::recover(&mut self.comm, &[victim], &self.ulfm, true);
         ctx.metrics().observe("wf.ulfm_s", breakdown.total().as_secs_f64());
-        let incarnation = self.incarnation;
-        ctx.timer(breakdown.total(), UlfmDone { incarnation });
+        ctx.timer(breakdown.total(), PhaseDone { incarnation: self.incarnation });
     }
 
     /// Move the step pointer back to `resume` and count the steps that
@@ -920,8 +930,7 @@ impl ComponentActor {
         let cost = self.pfs.read_time(self.cfg.state_bytes, 1)
             + self.reconnect_per_rank.scale(self.cfg.ranks as u64);
         ctx.metrics().observe("wf.restore_s", cost.as_secs_f64());
-        let incarnation = self.incarnation;
-        ctx.timer(cost, RestoreDone { incarnation });
+        ctx.timer(cost, PhaseDone { incarnation: self.incarnation });
     }
 
     fn on_restore_done(&mut self, ctx: &mut Ctx<'_>) {
@@ -966,31 +975,16 @@ impl Actor for ComponentActor {
             }
             return;
         }
-        let ev = match ev.downcast::<ComputeDone>() {
-            Ok((_, c)) => {
-                if c.incarnation == self.incarnation
-                    && c.step == self.step
-                    && self.phase == Phase::Computing
-                {
-                    self.issue_io(ctx);
-                }
-                return;
-            }
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<CkptWriteDone>() {
-            Ok((_, c)) => {
-                if c.incarnation == self.incarnation && self.phase == Phase::CkptWrite {
-                    self.last_ckpt_step = self.step;
-                    ctx.metrics().inc("wf.ckpts", 1);
-                    let s = std::mem::take(&mut self.ckpt_span);
-                    self.span_end(ctx, s, Vec::new());
-                    if self.protocol.uses_logging() {
-                        let req =
-                            CtlRequest::Checkpoint { app: self.cfg.app, upto_version: self.step };
-                        self.send_ctl_all(ctx, req, AfterCtl::AdvanceStep);
-                    } else {
-                        self.advance_step(ctx);
+        let ev = match ev.downcast::<PhaseDone>() {
+            Ok((_, p)) => {
+                if p.incarnation == self.incarnation {
+                    match self.phase {
+                        Phase::Computing => self.issue_io(ctx),
+                        Phase::CkptWrite => self.on_ckpt_written(ctx),
+                        Phase::RecUlfm => self.on_ulfm_done(ctx),
+                        Phase::RecRestore => self.on_restore_done(ctx),
+                        Phase::SupervisedWait => self.start_ulfm(ctx),
+                        _ => {}
                     }
                 }
                 return;
@@ -1026,31 +1020,6 @@ impl Actor for ComponentActor {
                     self.rewind(ctx, r.resume_step);
                     self.begin_step(ctx);
                 }
-                return;
-            }
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<UlfmDone>() {
-            Ok((_, u)) => {
-                if u.incarnation == self.incarnation && self.phase == Phase::RecUlfm {
-                    self.on_ulfm_done(ctx);
-                }
-                return;
-            }
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<RestoreDone>() {
-            Ok((_, r)) => {
-                if r.incarnation == self.incarnation && self.phase == Phase::RecRestore {
-                    self.on_restore_done(ctx);
-                }
-                return;
-            }
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<crate::supervisor_actor::RestartGrant>() {
-            Ok((_, g)) => {
-                self.on_restart_grant(ctx, &g);
                 return;
             }
             Err(ev) => ev,

@@ -127,10 +127,10 @@ pub enum FailureSpec {
         /// Number of failures to inject.
         count: usize,
     },
-    /// Fail-stop failure of staging server `server` at `at`; the server
-    /// rebuilds its contents from survivors while requests queue, ingesting
-    /// `staging_resilience.protect.rs_k` bytes through its NIC per byte
-    /// rebuilt.
+    /// Fail-stop failure of staging server `server` at `at`; after a fixed
+    /// 200 ms failover the server rebuilds its contents from survivors
+    /// while requests queue, ingesting 8 bytes (an RS(8, m) code's data
+    /// shards) through its NIC per byte rebuilt.
     StagingAt {
         /// Failure time.
         at: SimTime,
@@ -148,9 +148,8 @@ pub enum FailureSpec {
     },
     /// Poison input: the data `victim` consumes at `step` is malformed and
     /// kills it on every attempt. Without supervision this wedges the run in
-    /// a crash loop; with supervision the step is quarantined to the
-    /// dead-letter queue once it has caused [`supervise::POISON_THRESHOLD`]
-    /// deaths.
+    /// a crash loop; with supervision the step is quarantined once it has
+    /// caused [`supervise::POISON_THRESHOLD`] deaths.
     PoisonPut {
         /// The consumer that crashes on the poisoned input.
         victim: u32,
@@ -276,26 +275,6 @@ pub struct ShardingCfg {
     pub rebalance: Option<RebalanceCfg>,
 }
 
-/// Parameters of the staging area's own resilience (the CoREC substrate the
-/// paper builds on: "the data staging can contain data resilience mechanisms
-/// such as data replication or erasure coding").
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct StagingResilienceCfg {
-    /// Erasure-coding geometry of staged objects (sets the rebuild rate).
-    pub protect: resilience::ProtectConfig,
-    /// Fixed failover/detection cost before the rebuild starts.
-    pub fixed: SimTime,
-}
-
-impl Default for StagingResilienceCfg {
-    fn default() -> Self {
-        StagingResilienceCfg {
-            protect: resilience::ProtectConfig::default(),
-            fixed: SimTime::from_millis(200),
-        }
-    }
-}
-
 /// Full experiment description.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorkflowConfig {
@@ -330,9 +309,6 @@ pub struct WorkflowConfig {
     pub pfs: ckpt::PfsModel,
     /// Failure injection plan.
     pub failures: Vec<FailureSpec>,
-    /// Staging-area resilience parameters (drives rebuild times after
-    /// staging-server failures).
-    pub staging_resilience: StagingResilienceCfg,
     /// Checkpoint storage target for every component.
     pub ckpt_target: CkptTarget,
     /// Node-local storage model (used when `ckpt_target` is two-level).
@@ -364,13 +340,13 @@ pub struct WorkflowConfig {
     pub trace: Option<TraceCfg>,
     /// Self-healing supervision (the `supervise` crate wired into the
     /// runner; off in the seed's configs — `#[serde(default)]` keeps old
-    /// documents readable). When on, a supervisor actor owns component
-    /// failure handling: restarts from the last checkpoint after a
-    /// capped-exponential backoff ([`supervise::BACKOFF_BASE_NS`] doubling
-    /// to [`supervise::BACKOFF_CAP_NS`]), and dead-letter quarantine of an
-    /// input that kills its component [`supervise::POISON_THRESHOLD`] times.
-    /// Staging-server outages are timed, not restarted: the resilience
-    /// layer's rebuild brings a server back.
+    /// documents readable). When on, each component enacts the supervision
+    /// policy on its own deaths: it restarts from its last checkpoint after
+    /// a capped-exponential backoff ([`supervise::BACKOFF_BASE_NS`] doubling
+    /// to [`supervise::BACKOFF_CAP_NS`]), and quarantines an input that
+    /// kills it [`supervise::POISON_THRESHOLD`] times. Staging-server
+    /// outages are timed, not restarted: the resilience layer's rebuild
+    /// brings a server back.
     #[serde(default)]
     pub supervision: bool,
     /// Optional sharded staging fleet (absent in the seed's configs —
@@ -647,9 +623,9 @@ impl WorkflowConfig {
             }
         }
         if self.supervision && self.protocol.coordinated_checkpoints() {
-            // Coordinated rollback is global by construction; a per-domain
-            // supervisor restarting one component would race the
-            // director's whole-workflow rollback.
+            // Coordinated rollback is global by construction; one component
+            // restarting itself after a backoff would race the director's
+            // whole-workflow rollback.
             return Err("supervision composes with per-component recovery, not with the \
                  coordinated protocol's global rollback"
                 .into());
@@ -692,7 +668,6 @@ fn base(
         ulfm: mpi_sim::UlfmCosts::default(),
         pfs: ckpt::PfsModel::default(),
         failures: Vec::new(),
-        staging_resilience: StagingResilienceCfg::default(),
         ckpt_target: CkptTarget::Pfs,
         node_local: ckpt::NodeLocalModel::default(),
         proactive: None,
@@ -1103,16 +1078,16 @@ mod tests {
             (0..5).flat_map(|scale| (0..4).map(move |nf| table3(scale, p, nf))).collect::<Vec<_>>()
         };
         let pins = [
-            ("table2", per_protocol(&|p| vec![table2(p)]), 0xE08F_050A_166C_E575u64),
-            ("table3", per_protocol(&table3_all), 0x9EB2_A05C_CAC8_254C),
-            ("dns_les", per_protocol(&|p| vec![dns_les(p)]), 0x452B_9AF2_17CB_ED2E),
+            ("table2", per_protocol(&|p| vec![table2(p)]), 0x8A74_2995_50B9_0CDEu64),
+            ("table3", per_protocol(&table3_all), 0xF30A_E6D2_8A85_57B8),
+            ("dns_les", per_protocol(&|p| vec![dns_les(p)]), 0x586D_59A5_98C8_9D59),
             (
                 "fanout",
                 per_protocol(&|p| (1..=3).map(|n| fanout(p, n)).collect()),
-                0xF045_8B6C_2FA9_8AE2,
+                0xE7F6_B41A_FF65_D06D,
             ),
-            ("tiny", per_protocol(&|p| vec![tiny(p)]), 0x0CFB_1F25_923F_5BF7),
-            ("micro", per_protocol(&|p| vec![micro(p)]), 0xE68E_2E1D_8D8B_CC7A),
+            ("tiny", per_protocol(&|p| vec![tiny(p)]), 0xA017_0A9F_DAFE_087E),
+            ("micro", per_protocol(&|p| vec![micro(p)]), 0x2B00_26BA_3C80_7385),
         ];
         for (preset, got, want) in pins {
             assert_eq!(got, want, "{preset}: {got:#018X}");

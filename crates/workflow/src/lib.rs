@@ -35,7 +35,6 @@ pub mod director;
 pub mod mcheck_mode;
 pub mod report;
 pub mod runner;
-pub mod supervisor_actor;
 pub mod telemetry_actor;
 
 pub use config::{ComponentConfig, DurabilityCfg, FailureSpec, Role, TelemetryCfg, WorkflowConfig};

@@ -97,10 +97,6 @@ impl Actor for CrashInjector {
         // Kickoff runs at t=0, so the crash time is also the delay.
         ctx.send_after(c.at, target, crate::component::Fail);
     }
-
-    fn fingerprint(&self) -> Option<u64> {
-        Some(0) // stateless after kickoff
-    }
 }
 
 /// A workflow configuration plus model-checking knobs, explorable by

@@ -125,21 +125,23 @@ impl RunReport {
         self.metrics.counter("wf.proactive_ckpts")
     }
 
-    /// Restart grants issued by the supervisor, including staging-server
-    /// rebuilds and replica failovers it accounted as outages (0 in
-    /// unsupervised runs).
+    /// Supervised restarts: one per death of a rolling-back component and
+    /// per staging-server failure, plus the replica failovers counted as
+    /// outages (0 in unsupervised runs).
     pub fn restarts(&self) -> u64 {
         self.metrics.counter("sup.restarts") + self.metrics.counter("sup.failovers")
     }
 
-    /// Poison inputs quarantined to the dead-letter queue.
+    /// Poisoned steps quarantined (each also a `quarantine` trace instant on
+    /// its victim's track).
     pub fn quarantined(&self) -> u64 {
         self.metrics.counter("sup.quarantined")
     }
 
-    /// Mean time to repair across supervised outages, seconds (death of a
-    /// domain → resumed execution; consecutive deaths extend one outage; 0
-    /// in unsupervised runs).
+    /// Mean time to repair across supervised outages, seconds (a
+    /// component's death → its resumed compute, a staging server's failure
+    /// → its rebuilt store; consecutive deaths extend one outage; 0 in
+    /// unsupervised runs).
     pub fn mttr_mean_s(&self) -> f64 {
         self.metrics.stream("sup.outage_s").map_or(0.0, |s| s.mean)
     }

@@ -16,6 +16,15 @@ use wfcr::protocol::{FtScheme, WorkflowProtocol};
 /// Safety valve: a run dispatching more events than this is assumed wedged.
 const MAX_EVENTS: u64 = 200_000_000;
 
+/// Fixed failover/detection cost before a failed staging server's rebuild
+/// starts.
+const STAGING_FAILOVER: SimTime = SimTime::from_millis(200);
+
+/// Reed–Solomon data shards of the staged data (the CoREC substrate's
+/// RS(8, m)): rebuilding one lost byte ingests this many surviving bytes
+/// through the rebuilding server's NIC.
+const STAGING_RS_K: f64 = 8.0;
+
 /// Resolve every [`FailureSpec::Mtbf`] into concrete [`FailureSpec::At`]
 /// entries. Deterministic given `cfg.seed`, and independent of the protocol,
 /// so the *same* failures can be injected into Co/Un/Hy/In variants of one
@@ -95,8 +104,6 @@ pub struct BuiltWorkflow {
     /// The shared recorder every actor writes spans into. Disabled (all
     /// operations no-ops) unless `cfg.trace` asks for recording.
     pub tracer: obs::Tracer,
-    /// Supervisor actor id, when `cfg.supervision` enables supervision.
-    pub sup_id: Option<usize>,
     /// Telemetry scraper actor id, when `cfg.telemetry` enables the
     /// windowed time series.
     pub tel_id: Option<usize>,
@@ -229,24 +236,13 @@ pub fn build(cfg: &WorkflowConfig) -> BuiltWorkflow {
     let net_id = engine.add_actor(Box::new(network));
     let handle = NetworkHandle { actor: net_id };
 
-    // 4b. Supervisor (supervised runs only). Registered after the network
-    // actor so the component/server actor-id layout mcheck depends on is
-    // untouched.
-    let sup_id = cfg.supervision.then(|| {
-        let mut sup = crate::supervisor_actor::SupervisorActor::new(tracer.clone());
-        for (i, c) in cfg.components.iter().enumerate() {
-            sup.watch_component(c.app, comp_ids[i]);
-        }
-        engine.add_actor(Box::new(sup))
-    });
-
     // 5. Wire everyone.
     for (i, &cid) in comp_ids.iter().enumerate() {
         let c = engine.actor_as_mut::<ComponentActor>(cid).expect("component actor");
         c.wire(handle, comp_eps[i], server_eps.clone(), dir_id);
         c.set_tracer(tracer.clone());
-        if let Some(sid) = sup_id {
-            c.set_supervisor(sid);
+        if cfg.supervision {
+            c.set_supervised();
         }
         if fault_plan.is_some() {
             // Unlimited attempts: virtual time is free, and a wedge from an
@@ -266,8 +262,8 @@ pub fn build(cfg: &WorkflowConfig) -> BuiltWorkflow {
             engine.actor_as_mut::<StagingServerActor<AnyBackend>>(srv_id).expect("server actor");
         s.wire(handle, server_eps[i]);
         s.set_tracer(tracer.clone());
-        if let Some(sid) = sup_id {
-            s.set_supervisor(sid);
+        if cfg.supervision {
+            s.set_supervised();
         }
     }
     let dir = engine.actor_as_mut::<Director>(dir_id).expect("director");
@@ -276,7 +272,7 @@ pub fn build(cfg: &WorkflowConfig) -> BuiltWorkflow {
 
     // 5a. Poison inputs: not scheduled events but standing state — the
     // victim dies every time it processes the poisoned step's input, until
-    // the supervisor quarantines it (validate() requires supervision).
+    // its supervision quarantines it (validate() requires supervision).
     for spec in &cfg.failures {
         if let FailureSpec::PoisonPut { victim, step } = spec {
             let idx =
@@ -292,7 +288,7 @@ pub fn build(cfg: &WorkflowConfig) -> BuiltWorkflow {
         // ingests k bytes from surviving servers through the rebuilding
         // server's NIC.
         let nic_bytes_per_s = 1e9 / cfg.net.ns_per_byte;
-        let rebuild_per_byte_s = cfg.staging_resilience.protect.rs_k as f64 / nic_bytes_per_s;
+        let rebuild_per_byte_s = STAGING_RS_K / nic_bytes_per_s;
         let mut warn_rng = sim_core::rng::Xoshiro256StarStar::seed_from_u64(cfg.seed ^ 0x9A9A);
         for spec in materialize_failures(&cfg) {
             match spec {
@@ -321,7 +317,7 @@ pub fn build(cfg: &WorkflowConfig) -> BuiltWorkflow {
                         at,
                         server_ids[server],
                         staging::server::ServerFail {
-                            fixed: cfg.staging_resilience.fixed,
+                            fixed: STAGING_FAILOVER,
                             per_byte_s: rebuild_per_byte_s,
                         },
                     );
@@ -333,9 +329,8 @@ pub fn build(cfg: &WorkflowConfig) -> BuiltWorkflow {
         }
     }
 
-    // 6b. Telemetry scraper (telemetry-on runs only). Registered last for
-    // the same reason as the supervisor: the component/server actor-id
-    // layout is load-bearing. The scraper is observational — it reads the
+    // 6b. Telemetry scraper (telemetry-on runs only). Registered last: the
+    // component/server actor-id layout mcheck depends on is load-bearing. The scraper is observational — it reads the
     // registry, never the RNG — so enabling it cannot change the simulated
     // outcome, only the dispatch count (its ticks are events).
     let tel_id = cfg.telemetry.as_ref().map(|t| {
@@ -349,7 +344,7 @@ pub fn build(cfg: &WorkflowConfig) -> BuiltWorkflow {
     for &cid in &comp_ids {
         engine.schedule_now(cid, StartStep);
     }
-    BuiltWorkflow { engine, cfg, comp_ids, server_ids, dir_id, net_id, tracer, sup_id, tel_id }
+    BuiltWorkflow { engine, cfg, comp_ids, server_ids, dir_id, net_id, tracer, tel_id }
 }
 
 /// Distill a completed run into a [`RunReport`]. Asserts every component

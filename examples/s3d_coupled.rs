@@ -62,7 +62,6 @@ fn s3d_config(protocol: WorkflowProtocol) -> WorkflowConfig {
         ulfm: mpi_sim::UlfmCosts::default(),
         pfs: ckpt::PfsModel::default(),
         failures: vec![],
-        staging_resilience: workflow::config::StagingResilienceCfg::default(),
         ckpt_target: workflow::config::CkptTarget::Pfs,
         node_local: ckpt::NodeLocalModel::default(),
         proactive: None,

@@ -1,5 +1,5 @@
 //! Self-healing supervised run: automatic restarts, backoff across a
-//! crash during recovery, and dead-letter quarantine end to end.
+//! crash during recovery, and poison quarantine end to end.
 //!
 //! Runs the Table-II tiny workflow under the uncoordinated protocol three
 //! times, each under supervision:
@@ -9,8 +9,8 @@
 //! 2. a second blow landing *during* the first recovery — the outage
 //!    extends (growing backoff) instead of deadlocking;
 //! 3. a poison put that kills the consumer on every attempt — after
-//!    `supervise::POISON_THRESHOLD` deaths the supervisor quarantines the
-//!    step to the dead-letter queue and the rest of the run completes.
+//!    `supervise::POISON_THRESHOLD` deaths the consumer quarantines the
+//!    step and the rest of the run completes without its input.
 //!
 //! Run with:
 //! ```text
@@ -46,7 +46,7 @@ fn main() {
     println!("{}", rep.summary());
     println!("{}", rep.to_json_line());
 
-    println!("-- poison put: step quarantined to the DLQ after poison_threshold deaths --");
+    println!("-- poison put: step quarantined after poison_threshold deaths --");
     let poison = base.with_failures(vec![FailureSpec::PoisonPut { victim: 1, step: 3 }]);
     let rep = run(&poison);
     println!("{}", rep.summary());

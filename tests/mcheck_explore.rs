@@ -26,7 +26,6 @@ fn small_explore(por: bool) -> ExploreConfig {
         max_branch_points: 4,
         max_schedules: 2_000,
         por,
-        state_prune: false,
         stop_on_first: false,
         minimize: true,
     }
@@ -201,7 +200,6 @@ mod dpor_property {
             let ecfg = ExploreConfig {
                 max_branch_points: 3,
                 max_schedules: 500,
-                state_prune: false,
                 stop_on_first: false,
                 minimize: false,
                 por: false,
@@ -237,7 +235,6 @@ fn mcheck_deep_exploration_is_violation_free() {
         max_branch_points: 8,
         max_schedules: 200_000,
         por: true,
-        state_prune: true,
         stop_on_first: false,
         minimize: true,
     };

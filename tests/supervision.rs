@@ -1,5 +1,5 @@
-//! Self-healing supervision: automatic restarts, dead-letter quarantine,
-//! and composed failures written as lists of single fail-stops.
+//! Self-healing supervision: automatic restarts, poison quarantine, and
+//! composed failures written as lists of single fail-stops.
 //!
 //! The invariants pinned here, per the supervision design (DESIGN §8):
 //!
@@ -8,11 +8,13 @@
 //!   rollback: only the victim rolls back, the run completes, and the
 //!   staging replay digests verify clean.
 //! * A poison put crash-loops its consumer until it has caused
-//!   `supervise::POISON_THRESHOLD` deaths, the step is quarantined to the dead-letter
-//!   queue, and the *rest* of the run completes — byte-identically across
-//!   same-seed runs.
-//! * The quarantined step's letter names its domain, step, death count and
-//!   reason.
+//!   `supervise::POISON_THRESHOLD` deaths, the step is quarantined, and the
+//!   *rest* of the run completes — byte-identically across same-seed runs.
+//! * The quarantined step's trace instant names its victim, step, death
+//!   count and cause, and a supervised trace is well formed with no
+//!   supervisor of its own: each component enacts its own supervision.
+//! * A death while the component waits out its restart backoff is
+//!   coalesced into the outage already open.
 //! * Cascading, correlated and fail-during-recovery failures — each a list
 //!   of `FailureSpec::At` — and poison puts are deterministic end to end
 //!   (the soak).
@@ -22,8 +24,7 @@ mod common;
 use std::time::Duration;
 use wfcr::protocol::WorkflowProtocol;
 use workflow::config::{tiny, FailureSpec, TraceCfg, WorkflowConfig};
-use workflow::runner::run;
-use workflow::supervisor_actor::SupervisorActor;
+use workflow::runner::{run, run_traced};
 use workflow::RunReport;
 
 use sim_core::time::SimTime;
@@ -40,7 +41,7 @@ fn assert_completed(rep: &RunReport, ctx: &str) {
     assert_eq!(rep.digest_mismatches, 0, "{ctx}: replay digests must verify clean");
 }
 
-/// One mid-run crash of the consumer: the supervisor restarts it exactly
+/// One mid-run crash of the consumer: supervision restarts it exactly
 /// once, by checkpoint rollback, and only the victim pays (no global
 /// rollback).
 #[test]
@@ -56,10 +57,10 @@ fn single_crash_recovers_per_policy() {
     assert!(ck.mttr_mean_s() > 0.0 && ck.mttr_max_s() >= ck.mttr_mean_s());
 }
 
-/// Satellite 4 — the deterministic poison-put regression. A poisoned step-3
-/// input kills the consumer on every attempt; after `POISON_THRESHOLD`
-/// deaths the supervisor quarantines the step to the DLQ, the consumer skips
-/// it, and the rest of the run completes. Two same-seed runs must produce
+/// The deterministic poison-put regression. A poisoned step-3 input kills
+/// the consumer on every attempt; after `POISON_THRESHOLD` deaths the
+/// consumer quarantines the step, skips it, and the rest of the run
+/// completes. Two same-seed runs must produce
 /// byte-identical reports.
 #[test]
 fn poison_put_quarantines_and_rest_completes_byte_identically() {
@@ -67,7 +68,7 @@ fn poison_put_quarantines_and_rest_completes_byte_identically() {
     let cfg = supervised().with_failures(vec![FailureSpec::PoisonPut { victim: 1, step: 3 }]);
     let a = run(&cfg);
     assert_completed(&a, "poison-put");
-    assert_eq!(a.quarantined(), 1, "the poisoned step must land in the DLQ");
+    assert_eq!(a.quarantined(), 1, "the poisoned step must be quarantined");
     assert_eq!(
         a.restarts() as u32,
         supervise::POISON_THRESHOLD,
@@ -162,11 +163,11 @@ fn cascading_and_correlated_failures_recover_deterministically() {
     assert_eq!(r1.to_json_line(), run(&correlated).to_json_line());
 }
 
-/// A replicated component's fail-stop routes through the supervisor as an
-/// *outage*, not a restart grant: the replica is already serving, so
-/// failover semantics are unchanged (one failover, no rollback, same
-/// completion), but the supervisor now opens an MTTR window around the
-/// failover pause and closes it on the component's next recovered beacon.
+/// A replicated component's fail-stop counts under supervision as an
+/// *outage*, not a restart: the replica is already serving, so failover
+/// semantics are unchanged (one failover, no rollback, same completion),
+/// but the component opens an MTTR window around the failover pause and
+/// closes it when it next resumes compute.
 #[test]
 fn replicated_failover_routes_through_the_supervisor() {
     let _wd = common::watchdog("replicated_failover", Duration::from_secs(120));
@@ -202,26 +203,77 @@ fn replicated_failover_routes_through_the_supervisor() {
     assert_eq!(sup.to_json_line(), again.to_json_line(), "same seed, same supervised report");
 }
 
-/// A quarantined poison step leaves one letter in the supervisor's
-/// dead-letter queue, with domain, step, death count and reason intact.
+/// A second death 20 ms after the first lands inside the first one's 50 ms
+/// restart backoff, while the consumer is already dead: it is coalesced
+/// into the open outage — no second restart, no second recovery.
+#[test]
+fn a_death_during_the_backoff_is_coalesced() {
+    let _wd = common::watchdog("death_during_backoff", Duration::from_secs(120));
+    let cfg = supervised().with_failures(vec![
+        FailureSpec::At { at: SimTime::from_millis(700), app: 1 },
+        FailureSpec::At { at: SimTime::from_millis(720), app: 1 },
+    ]);
+    let rep = run(&cfg);
+    assert_completed(&rep, "death during the backoff");
+    assert_eq!(rep.metrics.counter("wf.failures_coalesced"), 1, "the second death is coalesced");
+    assert_eq!(rep.restarts(), 1, "one outage, one restart");
+    assert_eq!(rep.recoveries(), 1, "one ULFM repair");
+}
+
+/// The `self_healing` poison run, fully traced.
+fn traced_poison_run() -> (RunReport, obs::Trace) {
+    let mut cfg = supervised().with_failures(vec![FailureSpec::PoisonPut { victim: 1, step: 3 }]);
+    cfg.trace = Some(TraceCfg::full());
+    run_traced(&cfg)
+}
+
+/// The victim's `quarantine` instants: `(track name, args)`.
+fn quarantines(trace: &obs::Trace) -> Vec<(&str, Vec<(&str, &str)>)> {
+    trace
+        .records
+        .iter()
+        .filter(|r| r.k == obs::RecordKind::Instant && r.name == "quarantine")
+        .map(|r| {
+            let args = r.args.iter().map(|a| (a.k.as_str(), a.v.as_str())).collect();
+            (trace.tracks[r.track as usize].as_str(), args)
+        })
+        .collect()
+}
+
+/// A supervised trace explains itself: it is well formed, no supervisor
+/// track stands beside the components, and the quarantine is an instant on
+/// the victim's own track.
+#[test]
+fn a_supervised_trace_explains_itself() {
+    let _wd = common::watchdog("supervised_trace", Duration::from_secs(120));
+    let (rep, trace) = traced_poison_run();
+    assert_completed(&rep, "traced poison-put");
+    let report = obs::analyze::validate(&trace).unwrap_or_else(|e| panic!("invalid trace: {e:?}"));
+    assert!(report.instants > 0);
+    assert!(
+        trace.tracks.iter().all(|t| t != "supervisor"),
+        "no supervisor track: {:?}",
+        trace.tracks
+    );
+    assert_eq!(quarantines(&trace).len(), 1, "one quarantine instant");
+}
+
+/// A quarantined poison step leaves one `quarantine` instant on its
+/// victim's track, with victim, step, death count and cause intact.
 #[test]
 fn dead_letter_queue_persists_across_restart() {
     let _wd = common::watchdog("dlq_letter", Duration::from_secs(120));
-    let cfg = supervised().with_failures(vec![FailureSpec::PoisonPut { victim: 1, step: 3 }]);
-    let mut built = workflow::runner::build(&cfg);
-    built.engine.run_limited(200_000_000);
-    let rep = workflow::runner::harvest(&mut built);
+    let (rep, trace) = traced_poison_run();
     assert_eq!(rep.quarantined(), 1);
 
-    let sup_id = built.sup_id.expect("supervised run");
-    let sup = built.engine.actor_as::<SupervisorActor>(sup_id).expect("supervisor actor");
-    let dlq = sup.supervisor().dlq();
-    assert_eq!(dlq.len(), 1, "exactly one letter must be quarantined");
-    let letter = &dlq.letters()[0];
-    assert_eq!(letter.domain, "comp:1");
-    assert_eq!(letter.step, 3);
-    assert_eq!(letter.deaths, supervise::POISON_THRESHOLD);
-    assert_eq!(letter.reason, "poison-put");
+    let letters = quarantines(&trace);
+    assert_eq!(letters.len(), 1, "exactly one letter must be quarantined");
+    let (track, args) = &letters[0];
+    let threshold = supervise::POISON_THRESHOLD.to_string();
+    assert!(track.starts_with("app1:"), "the victim's own track, not {track}");
+    assert!(args.contains(&("step", "3")), "{args:?}");
+    assert!(args.contains(&("deaths", threshold.as_str())), "{args:?}");
+    assert!(args.contains(&("cause", "poison-put")), "{args:?}");
 }
 
 /// One soak cell's failure list: `shape` striking at `at`, its second
